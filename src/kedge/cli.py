@@ -22,10 +22,9 @@ import click
 
 from .picard import Angles, SurfaceParams, as_model, parse_curve_id
 from .ratmath import RatParseError, format_rat, parse_rat
-from .tvariety import futaki_vanishes
 from .verdict import InconsistencyError, k_polystable
 from .verify import SUITES, run_suites
-from .volumes import IrrationalThreshold, expected_vanishing_order, log_discrepancy, volume_curve
+from .volumes import IrrationalThreshold, log_discrepancy, volume_curve
 
 _COMMANDS = ("delta", "volume-curve", "verify", "scan")
 
@@ -142,7 +141,6 @@ def cmd_delta(n, m, beta1, beta2, approx, accept_decimal, output):
         _user_error(f"outside the ample range: {violation}")
     try:
         verdict = k_polystable(params, angles)
-        futaki = futaki_vanishes(params, angles)
     except InconsistencyError as exc:
         _inconsistency(exc)
     report = {
@@ -159,7 +157,7 @@ def cmd_delta(n, m, beta1, beta2, approx, accept_decimal, output):
             "witness": verdict.witness,
             "witnesses": list(verdict.witnesses),
             "condition_sign": verdict.condition_sign,
-            "futaki_zero": futaki == 0,
+            "futaki_zero": verdict.condition_sign == 0,
             "status": verdict.status,
             "notes": list(verdict.notes),
             "per_divisor": {},
@@ -197,7 +195,7 @@ def cmd_volume_curve(n, m, curve, beta1, beta2, approx, accept_decimal, output):
     try:
         pq = volume_curve(cid, params, angles)
         a_value = log_discrepancy(cid, params, angles)
-        s_value = expected_vanishing_order(cid, params, angles)
+        s_value = pq.expected_vanishing_order()
     except IrrationalThreshold as exc:
         _user_error(f"threshold is not rational for this input: {exc}")
     except ValueError as exc:

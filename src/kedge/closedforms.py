@@ -134,49 +134,6 @@ def closed_form_S(E, params, angles) -> Rat | None:
     return None
 
 
-def fibration_volume(params, angles) -> Rat:
-    """2(b1+b2) - (n/2)*b1^2 + ((n-m)/2)*b2^2, half the anticanonical volume."""
-    model = as_model(params)
-    n, m = model.n, model.m
-    b1, b2 = angles.beta1, angles.beta2
-    return 2 * (b1 + b2) - Rat(n, 2) * b1 * b1 + Rat(n - m, 2) * b2 * b2
-
-
-def barycenter_closed(params, angles) -> Rat:
-    """Barycenter of the fibration weight measure: -2*bracket/vol."""
-    vol = total_volume(params, angles)
-    return -2 * angle_bracket(params, angles) / vol
-
-
-def vertical_base_closed(params, angles, point) -> Rat:
-    """Closed form for the base constants of the vertical valuations.
-
-    ``point`` is ``"p0"`` for the slice carrying the negative section, or a
-    marked-point index ``1..m``; the generic value is ``bc_p0 + n*bc + 2``.
-    """
-    model = as_model(params)
-    n, m = model.n, model.m
-    b1, b2 = angles.beta1, angles.beta2
-    vol = total_volume(model.params, angles)
-    if point == "p0":
-        inner = (2 - n * b1 + n * b2) * (b1 + b2) + (
-            n * n * b1**3 + (n * n - m * m) * b2**3
-        ) / Rat(6)
-        return -2 * inner / vol
-    if point == "generic":
-        bc = barycenter_closed(model.params, angles)
-        return vertical_base_closed(model.params, angles, "p0") + n * bc + 2
-    if not 1 <= point <= m:
-        raise ValueError(f"marked point index out of range: {point!r}")
-    inner = (
-        2 * (b1 + b2)
-        - n * b1 * b1
-        + (n - m + 1) * b2 * b2
-        + (n * n * b1**3 + (n - m + 2) * (n - m) * b2**3) / Rat(6)
-    )
-    return 2 * inner / vol
-
-
 def _freeze(raw_pieces) -> PiecewiseQuadratic:
     pieces = []
     for x_lo, x_hi, quad, support in raw_pieces:

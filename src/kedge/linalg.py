@@ -9,7 +9,7 @@ long as they support ``+``, ``-`` and left-multiplication by Rat.
 """
 from __future__ import annotations
 
-from .ratmath import Rat, sign
+from .ratmath import Rat
 
 
 class SingularMatrixError(ArithmeticError):
@@ -142,7 +142,3 @@ def signature(matrix) -> tuple[int, int, int]:
             for rr in range(k):
                 a[rr][r] = a[rr][r] - factor * a[rr][p]
     return pos, neg, zero
-
-
-def sign_of(x) -> int:
-    return sign(x)

@@ -84,6 +84,7 @@ class Angles:
 # Curve kinds.  The index is meaningful only for "Ei" / "FiTilde".
 _KINDS = ("C1tilde", "C2tilde", "Ei", "FiTilde", "GenericFiber", "PullbackC2")
 _INDEXED = ("Ei", "FiTilde")
+_CANDIDATE_KINDS = ("C1tilde", "C2tilde", "Ei", "FiTilde")
 
 
 @dataclass(frozen=True)
@@ -245,6 +246,48 @@ class SurfaceModel:
             acc -= x * y
         return acc
 
+    def pair_curve(self, d: DivisorClass, cid: CurveId):
+        """D . C for a candidate curve C, in closed form (no class is built).
+
+        D.C~1 = b, D.C~2 = na + b - sum c_i, D.E_i = c_i, D.F~i = a - c_i.
+        """
+        if d.m != self.m:
+            raise ValueError("dimension mismatch against surface parameters")
+        kind = cid.kind
+        if kind == "Ei":
+            return d.c[cid.index - 1]
+        if kind == "FiTilde":
+            return d.a - d.c[cid.index - 1]
+        if kind == "C1tilde":
+            return d.b
+        if kind == "C2tilde":
+            return self.n * d.a + d.b - sum(d.c)
+        raise ValueError(f"{cid.label} is not a candidate curve")
+
+    def curve_pairing(self, c1: CurveId, c2: CurveId) -> int:
+        """Integer pairing of two candidate curves, in closed form.
+
+        C~1^2 = -n, C~2^2 = n-m, E_i.E_j = F~i.F~j = -delta_ij,
+        E_i.F~j = delta_ij, C~1.F~i = C~2.E_i = 1, and 0 otherwise.
+        """
+        k1, k2 = sorted((c1.kind, c2.kind))
+        if k2 not in _CANDIDATE_KINDS:
+            raise ValueError(f"{c1.label} and {c2.label} are not both candidate curves")
+        if k1 == k2 == "C1tilde":
+            return -self.n
+        if k1 == k2 == "C2tilde":
+            return self.n - self.m
+        same_index = c1.index == c2.index
+        if k1 == k2:
+            return -1 if same_index else 0
+        if (k1, k2) == ("Ei", "FiTilde"):
+            return 1 if same_index else 0
+        return int((k1, k2) in (("C1tilde", "FiTilde"), ("C2tilde", "Ei")))
+
+    def curve_gram(self, curves) -> list[list]:
+        """Gram matrix of candidate curves, from ``curve_pairing``."""
+        return [[self.curve_pairing(x, y) for y in curves] for x in curves]
+
     def self_intersection(self, d: DivisorClass):
         return self.intersect(d, d)
 
@@ -272,11 +315,6 @@ class SurfaceModel:
         """-K_S = 2 pi*C2 + (2-n) pi*F - sum E_i."""
         return DivisorClass(Rat(2), Rat(2 - self.n), (ONE,) * self.m)
 
-    def boundary_class(self, angles: Angles) -> DivisorClass:
-        """Delta = (1-beta1) C~1 + (1-beta2) C~2."""
-        b1, b2 = angles.beta1, angles.beta2
-        return self.class_of(C1TILDE).scale(1 - b1) + self.class_of(C2TILDE).scale(1 - b2)
-
     def log_anticanonical(self, angles: Angles) -> DivisorClass:
         """-K_{S,Delta} = (beta1+beta2, 2 - n beta1, c_i = beta2)."""
         b1, b2 = angles.beta1, angles.beta2
@@ -285,23 +323,14 @@ class SurfaceModel:
     def is_nef(self, d: DivisorClass) -> bool:
         """Nefness test.
 
-        Pairing nonnegatively with the candidate negative curves
-        (c_i >= 0 for E_i, a - c_i >= 0 for F~i, b >= 0 for C~1,
-        na + b - sum c_i >= 0 for C~2) and with the generic fiber
-        (a >= 0; only independent when m = 0) is necessary and
-        sufficient, since these curves together with the fiber generate
-        the dual of the nef cone.
+        Pairing nonnegatively with the candidate negative curves and with
+        the generic fiber (a >= 0; only independent when m = 0) is
+        necessary and sufficient, since these curves together with the
+        fiber generate the dual of the nef cone.
         """
         if d.m != self.m:
             raise ValueError("dimension mismatch against surface parameters")
-        if d.a < 0 or d.b < 0:
-            return False
-        total = self.n * d.a + d.b
-        for ci in d.c:
-            if ci < 0 or d.a - ci < 0:
-                return False
-            total -= ci
-        return total >= 0
+        return d.a >= 0 and all(self.pair_curve(d, c) >= 0 for c in self.candidate_curves())
 
     def ample_angle_range(self, angles: Angles) -> bool:
         """Whether -K_{S,Delta} is ample.

@@ -69,6 +69,11 @@ class RatParseError(ValueError):
     """Input string is not an accepted exact rational literal."""
 
 
+#: Input bounds: digits in one literal, and |exponent| of a decimal.  They
+#: keep every derived rational far below Python's int-to-str digit limit.
+MAX_LITERAL_DIGITS = MAX_DECIMAL_EXPONENT = 100
+
+
 def parse_rat(text: str, accept_decimal: bool = False):
     """Parse ``"p/q"`` or an integer literal into a Rat.
 
@@ -79,6 +84,14 @@ def parse_rat(text: str, accept_decimal: bool = False):
     s = text.strip()
     if not s:
         raise RatParseError("empty rational literal")
+    exponent = s.lower().partition("e")[2].lstrip("+-")
+    if sum(ch.isdigit() for ch in s) > MAX_LITERAL_DIGITS or (
+        exponent.isdecimal() and int(exponent) > MAX_DECIMAL_EXPONENT
+    ):
+        raise RatParseError(
+            f"literal too large: at most {MAX_LITERAL_DIGITS} digits and a decimal "
+            f"exponent of at most {MAX_DECIMAL_EXPONENT} in absolute value are accepted"
+        )
     if "/" in s:
         num_s, _, den_s = s.partition("/")
         try:

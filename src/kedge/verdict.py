@@ -80,29 +80,30 @@ def delta_upper_bound(params, angles: Angles):
     return best, witnesses
 
 
-def _check(condition: bool, message: str):
+def _check(condition: bool, message: str, *args):
+    """Raise InconsistencyError unless ``condition``; format the message lazily."""
     if not condition:
-        raise InconsistencyError(message)
+        raise InconsistencyError(message.format(*args))
 
 
 def _certify_polystable_branch(m: int, report: DeltaReport):
     """Verify the hypotheses of the theorems behind the delta = 1 verdict."""
     rays = [report.term("C1tilde"), report.term("C2tilde")]
     verticals = [t for t in report.terms if t.name not in ("C1tilde", "C2tilde")]
-    _check(report.delta == 1, f"condition point must have delta = 1, got {report.delta}")
+    _check(report.delta == 1, "condition point must have delta = 1, got {}", report.delta)
     for t in rays:
-        _check(t.ratio == 1, f"ray term {t.name} must equal 1 at a condition point")
+        _check(t.ratio == 1, "ray term {} must equal 1 at a condition point", t.name)
     if m == 0:
         for t in verticals:
-            _check(t.ratio == 1, f"toric case: term {t.name} must equal 1")
+            _check(t.ratio == 1, "toric case: term {} must equal 1", t.name)
     elif m == 2:
         curve_names = {f"E{i}" for i in range(1, m + 1)} | {f"F{i}tilde" for i in range(1, m + 1)}
         for t in report.terms:
             if t.name in curve_names:
-                _check(t.ratio == 1, f"m=2: curve term {t.name} must equal 1")
+                _check(t.ratio == 1, "m=2: curve term {} must equal 1", t.name)
     else:  # m >= 3
         for t in verticals:
-            _check(t.ratio > 1, f"m>=3: vertical term {t.name} must exceed 1")
+            _check(t.ratio > 1, "m>=3: vertical term {} must exceed 1", t.name)
 
 
 def k_polystable(params, angles: Angles) -> Verdict:
@@ -126,12 +127,10 @@ def k_polystable(params, angles: Angles) -> Verdict:
             notes=(reason,),
         )
 
-    _check(
-        futaki_vanishes(model, angles) == csign,
-        f"bracket sign {csign} disagrees with the torus-side Futaki sign",
-    )
+    futaki = futaki_vanishes(model, angles)
+    _check(futaki == csign, "bracket sign {} disagrees with the torus-side Futaki sign", csign)
     report = delta_tvariety(model, angles)
-    _check(report.delta <= 1, f"delta = {report.delta} > 1 contradicts the necessity bound")
+    _check(report.delta <= 1, "delta = {} > 1 contradicts the necessity bound", report.delta)
 
     notes: list[str] = []
     if csign == 0 and model.m != 1:

@@ -6,8 +6,8 @@ Four suites, each seed-deterministic:
   against the closed-form chamber data, piece by piece, plus the integrated
   S-values, for all six case families.
 - ``zariski-oracle``: the incremental decomposition against brute-force
-  enumeration of all candidate supports (identical positive and negative
-  parts, or a consistent not-pseudoeffective report).
+  enumeration of every negative-definite candidate support (identical
+  positive and negative parts, or a consistent not-pseudoeffective report).
 - ``route-agreement``: A and S per curve from the torus side against the
   sweep side, for both sections, every exceptional curve and every fiber
   proper transform.
@@ -93,7 +93,7 @@ def verify_lemmas(samples: int, seed: int) -> SuiteResult:
                              detail="volume curve differs from closed form"),
                 )
             s_closed = closed_form_S(curve, params, angles)
-            s_swept = expected_vanishing_order(curve, params, angles)
+            s_swept = got.expected_vanishing_order()
             checks += 1
             if s_closed != s_swept:
                 return SuiteResult(

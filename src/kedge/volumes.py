@@ -103,8 +103,9 @@ class AffineClass:
     def at(self, x) -> DivisorClass:
         return self.const + self.slope.scale(x)
 
-    def pair(self, model: SurfaceModel, cls: DivisorClass) -> Affine:
-        return Affine(model.intersect(self.const, cls), model.intersect(self.slope, cls))
+    def pair(self, model: SurfaceModel, cid: CurveId) -> Affine:
+        """Pairing with a named curve, by ``SurfaceModel.pair_curve``."""
+        return Affine(model.pair_curve(self.const, cid), model.pair_curve(self.slope, cid))
 
 
 @dataclass(frozen=True)
@@ -185,6 +186,10 @@ class PiecewiseQuadratic:
             total = total + piece.integral()
         return total
 
+    def expected_vanishing_order(self):
+        """S(E) = integral / vol(-K_Delta), for the volume curve of E."""
+        return self.integral() / self.value(Rat(0))
+
 
 def _support_just_after(model: SurfaceModel, dclass: AffineClass, w) -> list:
     """Zariski support of D(x) for x infinitesimally right of w.
@@ -197,22 +202,12 @@ def _support_just_after(model: SurfaceModel, dclass: AffineClass, w) -> list:
     candidates = model.candidate_curves()
     support: list[CurveId] = []
     for _ in range(4 * len(candidates) + 8):
-        classes = [model.class_of(c) for c in support]
-        gram = model.gram_matrix(classes)
-        rhs = [jet.pair(model, cls) for cls in classes]
-        coeffs = solve_exact(gram, rhs)
+        coeffs, residual = _solve_chamber(model, jet, support)
         if any(a < AFFINE_ZERO for a in coeffs):
             support = [c for c, a in zip(support, coeffs) if not a < AFFINE_ZERO]
             continue
-        res_const, res_slope = jet.const, jet.slope
-        for cls, a in zip(classes, coeffs):
-            res_const = res_const - cls.scale(a.c0)
-            res_slope = res_slope - cls.scale(a.c1)
-        residual = AffineClass(res_const, res_slope)
         violated = [
-            c
-            for c in candidates
-            if c not in support and residual.pair(model, model.class_of(c)) < AFFINE_ZERO
+            c for c in candidates if c not in support and residual.pair(model, c) < AFFINE_ZERO
         ]
         if not violated:
             return support
@@ -222,12 +217,10 @@ def _support_just_after(model: SurfaceModel, dclass: AffineClass, w) -> list:
 
 def _solve_chamber(model: SurfaceModel, dclass: AffineClass, support):
     """Affine coefficients and positive part for a fixed support."""
-    classes = [model.class_of(c) for c in support]
-    gram = model.gram_matrix(classes)
-    rhs = [dclass.pair(model, cls) for cls in classes]
-    coeffs = solve_exact(gram, rhs)
+    coeffs = solve_exact(model.curve_gram(support), [dclass.pair(model, c) for c in support])
     p_const, p_slope = dclass.const, dclass.slope
-    for cls, a in zip(classes, coeffs):
+    for c, a in zip(support, coeffs):
+        cls = model.class_of(c)
         p_const = p_const - cls.scale(a.c0)
         p_slope = p_slope - cls.scale(a.c1)
     return coeffs, AffineClass(p_const, p_slope)
@@ -290,7 +283,7 @@ def volume_sweep(E: CurveId, params, angles: Angles):
         for c in model.candidate_curves():
             if c in support:
                 continue
-            f = positive.pair(model, model.class_of(c))
+            f = positive.pair(model, c)
             if f.c1 < 0 and f.root() > x0:
                 walls.append(f.root())
         for a in coeffs:
@@ -417,9 +410,7 @@ def threshold(E: CurveId, params, angles: Angles):
 
 def expected_vanishing_order(E: CurveId, params, angles: Angles):
     """S(E) = (1/vol(-K_Delta)) * integral_0^tau vol(-K_Delta - x E) dx."""
-    model = as_model(params)
-    curve = volume_curve(E, model, angles)
-    return curve.integral() / curve.value(Rat(0))
+    return volume_curve(E, params, angles).expected_vanishing_order()
 
 
 def log_discrepancy(E: CurveId, params, angles: Angles):

@@ -6,8 +6,11 @@ class is supported there.  ``zariski_decompose`` runs an active-set
 iteration (grow the support on candidates met negatively, drop curves
 whose solved coefficient goes negative) and certifies the result against
 the three defining conditions on every call;
-``zariski_decompose_bruteforce`` enumerates all candidate subsets and is
-kept as an independent oracle.
+``zariski_decompose_bruteforce`` enumerates every negative-definite set
+of candidates and is kept as an independent oracle.  Both pair through
+the closed-form candidate lattice (``SurfaceModel.curve_pairing`` and
+``pair_curve``); ``_certify`` alone uses the generic ``intersect``, so it
+also checks those closed forms.
 """
 from __future__ import annotations
 
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 
 from .linalg import SingularMatrixError, is_negative_definite_matrix, solve_exact
 from .picard import CurveId, DivisorClass, SurfaceModel
-from .ratmath import Rat
 
 
 class NotPseudoeffective(ArithmeticError):
@@ -53,16 +55,42 @@ class ZariskiDecomposition:
 
 def is_negative_definite(model: SurfaceModel, curves) -> bool:
     """Whether the Gram matrix of the given curves is negative definite."""
-    classes = [model.class_of(c) for c in curves]
-    return is_negative_definite_matrix(model.gram_matrix(classes))
+    return is_negative_definite_matrix(model.curve_gram(curves))
+
+
+def negative_definite_supports(model: SurfaceModel):
+    """Every negative-definite set of candidate curves, the empty set first.
+
+    Depth first in candidate order, extending only negative-definite
+    sets: the family is closed under subsets (principal submatrices of a
+    negative-definite matrix are negative definite), so nothing is missed.
+    """
+    candidates = model.candidate_curves()
+
+    def extend(subset, start):
+        yield subset
+        for i in range(start, len(candidates)):
+            grown = subset + [candidates[i]]
+            if is_negative_definite(model, grown):
+                yield from extend(grown, i + 1)
+
+    return extend([], 0)
 
 
 def _solve_support(model: SurfaceModel, d: DivisorClass, support):
-    """Coefficients a_i with (D - sum a_i C_i) . C_j = 0 for all j in support."""
-    classes = [model.class_of(c) for c in support]
-    gram = model.gram_matrix(classes)
-    rhs = [model.intersect(d, cls) for cls in classes]
-    return solve_exact(gram, rhs), classes
+    """Coefficients a_i with (D - sum a_i C_i) . C_j = 0 for all j in support,
+    and the residual D - sum a_i C_i."""
+    coeffs = solve_exact(model.curve_gram(support), [model.pair_curve(d, c) for c in support])
+    residual = d
+    for cid, x in zip(support, coeffs):
+        residual = residual - model.class_of(cid).scale(x)
+    return coeffs, residual
+
+
+def _negative_part(support, coeffs) -> tuple:
+    """(curve, coefficient) pairs with nonzero coefficient, in canonical order."""
+    named = ((cid, x) for cid, x in zip(support, coeffs) if x != 0)
+    return tuple(sorted(named, key=lambda item: curve_sort_key(item[0])))
 
 
 def _certify(model: SurfaceModel, d: DivisorClass, zd: ZariskiDecomposition):
@@ -75,7 +103,8 @@ def _certify(model: SurfaceModel, d: DivisorClass, zd: ZariskiDecomposition):
             raise DecompositionError(f"nonpositive coefficient {coeff} on {cid.label}")
         if model.intersect(p, model.class_of(cid)) != 0:
             raise DecompositionError(f"positive part not orthogonal to {cid.label}")
-    if zd.negative and not is_negative_definite(model, zd.support):
+    support_gram = model.gram_matrix([model.class_of(c) for c in zd.support])
+    if zd.negative and not is_negative_definite_matrix(support_gram):
         raise DecompositionError("support Gram matrix not negative definite")
     if p + zd.negative_class(model) != d:
         raise DecompositionError("P + N does not reconstruct the input class")
@@ -100,7 +129,7 @@ def zariski_decompose(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposit
     # count bounds the iterations; the cap only guards against bugs.
     for _ in range(len(candidates) + 2):
         try:
-            coeffs, classes = _solve_support(model, d, support)
+            coeffs, residual = _solve_support(model, d, support)
         except SingularMatrixError:
             raise NotPseudoeffective(
                 f"{d}: support system became singular, which cannot happen "
@@ -111,13 +140,8 @@ def zariski_decompose(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposit
                 f"{d}: orthogonality forces a negative coefficient, which "
                 "cannot happen for a pseudoeffective class"
             )
-        residual = d
-        for cls, x in zip(classes, coeffs):
-            residual = residual - cls.scale(x)
         violated = [
-            c
-            for c in candidates
-            if c not in support and model.intersect(residual, model.class_of(c)) < 0
+            c for c in candidates if c not in support and model.pair_curve(residual, c) < 0
         ]
         if violated:
             support.extend(violated)
@@ -126,52 +150,36 @@ def zariski_decompose(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposit
             # Residual meets the (nef, moving) generic fiber negatively:
             # no effective class can, so d is not pseudoeffective.
             raise NotPseudoeffective(f"{d} pairs negatively with the generic fiber")
-        negative = tuple(
-            sorted(
-                ((cid, x) for cid, x in zip(support, coeffs) if x != 0),
-                key=lambda item: curve_sort_key(item[0]),
-            )
-        )
-        zd = ZariskiDecomposition(positive=residual, negative=negative)
+        zd = ZariskiDecomposition(positive=residual, negative=_negative_part(support, coeffs))
         _certify(model, d, zd)
         return zd
     raise DecompositionError(f"support iteration did not stabilize for {d}")
 
 
 def zariski_decompose_bruteforce(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
-    """Oracle: try every subset of the candidate curves.
+    """Oracle: try every negative-definite set of candidate curves.
 
-    A subset yields a valid decomposition when the orthogonality system
-    is solvable with nonnegative coefficients, the resulting P is nef,
-    and the positively-weighted support has negative-definite Gram
-    matrix.  All passing subsets must agree after dropping zero
-    coefficients; the unique decomposition is returned.
+    A set yields a valid decomposition when the orthogonality system has
+    nonnegative coefficients and the resulting P is nef; the positively
+    weighted support is a subset, hence negative definite too.  All
+    passing sets must agree after dropping zero coefficients; the unique
+    decomposition is returned.
+
+    Skipping the other subsets changes nothing.  Any decomposition that
+    a subset T passes with has a negative-definite positive support T+.
+    T+ is visited, its system is nonsingular, and the solution on T
+    restricted to T+ solves it, so T+ passes with the same decomposition.
+    Conversely, every set visited here is one of the 2^k subsets and
+    passes there too.  The set of passing decompositions is therefore
+    that of the full 2^k enumeration, and so are the "two distinct
+    decompositions" and NotPseudoeffective outcomes.
     """
-    candidates = model.candidate_curves()
-    k = len(candidates)
     found: ZariskiDecomposition | None = None
-    for mask in range(1 << k):
-        subset = [candidates[i] for i in range(k) if mask >> i & 1]
-        try:
-            coeffs, classes = _solve_support(model, d, subset)
-        except SingularMatrixError:
+    for subset in negative_definite_supports(model):
+        coeffs, p = _solve_support(model, d, subset)
+        if any(x < 0 for x in coeffs) or not model.is_nef(p):
             continue
-        if any(x < 0 for x in coeffs):
-            continue
-        p = d
-        for cls, x in zip(classes, coeffs):
-            p = p - cls.scale(x)
-        if not model.is_nef(p):
-            continue
-        negative = tuple(
-            sorted(
-                ((cid, x) for cid, x in zip(subset, coeffs) if x != 0),
-                key=lambda item: curve_sort_key(item[0]),
-            )
-        )
-        if negative and not is_negative_definite(model, [cid for cid, _ in negative]):
-            continue
-        zd = ZariskiDecomposition(positive=p, negative=negative)
+        zd = ZariskiDecomposition(positive=p, negative=_negative_part(subset, coeffs))
         if found is not None and (found.positive != zd.positive or found.negative != zd.negative):
             raise DecompositionError(
                 f"two distinct decompositions found for {d}: {found} vs {zd}"

@@ -1,6 +1,9 @@
 """End-to-end CLI contract: byte-stable reports, schemas, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from kedge.verdict import InconsistencyError
 from kedge.verify import SuiteResult
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 DELTA_ARGS = ["delta", "--n", "0", "--m", "2", "--beta1", "1/2", "--beta2", "1/2"]
 CURVE_ARGS = [
@@ -181,6 +185,22 @@ class TestInputHandling:
         code, _, err = run_cli(capsys, SCAN_ARGS[:-3] + [grid, "--beta2-grid", "1/4:1:1/4"])
         assert code == 1
         assert message in err
+
+    @pytest.mark.parametrize("beta1", ["1e-5000", "1e-999999"])
+    def test_oversized_angle_is_one_line_user_error(self, beta1):
+        # Run as a process: a traceback would only show on a real stderr.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        argv = ["delta", "--n", "0", "--m", "2", "--beta1", beta1, "--beta2", "1/2",
+                "--accept-decimal"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "kedge.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "too large" in proc.stderr
 
     def test_empty_grid_header_only(self, capsys):
         code, out, _ = run_cli(

@@ -128,6 +128,35 @@ def test_pairing_symmetric_bilinear(coords):
     assert model.intersect(d1.scale(rat(3, 2)), d2) == rat(3, 2) * model.intersect(d1, d2)
 
 
+def test_closed_form_curve_pairings_match_intersect():
+    for n in range(7):
+        for m in range(7):
+            model = make_surface(SurfaceParams(n, m))
+            curves = model.candidate_curves()
+            for c1 in curves:
+                for c2 in curves:
+                    assert model.curve_pairing(c1, c2) == model.intersect(
+                        model.class_of(c1), model.class_of(c2)
+                    ), (n, m, c1, c2)
+            with pytest.raises(ValueError):
+                model.curve_pairing(C1TILDE, GENERIC_FIBER)
+
+
+@given(
+    st.integers(min_value=0, max_value=6),
+    st.lists(small_rats, min_size=2, max_size=8),
+)
+def test_closed_form_class_pairings_match_intersect(n, coords):
+    model = make_surface(SurfaceParams(n, len(coords) - 2))
+    d = DivisorClass(coords[0], coords[1], tuple(coords[2:]))
+    for cid in model.candidate_curves():
+        assert model.pair_curve(d, cid) == model.intersect(d, model.class_of(cid)), cid
+    with pytest.raises(ValueError):
+        model.pair_curve(d, GENERIC_FIBER)
+    with pytest.raises(ValueError):
+        model.pair_curve(DivisorClass(0, 0, (0,) * (model.m + 1)), C1TILDE)
+
+
 def test_anticanonical():
     for n, m in [(0, 0), (1, 1), (2, 3)]:
         model = make_surface(SurfaceParams(n, m))

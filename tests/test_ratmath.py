@@ -57,6 +57,14 @@ def test_parse_decimal_opt_in_is_exact_base_10():
         parse_rat("0.5.1", accept_decimal=True)
 
 
+def test_parse_rat_size_bounds():
+    assert parse_rat("9" * 100) == Rat(int("9" * 100))
+    assert parse_rat("1e-100", accept_decimal=True) == rat(1, 10**100)
+    for text in ("9" * 101, "1/" + "3" * 100, "1e-101", "1e+101", "1e-999999"):
+        with pytest.raises(RatParseError, match="too large"):
+            parse_rat(text, accept_decimal=True)
+
+
 def test_format_always_includes_denominator():
     assert format_rat(rat(1)) == "1/1"
     assert format_rat(rat(-1, 21)) == "-1/21"

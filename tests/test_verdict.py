@@ -16,6 +16,7 @@ from kedge.verdict import (
     InconsistencyError,
     NotFound,
     _certify_polystable_branch,
+    _check,
     condition_sign,
     delta_upper_bound,
     k_polystable,
@@ -222,8 +223,17 @@ class TestCertification:
     def test_tampered_delta_is_caught(self):
         report = delta_tvariety((0, 2), CONDITION_M2)
         tampered = dataclasses.replace(report, delta=rat(9, 10))
-        with pytest.raises(InconsistencyError):
+        with pytest.raises(InconsistencyError, match="got 9/10"):
             _certify_polystable_branch(2, tampered)
+
+    def test_message_is_formatted_only_on_failure(self):
+        class Unprintable:
+            def __str__(self):
+                raise ValueError("exceeds the int-to-str digit limit")
+
+        _check(True, "delta = {}", Unprintable())
+        with pytest.raises(InconsistencyError, match="delta = 3"):
+            _check(False, "delta = {}", 3)
 
     def test_valuation_term_ratio(self):
         t = ValuationTerm("E1", A=rat(3, 2), S=rat(3, 4))

@@ -14,12 +14,15 @@ from kedge.picard import (
     SurfaceParams,
     as_model,
 )
+from kedge.linalg import SingularMatrixError, is_negative_definite_matrix, solve_exact
 from kedge.ratmath import rat
 from kedge.sampling import sample_angles, sample_divisor_class, sample_surface
 from kedge.zariski import (
     NotPseudoeffective,
     ZariskiDecomposition,
+    curve_sort_key,
     is_negative_definite,
+    negative_definite_supports,
     volume,
     zariski_decompose,
     zariski_decompose_bruteforce,
@@ -167,6 +170,71 @@ class TestDecompose:
             if zd.negative:
                 assert is_negative_definite(model, zd.support)
             assert zd.positive + zd.negative_class(model) == d
+
+
+def exhaustive_decompositions(model, d):
+    """Every decomposition some subset of the 2^k candidate subsets passes,
+    paired through the generic ``intersect``."""
+    candidates = model.candidate_curves()
+    found = set()
+    for mask in range(1 << len(candidates)):
+        subset = [c for i, c in enumerate(candidates) if mask >> i & 1]
+        classes = [model.class_of(c) for c in subset]
+        try:
+            coeffs = solve_exact(
+                model.gram_matrix(classes), [model.intersect(d, cls) for cls in classes]
+            )
+        except SingularMatrixError:
+            continue
+        p = d
+        for cls, x in zip(classes, coeffs):
+            p = p - cls.scale(x)
+        if any(x < 0 for x in coeffs) or not model.is_nef(p):
+            continue
+        negative = tuple(
+            sorted(((c, x) for c, x in zip(subset, coeffs) if x != 0),
+                   key=lambda item: curve_sort_key(item[0]))
+        )
+        support = [model.class_of(c) for c, _ in negative]
+        if negative and not is_negative_definite_matrix(model.gram_matrix(support)):
+            continue
+        found.add(ZariskiDecomposition(positive=p, negative=negative))
+    return found
+
+
+class TestPrunedOracle:
+    def test_matches_exhaustive_enumeration(self, rng):
+        outcomes = {"decomposed": 0, "not pseudoeffective": 0}
+        for n in range(5):
+            for m in range(4):
+                model = as_model((n, m))
+                classes = [sample_divisor_class(rng, model) for _ in range(3)]
+                classes.append(DivisorClass(0, -1, (0,) * m))  # minus a fiber
+                for d in classes:
+                    expected = exhaustive_decompositions(model, d)
+                    assert len(expected) <= 1, (n, m, d)
+                    try:
+                        got = {zariski_decompose_bruteforce(model, d)}
+                        outcomes["decomposed"] += 1
+                    except NotPseudoeffective:
+                        got = set()
+                        outcomes["not pseudoeffective"] += 1
+                    assert got == expected, (n, m, d)
+        assert min(outcomes.values()) >= 10, outcomes
+
+    @pytest.mark.parametrize("n, count", [(0, 161), (1, 180), (2, 198), (3, 180), (4, 161)])
+    def test_negative_definite_support_counts_at_m4(self, n, count):
+        model = as_model((n, 4))
+        supports = list(negative_definite_supports(model))
+        assert len(supports) == count
+        assert supports[0] == []
+        candidates = model.candidate_curves()
+        every_subset = (
+            [c for i, c in enumerate(candidates) if mask >> i & 1]
+            for mask in range(1, 1 << len(candidates))
+        )
+        expected = {(), *(tuple(s) for s in every_subset if is_negative_definite(model, s))}
+        assert {tuple(s) for s in supports} == expected
 
 
 class TestVolume:
