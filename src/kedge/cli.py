@@ -1,7 +1,8 @@
 """Command-line surface: single evaluations, verification suites, scans.
 
 Exit-code contract: 0 success, 1 user/input error, 2 mathematical
-inconsistency (a cross-route disagreement — the loudest alarm).  All
+inconsistency (a cross-route disagreement or a failed certificate — the
+loudest alarm; ``main`` maps every ``InconsistencyError`` to it).  All
 rationals are read and written as exact ``"p/q"`` strings; ``--approx``
 adds decimal fields (suffixed ``_approx``) that are lossy and for human
 reading only.  Reports are JSON (schemas ship under ``kedge/schemas/``)
@@ -32,11 +33,6 @@ _COMMANDS = ("delta", "volume-curve", "verify", "scan")
 def _user_error(message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(1)
-
-
-def _inconsistency(exc: Exception):
-    click.echo(f"inconsistency: {exc}", err=True)
-    sys.exit(2)
 
 
 def _emit(text: str, output: str | None):
@@ -139,10 +135,7 @@ def cmd_delta(n, m, beta1, beta2, approx, accept_decimal, output):
     violation = as_model(params).ample_range_violation(angles)
     if violation is not None:
         _user_error(f"outside the ample range: {violation}")
-    try:
-        verdict = k_polystable(params, angles)
-    except InconsistencyError as exc:
-        _inconsistency(exc)
+    verdict = k_polystable(params, angles)
     report = {
         "n": n,
         "m": m,
@@ -296,27 +289,24 @@ def cmd_scan(n, m, beta1_grid, beta2_grid, approx, output):
     if approx:
         header += ["beta1_approx", "beta2_approx", "delta_approx"]
     writer.writerow(header)
-    try:
-        for b1 in grid1:
-            for b2 in grid2:
-                verdict = k_polystable(params, Angles(b1, b2))
-                delta_cell = "" if verdict.delta is None else format_rat(verdict.delta)
-                row = [
-                    format_rat(b1),
-                    format_rat(b2),
-                    str(verdict.condition_sign),
-                    delta_cell,
-                    verdict.status,
+    for b1 in grid1:
+        for b2 in grid2:
+            verdict = k_polystable(params, Angles(b1, b2))
+            delta_cell = "" if verdict.delta is None else format_rat(verdict.delta)
+            row = [
+                format_rat(b1),
+                format_rat(b2),
+                str(verdict.condition_sign),
+                delta_cell,
+                verdict.status,
+            ]
+            if approx:
+                row += [
+                    repr(float(b1)),
+                    repr(float(b2)),
+                    "" if verdict.delta is None else repr(float(verdict.delta)),
                 ]
-                if approx:
-                    row += [
-                        repr(float(b1)),
-                        repr(float(b2)),
-                        "" if verdict.delta is None else repr(float(verdict.delta)),
-                    ]
-                writer.writerow(row)
-    except InconsistencyError as exc:
-        _inconsistency(exc)
+            writer.writerow(row)
     _emit(buffer.getvalue(), output)
 
 

@@ -82,10 +82,6 @@ class PLFunction:
         s = self.slopes()
         return all(a >= b for a, b in zip(s, s[1:]))
 
-    def refine(self, extra) -> "PLFunction":
-        pts = sorted(set(self.breakpoints) | {Rat(x) for x in extra})
-        return PLFunction(tuple(pts), tuple(self.value(x) for x in pts))
-
     def __add__(self, other: "PLFunction") -> "PLFunction":
         if (self.lo, self.hi) != (other.lo, other.hi):
             raise ValueError("domain mismatch")

@@ -20,15 +20,11 @@ from .picard import C1TILDE, C2TILDE, Angles, CurveId, Ei, as_model
 from .ratmath import Rat, sign
 from .tvariety import DeltaReport, delta_tvariety, futaki_vanishes
 from .volumes import expected_vanishing_order, log_discrepancy
+from .zariski import InconsistencyError
 
 KPOLYSTABLE = "KPolystable"
 NOT_KPOLYSTABLE = "NotKPolystable"
 OUTSIDE_AMPLE_RANGE = "OutsideAmpleRange"
-
-
-class InconsistencyError(ArithmeticError):
-    """The two independent computation routes (or a theorem hypothesis
-    check) disagreed; results cannot be trusted."""
 
 
 class NotFound(LookupError):

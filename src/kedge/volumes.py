@@ -7,9 +7,11 @@ therefore never samples: it solves the orthogonality system once per
 chamber with x as an indeterminate, locates the next wall as the exact
 rational root of an affine wall function (P(x).C hitting 0 for a
 candidate C, or a support coefficient hitting 0), and determines the
-support on the far side of a wall by re-running the active-set step over
-first-order jets at the wall (value, slope ordered lexicographically --
-exact "x = w + epsilon" arithmetic).
+support on the far side of a wall by running ``zariski.grow_support``,
+the same support growth as ``zariski_decompose``, over first-order jets
+at the wall (value, slope ordered lexicographically -- exact
+"x = w + epsilon" arithmetic).  Each chamber becomes one
+``QuadraticPiece``.
 
 The sweep ends where the quadratic vanishes: that root is the
 pseudoeffective threshold tau.  A final quadratic with irrational roots
@@ -28,7 +30,7 @@ from .picard import (
     as_model,
 )
 from .ratmath import Rat, sqrt_exact
-from .zariski import DecompositionError, curve_sort_key
+from .zariski import DecompositionError, NotPseudoeffective, _negative_part, grow_support
 
 
 class IrrationalThreshold(ArithmeticError):
@@ -50,9 +52,6 @@ class Affine(object):
     def __post_init__(self):
         object.__setattr__(self, "c0", Rat(self.c0))
         object.__setattr__(self, "c1", Rat(self.c1))
-
-    def __call__(self, x):
-        return self.c0 + self.c1 * Rat(x)
 
     def __add__(self, other: "Affine") -> "Affine":
         return Affine(self.c0 + other.c0, self.c1 + other.c1)
@@ -77,9 +76,6 @@ class Affine(object):
 
     def __le__(self, other):
         return self._key() <= other._key()
-
-    def is_zero(self) -> bool:
-        return self.c0 == 0 and self.c1 == 0
 
     def root(self):
         if self.c1 == 0:
@@ -106,29 +102,6 @@ class AffineClass:
     def pair(self, model: SurfaceModel, cid: CurveId) -> Affine:
         """Pairing with a named curve, by ``SurfaceModel.pair_curve``."""
         return Affine(model.pair_curve(self.const, cid), model.pair_curve(self.slope, cid))
-
-
-@dataclass(frozen=True)
-class Chamber:
-    """One maximal interval with constant Zariski support.
-
-    ``coefficients`` are the affine support coefficients a_i(x) with
-    N(x) = sum a_i(x) C_i; ``positive`` is the affine positive part.
-    ``q0 + q1 x + q2 x^2`` is vol = P(x)^2.
-    """
-
-    x_lo: object
-    x_hi: object
-    support: tuple  # CurveIds whose coefficient is not identically zero
-    coefficients: tuple  # (CurveId, Affine) pairs, canonical curve order
-    positive: AffineClass
-    q0: object
-    q1: object
-    q2: object
-
-    def volume_at(self, x):
-        x = Rat(x)
-        return self.q0 + self.q1 * x + self.q2 * x * x
 
 
 @dataclass(frozen=True)
@@ -194,25 +167,20 @@ class PiecewiseQuadratic:
 def _support_just_after(model: SurfaceModel, dclass: AffineClass, w) -> list:
     """Zariski support of D(x) for x infinitesimally right of w.
 
-    Runs the active-set iteration with every quantity replaced by its
-    first-order jet at w, compared lexicographically; this is exact
-    arithmetic at x = w + epsilon.
+    Runs ``grow_support`` with every quantity replaced by its first-order
+    jet at w, compared lexicographically; this is exact arithmetic at
+    x = w + epsilon.  The sweep asks only at walls w < tau, where
+    D(w + epsilon) is big, so NotPseudoeffective here is an internal
+    failure.
     """
     jet = AffineClass(dclass.at(w), dclass.slope)
-    candidates = model.candidate_curves()
-    support: list[CurveId] = []
-    for _ in range(4 * len(candidates) + 8):
-        coeffs, residual = _solve_chamber(model, jet, support)
-        if any(a < AFFINE_ZERO for a in coeffs):
-            support = [c for c, a in zip(support, coeffs) if not a < AFFINE_ZERO]
-            continue
-        violated = [
-            c for c in candidates if c not in support and residual.pair(model, c) < AFFINE_ZERO
-        ]
-        if not violated:
-            return support
-        support.extend(violated)
-    raise DecompositionError(f"jet active-set did not stabilize at x = {w}+")
+    try:
+        support, _coeffs, _residual = grow_support(
+            model, jet, _solve_chamber, lambda residual, c: residual.pair(model, c), AFFINE_ZERO
+        )
+    except NotPseudoeffective as exc:
+        raise DecompositionError(f"jet support growth failed at x = {w}+: {exc}") from None
+    return support
 
 
 def _solve_chamber(model: SurfaceModel, dclass: AffineClass, support):
@@ -254,11 +222,10 @@ def _smallest_root_after(q0, q1, q2, x0, context: str):
 
 
 def volume_sweep(E: CurveId, params, angles: Angles):
-    """Chamber decomposition of x |-> vol(-K_Delta - x E) with full detail.
+    """Chamber decomposition of x |-> vol(-K_Delta - x E).
 
-    Returns (chambers, tau).  The public face is ``volume_curve``; this
-    keeps the affine support coefficients and positive parts for
-    inspection.
+    Returns (pieces, tau): one QuadraticPiece per chamber, before
+    ``normalize_pieces`` merges those a degenerate wall separates.
     """
     model = as_model(params)
     model.ensure_ample(angles)
@@ -266,7 +233,7 @@ def volume_sweep(E: CurveId, params, angles: Angles):
     dclass = AffineClass(model.log_anticanonical(angles), -direction)
     context = f"E={E.label}, n={model.n}, m={model.m}"
 
-    chambers: list[Chamber] = []
+    pieces: list[QuadraticPiece] = []
     x0 = Rat(0)
     support = _support_just_after(model, dclass, x0)
     guard = 0
@@ -292,24 +259,8 @@ def volume_sweep(E: CurveId, params, angles: Angles):
         wall = min(walls) if walls else None
 
         def emit(x_hi):
-            named = tuple(
-                sorted(
-                    ((c, a) for c, a in zip(support, coeffs) if not a.is_zero()),
-                    key=lambda item: curve_sort_key(item[0]),
-                )
-            )
-            chambers.append(
-                Chamber(
-                    x_lo=x0,
-                    x_hi=x_hi,
-                    support=tuple(c for c, _ in named),
-                    coefficients=named,
-                    positive=positive,
-                    q0=q0,
-                    q1=q1,
-                    q2=q2,
-                )
-            )
+            named = _negative_part(support, coeffs, AFFINE_ZERO)
+            pieces.append(QuadraticPiece(x0, x_hi, q0, q1, q2, tuple(c for c, _ in named)))
 
         if wall is not None:
             vol_at_wall = q0 + q1 * wall + q2 * wall * wall
@@ -320,12 +271,12 @@ def volume_sweep(E: CurveId, params, angles: Angles):
                 continue
             if vol_at_wall == 0:
                 emit(wall)
-                return chambers, wall
+                return pieces, wall
         tau = _smallest_root_after(q0, q1, q2, x0, context)
         if wall is not None and tau > wall:
             raise DecompositionError(f"volume root {tau} beyond next wall {wall} ({context})")
         emit(tau)
-        return chambers, tau
+        return pieces, tau
 
 
 def normalize_pieces(raw) -> tuple:
@@ -356,20 +307,6 @@ def normalize_pieces(raw) -> tuple:
     return tuple(pieces)
 
 
-def _normalize(chambers) -> tuple:
-    return normalize_pieces(
-        QuadraticPiece(
-            x_lo=ch.x_lo,
-            x_hi=ch.x_hi,
-            q0=ch.q0,
-            q1=ch.q1,
-            q2=ch.q2,
-            negative_support=ch.support,
-        )
-        for ch in chambers
-    )
-
-
 def _certify_curve(model: SurfaceModel, angles: Angles, curve: PiecewiseQuadratic):
     """Cheap exact post-conditions: continuity, endpoints, monotonicity."""
     pieces = curve.pieces
@@ -396,15 +333,15 @@ def _certify_curve(model: SurfaceModel, angles: Angles, curve: PiecewiseQuadrati
 def volume_curve(E: CurveId, params, angles: Angles) -> PiecewiseQuadratic:
     """Exact piecewise-quadratic x |-> vol(-K_Delta - x E) on [0, tau]."""
     model = as_model(params)
-    chambers, _tau = volume_sweep(E, model, angles)
-    curve = PiecewiseQuadratic(pieces=_normalize(chambers))
+    pieces, _tau = volume_sweep(E, model, angles)
+    curve = PiecewiseQuadratic(pieces=normalize_pieces(pieces))
     _certify_curve(model, angles, curve)
     return curve
 
 
 def threshold(E: CurveId, params, angles: Angles):
     """Pseudoeffective threshold tau: sup{x : -K_Delta - x E is big}."""
-    _chambers, tau = volume_sweep(E, params, angles)
+    _pieces, tau = volume_sweep(E, params, angles)
     return tau
 
 

@@ -2,9 +2,12 @@
 
 On this surface every irreducible curve of negative self-intersection is
 one of C~1, C~2, E_i, F~i, so the negative part of any pseudoeffective
-class is supported there.  ``zariski_decompose`` runs an active-set
-iteration (grow the support on candidates met negatively, drop curves
-whose solved coefficient goes negative) and certifies the result against
+class is supported there.  ``grow_support`` is the package's one
+active-set loop, Bauer's support growth: solve on the current support,
+add every candidate the residual meets negatively, repeat until nothing
+is added.  It is generic over the scalar, so ``zariski_decompose`` runs
+it over rationals and the chamber sweep in ``volumes`` runs it over
+first-order jets.  ``zariski_decompose`` certifies its result against
 the three defining conditions on every call;
 ``zariski_decompose_bruteforce`` enumerates every negative-definite set
 of candidates and is kept as an independent oracle.  Both pair through
@@ -18,13 +21,20 @@ from dataclasses import dataclass
 
 from .linalg import SingularMatrixError, is_negative_definite_matrix, solve_exact
 from .picard import CurveId, DivisorClass, SurfaceModel
+from .ratmath import ZERO
 
 
 class NotPseudoeffective(ArithmeticError):
     """No Zariski decomposition exists within the candidate curve set."""
 
 
-class DecompositionError(ArithmeticError):
+class InconsistencyError(ArithmeticError):
+    """An internal cross-check failed: the two computation routes, a
+    theorem hypothesis check or a certificate disagreed; results cannot
+    be trusted."""
+
+
+class DecompositionError(InconsistencyError):
     """Internal certification of a decomposition failed (should not happen)."""
 
 
@@ -87,9 +97,9 @@ def _solve_support(model: SurfaceModel, d: DivisorClass, support):
     return coeffs, residual
 
 
-def _negative_part(support, coeffs) -> tuple:
+def _negative_part(support, coeffs, zero) -> tuple:
     """(curve, coefficient) pairs with nonzero coefficient, in canonical order."""
-    named = ((cid, x) for cid, x in zip(support, coeffs) if x != 0)
+    named = ((cid, x) for cid, x in zip(support, coeffs) if x != zero)
     return tuple(sorted(named, key=lambda item: curve_sort_key(item[0])))
 
 
@@ -110,50 +120,59 @@ def _certify(model: SurfaceModel, d: DivisorClass, zd: ZariskiDecomposition):
         raise DecompositionError("P + N does not reconstruct the input class")
 
 
-def zariski_decompose(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
-    """Zariski decomposition of ``d``, or NotPseudoeffective.
+def grow_support(model: SurfaceModel, d, solve, pair, zero):
+    """Bauer's support growth for ``d``: (support, coefficients, residual).
 
-    Monotone support growth: starting from the empty support, solve the
-    orthogonality system on the current support and add every candidate
-    the residual still meets negatively, until stable.  For a
-    pseudoeffective class the grown support stays inside the support of
-    the true negative part, so the system is never singular and the
-    coefficients never go negative; either event therefore certifies
-    that the class is not pseudoeffective (the brute-force oracle
-    cross-checks this reasoning in the test suite).  Every returned
-    decomposition is certified against the three defining conditions.
+    Starting from the empty support, ``solve(model, d, support)`` gives
+    the coefficients and the residual of the orthogonality system on the
+    current support, and every candidate the residual meets negatively
+    under ``pair(residual, cid)`` joins the support, until none does.
+    The support grows strictly, so at most k + 1 solves run for k
+    candidates.  For a pseudoeffective class the grown support stays
+    inside the support of the true negative part (Bauer, J. Algebraic
+    Geom. 18, 2009), so the system is never singular and no coefficient
+    drops below ``zero``; either event raises NotPseudoeffective.  The
+    scalar is whatever ``solve`` and ``pair`` return, ordered against
+    ``zero``: rationals for ``zariski_decompose``, first-order jets for
+    the chamber sweep.
     """
     candidates = model.candidate_curves()
     support: list[CurveId] = []
-    # The support grows strictly until the final pass, so the candidate
-    # count bounds the iterations; the cap only guards against bugs.
-    for _ in range(len(candidates) + 2):
+    while True:
         try:
-            coeffs, residual = _solve_support(model, d, support)
+            coeffs, residual = solve(model, d, support)
         except SingularMatrixError:
             raise NotPseudoeffective(
                 f"{d}: support system became singular, which cannot happen "
                 "for a pseudoeffective class"
             ) from None
-        if any(x < 0 for x in coeffs):
+        if any(x < zero for x in coeffs):
             raise NotPseudoeffective(
                 f"{d}: orthogonality forces a negative coefficient, which "
                 "cannot happen for a pseudoeffective class"
             )
-        violated = [
-            c for c in candidates if c not in support and model.pair_curve(residual, c) < 0
-        ]
-        if violated:
-            support.extend(violated)
-            continue
-        if residual.a < 0:
-            # Residual meets the (nef, moving) generic fiber negatively:
-            # no effective class can, so d is not pseudoeffective.
-            raise NotPseudoeffective(f"{d} pairs negatively with the generic fiber")
-        zd = ZariskiDecomposition(positive=residual, negative=_negative_part(support, coeffs))
-        _certify(model, d, zd)
-        return zd
-    raise DecompositionError(f"support iteration did not stabilize for {d}")
+        violated = [c for c in candidates if c not in support and pair(residual, c) < zero]
+        if not violated:
+            return support, coeffs, residual
+        support.extend(violated)
+
+
+def zariski_decompose(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
+    """Zariski decomposition of ``d``, or NotPseudoeffective.
+
+    ``grow_support`` over rationals, then the generic-fiber test (the
+    brute-force oracle cross-checks the NotPseudoeffective reasoning in
+    the test suite).  Every returned decomposition is certified against
+    the three defining conditions.
+    """
+    support, coeffs, residual = grow_support(model, d, _solve_support, model.pair_curve, ZERO)
+    if residual.a < 0:
+        # Residual meets the (nef, moving) generic fiber negatively:
+        # no effective class can, so d is not pseudoeffective.
+        raise NotPseudoeffective(f"{d} pairs negatively with the generic fiber")
+    zd = ZariskiDecomposition(positive=residual, negative=_negative_part(support, coeffs, ZERO))
+    _certify(model, d, zd)
+    return zd
 
 
 def zariski_decompose_bruteforce(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
@@ -179,7 +198,7 @@ def zariski_decompose_bruteforce(model: SurfaceModel, d: DivisorClass) -> Zarisk
         coeffs, p = _solve_support(model, d, subset)
         if any(x < 0 for x in coeffs) or not model.is_nef(p):
             continue
-        zd = ZariskiDecomposition(positive=p, negative=_negative_part(subset, coeffs))
+        zd = ZariskiDecomposition(positive=p, negative=_negative_part(subset, coeffs, ZERO))
         if found is not None and (found.positive != zd.positive or found.negative != zd.negative):
             raise DecompositionError(
                 f"two distinct decompositions found for {d}: {found} vs {zd}"

@@ -14,6 +14,7 @@ from kedge.cli import main
 from kedge.ratmath import rat
 from kedge.verdict import InconsistencyError
 from kedge.verify import SuiteResult
+from kedge.zariski import DecompositionError
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -229,6 +230,17 @@ class TestInconsistencyExit:
         monkeypatch.setattr("kedge.cli.k_polystable", boom)
         code, _, err = run_cli(capsys, SCAN_ARGS)
         assert code == 2
+
+    def test_volume_curve_decomposition_error_is_exit_2(self, capsys, monkeypatch):
+        def boom(E, params, angles):
+            raise DecompositionError("support Gram matrix not negative definite (synthetic)")
+
+        monkeypatch.setattr("kedge.cli.volume_curve", boom)
+        code, out, err = run_cli(capsys, CURVE_ARGS)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("inconsistency:")
+        assert "Traceback" not in err
 
     def test_failing_suite_is_exit_2(self, capsys, monkeypatch):
         failing = SuiteResult(

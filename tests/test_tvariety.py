@@ -49,7 +49,6 @@ class TestPLFunction:
         assert f.scale(rat(3)).value(rat(2)) == 6
         assert f.is_concave()
         assert not g.is_concave()
-        assert g.refine((HALF,)).breakpoints == (0, HALF, 1, 2)
 
     def test_integral(self):
         # Triangle of base 2, height 1.

@@ -21,6 +21,7 @@ from kedge.picard import (
     SurfaceParams,
     as_model,
 )
+from kedge.linalg import solve_exact
 from kedge.ratmath import rat
 from kedge.sampling import LEMMA_CASES, sample_angles, sample_case_input, sample_surface
 from kedge.volumes import (
@@ -31,6 +32,7 @@ from kedge.volumes import (
     threshold,
     volume_curve,
 )
+from kedge.zariski import volume, zariski_decompose
 
 HALF = rat(1, 2)
 
@@ -142,6 +144,42 @@ class TestInvariants:
         assert classify_exceptional_case((0, 0), Angles(HALF, HALF)) is None
         # Outside the validity inequality of the only applicable regime.
         assert classify_exceptional_case((0, 1), Angles(rat(3, 2), rat(3, 4))) is None
+
+
+class TestSharedEngine:
+    def test_jet_supports_match_rational_decompositions(self, rng):
+        # The sweep grows each chamber's support over jets at its left wall;
+        # the rational decomposition at the chamber's midpoint must agree.
+        for _ in range(60):
+            params = sample_surface(rng, n_max=4, m_max=4)
+            angles = sample_angles(rng, params)
+            model = as_model(params)
+            minus_k = model.log_anticanonical(angles)
+            for curve in model.candidate_curves():
+                for piece in volume_curve(curve, model, angles).pieces:
+                    x = (piece.x_lo + piece.x_hi) / 2
+                    d = minus_k - model.class_of(curve).scale(x)
+                    assert zariski_decompose(model, d).support == piece.negative_support
+                    assert volume(model, d) == piece.value(x)
+
+    @pytest.mark.parametrize(
+        "curve, params, angles, solves",
+        [
+            (Ei(1), SurfaceParams(0, 2), Angles(HALF, HALF), 12),
+            (C1TILDE, SurfaceParams(1, 2), Angles(HALF, rat(2, 3)), 5),
+        ],
+    )
+    def test_sweep_solve_count(self, monkeypatch, curve, params, angles, solves):
+        # Deterministic work: an extra re-solve in the sweep fails here.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return solve_exact(*args)
+
+        monkeypatch.setattr("kedge.volumes.solve_exact", counting)
+        volume_curve(curve, params, angles)
+        assert len(calls) == solves
 
 
 class TestScalars:
