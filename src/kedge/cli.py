@@ -25,7 +25,7 @@ from .picard import Angles, SurfaceParams, as_model, parse_curve_id
 from .ratmath import RatParseError, format_rat, parse_rat
 from .verdict import InconsistencyError, k_polystable
 from .verify import SUITES, run_suites
-from .volumes import IrrationalThreshold, log_discrepancy, volume_curve
+from .volumes import log_discrepancy, volume_curve
 
 _COMMANDS = ("delta", "volume-curve", "verify", "scan")
 
@@ -189,8 +189,6 @@ def cmd_volume_curve(n, m, curve, beta1, beta2, approx, accept_decimal, output):
         pq = volume_curve(cid, params, angles)
         a_value = log_discrepancy(cid, params, angles)
         s_value = pq.expected_vanishing_order()
-    except IrrationalThreshold as exc:
-        _user_error(f"threshold is not rational for this input: {exc}")
     except ValueError as exc:
         _user_error(str(exc))
     report = {

@@ -213,12 +213,6 @@ class SurfaceModel:
     def zero(self) -> DivisorClass:
         return DivisorClass(ZERO, ZERO, (ZERO,) * self.m)
 
-    def make_class(self, a, b, c=()) -> DivisorClass:
-        c = tuple(c)
-        if len(c) != self.m:
-            raise ValueError(f"expected {self.m} exceptional coefficients, got {len(c)}")
-        return DivisorClass(a, b, c)
-
     def class_of(self, cid: CurveId) -> DivisorClass:
         """Class of a named curve in the (pi*C2, pi*F, E_i) basis."""
         n, m = self.n, self.m
@@ -339,14 +333,7 @@ class SurfaceModel:
         (< 2/(m-n) when n < m); equivalently, all nefness inequalities
         for the log anticanonical class are strict.
         """
-        b1, b2 = angles.beta1, angles.beta2
-        if b1 <= 0 or b2 <= 0:
-            return False
-        if self.n > 0 and self.n * b1 >= 2:
-            return False
-        if self.n < self.m and (self.m - self.n) * b2 >= 2:
-            return False
-        return True
+        return self.ample_range_violation(angles) is None
 
     def ample_range_violation(self, angles: Angles) -> str | None:
         """Human-readable reason ample_angle_range fails, or None."""

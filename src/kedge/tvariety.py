@@ -6,9 +6,10 @@ marked point of P^1: the slice over p0 has the single vertex n, the
 slice over each blown-up point p_i has vertices -1 and 0, all other
 slices are trivial.  The log anticanonical class corresponds to a
 divisorial support function h; its pointwise Legendre duals Psi_p live
-on the moment interval and their exact integrals (vol, barycenter, the
-per-point barycenters bc_p) assemble into the delta invariant as a
-minimum over ray and vertex valuations.
+on the moment interval and carry the integrals of deg Psi (vol, first
+moment, half square).  With one cross term per point they assemble into
+the delta invariant as a minimum over ray and vertex valuations; delta
+and the Futaki sign read the same first moment.
 
 Everything here is an integral of products of piecewise-linear
 functions with rational breakpoints, evaluated exactly (Simpson on each
@@ -28,6 +29,7 @@ from .picard import (
     as_model,
 )
 from .ratmath import ONE, ZERO, Rat, sign
+from .zariski import InconsistencyError
 
 # ---------------------------------------------------------------------------
 # Piecewise-linear functions on a closed rational interval
@@ -247,11 +249,11 @@ class SupportFunction:
 
 def anticanonical_support_function(params, angles: Angles) -> SupportFunction:
     """Support function h of -K_{S,Delta}, certified by round-tripping
-    the encoded class against the lattice side."""
+    the encoded class against the lattice side (InconsistencyError if not)."""
     model = as_model(params)
     h = SupportFunction(params=model.params, angles=angles, fdivisor=build_fdivisor(model))
     if h.divisor_class(model) != model.log_anticanonical(angles):
-        raise AssertionError("support function does not encode -K_{S,Delta}")
+        raise InconsistencyError("support function does not encode -K_{S,Delta}")
     return h
 
 
@@ -261,15 +263,18 @@ def anticanonical_support_function(params, angles: Angles) -> SupportFunction:
 
 @dataclass(frozen=True)
 class DualData:
-    """Pointwise Legendre duals of h on the moment interval box = [-beta1, beta2]."""
+    """Pointwise Legendre duals of h on the moment interval box = [-beta1, beta2],
+    with the integrals of deg Psi that the barycenters and delta read."""
 
     params: SurfaceParams
-    angles: Angles
     box: tuple  # (lo, hi)
     psi_p0: PLFunction
     psi_marked: PLFunction  # common dual for every p_i, i >= 1
     psi_generic: PLFunction
     deg_psi: PLFunction
+    vol: object  # integral of deg Psi
+    first_moment: object  # integral of u * deg Psi(u)
+    half_square: object  # (1/2) integral of deg Psi^2
 
     def psi(self, point: str) -> PLFunction:
         if point == "p0":
@@ -309,34 +314,31 @@ def legendre_dual(h: SupportFunction) -> DualData:
         deg = deg + psi_marked.scale(m)
     return DualData(
         params=h.params,
-        angles=h.angles,
         box=(lo, hi),
         psi_p0=psi_p0,
         psi_marked=psi_marked,
         psi_generic=psi_generic,
         deg_psi=deg,
+        vol=deg.integral(),
+        first_moment=integrate_product(pl_line(lo, hi, ONE), deg),
+        half_square=integrate_product(deg, deg) / 2,
     )
 
 
 def vol_psi(d: DualData):
     """vol(Psi) = integral of deg Psi over the moment interval."""
-    return d.deg_psi.integral()
+    return d.vol
 
 
 def barycenter(d: DualData):
     """bc(Psi) = (1/vol(Psi)) * integral of u * deg Psi(u) du."""
-    u = pl_line(d.box[0], d.box[1], ONE)
-    return integrate_product(u, d.deg_psi) / vol_psi(d)
+    return d.first_moment / d.vol
 
 
-def bc_p(d: DualData, point):
+def bc_p(d: DualData, point: str):
     """bc_p = (1/vol(Psi)) * integral of ((1/2) deg Psi - Psi_p) deg Psi du."""
-    if isinstance(point, int):
-        point = f"p{point}"
-    psi = d.psi(point)
-    half_sq = integrate_product(d.deg_psi, d.deg_psi) / 2
-    cross = integrate_product(psi, d.deg_psi)
-    return (half_sq - cross) / vol_psi(d)
+    cross = integrate_product(d.psi(point), d.deg_psi)
+    return (d.half_square - cross) / d.vol
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +365,7 @@ class DeltaReport:
     delta: object
     witnesses: tuple  # names of all terms attaining the minimum, canonical order
     terms: tuple  # ValuationTerm, canonical order
+    futaki_sign: int  # sign of -integral of u * deg Psi, as futaki_vanishes
 
     @property
     def witness(self) -> str:
@@ -380,10 +383,7 @@ def futaki_vanishes(params, angles: Angles) -> int:
 
     Computed on the torus side as -integral of u * deg Psi(u) du (no
     division, so no ampleness assumption is needed)."""
-    model = as_model(params)
-    d = legendre_dual(anticanonical_support_function(model, angles))
-    u = pl_line(d.box[0], d.box[1], ONE)
-    return sign(-integrate_product(u, d.deg_psi))
+    return sign(-legendre_dual(anticanonical_support_function(params, angles)).first_moment)
 
 
 def delta_tvariety(params, angles: Angles) -> DeltaReport:
@@ -409,7 +409,7 @@ def delta_tvariety(params, angles: Angles) -> DeltaReport:
         ValuationTerm(name="C2tilde", A=b2, S=b2 - bc),
     ]
     if m > 0:
-        bc_pi = bc_p(d, 1)
+        bc_pi = bc_p(d, "p1")
         for i in range(1, m + 1):
             terms.append(ValuationTerm(name=f"E{i}", A=ONE, S=bc_pi - bc))
         for i in range(1, m + 1):
@@ -419,4 +419,4 @@ def delta_tvariety(params, angles: Angles) -> DeltaReport:
 
     delta = min(t.ratio for t in terms)
     witnesses = tuple(t.name for t in terms if t.ratio == delta)
-    return DeltaReport(delta=delta, witnesses=witnesses, terms=tuple(terms))
+    return DeltaReport(delta, witnesses, tuple(terms), futaki_sign=sign(-d.first_moment))

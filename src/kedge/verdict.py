@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .picard import C1TILDE, C2TILDE, Angles, CurveId, Ei, as_model
 from .ratmath import Rat, sign
-from .tvariety import DeltaReport, delta_tvariety, futaki_vanishes
+from .tvariety import DeltaReport, delta_tvariety
 from .volumes import expected_vanishing_order, log_discrepancy
 from .zariski import InconsistencyError
 
@@ -123,9 +123,9 @@ def k_polystable(params, angles: Angles) -> Verdict:
             notes=(reason,),
         )
 
-    futaki = futaki_vanishes(model, angles)
-    _check(futaki == csign, "bracket sign {} disagrees with the torus-side Futaki sign", csign)
     report = delta_tvariety(model, angles)
+    _check(report.futaki_sign == csign,
+           "bracket sign {} disagrees with the torus-side Futaki sign", csign)
     _check(report.delta <= 1, "delta = {} > 1 contradicts the necessity bound", report.delta)
 
     notes: list[str] = []

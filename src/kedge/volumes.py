@@ -30,11 +30,12 @@ from .picard import (
     as_model,
 )
 from .ratmath import Rat, sqrt_exact
-from .zariski import DecompositionError, NotPseudoeffective, _negative_part, grow_support
+from .zariski import (DecompositionError, InconsistencyError, NotPseudoeffective,
+                      _negative_part, grow_support)
 
 
-class IrrationalThreshold(ArithmeticError):
-    """The pseudoeffective threshold is not a rational number."""
+class IrrationalThreshold(InconsistencyError):
+    """The pseudoeffective threshold came out irrational, which this family rules out."""
 
 
 @dataclass(frozen=True)
@@ -53,14 +54,8 @@ class Affine(object):
         object.__setattr__(self, "c0", Rat(self.c0))
         object.__setattr__(self, "c1", Rat(self.c1))
 
-    def __add__(self, other: "Affine") -> "Affine":
-        return Affine(self.c0 + other.c0, self.c1 + other.c1)
-
     def __sub__(self, other: "Affine") -> "Affine":
         return Affine(self.c0 - other.c0, self.c1 - other.c1)
-
-    def __neg__(self) -> "Affine":
-        return Affine(-self.c0, -self.c1)
 
     def __mul__(self, t) -> "Affine":
         t = Rat(t)
@@ -73,9 +68,6 @@ class Affine(object):
 
     def __lt__(self, other):
         return self._key() < other._key()
-
-    def __le__(self, other):
-        return self._key() <= other._key()
 
     def root(self):
         if self.c1 == 0:

@@ -9,11 +9,14 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kedge.cli import main
 from kedge.ratmath import rat
 from kedge.verdict import InconsistencyError
 from kedge.verify import SuiteResult
+from kedge.volumes import IrrationalThreshold
 from kedge.zariski import DecompositionError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -36,6 +39,13 @@ def run_cli(capsys, argv):
         main(argv)
     out, err = capsys.readouterr()
     return excinfo.value.code, out, err
+
+
+def assert_one_line_inconsistency(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("inconsistency:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def load_schema(name):
@@ -242,6 +252,28 @@ class TestInconsistencyExit:
         assert err.startswith("inconsistency:")
         assert "Traceback" not in err
 
+    @staticmethod
+    def irrational(E, params, angles):
+        raise IrrationalThreshold("threshold is an irrational root (synthetic)")
+
+    def test_volume_curve_irrational_threshold_is_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("kedge.cli.volume_curve", self.irrational)
+        assert_one_line_inconsistency(*run_cli(capsys, CURVE_ARGS))
+
+    def test_verify_irrational_threshold_is_exit_2(self, capsys, monkeypatch):
+        # Raised inside a suite, below the CLI layer.
+        monkeypatch.setattr("kedge.verify.volume_curve", self.irrational)
+        argv = ["verify", "--suite", "lemmas", "--samples", "1"]
+        assert_one_line_inconsistency(*run_cli(capsys, argv))
+
+    def test_delta_support_function_certificate_is_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "kedge.tvariety.SupportFunction.divisor_class", lambda self, model: model.zero()
+        )
+        code, out, err = run_cli(capsys, DELTA_ARGS)
+        assert_one_line_inconsistency(code, out, err)
+        assert "support function does not encode" in err
+
     def test_failing_suite_is_exit_2(self, capsys, monkeypatch):
         failing = SuiteResult(
             suite="halving", samples=1, checks=1, passed=False,
@@ -351,3 +383,49 @@ class TestScanContent:
         assert row[2] == str(v.condition_sign)
         assert row[3] == "5/7" and v.delta == rat(5, 7)
         assert row[4] == v.status
+
+
+ANGLE_LITERALS = st.one_of(
+    st.builds("{}/{}".format, st.integers(1, 5), st.integers(1, 10)),
+    st.sampled_from(
+        ["1", "0", "-1/2", "1/0", "0.5", "1e-3", "1e-5000", "x", "", "1/2/3", " 2/3", "nan"]
+    ),
+)
+CURVE_LABELS = st.sampled_from(
+    ["C1tilde", "C2tilde", "GenericFiber", "PullbackC2", "E1", "E3", "E6", "F1tilde",
+     "F4tilde", "E0", "E7", "F0tilde", "Q7", "e1", "Ftilde", ""]
+)
+REPORT_SCHEMAS = {
+    "delta": "delta_report.schema.json",
+    "volume-curve": "volume_curve_report.schema.json",
+}
+
+
+class TestExitCodeContract:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        command=st.sampled_from(sorted(REPORT_SCHEMAS)),
+        n=st.integers(-1, 6),
+        m=st.integers(-1, 6),
+        beta1=ANGLE_LITERALS,
+        beta2=ANGLE_LITERALS,
+        curve=CURVE_LABELS,
+        accept_decimal=st.booleans(),
+    )
+    def test_any_argv_exits_0_1_or_2(
+        self, capsys, command, n, m, beta1, beta2, curve, accept_decimal
+    ):
+        argv = [command, "--n", str(n), "--m", str(m), "--beta1", beta1, "--beta2", beta2]
+        if command == "volume-curve":
+            argv += ["--curve", curve]
+        if accept_decimal:
+            argv.append("--accept-decimal")
+        code, out, err = run_cli(capsys, argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 0:
+            jsonschema.validate(json.loads(out), load_schema(REPORT_SCHEMAS[command]))

@@ -1,9 +1,11 @@
 """The main decision layer: bracket sign, delta bounds, polystability."""
 
+import collections
 import dataclasses
 
 import pytest
 
+import kedge.tvariety
 from kedge.picard import C1TILDE, C2TILDE, Angles, Ei, OutsideAmpleRange, as_model
 from kedge.ratmath import rat
 from kedge.sampling import sample_angles, sample_surface
@@ -55,6 +57,7 @@ class TestConditionSign:
             angles = sample_angles(rng, params)
             cs = condition_sign(model, angles)
             assert futaki_vanishes(model, angles) == cs
+            assert delta_tvariety(model, angles).futaki_sign == cs
             s1 = expected_vanishing_order(C1TILDE, model, angles)
             s2 = expected_vanishing_order(C2TILDE, model, angles)
             from kedge.ratmath import sign
@@ -154,6 +157,28 @@ class TestVerdicts:
                 assert v.condition_sign == 0 and params.m != 1
 
 
+class TestTorusWork:
+    @pytest.mark.parametrize(
+        "params, angles, integrals",
+        [((0, 2), Angles(HALF, HALF), 5), ((2, 0), Angles(rat(9, 14), rat(3, 7)), 4)],
+    )
+    def test_one_torus_pass_per_verdict(self, monkeypatch, params, angles, integrals):
+        # Deterministic work: a second dual or a repeated integral fails here.
+        calls = collections.Counter()
+        for name in ("anticanonical_support_function", "legendre_dual", "integrate_product"):
+            def counting(*args, _name=name, _original=getattr(kedge.tvariety, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(f"kedge.tvariety.{name}", counting)
+        k_polystable(params, angles)
+        assert calls == {
+            "anticanonical_support_function": 1,
+            "legendre_dual": 1,
+            "integrate_product": integrals,
+        }
+
+
 class TestM0Locus:
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_parametrized_locus(self, n):
@@ -225,6 +250,15 @@ class TestCertification:
         tampered = dataclasses.replace(report, delta=rat(9, 10))
         with pytest.raises(InconsistencyError, match="got 9/10"):
             _certify_polystable_branch(2, tampered)
+
+    def test_flipped_futaki_sign_is_caught(self, monkeypatch):
+        angles = Angles(HALF, HALF)
+        report = delta_tvariety((0, 2), angles)
+        assert report.futaki_sign == condition_sign((0, 2), angles) == 1
+        flipped = dataclasses.replace(report, futaki_sign=-1)
+        monkeypatch.setattr("kedge.verdict.delta_tvariety", lambda params, angles: flipped)
+        with pytest.raises(InconsistencyError, match="Futaki"):
+            k_polystable((0, 2), angles)
 
     def test_message_is_formatted_only_on_failure(self):
         class Unprintable:
