@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .picard import C1TILDE, C2TILDE, CurveId, Ei, FiTilde, as_model
 from .ratmath import Rat, ZERO, rat
-from .volumes import PiecewiseQuadratic, QuadraticPiece, normalize_pieces
+from .volumes import PiecewiseQuadratic, QuadraticPiece
 from .zariski import curve_sort_key
 
 # Quadratics are coefficient triples (q0, q1, q2) for q0 + q1*x + q2*x^2.
@@ -132,6 +132,33 @@ def closed_form_S(E, params, angles) -> Rat | None:
         )
         return 1 + inner / vol
     return None
+
+
+def normalize_pieces(raw) -> tuple:
+    """Merge neighbours with the same quadratic and support: at degenerate
+    parameters (``m = 0`` for the sections, small n or m for ``E_i``) a
+    closed-form wall separates two chambers that are one."""
+    pieces: list[QuadraticPiece] = []
+    for piece in raw:
+        if pieces:
+            prev = pieces[-1]
+            same = (
+                prev.x_hi == piece.x_lo
+                and (prev.q0, prev.q1, prev.q2) == (piece.q0, piece.q1, piece.q2)
+                and prev.negative_support == piece.negative_support
+            )
+            if same:
+                pieces[-1] = QuadraticPiece(
+                    x_lo=prev.x_lo,
+                    x_hi=piece.x_hi,
+                    q0=prev.q0,
+                    q1=prev.q1,
+                    q2=prev.q2,
+                    negative_support=prev.negative_support,
+                )
+                continue
+        pieces.append(piece)
+    return tuple(pieces)
 
 
 def _freeze(raw_pieces) -> PiecewiseQuadratic:

@@ -338,10 +338,6 @@ class SurfaceModel:
     def ample_range_violation(self, angles: Angles) -> str | None:
         """Human-readable reason ample_angle_range fails, or None."""
         b1, b2 = angles.beta1, angles.beta2
-        if b1 <= 0:
-            return f"beta1 must be positive, got {b1}"
-        if b2 <= 0:
-            return f"beta2 must be positive, got {b2}"
         if self.n > 0 and self.n * b1 >= 2:
             return f"beta1 must lie in (0, 2/{self.n}), got {b1}"
         if self.n < self.m and (self.m - self.n) * b2 >= 2:

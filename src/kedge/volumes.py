@@ -4,14 +4,16 @@ Within a chamber the Zariski negative support is constant, the support
 coefficients are affine in x, the positive part P(x) is an affine family
 of classes, and the volume P(x)^2 is an honest quadratic.  The sweep
 therefore never samples: it solves the orthogonality system once per
-chamber with x as an indeterminate, locates the next wall as the exact
-rational root of an affine wall function (P(x).C hitting 0 for a
-candidate C, or a support coefficient hitting 0), and determines the
-support on the far side of a wall by running ``zariski.grow_support``,
-the same support growth as ``zariski_decompose``, over first-order jets
-at the wall (value, slope ordered lexicographically -- exact
-"x = w + epsilon" arithmetic).  Each chamber becomes one
-``QuadraticPiece``.
+chamber with x as an indeterminate, and the next wall is the exact
+rational root of P(x).C for a candidate C outside the support.  The
+support starts empty, because -K_Delta is ample, and only grows: P(D) is
+the largest nef class below D, so P(x') <= P(x) for x < x', and no
+coefficient of the negative part falls (E never enters it:
+Lazarsfeld-Mustata, Ann. Sci. ENS 42 (2009), section 6).  At each wall
+``zariski.grow_support`` grows it over first-order jets (value, slope
+ordered lexicographically -- exact "x = w + epsilon" arithmetic).  Each
+chamber becomes one ``QuadraticPiece``; ``_certify_curve`` checks that
+the support grew strictly at every wall, so no two chambers ever merge.
 
 The sweep ends where the quadratic vanishes: that root is the
 pseudoeffective threshold tau.  A final quadratic with irrational roots
@@ -156,19 +158,21 @@ class PiecewiseQuadratic:
         return self.integral() / self.value(Rat(0))
 
 
-def _support_just_after(model: SurfaceModel, dclass: AffineClass, w) -> list:
-    """Zariski support of D(x) for x infinitesimally right of w.
+def _support_just_after(model: SurfaceModel, dclass: AffineClass, w, support) -> list:
+    """Zariski support of D(x) for x infinitesimally right of the wall w.
 
-    Runs ``grow_support`` with every quantity replaced by its first-order
-    jet at w, compared lexicographically; this is exact arithmetic at
-    x = w + epsilon.  The sweep asks only at walls w < tau, where
-    D(w + epsilon) is big, so NotPseudoeffective here is an internal
-    failure.
+    Runs ``grow_support`` from ``support``, the support just left of w
+    (inside the true one, since the negative part only grows), with every
+    quantity replaced by its first-order jet at w, compared
+    lexicographically; this is exact arithmetic at x = w + epsilon.  The
+    sweep asks only at walls w < tau, where D(w + epsilon) is big, so
+    NotPseudoeffective here is an internal failure.
     """
     jet = AffineClass(dclass.at(w), dclass.slope)
     try:
         support, _coeffs, _residual = grow_support(
-            model, jet, _solve_chamber, lambda residual, c: residual.pair(model, c), AFFINE_ZERO
+            model, jet, _solve_chamber, lambda residual, c: residual.pair(model, c), AFFINE_ZERO,
+            support,
         )
     except NotPseudoeffective as exc:
         raise DecompositionError(f"jet support growth failed at x = {w}+: {exc}") from None
@@ -213,27 +217,28 @@ def _smallest_root_after(q0, q1, q2, x0, context: str):
     raise DecompositionError(f"no volume root beyond {x0} ({context})")
 
 
-def volume_sweep(E: CurveId, params, angles: Angles):
+def volume_sweep(E: CurveId, params, angles: Angles) -> tuple:
     """Chamber decomposition of x |-> vol(-K_Delta - x E).
 
-    Returns (pieces, tau): one QuadraticPiece per chamber, before
-    ``normalize_pieces`` merges those a degenerate wall separates.
+    One QuadraticPiece per chamber, in order; the last ends at tau.  The
+    support starts empty (-K_Delta is ample) and each wall grows it.
     """
     model = as_model(params)
     model.ensure_ample(angles)
-    direction = model.class_of(E)
-    dclass = AffineClass(model.log_anticanonical(angles), -direction)
+    dclass = AffineClass(model.log_anticanonical(angles), -model.class_of(E))
     context = f"E={E.label}, n={model.n}, m={model.m}"
 
     pieces: list[QuadraticPiece] = []
     x0 = Rat(0)
-    support = _support_just_after(model, dclass, x0)
-    guard = 0
+    support: list[CurveId] = []
+    # Termination: a chamber ends where P(x).C falls to 0 for a curve C
+    # outside the support.  At that wall the pairing's jet with the old P
+    # is (0, negative), so the support grown there contains C: every wall
+    # adds a curve, and there are at most 2m + 2 walls.
     while True:
-        guard += 1
-        if guard > 16 * (2 * model.m + 2) + 64:
-            raise DecompositionError(f"chamber sweep did not terminate ({context})")
         coeffs, positive = _solve_chamber(model, dclass, support)
+        if any(a.c1 < 0 for a in coeffs):
+            raise DecompositionError(f"a negative-part coefficient falls after {x0} ({context})")
         q2 = model.self_intersection(positive.slope)
         q1 = 2 * model.intersect(positive.const, positive.slope)
         q0 = model.self_intersection(positive.const)
@@ -245,62 +250,23 @@ def volume_sweep(E: CurveId, params, angles: Angles):
             f = positive.pair(model, c)
             if f.c1 < 0 and f.root() > x0:
                 walls.append(f.root())
-        for a in coeffs:
-            if a.c1 < 0 and a.root() > x0:
-                walls.append(a.root())
         wall = min(walls) if walls else None
-
-        def emit(x_hi):
-            named = _negative_part(support, coeffs, AFFINE_ZERO)
-            pieces.append(QuadraticPiece(x0, x_hi, q0, q1, q2, tuple(c for c, _ in named)))
-
-        if wall is not None:
-            vol_at_wall = q0 + q1 * wall + q2 * wall * wall
-            if vol_at_wall > 0:
-                emit(wall)
-                support = _support_just_after(model, dclass, wall)
-                x0 = wall
-                continue
-            if vol_at_wall == 0:
-                emit(wall)
-                return pieces, wall
-        tau = _smallest_root_after(q0, q1, q2, x0, context)
-        if wall is not None and tau > wall:
-            raise DecompositionError(f"volume root {tau} beyond next wall {wall} ({context})")
-        emit(tau)
-        return pieces, tau
-
-
-def normalize_pieces(raw) -> tuple:
-    """Canonical piece list: drop empty intervals, merge neighbours with
-    the same quadratic and support (degenerate chamber walls vanish)."""
-    pieces: list[QuadraticPiece] = []
-    for piece in raw:
-        if piece.x_lo == piece.x_hi:
+        named = tuple(c for c, _ in _negative_part(support, coeffs, AFFINE_ZERO))
+        if wall is not None and q0 + q1 * wall + q2 * wall * wall > 0:
+            pieces.append(QuadraticPiece(x0, wall, q0, q1, q2, named))
+            support = _support_just_after(model, dclass, wall, support)
+            x0 = wall
             continue
-        if pieces:
-            prev = pieces[-1]
-            same = (
-                prev.x_hi == piece.x_lo
-                and (prev.q0, prev.q1, prev.q2) == (piece.q0, piece.q1, piece.q2)
-                and prev.negative_support == piece.negative_support
-            )
-            if same:
-                pieces[-1] = QuadraticPiece(
-                    x_lo=prev.x_lo,
-                    x_hi=piece.x_hi,
-                    q0=prev.q0,
-                    q1=prev.q1,
-                    q2=prev.q2,
-                    negative_support=prev.negative_support,
-                )
-                continue
-        pieces.append(piece)
-    return tuple(pieces)
+        # Positive at x0, and not at the next wall if any: the least root beyond x0 is tau.
+        tau = _smallest_root_after(q0, q1, q2, x0, context)
+        pieces.append(QuadraticPiece(x0, tau, q0, q1, q2, named))
+        return tuple(pieces)
 
 
 def _certify_curve(model: SurfaceModel, angles: Angles, curve: PiecewiseQuadratic):
-    """Cheap exact post-conditions: continuity, endpoints, monotonicity."""
+    """Cheap exact post-conditions: continuity, endpoints, monotonicity,
+    and a negative support that grows strictly at every wall (the theorem
+    the sweep rests on; it also means no two chambers ever merge)."""
     pieces = curve.pieces
     if not pieces or pieces[0].x_lo != 0:
         raise DecompositionError("volume curve must start at x = 0")
@@ -314,6 +280,8 @@ def _certify_curve(model: SurfaceModel, angles: Angles, curve: PiecewiseQuadrati
             raise DecompositionError("pieces must partition the interval")
         if left.value(left.x_hi) != right.value(right.x_lo):
             raise DecompositionError("volume curve must be continuous across walls")
+        if not set(left.negative_support) < set(right.negative_support):
+            raise DecompositionError("negative support must grow strictly at every wall")
     for piece in pieces:
         # derivative q1 + 2 q2 x is affine: checking both endpoints
         # bounds it on the whole piece
@@ -325,16 +293,14 @@ def _certify_curve(model: SurfaceModel, angles: Angles, curve: PiecewiseQuadrati
 def volume_curve(E: CurveId, params, angles: Angles) -> PiecewiseQuadratic:
     """Exact piecewise-quadratic x |-> vol(-K_Delta - x E) on [0, tau]."""
     model = as_model(params)
-    pieces, _tau = volume_sweep(E, model, angles)
-    curve = PiecewiseQuadratic(pieces=normalize_pieces(pieces))
+    curve = PiecewiseQuadratic(pieces=volume_sweep(E, model, angles))
     _certify_curve(model, angles, curve)
     return curve
 
 
 def threshold(E: CurveId, params, angles: Angles):
     """Pseudoeffective threshold tau: sup{x : -K_Delta - x E is big}."""
-    _pieces, tau = volume_sweep(E, params, angles)
-    return tau
+    return volume_curve(E, params, angles).tau
 
 
 def expected_vanishing_order(E: CurveId, params, angles: Angles):

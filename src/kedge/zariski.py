@@ -5,15 +5,16 @@ one of C~1, C~2, E_i, F~i, so the negative part of any pseudoeffective
 class is supported there.  ``grow_support`` is the package's one
 active-set loop, Bauer's support growth: solve on the current support,
 add every candidate the residual meets negatively, repeat until nothing
-is added.  It is generic over the scalar, so ``zariski_decompose`` runs
-it over rationals and the chamber sweep in ``volumes`` runs it over
-first-order jets.  ``zariski_decompose`` certifies its result against
-the three defining conditions on every call;
-``zariski_decompose_bruteforce`` enumerates every negative-definite set
-of candidates and is kept as an independent oracle.  Both pair through
-the closed-form candidate lattice (``SurfaceModel.curve_pairing`` and
-``pair_curve``); ``_certify`` alone uses the generic ``intersect``, so it
-also checks those closed forms.
+is added.  It is generic over the scalar and the start support:
+``zariski_decompose`` runs it over rationals from the empty support, the
+chamber sweep in ``volumes`` over first-order jets from the previous
+chamber's support (Bauer's guarantee needs a start inside the true one).
+``zariski_decompose`` certifies its result against the three defining
+conditions on every call; ``zariski_decompose_bruteforce`` enumerates
+every negative-definite set of candidates and is kept as an independent
+oracle.  Both pair through the closed-form candidate lattice
+(``SurfaceModel.curve_pairing`` and ``pair_curve``); ``_certify`` alone
+uses the generic ``intersect``, so it also checks those closed forms.
 """
 from __future__ import annotations
 
@@ -120,24 +121,24 @@ def _certify(model: SurfaceModel, d: DivisorClass, zd: ZariskiDecomposition):
         raise DecompositionError("P + N does not reconstruct the input class")
 
 
-def grow_support(model: SurfaceModel, d, solve, pair, zero):
+def grow_support(model: SurfaceModel, d, solve, pair, zero, start=()):
     """Bauer's support growth for ``d``: (support, coefficients, residual).
 
-    Starting from the empty support, ``solve(model, d, support)`` gives
-    the coefficients and the residual of the orthogonality system on the
+    Starting from ``start``, ``solve(model, d, support)`` gives the
+    coefficients and the residual of the orthogonality system on the
     current support, and every candidate the residual meets negatively
     under ``pair(residual, cid)`` joins the support, until none does.
     The support grows strictly, so at most k + 1 solves run for k
-    candidates.  For a pseudoeffective class the grown support stays
-    inside the support of the true negative part (Bauer, J. Algebraic
-    Geom. 18, 2009), so the system is never singular and no coefficient
-    drops below ``zero``; either event raises NotPseudoeffective.  The
-    scalar is whatever ``solve`` and ``pair`` return, ordered against
-    ``zero``: rationals for ``zariski_decompose``, first-order jets for
-    the chamber sweep.
+    candidates.  For a pseudoeffective class and a start inside the
+    support of the true negative part, the grown support stays inside it
+    (Bauer, J. Algebraic Geom. 18, 2009), so the system is never singular
+    and no coefficient drops below ``zero``; either event raises
+    NotPseudoeffective.  The scalar is whatever ``solve`` and ``pair``
+    return, ordered against ``zero``: rationals for ``zariski_decompose``,
+    first-order jets for the chamber sweep.
     """
     candidates = model.candidate_curves()
-    support: list[CurveId] = []
+    support: list[CurveId] = list(start)
     while True:
         try:
             coeffs, residual = solve(model, d, support)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -13,9 +14,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kedge.cli import main
-from kedge.ratmath import rat
+from kedge.ratmath import format_rat, rat
 from kedge.verdict import InconsistencyError
-from kedge.verify import SuiteResult
+from kedge.verify import SUITES, SuiteResult
 from kedge.volumes import IrrationalThreshold
 from kedge.zariski import DecompositionError
 
@@ -284,6 +285,15 @@ class TestInconsistencyExit:
         assert code == 2
         assert json.loads(out)["ok"] is False
 
+    def test_broken_suite_reports_counterexample(self, capsys, monkeypatch):
+        monkeypatch.setattr("kedge.verify.vol_psi", lambda dual: rat(0))
+        code, out, _ = run_cli(capsys, ["verify", "--suite", "halving", "--samples", "1"])
+        assert code == 2
+        report = json.loads(out)
+        jsonschema.validate(report, load_schema("verify_report.schema.json"))
+        assert report["ok"] is False
+        assert report["suites"][0]["counterexample"]["detail"].startswith("2 vol(Psi)")
+
 
 class TestConfigAndOutput:
     def test_config_supplies_defaults(self, capsys, tmp_path):
@@ -401,6 +411,29 @@ REPORT_SCHEMAS = {
 }
 
 
+def _small_grid(start, step, points):
+    """A valid ``start:stop:step`` spec of 1 to 3 points, with its point count."""
+    stop = start + (points - 1) * step
+    return f"{format_rat(start)}:{format_rat(stop)}:{format_rat(step)}", points
+
+
+# (spec, number of points), with None for specs the CLI must refuse.
+GRID_SPECS = st.one_of(
+    st.builds(
+        _small_grid,
+        st.builds(Fraction, st.integers(1, 8), st.integers(1, 8)),
+        st.builds(Fraction, st.integers(1, 4), st.integers(1, 8)),
+        st.integers(1, 3),
+    ),
+    st.sampled_from(
+        [("2:1:1/2", 0), ("1:2", None), ("1:2:1/2:1", None), ("1/2:2:0", None),
+         ("1/2:2:-1/4", None), ("0:2:1/4", None), ("-1/2:2:1/4", None), ("x:2:1/4", None),
+         ("0.5:1:1/4", None), ("", None), ("1/10000:2:1/10000", None),
+         ("1:100000:1/1000", None)]
+    ),
+)
+
+
 class TestExitCodeContract:
     @settings(
         max_examples=200,
@@ -429,3 +462,39 @@ class TestExitCodeContract:
         assert "Traceback" not in err
         if code == 0:
             jsonschema.validate(json.loads(out), load_schema(REPORT_SCHEMAS[command]))
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(n=st.integers(-1, 6), m=st.integers(-1, 6), grid1=GRID_SPECS, grid2=GRID_SPECS)
+    def test_any_scan_argv_exits_0_1_or_2(self, capsys, n, m, grid1, grid2):
+        (spec1, points1), (spec2, points2) = grid1, grid2
+        argv = ["scan", "--n", str(n), "--m", str(m), "--beta1-grid", spec1,
+                "--beta2-grid", spec2]
+        code, out, err = run_cli(capsys, argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 0:
+            lines = out.splitlines()
+            assert lines[0] == "beta1,beta2,condition_sign,delta,status"
+            assert len(lines) == 1 + points1 * points2
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        samples=st.integers(-1, 1),
+        suite=st.sampled_from(sorted(SUITES) + ["all", "nope"]),
+        seed=st.integers(),
+    )
+    def test_any_verify_argv_exits_0_1_or_2(self, capsys, samples, suite, seed):
+        argv = ["verify", "--suite", suite, "--samples", str(samples), "--seed", str(seed)]
+        code, out, err = run_cli(capsys, argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 0:
+            jsonschema.validate(json.loads(out), load_schema("verify_report.schema.json"))

@@ -81,6 +81,8 @@ def test_det_exact():
     assert det_exact([[rat(5)]]) == 5
     assert det_exact([[rat(1), rat(2)], [rat(3), rat(4)]]) == -2
     assert det_exact([[rat(1), rat(2)], [rat(2), rat(4)]]) == 0
+    # A zero pivot swaps rows, which flips the sign.
+    assert det_exact([[rat(0), rat(1)], [rat(1), rat(0)]]) == -1
 
 
 def test_definiteness_small_cases():

@@ -3,7 +3,9 @@ acceptance module reruns them at contract strength)."""
 
 import pytest
 
+from kedge.ratmath import rat
 from kedge.verify import SUITES, SuiteResult, run_suites
+from kedge.zariski import ZariskiDecomposition
 
 
 def test_each_suite_passes():
@@ -15,6 +17,33 @@ def test_each_suite_passes():
         assert result.checks > 0
         assert result.passed, result.counterexample
         assert result.counterexample is None
+
+
+@pytest.mark.parametrize(
+    "suite, name, broken, draws_angles",
+    [
+        ("lemmas", "closed_form_volume_curve", lambda E, params, angles: None, True),
+        ("lemmas", "closed_form_S", lambda E, params, angles: rat(-1), True),
+        (
+            "zariski-oracle",
+            "zariski_decompose_bruteforce",
+            lambda model, d: ZariskiDecomposition(positive=model.zero(), negative=()),
+            False,
+        ),
+        ("route-agreement", "log_discrepancy", lambda E, params, angles: rat(-1), True),
+        ("halving", "vol_psi", lambda dual: rat(0), True),
+    ],
+)
+def test_broken_reference_is_a_counterexample(monkeypatch, suite, name, broken, draws_angles):
+    # Each suite's failure branch, reached by breaking one side of its check.
+    monkeypatch.setattr(f"kedge.verify.{name}", broken)
+    result = SUITES[suite](samples=2, seed=11)
+    assert result.passed is False
+    assert result.checks >= 1
+    keys = set(result.counterexample)
+    assert {"n", "m", "detail"} <= keys
+    if draws_angles:
+        assert {"beta1", "beta2"} <= keys
 
 
 def test_lemmas_suite_counts_all_cases():

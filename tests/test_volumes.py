@@ -1,5 +1,7 @@
 """Volume curves from the Zariski sweep: chamber structure, S, A, thresholds."""
 
+from dataclasses import replace
+
 import pytest
 
 from kedge.closedforms import (
@@ -25,14 +27,18 @@ from kedge.linalg import solve_exact
 from kedge.ratmath import rat
 from kedge.sampling import LEMMA_CASES, sample_angles, sample_case_input, sample_surface
 from kedge.volumes import (
+    Affine,
     IrrationalThreshold,
+    PiecewiseQuadratic,
+    _certify_curve,
+    _solve_chamber,
     _smallest_root_after,
     expected_vanishing_order,
     log_discrepancy,
     threshold,
     volume_curve,
 )
-from kedge.zariski import volume, zariski_decompose
+from kedge.zariski import DecompositionError, volume, zariski_decompose
 
 HALF = rat(1, 2)
 
@@ -124,6 +130,15 @@ class TestInvariants:
                 assert expected_vanishing_order(curve, params, angles) == closed_form_S(
                     curve, params, angles
                 )
+        # The fiber components have a closed-form S (but no closed-form curve).
+        for _ in range(10):
+            params = sample_surface(rng, m_min=1)
+            angles = sample_angles(rng, params)
+            curve = FiTilde(rng.randint(1, params.m))
+            assert expected_vanishing_order(curve, params, angles) == closed_form_S(
+                curve, params, angles
+            )
+        assert closed_form_S(GENERIC_FIBER, params, angles) is None
 
     def test_S_bracket_relation(self, rng):
         # beta1 - S(C1tilde) = S(C2tilde) - beta2 = 2 bracket / vol.
@@ -165,8 +180,8 @@ class TestSharedEngine:
     @pytest.mark.parametrize(
         "curve, params, angles, solves",
         [
-            (Ei(1), SurfaceParams(0, 2), Angles(HALF, HALF), 12),
-            (C1TILDE, SurfaceParams(1, 2), Angles(HALF, rat(2, 3)), 5),
+            (Ei(1), SurfaceParams(0, 2), Angles(HALF, HALF), 10),
+            (C1TILDE, SurfaceParams(1, 2), Angles(HALF, rat(2, 3)), 4),
         ],
     )
     def test_sweep_solve_count(self, monkeypatch, curve, params, angles, solves):
@@ -180,6 +195,32 @@ class TestSharedEngine:
         monkeypatch.setattr("kedge.volumes.solve_exact", counting)
         volume_curve(curve, params, angles)
         assert len(calls) == solves
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [((), ()), ((FiTilde(1),), ()), ((FiTilde(1),), (FiTilde(2),))],
+    )
+    def test_certificate_requires_growing_support(self, left, right):
+        # The negative part only grows along the ray, so a wall whose
+        # support does not grow strictly is an internal failure.
+        model = as_model(SurfaceParams(0, 2))
+        angles = Angles(HALF, HALF)
+        first, second = volume_curve(C1TILDE, model, angles).pieces
+        _certify_curve(model, angles, PiecewiseQuadratic((first, second)))
+        broken = (replace(first, negative_support=left), replace(second, negative_support=right))
+        with pytest.raises(DecompositionError, match="grow strictly"):
+            _certify_curve(model, angles, PiecewiseQuadratic(broken))
+
+    def test_falling_coefficient_is_refused(self, monkeypatch):
+        # No coefficient of the negative part falls along the ray, so the
+        # sweep looks for no such wall; it refuses a chamber that has one.
+        def falling(model, dclass, support):
+            coeffs, positive = _solve_chamber(model, dclass, support)
+            return [Affine(a.c0 + 1, -1) for a in coeffs], positive
+
+        monkeypatch.setattr("kedge.volumes._solve_chamber", falling)
+        with pytest.raises(DecompositionError, match="coefficient falls"):
+            volume_curve(C1TILDE, SurfaceParams(0, 2), Angles(HALF, HALF))
 
 
 class TestScalars:
