@@ -28,6 +28,9 @@ from .verify import SUITES, run_suites
 from .volumes import log_discrepancy, volume_curve
 
 _COMMANDS = ("delta", "volume-curve", "verify", "scan")
+# Largest accepted m: the lattice has rank m + 2, and the candidate set,
+# every pairing vector and the sweep's solves grow with m.
+MAX_M = 200
 
 
 def _user_error(message: str):
@@ -63,6 +66,8 @@ def _parse_angles(beta1: str, beta2: str, accept_decimal: bool) -> Angles:
 
 
 def _parse_surface(n: int, m: int) -> SurfaceParams:
+    if m > MAX_M:
+        _user_error(f"m must be at most {MAX_M}, got {m}")
     try:
         return SurfaceParams(n, m)
     except ValueError as exc:
@@ -89,7 +94,7 @@ def _load_config(ctx, param, value):
     ctx.default_map = {name: dict(defaults) for name in _COMMANDS}
 
 
-@click.group()
+@click.group(no_args_is_help=False)
 @click.option(
     "--config",
     type=click.Path(),
@@ -244,6 +249,8 @@ def cmd_verify(suite, samples, seed, output):
     }
     _dump(report, output)
     if not ok:
+        failed = ", ".join(r.suite for r in results if not r.passed)
+        click.echo(f"inconsistency: counterexample found by {failed}", err=True)
         sys.exit(2)
 
 
@@ -317,7 +324,7 @@ def main(argv=None):
     except click.Abort:
         raise SystemExit(1)
     except click.ClickException as exc:
-        exc.show()
+        click.echo(f"error: {exc.format_message()}", err=True)
         raise SystemExit(1)
     except InconsistencyError as exc:
         click.echo(f"inconsistency: {exc}", err=True)

@@ -182,9 +182,6 @@ class DivisorClass:
         t = Rat(t)
         return DivisorClass(t * self.a, t * self.b, tuple(t * x for x in self.c))
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0 and all(x == 0 for x in self.c)
-
     def _check_rank(self, other: "DivisorClass"):
         if len(self.c) != len(other.c):
             raise ValueError(

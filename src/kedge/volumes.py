@@ -1,17 +1,21 @@
 """Exact volume curves x |-> vol(-K_{S,Delta} - x E) by symbolic chamber sweep.
 
-Within a chamber the Zariski negative support is constant, the support
-coefficients are affine in x, the positive part P(x) is an affine family
-of classes, and the volume P(x)^2 is an honest quadratic.  The sweep
-therefore never samples: it solves the orthogonality system once per
-chamber with x as an indeterminate, and the next wall is the exact
-rational root of P(x).C for a candidate C outside the support.  The
-support starts empty, because -K_Delta is ample, and only grows: P(D) is
-the largest nef class below D, so P(x') <= P(x) for x < x', and no
-coefficient of the negative part falls (E never enters it:
-Lazarsfeld-Mustata, Ann. Sci. ENS 42 (2009), section 6).  At each wall
-``zariski.grow_support`` grows it over first-order jets (value, slope
-ordered lexicographically -- exact "x = w + epsilon" arithmetic).  Each
+The sweep works in pairing coordinates: it never builds a divisor class
+inside the loop.  It needs only the affine vector r(x) = D(x).C over the
+candidate curves C, where D(x) = -K_Delta - x E, built once from
+``pair_curve``, and the integer candidate Gram matrix.  Within a chamber
+the Zariski negative support S is constant, the support coefficients
+a(x) = G_S^{-1} r_S(x) are affine in x, and, because P.N = 0, the volume
+P(x)^2 = D(x)^2 - a(x).r_S(x) is an honest quadratic.  The sweep
+therefore never samples.  The support starts empty, because -K_Delta is
+ample, and only grows: P(D) is the largest nef class below D, so
+P(x') <= P(x) for x < x', and no coefficient of the negative part falls
+(E never enters it: Lazarsfeld-Mustata, Ann. Sci. ENS 42 (2009),
+section 6).  At each chamber's left end x0, ``zariski.grow_support``
+grows it over first-order jets (value, slope ordered lexicographically
+-- exact "x = x0 + epsilon" arithmetic); its last solve, read as an
+affine function of x, is the chamber's solution, and the next wall is
+the least root of a residual pairing jet P(x).C that falls.  Each
 chamber becomes one ``QuadraticPiece``; ``_certify_curve`` checks that
 the support grew strictly at every wall, so no two chambers ever merge.
 
@@ -23,14 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import solve_exact
-from .picard import (
-    Angles,
-    CurveId,
-    DivisorClass,
-    SurfaceModel,
-    as_model,
-)
+from .picard import Angles, CurveId, SurfaceModel, as_model
 from .ratmath import Rat, sqrt_exact
 from .zariski import (DecompositionError, InconsistencyError, NotPseudoeffective,
                       _negative_part, grow_support)
@@ -71,31 +68,11 @@ class Affine(object):
     def __lt__(self, other):
         return self._key() < other._key()
 
-    def root(self):
-        if self.c1 == 0:
-            raise ZeroDivisionError("constant affine function has no root")
-        return -self.c0 / self.c1
-
     def __repr__(self) -> str:
         return f"Affine({self.c0} + {self.c1} t)"
 
 
 AFFINE_ZERO = Affine(0, 0)
-
-
-@dataclass(frozen=True)
-class AffineClass:
-    """Affine family of divisor classes const + x * slope."""
-
-    const: DivisorClass
-    slope: DivisorClass
-
-    def at(self, x) -> DivisorClass:
-        return self.const + self.slope.scale(x)
-
-    def pair(self, model: SurfaceModel, cid: CurveId) -> Affine:
-        """Pairing with a named curve, by ``SurfaceModel.pair_curve``."""
-        return Affine(model.pair_curve(self.const, cid), model.pair_curve(self.slope, cid))
 
 
 @dataclass(frozen=True)
@@ -158,38 +135,6 @@ class PiecewiseQuadratic:
         return self.integral() / self.value(Rat(0))
 
 
-def _support_just_after(model: SurfaceModel, dclass: AffineClass, w, support) -> list:
-    """Zariski support of D(x) for x infinitesimally right of the wall w.
-
-    Runs ``grow_support`` from ``support``, the support just left of w
-    (inside the true one, since the negative part only grows), with every
-    quantity replaced by its first-order jet at w, compared
-    lexicographically; this is exact arithmetic at x = w + epsilon.  The
-    sweep asks only at walls w < tau, where D(w + epsilon) is big, so
-    NotPseudoeffective here is an internal failure.
-    """
-    jet = AffineClass(dclass.at(w), dclass.slope)
-    try:
-        support, _coeffs, _residual = grow_support(
-            model, jet, _solve_chamber, lambda residual, c: residual.pair(model, c), AFFINE_ZERO,
-            support,
-        )
-    except NotPseudoeffective as exc:
-        raise DecompositionError(f"jet support growth failed at x = {w}+: {exc}") from None
-    return support
-
-
-def _solve_chamber(model: SurfaceModel, dclass: AffineClass, support):
-    """Affine coefficients and positive part for a fixed support."""
-    coeffs = solve_exact(model.curve_gram(support), [dclass.pair(model, c) for c in support])
-    p_const, p_slope = dclass.const, dclass.slope
-    for c, a in zip(support, coeffs):
-        cls = model.class_of(c)
-        p_const = p_const - cls.scale(a.c0)
-        p_slope = p_slope - cls.scale(a.c1)
-    return coeffs, AffineClass(p_const, p_slope)
-
-
 def _smallest_root_after(q0, q1, q2, x0, context: str):
     """Least root of q0 + q1 x + q2 x^2 strictly right of x0 (exact).
 
@@ -225,36 +170,47 @@ def volume_sweep(E: CurveId, params, angles: Angles) -> tuple:
     """
     model = as_model(params)
     model.ensure_ample(angles)
-    dclass = AffineClass(model.log_anticanonical(angles), -model.class_of(E))
+    minus_k, minus_e = model.log_anticanonical(angles), -model.class_of(E)
+    candidates = model.candidate_curves()
+    # r(x) = r0 + x r1 and D(x)^2 = d0 + d1 x + d2 x^2.
+    r0 = {c: model.pair_curve(minus_k, c) for c in candidates}
+    r1 = {c: model.pair_curve(minus_e, c) for c in candidates}
+    d0 = model.self_intersection(minus_k)
+    d1 = 2 * model.intersect(minus_k, minus_e)
+    d2 = model.self_intersection(minus_e)
     context = f"E={E.label}, n={model.n}, m={model.m}"
 
     pieces: list[QuadraticPiece] = []
     x0 = Rat(0)
-    support: list[CurveId] = []
+    start: list[CurveId] = []
     # Termination: a chamber ends where P(x).C falls to 0 for a curve C
-    # outside the support.  At that wall the pairing's jet with the old P
-    # is (0, negative), so the support grown there contains C: every wall
-    # adds a curve, and there are at most 2m + 2 walls.
+    # outside the support, and the next chamber's growth starts from the
+    # support plus every such C: every wall adds a curve, and there are at
+    # most 2m + 2 walls.
     while True:
-        coeffs, positive = _solve_chamber(model, dclass, support)
+        jets = {c: Affine(r0[c] + x0 * r1[c], r1[c]) for c in candidates}
+        try:
+            support, coeffs, residual = grow_support(model, jets, AFFINE_ZERO, start)
+        except NotPseudoeffective as exc:
+            raise DecompositionError(f"jet support growth failed at x = {x0}+: {exc}") from None
         if any(a.c1 < 0 for a in coeffs):
             raise DecompositionError(f"a negative-part coefficient falls after {x0} ({context})")
-        q2 = model.self_intersection(positive.slope)
-        q1 = 2 * model.intersect(positive.const, positive.slope)
-        q0 = model.self_intersection(positive.const)
-
-        walls = []
-        for c in model.candidate_curves():
-            if c in support:
-                continue
-            f = positive.pair(model, c)
-            if f.c1 < 0 and f.root() > x0:
-                walls.append(f.root())
-        wall = min(walls) if walls else None
+        # a(x) = a(x0) + (x - x0) a'; vol(x) = D(x)^2 - a(x).r_S(x).
+        q0, q1, q2 = d0, d1, d2
+        for c, a in zip(support, coeffs):
+            const = a.c0 - x0 * a.c1
+            q0 = q0 - const * r0[c]
+            q1 = q1 - const * r1[c] - a.c1 * r0[c]
+            q2 = q2 - a.c1 * r1[c]
+        # After growth every pairing jet outside the support is positive,
+        # so each falling one has a root strictly right of x0.
+        roots = {c: x0 - f.c0 / f.c1 for c, f in residual.items()
+                 if c not in support and f.c1 < 0}
+        wall = min(roots.values(), default=None)
         named = tuple(c for c, _ in _negative_part(support, coeffs, AFFINE_ZERO))
         if wall is not None and q0 + q1 * wall + q2 * wall * wall > 0:
             pieces.append(QuadraticPiece(x0, wall, q0, q1, q2, named))
-            support = _support_just_after(model, dclass, wall, support)
+            start = support + [c for c in candidates if roots.get(c) == wall]
             x0 = wall
             continue
         # Positive at x0, and not at the next wall if any: the least root beyond x0 is tau.

@@ -3,18 +3,22 @@
 On this surface every irreducible curve of negative self-intersection is
 one of C~1, C~2, E_i, F~i, so the negative part of any pseudoeffective
 class is supported there.  ``grow_support`` is the package's one
-active-set loop, Bauer's support growth: solve on the current support,
-add every candidate the residual meets negatively, repeat until nothing
-is added.  It is generic over the scalar and the start support:
-``zariski_decompose`` runs it over rationals from the empty support, the
-chamber sweep in ``volumes`` over first-order jets from the previous
-chamber's support (Bauer's guarantee needs a start inside the true one).
-``zariski_decompose`` certifies its result against the three defining
-conditions on every call; ``zariski_decompose_bruteforce`` enumerates
-every negative-definite set of candidates and is kept as an independent
-oracle.  Both pair through the closed-form candidate lattice
-(``SurfaceModel.curve_pairing`` and ``pair_curve``); ``_certify`` alone
-uses the generic ``intersect``, so it also checks those closed forms.
+active-set loop, Bauer's support growth.  It works on pairings only: the
+vector D.C over the candidates C and the integer candidate Gram matrix.
+Each round solves the orthogonality system on the current support, reads
+the residual pairings P.C off the Gram matrix, and adds every candidate
+the residual meets negatively, until nothing is added.  It is generic
+over the scalar and the start support: ``zariski_decompose`` runs it over
+rationals from the empty support, the chamber sweep in ``volumes`` over
+first-order jets from the previous chamber's support (Bauer's guarantee
+needs a start inside the true one).  ``zariski_decompose`` forms the
+positive part once, after growth, and certifies it against the three
+defining conditions on every call; ``zariski_decompose_bruteforce``
+enumerates every negative-definite set of candidates with its own solver
+and is kept as an independent oracle.  Both pair through the closed-form
+candidate lattice (``SurfaceModel.curve_pairing`` and ``pair_curve``);
+``_certify`` alone uses the generic ``intersect``, so it also checks
+those closed forms.
 """
 from __future__ import annotations
 
@@ -88,14 +92,18 @@ def negative_definite_supports(model: SurfaceModel):
     return extend([], 0)
 
 
+def _subtract_curves(model: SurfaceModel, d: DivisorClass, support, coeffs) -> DivisorClass:
+    """The class D - sum a_i C_i."""
+    for cid, x in zip(support, coeffs):
+        d = d - model.class_of(cid).scale(x)
+    return d
+
+
 def _solve_support(model: SurfaceModel, d: DivisorClass, support):
     """Coefficients a_i with (D - sum a_i C_i) . C_j = 0 for all j in support,
-    and the residual D - sum a_i C_i."""
+    and the residual D - sum a_i C_i (the brute-force oracle's own solver)."""
     coeffs = solve_exact(model.curve_gram(support), [model.pair_curve(d, c) for c in support])
-    residual = d
-    for cid, x in zip(support, coeffs):
-        residual = residual - model.class_of(cid).scale(x)
-    return coeffs, residual
+    return coeffs, _subtract_curves(model, d, support, coeffs)
 
 
 def _negative_part(support, coeffs, zero) -> tuple:
@@ -121,38 +129,51 @@ def _certify(model: SurfaceModel, d: DivisorClass, zd: ZariskiDecomposition):
         raise DecompositionError("P + N does not reconstruct the input class")
 
 
-def grow_support(model: SurfaceModel, d, solve, pair, zero, start=()):
-    """Bauer's support growth for ``d``: (support, coefficients, residual).
+def grow_support(model: SurfaceModel, pairings, zero, start=()):
+    """Bauer's support growth: (support, coefficients, residual pairings).
 
-    Starting from ``start``, ``solve(model, d, support)`` gives the
-    coefficients and the residual of the orthogonality system on the
-    current support, and every candidate the residual meets negatively
-    under ``pair(residual, cid)`` joins the support, until none does.
-    The support grows strictly, so at most k + 1 solves run for k
-    candidates.  For a pseudoeffective class and a start inside the
-    support of the true negative part, the grown support stays inside it
-    (Bauer, J. Algebraic Geom. 18, 2009), so the system is never singular
-    and no coefficient drops below ``zero``; either event raises
-    NotPseudoeffective.  The scalar is whatever ``solve`` and ``pair``
-    return, ordered against ``zero``: rationals for ``zariski_decompose``,
-    first-order jets for the chamber sweep.
+    ``pairings`` maps every candidate C to D.C.  Starting from ``start``,
+    each round solves the orthogonality system G_S a = (D.C)_{C in S} on
+    the current support S (G_S from ``curve_gram``), forms the residual
+    pairings P.C = D.C - sum a_i (C_i.C) for every candidate (from
+    ``curve_pairing``), and adds every candidate outside S that P meets
+    negatively, until none is added.  The residual pairings are returned
+    as a mapping like ``pairings``.  The support grows strictly, so at
+    most k + 1 solves run for k candidates.  For a pseudoeffective class
+    and a start inside the support of the true negative part, the grown
+    support stays inside it (Bauer, J. Algebraic Geom. 18, 2009), so the
+    system is never singular and no coefficient drops below ``zero``;
+    either event raises NotPseudoeffective.  The scalar is that of
+    ``pairings``, ordered against ``zero``: rationals for
+    ``zariski_decompose``, first-order jets for the chamber sweep.
     """
     candidates = model.candidate_curves()
     support: list[CurveId] = list(start)
     while True:
+        # C~1 and C~2 meet every F~i and E_i: eliminating them last keeps the
+        # solve free of fill-in, O(k^2) rather than O(k^3) for k curves.
+        support.sort(key=lambda c: c.kind in ("C1tilde", "C2tilde"))
         try:
-            coeffs, residual = solve(model, d, support)
+            coeffs = solve_exact(model.curve_gram(support), [pairings[c] for c in support])
         except SingularMatrixError:
             raise NotPseudoeffective(
-                f"{d}: support system became singular, which cannot happen "
+                "support system became singular, which cannot happen "
                 "for a pseudoeffective class"
             ) from None
         if any(x < zero for x in coeffs):
             raise NotPseudoeffective(
-                f"{d}: orthogonality forces a negative coefficient, which "
+                "orthogonality forces a negative coefficient, which "
                 "cannot happen for a pseudoeffective class"
             )
-        violated = [c for c in candidates if c not in support and pair(residual, c) < zero]
+        residual = {}
+        for c in candidates:
+            r = pairings[c]
+            for cid, x in zip(support, coeffs):
+                g = model.curve_pairing(cid, c)
+                if g:
+                    r = r - x * g
+            residual[c] = r
+        violated = [c for c in candidates if c not in support and residual[c] < zero]
         if not violated:
             return support, coeffs, residual
         support.extend(violated)
@@ -161,17 +182,23 @@ def grow_support(model: SurfaceModel, d, solve, pair, zero, start=()):
 def zariski_decompose(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
     """Zariski decomposition of ``d``, or NotPseudoeffective.
 
-    ``grow_support`` over rationals, then the generic-fiber test (the
-    brute-force oracle cross-checks the NotPseudoeffective reasoning in
-    the test suite).  Every returned decomposition is certified against
-    the three defining conditions.
+    ``grow_support`` over the rational pairings of ``d``, then the
+    generic-fiber test on P = D - sum a_i C_i (the brute-force oracle
+    cross-checks the NotPseudoeffective reasoning in the test suite).
+    Every returned decomposition is certified against the three defining
+    conditions.
     """
-    support, coeffs, residual = grow_support(model, d, _solve_support, model.pair_curve, ZERO)
-    if residual.a < 0:
+    pairings = {c: model.pair_curve(d, c) for c in model.candidate_curves()}
+    try:
+        support, coeffs, _residual = grow_support(model, pairings, ZERO)
+    except NotPseudoeffective as exc:
+        raise NotPseudoeffective(f"{d}: {exc}") from None
+    positive = _subtract_curves(model, d, support, coeffs)
+    if positive.a < 0:
         # Residual meets the (nef, moving) generic fiber negatively:
         # no effective class can, so d is not pseudoeffective.
         raise NotPseudoeffective(f"{d} pairs negatively with the generic fiber")
-    zd = ZariskiDecomposition(positive=residual, negative=_negative_part(support, coeffs, ZERO))
+    zd = ZariskiDecomposition(positive=positive, negative=_negative_part(support, coeffs, ZERO))
     _certify(model, d, zd)
     return zd
 

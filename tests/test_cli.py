@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kedge.cli import main
+from kedge.cli import MAX_M, main
 from kedge.ratmath import format_rat, rat
 from kedge.verdict import InconsistencyError
 from kedge.verify import SUITES, SuiteResult
@@ -42,11 +42,19 @@ def run_cli(capsys, argv):
     return excinfo.value.code, out, err
 
 
+def assert_exit_contract(code, err):
+    """Exit 0, 1 or 2; a non-zero exit prints exactly one stderr line."""
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith({1: "error: ", 2: "inconsistency: "}[code])
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def assert_one_line_inconsistency(code, out, err):
     assert code == 2
     assert out == ""
-    assert err.startswith("inconsistency:") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert_exit_contract(code, err)
 
 
 def load_schema(name):
@@ -214,6 +222,41 @@ class TestInputHandling:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "too large" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--suite", "nope"], "Invalid value for '--suite'"),
+            (["delta", "--n", "x"], "Invalid value for '--n'"),
+            (["delta", "--m", "2", "--beta1", "1/2", "--beta2", "1/2"], "Missing option '--n'"),
+        ],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, argv)
+        assert_exit_contract(code, err)
+        assert code == 1 and out == ""
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["delta", "--beta1", "1/2", "--beta2", "1/2"],
+            ["volume-curve", "--beta1", "1/2", "--beta2", "1/2", "--curve", "E1"],
+            ["scan", "--beta1-grid", "1/2:1:1/2", "--beta2-grid", "1/4:1:1/4"],
+        ],
+        ids=["delta", "volume-curve", "scan"],
+    )
+    def test_m_above_bound_is_user_error(self, capsys, monkeypatch, argv):
+        # Refused while parsing, before anything is computed.
+        def computed(*args):
+            raise AssertionError("m above the bound reached the computation")
+
+        monkeypatch.setattr("kedge.cli.k_polystable", computed)
+        monkeypatch.setattr("kedge.cli.volume_curve", computed)
+        code, out, err = run_cli(capsys, argv + ["--n", "0", "--m", str(MAX_M + 1)])
+        assert_exit_contract(code, err)
+        assert code == 1 and out == ""
+        assert err == f"error: m must be at most {MAX_M}, got {MAX_M + 1}\n"
+
     def test_empty_grid_header_only(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -281,9 +324,10 @@ class TestInconsistencyExit:
             counterexample={"n": 1},
         )
         monkeypatch.setattr("kedge.cli.run_suites", lambda *a: [failing])
-        code, out, _ = run_cli(capsys, ["verify", "--suite", "halving"])
+        code, out, err = run_cli(capsys, ["verify", "--suite", "halving"])
         assert code == 2
         assert json.loads(out)["ok"] is False
+        assert err == "inconsistency: counterexample found by halving\n"
 
     def test_broken_suite_reports_counterexample(self, capsys, monkeypatch):
         monkeypatch.setattr("kedge.verify.vol_psi", lambda dual: rat(0))
@@ -458,8 +502,7 @@ class TestExitCodeContract:
         if accept_decimal:
             argv.append("--accept-decimal")
         code, out, err = run_cli(capsys, argv)
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err
+        assert_exit_contract(code, err)
         if code == 0:
             jsonschema.validate(json.loads(out), load_schema(REPORT_SCHEMAS[command]))
 
@@ -474,8 +517,7 @@ class TestExitCodeContract:
         argv = ["scan", "--n", str(n), "--m", str(m), "--beta1-grid", spec1,
                 "--beta2-grid", spec2]
         code, out, err = run_cli(capsys, argv)
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err
+        assert_exit_contract(code, err)
         if code == 0:
             lines = out.splitlines()
             assert lines[0] == "beta1,beta2,condition_sign,delta,status"
@@ -494,7 +536,6 @@ class TestExitCodeContract:
     def test_any_verify_argv_exits_0_1_or_2(self, capsys, samples, suite, seed):
         argv = ["verify", "--suite", suite, "--samples", str(samples), "--seed", str(seed)]
         code, out, err = run_cli(capsys, argv)
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err
+        assert_exit_contract(code, err)
         if code == 0:
             jsonschema.validate(json.loads(out), load_schema("verify_report.schema.json"))

@@ -31,14 +31,13 @@ from kedge.volumes import (
     IrrationalThreshold,
     PiecewiseQuadratic,
     _certify_curve,
-    _solve_chamber,
     _smallest_root_after,
     expected_vanishing_order,
     log_discrepancy,
     threshold,
     volume_curve,
 )
-from kedge.zariski import DecompositionError, volume, zariski_decompose
+from kedge.zariski import DecompositionError, grow_support, volume, zariski_decompose
 
 HALF = rat(1, 2)
 
@@ -180,19 +179,19 @@ class TestSharedEngine:
     @pytest.mark.parametrize(
         "curve, params, angles, solves",
         [
-            (Ei(1), SurfaceParams(0, 2), Angles(HALF, HALF), 10),
-            (C1TILDE, SurfaceParams(1, 2), Angles(HALF, rat(2, 3)), 4),
+            (Ei(1), SurfaceParams(0, 2), Angles(HALF, HALF), 4),
+            (C1TILDE, SurfaceParams(1, 2), Angles(HALF, rat(2, 3)), 2),
         ],
     )
     def test_sweep_solve_count(self, monkeypatch, curve, params, angles, solves):
-        # Deterministic work: an extra re-solve in the sweep fails here.
+        # Deterministic work: one solve per chamber, so any re-solve fails here.
         calls = []
 
         def counting(*args):
             calls.append(args)
             return solve_exact(*args)
 
-        monkeypatch.setattr("kedge.volumes.solve_exact", counting)
+        monkeypatch.setattr("kedge.zariski.solve_exact", counting)
         volume_curve(curve, params, angles)
         assert len(calls) == solves
 
@@ -214,11 +213,11 @@ class TestSharedEngine:
     def test_falling_coefficient_is_refused(self, monkeypatch):
         # No coefficient of the negative part falls along the ray, so the
         # sweep looks for no such wall; it refuses a chamber that has one.
-        def falling(model, dclass, support):
-            coeffs, positive = _solve_chamber(model, dclass, support)
-            return [Affine(a.c0 + 1, -1) for a in coeffs], positive
+        def falling(model, pairings, zero, start=()):
+            support, coeffs, residual = grow_support(model, pairings, zero, start)
+            return support, [Affine(a.c0 + 1, -1) for a in coeffs], residual
 
-        monkeypatch.setattr("kedge.volumes._solve_chamber", falling)
+        monkeypatch.setattr("kedge.volumes.grow_support", falling)
         with pytest.raises(DecompositionError, match="coefficient falls"):
             volume_curve(C1TILDE, SurfaceParams(0, 2), Angles(HALF, HALF))
 

@@ -15,12 +15,13 @@ from kedge.picard import (
     as_model,
 )
 from kedge.linalg import SingularMatrixError, is_negative_definite_matrix, solve_exact
-from kedge.ratmath import rat
+from kedge.ratmath import ZERO, rat
 from kedge.sampling import sample_angles, sample_divisor_class, sample_surface
 from kedge.zariski import (
     NotPseudoeffective,
     ZariskiDecomposition,
     curve_sort_key,
+    grow_support,
     is_negative_definite,
     negative_definite_supports,
     volume,
@@ -170,6 +171,30 @@ class TestDecompose:
             if zd.negative:
                 assert is_negative_definite(model, zd.support)
             assert zd.positive + zd.negative_class(model) == d
+
+
+class TestGrowSupport:
+    def test_residual_pairings_match_reconstructed_class(self, rng):
+        # grow_support reads P.C off the candidate Gram matrix; rebuild the
+        # class P = D - sum a_i C_i and pair it directly instead.
+        grown = 0
+        for _ in range(80):
+            model = as_model(sample_surface(rng, n_max=4, m_max=4))
+            d = sample_divisor_class(rng, model)
+            candidates = model.candidate_curves()
+            pairings = {c: model.pair_curve(d, c) for c in candidates}
+            try:
+                support, coeffs, residual = grow_support(model, pairings, ZERO)
+            except NotPseudoeffective:
+                continue
+            p = d
+            for cid, x in zip(support, coeffs):
+                p = p - model.class_of(cid).scale(x)
+            assert list(residual) == candidates
+            for c in candidates:
+                assert residual[c] == model.pair_curve(p, c), (model.params, d, c)
+            grown += support != []
+        assert grown >= 20
 
 
 def exhaustive_decompositions(model, d):
