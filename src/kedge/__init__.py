@@ -23,7 +23,6 @@ from .picard import (
     SurfaceModel,
     SurfaceParams,
     as_model,
-    make_surface,
     parse_curve_id,
 )
 from .ratmath import Rat, RatParseError, format_rat, parse_rat, rat, sign
@@ -105,7 +104,6 @@ __all__ = [
     "is_negative_definite",
     "k_polystable",
     "log_discrepancy",
-    "make_surface",
     "parse_curve_id",
     "parse_rat",
     "rat",

@@ -1,102 +1,99 @@
-"""Exact linear algebra over the rationals.
+"""Exact negative-definite linear algebra over the rationals.
 
-Small dense systems only (the lattice has rank m+2 <= 14 in practice).
-Everything is exact: Gaussian elimination with rational pivots, Sylvester
-definiteness tests, and signature by symmetric (congruence)
-diagonalization.  The right-hand sides of ``solve_exact`` may live in any
-vector space over Rat (e.g. affine functions of a sweep parameter), as
-long as they support ``+``, ``-`` and left-multiplication by Rat.
+Every system the package solves is negative definite: the negative part
+of a Zariski decomposition lives on a negative-definite set of curves,
+and Bauer's support growth never leaves that set for a pseudoeffective
+class.  So there is one elimination, an LDL^T factorisation
+G = L diag(d) L^T (L unit lower triangular) grown one row at a time by
+bordering (Golub-Van Loan, *Matrix Computations*).  A symmetric matrix is
+negative definite exactly when every pivot d_i is negative, so bordering
+is also the definiteness test: it raises NotNegativeDefinite at the first
+pivot >= 0.  A factor is ``(rows, pivots)``; row i of L holds only its
+nonzero entries, as ``(j, L_ij)`` pairs with j < i, so a Gram matrix
+whose elimination does not fill in is factored and solved in time
+proportional to its size.  The right-hand sides of a solve may live in
+any vector space over Rat (e.g. affine functions of a sweep parameter),
+as long as they support ``-`` and left-multiplication by Rat.
+
+``signature`` is a separate congruence diagonalization over arbitrary
+symmetric matrices; it is the tests' independent reference.
 """
 from __future__ import annotations
 
 from .ratmath import Rat
 
-
-class SingularMatrixError(ArithmeticError):
-    """The coefficient matrix is singular over the rationals."""
+EMPTY_FACTOR = ((), ())
 
 
-def solve_exact(matrix, rhs):
-    """Solve ``matrix @ x = rhs`` exactly.
+class NotNegativeDefinite(ArithmeticError):
+    """A pivot of the LDL^T factorisation is >= 0."""
 
-    ``matrix`` is a square list-of-rows of Rat; ``rhs`` a list of values
-    in a Rat-module.  Returns the solution list; raises
-    SingularMatrixError when no unique solution exists.
+
+def _forward(rows, rhs) -> list:
+    """z = L^{-1} rhs, skipping zero entries of z."""
+    z = list(rhs)
+    for i, row in enumerate(rows):
+        for j, l in row:
+            if z[j]:
+                z[i] = z[i] - l * z[j]
+    return z
+
+
+def border(factor, column, diagonal):
+    """The factor of [[G, column], [column^T, diagonal]] from the factor of G.
+
+    With y = L^{-1} column, the new row of L is y_j / d_j and the new
+    pivot is the Schur complement diagonal - sum y_j^2 / d_j.  Raises
+    NotNegativeDefinite when that pivot is >= 0.
     """
-    k = len(matrix)
-    if k == 0:
-        return []
-    a = [list(row) for row in matrix]
-    b = list(rhs)
-    for col in range(k):
-        piv = next((r for r in range(col, k) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError(f"singular {k}x{k} system")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-        inv = Rat(1) / a[col][col]
-        for r in range(col + 1, k):
-            if a[r][col] == 0:
-                continue
-            factor = a[r][col] * inv
-            for c in range(col, k):
-                a[r][c] = a[r][c] - factor * a[col][c]
-            b[r] = b[r] - factor * b[col]
-    x = [None] * k
-    for r in range(k - 1, -1, -1):
-        acc = b[r]
-        for c in range(r + 1, k):
-            acc = acc - a[r][c] * x[c]
-        x[r] = (Rat(1) / a[r][r]) * acc
+    rows, pivots = factor
+    y = _forward(rows, column)
+    row = tuple((j, y[j] / d) for j, d in enumerate(pivots) if y[j])
+    # Pivots are Rat before anything divides by them: the Gram matrices
+    # are integer, and int / int would be a float.
+    pivot = Rat(diagonal)
+    for j, l in row:
+        pivot = pivot - l * y[j]
+    if pivot >= 0:
+        raise NotNegativeDefinite(f"pivot {pivot} >= 0 at row {len(pivots)}")
+    return rows + (row,), pivots + (pivot,)
+
+
+def factorize(matrix):
+    """The LDL^T factor of a symmetric matrix, bordered row by row from
+    its lower triangle; raises NotNegativeDefinite."""
+    factor = EMPTY_FACTOR
+    for i, row in enumerate(matrix):
+        factor = border(factor, row[:i], row[i])
+    return factor
+
+
+def solve_factored(factor, rhs) -> list:
+    """Solve G x = rhs on the factor of G: forward, diagonal, backward."""
+    rows, pivots = factor
+    x = [(1 / d) * z for d, z in zip(pivots, _forward(rows, rhs))]
+    for i in reversed(range(len(rows))):
+        for j, l in rows[i]:
+            x[j] = x[j] - l * x[i]
     return x
 
 
-def det_exact(matrix):
-    """Exact determinant by fraction-preserving elimination."""
-    k = len(matrix)
-    a = [list(row) for row in matrix]
-    det = Rat(1)
-    for col in range(k):
-        piv = next((r for r in range(col, k) if a[r][col] != 0), None)
-        if piv is None:
-            return Rat(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = det * a[col][col]
-        inv = Rat(1) / a[col][col]
-        for r in range(col + 1, k):
-            if a[r][col] == 0:
-                continue
-            factor = a[r][col] * inv
-            for c in range(col, k):
-                a[r][c] = a[r][c] - factor * a[col][c]
-    return det
+def solve_exact(matrix, rhs) -> list:
+    """Solve the negative-definite system ``matrix @ x = rhs`` exactly.
 
-
-def is_positive_definite(matrix) -> bool:
-    """Sylvester test: all leading principal minors positive (exact)."""
-    k = len(matrix)
-    a = [list(row) for row in matrix]
-    for col in range(k):
-        # Without row exchanges the pivots are ratios of successive
-        # leading minors; a nonpositive (or vanishing) pivot refutes
-        # positive definiteness.
-        if a[col][col] <= 0:
-            return False
-        inv = Rat(1) / a[col][col]
-        for r in range(col + 1, k):
-            if a[r][col] == 0:
-                continue
-            factor = a[r][col] * inv
-            for c in range(col, k):
-                a[r][c] = a[r][c] - factor * a[col][c]
-    return True
+    ``matrix`` is a symmetric list-of-rows of rationals or integers;
+    ``rhs`` a list of values in a Rat-module.  Raises NotNegativeDefinite
+    when ``matrix`` is not negative definite.
+    """
+    return solve_factored(factorize(matrix), rhs)
 
 
 def is_negative_definite_matrix(matrix) -> bool:
-    return is_positive_definite([[-x for x in row] for row in matrix])
+    try:
+        factorize(matrix)
+    except NotNegativeDefinite:
+        return False
+    return True
 
 
 def signature(matrix) -> tuple[int, int, int]:

@@ -349,11 +349,6 @@ class SurfaceModel:
             raise OutsideAmpleRange(f"(n={self.n}, m={self.m}): {reason}")
 
 
-def make_surface(params: SurfaceParams) -> SurfaceModel:
-    """Build the Picard-lattice model for given (n, m)."""
-    return SurfaceModel(params)
-
-
 def as_model(params) -> SurfaceModel:
     """Coerce SurfaceModel | SurfaceParams | (n, m) to a SurfaceModel."""
     if isinstance(params, SurfaceModel):

@@ -14,8 +14,11 @@ first-order jets from the previous chamber's support (Bauer's guarantee
 needs a start inside the true one).  ``zariski_decompose`` forms the
 positive part once, after growth, and certifies it against the three
 defining conditions on every call; ``zariski_decompose_bruteforce``
-enumerates every negative-definite set of candidates with its own solver
-and is kept as an independent oracle.  Both pair through the closed-form
+enumerates every negative-definite set of candidates and is kept as an
+independent oracle.  Every solve and definiteness test goes through the
+one LDL^T kernel in ``linalg``: growth factors each round's support
+afresh, the oracle's depth-first walk borders the parent set's factor by
+one row per extension and solves on it.  Both pair through the closed-form
 candidate lattice (``SurfaceModel.curve_pairing`` and ``pair_curve``);
 ``_certify`` alone uses the generic ``intersect``, so it also checks
 those closed forms.
@@ -24,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import SingularMatrixError, is_negative_definite_matrix, solve_exact
+from .linalg import (EMPTY_FACTOR, NotNegativeDefinite, border, is_negative_definite_matrix,
+                     solve_exact, solve_factored)
 from .picard import CurveId, DivisorClass, SurfaceModel
 from .ratmath import ZERO
 
@@ -74,22 +78,28 @@ def is_negative_definite(model: SurfaceModel, curves) -> bool:
 
 
 def negative_definite_supports(model: SurfaceModel):
-    """Every negative-definite set of candidate curves, the empty set first.
+    """Every negative-definite set of candidate curves with the LDL^T
+    factor of its Gram matrix, as (curves, factor), the empty set first.
 
     Depth first in candidate order, extending only negative-definite
     sets: the family is closed under subsets (principal submatrices of a
     negative-definite matrix are negative definite), so nothing is missed.
+    Each extension borders the parent set's factor by one row.
     """
     candidates = model.candidate_curves()
 
-    def extend(subset, start):
-        yield subset
+    def extend(subset, factor, start):
+        yield subset, factor
         for i in range(start, len(candidates)):
-            grown = subset + [candidates[i]]
-            if is_negative_definite(model, grown):
-                yield from extend(grown, i + 1)
+            c = candidates[i]
+            column = [model.curve_pairing(s, c) for s in subset]
+            try:
+                grown = border(factor, column, model.curve_pairing(c, c))
+            except NotNegativeDefinite:
+                continue
+            yield from extend(subset + [c], grown, i + 1)
 
-    return extend([], 0)
+    return extend([], EMPTY_FACTOR, 0)
 
 
 def _subtract_curves(model: SurfaceModel, d: DivisorClass, support, coeffs) -> DivisorClass:
@@ -97,13 +107,6 @@ def _subtract_curves(model: SurfaceModel, d: DivisorClass, support, coeffs) -> D
     for cid, x in zip(support, coeffs):
         d = d - model.class_of(cid).scale(x)
     return d
-
-
-def _solve_support(model: SurfaceModel, d: DivisorClass, support):
-    """Coefficients a_i with (D - sum a_i C_i) . C_j = 0 for all j in support,
-    and the residual D - sum a_i C_i (the brute-force oracle's own solver)."""
-    coeffs = solve_exact(model.curve_gram(support), [model.pair_curve(d, c) for c in support])
-    return coeffs, _subtract_curves(model, d, support, coeffs)
 
 
 def _negative_part(support, coeffs, zero) -> tuple:
@@ -134,7 +137,8 @@ def grow_support(model: SurfaceModel, pairings, zero, start=()):
 
     ``pairings`` maps every candidate C to D.C.  Starting from ``start``,
     each round solves the orthogonality system G_S a = (D.C)_{C in S} on
-    the current support S (G_S from ``curve_gram``), forms the residual
+    the current support S (G_S from ``curve_gram``, factored afresh by
+    ``solve_exact`` because the sort below reorders S), forms the residual
     pairings P.C = D.C - sum a_i (C_i.C) for every candidate (from
     ``curve_pairing``), and adds every candidate outside S that P meets
     negatively, until none is added.  The residual pairings are returned
@@ -142,22 +146,22 @@ def grow_support(model: SurfaceModel, pairings, zero, start=()):
     most k + 1 solves run for k candidates.  For a pseudoeffective class
     and a start inside the support of the true negative part, the grown
     support stays inside it (Bauer, J. Algebraic Geom. 18, 2009), so the
-    system is never singular and no coefficient drops below ``zero``;
-    either event raises NotPseudoeffective.  The scalar is that of
-    ``pairings``, ordered against ``zero``: rationals for
+    system is always negative definite and no coefficient drops below
+    ``zero``; either failure raises NotPseudoeffective.  The scalar is
+    that of ``pairings``, ordered against ``zero``: rationals for
     ``zariski_decompose``, first-order jets for the chamber sweep.
     """
     candidates = model.candidate_curves()
     support: list[CurveId] = list(start)
     while True:
-        # C~1 and C~2 meet every F~i and E_i: eliminating them last keeps the
-        # solve free of fill-in, O(k^2) rather than O(k^3) for k curves.
+        # C~1 and C~2 meet every F~i and E_i: bordering them last keeps the
+        # factor free of fill-in, O(k^2) rather than O(k^3) for k curves.
         support.sort(key=lambda c: c.kind in ("C1tilde", "C2tilde"))
         try:
             coeffs = solve_exact(model.curve_gram(support), [pairings[c] for c in support])
-        except SingularMatrixError:
+        except NotNegativeDefinite:
             raise NotPseudoeffective(
-                "support system became singular, which cannot happen "
+                "support is not negative definite, which cannot happen "
                 "for a pseudoeffective class"
             ) from None
         if any(x < zero for x in coeffs):
@@ -222,9 +226,12 @@ def zariski_decompose_bruteforce(model: SurfaceModel, d: DivisorClass) -> Zarisk
     decompositions" and NotPseudoeffective outcomes.
     """
     found: ZariskiDecomposition | None = None
-    for subset in negative_definite_supports(model):
-        coeffs, p = _solve_support(model, d, subset)
-        if any(x < 0 for x in coeffs) or not model.is_nef(p):
+    for subset, factor in negative_definite_supports(model):
+        coeffs = solve_factored(factor, [model.pair_curve(d, c) for c in subset])
+        if any(x < 0 for x in coeffs):
+            continue
+        p = _subtract_curves(model, d, subset, coeffs)
+        if not model.is_nef(p):
             continue
         zd = ZariskiDecomposition(positive=p, negative=_negative_part(subset, coeffs, ZERO))
         if found is not None and (found.positive != zd.positive or found.negative != zd.negative):

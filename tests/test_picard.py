@@ -18,7 +18,6 @@ from kedge.picard import (
     PULLBACK_C2,
     SurfaceParams,
     as_model,
-    make_surface,
     parse_curve_id,
 )
 from kedge.ratmath import Rat, rat
@@ -75,7 +74,7 @@ def test_divisor_class_arithmetic():
 
 
 def test_named_classes():
-    model = make_surface(SurfaceParams(2, 2))
+    model = as_model(SurfaceParams(2, 2))
     assert model.class_of(C1TILDE) == DivisorClass(1, -2, (0, 0))
     assert model.class_of(C2TILDE) == DivisorClass(1, 0, (1, 1))
     assert model.class_of(Ei(1)) == DivisorClass(0, 0, (-1, 0))
@@ -88,7 +87,7 @@ def test_named_classes():
 
 def test_self_intersections():
     for n, m in [(0, 0), (0, 3), (2, 1), (3, 4)]:
-        model = make_surface(SurfaceParams(n, m))
+        model = as_model(SurfaceParams(n, m))
         assert model.self_intersection(model.class_of(C1TILDE)) == -n
         assert model.self_intersection(model.class_of(C2TILDE)) == n - m
         assert model.self_intersection(model.class_of(GENERIC_FIBER)) == 0
@@ -105,7 +104,7 @@ def test_self_intersections():
 
 
 def test_fiber_decomposes_through_marked_points():
-    model = make_surface(SurfaceParams(1, 2))
+    model = as_model(SurfaceParams(1, 2))
     fiber = model.class_of(GENERIC_FIBER)
     for i in (1, 2):
         assert model.class_of(FiTilde(i)) + model.class_of(Ei(i)) == fiber
@@ -113,13 +112,13 @@ def test_fiber_decomposes_through_marked_points():
 
 def test_lattice_signature():
     for n, m in [(0, 0), (1, 2), (3, 4)]:
-        model = make_surface(SurfaceParams(n, m))
+        model = as_model(SurfaceParams(n, m))
         assert signature(model.basis_gram) == (1, m + 1, 0)
 
 
 @given(st.tuples(small_rats, small_rats, small_rats, small_rats, small_rats, small_rats))
 def test_pairing_symmetric_bilinear(coords):
-    model = make_surface(SurfaceParams(2, 1))
+    model = as_model(SurfaceParams(2, 1))
     d1 = DivisorClass(coords[0], coords[1], (coords[2],))
     d2 = DivisorClass(coords[3], coords[4], (coords[5],))
     assert model.intersect(d1, d2) == model.intersect(d2, d1)
@@ -130,7 +129,7 @@ def test_pairing_symmetric_bilinear(coords):
 def test_closed_form_curve_pairings_match_intersect():
     for n in range(7):
         for m in range(7):
-            model = make_surface(SurfaceParams(n, m))
+            model = as_model(SurfaceParams(n, m))
             curves = model.candidate_curves()
             for c1 in curves:
                 for c2 in curves:
@@ -146,7 +145,7 @@ def test_closed_form_curve_pairings_match_intersect():
     st.lists(small_rats, min_size=2, max_size=8),
 )
 def test_closed_form_class_pairings_match_intersect(n, coords):
-    model = make_surface(SurfaceParams(n, len(coords) - 2))
+    model = as_model(SurfaceParams(n, len(coords) - 2))
     d = DivisorClass(coords[0], coords[1], tuple(coords[2:]))
     for cid in model.candidate_curves():
         assert model.pair_curve(d, cid) == model.intersect(d, model.class_of(cid)), cid
@@ -158,14 +157,14 @@ def test_closed_form_class_pairings_match_intersect(n, coords):
 
 def test_anticanonical():
     for n, m in [(0, 0), (1, 1), (2, 3)]:
-        model = make_surface(SurfaceParams(n, m))
+        model = as_model(SurfaceParams(n, m))
         mk = model.anticanonical()
         assert mk == DivisorClass(2, 2 - n, (1,) * m)
         assert model.self_intersection(mk) == 8 - m
 
 
 def test_log_anticanonical():
-    model = make_surface(SurfaceParams(2, 1))
+    model = as_model(SurfaceParams(2, 1))
     angles = Angles(rat(1, 2), rat(1, 3))
     d = model.log_anticanonical(angles)
     assert d == DivisorClass(rat(5, 6), 1, (rat(1, 3),))
@@ -180,7 +179,7 @@ def test_log_anticanonical():
 
 
 def test_is_nef():
-    model = make_surface(SurfaceParams(2, 1))
+    model = as_model(SurfaceParams(2, 1))
     assert model.is_nef(model.class_of(GENERIC_FIBER))
     assert model.is_nef(model.class_of(PULLBACK_C2))
     assert not model.is_nef(model.class_of(Ei(1)))
@@ -190,7 +189,7 @@ def test_is_nef():
 
 
 def test_ample_range():
-    model = make_surface(SurfaceParams(2, 4))
+    model = as_model(SurfaceParams(2, 4))
     assert model.ample_angle_range(Angles(rat(1, 2), rat(1, 2)))
     # beta1 = 2/n and beta2 = 2/(m-n) sit on the boundary: excluded.
     assert not model.ample_angle_range(Angles(rat(1), rat(1, 2)))
@@ -201,12 +200,12 @@ def test_ample_range():
     with pytest.raises(OutsideAmpleRange):
         model.ensure_ample(Angles(rat(1), rat(1, 2)))
     # n = m = 0 has no upper bounds at all.
-    assert make_surface(SurfaceParams(0, 0)).ample_angle_range(Angles(5, 7))
+    assert as_model(SurfaceParams(0, 0)).ample_angle_range(Angles(5, 7))
 
 
 def test_as_model_coercions():
     params = SurfaceParams(1, 2)
-    model = make_surface(params)
+    model = as_model(params)
     assert as_model(params).params == params
     assert as_model(model) is model
     assert as_model((1, 2)).params == params

@@ -14,7 +14,7 @@ from kedge.picard import (
     SurfaceParams,
     as_model,
 )
-from kedge.linalg import SingularMatrixError, is_negative_definite_matrix, solve_exact
+from kedge.linalg import signature
 from kedge.ratmath import ZERO, rat
 from kedge.sampling import sample_angles, sample_divisor_class, sample_surface
 from kedge.zariski import (
@@ -197,19 +197,44 @@ class TestGrowSupport:
         assert grown >= 20
 
 
+def pivoting_solve(matrix, rhs):
+    """Gaussian elimination with row exchanges, for any nonsingular
+    system; None when singular.  Independent of the kernel under test."""
+    k = len(matrix)
+    a = [[rat(x) for x in row] for row in matrix]
+    b = [rat(x) for x in rhs]
+    for col in range(k):
+        piv = next((r for r in range(col, k) if a[r][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        b[col], b[piv] = b[piv], b[col]
+        for r in range(col + 1, k):
+            if a[r][col] == 0:
+                continue
+            factor = a[r][col] / a[col][col]
+            for c in range(col, k):
+                a[r][c] -= factor * a[col][c]
+            b[r] -= factor * b[col]
+    x = [None] * k
+    for r in range(k - 1, -1, -1):
+        x[r] = (b[r] - sum((a[r][c] * x[c] for c in range(r + 1, k)), rat(0))) / a[r][r]
+    return x
+
+
 def exhaustive_decompositions(model, d):
     """Every decomposition some subset of the 2^k candidate subsets passes,
-    paired through the generic ``intersect``."""
+    paired through the generic ``intersect``; every nonsingular subset is
+    solved, indefinite ones included."""
     candidates = model.candidate_curves()
     found = set()
     for mask in range(1 << len(candidates)):
         subset = [c for i, c in enumerate(candidates) if mask >> i & 1]
         classes = [model.class_of(c) for c in subset]
-        try:
-            coeffs = solve_exact(
-                model.gram_matrix(classes), [model.intersect(d, cls) for cls in classes]
-            )
-        except SingularMatrixError:
+        coeffs = pivoting_solve(
+            model.gram_matrix(classes), [model.intersect(d, cls) for cls in classes]
+        )
+        if coeffs is None:
             continue
         p = d
         for cls, x in zip(classes, coeffs):
@@ -221,7 +246,7 @@ def exhaustive_decompositions(model, d):
                    key=lambda item: curve_sort_key(item[0]))
         )
         support = [model.class_of(c) for c, _ in negative]
-        if negative and not is_negative_definite_matrix(model.gram_matrix(support)):
+        if signature(model.gram_matrix(support)) != (0, len(support), 0):
             continue
         found.add(ZariskiDecomposition(positive=p, negative=negative))
     return found
@@ -250,7 +275,7 @@ class TestPrunedOracle:
     @pytest.mark.parametrize("n, count", [(0, 161), (1, 180), (2, 198), (3, 180), (4, 161)])
     def test_negative_definite_support_counts_at_m4(self, n, count):
         model = as_model((n, 4))
-        supports = list(negative_definite_supports(model))
+        supports = [s for s, _factor in negative_definite_supports(model)]
         assert len(supports) == count
         assert supports[0] == []
         candidates = model.candidate_curves()
@@ -260,6 +285,31 @@ class TestPrunedOracle:
         )
         expected = {(), *(tuple(s) for s in every_subset if is_negative_definite(model, s))}
         assert {tuple(s) for s in supports} == expected
+
+    @pytest.mark.parametrize("m, counts", [
+        (5, [485, 533, 618, 618, 533, 485]),
+        (6, [1457, 1566, 1839, 2004, 1839, 1566, 1457]),
+    ])
+    def test_negative_definite_support_counts_at_m5_m6(self, m, counts):
+        for n, count in enumerate(counts):
+            supports = [tuple(s) for s, _factor in negative_definite_supports(as_model((n, m)))]
+            assert len(set(supports)) == len(supports) == count, (n, m)
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_oracle_agrees_with_growth_at_m5_m6(self, rng, m):
+        for n in range(m + 1):
+            model = as_model((n, m))
+            for _ in range(2):
+                d = sample_divisor_class(rng, model)
+                try:
+                    fast = zariski_decompose(model, d)
+                except NotPseudoeffective:
+                    fast = None
+                try:
+                    slow = zariski_decompose_bruteforce(model, d)
+                except NotPseudoeffective:
+                    slow = None
+                assert fast == slow, (n, m, d)
 
 
 class TestVolume:
