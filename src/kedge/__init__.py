@@ -3,10 +3,11 @@
 Decides existence of Kaehler-Einstein edge metrics for the log pairs
 (S, (1-beta1) C1tilde + (1-beta2) C2tilde), where S is a Hirzebruch
 surface blown up at m points of the positive section, by computing the
-stability threshold (delta-invariant) two independent ways — a
-Zariski-decomposition volume sweep and complexity-one torus
-combinatorics — entirely in rational arithmetic, and cross-checking the
-routes against each other on every verdict.
+stability threshold (delta-invariant) in rational arithmetic two ways:
+a Zariski-decomposition volume sweep and complexity-one torus
+combinatorics.  A verdict runs the torus route and checks the bracket
+sign against the Futaki sign, delta <= 1 and its branch's term pattern;
+``verify`` compares A and S per curve with the sweep route.
 """
 
 from .picard import (

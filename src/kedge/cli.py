@@ -266,14 +266,10 @@ def _parse_grid(text: str, what: str):
         _user_error(f"malformed {what} grid: step must be positive")
     if start <= 0:
         _user_error(f"malformed {what} grid: angles must be positive")
-    if (stop - start) / step > 10_000:
+    count = (stop - start) // step + 1
+    if count > 10_000:
         _user_error(f"{what} grid too large (over 10000 points)")
-    values = []
-    value = start
-    while value <= stop:
-        values.append(value)
-        value = value + step
-    return values
+    return [start + i * step for i in range(count)]
 
 
 @cli.command("scan")

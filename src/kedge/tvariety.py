@@ -12,8 +12,9 @@ the delta invariant as a minimum over ray and vertex valuations; delta
 and the Futaki sign read the same first moment.
 
 Everything here is an integral of products of piecewise-linear
-functions with rational breakpoints, evaluated exactly (Simpson on each
-segment of the common refinement: exact for quadratics).
+functions with rational breakpoints, evaluated exactly: on each segment
+of the common refinement both factors are linear, and an endpoint rule
+integrates their product exactly.
 """
 from __future__ import annotations
 
@@ -85,10 +86,8 @@ class PLFunction:
         return all(a >= b for a, b in zip(s, s[1:]))
 
     def __add__(self, other: "PLFunction") -> "PLFunction":
-        if (self.lo, self.hi) != (other.lo, other.hi):
-            raise ValueError("domain mismatch")
-        pts = sorted(set(self.breakpoints) | set(other.breakpoints))
-        return PLFunction(tuple(pts), tuple(self.value(x) + other.value(x) for x in pts))
+        pts, fv, gv = _refine(self, other)
+        return PLFunction(pts, tuple(a + b for a, b in zip(fv, gv)))
 
     def scale(self, t) -> "PLFunction":
         t = Rat(t)
@@ -134,20 +133,28 @@ def pl_min_of_lines(lo, hi, lines) -> PLFunction:
     return PLFunction(bps, vals)
 
 
-def integrate_product(f: PLFunction, g: PLFunction):
-    """Exact integral of f*g: per refined segment the product is quadratic,
-    so Simpson's rule ((b-a)/6)(fg(a) + 4 fg(mid) + fg(b)) is exact."""
+def _refine(f: PLFunction, g: PLFunction):
+    """Union of the breakpoints of f and g, with the values of each there:
+    a function's own are read off, only the other's go through ``value``."""
     if (f.lo, f.hi) != (g.lo, g.hi):
         raise ValueError("domain mismatch")
-    pts = sorted(set(f.breakpoints) | set(g.breakpoints))
+    pts = tuple(sorted(set(f.breakpoints) | set(g.breakpoints)))
+
+    def values_at(h: PLFunction) -> tuple:
+        own = dict(zip(h.breakpoints, h.values))
+        return tuple(own[x] if x in own else h.value(x) for x in pts)
+
+    return pts, values_at(f), values_at(g)
+
+
+def integrate_product(f: PLFunction, g: PLFunction):
+    """Exact integral of f*g.  Both are linear on each segment [a, b] of
+    the common refinement, where the integral of the product is
+    ((b-a)/6)(2 f_a g_a + f_a g_b + f_b g_a + 2 f_b g_b)."""
+    pts, fv, gv = _refine(f, g)
     total = ZERO
-    for a, b in zip(pts, pts[1:]):
-        mid = (a + b) / 2
-        total += (
-            (b - a)
-            / 6
-            * (f.value(a) * g.value(a) + 4 * f.value(mid) * g.value(mid) + f.value(b) * g.value(b))
-        )
+    for a, b, fa, fb, ga, gb in zip(pts, pts[1:], fv, fv[1:], gv, gv[1:]):
+        total += (b - a) / 6 * (2 * fa * ga + fa * gb + fb * ga + 2 * fb * gb)
     return total
 
 
@@ -304,14 +311,9 @@ def legendre_dual(h: SupportFunction) -> DualData:
 
     psi_p0 = dual_of("p0", h.fdivisor.slice_p0.vertices)
     psi_generic = dual_of("generic", (ZERO,))
-    if m > 0:
-        psi_marked = dual_of("p1", h.fdivisor.slice_marked(1).vertices)
-    else:
-        # no blown-up points: keep a trivial placeholder so deg_psi sums cleanly
-        psi_marked = psi_generic
-    deg = psi_p0
-    if m > 0:
-        deg = deg + psi_marked.scale(m)
+    # no blown-up points: the zero dual stands in, so deg_psi is psi_p0
+    psi_marked = dual_of("p1", h.fdivisor.slice_marked(1).vertices) if m else psi_generic
+    deg = psi_p0 + psi_marked.scale(m)
     return DualData(
         params=h.params,
         box=(lo, hi),

@@ -10,7 +10,7 @@ exactly zero (the condition cuts a codimension-1 locus; no tolerance is
 meaningful in exact arithmetic).  The verdict cross-checks the
 hypotheses of the theorems it invokes and raises InconsistencyError --
 the repo's loudest alarm -- rather than returning a silently wrong
-answer when the two computation routes disagree.
+answer when one of them fails.
 """
 from __future__ import annotations
 
@@ -189,10 +189,15 @@ def rational_condition_point(params, s, width=DEFAULT_BRACKET_WIDTH):
     beta2 and a ConditionBracket of width <= ``width`` around the
     matching beta1 is returned (the bracket function is strictly
     increasing in beta1 on (0, 2/n), so bisection is certified).
+
+    ``width`` must be positive (ValueError otherwise), whatever n is.
     """
     model = as_model(params)
     n, m = model.n, model.m
     s = Rat(s)
+    width = Rat(width)
+    if width <= 0:
+        raise ValueError(f"bracket width must be positive, got {width}")
     if n == 0 and m == 0:
         if s <= 0:
             raise NotFound(f"need s > 0 for the diagonal point, got {s}")
@@ -226,7 +231,6 @@ def rational_condition_point(params, s, width=DEFAULT_BRACKET_WIDTH):
         return b1 * b1 - Rat(n, 3) * b1**3 - rhs
 
     lo, hi = Rat(0), Rat(2, n)
-    width = Rat(width)
     while hi - lo > width:
         mid = (lo + hi) / 2
         v = g(mid)

@@ -267,6 +267,26 @@ class TestInputHandling:
         assert out == "beta1,beta2,condition_sign,delta,status\n"
 
 
+    @pytest.mark.parametrize(
+        "beta1_grid, points",
+        [("1:10000:1", 10000), ("1:10001:1", 10001),
+         ("1/3:10000/3:1/3", 10000), ("1/3:10001/3:1/3", 10001)],
+    )
+    def test_grid_bound_counts_points(self, capsys, beta1_grid, points):
+        # The empty second axis leaves nothing to compute, so only the bound decides.
+        code, out, err = run_cli(
+            capsys,
+            ["scan", "--n", "1", "--m", "0",
+             "--beta1-grid", beta1_grid, "--beta2-grid", "2:1:1"],
+        )
+        assert_exit_contract(code, err)
+        if points <= 10_000:
+            assert (code, out, err) == (0, "beta1,beta2,condition_sign,delta,status\n", "")
+        else:
+            assert code == 1 and out == ""
+            assert err == "error: beta1 grid too large (over 10000 points)\n"
+
+
 class TestInconsistencyExit:
     def test_delta_inconsistency_is_exit_2(self, capsys, monkeypatch):
         def boom(params, angles):

@@ -1,6 +1,10 @@
 """Torus-side route: PL functions, Legendre duals, barycenters, delta."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kedge.picard import Angles, SurfaceParams, as_model
 from kedge.ratmath import ZERO, rat
@@ -23,6 +27,37 @@ from kedge.tvariety import (
 )
 
 HALF = rat(1, 2)
+
+SMALL_RATS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def pl_pairs(draw):
+    """Two PL functions on one domain with independent breakpoints.
+
+    Interior breakpoints come from a coarse grid so that the two sets
+    often share some points and often differ."""
+    lo = draw(SMALL_RATS)
+    hi = lo + draw(st.builds(Fraction, st.integers(1, 6), st.integers(1, 3)))
+
+    def function():
+        cuts = draw(st.sets(st.builds(Fraction, st.integers(1, 5), st.just(6)), max_size=4))
+        bps = (lo, *sorted(lo + t * (hi - lo) for t in cuts), hi)
+        return PLFunction(bps, tuple(draw(SMALL_RATS) for _ in bps))
+
+    return function(), function()
+
+
+def simpson_reference(f, g):
+    """Integral of f*g by Simpson's rule on the common refinement, with
+    every value taken pointwise: exact, since f*g is quadratic there."""
+    pts = sorted(set(f.breakpoints) | set(g.breakpoints))
+    total = ZERO
+    for a, b in zip(pts, pts[1:]):
+        mid = (a + b) / 2
+        fg = [f.value(x) * g.value(x) for x in (a, mid, b)]
+        total += (b - a) / 6 * (fg[0] + 4 * fg[1] + fg[2])
+    return total
 
 
 class TestPLFunction:
@@ -57,13 +92,42 @@ class TestPLFunction:
         assert pl_line(0, 3, rat(2), rat(1)).integral() == 12
 
     def test_integrate_product_is_exact(self):
-        # Product of two PL functions is piecewise quadratic; Simpson on
-        # each common segment integrates quadratics exactly.
+        # Both factors are linear on each common segment, where the
+        # endpoint rule integrates their product exactly.
         f = pl_line(0, 1, rat(1))  # x
         assert integrate_product(f, f) == rat(1, 3)
         g = PLFunction(breakpoints=(0, HALF, 1), values=(0, HALF, 0))
         # int x*g = int_0^1/2 x^2 + int_1/2^1 x(1-x) = 1/24 + (1/2-7/24).
         assert integrate_product(f, g) == rat(1, 8)
+
+    @given(pl_pairs())
+    def test_refinement_matches_pointwise_references(self, pair):
+        f, g = pair
+        assert integrate_product(f, g) == simpson_reference(f, g)
+        pts = tuple(sorted(set(f.breakpoints) | set(g.breakpoints)))
+        s = f + g
+        assert s.breakpoints == pts
+        assert s.values == tuple(f.value(x) + g.value(x) for x in pts)
+        shifted = PLFunction(tuple(x + 1 for x in g.breakpoints), g.values)
+        with pytest.raises(ValueError, match="domain mismatch"):
+            integrate_product(f, shifted)
+        with pytest.raises(ValueError, match="domain mismatch"):
+            f + shifted
+
+    def test_value_only_at_the_other_functions_breakpoints(self, monkeypatch):
+        f = PLFunction(breakpoints=(0, 1, 3), values=(0, 2, 0))
+        g = PLFunction(breakpoints=(0, 2, 3), values=(1, 0, 1))
+        calls = []
+        original = PLFunction.value
+
+        def recording(self, u):
+            calls.append((self.breakpoints, u))
+            return original(self, u)
+
+        monkeypatch.setattr(PLFunction, "value", recording)
+        assert integrate_product(f, g) == rat(5, 4)
+        assert (f + g).values == (1, rat(5, 2), 1, 1)
+        assert calls == [(f.breakpoints, 2), (g.breakpoints, 1)] * 2
 
     def test_min_of_lines(self):
         env = pl_min_of_lines(rat(-1), rat(1), [(rat(1), ZERO), (rat(-1), ZERO)])
@@ -118,6 +182,11 @@ class TestStructure:
             d.psi("p4")
         u = rat(1, 5)
         assert d.deg_psi.value(u) == d.psi_p0.value(u) + 3 * d.psi_marked.value(u)
+        # Without marked points the zero dual stands in and adds nothing.
+        d0 = legendre_dual(anticanonical_support_function((2, 0), angles))
+        assert d0.psi_marked is d0.psi_generic
+        assert d0.deg_psi.breakpoints == d0.psi_p0.breakpoints
+        assert d0.deg_psi.values == d0.psi_p0.values
 
     def test_legendre_inequality_and_attainment(self, rng):
         params = SurfaceParams(2, 2)

@@ -227,6 +227,13 @@ class TestConditionPoints:
         assert condition_sign((2, 0), Angles(b.beta1_lo, b.beta2)) == b.sign_lo
         assert condition_sign((2, 0), Angles(b.beta1_hi, b.beta2)) == b.sign_hi
 
+    @pytest.mark.parametrize("params", [(1, 0), (0, 2), (0, 0)])
+    @pytest.mark.parametrize("width", [rat(0), rat(-1, 8)])
+    def test_nonpositive_width_is_rejected(self, params, width):
+        # At n > 0 a width <= 0 would never end the bisection.
+        with pytest.raises(ValueError, match="width must be positive"):
+            rational_condition_point(params, HALF, width=width)
+
     def test_no_root_cases(self):
         with pytest.raises(NotFound):
             rational_condition_point((2, 0), rat(1))  # target above the peak
