@@ -47,8 +47,11 @@ def _emit(text: str, output: str | None):
     base = os.environ.get("KEDGE_OUTPUT_DIR")
     if base and not path.is_absolute():
         path = Path(base) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        _user_error(f"cannot write output file: {exc}")
 
 
 def _dump(report: dict, output: str | None):
@@ -81,7 +84,7 @@ def _load_config(ctx, param, value):
     defaults = {}
     try:
         lines = Path(value).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _user_error(f"cannot read config file: {exc}")
     for line_no, line in enumerate(lines, 1):
         stripped = line.strip()

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .ratmath import ONE, ZERO, Rat
+from .ratmath import ONE, ZERO, Rat, as_rat
 
 
 class OutsideAmpleRange(ValueError):
@@ -151,9 +151,9 @@ class DivisorClass:
     c: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Rat(self.a))
-        object.__setattr__(self, "b", Rat(self.b))
-        object.__setattr__(self, "c", tuple(Rat(ci) for ci in self.c))
+        object.__setattr__(self, "a", as_rat(self.a))
+        object.__setattr__(self, "b", as_rat(self.b))
+        object.__setattr__(self, "c", tuple(as_rat(x) for x in self.c))
 
     @property
     def m(self) -> int:

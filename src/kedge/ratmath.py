@@ -56,6 +56,11 @@ def rat(numerator, denominator=None):
     return Rat(numerator) / Rat(denominator)
 
 
+def as_rat(x):
+    """x itself when it is already a Rat, else Rat(x): no re-wrapping."""
+    return x if type(x) is Rat else Rat(x)
+
+
 def sign(x) -> int:
     """Exact sign: -1, 0 or +1."""
     if x > 0:

@@ -11,25 +11,34 @@ moment, half square).  With one cross term per point they assemble into
 the delta invariant as a minimum over ray and vertex valuations; delta
 and the Futaki sign read the same first moment.
 
-Everything here is an integral of products of piecewise-linear
-functions with rational breakpoints, evaluated exactly: on each segment
-of the common refinement both factors are linear, and an endpoint rule
-integrates their product exactly.
+Every integral here has the form int f * deg Psi with f linear on each
+segment between consecutive breakpoints x_0 < ... < x_k of deg Psi.
+With phi_i the hat function at x_i and g_i = deg Psi(x_i), the weights
+
+    w_i = int phi_i * deg Psi
+        = (x_i - x_{i-1})/6 (g_{i-1} + 2 g_i) + (x_{i+1} - x_i)/6 (2 g_i + g_{i+1})
+
+(a term is absent at an end of the interval) are computed once per dual,
+and every such integral is the exact dot product sum f(x_i) w_i: vol
+takes f = 1, the first moment f = u, the half square f = deg Psi / 2 and
+each cross term f = Psi_p, whose breakpoints all lie among the x_i.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .picard import (
     C1TILDE,
     C2TILDE,
     GENERIC_FIBER,
     Angles,
+    DivisorClass,
     SurfaceModel,
     SurfaceParams,
     as_model,
 )
-from .ratmath import ONE, ZERO, Rat, sign
+from .ratmath import ONE, ZERO, Rat, as_rat, sign
 from .zariski import InconsistencyError
 
 # ---------------------------------------------------------------------------
@@ -44,8 +53,8 @@ class PLFunction:
     values: tuple
 
     def __post_init__(self):
-        bps = tuple(Rat(x) for x in self.breakpoints)
-        vals = tuple(Rat(v) for v in self.values)
+        bps = tuple(as_rat(x) for x in self.breakpoints)
+        vals = tuple(as_rat(v) for v in self.values)
         if len(bps) != len(vals) or len(bps) < 2:
             raise ValueError("need matching breakpoints/values, at least two")
         if any(x >= y for x, y in zip(bps, bps[1:])):
@@ -118,7 +127,7 @@ def pl_min_of_lines(lo, hi, lines) -> PLFunction:
     candidates, so pointwise minimization there is exact.
     """
     lo, hi = Rat(lo), Rat(hi)
-    lines = [(Rat(s), Rat(c)) for s, c in lines]
+    lines = [(as_rat(s), as_rat(c)) for s, c in lines]
     if not lines:
         raise ValueError("need at least one line")
     pts = {lo, hi}
@@ -134,28 +143,51 @@ def pl_min_of_lines(lo, hi, lines) -> PLFunction:
 
 
 def _refine(f: PLFunction, g: PLFunction):
-    """Union of the breakpoints of f and g, with the values of each there:
-    a function's own are read off, only the other's go through ``value``."""
-    if (f.lo, f.hi) != (g.lo, g.hi):
-        raise ValueError("domain mismatch")
+    """Union of the breakpoints of f and g, with the values of each there
+    (tabulate refuses functions on different domains)."""
     pts = tuple(sorted(set(f.breakpoints) | set(g.breakpoints)))
-
-    def values_at(h: PLFunction) -> tuple:
-        own = dict(zip(h.breakpoints, h.values))
-        return tuple(own[x] if x in own else h.value(x) for x in pts)
-
-    return pts, values_at(f), values_at(g)
+    return pts, tabulate(f, pts), tabulate(g, pts)
 
 
-def integrate_product(f: PLFunction, g: PLFunction):
-    """Exact integral of f*g.  Both are linear on each segment [a, b] of
-    the common refinement, where the integral of the product is
-    ((b-a)/6)(2 f_a g_a + f_a g_b + f_b g_a + 2 f_b g_b)."""
-    pts, fv, gv = _refine(f, g)
-    total = ZERO
-    for a, b, fa, fb, ga, gb in zip(pts, pts[1:], fv, fv[1:], gv, gv[1:]):
-        total += (b - a) / 6 * (2 * fa * ga + fa * gb + fb * ga + 2 * fb * gb)
-    return total
+def tabulate(f: PLFunction, pts: tuple) -> tuple:
+    """Values of f at the sorted points pts, in one merge walk: f's own
+    breakpoints are read off, the others interpolated on their segment.
+
+    pts must span f's domain and contain every breakpoint of f (the
+    refinement of f); otherwise ValueError.
+    """
+    bps, vals = f.breakpoints, f.values
+    if (pts[0], pts[-1]) != (bps[0], bps[-1]):
+        raise ValueError("domain mismatch")
+    out = []
+    j = 0  # first breakpoint of f not yet passed
+    for x in pts:
+        if x == bps[j]:
+            out.append(vals[j])
+            j += 1
+        elif x < bps[j]:
+            x0, v0 = bps[j - 1], vals[j - 1]
+            out.append(v0 + (x - x0) * (vals[j] - v0) / (bps[j] - x0))
+        else:
+            raise ValueError(f"breakpoint {bps[j]} is not among the points")
+    return tuple(out)
+
+
+def hat_weights(g: PLFunction) -> tuple:
+    """w_i = integral of phi_i * g over g's domain, phi_i the hat function
+    at the i-th breakpoint of g.  For any f linear on each segment of g,
+    integral of f * g = sum of f(x_i) * w_i exactly."""
+    x, v = g.breakpoints, g.values
+    w = [ZERO] * len(x)
+    for i in range(len(x) - 1):
+        step = (x[i + 1] - x[i]) / 6
+        w[i] += step * (2 * v[i] + v[i + 1])
+        w[i + 1] += step * (v[i] + 2 * v[i + 1])
+    return tuple(w)
+
+
+def _dot(xs, ws):
+    return sum((a * b for a, b in zip(xs, ws)), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +278,15 @@ class SupportFunction:
         carries C~2, and each vertex (p, v) carries the corresponding
         vertical divisor; the class is -sum h_t(n_rho) D_rho -
         sum mu(v) h_p(v) D_{p,v}.  Only the p0 vertex value is nonzero,
-        contributing 2 F.
+        contributing 2 F.  The sum is formed coordinatewise, as one class.
         """
-        cls = model.class_of(C1TILDE).scale(-self.tail(ONE))
-        cls = cls + model.class_of(C2TILDE).scale(-self.tail(-ONE))
-        cls = cls + model.class_of(GENERIC_FIBER).scale(-self.vertex_value("p0", self.params.n))
-        return cls
+        t1, t2, tf = -self.tail(ONE), -self.tail(-ONE), -self.vertex_value("p0", self.params.n)
+        c1, c2, f = (model.class_of(c) for c in (C1TILDE, C2TILDE, GENERIC_FIBER))
+        return DivisorClass(
+            t1 * c1.a + t2 * c2.a + tf * f.a,
+            t1 * c1.b + t2 * c2.b + tf * f.b,
+            tuple(t1 * x + t2 * y + tf * z for x, y, z in zip(c1.c, c2.c, f.c)),
+        )
 
 
 def anticanonical_support_function(params, angles: Angles) -> SupportFunction:
@@ -271,7 +306,8 @@ def anticanonical_support_function(params, angles: Angles) -> SupportFunction:
 @dataclass(frozen=True)
 class DualData:
     """Pointwise Legendre duals of h on the moment interval box = [-beta1, beta2],
-    with the integrals of deg Psi that the barycenters and delta read."""
+    with the hat weights of deg Psi and the integrals that the barycenters
+    and delta read off them."""
 
     params: SurfaceParams
     box: tuple  # (lo, hi)
@@ -279,9 +315,10 @@ class DualData:
     psi_marked: PLFunction  # common dual for every p_i, i >= 1
     psi_generic: PLFunction
     deg_psi: PLFunction
-    vol: object  # integral of deg Psi
-    first_moment: object  # integral of u * deg Psi(u)
-    half_square: object  # (1/2) integral of deg Psi^2
+    weights: tuple  # w_i = integral of phi_i * deg Psi at deg_psi's breakpoints
+    vol: object  # integral of deg Psi = sum w_i
+    first_moment: object  # integral of u * deg Psi(u) = sum x_i w_i
+    half_square: object  # (1/2) integral of deg Psi^2 = (1/2) sum g_i w_i
 
     def psi(self, point: str) -> PLFunction:
         if point == "p0":
@@ -314,6 +351,7 @@ def legendre_dual(h: SupportFunction) -> DualData:
     # no blown-up points: the zero dual stands in, so deg_psi is psi_p0
     psi_marked = dual_of("p1", h.fdivisor.slice_marked(1).vertices) if m else psi_generic
     deg = psi_p0 + psi_marked.scale(m)
+    w = hat_weights(deg)
     return DualData(
         params=h.params,
         box=(lo, hi),
@@ -321,9 +359,10 @@ def legendre_dual(h: SupportFunction) -> DualData:
         psi_marked=psi_marked,
         psi_generic=psi_generic,
         deg_psi=deg,
-        vol=deg.integral(),
-        first_moment=integrate_product(pl_line(lo, hi, ONE), deg),
-        half_square=integrate_product(deg, deg) / 2,
+        weights=w,
+        vol=sum(w, ZERO),
+        first_moment=_dot(deg.breakpoints, w),
+        half_square=_dot(deg.values, w) / 2,
     )
 
 
@@ -338,8 +377,12 @@ def barycenter(d: DualData):
 
 
 def bc_p(d: DualData, point: str):
-    """bc_p = (1/vol(Psi)) * integral of ((1/2) deg Psi - Psi_p) deg Psi du."""
-    cross = integrate_product(d.psi(point), d.deg_psi)
+    """bc_p = (1/vol(Psi)) * integral of ((1/2) deg Psi - Psi_p) deg Psi du.
+
+    The cross term is Psi_p tabulated on deg Psi's breakpoints against the
+    hat weights; Psi_p has no breakpoint elsewhere (deg Psi = Psi_p0 +
+    m Psi_marked, Psi_generic = 0), and tabulate refuses one that had."""
+    cross = _dot(tabulate(d.psi(point), d.deg_psi.breakpoints), d.weights)
     return (d.half_square - cross) / d.vol
 
 
@@ -355,7 +398,7 @@ class ValuationTerm:
     A: object
     S: object
 
-    @property
+    @cached_property
     def ratio(self):
         return self.A / self.S
 

@@ -397,6 +397,28 @@ class TestConfigAndOutput:
         assert code == 1
         assert "cannot read config file" in err
 
+    def test_non_utf8_config(self, capsys, tmp_path):
+        cfg = tmp_path / "kedge.cfg"
+        cfg.write_bytes(b"\xff\xfe\x00")
+        code, out, err = run_cli(capsys, ["--config", str(cfg), "delta"])
+        assert (code, out) == (1, "")
+        assert_exit_contract(code, err)
+        assert "cannot read config file" in err
+
+    def test_output_under_a_regular_file(self, capsys, tmp_path):
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+        code, out, err = run_cli(capsys, DELTA_ARGS + ["-o", str(blocker / "x.json")])
+        assert (code, out) == (1, "")
+        assert_exit_contract(code, err)
+        assert "cannot write output file" in err
+
+    def test_output_is_a_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, SCAN_ARGS + ["-o", str(tmp_path)])
+        assert (code, out) == (1, "")
+        assert_exit_contract(code, err)
+        assert "cannot write output file" in err
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(capsys, DELTA_ARGS + ["-o", str(target)])

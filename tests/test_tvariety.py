@@ -1,5 +1,6 @@
 """Torus-side route: PL functions, Legendre duals, barycenters, delta."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kedge.picard import Angles, SurfaceParams, as_model
-from kedge.ratmath import ZERO, rat
+from kedge.ratmath import ONE, ZERO, rat
 from kedge.sampling import sample_angles, sample_rational, sample_surface
 from kedge.tvariety import (
     DeltaReport,
@@ -19,10 +20,11 @@ from kedge.tvariety import (
     build_fdivisor,
     delta_tvariety,
     futaki_vanishes,
-    integrate_product,
+    hat_weights,
     legendre_dual,
     pl_line,
     pl_min_of_lines,
+    tabulate,
     vol_psi,
 )
 
@@ -46,6 +48,27 @@ def pl_pairs(draw):
         return PLFunction(bps, tuple(draw(SMALL_RATS) for _ in bps))
 
     return function(), function()
+
+
+def integrate_product(f, g):
+    """Integral of f*g by the endpoint rule on the common refinement, with
+    every value taken pointwise.  Both factors are linear on each common
+    segment [a, b], where the integral of the product is
+    ((b-a)/6)(2 f_a g_a + f_a g_b + f_b g_a + 2 f_b g_b)."""
+    pts = sorted(set(f.breakpoints) | set(g.breakpoints))
+    total = ZERO
+    for a, b in zip(pts, pts[1:]):
+        fa, fb, ga, gb = f.value(a), f.value(b), g.value(a), g.value(b)
+        total += (b - a) / 6 * (2 * fa * ga + fa * gb + fb * ga + 2 * fb * gb)
+    return total
+
+
+def weighted_integral(f, g):
+    """Integral of f*g as the dot product of f with g's hat weights, on
+    the refinement of g by f's breakpoints."""
+    pts = tuple(sorted(set(f.breakpoints) | set(g.breakpoints)))
+    weights = hat_weights(PLFunction(pts, tabulate(g, pts)))
+    return sum(v * w for v, w in zip(tabulate(f, pts), weights))
 
 
 def simpson_reference(f, g):
@@ -99,35 +122,46 @@ class TestPLFunction:
         g = PLFunction(breakpoints=(0, HALF, 1), values=(0, HALF, 0))
         # int x*g = int_0^1/2 x^2 + int_1/2^1 x(1-x) = 1/24 + (1/2-7/24).
         assert integrate_product(f, g) == rat(1, 8)
+        f = PLFunction(breakpoints=(0, 1, 3), values=(0, 2, 0))
+        g = PLFunction(breakpoints=(0, 2, 3), values=(1, 0, 1))
+        assert integrate_product(f, g) == rat(5, 4)
+
+    def test_hat_weights(self):
+        # deg(u) = 1 + u on [0, 1]: w_0 = (1/6)(2 + 2), w_1 = (1/6)(1 + 4).
+        g = pl_line(0, 1, ONE, ONE)
+        assert hat_weights(g) == (rat(2, 3), rat(5, 6))
+        assert sum(hat_weights(g)) == g.integral()
 
     @given(pl_pairs())
     def test_refinement_matches_pointwise_references(self, pair):
         f, g = pair
         assert integrate_product(f, g) == simpson_reference(f, g)
+        assert weighted_integral(f, g) == simpson_reference(f, g)
         pts = tuple(sorted(set(f.breakpoints) | set(g.breakpoints)))
         s = f + g
         assert s.breakpoints == pts
         assert s.values == tuple(f.value(x) + g.value(x) for x in pts)
+        if set(f.breakpoints) <= set(g.breakpoints):
+            assert tabulate(f, g.breakpoints) == tuple(f.value(x) for x in g.breakpoints)
+        else:
+            with pytest.raises(ValueError, match="not among the points"):
+                tabulate(f, g.breakpoints)
         shifted = PLFunction(tuple(x + 1 for x in g.breakpoints), g.values)
         with pytest.raises(ValueError, match="domain mismatch"):
-            integrate_product(f, shifted)
+            tabulate(f, shifted.breakpoints)
         with pytest.raises(ValueError, match="domain mismatch"):
             f + shifted
 
-    def test_value_only_at_the_other_functions_breakpoints(self, monkeypatch):
+    def test_addition_reads_values_off_one_merge_walk(self, monkeypatch):
         f = PLFunction(breakpoints=(0, 1, 3), values=(0, 2, 0))
         g = PLFunction(breakpoints=(0, 2, 3), values=(1, 0, 1))
-        calls = []
-        original = PLFunction.value
 
-        def recording(self, u):
-            calls.append((self.breakpoints, u))
-            return original(self, u)
+        def pointwise(self, u):
+            raise AssertionError("refinement evaluated pointwise")
 
-        monkeypatch.setattr(PLFunction, "value", recording)
-        assert integrate_product(f, g) == rat(5, 4)
+        monkeypatch.setattr(PLFunction, "value", pointwise)
+        assert tabulate(f, (0, 1, 2, 3)) == (0, 2, 1, 0)
         assert (f + g).values == (1, rat(5, 2), 1, 1)
-        assert calls == [(f.breakpoints, 2), (g.breakpoints, 1)] * 2
 
     def test_min_of_lines(self):
         env = pl_min_of_lines(rat(-1), rat(1), [(rat(1), ZERO), (rat(-1), ZERO)])
@@ -234,6 +268,29 @@ class TestMoments:
         assert bc_p(d, "p0") == rat(-23, 21)
         assert bc_p(d, "p1") == 1
         assert bc_p(d, "generic") == rat(19, 21)
+
+    def test_weights_match_pointwise_integrals(self, rng):
+        # Every integral the dual carries, and every cross term, equals the
+        # pointwise reference on sampled surfaces (n, m <= 6), ample angles.
+        for _ in range(40):
+            params = sample_surface(rng)
+            angles = sample_angles(rng, params)
+            d = legendre_dual(anticanonical_support_function(params, angles))
+            deg = d.deg_psi
+            vol, square = deg.integral(), integrate_product(deg, deg)
+            assert vol_psi(d) == vol
+            assert d.first_moment == integrate_product(pl_line(*d.box, ONE), deg)
+            assert d.half_square == square / 2
+            for point in ("p0", "generic") + (("p1",) if params.m else ()):
+                cross = integrate_product(d.psi(point), deg)
+                assert bc_p(d, point) == (square / 2 - cross) / vol
+
+    def test_cross_term_refuses_a_breakpoint_off_the_refinement(self):
+        d = legendre_dual(anticanonical_support_function((0, 2), Angles(HALF, HALF)))
+        assert d.deg_psi.breakpoints == (-HALF, 0, HALF)
+        kinked = PLFunction((-HALF, rat(1, 4), HALF), (ZERO, ONE, ZERO))
+        with pytest.raises(ValueError, match="breakpoint 1/4 is not among the points"):
+            bc_p(dataclasses.replace(d, psi_generic=kinked), "generic")
 
     def test_generic_base_identity(self, rng):
         # bc_generic = bc_p0 + n * bc + 2 (the fiber over p0 and a generic

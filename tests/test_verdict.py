@@ -6,7 +6,15 @@ import dataclasses
 import pytest
 
 import kedge.tvariety
-from kedge.picard import C1TILDE, C2TILDE, Angles, Ei, OutsideAmpleRange, as_model
+from kedge.picard import (
+    C1TILDE,
+    C2TILDE,
+    Angles,
+    DivisorClass,
+    Ei,
+    OutsideAmpleRange,
+    as_model,
+)
 from kedge.ratmath import rat
 from kedge.sampling import sample_angles, sample_surface
 from kedge.tvariety import ValuationTerm, delta_tvariety, futaki_vanishes
@@ -159,24 +167,34 @@ class TestVerdicts:
 
 class TestTorusWork:
     @pytest.mark.parametrize(
-        "params, angles, integrals",
-        [((0, 2), Angles(HALF, HALF), 5), ((2, 0), Angles(rat(9, 14), rat(3, 7)), 4)],
+        "params, angles",
+        [((0, 2), Angles(HALF, HALF)), ((2, 0), Angles(rat(9, 14), rat(3, 7)))],
     )
-    def test_one_torus_pass_per_verdict(self, monkeypatch, params, angles, integrals):
-        # Deterministic work: a second dual or a repeated integral fails here.
+    def test_one_torus_pass_per_verdict(self, monkeypatch, params, angles):
+        # Deterministic work: a second dual or a second weight vector fails
+        # here, and the certificate forms its class without class arithmetic.
         calls = collections.Counter()
-        for name in ("anticanonical_support_function", "legendre_dual", "integrate_product"):
+        for name in ("anticanonical_support_function", "legendre_dual", "hat_weights"):
             def counting(*args, _name=name, _original=getattr(kedge.tvariety, name)):
                 calls[_name] += 1
                 return _original(*args)
 
             monkeypatch.setattr(f"kedge.tvariety.{name}", counting)
+
+        def class_arithmetic(*args):
+            raise AssertionError("certificate class built by scale or +")
+
+        monkeypatch.setattr(DivisorClass, "scale", class_arithmetic)
+        monkeypatch.setattr(DivisorClass, "__add__", class_arithmetic)
         k_polystable(params, angles)
         assert calls == {
             "anticanonical_support_function": 1,
             "legendre_dual": 1,
-            "integrate_product": integrals,
+            "hat_weights": 1,
         }
+        # Every integral is a dot product with the weights; no pairwise
+        # product integrator is left on the verdict path.
+        assert not hasattr(kedge.tvariety, "integrate_product")
 
 
 class TestM0Locus:
@@ -279,3 +297,5 @@ class TestCertification:
     def test_valuation_term_ratio(self):
         t = ValuationTerm("E1", A=rat(3, 2), S=rat(3, 4))
         assert t.ratio == 2
+        assert t.ratio is t.ratio  # divided once, then read
+        assert dataclasses.replace(t, S=rat(1, 2)).ratio == 3
