@@ -31,6 +31,8 @@ _COMMANDS = ("delta", "volume-curve", "verify", "scan")
 # Largest accepted m: the lattice has rank m + 2, and the candidate set,
 # every pairing vector and the sweep's solves grow with m.
 MAX_M = 200
+# Largest accepted --samples, and points per scan grid axis.
+MAX_POINTS = 10_000
 
 
 def _user_error(message: str):
@@ -194,8 +196,8 @@ def cmd_volume_curve(n, m, curve, beta1, beta2, approx, accept_decimal, output):
     if violation is not None:
         _user_error(f"outside the ample range: {violation}")
     try:
-        pq = volume_curve(cid, params, angles)
         a_value = log_discrepancy(cid, params, angles)
+        pq = volume_curve(cid, params, angles)
         s_value = pq.expected_vanishing_order()
     except ValueError as exc:
         _user_error(str(exc))
@@ -239,8 +241,8 @@ def cmd_volume_curve(n, m, curve, beta1, beta2, approx, accept_decimal, output):
 @click.option("--output", "-o", default=None, help="Write the report to this file.")
 def cmd_verify(suite, samples, seed, output):
     """Run oracle suites; any failure is an inconsistency (exit 2)."""
-    if samples <= 0:
-        _user_error("--samples must be positive")
+    if not 0 < samples <= MAX_POINTS:
+        _user_error(f"--samples must lie in 1..{MAX_POINTS}, got {samples}")
     names = sorted(SUITES) if suite == "all" else [suite]
     results = run_suites(names, samples, seed)
     ok = all(r.passed for r in results)
@@ -270,8 +272,8 @@ def _parse_grid(text: str, what: str):
     if start <= 0:
         _user_error(f"malformed {what} grid: angles must be positive")
     count = (stop - start) // step + 1
-    if count > 10_000:
-        _user_error(f"{what} grid too large (over 10000 points)")
+    if count > MAX_POINTS:
+        _user_error(f"{what} grid too large (over {MAX_POINTS} points)")
     return [start + i * step for i in range(count)]
 
 

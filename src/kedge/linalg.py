@@ -11,9 +11,10 @@ is also the definiteness test: it raises NotNegativeDefinite at the first
 pivot >= 0.  A factor is ``(rows, pivots)``; row i of L holds only its
 nonzero entries, as ``(j, L_ij)`` pairs with j < i, so a Gram matrix
 whose elimination does not fill in is factored and solved in time
-proportional to its size.  The right-hand sides of a solve may live in
-any vector space over Rat (e.g. affine functions of a sweep parameter),
-as long as they support ``-`` and left-multiplication by Rat.
+proportional to its size.  The package's right-hand sides are rational
+columns: Bauer's support growth solves each of its columns on one factor
+(the chamber sweep's value and slope columns share it).  The kernel asks
+of a right-hand side only ``-`` and left-multiplication by Rat.
 
 ``signature`` is a separate congruence diagonalization over arbitrary
 symmetric matrices; it is the tests' independent reference.

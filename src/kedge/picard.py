@@ -279,6 +279,18 @@ class SurfaceModel:
         """Gram matrix of candidate curves, from ``curve_pairing``."""
         return [[self.curve_pairing(x, y) for y in curves] for x in curves]
 
+    @cached_property
+    def candidate_table(self) -> tuple:
+        """Entry i lists every (j, C_i.C_j != 0), i and j indexing
+        ``candidate_curves``, in O(m) from the closed forms of ``curve_pairing``:
+        C~1 meets every F~i, C~2 every E_i, E_i meets F~i, each curve itself."""
+        n, m = self.n, self.m
+        es, fs = range(2, m + 2), range(m + 2, 2 * m + 2)
+        rows = [[(0, -n)] + [(f, 1) for f in fs], [(1, n - m)] + [(e, 1) for e in es]]
+        rows += [[(e, -1), (1, 1), (e + m, 1)] for e in es]
+        rows += [[(f, -1), (0, 1), (f - m, 1)] for f in fs]
+        return tuple(tuple((j, g) for j, g in row if g) for row in rows)
+
     def self_intersection(self, d: DivisorClass):
         return self.intersect(d, d)
 

@@ -1,9 +1,10 @@
 """Exact volume curves x |-> vol(-K_{S,Delta} - x E) by symbolic chamber sweep.
 
 The sweep works in pairing coordinates: it never builds a divisor class
-inside the loop.  It needs only the affine vector r(x) = D(x).C over the
-candidate curves C, where D(x) = -K_Delta - x E, built once from
-``pair_curve``, and the integer candidate Gram matrix.  Within a chamber
+inside the loop.  It needs only the affine vector r(x) = r0 + x r1 of
+pairings D(x).C over the candidate curves C, where D(x) = -K_Delta - x E,
+kept as two rational lists by candidate index and built once from
+``pair_curve``, and the sparse candidate table.  Within a chamber
 the Zariski negative support S is constant, the support coefficients
 a(x) = G_S^{-1} r_S(x) are affine in x, and, because P.N = 0, the volume
 P(x)^2 = D(x)^2 - a(x).r_S(x) is an honest quadratic.  The sweep
@@ -12,10 +13,10 @@ ample, and only grows: P(D) is the largest nef class below D, so
 P(x') <= P(x) for x < x', and no coefficient of the negative part falls
 (E never enters it: Lazarsfeld-Mustata, Ann. Sci. ENS 42 (2009),
 section 6).  At each chamber's left end x0, ``zariski.grow_support``
-grows it over first-order jets (value, slope ordered lexicographically
--- exact "x = x0 + epsilon" arithmetic); its last solve, read as an
-affine function of x, is the chamber's solution, and the next wall is
-the least root of a residual pairing jet P(x).C that falls.  Each
+grows it on two columns, the value r(x0) and the slope r1, ordered
+lexicographically -- exact "x = x0 + epsilon" arithmetic; its last solve,
+read as an affine function of x, is the chamber's solution, and the next
+wall is the least root of a residual pairing P(x).C that falls.  Each
 chamber becomes one ``QuadraticPiece``; ``_certify_curve`` checks that
 the support grew strictly at every wall, so no two chambers ever merge.
 
@@ -29,50 +30,11 @@ from dataclasses import dataclass
 
 from .picard import Angles, CurveId, SurfaceModel, as_model
 from .ratmath import Rat, sqrt_exact
-from .zariski import (DecompositionError, InconsistencyError, NotPseudoeffective,
-                      _negative_part, grow_support)
+from .zariski import DecompositionError, InconsistencyError, NotPseudoeffective, grow_support
 
 
 class IrrationalThreshold(InconsistencyError):
     """The pseudoeffective threshold came out irrational, which this family rules out."""
-
-
-@dataclass(frozen=True)
-class Affine(object):
-    """c0 + c1*t with exact rational coefficients.
-
-    Also serves as a first-order jet: the comparison operators order
-    lexicographically by (c0, c1), i.e. by the sign of c0 + c1*epsilon
-    for an infinitesimal epsilon > 0.
-    """
-
-    c0: object
-    c1: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "c0", Rat(self.c0))
-        object.__setattr__(self, "c1", Rat(self.c1))
-
-    def __sub__(self, other: "Affine") -> "Affine":
-        return Affine(self.c0 - other.c0, self.c1 - other.c1)
-
-    def __mul__(self, t) -> "Affine":
-        t = Rat(t)
-        return Affine(t * self.c0, t * self.c1)
-
-    __rmul__ = __mul__
-
-    def _key(self):
-        return (self.c0, self.c1)
-
-    def __lt__(self, other):
-        return self._key() < other._key()
-
-    def __repr__(self) -> str:
-        return f"Affine({self.c0} + {self.c1} t)"
-
-
-AFFINE_ZERO = Affine(0, 0)
 
 
 @dataclass(frozen=True)
@@ -172,9 +134,9 @@ def volume_sweep(E: CurveId, params, angles: Angles) -> tuple:
     model.ensure_ample(angles)
     minus_k, minus_e = model.log_anticanonical(angles), -model.class_of(E)
     candidates = model.candidate_curves()
-    # r(x) = r0 + x r1 and D(x)^2 = d0 + d1 x + d2 x^2.
-    r0 = {c: model.pair_curve(minus_k, c) for c in candidates}
-    r1 = {c: model.pair_curve(minus_e, c) for c in candidates}
+    # r(x) = r0 + x r1 by candidate index, and D(x)^2 = d0 + d1 x + d2 x^2.
+    r0 = [model.pair_curve(minus_k, c) for c in candidates]
+    r1 = [model.pair_curve(minus_e, c) for c in candidates]
     d0 = model.self_intersection(minus_k)
     d1 = 2 * model.intersect(minus_k, minus_e)
     d2 = model.self_intersection(minus_e)
@@ -182,35 +144,34 @@ def volume_sweep(E: CurveId, params, angles: Angles) -> tuple:
 
     pieces: list[QuadraticPiece] = []
     x0 = Rat(0)
-    start: list[CurveId] = []
+    start: list[int] = []
     # Termination: a chamber ends where P(x).C falls to 0 for a curve C
     # outside the support, and the next chamber's growth starts from the
     # support plus every such C: every wall adds a curve, and there are at
     # most 2m + 2 walls.
     while True:
-        jets = {c: Affine(r0[c] + x0 * r1[c], r1[c]) for c in candidates}
+        value = [v + x0 * s if s else v for v, s in zip(r0, r1)]
         try:
-            support, coeffs, residual = grow_support(model, jets, AFFINE_ZERO, start)
+            support, (a0, a1), (p0, p1) = grow_support(model, (value, r1), start)
         except NotPseudoeffective as exc:
             raise DecompositionError(f"jet support growth failed at x = {x0}+: {exc}") from None
-        if any(a.c1 < 0 for a in coeffs):
+        if any(s < 0 for s in a1):
             raise DecompositionError(f"a negative-part coefficient falls after {x0} ({context})")
-        # a(x) = a(x0) + (x - x0) a'; vol(x) = D(x)^2 - a(x).r_S(x).
+        # a(x) = a0 + (x - x0) a1; vol(x) = D(x)^2 - a(x).r_S(x).
         q0, q1, q2 = d0, d1, d2
-        for c, a in zip(support, coeffs):
-            const = a.c0 - x0 * a.c1
+        for c, a, s in zip(support, a0, a1):
+            const = a - x0 * s
             q0 = q0 - const * r0[c]
-            q1 = q1 - const * r1[c] - a.c1 * r0[c]
-            q2 = q2 - a.c1 * r1[c]
-        # After growth every pairing jet outside the support is positive,
-        # so each falling one has a root strictly right of x0.
-        roots = {c: x0 - f.c0 / f.c1 for c, f in residual.items()
-                 if c not in support and f.c1 < 0}
+            q1 = q1 - const * r1[c] - s * r0[c]
+            q2 = q2 - s * r1[c]
+        # After growth every residual pairing outside the support is
+        # positive at x0+, so each falling one has a root strictly right of x0.
+        roots = {c: x0 - p0[c] / s for c, s in enumerate(p1) if s < 0 and c not in support}
         wall = min(roots.values(), default=None)
-        named = tuple(c for c, _ in _negative_part(support, coeffs, AFFINE_ZERO))
+        named = tuple(candidates[c] for c, a, s in sorted(zip(support, a0, a1)) if a or s)
         if wall is not None and q0 + q1 * wall + q2 * wall * wall > 0:
             pieces.append(QuadraticPiece(x0, wall, q0, q1, q2, named))
-            start = support + [c for c in candidates if roots.get(c) == wall]
+            start = support + [c for c, root in roots.items() if root == wall]
             x0 = wall
             continue
         # Positive at x0, and not at the next wall if any: the least root beyond x0 is tau.

@@ -3,34 +3,33 @@
 On this surface every irreducible curve of negative self-intersection is
 one of C~1, C~2, E_i, F~i, so the negative part of any pseudoeffective
 class is supported there.  ``grow_support`` is the package's one
-active-set loop, Bauer's support growth.  It works on pairings only: the
-vector D.C over the candidates C and the integer candidate Gram matrix.
-Each round solves the orthogonality system on the current support, reads
-the residual pairings P.C off the Gram matrix, and adds every candidate
-the residual meets negatively, until nothing is added.  It is generic
-over the scalar and the start support: ``zariski_decompose`` runs it over
-rationals from the empty support, the chamber sweep in ``volumes`` over
-first-order jets from the previous chamber's support (Bauer's guarantee
-needs a start inside the true one).  ``zariski_decompose`` forms the
-positive part once, after growth, and certifies it against the three
-defining conditions on every call; ``zariski_decompose_bruteforce``
+active-set loop, Bauer's support growth.  It works on pairings only:
+rational columns D.C over the candidate indices and the sparse table of
+nonzero candidate pairings (``SurfaceModel.candidate_table``).  Each
+round borders the support's LDL^T factor from the table, solves every
+column on it, reads the residual pairings P.C off the table's nonzeros,
+and adds every candidate the residual meets negatively, until nothing is
+added.  ``zariski_decompose`` runs it on one column from the empty
+support, the chamber sweep in ``volumes`` on two (value and slope, read
+lexicographically) from the previous chamber's support (Bauer's
+guarantee needs a start inside the true one).  ``zariski_decompose``
+forms the positive part once, after growth, and certifies it against the
+three defining conditions on every call; ``zariski_decompose_bruteforce``
 enumerates every negative-definite set of candidates and is kept as an
 independent oracle.  Every solve and definiteness test goes through the
 one LDL^T kernel in ``linalg``: growth factors each round's support
 afresh, the oracle's depth-first walk borders the parent set's factor by
-one row per extension and solves on it.  Both pair through the closed-form
-candidate lattice (``SurfaceModel.curve_pairing`` and ``pair_curve``);
-``_certify`` alone uses the generic ``intersect``, so it also checks
-those closed forms.
+one row per extension and solves on it, both from the table.
+``_certify`` alone uses the generic ``intersect``, so it also checks the
+table's closed forms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .linalg import (EMPTY_FACTOR, NotNegativeDefinite, border, is_negative_definite_matrix,
-                     solve_exact, solve_factored)
+                     solve_factored)
 from .picard import CurveId, DivisorClass, SurfaceModel
-from .ratmath import ZERO
 
 
 class NotPseudoeffective(ArithmeticError):
@@ -84,22 +83,42 @@ def negative_definite_supports(model: SurfaceModel):
     Depth first in candidate order, extending only negative-definite
     sets: the family is closed under subsets (principal submatrices of a
     negative-definite matrix are negative definite), so nothing is missed.
-    Each extension borders the parent set's factor by one row.
+    Each extension borders the parent set's factor by one row, read off
+    the candidate table.
     """
-    candidates = model.candidate_curves()
+    candidates, table = model.candidate_curves(), model.candidate_table
 
     def extend(subset, factor, start):
-        yield subset, factor
-        for i in range(start, len(candidates)):
-            c = candidates[i]
-            column = [model.curve_pairing(s, c) for s in subset]
+        yield [candidates[c] for c in subset], factor
+        position = {s: p for p, s in enumerate(subset)}
+        for c in range(start, len(candidates)):
             try:
-                grown = border(factor, column, model.curve_pairing(c, c))
+                grown = border(factor, *_bordering(table, c, position))
             except NotNegativeDefinite:
                 continue
-            yield from extend(subset + [c], grown, i + 1)
+            yield from extend(subset + [c], grown, c + 1)
 
     return extend([], EMPTY_FACTOR, 0)
+
+
+def _bordering(table, c, position):
+    """(C.S for S placed by ``position``, a dict index -> row; C.C), from the table."""
+    column, diagonal = [0] * len(position), 0
+    for j, g in table[c]:
+        if j == c:
+            diagonal = g
+        elif j in position:
+            column[position[j]] = g
+    return column, diagonal
+
+
+def _support_factor(table, support):
+    """The LDL^T factor of ``support``'s Gram matrix, bordered from the table."""
+    factor, position = EMPTY_FACTOR, {}
+    for c in support:
+        factor = border(factor, *_bordering(table, c, position))
+        position[c] = len(position)
+    return factor
 
 
 def _subtract_curves(model: SurfaceModel, d: DivisorClass, support, coeffs) -> DivisorClass:
@@ -109,9 +128,9 @@ def _subtract_curves(model: SurfaceModel, d: DivisorClass, support, coeffs) -> D
     return d
 
 
-def _negative_part(support, coeffs, zero) -> tuple:
+def _negative_part(support, coeffs) -> tuple:
     """(curve, coefficient) pairs with nonzero coefficient, in canonical order."""
-    named = ((cid, x) for cid, x in zip(support, coeffs) if x != zero)
+    named = ((cid, x) for cid, x in zip(support, coeffs) if x)
     return tuple(sorted(named, key=lambda item: curve_sort_key(item[0])))
 
 
@@ -132,77 +151,80 @@ def _certify(model: SurfaceModel, d: DivisorClass, zd: ZariskiDecomposition):
         raise DecompositionError("P + N does not reconstruct the input class")
 
 
-def grow_support(model: SurfaceModel, pairings, zero, start=()):
-    """Bauer's support growth: (support, coefficients, residual pairings).
+def grow_support(model: SurfaceModel, columns, start=()):
+    """Bauer's support growth: (support, coefficients, residuals).
 
-    ``pairings`` maps every candidate C to D.C.  Starting from ``start``,
-    each round solves the orthogonality system G_S a = (D.C)_{C in S} on
-    the current support S (G_S from ``curve_gram``, factored afresh by
-    ``solve_exact`` because the sort below reorders S), forms the residual
-    pairings P.C = D.C - sum a_i (C_i.C) for every candidate (from
-    ``curve_pairing``), and adds every candidate outside S that P meets
-    negatively, until none is added.  The residual pairings are returned
-    as a mapping like ``pairings``.  The support grows strictly, so at
-    most k + 1 solves run for k candidates.  For a pseudoeffective class
-    and a start inside the support of the true negative part, the grown
-    support stays inside it (Bauer, J. Algebraic Geom. 18, 2009), so the
-    system is always negative definite and no coefficient drops below
-    ``zero``; either failure raises NotPseudoeffective.  The scalar is
-    that of ``pairings``, ordered against ``zero``: rationals for
-    ``zariski_decompose``, first-order jets for the chamber sweep.
+    Curves are indices into ``model.candidate_curves()``.  ``columns`` are
+    rational columns over the candidates, compared lexicographically: D.C
+    alone for ``zariski_decompose``; for the chamber sweep the value and
+    the slope of the pairing jet at a chamber's left end x0 (exact
+    "x = x0 + epsilon" arithmetic).  From ``start``, each round borders
+    the factor of the support's Gram matrix from ``model.candidate_table``,
+    solves G_S a = (D.C)_{C in S} for every column on it, forms the
+    residuals P.C = D.C - sum a_i (C_i.C) over the table's nonzeros, and
+    adds every candidate outside S with a negative residual, until none
+    is added; the coefficient columns over S and the residual columns over
+    every candidate are returned.  S grows strictly: at most k + 1 factors
+    for k candidates.  For a pseudoeffective class and a start inside the
+    true negative support, S stays inside it (Bauer, J. Algebraic Geom. 18,
+    2009), so G_S is negative definite and no coefficient is negative;
+    either failure raises NotPseudoeffective.
     """
-    candidates = model.candidate_curves()
-    support: list[CurveId] = list(start)
+    table = model.candidate_table
+    zero = (0,) * len(columns)
+    support = list(start)
     while True:
-        # C~1 and C~2 meet every F~i and E_i: bordering them last keeps the
-        # factor free of fill-in, O(k^2) rather than O(k^3) for k curves.
-        support.sort(key=lambda c: c.kind in ("C1tilde", "C2tilde"))
+        # C~1 and C~2 (indices 0 and 1) meet every F~i and E_i: bordering
+        # them last keeps the factor free of fill-in, O(k^2) rather than
+        # O(k^3) for k curves.
+        support.sort(key=lambda c: c < 2)
         try:
-            coeffs = solve_exact(model.curve_gram(support), [pairings[c] for c in support])
+            factor = _support_factor(table, support)
         except NotNegativeDefinite:
             raise NotPseudoeffective(
                 "support is not negative definite, which cannot happen "
                 "for a pseudoeffective class"
             ) from None
-        if any(x < zero for x in coeffs):
+        coeffs = [solve_factored(factor, [column[c] for c in support]) for column in columns]
+        if any(a < zero for a in zip(*coeffs)):
             raise NotPseudoeffective(
                 "orthogonality forces a negative coefficient, which "
                 "cannot happen for a pseudoeffective class"
             )
-        residual = {}
-        for c in candidates:
-            r = pairings[c]
-            for cid, x in zip(support, coeffs):
-                g = model.curve_pairing(cid, c)
-                if g:
-                    r = r - x * g
-            residual[c] = r
-        violated = [c for c in candidates if c not in support and residual[c] < zero]
+        residuals = [list(column) for column in columns]
+        for residual, coeff in zip(residuals, coeffs):
+            for c, a in zip(support, coeff):
+                if a:
+                    for j, g in table[c]:
+                        residual[j] -= a * g
+        violated = [c for c, r in enumerate(zip(*residuals)) if r < zero and c not in support]
         if not violated:
-            return support, coeffs, residual
+            return support, coeffs, residuals
         support.extend(violated)
 
 
 def zariski_decompose(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
     """Zariski decomposition of ``d``, or NotPseudoeffective.
 
-    ``grow_support`` over the rational pairings of ``d``, then the
-    generic-fiber test on P = D - sum a_i C_i (the brute-force oracle
-    cross-checks the NotPseudoeffective reasoning in the test suite).
-    Every returned decomposition is certified against the three defining
-    conditions.
+    ``grow_support`` over the one rational column of pairings of ``d``,
+    then the generic-fiber test on P = D - sum a_i C_i (the brute-force
+    oracle cross-checks the NotPseudoeffective reasoning in the test
+    suite).  Every returned decomposition is certified against the three
+    defining conditions.
     """
-    pairings = {c: model.pair_curve(d, c) for c in model.candidate_curves()}
+    candidates = model.candidate_curves()
+    pairings = [model.pair_curve(d, c) for c in candidates]
     try:
-        support, coeffs, _residual = grow_support(model, pairings, ZERO)
+        support, (coeffs,), _residuals = grow_support(model, (pairings,))
     except NotPseudoeffective as exc:
         raise NotPseudoeffective(f"{d}: {exc}") from None
-    positive = _subtract_curves(model, d, support, coeffs)
+    curves = [candidates[c] for c in support]
+    positive = _subtract_curves(model, d, curves, coeffs)
     if positive.a < 0:
         # Residual meets the (nef, moving) generic fiber negatively:
         # no effective class can, so d is not pseudoeffective.
         raise NotPseudoeffective(f"{d} pairs negatively with the generic fiber")
-    zd = ZariskiDecomposition(positive=positive, negative=_negative_part(support, coeffs, ZERO))
+    zd = ZariskiDecomposition(positive=positive, negative=_negative_part(curves, coeffs))
     _certify(model, d, zd)
     return zd
 
@@ -233,7 +255,7 @@ def zariski_decompose_bruteforce(model: SurfaceModel, d: DivisorClass) -> Zarisk
         p = _subtract_curves(model, d, subset, coeffs)
         if not model.is_nef(p):
             continue
-        zd = ZariskiDecomposition(positive=p, negative=_negative_part(subset, coeffs, ZERO))
+        zd = ZariskiDecomposition(positive=p, negative=_negative_part(subset, coeffs))
         if found is not None and (found.positive != zd.positive or found.negative != zd.negative):
             raise DecompositionError(
                 f"two distinct decompositions found for {d}: {found} vs {zd}"

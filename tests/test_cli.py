@@ -28,6 +28,11 @@ CURVE_ARGS = [
     "volume-curve", "--n", "0", "--m", "2",
     "--beta1", "1/2", "--beta2", "1/2", "--curve", "E1",
 ]
+# The largest m, with a support of m + 1 curves in the last chamber.
+CURVE_ARGS_M200 = [
+    "volume-curve", "--n", "0", "--m", "200",
+    "--beta1", "1/2", "--beta2", "1/10000", "--curve", "E1",
+]
 VERIFY_ARGS = ["verify", "--samples", "3", "--seed", "7"]
 SCAN_ARGS = [
     "scan", "--n", "1", "--m", "0",
@@ -72,6 +77,7 @@ class TestGoldens:
             (CURVE_ARGS, "volume_curve_e1.json"),
             (VERIFY_ARGS, "verify_small.json"),
             (SCAN_ARGS, "scan_m0.csv"),
+            (CURVE_ARGS_M200, "volume_curve_m200_e1.json"),
         ],
     )
     def test_byte_identical(self, capsys, argv, golden):
@@ -179,6 +185,15 @@ class TestInputHandling:
         assert code == 1
         assert "m=2" in err
 
+    def test_pullback_section_refused_before_sweeping(self, capsys, monkeypatch):
+        def sweep(E, params, angles):
+            raise AssertionError("swept a curve that has no log discrepancy")
+
+        monkeypatch.setattr("kedge.cli.volume_curve", sweep)
+        code, out, err = run_cli(capsys, CURVE_ARGS[:-1] + ["PullbackC2"])
+        assert (code, out) == (1, "")
+        assert err == "error: PullbackC2 is not a prime divisor once points are blown up\n"
+
     def test_missing_required_option(self, capsys):
         code, _, err = run_cli(capsys, ["delta", "--n", "0", "--m", "2", "--beta1", "1/2"])
         assert code == 1
@@ -190,6 +205,11 @@ class TestInputHandling:
     def test_nonpositive_samples(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "--samples", "0"])
         assert code == 1
+
+    def test_samples_bound(self, capsys):
+        code, out, err = run_cli(capsys, ["verify", "--samples", "10001"])
+        assert (code, out) == (1, "")
+        assert err == "error: --samples must lie in 1..10000, got 10001\n"
 
     @pytest.mark.parametrize(
         "grid, message",

@@ -131,11 +131,17 @@ def test_closed_form_curve_pairings_match_intersect():
         for m in range(7):
             model = as_model(SurfaceParams(n, m))
             curves = model.candidate_curves()
-            for c1 in curves:
-                for c2 in curves:
-                    assert model.curve_pairing(c1, c2) == model.intersect(
-                        model.class_of(c1), model.class_of(c2)
-                    ), (n, m, c1, c2)
+            table = [dict(row) for row in model.candidate_table]
+            assert len(table) == len(curves)
+            for i, row in enumerate(table):
+                assert len(row) == len(model.candidate_table[i]), "one entry per pair"
+                assert 0 not in row.values(), (n, m, i)
+                assert all(table[j][i] == g for j, g in row.items()), "symmetric"
+            for i, c1 in enumerate(curves):
+                for j, c2 in enumerate(curves):
+                    expected = model.intersect(model.class_of(c1), model.class_of(c2))
+                    assert model.curve_pairing(c1, c2) == expected, (n, m, c1, c2)
+                    assert table[i].get(j, 0) == expected, (n, m, c1, c2)
             with pytest.raises(ValueError):
                 model.curve_pairing(C1TILDE, GENERIC_FIBER)
 

@@ -1,8 +1,10 @@
 """Volume curves from the Zariski sweep: chamber structure, S, A, thresholds."""
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kedge.closedforms import (
     angle_bracket,
@@ -20,26 +22,133 @@ from kedge.picard import (
     GENERIC_FIBER,
     OutsideAmpleRange,
     PULLBACK_C2,
+    SurfaceModel,
     SurfaceParams,
     as_model,
 )
 from kedge.linalg import solve_exact
-from kedge.ratmath import rat
+from kedge.ratmath import Rat, rat
 from kedge.sampling import LEMMA_CASES, sample_angles, sample_case_input, sample_surface
 from kedge.volumes import (
-    Affine,
     IrrationalThreshold,
     PiecewiseQuadratic,
+    QuadraticPiece,
     _certify_curve,
     _smallest_root_after,
     expected_vanishing_order,
     log_discrepancy,
     threshold,
     volume_curve,
+    volume_sweep,
 )
-from kedge.zariski import DecompositionError, grow_support, volume, zariski_decompose
+from kedge.zariski import (
+    DecompositionError,
+    NotPseudoeffective,
+    _support_factor,
+    curve_sort_key,
+    grow_support,
+    volume,
+    zariski_decompose,
+)
 
 HALF = rat(1, 2)
+
+
+@dataclass(frozen=True)
+class Affine:
+    """c0 + c1*t; as a first-order jet it orders lexicographically by
+    (c0, c1), the sign of c0 + c1*epsilon for an infinitesimal epsilon > 0."""
+
+    c0: object
+    c1: object
+
+    def __sub__(self, other):
+        return Affine(self.c0 - other.c0, self.c1 - other.c1)
+
+    def __mul__(self, t):
+        return Affine(t * self.c0, t * self.c1)
+
+    __rmul__ = __mul__
+
+    def __lt__(self, other):
+        return (self.c0, self.c1) < (other.c0, other.c1)
+
+
+AFFINE_ZERO = Affine(Rat(0), Rat(0))
+
+
+def reference_grow_support(model, pairings, zero, start=()):
+    """Bauer's support growth over jets, every pairing read pointwise
+    through ``curve_pairing``: a fresh dense Gram matrix and solve each
+    round, residuals over every (support, candidate) pair."""
+    candidates = model.candidate_curves()
+    support = list(start)
+    while True:
+        support.sort(key=lambda c: c.kind in ("C1tilde", "C2tilde"))
+        coeffs = solve_exact(model.curve_gram(support), [pairings[c] for c in support])
+        if any(x < zero for x in coeffs):
+            raise NotPseudoeffective("orthogonality forces a negative coefficient")
+        residual = {}
+        for c in candidates:
+            r = pairings[c]
+            for cid, x in zip(support, coeffs):
+                g = model.curve_pairing(cid, c)
+                if g:
+                    r = r - x * g
+            residual[c] = r
+        violated = [c for c in candidates if c not in support and residual[c] < zero]
+        if not violated:
+            return support, coeffs, residual
+        support.extend(violated)
+
+
+def reference_volume_sweep(E, model, angles):
+    """The chamber sweep with pairing jets as ``Affine`` objects in dicts
+    keyed by curve, on ``reference_grow_support``."""
+    minus_k, minus_e = model.log_anticanonical(angles), -model.class_of(E)
+    candidates = model.candidate_curves()
+    r0 = {c: model.pair_curve(minus_k, c) for c in candidates}
+    r1 = {c: model.pair_curve(minus_e, c) for c in candidates}
+    d0 = model.self_intersection(minus_k)
+    d1 = 2 * model.intersect(minus_k, minus_e)
+    d2 = model.self_intersection(minus_e)
+    context = f"E={E.label}, n={model.n}, m={model.m}"
+    pieces, x0, start = [], Rat(0), []
+    while True:
+        jets = {c: Affine(r0[c] + x0 * r1[c], r1[c]) for c in candidates}
+        support, coeffs, residual = reference_grow_support(model, jets, AFFINE_ZERO, start)
+        assert all(a.c1 >= 0 for a in coeffs)
+        q0, q1, q2 = d0, d1, d2
+        for c, a in zip(support, coeffs):
+            const = a.c0 - x0 * a.c1
+            q0 = q0 - const * r0[c]
+            q1 = q1 - const * r1[c] - a.c1 * r0[c]
+            q2 = q2 - a.c1 * r1[c]
+        roots = {c: x0 - f.c0 / f.c1 for c, f in residual.items()
+                 if c not in support and f.c1 < 0}
+        wall = min(roots.values(), default=None)
+        named = tuple(sorted((c for c, a in zip(support, coeffs) if a != AFFINE_ZERO),
+                             key=curve_sort_key))
+        if wall is not None and q0 + q1 * wall + q2 * wall * wall > 0:
+            pieces.append(QuadraticPiece(x0, wall, q0, q1, q2, named))
+            start = support + [c for c in candidates if roots.get(c) == wall]
+            x0 = wall
+            continue
+        tau = _smallest_root_after(q0, q1, q2, x0, context)
+        pieces.append(QuadraticPiece(x0, tau, q0, q1, q2, named))
+        return tuple(pieces)
+
+
+@st.composite
+def sweep_inputs(draw):
+    """(curve, model, angles) with n, m <= 6 and angles in the ample range,
+    over every candidate curve, the generic fiber and, at m = 0, the
+    pulled-back section."""
+    model = as_model((draw(st.integers(0, 6)), draw(st.integers(0, 6))))
+    angle = st.builds(Rat, st.integers(1, 24), st.integers(1, 12))
+    angles = draw(st.builds(Angles, angle, angle).filter(model.ample_angle_range))
+    curves = model.candidate_curves() + [GENERIC_FIBER] + [PULLBACK_C2] * (model.m == 0)
+    return draw(st.sampled_from(curves)), model, angles
 
 
 class TestPinnedCurves:
@@ -184,16 +293,36 @@ class TestSharedEngine:
         ],
     )
     def test_sweep_solve_count(self, monkeypatch, curve, params, angles, solves):
-        # Deterministic work: one solve per chamber, so any re-solve fails here.
+        # Deterministic work: one factorisation per chamber, solved for both
+        # columns, so any re-factorisation fails here.
         calls = []
 
         def counting(*args):
             calls.append(args)
-            return solve_exact(*args)
+            return _support_factor(*args)
 
-        monkeypatch.setattr("kedge.zariski.solve_exact", counting)
+        monkeypatch.setattr("kedge.zariski._support_factor", counting)
         volume_curve(curve, params, angles)
         assert len(calls) == solves
+
+    def test_sweep_and_decomposition_read_only_the_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pairing read outside the candidate table")
+
+        monkeypatch.setattr(SurfaceModel, "curve_pairing", refuse)
+        monkeypatch.setattr(SurfaceModel, "curve_gram", refuse)
+        model = as_model((0, 2))
+        angles = Angles(HALF, HALF)
+        for curve in model.candidate_curves():
+            volume_curve(curve, model, angles)
+        d = model.log_anticanonical(angles) - model.class_of(Ei(1)).scale(rat(3, 2))
+        assert zariski_decompose(model, d).support
+
+    @settings(deadline=None)
+    @given(sweep_inputs())
+    def test_sweep_matches_pointwise_reference(self, inputs):
+        curve, model, angles = inputs
+        assert volume_sweep(curve, model, angles) == reference_volume_sweep(curve, model, angles)
 
     @pytest.mark.parametrize(
         "left, right",
@@ -213,9 +342,9 @@ class TestSharedEngine:
     def test_falling_coefficient_is_refused(self, monkeypatch):
         # No coefficient of the negative part falls along the ray, so the
         # sweep looks for no such wall; it refuses a chamber that has one.
-        def falling(model, pairings, zero, start=()):
-            support, coeffs, residual = grow_support(model, pairings, zero, start)
-            return support, [Affine(a.c0 + 1, -1) for a in coeffs], residual
+        def falling(model, columns, start=()):
+            support, (values, slopes), residuals = grow_support(model, columns, start)
+            return support, ([a + 1 for a in values], [-1] * len(slopes)), residuals
 
         monkeypatch.setattr("kedge.volumes.grow_support", falling)
         with pytest.raises(DecompositionError, match="coefficient falls"):

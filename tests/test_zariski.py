@@ -15,7 +15,7 @@ from kedge.picard import (
     as_model,
 )
 from kedge.linalg import signature
-from kedge.ratmath import ZERO, rat
+from kedge.ratmath import rat
 from kedge.sampling import sample_angles, sample_divisor_class, sample_surface
 from kedge.zariski import (
     NotPseudoeffective,
@@ -175,24 +175,24 @@ class TestDecompose:
 
 class TestGrowSupport:
     def test_residual_pairings_match_reconstructed_class(self, rng):
-        # grow_support reads P.C off the candidate Gram matrix; rebuild the
+        # grow_support reads P.C off the candidate table; rebuild the
         # class P = D - sum a_i C_i and pair it directly instead.
         grown = 0
         for _ in range(80):
             model = as_model(sample_surface(rng, n_max=4, m_max=4))
             d = sample_divisor_class(rng, model)
             candidates = model.candidate_curves()
-            pairings = {c: model.pair_curve(d, c) for c in candidates}
+            pairings = [model.pair_curve(d, c) for c in candidates]
             try:
-                support, coeffs, residual = grow_support(model, pairings, ZERO)
+                support, (coeffs,), (residual,) = grow_support(model, (pairings,))
             except NotPseudoeffective:
                 continue
             p = d
-            for cid, x in zip(support, coeffs):
-                p = p - model.class_of(cid).scale(x)
-            assert list(residual) == candidates
-            for c in candidates:
-                assert residual[c] == model.pair_curve(p, c), (model.params, d, c)
+            for c, x in zip(support, coeffs):
+                p = p - model.class_of(candidates[c]).scale(x)
+            assert len(residual) == len(candidates)
+            for c, r in zip(candidates, residual):
+                assert r == model.pair_curve(p, c), (model.params, d, c)
             grown += support != []
         assert grown >= 20
 
