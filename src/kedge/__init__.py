@@ -52,7 +52,6 @@ from .volumes import (
     QuadraticPiece,
     expected_vanishing_order,
     log_discrepancy,
-    threshold,
     volume_curve,
 )
 from .zariski import (
@@ -110,7 +109,6 @@ __all__ = [
     "rat",
     "rational_condition_point",
     "sign",
-    "threshold",
     "volume",
     "volume_curve",
     "zariski_decompose",

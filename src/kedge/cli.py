@@ -192,12 +192,13 @@ def cmd_volume_curve(n, m, curve, beta1, beta2, approx, accept_decimal, output):
         _user_error(str(exc))
     if cid.index is not None and not 1 <= cid.index <= m:
         _user_error(f"curve {cid.label} does not exist on a surface with m={m}")
-    violation = as_model(params).ample_range_violation(angles)
+    model = as_model(params)
+    violation = model.ample_range_violation(angles)
     if violation is not None:
         _user_error(f"outside the ample range: {violation}")
     try:
-        a_value = log_discrepancy(cid, params, angles)
-        pq = volume_curve(cid, params, angles)
+        a_value = log_discrepancy(cid, model, angles)
+        pq = volume_curve(cid, model, angles)
         s_value = pq.expected_vanishing_order()
     except ValueError as exc:
         _user_error(str(exc))

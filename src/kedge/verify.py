@@ -15,11 +15,14 @@ Four suites, each seed-deterministic:
   self-intersection.
 
 A failing check is an internal inconsistency, the loudest alarm the package
-can raise; the CLI maps it to exit code 2.
+can raise; the CLI maps it to exit code 2.  So is an InconsistencyError
+raised inside a sample: the suite records it as its counterexample, with
+the sample's input, and the other suites still run.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -35,7 +38,8 @@ from .sampling import (
 )
 from .tvariety import anticanonical_support_function, delta_tvariety, legendre_dual, vol_psi
 from .volumes import expected_vanishing_order, log_discrepancy, volume_curve
-from .zariski import NotPseudoeffective, zariski_decompose, zariski_decompose_bruteforce
+from .zariski import (InconsistencyError, NotPseudoeffective, zariski_decompose,
+                      zariski_decompose_bruteforce)
 
 
 @dataclass(frozen=True)
@@ -67,54 +71,68 @@ def _context(params, angles, **extra) -> dict:
     return ctx
 
 
-def verify_lemmas(samples: int, seed: int) -> SuiteResult:
+def _suite(name: str):
+    """Turn a generator of checks into a suite returning one SuiteResult.
+
+    The generator yields, in turn, the context dict of the sample it is
+    about to check and the outcome of each check: None when it passed, the
+    failure detail when it did not.  The first failure is the suite's
+    counterexample, the context plus ``detail``, and ends the suite.  An
+    InconsistencyError raised while checking a sample is one too, with
+    ``"<ExceptionName>: <message>"`` as the detail, so it is reported
+    instead of aborting the other suites.
+    """
+
+    def decorate(steps):
+        @functools.wraps(steps)
+        def suite(samples: int, seed: int) -> SuiteResult:
+            checks, context = 0, {}
+            try:
+                for step in steps(samples, seed):
+                    if isinstance(step, dict):
+                        context = step
+                        continue
+                    checks += 1
+                    if step is not None:
+                        return SuiteResult(name, samples, checks, False,
+                                           {**context, "detail": step})
+            except InconsistencyError as exc:
+                detail = f"{type(exc).__name__}: {exc}"
+                return SuiteResult(name, samples, checks + 1, False, {**context, "detail": detail})
+            return SuiteResult(name, samples, checks, True, None)
+
+        return suite
+
+    return decorate
+
+
+@_suite("lemmas")
+def verify_lemmas(samples: int, seed: int):
     """Sweep vs closed forms, ``samples`` draws per case family."""
     rng = random.Random(seed)
-    checks = 0
     for case in LEMMA_CASES:
         for _ in range(samples):
             params, angles, index = sample_case_input(rng, case)
-            if case == "C1tilde":
-                curve = C1TILDE
-            elif case == "C2tilde":
-                curve = C2TILDE
-            else:
-                curve = Ei(index)
+            curve = {"C1tilde": C1TILDE, "C2tilde": C2TILDE}.get(case) or Ei(index)
+            yield _context(params, angles, case=case, curve=curve.label)
             expected = closed_form_volume_curve(curve, params, angles)
             got = volume_curve(curve, params, angles)
-            checks += 1
-            if expected is None or got.pieces != expected.pieces:
-                return SuiteResult(
-                    "lemmas",
-                    samples,
-                    checks,
-                    False,
-                    _context(params, angles, case=case, curve=curve.label,
-                             detail="volume curve differs from closed form"),
-                )
+            same = expected is not None and got.pieces == expected.pieces
+            yield None if same else "volume curve differs from closed form"
             s_closed = closed_form_S(curve, params, angles)
             s_swept = got.expected_vanishing_order()
-            checks += 1
-            if s_closed != s_swept:
-                return SuiteResult(
-                    "lemmas",
-                    samples,
-                    checks,
-                    False,
-                    _context(params, angles, case=case, curve=curve.label,
-                             detail=f"S mismatch: closed {format_rat(s_closed)}"
-                                    f" vs swept {format_rat(s_swept)}"),
-                )
-    return SuiteResult("lemmas", samples, checks, True, None)
+            yield None if s_closed == s_swept else (
+                f"S mismatch: closed {format_rat(s_closed)} vs swept {format_rat(s_swept)}")
 
 
-def verify_zariski_oracle(samples: int, seed: int) -> SuiteResult:
+@_suite("zariski-oracle")
+def verify_zariski_oracle(samples: int, seed: int):
     """Incremental vs brute-force decomposition on random classes (m <= 4)."""
     rng = random.Random(seed)
-    checks = 0
     for _ in range(samples):
         model = as_model(sample_surface(rng, n_max=4, m_max=4))
         d = sample_divisor_class(rng, model)
+        yield {"n": model.n, "m": model.m, "class": repr(d)}
         try:
             fast = zariski_decompose(model, d)
         except NotPseudoeffective:
@@ -123,70 +141,45 @@ def verify_zariski_oracle(samples: int, seed: int) -> SuiteResult:
             slow = zariski_decompose_bruteforce(model, d)
         except NotPseudoeffective:
             slow = None
-        checks += 1
-        if fast != slow:
-            return SuiteResult(
-                "zariski-oracle",
-                samples,
-                checks,
-                False,
-                {"n": model.n, "m": model.m, "class": repr(d),
-                 "detail": f"incremental {fast!r} vs brute-force {slow!r}"},
-            )
-    return SuiteResult("zariski-oracle", samples, checks, True, None)
+        yield None if fast == slow else f"incremental {fast!r} vs brute-force {slow!r}"
 
 
-def verify_route_agreement(samples: int, seed: int) -> SuiteResult:
+@_suite("route-agreement")
+def verify_route_agreement(samples: int, seed: int):
     """Torus-side A and S per curve against the sweep side."""
     rng = random.Random(seed)
-    checks = 0
     for _ in range(samples):
         params = sample_surface(rng, n_max=4, m_max=4)
         angles = sample_angles(rng, params)
+        yield _context(params, angles)
         report = delta_tvariety(params, angles)
         curves = [C1TILDE, C2TILDE]
         curves += [Ei(i) for i in range(1, params.m + 1)]
         curves += [FiTilde(i) for i in range(1, params.m + 1)]
         for curve in curves:
+            yield _context(params, angles, curve=curve.label)
             term = report.term(curve.label)
             a = log_discrepancy(curve, params, angles)
             s = expected_vanishing_order(curve, params, angles)
-            checks += 1
-            if term.A != a or term.S != s:
-                return SuiteResult(
-                    "route-agreement",
-                    samples,
-                    checks,
-                    False,
-                    _context(params, angles, curve=curve.label,
-                             detail=f"torus (A,S)=({format_rat(term.A)},{format_rat(term.S)})"
-                                    f" vs sweep ({format_rat(a)},{format_rat(s)})"),
-                )
-    return SuiteResult("route-agreement", samples, checks, True, None)
+            yield None if (term.A, term.S) == (a, s) else (
+                f"torus (A,S)=({format_rat(term.A)},{format_rat(term.S)})"
+                f" vs sweep ({format_rat(a)},{format_rat(s)})")
 
 
-def verify_halving(samples: int, seed: int) -> SuiteResult:
+@_suite("halving")
+def verify_halving(samples: int, seed: int):
     """vol(Psi) = (1/2) (-K)^2 on random ample samples."""
     rng = random.Random(seed)
-    checks = 0
     for _ in range(samples):
         params = sample_surface(rng)
         angles = sample_angles(rng, params)
+        yield _context(params, angles)
         model = as_model(params)
         anticanonical_sq = model.self_intersection(model.log_anticanonical(angles))
         dual = legendre_dual(anticanonical_support_function(params, angles))
-        checks += 1
-        if 2 * vol_psi(dual) != anticanonical_sq:
-            return SuiteResult(
-                "halving",
-                samples,
-                checks,
-                False,
-                _context(params, angles,
-                         detail=f"2 vol(Psi) = {format_rat(2 * vol_psi(dual))}"
-                                f" vs (-K)^2 = {format_rat(anticanonical_sq)}"),
-            )
-    return SuiteResult("halving", samples, checks, True, None)
+        yield None if 2 * vol_psi(dual) == anticanonical_sq else (
+            f"2 vol(Psi) = {format_rat(2 * vol_psi(dual))}"
+            f" vs (-K)^2 = {format_rat(anticanonical_sq)}")
 
 
 SUITES = {

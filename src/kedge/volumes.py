@@ -3,9 +3,14 @@
 The sweep works in pairing coordinates: it never builds a divisor class
 inside the loop.  It needs only the affine vector r(x) = r0 + x r1 of
 pairings D(x).C over the candidate curves C, where D(x) = -K_Delta - x E,
-kept as two rational lists by candidate index and built once from
-``pair_curve``, and the sparse candidate table.  Within a chamber
-the Zariski negative support S is constant, the support coefficients
+kept as two rational lists by candidate index, the quadratic
+D(x)^2 = d0 + d1 x + d2 x^2, and the sparse candidate table.  r0 comes
+from ``pair_curve``.  As -K_Delta = beta1 C~1 + beta2 C~2 + 2F,
+d0 = beta1 r0[C~1] + beta2 r0[C~2] + 2 (beta1 + beta2).  For a candidate
+E, r1 is minus E's row of the table, d1 = -2 r0[E] and d2 = -r1[E]; only
+the generic fiber and the pulled-back section, which are not candidates,
+pair -E through the generic ``intersect``.  Within a chamber the Zariski
+negative support S is constant, the support coefficients
 a(x) = G_S^{-1} r_S(x) are affine in x, and, because P.N = 0, the volume
 P(x)^2 = D(x)^2 - a(x).r_S(x) is an honest quadratic.  The sweep
 therefore never samples.  The support starts empty, because -K_Delta is
@@ -17,8 +22,10 @@ grows it on two columns, the value r(x0) and the slope r1, ordered
 lexicographically -- exact "x = x0 + epsilon" arithmetic; its last solve,
 read as an affine function of x, is the chamber's solution, and the next
 wall is the least root of a residual pairing P(x).C that falls.  Each
-chamber becomes one ``QuadraticPiece``; ``_certify_curve`` checks that
-the support grew strictly at every wall, so no two chambers ever merge.
+chamber becomes one ``QuadraticPiece``, integrated in closed form.
+``_certify_curve`` checks that the support grew strictly at every wall,
+so no two chambers ever merge, and compares the first piece with
+(-K_Delta)^2 from the generic ``intersect``, which checks d0.
 
 The sweep ends where the quadratic vanishes: that root is the
 pseudoeffective threshold tau.  A final quadratic with irrational roots
@@ -29,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .picard import Angles, CurveId, SurfaceModel, as_model
-from .ratmath import Rat, sqrt_exact
+from .ratmath import ZERO, Rat, as_rat, sqrt_exact
 from .zariski import DecompositionError, InconsistencyError, NotPseudoeffective, grow_support
 
 
@@ -49,14 +56,16 @@ class QuadraticPiece:
     negative_support: tuple  # CurveIds
 
     def value(self, x):
-        x = Rat(x)
-        return self.q0 + self.q1 * x + self.q2 * x * x
+        x = as_rat(x)
+        return self.q0 + x * (self.q1 + x * self.q2)
 
     def integral(self):
-        """Exact integral of the quadratic over [x_lo, x_hi]."""
+        """Exact integral of the quadratic over [x_lo, x_hi]:
+        q0 D1 + q1 D2 / 2 + q2 D3 / 3, where Dk = x_hi^k - x_lo^k."""
         lo, hi = self.x_lo, self.x_hi
-        anti = lambda x: self.q0 * x + self.q1 * x * x / 2 + self.q2 * x * x * x / 3
-        return anti(hi) - anti(lo)
+        lo2, hi2 = lo * lo, hi * hi
+        return (self.q0 * (hi - lo) + self.q1 * (hi2 - lo2) / 2
+                + self.q2 * (hi2 * hi - lo2 * lo) / 3)
 
 
 @dataclass(frozen=True)
@@ -78,7 +87,7 @@ class PiecewiseQuadratic:
         return self.x_hi
 
     def value(self, x):
-        x = Rat(x)
+        x = as_rat(x)
         if x < self.x_lo or x > self.x_hi:
             raise ValueError(f"{x} outside [{self.x_lo}, {self.x_hi}]")
         for piece in self.pieces:
@@ -87,14 +96,12 @@ class PiecewiseQuadratic:
         raise AssertionError("unreachable: pieces partition the interval")
 
     def integral(self):
-        total = Rat(0)
-        for piece in self.pieces:
-            total = total + piece.integral()
-        return total
+        return sum((piece.integral() for piece in self.pieces), ZERO)
 
     def expected_vanishing_order(self):
-        """S(E) = integral / vol(-K_Delta), for the volume curve of E."""
-        return self.integral() / self.value(Rat(0))
+        """S(E) = integral / vol(-K_Delta), for the volume curve of E: the
+        first piece starts at x = 0, so vol(-K_Delta) is its q0."""
+        return self.integral() / self.pieces[0].q0
 
 
 def _smallest_root_after(q0, q1, q2, x0, context: str):
@@ -132,14 +139,21 @@ def volume_sweep(E: CurveId, params, angles: Angles) -> tuple:
     """
     model = as_model(params)
     model.ensure_ample(angles)
-    minus_k, minus_e = model.log_anticanonical(angles), -model.class_of(E)
-    candidates = model.candidate_curves()
+    minus_k, candidates = model.log_anticanonical(angles), model.candidate_curves()
     # r(x) = r0 + x r1 by candidate index, and D(x)^2 = d0 + d1 x + d2 x^2.
     r0 = [model.pair_curve(minus_k, c) for c in candidates]
-    r1 = [model.pair_curve(minus_e, c) for c in candidates]
-    d0 = model.self_intersection(minus_k)
-    d1 = 2 * model.intersect(minus_k, minus_e)
-    d2 = model.self_intersection(minus_e)
+    # -K_Delta = beta1 C~1 + beta2 C~2 + 2F, and (-K_Delta).F = beta1 + beta2.
+    b1, b2 = angles.beta1, angles.beta2
+    d0 = b1 * r0[0] + b2 * r0[1] + 2 * (b1 + b2)
+    if E in candidates:
+        e, r1 = candidates.index(E), [ZERO] * len(candidates)
+        for j, g in model.candidate_table[e]:
+            r1[j] = Rat(-g)
+        d1, d2 = -2 * r0[e], -r1[e]
+    else:
+        minus_e = -model.class_of(E)
+        r1 = [model.pair_curve(minus_e, c) for c in candidates]
+        d1, d2 = 2 * model.intersect(minus_k, minus_e), model.self_intersection(minus_e)
     context = f"E={E.label}, n={model.n}, m={model.m}"
 
     pieces: list[QuadraticPiece] = []
@@ -166,10 +180,11 @@ def volume_sweep(E: CurveId, params, angles: Angles) -> tuple:
             q2 = q2 - s * r1[c]
         # After growth every residual pairing outside the support is
         # positive at x0+, so each falling one has a root strictly right of x0.
-        roots = {c: x0 - p0[c] / s for c, s in enumerate(p1) if s < 0 and c not in support}
+        inside = set(support)
+        roots = {c: x0 - p0[c] / s for c, s in enumerate(p1) if s < 0 and c not in inside}
         wall = min(roots.values(), default=None)
         named = tuple(candidates[c] for c, a, s in sorted(zip(support, a0, a1)) if a or s)
-        if wall is not None and q0 + q1 * wall + q2 * wall * wall > 0:
+        if wall is not None and q0 + wall * (q1 + wall * q2) > 0:
             pieces.append(QuadraticPiece(x0, wall, q0, q1, q2, named))
             start = support + [c for c, root in roots.items() if root == wall]
             x0 = wall
@@ -213,11 +228,6 @@ def volume_curve(E: CurveId, params, angles: Angles) -> PiecewiseQuadratic:
     curve = PiecewiseQuadratic(pieces=volume_sweep(E, model, angles))
     _certify_curve(model, angles, curve)
     return curve
-
-
-def threshold(E: CurveId, params, angles: Angles):
-    """Pseudoeffective threshold tau: sup{x : -K_Delta - x E is big}."""
-    return volume_curve(E, params, angles).tau
 
 
 def expected_vanishing_order(E: CurveId, params, angles: Angles):

@@ -345,10 +345,23 @@ class TestInconsistencyExit:
         assert_one_line_inconsistency(*run_cli(capsys, CURVE_ARGS))
 
     def test_verify_irrational_threshold_is_exit_2(self, capsys, monkeypatch):
-        # Raised inside a suite, below the CLI layer.
+        # Raised inside a suite, below the CLI layer: the suite records it
+        # as its counterexample, and the report is still printed.
         monkeypatch.setattr("kedge.verify.volume_curve", self.irrational)
         argv = ["verify", "--suite", "lemmas", "--samples", "1"]
-        assert_one_line_inconsistency(*run_cli(capsys, argv))
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert_exit_contract(code, err)
+        assert err == "inconsistency: counterexample found by lemmas\n"
+        report = json.loads(out)
+        jsonschema.validate(report, load_schema("verify_report.schema.json"))
+        (suite,) = report["suites"]
+        assert (report["ok"], suite["passed"], suite["checks"]) == (False, False, 1)
+        counterexample = suite["counterexample"]
+        assert {"n", "m", "beta1", "beta2", "case", "curve"} <= set(counterexample)
+        assert counterexample["detail"] == (
+            "IrrationalThreshold: threshold is an irrational root (synthetic)"
+        )
 
     def test_delta_support_function_certificate_is_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr(

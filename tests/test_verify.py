@@ -5,7 +5,7 @@ import pytest
 
 from kedge.ratmath import rat
 from kedge.verify import SUITES, SuiteResult, run_suites
-from kedge.zariski import ZariskiDecomposition
+from kedge.zariski import DecompositionError, ZariskiDecomposition
 
 
 def test_each_suite_passes():
@@ -44,6 +44,32 @@ def test_broken_reference_is_a_counterexample(monkeypatch, suite, name, broken, 
     assert {"n", "m", "detail"} <= keys
     if draws_angles:
         assert {"beta1", "beta2"} <= keys
+
+
+@pytest.mark.parametrize(
+    "suite, name, keys",
+    [
+        ("lemmas", "volume_curve", {"case", "curve"}),
+        ("zariski-oracle", "zariski_decompose", {"class"}),
+        ("route-agreement", "delta_tvariety", set()),
+        ("route-agreement", "expected_vanishing_order", {"curve"}),
+        ("halving", "legendre_dual", set()),
+    ],
+)
+def test_inconsistency_inside_a_sample_is_a_counterexample(monkeypatch, suite, name, keys):
+    # The error ends its own suite with the sample's input and the error
+    # line; every other suite still runs and passes.
+    def boom(*args):
+        raise DecompositionError("synthetic")
+
+    monkeypatch.setattr(f"kedge.verify.{name}", boom)
+    results = run_suites(sorted(SUITES), samples=2, seed=11)
+    assert [r.suite for r in results if not r.passed] == [suite]
+    (result,) = [r for r in results if not r.passed]
+    assert result.checks == 1
+    sample = {"n", "m"} | ({"beta1", "beta2"} if suite != "zariski-oracle" else set())
+    assert set(result.counterexample) == sample | keys | {"detail"}
+    assert result.counterexample["detail"] == "DecompositionError: synthetic"
 
 
 def test_lemmas_suite_counts_all_cases():

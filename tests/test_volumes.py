@@ -37,7 +37,6 @@ from kedge.volumes import (
     _smallest_root_after,
     expected_vanishing_order,
     log_discrepancy,
-    threshold,
     volume_curve,
     volume_sweep,
 )
@@ -52,6 +51,11 @@ from kedge.zariski import (
 )
 
 HALF = rat(1, 2)
+
+
+def threshold(E, params, angles):
+    """Pseudoeffective threshold tau: sup{x : -K_Delta - x E is big}."""
+    return volume_curve(E, params, angles).tau
 
 
 @dataclass(frozen=True)
@@ -324,6 +328,34 @@ class TestSharedEngine:
         curve, model, angles = inputs
         assert volume_sweep(curve, model, angles) == reference_volume_sweep(curve, model, angles)
 
+    @pytest.mark.parametrize("params, angles", [((0, 2), Angles(HALF, HALF)),
+                                                ((1, 2), Angles(HALF, rat(2, 3)))])
+    def test_intersect_count(self, monkeypatch, params, angles):
+        # A candidate's sweep reads D(x)^2 and the slope column off the
+        # pairings: the generic intersect runs once, in the certificate.
+        # The generic fiber, no candidate, pairs -E twice more.
+        intersect, calls = SurfaceModel.intersect, []
+
+        def counting(self, d1, d2):
+            calls.append((d1, d2))
+            return intersect(self, d1, d2)
+
+        monkeypatch.setattr(SurfaceModel, "intersect", counting)
+        model = as_model(params)
+        for curve in model.candidate_curves() + [GENERIC_FIBER]:
+            calls.clear()
+            volume_curve(curve, model, angles)
+            assert len(calls) == (3 if curve == GENERIC_FIBER else 1)
+
+    def test_certificate_checks_the_volume_at_zero(self):
+        # The first piece's q0 is d0's closed form; the certificate compares
+        # it with (-K_Delta)^2 from the generic intersect.
+        model, angles = as_model((0, 2)), Angles(HALF, HALF)
+        first, second = volume_curve(C1TILDE, model, angles).pieces
+        broken = (replace(first, q0=first.q0 + 1), second)
+        with pytest.raises(DecompositionError, match=r"must equal \(-K_Delta\)\^2"):
+            _certify_curve(model, angles, PiecewiseQuadratic(broken))
+
     @pytest.mark.parametrize(
         "left, right",
         [((), ()), ((FiTilde(1),), ()), ((FiTilde(1),), (FiTilde(2),))],
@@ -349,6 +381,48 @@ class TestSharedEngine:
         monkeypatch.setattr("kedge.volumes.grow_support", falling)
         with pytest.raises(DecompositionError, match="coefficient falls"):
             volume_curve(C1TILDE, SurfaceParams(0, 2), Angles(HALF, HALF))
+
+
+class TestClosedForms:
+    def test_sweep_input_matches_the_generic_lattice(self, monkeypatch, rng):
+        # The sweep's first columns are r0 and r1, and its first chamber has
+        # an empty support (-K_Delta is ample), so that piece is D(x)^2 itself.
+        columns = []
+
+        def spy(model, cols, start=()):
+            columns.append(cols)
+            return grow_support(model, cols, start)
+
+        monkeypatch.setattr("kedge.volumes.grow_support", spy)
+        for n in range(7):
+            for m in range(7):
+                model = as_model((n, m))
+                angles = sample_angles(rng, model.params)
+                minus_k = model.log_anticanonical(angles)
+                curves = model.candidate_curves()
+                for curve in curves + [GENERIC_FIBER] + [PULLBACK_C2] * (m == 0):
+                    columns.clear()
+                    first = volume_sweep(curve, model, angles)[0]
+                    minus_e = -model.class_of(curve)
+                    assert first.negative_support == ()
+                    assert (first.q0, first.q1, first.q2) == (
+                        model.intersect(minus_k, minus_k),
+                        2 * model.intersect(minus_k, minus_e),
+                        model.intersect(minus_e, minus_e),
+                    )
+                    r0, r1 = columns[0]
+                    assert r0 == [model.pair_curve(minus_k, c) for c in curves]
+                    assert r1 == [model.pair_curve(minus_e, c) for c in curves]
+                    assert all(type(x) is Rat for x in r1)
+
+    @settings(deadline=None)
+    @given(st.lists(st.fractions(max_denominator=50).map(Rat), min_size=5, max_size=5))
+    def test_piece_integral_matches_an_antiderivative(self, numbers):
+        lo, hi, q0, q1, q2 = numbers
+        piece = QuadraticPiece(lo, hi, q0, q1, q2, ())
+        anti = lambda x: q0 * x + q1 * x * x / 2 + q2 * x * x * x / 3
+        assert piece.integral() == anti(hi) - anti(lo)
+        assert piece.value(hi) == q0 + q1 * hi + q2 * hi * hi
 
 
 class TestScalars:
