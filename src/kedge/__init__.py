@@ -5,7 +5,8 @@ Decides existence of Kaehler-Einstein edge metrics for the log pairs
 surface blown up at m points of the positive section, by computing the
 stability threshold (delta-invariant) in rational arithmetic two ways:
 a Zariski-decomposition volume sweep and complexity-one torus
-combinatorics.  A verdict runs the torus route and checks the bracket
+combinatorics, whose Legendre duals are exact as their values at
+(-beta1, 0, beta2).  A verdict runs the torus route and checks the bracket
 sign against the Futaki sign, delta <= 1 and its branch's term pattern;
 ``verify`` compares A and S per curve with the sweep route.
 """

@@ -79,16 +79,6 @@ def solve_factored(factor, rhs) -> list:
     return x
 
 
-def solve_exact(matrix, rhs) -> list:
-    """Solve the negative-definite system ``matrix @ x = rhs`` exactly.
-
-    ``matrix`` is a symmetric list-of-rows of rationals or integers;
-    ``rhs`` a list of values in a Rat-module.  Raises NotNegativeDefinite
-    when ``matrix`` is not negative definite.
-    """
-    return solve_factored(factorize(matrix), rhs)
-
-
 def is_negative_definite_matrix(matrix) -> bool:
     try:
         factorize(matrix)

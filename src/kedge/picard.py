@@ -63,8 +63,7 @@ class Angles:
     """Cone angles 2*pi*beta_i along the two boundary curves.
 
     Both angles must be positive.  Values above 1 are accepted (the
-    formulas stay exact rational functions); ``within_unit_interval``
-    flags the conventional geometric range for diagnostics.
+    formulas stay exact rational functions).
     """
 
     beta1: object
@@ -75,10 +74,6 @@ class Angles:
         object.__setattr__(self, "beta2", Rat(self.beta2))
         if self.beta1 <= 0 or self.beta2 <= 0:
             raise ValueError(f"angles must be positive, got ({self.beta1}, {self.beta2})")
-
-    @property
-    def within_unit_interval(self) -> bool:
-        return self.beta1 <= 1 and self.beta2 <= 1
 
 
 # Curve kinds.  The index is meaningful only for "Ei" / "FiTilde".
@@ -297,15 +292,6 @@ class SurfaceModel:
     def gram_matrix(self, classes) -> list[list]:
         return [[self.intersect(x, y) for y in classes] for x in classes]
 
-    @cached_property
-    def basis_gram(self) -> list[list]:
-        """Gram matrix of the basis (pi*C2, pi*F, E_1..E_m): [[n,1],[1,0]] + (-I_m)."""
-        basis = [
-            DivisorClass(ONE, ZERO, (ZERO,) * self.m),
-            DivisorClass(ZERO, ONE, (ZERO,) * self.m),
-        ] + [self.class_of(Ei(i)) for i in range(1, self.m + 1)]
-        return self.gram_matrix(basis)
-
     def candidate_curves(self) -> list[CurveId]:
         """The curves that can support a Zariski negative part."""
         return (
@@ -313,10 +299,6 @@ class SurfaceModel:
             + [Ei(i) for i in range(1, self.m + 1)]
             + [FiTilde(i) for i in range(1, self.m + 1)]
         )
-
-    def anticanonical(self) -> DivisorClass:
-        """-K_S = 2 pi*C2 + (2-n) pi*F - sum E_i."""
-        return DivisorClass(Rat(2), Rat(2 - self.n), (ONE,) * self.m)
 
     def log_anticanonical(self, angles: Angles) -> DivisorClass:
         """-K_{S,Delta} = (beta1+beta2, 2 - n beta1, c_i = beta2)."""

@@ -36,7 +36,7 @@ from .sampling import (
     sample_divisor_class,
     sample_surface,
 )
-from .tvariety import anticanonical_support_function, delta_tvariety, legendre_dual, vol_psi
+from .tvariety import anticanonical_support_function, delta_tvariety, legendre_dual
 from .volumes import expected_vanishing_order, log_discrepancy, volume_curve
 from .zariski import (InconsistencyError, NotPseudoeffective, zariski_decompose,
                       zariski_decompose_bruteforce)
@@ -177,8 +177,8 @@ def verify_halving(samples: int, seed: int):
         model = as_model(params)
         anticanonical_sq = model.self_intersection(model.log_anticanonical(angles))
         dual = legendre_dual(anticanonical_support_function(params, angles))
-        yield None if 2 * vol_psi(dual) == anticanonical_sq else (
-            f"2 vol(Psi) = {format_rat(2 * vol_psi(dual))}"
+        yield None if 2 * dual.vol == anticanonical_sq else (
+            f"2 vol(Psi) = {format_rat(2 * dual.vol)}"
             f" vs (-K)^2 = {format_rat(anticanonical_sq)}")
 
 

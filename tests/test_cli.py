@@ -1,5 +1,6 @@
 """End-to-end CLI contract: byte-stable reports, schemas, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from kedge.cli import MAX_M, main
 from kedge.ratmath import format_rat, rat
+from kedge.tvariety import legendre_dual
 from kedge.verdict import InconsistencyError
 from kedge.verify import SUITES, SuiteResult
 from kedge.volumes import IrrationalThreshold
@@ -60,6 +62,12 @@ def assert_one_line_inconsistency(code, out, err):
     assert code == 2
     assert out == ""
     assert_exit_contract(code, err)
+
+
+def halved_dual(h):
+    """The true dual with vol halved: breaks the halving suite's check."""
+    dual = legendre_dual(h)
+    return dataclasses.replace(dual, vol=dual.vol / 2)
 
 
 def load_schema(name):
@@ -383,7 +391,7 @@ class TestInconsistencyExit:
         assert err == "inconsistency: counterexample found by halving\n"
 
     def test_broken_suite_reports_counterexample(self, capsys, monkeypatch):
-        monkeypatch.setattr("kedge.verify.vol_psi", lambda dual: rat(0))
+        monkeypatch.setattr("kedge.verify.legendre_dual", halved_dual)
         code, out, _ = run_cli(capsys, ["verify", "--suite", "halving", "--samples", "1"])
         assert code == 2
         report = json.loads(out)

@@ -37,8 +37,9 @@ def test_surface_params_validation():
 
 def test_angles_validation():
     a = Angles(rat(1, 2), rat(2, 3))
-    assert a.within_unit_interval
-    assert not Angles(rat(3, 2), rat(1, 2)).within_unit_interval
+    assert (a.beta1, a.beta2) == (rat(1, 2), rat(2, 3))
+    # Angles above 1 are accepted: the formulas stay exact.
+    assert Angles(rat(3, 2), rat(1, 2)).beta1 == rat(3, 2)
     with pytest.raises(ValueError):
         Angles(rat(0), rat(1, 2))
     with pytest.raises(ValueError):
@@ -113,7 +114,10 @@ def test_fiber_decomposes_through_marked_points():
 def test_lattice_signature():
     for n, m in [(0, 0), (1, 2), (3, 4)]:
         model = as_model(SurfaceParams(n, m))
-        assert signature(model.basis_gram) == (1, m + 1, 0)
+        # Basis (pi*C2, pi*F, E_1..E_m): [[n, 1], [1, 0]] + (-I_m).
+        basis = [DivisorClass(1, 0, (0,) * m), DivisorClass(0, 1, (0,) * m)]
+        basis += [model.class_of(Ei(i)) for i in range(1, m + 1)]
+        assert signature(model.gram_matrix(basis)) == (1, m + 1, 0)
 
 
 @given(st.tuples(small_rats, small_rats, small_rats, small_rats, small_rats, small_rats))
@@ -161,11 +165,17 @@ def test_closed_form_class_pairings_match_intersect(n, coords):
         model.pair_curve(DivisorClass(0, 0, (0,) * (model.m + 1)), C1TILDE)
 
 
+def anticanonical(model):
+    """-K_S = 2 pi*C2 + (2-n) pi*F - sum E_i."""
+    return DivisorClass(2, 2 - model.n, (1,) * model.m)
+
+
 def test_anticanonical():
+    # -K_S is the log anticanonical class at beta1 = beta2 = 1.
     for n, m in [(0, 0), (1, 1), (2, 3)]:
         model = as_model(SurfaceParams(n, m))
-        mk = model.anticanonical()
-        assert mk == DivisorClass(2, 2 - n, (1,) * m)
+        mk = anticanonical(model)
+        assert mk == model.log_anticanonical(Angles(1, 1))
         assert model.self_intersection(mk) == 8 - m
 
 
@@ -176,7 +186,7 @@ def test_log_anticanonical():
     assert d == DivisorClass(rat(5, 6), 1, (rat(1, 3),))
     # -K_{S,Delta} = -K - (1-beta1) C1tilde - (1-beta2) C2tilde
     recon = (
-        model.anticanonical()
+        anticanonical(model)
         - model.class_of(C1TILDE).scale(1 - angles.beta1)
         - model.class_of(C2TILDE).scale(1 - angles.beta2)
     )

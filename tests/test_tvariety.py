@@ -1,6 +1,13 @@
-"""Torus-side route: PL functions, Legendre duals, barycenters, delta."""
+"""Torus-side route: Legendre duals on three points, their moments, delta.
 
-import dataclasses
+The reference here shares nothing with the module's closed forms: each
+dual is the lower envelope of its slice's vertex lines u -> u v - h_p(v),
+evaluated pointwise, and every integral is Simpson's rule on the
+refinement of the moment interval by the crossings of those lines, where
+each integrand is quadratic, so the rule is exact.
+"""
+
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,24 +15,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kedge.picard import Angles, SurfaceParams, as_model
-from kedge.ratmath import ONE, ZERO, rat
-from kedge.sampling import sample_angles, sample_rational, sample_surface
+from kedge.ratmath import ZERO, rat
+from kedge.sampling import sample_angles, sample_surface
 from kedge.tvariety import (
-    DeltaReport,
-    PLFunction,
-    Slice,
     anticanonical_support_function,
-    barycenter,
     bc_p,
-    build_fdivisor,
     delta_tvariety,
     futaki_vanishes,
-    hat_weights,
     legendre_dual,
-    pl_line,
-    pl_min_of_lines,
-    tabulate,
-    vol_psi,
 )
 
 HALF = rat(1, 2)
@@ -33,155 +30,181 @@ HALF = rat(1, 2)
 SMALL_RATS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 
-@st.composite
-def pl_pairs(draw):
-    """Two PL functions on one domain with independent breakpoints.
+def slice_lines(n):
+    """Vertex lines (slope v, intercept -h_p(v)) of the slices over p0
+    (vertex n, h = -2), a marked point (vertices -1 and 0, h = 0) and a
+    generic point (vertex 0, h = 0)."""
+    return {
+        "p0": [(Fraction(n), Fraction(2))],
+        "marked": [(Fraction(-1), ZERO), (ZERO, ZERO)],
+        "generic": [(ZERO, ZERO)],
+    }
 
-    Interior breakpoints come from a coarse grid so that the two sets
-    often share some points and often differ."""
+
+def envelope(lines):
+    """u -> min over the lines of slope * u + intercept, pointwise."""
+    return lambda u: min(s * u + c for s, c in lines)
+
+
+def crossings(lines, lo, hi):
+    """lo, hi and every crossing of two of the lines strictly between."""
+    pts = {lo, hi}
+    for (s1, c1), (s2, c2) in itertools.combinations(lines, 2):
+        if s1 != s2:
+            u = (c2 - c1) / (s1 - s2)
+            if lo < u < hi:
+                pts.add(u)
+    return sorted(pts)
+
+
+def simpson(f, pts):
+    """Simpson's rule for f on each segment of pts, f taken pointwise:
+    exact when f is quadratic on every segment."""
+    total = ZERO
+    for a, b in zip(pts, pts[1:]):
+        total += (b - a) / 6 * (f(a) + 4 * f((a + b) / 2) + f(b))
+    return total
+
+
+def interpolate(x, values, u):
+    """The piecewise-linear function through the points (x_i, values_i) at u."""
+    for x0, x1, v0, v1 in zip(x, x[1:], values, values[1:]):
+        if x0 <= u <= x1:
+            return v0 + (u - x0) * (v1 - v0) / (x1 - x0)
+    raise ValueError(f"{u} outside [{x[0]}, {x[-1]}]")
+
+
+def reference_moments(params, angles):
+    """vol, first moment, half square and bc_p per slice, by Simpson's
+    rule on the crossings of every vertex line inside the moment interval."""
+    lines = slice_lines(params.n)
+    psi = {point: envelope(ls) for point, ls in lines.items()}
+
+    def deg(u):
+        return psi["p0"](u) + params.m * psi["marked"](u)
+
+    pts = crossings([line for ls in lines.values() for line in ls], -angles.beta1, angles.beta2)
+    vol = simpson(deg, pts)
+    first_moment = simpson(lambda u: u * deg(u), pts)
+    half_square = simpson(lambda u: deg(u) ** 2, pts) / 2
+    bc = {
+        point: (half_square - simpson(lambda u, f=f: f(u) * deg(u), pts)) / vol
+        for point, f in psi.items()
+    }
+    return vol, first_moment, half_square, bc
+
+
+def barycenter(d):
+    return d.first_moment / d.vol
+
+
+@st.composite
+def ample_surfaces(draw):
+    """(params, angles) with n, m <= 6 and -K_{S,Delta} ample: beta1 < 2/n
+    when n > 0 and beta2 < 2/(m - n) when m > n."""
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+
+    def angle(k):
+        num = draw(st.integers(1, 60))
+        t = Fraction(num, draw(st.integers(num + 1, 61)))
+        return 2 * t / k if k > 0 else 3 * t
+
+    params, angles = SurfaceParams(n, m), Angles(angle(n), angle(m - n))
+    assert as_model(params).ample_angle_range(angles)
+    return params, angles
+
+
+@st.composite
+def ample_points(draw):
+    """An ample surface and a point u of its moment interval [-beta1, beta2]."""
+    params, angles = draw(ample_surfaces())
+    t = draw(st.fractions(min_value=0, max_value=1, max_denominator=40))
+    return params, angles, -angles.beta1 + t * (angles.beta1 + angles.beta2)
+
+
+@st.composite
+def line_pairs(draw):
+    """Two sets of one to three lines and an interval."""
     lo = draw(SMALL_RATS)
     hi = lo + draw(st.builds(Fraction, st.integers(1, 6), st.integers(1, 3)))
-
-    def function():
-        cuts = draw(st.sets(st.builds(Fraction, st.integers(1, 5), st.just(6)), max_size=4))
-        bps = (lo, *sorted(lo + t * (hi - lo) for t in cuts), hi)
-        return PLFunction(bps, tuple(draw(SMALL_RATS) for _ in bps))
-
-    return function(), function()
-
-
-def integrate_product(f, g):
-    """Integral of f*g by the endpoint rule on the common refinement, with
-    every value taken pointwise.  Both factors are linear on each common
-    segment [a, b], where the integral of the product is
-    ((b-a)/6)(2 f_a g_a + f_a g_b + f_b g_a + 2 f_b g_b)."""
-    pts = sorted(set(f.breakpoints) | set(g.breakpoints))
-    total = ZERO
-    for a, b in zip(pts, pts[1:]):
-        fa, fb, ga, gb = f.value(a), f.value(b), g.value(a), g.value(b)
-        total += (b - a) / 6 * (2 * fa * ga + fa * gb + fb * ga + 2 * fb * gb)
-    return total
-
-
-def weighted_integral(f, g):
-    """Integral of f*g as the dot product of f with g's hat weights, on
-    the refinement of g by f's breakpoints."""
-    pts = tuple(sorted(set(f.breakpoints) | set(g.breakpoints)))
-    weights = hat_weights(PLFunction(pts, tabulate(g, pts)))
-    return sum(v * w for v, w in zip(tabulate(f, pts), weights))
-
-
-def simpson_reference(f, g):
-    """Integral of f*g by Simpson's rule on the common refinement, with
-    every value taken pointwise: exact, since f*g is quadratic there."""
-    pts = sorted(set(f.breakpoints) | set(g.breakpoints))
-    total = ZERO
-    for a, b in zip(pts, pts[1:]):
-        mid = (a + b) / 2
-        fg = [f.value(x) * g.value(x) for x in (a, mid, b)]
-        total += (b - a) / 6 * (fg[0] + 4 * fg[1] + fg[2])
-    return total
+    lines = st.lists(st.tuples(SMALL_RATS, SMALL_RATS), min_size=1, max_size=3)
+    return lo, hi, draw(lines), draw(lines)
 
 
 class TestPLFunction:
-    def test_construction_and_value(self):
-        f = PLFunction(breakpoints=(0, 1, 3), values=(0, 2, 0))
-        assert f.value(HALF) == 1
-        assert f.value(rat(2)) == 1
-        assert f.lo == 0 and f.hi == 3
-        assert f.slopes() == (2, -1)
-        assert f.min_value() == 0
-        with pytest.raises(ValueError):
-            f.value(rat(4))
-        with pytest.raises(ValueError):
-            PLFunction(breakpoints=(0, 0, 1), values=(0, 1, 2))
-        with pytest.raises(ValueError):
-            PLFunction(breakpoints=(0, 1), values=(0, 1, 2))
-
-    def test_algebra(self):
-        f = pl_line(0, 2, rat(1))  # x
-        g = PLFunction(breakpoints=(0, 1, 2), values=(1, 0, 1))  # |x-1|
-        s = f + g
-        assert s.value(HALF) == HALF + HALF
-        assert s.value(rat(3, 2)) == rat(2)
-        assert f.scale(rat(3)).value(rat(2)) == 6
-        assert f.is_concave()
-        assert not g.is_concave()
+    """The reference's piecewise-linear functions: envelopes of lines,
+    integrated by Simpson's rule on their crossings."""
 
     def test_integral(self):
         # Triangle of base 2, height 1.
-        g = PLFunction(breakpoints=(0, 1, 2), values=(0, 1, 0))
-        assert g.integral() == 1
-        assert pl_line(0, 3, rat(2), rat(1)).integral() == 12
+        lines = [(rat(1), ZERO), (rat(-1), rat(2))]
+        assert crossings(lines, ZERO, rat(2)) == [0, 1, 2]
+        assert simpson(envelope(lines), [ZERO, rat(1), rat(2)]) == 1
+        assert simpson(envelope([(rat(2), rat(1))]), [ZERO, rat(3)]) == 12
 
     def test_integrate_product_is_exact(self):
-        # Both factors are linear on each common segment, where the
-        # endpoint rule integrates their product exactly.
-        f = pl_line(0, 1, rat(1))  # x
-        assert integrate_product(f, f) == rat(1, 3)
-        g = PLFunction(breakpoints=(0, HALF, 1), values=(0, HALF, 0))
-        # int x*g = int_0^1/2 x^2 + int_1/2^1 x(1-x) = 1/24 + (1/2-7/24).
-        assert integrate_product(f, g) == rat(1, 8)
-        f = PLFunction(breakpoints=(0, 1, 3), values=(0, 2, 0))
-        g = PLFunction(breakpoints=(0, 2, 3), values=(1, 0, 1))
-        assert integrate_product(f, g) == rat(5, 4)
+        # The product of two functions linear on each segment is quadratic
+        # there, where Simpson's rule is exact.
+        f = envelope([(rat(1), ZERO)])  # u
+        assert simpson(lambda u: f(u) * f(u), [ZERO, rat(1)]) == rat(1, 3)
+        g = envelope([(rat(1), ZERO), (rat(-1), rat(1))])  # min(u, 1 - u)
+        # int u*g = int_0^1/2 u^2 + int_1/2^1 u(1-u) = 1/24 + (1/2-7/24).
+        assert simpson(lambda u: f(u) * g(u), [ZERO, HALF, rat(1)]) == rat(1, 8)
+        f = envelope([(rat(2), ZERO), (rat(-1), rat(3))])  # 0, 2, 0 at 0, 1, 3
+
+        def g(u):  # 1, 0, 1 at 0, 2, 3
+            return 1 - u / 2 if u <= 2 else u - 2
+
+        assert simpson(lambda u: f(u) * g(u), [ZERO, rat(1), rat(2), rat(3)]) == rat(5, 4)
 
     def test_hat_weights(self):
-        # deg(u) = 1 + u on [0, 1]: w_0 = (1/6)(2 + 2), w_1 = (1/6)(1 + 4).
-        g = pl_line(0, 1, ONE, ONE)
-        assert hat_weights(g) == (rat(2, 3), rat(5, 6))
-        assert sum(hat_weights(g)) == g.integral()
-
-    @given(pl_pairs())
-    def test_refinement_matches_pointwise_references(self, pair):
-        f, g = pair
-        assert integrate_product(f, g) == simpson_reference(f, g)
-        assert weighted_integral(f, g) == simpson_reference(f, g)
-        pts = tuple(sorted(set(f.breakpoints) | set(g.breakpoints)))
-        s = f + g
-        assert s.breakpoints == pts
-        assert s.values == tuple(f.value(x) + g.value(x) for x in pts)
-        if set(f.breakpoints) <= set(g.breakpoints):
-            assert tabulate(f, g.breakpoints) == tuple(f.value(x) for x in g.breakpoints)
-        else:
-            with pytest.raises(ValueError, match="not among the points"):
-                tabulate(f, g.breakpoints)
-        shifted = PLFunction(tuple(x + 1 for x in g.breakpoints), g.values)
-        with pytest.raises(ValueError, match="domain mismatch"):
-            tabulate(f, shifted.breakpoints)
-        with pytest.raises(ValueError, match="domain mismatch"):
-            f + shifted
-
-    def test_addition_reads_values_off_one_merge_walk(self, monkeypatch):
-        f = PLFunction(breakpoints=(0, 1, 3), values=(0, 2, 0))
-        g = PLFunction(breakpoints=(0, 2, 3), values=(1, 0, 1))
-
-        def pointwise(self, u):
-            raise AssertionError("refinement evaluated pointwise")
-
-        monkeypatch.setattr(PLFunction, "value", pointwise)
-        assert tabulate(f, (0, 1, 2, 3)) == (0, 2, 1, 0)
-        assert (f + g).values == (1, rat(5, 2), 1, 1)
+        # deg Psi = (2, 2, 1) at x = (-1/2, 0, 1/2): w_0 = (1/12)(4 + 2),
+        # w_1 = (1/12)(2 + 4) + (1/12)(4 + 1), w_2 = (1/12)(2 + 2).
+        d = legendre_dual(anticanonical_support_function((0, 2), Angles(HALF, HALF)))
+        assert d.deg_psi == (2, 2, 1)
+        assert d.weights == (HALF, rat(11, 12), rat(1, 3))
+        deg = simpson(lambda u: interpolate(d.x, d.deg_psi, u), list(d.x))
+        assert sum(d.weights) == d.vol == deg
 
     def test_min_of_lines(self):
-        env = pl_min_of_lines(rat(-1), rat(1), [(rat(1), ZERO), (rat(-1), ZERO)])
-        assert env.value(rat(-1)) == -1
-        assert env.value(ZERO) == 0
-        assert env.value(rat(1)) == -1
-        assert env.breakpoints == (-1, 0, 1)
-        assert env.is_concave()
+        lines = [(rat(1), ZERO), (rat(-1), ZERO)]
+        env = envelope(lines)
+        assert [env(u) for u in (rat(-1), ZERO, rat(1))] == [-1, 0, -1]
+        assert crossings(lines, rat(-1), rat(1)) == [-1, 0, 1]
+        assert crossings(lines, ZERO, rat(1)) == [0, 1]
+
+    @given(line_pairs())
+    def test_refinement_matches_pointwise_references(self, data):
+        # Between consecutive crossings each envelope is one line: linear
+        # at the midpoint, and its product integral is the antiderivative
+        # of the two lines that attain the minimum there.
+        lo, hi, a, b = data
+        f, g = envelope(a), envelope(b)
+        pts = crossings(a + b, lo, hi)
+        exact = ZERO
+        for x0, x1 in zip(pts, pts[1:]):
+            mid = (x0 + x1) / 2
+            assert f(mid) == (f(x0) + f(x1)) / 2 and g(mid) == (g(x0) + g(x1)) / 2
+            s1, c1 = min(a, key=lambda line: line[0] * mid + line[1])
+            s2, c2 = min(b, key=lambda line: line[0] * mid + line[1])
+
+            def antiderivative(u):
+                return s1 * s2 * u**3 / 3 + (s1 * c2 + s2 * c1) * u**2 / 2 + c1 * c2 * u
+
+            exact += antiderivative(x1) - antiderivative(x0)
+        assert simpson(lambda u: f(u) * g(u), pts) == exact
 
 
 class TestStructure:
     def test_slices(self):
-        fdiv = build_fdivisor((3, 2))
-        assert fdiv.slice_p0.vertices == (3,)
-        assert fdiv.slice_marked(1).vertices == (-1, 0)
-        assert fdiv.slice_marked(2).vertices == (-1, 0)
-        with pytest.raises(ValueError):
-            fdiv.slice_marked(3)
-        with pytest.raises(ValueError):
-            Slice("p1", (HALF,))
+        h = anticanonical_support_function((3, 2), Angles(HALF, HALF))
+        p0, marked, generic = h.slices
+        lines = slice_lines(3)
+        # A vertex (v, h_p(v)) is the line u -> u v - h_p(v).
+        assert [(v, -hv) for v, hv in p0] == lines["p0"]
+        assert [(v, -hv) for v, hv in marked] == lines["marked"]
+        assert [(v, -hv) for v, hv in generic] == lines["generic"]
+        assert all(v.denominator == 1 for sl in h.slices for v, _ in sl)
 
     def test_support_function_data(self):
         h = anticanonical_support_function((2, 1), Angles(HALF, rat(1, 3)))
@@ -189,9 +212,9 @@ class TestStructure:
         assert h.tail(rat(-3)) == -1
         assert h.tail(rat(2)) == -1
         assert h.tail(ZERO) == ZERO
-        assert h.vertex_value("p0", rat(2)) == -2
-        assert h.vertex_value("p1", ZERO) == ZERO
-        assert h.vertex_value("generic", ZERO) == ZERO
+        ((v, h_p0),), marked, generic = h.slices
+        assert (v, h_p0) == (2, -2)
+        assert [hv for _, hv in marked + generic] == [0, 0, 0]
 
     def test_divisor_class_round_trip(self):
         for n, m in [(0, 0), (0, 2), (1, 1), (3, 2)]:
@@ -203,59 +226,53 @@ class TestStructure:
     def test_dual_values(self):
         angles = Angles(HALF, rat(1, 3))
         d = legendre_dual(anticanonical_support_function((2, 3), angles))
-        assert d.box == (-HALF, rat(1, 3))
+        assert d.x == (-HALF, 0, rat(1, 3))
         # Psi_p0(u) = n u + 2; Psi_marked(u) = min(0, -u); Psi_generic = 0.
-        assert d.psi_p0.value(ZERO) == 2
-        assert d.psi_p0.value(-HALF) == 1
-        assert d.psi_marked.value(-HALF) == 0
-        assert d.psi_marked.value(rat(1, 3)) == rat(-1, 3)
-        assert d.psi_generic.value(rat(1, 4)) == 0
-        assert d.psi("p2") is d.psi_marked
-        assert d.psi("generic") is d.psi_generic
-        with pytest.raises(ValueError):
-            d.psi("p4")
-        u = rat(1, 5)
-        assert d.deg_psi.value(u) == d.psi_p0.value(u) + 3 * d.psi_marked.value(u)
-        # Without marked points the zero dual stands in and adds nothing.
+        assert d.psi_p0 == (1, 2, rat(8, 3))
+        assert d.psi_marked == (0, 0, rat(-1, 3))
+        assert d.psi_generic == (0, 0, 0)
+        assert d.deg_psi == (1, 2, rat(5, 3))
+        # Without marked points deg Psi is Psi_p0.
         d0 = legendre_dual(anticanonical_support_function((2, 0), angles))
-        assert d0.psi_marked is d0.psi_generic
-        assert d0.deg_psi.breakpoints == d0.psi_p0.breakpoints
-        assert d0.deg_psi.values == d0.psi_p0.values
+        assert d0.deg_psi == d0.psi_p0
 
-    def test_legendre_inequality_and_attainment(self, rng):
-        params = SurfaceParams(2, 2)
-        angles = Angles(HALF, rat(2, 3))
-        h = anticanonical_support_function(params, angles)
-        d = legendre_dual(h)
-        fdiv = build_fdivisor(params)
-        for point, verts in [("p0", fdiv.slice_p0.vertices),
-                             ("p1", fdiv.slice_marked(1).vertices)]:
-            psi = d.psi(point)
-            for _ in range(20):
-                u = sample_rational(rng) - sample_rational(rng)
-                if not d.box[0] <= u <= d.box[1]:
-                    continue
-                values = [u * v - h.vertex_value(point, v) for v in verts]
-                assert psi.value(u) == min(values)
+    @given(ample_points())
+    def test_legendre_inequality_and_attainment(self, point):
+        # Each stored dual, read between its three points, is the minimum
+        # of its slice's vertex lines anywhere on the moment interval.
+        params, angles, u = point
+        d = legendre_dual(anticanonical_support_function(params, angles))
+        lines = slice_lines(params.n)
+        stored = {"p0": d.psi_p0, "marked": d.psi_marked, "generic": d.psi_generic}
+        for x in (u, *d.x):
+            for name, values in stored.items():
+                assert interpolate(d.x, values, x) == envelope(lines[name])(x), (name, x)
+            expected = envelope(lines["p0"])(x) + params.m * envelope(lines["marked"])(x)
+            assert interpolate(d.x, d.deg_psi, x) == expected
 
     def test_deg_psi_positive_on_box_iff_ample(self, rng):
         # Ample angles give strictly positive weight on the whole closed
         # moment interval; on the boundary of the ample cone the minimum
         # (always attained at an interval endpoint) drops to zero.
+        def slopes(d):
+            return tuple((g1 - g0) / (x1 - x0) for x0, x1, g0, g1 in
+                         zip(d.x, d.x[1:], d.deg_psi, d.deg_psi[1:]))
+
         for _ in range(30):
             params = sample_surface(rng)
             angles = sample_angles(rng, params)
             d = legendre_dual(anticanonical_support_function(params, angles))
-            assert d.deg_psi.is_concave()
-            assert d.deg_psi.min_value() > 0
+            left, right = slopes(d)
+            assert left >= right  # concave
+            assert min(d.deg_psi) > 0
         boundary = legendre_dual(
             anticanonical_support_function((2, 0), Angles(rat(1), rat(1, 2)))
         )
-        assert boundary.deg_psi.min_value() == 0
+        assert min(boundary.deg_psi) == 0
         outside = legendre_dual(
             anticanonical_support_function((2, 0), Angles(rat(3, 2), rat(1, 2)))
         )
-        assert outside.deg_psi.min_value() < 0
+        assert min(outside.deg_psi) < 0
 
 
 class TestMoments:
@@ -263,34 +280,24 @@ class TestMoments:
         d = legendre_dual(
             anticanonical_support_function((0, 2), Angles(HALF, HALF))
         )
-        assert vol_psi(d) == rat(7, 4)
+        assert d.vol == rat(7, 4)
         assert barycenter(d) == rat(-1, 21)
-        assert bc_p(d, "p0") == rat(-23, 21)
-        assert bc_p(d, "p1") == 1
-        assert bc_p(d, "generic") == rat(19, 21)
+        assert bc_p(d, d.psi_p0) == rat(-23, 21)
+        assert bc_p(d, d.psi_marked) == 1
+        assert bc_p(d, d.psi_generic) == rat(19, 21)
 
-    def test_weights_match_pointwise_integrals(self, rng):
+    @given(ample_surfaces())
+    def test_weights_match_pointwise_integrals(self, surface):
         # Every integral the dual carries, and every cross term, equals the
-        # pointwise reference on sampled surfaces (n, m <= 6), ample angles.
-        for _ in range(40):
-            params = sample_surface(rng)
-            angles = sample_angles(rng, params)
-            d = legendre_dual(anticanonical_support_function(params, angles))
-            deg = d.deg_psi
-            vol, square = deg.integral(), integrate_product(deg, deg)
-            assert vol_psi(d) == vol
-            assert d.first_moment == integrate_product(pl_line(*d.box, ONE), deg)
-            assert d.half_square == square / 2
-            for point in ("p0", "generic") + (("p1",) if params.m else ()):
-                cross = integrate_product(d.psi(point), deg)
-                assert bc_p(d, point) == (square / 2 - cross) / vol
-
-    def test_cross_term_refuses_a_breakpoint_off_the_refinement(self):
-        d = legendre_dual(anticanonical_support_function((0, 2), Angles(HALF, HALF)))
-        assert d.deg_psi.breakpoints == (-HALF, 0, HALF)
-        kinked = PLFunction((-HALF, rat(1, 4), HALF), (ZERO, ONE, ZERO))
-        with pytest.raises(ValueError, match="breakpoint 1/4 is not among the points"):
-            bc_p(dataclasses.replace(d, psi_generic=kinked), "generic")
+        # pointwise Simpson reference (n, m <= 6, ample angles).
+        params, angles = surface
+        d = legendre_dual(anticanonical_support_function(params, angles))
+        vol, first_moment, half_square, bc = reference_moments(params, angles)
+        assert (d.vol, d.first_moment, d.half_square) == (vol, first_moment, half_square)
+        assert sum(d.weights) == vol
+        assert bc_p(d, d.psi_p0) == bc["p0"]
+        assert bc_p(d, d.psi_marked) == bc["marked"]
+        assert bc_p(d, d.psi_generic) == bc["generic"]
 
     def test_generic_base_identity(self, rng):
         # bc_generic = bc_p0 + n * bc + 2 (the fiber over p0 and a generic
@@ -299,7 +306,7 @@ class TestMoments:
             params = sample_surface(rng)
             angles = sample_angles(rng, params)
             d = legendre_dual(anticanonical_support_function(params, angles))
-            assert bc_p(d, "generic") == bc_p(d, "p0") + params.n * barycenter(d) + 2
+            assert bc_p(d, d.psi_generic) == bc_p(d, d.psi_p0) + params.n * barycenter(d) + 2
 
     def test_barycenter_interior(self, rng):
         for _ in range(20):

@@ -171,10 +171,11 @@ class TestTorusWork:
         [((0, 2), Angles(HALF, HALF)), ((2, 0), Angles(rat(9, 14), rat(3, 7)))],
     )
     def test_one_torus_pass_per_verdict(self, monkeypatch, params, angles):
-        # Deterministic work: a second dual or a second weight vector fails
-        # here, and the certificate forms its class without class arithmetic.
+        # Deterministic work: a second support function or a second dual
+        # fails here, and the certificate forms its class without class
+        # arithmetic.
         calls = collections.Counter()
-        for name in ("anticanonical_support_function", "legendre_dual", "hat_weights"):
+        for name in ("anticanonical_support_function", "legendre_dual"):
             def counting(*args, _name=name, _original=getattr(kedge.tvariety, name)):
                 calls[_name] += 1
                 return _original(*args)
@@ -187,13 +188,10 @@ class TestTorusWork:
         monkeypatch.setattr(DivisorClass, "scale", class_arithmetic)
         monkeypatch.setattr(DivisorClass, "__add__", class_arithmetic)
         k_polystable(params, angles)
-        assert calls == {
-            "anticanonical_support_function": 1,
-            "legendre_dual": 1,
-            "hat_weights": 1,
-        }
-        # Every integral is a dot product with the weights; no pairwise
-        # product integrator is left on the verdict path.
+        assert calls == {"anticanonical_support_function": 1, "legendre_dual": 1}
+        # Every integral is a dot product with the three hat weights; no
+        # general PL type or pairwise product integrator is left.
+        assert not hasattr(kedge.tvariety, "PLFunction")
         assert not hasattr(kedge.tvariety, "integrate_product")
 
 

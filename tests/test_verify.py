@@ -1,9 +1,12 @@
 """The cross-checking suites themselves (small sample counts here; the
 acceptance module reruns them at contract strength)."""
 
+import dataclasses
+
 import pytest
 
 from kedge.ratmath import rat
+from kedge.tvariety import legendre_dual
 from kedge.verify import SUITES, SuiteResult, run_suites
 from kedge.zariski import DecompositionError, ZariskiDecomposition
 
@@ -31,7 +34,12 @@ def test_each_suite_passes():
             False,
         ),
         ("route-agreement", "log_discrepancy", lambda E, params, angles: rat(-1), True),
-        ("halving", "vol_psi", lambda dual: rat(0), True),
+        (
+            "halving",
+            "legendre_dual",
+            lambda h: dataclasses.replace(legendre_dual(h), vol=rat(0)),
+            True,
+        ),
     ],
 )
 def test_broken_reference_is_a_counterexample(monkeypatch, suite, name, broken, draws_angles):
@@ -44,6 +52,8 @@ def test_broken_reference_is_a_counterexample(monkeypatch, suite, name, broken, 
     assert {"n", "m", "detail"} <= keys
     if draws_angles:
         assert {"beta1", "beta2"} <= keys
+    if suite == "halving":
+        assert result.counterexample["detail"].startswith("2 vol(Psi)")
 
 
 @pytest.mark.parametrize(

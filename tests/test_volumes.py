@@ -26,7 +26,7 @@ from kedge.picard import (
     SurfaceParams,
     as_model,
 )
-from kedge.linalg import solve_exact
+from kedge.linalg import factorize, solve_factored
 from kedge.ratmath import Rat, rat
 from kedge.sampling import LEMMA_CASES, sample_angles, sample_case_input, sample_surface
 from kedge.volumes import (
@@ -89,7 +89,9 @@ def reference_grow_support(model, pairings, zero, start=()):
     support = list(start)
     while True:
         support.sort(key=lambda c: c.kind in ("C1tilde", "C2tilde"))
-        coeffs = solve_exact(model.curve_gram(support), [pairings[c] for c in support])
+        coeffs = solve_factored(
+            factorize(model.curve_gram(support)), [pairings[c] for c in support]
+        )
         if any(x < zero for x in coeffs):
             raise NotPseudoeffective("orthogonality forces a negative coefficient")
         residual = {}
