@@ -4,7 +4,7 @@ Code lines are the lines that hold at least one token other than a
 comment, and that lie outside every docstring (the leading string
 literal of a module, class or function); blank lines hold no token.
 
-Usage: python tools/loc.py [SOURCE_DIR]   (default: src/kedge)
+Usage: python tools/loc.py
 """
 from __future__ import annotations
 
@@ -41,9 +41,8 @@ def count(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code)
 
 
-def main(argv: list[str]) -> int:
-    default = Path(__file__).resolve().parent.parent / "src" / "kedge"
-    root = Path(argv[1]) if len(argv) > 1 else default
+def main() -> int:
+    root = Path(__file__).resolve().parent.parent / "src" / "kedge"
     total_lines = total_code = 0
     print(f"{'module':<20} {'lines':>6} {'code':>6}")
     for path in sorted(root.glob("*.py")):
@@ -56,4 +55,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
