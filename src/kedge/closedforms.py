@@ -18,10 +18,9 @@ and only the sweep applies.
 
 from __future__ import annotations
 
-from .picard import C1TILDE, C2TILDE, CurveId, Ei, FiTilde, as_model
+from .picard import C1TILDE, C2TILDE, Ei, FiTilde, as_model
 from .ratmath import Rat, ZERO, rat
 from .volumes import PiecewiseQuadratic, QuadraticPiece
-from .zariski import curve_sort_key
 
 # Quadratics are coefficient triples (q0, q1, q2) for q0 + q1*x + q2*x^2.
 
@@ -46,10 +45,6 @@ def _scale(q, t):
 
 def _shift(q, c):
     return (q[0] + rat(c), q[1], q[2])
-
-
-def _support(*curves: CurveId) -> tuple[CurveId, ...]:
-    return tuple(sorted(curves, key=curve_sort_key))
 
 
 # Case identifiers for the exceptional-curve regimes.  ``classify`` returns
@@ -186,7 +181,8 @@ def closed_form_volume_curve(E, params, angles) -> PiecewiseQuadratic | None:
     Returns ``None`` for curves or angle ranges the closed forms do not
     cover.  Degenerate chambers (``n = 1`` or ``n = m`` collapse a wall) are
     skipped before their formulas are evaluated, so no division by zero
-    occurs.
+    occurs.  Each support is listed in candidate order (C~1, C~2, E_i,
+    F~i), as the sweep names it.
     """
     model = as_model(params)
     model.ensure_ample(angles)
@@ -196,7 +192,7 @@ def closed_form_volume_curve(E, params, angles) -> PiecewiseQuadratic | None:
     vol = total_volume(model.params, angles)
 
     if E.kind == "C1tilde":
-        fs = _support(*(FiTilde(i) for i in range(1, m + 1)))
+        fs = tuple(FiTilde(i) for i in range(1, m + 1))
         raw = [
             (ZERO, b1, lambda: (vol, -2 * (2 - n * b1), rat(-n)), ()),
             (
@@ -209,7 +205,7 @@ def closed_form_volume_curve(E, params, angles) -> PiecewiseQuadratic | None:
         return _freeze(raw)
 
     if E.kind == "C2tilde":
-        es = _support(*(Ei(i) for i in range(1, m + 1)))
+        es = tuple(Ei(i) for i in range(1, m + 1))
         raw = [
             (ZERO, b2, lambda: (vol, -2 * (2 - (m - n) * b2), rat(n - m)), ()),
             (
@@ -246,26 +242,26 @@ def closed_form_volume_curve(E, params, angles) -> PiecewiseQuadratic | None:
         tau = 2 + (n - m) * b2
         raw = [
             first,
-            (b1, 2 - (n - 1) * b1, fiber_only, _support(fi)),
-            (2 - (n - 1) * b1, rat(2), with_c1, _support(C1TILDE, fi)),
+            (b1, 2 - (n - 1) * b1, fiber_only, (fi,)),
+            (2 - (n - 1) * b1, rat(2), with_c1, (C1TILDE, fi)),
             (
                 rat(2),
                 tau,
                 lambda: _scale(_lin_sq(tau, -1), Rat(1, n - m)),
-                _support(C1TILDE, *(FiTilde(j) for j in range(1, m + 1))),
+                (C1TILDE, *(FiTilde(j) for j in range(1, m + 1))),
             ),
         ]
     elif case == CASE_C1_FIRST:
         raw = [
             first,
-            (b1, 2 - (n - 1) * b1, fiber_only, _support(fi)),
-            (2 - (n - 1) * b1, 2 - (m - n) * b2, with_c1, _support(C1TILDE, fi)),
-            (2 - (m - n) * b2, rat(2), with_c1_c2, _support(C1TILDE, C2TILDE, fi)),
+            (b1, 2 - (n - 1) * b1, fiber_only, (fi,)),
+            (2 - (n - 1) * b1, 2 - (m - n) * b2, with_c1, (C1TILDE, fi)),
+            (2 - (m - n) * b2, rat(2), with_c1_c2, (C1TILDE, C2TILDE, fi)),
         ]
     elif case == CASE_C2_FIRST:
         raw = [
             first,
-            (b1, 2 - (m - n) * b2, fiber_only, _support(fi)),
+            (b1, 2 - (m - n) * b2, fiber_only, (fi,)),
             (
                 2 - (m - n) * b2,
                 2 - (n - 1) * b1,
@@ -273,28 +269,28 @@ def closed_form_volume_curve(E, params, angles) -> PiecewiseQuadratic | None:
                     (4 + (m - n) * (4 - (n - 1) * b1) * b1, -2 * (2 + (m - n) * b1), rat(1)),
                     Rat(1, m - n),
                 ),
-                _support(C2TILDE, fi),
+                (C2TILDE, fi),
             ),
-            (2 - (n - 1) * b1, rat(2), with_c1_c2, _support(C1TILDE, C2TILDE, fi)),
+            (2 - (n - 1) * b1, rat(2), with_c1_c2, (C1TILDE, C2TILDE, fi)),
         ]
     else:  # CASE_N_ZERO
         others = tuple(Ei(j) for j in range(1, m + 1) if j != i)
         raw = [
             first,
-            (b1, 2 - m * b2, fiber_only, _support(fi)),
+            (b1, 2 - m * b2, fiber_only, (fi,)),
             (
                 2 - m * b2,
                 rat(2),
                 lambda: _scale(
                     (4 + m * (4 + b1) * b1, -2 * (2 + m * b1), rat(1)), Rat(1, m)
                 ),
-                _support(C2TILDE, fi),
+                (C2TILDE, fi),
             ),
             (
                 rat(2),
                 2 + b1,
                 lambda: _lin_sq(2 + b1, -1),
-                _support(C2TILDE, fi, *others),
+                (C2TILDE, *others, fi),
             ),
         ]
     return _freeze(raw)

@@ -79,7 +79,6 @@ class Angles:
 # Curve kinds.  The index is meaningful only for "Ei" / "FiTilde".
 _KINDS = ("C1tilde", "C2tilde", "Ei", "FiTilde", "GenericFiber", "PullbackC2")
 _INDEXED = ("Ei", "FiTilde")
-_CANDIDATE_KINDS = ("C1tilde", "C2tilde", "Ei", "FiTilde")
 
 
 @dataclass(frozen=True)
@@ -232,53 +231,19 @@ class SurfaceModel:
             acc -= x * y
         return acc
 
-    def pair_curve(self, d: DivisorClass, cid: CurveId):
-        """D . C for a candidate curve C, in closed form (no class is built).
-
-        D.C~1 = b, D.C~2 = na + b - sum c_i, D.E_i = c_i, D.F~i = a - c_i.
-        """
+    def pairings(self, d: DivisorClass) -> list:
+        """D.C for every C in ``candidate_curves()`` order, in closed form:
+        D.C~1 = b, D.C~2 = na + b - sum c_i, D.E_i = c_i, D.F~i = a - c_i."""
         if d.m != self.m:
             raise ValueError("dimension mismatch against surface parameters")
-        kind = cid.kind
-        if kind == "Ei":
-            return d.c[cid.index - 1]
-        if kind == "FiTilde":
-            return d.a - d.c[cid.index - 1]
-        if kind == "C1tilde":
-            return d.b
-        if kind == "C2tilde":
-            return self.n * d.a + d.b - sum(d.c)
-        raise ValueError(f"{cid.label} is not a candidate curve")
-
-    def curve_pairing(self, c1: CurveId, c2: CurveId) -> int:
-        """Integer pairing of two candidate curves, in closed form.
-
-        C~1^2 = -n, C~2^2 = n-m, E_i.E_j = F~i.F~j = -delta_ij,
-        E_i.F~j = delta_ij, C~1.F~i = C~2.E_i = 1, and 0 otherwise.
-        """
-        k1, k2 = sorted((c1.kind, c2.kind))
-        if k2 not in _CANDIDATE_KINDS:
-            raise ValueError(f"{c1.label} and {c2.label} are not both candidate curves")
-        if k1 == k2 == "C1tilde":
-            return -self.n
-        if k1 == k2 == "C2tilde":
-            return self.n - self.m
-        same_index = c1.index == c2.index
-        if k1 == k2:
-            return -1 if same_index else 0
-        if (k1, k2) == ("Ei", "FiTilde"):
-            return 1 if same_index else 0
-        return int((k1, k2) in (("C1tilde", "FiTilde"), ("C2tilde", "Ei")))
-
-    def curve_gram(self, curves) -> list[list]:
-        """Gram matrix of candidate curves, from ``curve_pairing``."""
-        return [[self.curve_pairing(x, y) for y in curves] for x in curves]
+        return [d.b, self.n * d.a + d.b - sum(d.c), *d.c, *(d.a - x for x in d.c)]
 
     @cached_property
     def candidate_table(self) -> tuple:
         """Entry i lists every (j, C_i.C_j != 0), i and j indexing
-        ``candidate_curves``, in O(m) from the closed forms of ``curve_pairing``:
-        C~1 meets every F~i, C~2 every E_i, E_i meets F~i, each curve itself."""
+        ``candidate_curves``, in O(m) from the closed forms
+        C~1^2 = -n, C~2^2 = n-m, E_i.E_j = F~i.F~j = -delta_ij,
+        E_i.F~j = delta_ij, C~1.F~i = C~2.E_i = 1, and 0 otherwise."""
         n, m = self.n, self.m
         es, fs = range(2, m + 2), range(m + 2, 2 * m + 2)
         rows = [[(0, -n)] + [(f, 1) for f in fs], [(1, n - m)] + [(e, 1) for e in es]]
@@ -311,11 +276,10 @@ class SurfaceModel:
         Pairing nonnegatively with the candidate negative curves and with
         the generic fiber (a >= 0; only independent when m = 0) is
         necessary and sufficient, since these curves together with the
-        fiber generate the dual of the nef cone.
+        fiber generate the dual of the nef cone.  ``pairings`` runs first,
+        so a class of the wrong rank raises ValueError even when a < 0.
         """
-        if d.m != self.m:
-            raise ValueError("dimension mismatch against surface parameters")
-        return d.a >= 0 and all(self.pair_curve(d, c) >= 0 for c in self.candidate_curves())
+        return all(x >= 0 for x in self.pairings(d)) and d.a >= 0
 
     def ample_angle_range(self, angles: Angles) -> bool:
         """Whether -K_{S,Delta} is ample.

@@ -23,23 +23,24 @@ from .ratmath import Rat
 
 MAX_DENOMINATOR = 64
 MAX_VALUE = 4  # angles are drawn from (0, MAX_VALUE]
+MAX_TRIES = 10_000  # rejection-sampling draws before giving up
 
 # Case families for the closed-form regression: the two section sweeps work
 # for every (n, m), the exceptional-curve sweep splits into four regimes.
 LEMMA_CASES = ("C1tilde", "C2tilde", CASE_N_GE_M, CASE_C1_FIRST, CASE_C2_FIRST, CASE_N_ZERO)
 
 
-def sample_rational(rng: random.Random, max_value: int = MAX_VALUE) -> Rat:
-    """A positive rational with denominator <= 64, value <= max_value."""
+def sample_rational(rng: random.Random) -> Rat:
+    """A positive rational with denominator <= 64, value <= MAX_VALUE."""
     den = rng.randint(1, MAX_DENOMINATOR)
-    num = rng.randint(1, max_value * den)
+    num = rng.randint(1, MAX_VALUE * den)
     return Rat(num, den)
 
 
-def sample_angles(rng: random.Random, params, max_tries: int = 10_000) -> Angles:
+def sample_angles(rng: random.Random, params) -> Angles:
     """Rejection-sample an angle pair in the ample range of ``params``."""
     model = as_model(params)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         angles = Angles(sample_rational(rng), sample_rational(rng))
         if model.ample_range_violation(angles) is None:
             return angles
@@ -52,7 +53,7 @@ def sample_surface(
     return SurfaceParams(rng.randint(0, n_max), rng.randint(m_min, m_max))
 
 
-def sample_case_input(rng: random.Random, case: str, max_tries: int = 10_000):
+def sample_case_input(rng: random.Random, case: str):
     """(params, angles, index) in the validity domain of a closed-form case.
 
     ``index`` is the exceptional-curve index for the E cases (always 1; the
@@ -61,7 +62,7 @@ def sample_case_input(rng: random.Random, case: str, max_tries: int = 10_000):
     if case in ("C1tilde", "C2tilde"):
         params = sample_surface(rng)
         return params, sample_angles(rng, params), 0
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         if case == CASE_N_GE_M:
             m = rng.randint(1, 6)
             params = SurfaceParams(rng.randint(m, 6), m)

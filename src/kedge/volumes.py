@@ -4,8 +4,9 @@ The sweep works in pairing coordinates: it never builds a divisor class
 inside the loop.  It needs only the affine vector r(x) = r0 + x r1 of
 pairings D(x).C over the candidate curves C, where D(x) = -K_Delta - x E,
 kept as two rational lists by candidate index, the quadratic
-D(x)^2 = d0 + d1 x + d2 x^2, and the sparse candidate table.  r0 comes
-from ``pair_curve``.  As -K_Delta = beta1 C~1 + beta2 C~2 + 2F,
+D(x)^2 = d0 + d1 x + d2 x^2, and the sparse candidate table.  r0 is
+``SurfaceModel.pairings`` of -K_Delta.  As
+-K_Delta = beta1 C~1 + beta2 C~2 + 2F,
 d0 = beta1 r0[C~1] + beta2 r0[C~2] + 2 (beta1 + beta2).  For a candidate
 E, r1 is minus E's row of the table, d1 = -2 r0[E] and d2 = -r1[E]; only
 the generic fiber and the pulled-back section, which are not candidates,
@@ -141,7 +142,7 @@ def volume_sweep(E: CurveId, params, angles: Angles) -> tuple:
     model.ensure_ample(angles)
     minus_k, candidates = model.log_anticanonical(angles), model.candidate_curves()
     # r(x) = r0 + x r1 by candidate index, and D(x)^2 = d0 + d1 x + d2 x^2.
-    r0 = [model.pair_curve(minus_k, c) for c in candidates]
+    r0 = model.pairings(minus_k)
     # -K_Delta = beta1 C~1 + beta2 C~2 + 2F, and (-K_Delta).F = beta1 + beta2.
     b1, b2 = angles.beta1, angles.beta2
     d0 = b1 * r0[0] + b2 * r0[1] + 2 * (b1 + b2)
@@ -152,7 +153,7 @@ def volume_sweep(E: CurveId, params, angles: Angles) -> tuple:
         d1, d2 = -2 * r0[e], -r1[e]
     else:
         minus_e = -model.class_of(E)
-        r1 = [model.pair_curve(minus_e, c) for c in candidates]
+        r1 = model.pairings(minus_e)
         d1, d2 = 2 * model.intersect(minus_k, minus_e), model.self_intersection(minus_e)
     context = f"E={E.label}, n={model.n}, m={model.m}"
 

@@ -19,9 +19,11 @@ enumerates every negative-definite set of candidates and is kept as an
 independent oracle.  Every solve and definiteness test goes through the
 one LDL^T kernel in ``linalg``: growth factors each round's support
 afresh, the oracle's depth-first walk borders the parent set's factor by
-one row per extension and solves on it, both from the table.
-``_certify`` alone uses the generic ``intersect``, so it also checks the
-table's closed forms.
+one row per extension and solves on it, both from the table.  Curves are
+candidate indices throughout; the column D.C comes from
+``SurfaceModel.pairings``.  ``is_negative_definite`` pairs classes
+through the generic ``intersect`` instead, and ``_certify`` uses it and
+``intersect`` for the support, so it also checks the table's closed forms.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 from .linalg import (EMPTY_FACTOR, NotNegativeDefinite, border, is_negative_definite_matrix,
                      solve_factored)
-from .picard import CurveId, DivisorClass, SurfaceModel
+from .picard import C1TILDE, C2TILDE, DivisorClass, SurfaceModel
 
 
 class NotPseudoeffective(ArithmeticError):
@@ -44,13 +46,6 @@ class InconsistencyError(ArithmeticError):
 
 class DecompositionError(InconsistencyError):
     """Internal certification of a decomposition failed (should not happen)."""
-
-
-_KIND_ORDER = {"C1tilde": 0, "C2tilde": 1, "Ei": 2, "FiTilde": 3}
-
-
-def curve_sort_key(cid: CurveId):
-    return (_KIND_ORDER[cid.kind], cid.index or 0)
 
 
 @dataclass(frozen=True)
@@ -72,13 +67,17 @@ class ZariskiDecomposition:
 
 
 def is_negative_definite(model: SurfaceModel, curves) -> bool:
-    """Whether the Gram matrix of the given curves is negative definite."""
-    return is_negative_definite_matrix(model.curve_gram(curves))
+    """Whether the Gram matrix of the given curves is negative definite,
+    paired through their classes and the generic ``intersect``.  C~1 and
+    C~2 go last, as in ``grow_support``: the order does not change
+    definiteness, and the factor of the others has no fill-in."""
+    curves = sorted(curves, key=lambda c: c in (C1TILDE, C2TILDE))
+    return is_negative_definite_matrix(model.gram_matrix([model.class_of(c) for c in curves]))
 
 
 def negative_definite_supports(model: SurfaceModel):
-    """Every negative-definite set of candidate curves with the LDL^T
-    factor of its Gram matrix, as (curves, factor), the empty set first.
+    """Every negative-definite set of candidate indices with the LDL^T
+    factor of its Gram matrix, as (indices, factor), the empty set first.
 
     Depth first in candidate order, extending only negative-definite
     sets: the family is closed under subsets (principal submatrices of a
@@ -86,12 +85,12 @@ def negative_definite_supports(model: SurfaceModel):
     Each extension borders the parent set's factor by one row, read off
     the candidate table.
     """
-    candidates, table = model.candidate_curves(), model.candidate_table
+    table = model.candidate_table
 
     def extend(subset, factor, start):
-        yield [candidates[c] for c in subset], factor
+        yield subset, factor
         position = {s: p for p, s in enumerate(subset)}
-        for c in range(start, len(candidates)):
+        for c in range(start, len(table)):
             try:
                 grown = border(factor, *_bordering(table, c, position))
             except NotNegativeDefinite:
@@ -121,17 +120,16 @@ def _support_factor(table, support):
     return factor
 
 
-def _subtract_curves(model: SurfaceModel, d: DivisorClass, support, coeffs) -> DivisorClass:
-    """The class D - sum a_i C_i."""
-    for cid, x in zip(support, coeffs):
-        d = d - model.class_of(cid).scale(x)
+def _subtract_curves(model: SurfaceModel, d: DivisorClass, candidates, support, coeffs):
+    """The class D - sum a_i C_i over the candidate indices ``support``."""
+    for c, x in zip(support, coeffs):
+        d = d - model.class_of(candidates[c]).scale(x)
     return d
 
 
-def _negative_part(support, coeffs) -> tuple:
-    """(curve, coefficient) pairs with nonzero coefficient, in canonical order."""
-    named = ((cid, x) for cid, x in zip(support, coeffs) if x)
-    return tuple(sorted(named, key=lambda item: curve_sort_key(item[0])))
+def _negative_part(candidates, support, coeffs) -> tuple:
+    """(curve, coefficient) pairs with nonzero coefficient, in candidate order."""
+    return tuple((candidates[c], x) for c, x in sorted(zip(support, coeffs)) if x)
 
 
 def _certify(model: SurfaceModel, d: DivisorClass, zd: ZariskiDecomposition):
@@ -144,8 +142,7 @@ def _certify(model: SurfaceModel, d: DivisorClass, zd: ZariskiDecomposition):
             raise DecompositionError(f"nonpositive coefficient {coeff} on {cid.label}")
         if model.intersect(p, model.class_of(cid)) != 0:
             raise DecompositionError(f"positive part not orthogonal to {cid.label}")
-    support_gram = model.gram_matrix([model.class_of(c) for c in zd.support])
-    if zd.negative and not is_negative_definite_matrix(support_gram):
+    if not is_negative_definite(model, zd.support):
         raise DecompositionError("support Gram matrix not negative definite")
     if p + zd.negative_class(model) != d:
         raise DecompositionError("P + N does not reconstruct the input class")
@@ -213,18 +210,16 @@ def zariski_decompose(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposit
     defining conditions.
     """
     candidates = model.candidate_curves()
-    pairings = [model.pair_curve(d, c) for c in candidates]
     try:
-        support, (coeffs,), _residuals = grow_support(model, (pairings,))
+        support, (coeffs,), _residuals = grow_support(model, (model.pairings(d),))
     except NotPseudoeffective as exc:
         raise NotPseudoeffective(f"{d}: {exc}") from None
-    curves = [candidates[c] for c in support]
-    positive = _subtract_curves(model, d, curves, coeffs)
+    positive = _subtract_curves(model, d, candidates, support, coeffs)
     if positive.a < 0:
         # Residual meets the (nef, moving) generic fiber negatively:
         # no effective class can, so d is not pseudoeffective.
         raise NotPseudoeffective(f"{d} pairs negatively with the generic fiber")
-    zd = ZariskiDecomposition(positive=positive, negative=_negative_part(curves, coeffs))
+    zd = ZariskiDecomposition(positive, _negative_part(candidates, support, coeffs))
     _certify(model, d, zd)
     return zd
 
@@ -247,15 +242,16 @@ def zariski_decompose_bruteforce(model: SurfaceModel, d: DivisorClass) -> Zarisk
     that of the full 2^k enumeration, and so are the "two distinct
     decompositions" and NotPseudoeffective outcomes.
     """
+    candidates, pairings = model.candidate_curves(), model.pairings(d)
     found: ZariskiDecomposition | None = None
     for subset, factor in negative_definite_supports(model):
-        coeffs = solve_factored(factor, [model.pair_curve(d, c) for c in subset])
+        coeffs = solve_factored(factor, [pairings[c] for c in subset])
         if any(x < 0 for x in coeffs):
             continue
-        p = _subtract_curves(model, d, subset, coeffs)
+        p = _subtract_curves(model, d, candidates, subset, coeffs)
         if not model.is_nef(p):
             continue
-        zd = ZariskiDecomposition(positive=p, negative=_negative_part(subset, coeffs))
+        zd = ZariskiDecomposition(p, _negative_part(candidates, subset, coeffs))
         if found is not None and (found.positive != zd.positive or found.negative != zd.negative):
             raise DecompositionError(
                 f"two distinct decompositions found for {d}: {found} vs {zd}"

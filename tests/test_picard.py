@@ -144,10 +144,7 @@ def test_closed_form_curve_pairings_match_intersect():
             for i, c1 in enumerate(curves):
                 for j, c2 in enumerate(curves):
                     expected = model.intersect(model.class_of(c1), model.class_of(c2))
-                    assert model.curve_pairing(c1, c2) == expected, (n, m, c1, c2)
                     assert table[i].get(j, 0) == expected, (n, m, c1, c2)
-            with pytest.raises(ValueError):
-                model.curve_pairing(C1TILDE, GENERIC_FIBER)
 
 
 @given(
@@ -157,12 +154,13 @@ def test_closed_form_curve_pairings_match_intersect():
 def test_closed_form_class_pairings_match_intersect(n, coords):
     model = as_model(SurfaceParams(n, len(coords) - 2))
     d = DivisorClass(coords[0], coords[1], tuple(coords[2:]))
-    for cid in model.candidate_curves():
-        assert model.pair_curve(d, cid) == model.intersect(d, model.class_of(cid)), cid
-    with pytest.raises(ValueError):
-        model.pair_curve(d, GENERIC_FIBER)
-    with pytest.raises(ValueError):
-        model.pair_curve(DivisorClass(0, 0, (0,) * (model.m + 1)), C1TILDE)
+    curves = model.candidate_curves()
+    assert model.pairings(d) == [model.intersect(d, model.class_of(c)) for c in curves]
+    for wrong_rank in (DivisorClass(d.a, d.b, d.c + (0,)), DivisorClass(-1, 0, d.c + (0,))):
+        with pytest.raises(ValueError):
+            model.pairings(wrong_rank)
+        with pytest.raises(ValueError):
+            model.is_nef(wrong_rank)
 
 
 def anticanonical(model):

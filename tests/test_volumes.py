@@ -44,7 +44,6 @@ from kedge.zariski import (
     DecompositionError,
     NotPseudoeffective,
     _support_factor,
-    curve_sort_key,
     grow_support,
     volume,
     zariski_decompose,
@@ -83,14 +82,17 @@ AFFINE_ZERO = Affine(Rat(0), Rat(0))
 
 def reference_grow_support(model, pairings, zero, start=()):
     """Bauer's support growth over jets, every pairing read pointwise
-    through ``curve_pairing``: a fresh dense Gram matrix and solve each
-    round, residuals over every (support, candidate) pair."""
+    through ``intersect`` of the curves' classes: a fresh dense Gram
+    matrix and solve each round, residuals over every (support,
+    candidate) pair."""
     candidates = model.candidate_curves()
+    classes = {c: model.class_of(c) for c in candidates}
     support = list(start)
     while True:
         support.sort(key=lambda c: c.kind in ("C1tilde", "C2tilde"))
         coeffs = solve_factored(
-            factorize(model.curve_gram(support)), [pairings[c] for c in support]
+            factorize(model.gram_matrix([classes[c] for c in support])),
+            [pairings[c] for c in support],
         )
         if any(x < zero for x in coeffs):
             raise NotPseudoeffective("orthogonality forces a negative coefficient")
@@ -98,7 +100,7 @@ def reference_grow_support(model, pairings, zero, start=()):
         for c in candidates:
             r = pairings[c]
             for cid, x in zip(support, coeffs):
-                g = model.curve_pairing(cid, c)
+                g = model.intersect(classes[cid], classes[c])
                 if g:
                     r = r - x * g
             residual[c] = r
@@ -113,8 +115,8 @@ def reference_volume_sweep(E, model, angles):
     keyed by curve, on ``reference_grow_support``."""
     minus_k, minus_e = model.log_anticanonical(angles), -model.class_of(E)
     candidates = model.candidate_curves()
-    r0 = {c: model.pair_curve(minus_k, c) for c in candidates}
-    r1 = {c: model.pair_curve(minus_e, c) for c in candidates}
+    r0 = {c: model.intersect(minus_k, model.class_of(c)) for c in candidates}
+    r1 = {c: model.intersect(minus_e, model.class_of(c)) for c in candidates}
     d0 = model.self_intersection(minus_k)
     d1 = 2 * model.intersect(minus_k, minus_e)
     d2 = model.self_intersection(minus_e)
@@ -134,7 +136,7 @@ def reference_volume_sweep(E, model, angles):
                  if c not in support and f.c1 < 0}
         wall = min(roots.values(), default=None)
         named = tuple(sorted((c for c, a in zip(support, coeffs) if a != AFFINE_ZERO),
-                             key=curve_sort_key))
+                             key=candidates.index))
         if wall is not None and q0 + q1 * wall + q2 * wall * wall > 0:
             pieces.append(QuadraticPiece(x0, wall, q0, q1, q2, named))
             start = support + [c for c in candidates if roots.get(c) == wall]
@@ -312,17 +314,31 @@ class TestSharedEngine:
         assert len(calls) == solves
 
     def test_sweep_and_decomposition_read_only_the_table(self, monkeypatch):
+        # Support growth pairs through the candidate table alone: classes
+        # and the generic intersect are refused while it runs.
         def refuse(*args):
             raise AssertionError("pairing read outside the candidate table")
 
-        monkeypatch.setattr(SurfaceModel, "curve_pairing", refuse)
-        monkeypatch.setattr(SurfaceModel, "curve_gram", refuse)
+        rounds = []
+
+        def guarded(*args):
+            rounds.append(args)
+            with pytest.MonkeyPatch.context() as lattice:
+                lattice.setattr(SurfaceModel, "intersect", refuse)
+                lattice.setattr(SurfaceModel, "class_of", refuse)
+                return grow_support(*args)
+
+        monkeypatch.setattr("kedge.volumes.grow_support", guarded)
+        monkeypatch.setattr("kedge.zariski.grow_support", guarded)
         model = as_model((0, 2))
         angles = Angles(HALF, HALF)
-        for curve in model.candidate_curves():
-            volume_curve(curve, model, angles)
+        for curve in model.candidate_curves() + [GENERIC_FIBER]:
+            rounds.clear()
+            assert len(volume_curve(curve, model, angles).pieces) == len(rounds)
         d = model.log_anticanonical(angles) - model.class_of(Ei(1)).scale(rat(3, 2))
+        rounds.clear()
         assert zariski_decompose(model, d).support
+        assert len(rounds) == 1
 
     @settings(deadline=None)
     @given(sweep_inputs())
@@ -413,8 +429,8 @@ class TestClosedForms:
                         model.intersect(minus_e, minus_e),
                     )
                     r0, r1 = columns[0]
-                    assert r0 == [model.pair_curve(minus_k, c) for c in curves]
-                    assert r1 == [model.pair_curve(minus_e, c) for c in curves]
+                    assert r0 == [model.intersect(minus_k, model.class_of(c)) for c in curves]
+                    assert r1 == [model.intersect(minus_e, model.class_of(c)) for c in curves]
                     assert all(type(x) is Rat for x in r1)
 
     @settings(deadline=None)

@@ -20,7 +20,6 @@ from kedge.sampling import sample_angles, sample_divisor_class, sample_surface
 from kedge.zariski import (
     NotPseudoeffective,
     ZariskiDecomposition,
-    curve_sort_key,
     grow_support,
     is_negative_definite,
     negative_definite_supports,
@@ -67,6 +66,19 @@ class TestNegativeDefinite:
         for n, m in violations:
             model = as_model((n, m))
             assert not is_negative_definite(model, builder(n, m)), (family, n, m)
+
+    def test_order_free_on_shuffled_supports(self, rng):
+        # Sections go last inside; the answer is the signature's, whatever
+        # order the curves come in.
+        for n in range(5):
+            for m in range(5):
+                model = as_model((n, m))
+                candidates = model.candidate_curves()
+                for _ in range(20):
+                    curves = rng.sample(candidates, rng.randint(0, len(candidates)))
+                    gram = model.gram_matrix([model.class_of(c) for c in curves])
+                    expected = signature(gram) == (0, len(curves), 0)
+                    assert is_negative_definite(model, curves) == expected, (n, m, curves)
 
 
 class TestDecompose:
@@ -182,7 +194,7 @@ class TestGrowSupport:
             model = as_model(sample_surface(rng, n_max=4, m_max=4))
             d = sample_divisor_class(rng, model)
             candidates = model.candidate_curves()
-            pairings = [model.pair_curve(d, c) for c in candidates]
+            pairings = [model.intersect(d, model.class_of(c)) for c in candidates]
             try:
                 support, (coeffs,), (residual,) = grow_support(model, (pairings,))
             except NotPseudoeffective:
@@ -192,7 +204,7 @@ class TestGrowSupport:
                 p = p - model.class_of(candidates[c]).scale(x)
             assert len(residual) == len(candidates)
             for c, r in zip(candidates, residual):
-                assert r == model.pair_curve(p, c), (model.params, d, c)
+                assert r == model.intersect(p, model.class_of(c)), (model.params, d, c)
             grown += support != []
         assert grown >= 20
 
@@ -241,10 +253,7 @@ def exhaustive_decompositions(model, d):
             p = p - cls.scale(x)
         if any(x < 0 for x in coeffs) or not model.is_nef(p):
             continue
-        negative = tuple(
-            sorted(((c, x) for c, x in zip(subset, coeffs) if x != 0),
-                   key=lambda item: curve_sort_key(item[0]))
-        )
+        negative = tuple((c, x) for c, x in zip(subset, coeffs) if x != 0)
         support = [model.class_of(c) for c, _ in negative]
         if signature(model.gram_matrix(support)) != (0, len(support), 0):
             continue
@@ -280,10 +289,11 @@ class TestPrunedOracle:
         assert supports[0] == []
         candidates = model.candidate_curves()
         every_subset = (
-            [c for i, c in enumerate(candidates) if mask >> i & 1]
+            [i for i in range(len(candidates)) if mask >> i & 1]
             for mask in range(1, 1 << len(candidates))
         )
-        expected = {(), *(tuple(s) for s in every_subset if is_negative_definite(model, s))}
+        expected = {(), *(tuple(s) for s in every_subset
+                          if is_negative_definite(model, [candidates[i] for i in s]))}
         assert {tuple(s) for s in supports} == expected
 
     @pytest.mark.parametrize("m, counts", [
