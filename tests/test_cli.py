@@ -40,6 +40,16 @@ SCAN_ARGS = [
     "scan", "--n", "1", "--m", "0",
     "--beta1-grid", "1/2:2:1/4", "--beta2-grid", "1/4:1:1/4",
 ]
+# Large coprime denominators: every one of the 16 terms in a long fraction.
+DELTA_ARGS_COPRIME = [
+    "delta", "--n", "1", "--m", "6",
+    "--beta1", "765433/999983", "--beta2", "345679/999979",
+]
+# A grid through the condition point (63/128, 21/32) of (0, 2).
+SCAN_ARGS_CONDITION = [
+    "scan", "--n", "0", "--m", "2",
+    "--beta1-grid", "61/128:65/128:1/128", "--beta2-grid", "5/8:11/16:1/32",
+]
 
 
 def run_cli(capsys, argv):
@@ -86,6 +96,8 @@ class TestGoldens:
             (VERIFY_ARGS, "verify_small.json"),
             (SCAN_ARGS, "scan_m0.csv"),
             (CURVE_ARGS_M200, "volume_curve_m200_e1.json"),
+            (DELTA_ARGS_COPRIME, "delta_f1_blow6_coprime.json"),
+            (SCAN_ARGS_CONDITION, "scan_m2_condition.csv"),
         ],
     )
     def test_byte_identical(self, capsys, argv, golden):
