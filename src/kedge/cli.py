@@ -140,12 +140,12 @@ def _common_options(fn):
 @_common_options
 def cmd_delta(n, m, beta1, beta2, approx, accept_decimal, output):
     """Stability threshold, witnesses and verdict at one angle pair."""
-    params = _parse_surface(n, m)
+    model = as_model(_parse_surface(n, m))
     angles = _parse_angles(beta1, beta2, accept_decimal)
-    violation = as_model(params).ample_range_violation(angles)
+    violation = model.ample_range_violation(angles)
     if violation is not None:
         _user_error(f"outside the ample range: {violation}")
-    verdict = k_polystable(params, angles)
+    verdict = k_polystable(model, angles)
     report = {
         "n": n,
         "m": m,
@@ -287,7 +287,7 @@ def _parse_grid(text: str, what: str):
 @click.option("--output", "-o", default=None, help="Write the CSV to this file.")
 def cmd_scan(n, m, beta1_grid, beta2_grid, approx, output):
     """Verdicts over a rational angle grid, as CSV (beta1 outer loop)."""
-    params = _parse_surface(n, m)
+    model = as_model(_parse_surface(n, m))
     grid1 = _parse_grid(beta1_grid, "beta1")
     grid2 = _parse_grid(beta2_grid, "beta2")
     buffer = io.StringIO()
@@ -298,7 +298,7 @@ def cmd_scan(n, m, beta1_grid, beta2_grid, approx, output):
     writer.writerow(header)
     for b1 in grid1:
         for b2 in grid2:
-            verdict = k_polystable(params, Angles(b1, b2))
+            verdict = k_polystable(model, Angles(b1, b2))
             delta_cell = "" if verdict.delta is None else format_rat(verdict.delta)
             row = [
                 format_rat(b1),

@@ -14,7 +14,8 @@ whose elimination does not fill in is factored and solved in time
 proportional to its size.  The package's right-hand sides are rational
 columns: Bauer's support growth solves each of its columns on one factor
 (the chamber sweep's value and slope columns share it).  The kernel asks
-of a right-hand side only ``-`` and left-multiplication by Rat.
+of a right-hand side only ``-``, left-multiplication by Rat and division
+by Rat.
 
 ``signature`` is a separate congruence diagonalization over arbitrary
 symmetric matrices; it is the tests' independent reference.
@@ -72,7 +73,7 @@ def factorize(matrix):
 def solve_factored(factor, rhs) -> list:
     """Solve G x = rhs on the factor of G: forward, diagonal, backward."""
     rows, pivots = factor
-    x = [(1 / d) * z for d, z in zip(pivots, _forward(rows, rhs))]
+    x = [z / d for d, z in zip(pivots, _forward(rows, rhs))]
     for i in reversed(range(len(rows))):
         for j, l in rows[i]:
             x[j] = x[j] - l * x[i]

@@ -251,6 +251,12 @@ class SurfaceModel:
         rows += [[(f, -1), (0, 1), (f - m, 1)] for f in fs]
         return tuple(tuple((j, g) for j, g in row if g) for row in rows)
 
+    @cached_property
+    def certified(self) -> set:
+        """Names of the angle-independent certificates this instance passed,
+        so that each runs once per surface model."""
+        return set()
+
     def self_intersection(self, d: DivisorClass):
         return self.intersect(d, d)
 

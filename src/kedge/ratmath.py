@@ -61,6 +61,13 @@ def as_rat(x):
     return x if type(x) is Rat else Rat(x)
 
 
+def common_denominator(x, y) -> tuple:
+    """(L, L x, L y) as ints, L the least common denominator of x and y."""
+    q1, q2 = int(x.denominator), int(y.denominator)
+    L = q1 // math.gcd(q1, q2) * q2
+    return L, int(x.numerator) * (L // q1), int(y.numerator) * (L // q2)
+
+
 def sign(x) -> int:
     """Exact sign: -1, 0 or +1."""
     if x > 0:

@@ -30,6 +30,26 @@ w_i = int phi_i * deg Psi, and every integral of f * deg Psi with f
 linear on both halves is the exact dot product sum f(x_i) w_i: vol takes
 f = 1, the first moment f = u, the half square f = deg Psi / 2 and each
 cross term f = Psi_p.
+
+All of it is integer arithmetic over one common denominator.  Let
+L = lcm(q1, q2) for beta_i = p_i / q_i, and P_i = L beta_i.  Every slice
+vertex v and every value h_p(v) is an integer, so at X = L x =
+(-P1, 0, P2) each scaled dual
+
+    L Psi_p(x_i) = min over vertices v of (X_i v - L h_p(v))
+
+is an integer, and so is G = L deg Psi(x).  The scaled hat weights
+W = 6 L^2 w are the integers
+
+    W_0 = P1 (2 G_0 + G_1)
+    W_1 = P1 (G_0 + 2 G_1) + P2 (2 G_1 + G_2)
+    W_2 = P2 (G_1 + 2 G_2),
+
+and VOL = sum W_i, FM = sum X_i W_i and HS2 = sum G_i W_i are 6 L^2 vol,
+6 L^3 (first moment) and 12 L^3 (half square).  So the barycenter is
+bc = FM / (L VOL), each cross term is bc_p = (HS2 - 2 sum L Psi_p(x_i) W_i)
+/ (2 L VOL), every S of the delta minimum is one rational over 2 L VOL,
+and the Futaki sign is -sign(FM).
 """
 from __future__ import annotations
 
@@ -46,12 +66,12 @@ from .picard import (
     SurfaceParams,
     as_model,
 )
-from .ratmath import ONE, ZERO, Rat, sign
+from .ratmath import ONE, Rat, common_denominator, sign
 from .zariski import InconsistencyError
 
 
 def _dot(xs, ws):
-    return sum((a * b for a, b in zip(xs, ws)), ZERO)
+    return sum(a * b for a, b in zip(xs, ws))
 
 
 @dataclass(frozen=True)
@@ -74,9 +94,9 @@ class SupportFunction:
     @property
     def slices(self) -> tuple:
         """Vertices (v, h_p(v)) of the slices over p0, over every marked
-        point p_i and over a generic point; every vertex is a lattice
-        point, so every multiplicity is 1."""
-        return ((Rat(self.params.n), Rat(-2)),), ((-ONE, ZERO), (ZERO, ZERO)), ((ZERO, ZERO),)
+        point p_i and over a generic point, as ints; every vertex is a
+        lattice point, so every multiplicity is 1."""
+        return ((self.params.n, -2),), ((-1, 0), (0, 0)), ((0, 0),)
 
     def divisor_class(self, model: SurfaceModel):
         """Reassemble the divisor class encoded by h.
@@ -97,66 +117,90 @@ class SupportFunction:
         )
 
 
+# Three affinely independent angle pairs.
+_CERTIFICATE_ANGLES = (Angles(1, 1), Angles(2, 1), Angles(1, 2))
+
+
 def anticanonical_support_function(params, angles: Angles) -> SupportFunction:
     """Support function h of -K_{S,Delta}, certified by round-tripping
-    the encoded class against the lattice side (InconsistencyError if not)."""
+    the encoded class against the lattice side (InconsistencyError if not).
+
+    The encoded class, beta1 [C~1] + beta2 [C~2] + 2 F, and
+    ``log_anticanonical`` are both affine in (beta1, beta2).  Two affine
+    maps that agree at three affinely independent points agree everywhere,
+    so the round trip is checked at (1, 1), (2, 1) and (1, 2) once per
+    SurfaceModel instance, and then holds for every angle pair.
+    """
     model = as_model(params)
-    h = SupportFunction(params=model.params, angles=angles)
-    if h.divisor_class(model) != model.log_anticanonical(angles):
-        raise InconsistencyError("support function does not encode -K_{S,Delta}")
-    return h
+    if "support function" not in model.certified:
+        for frame in _CERTIFICATE_ANGLES:
+            encoded = SupportFunction(params=model.params, angles=frame).divisor_class(model)
+            if encoded != model.log_anticanonical(frame):
+                raise InconsistencyError("support function does not encode -K_{S,Delta}")
+        model.certified.add("support function")
+    return SupportFunction(params=model.params, angles=angles)
+
+
+def _view(field: str, power: int, factor: int = 1):
+    """Read-only Rat view of an integer field (or tuple of them) of DualData
+    over factor * L**power, built when read."""
+
+    def read(d):
+        num, den = getattr(d, field), factor * d.L**power
+        return tuple(Rat(v, den) for v in num) if isinstance(num, tuple) else Rat(num, den)
+
+    return property(read)
 
 
 @dataclass(frozen=True)
 class DualData:
-    """Legendre duals of h and deg Psi as their values at x, with the hat
-    weights of deg Psi and the integrals read off them."""
+    """Legendre duals of h and deg Psi at x = X / L, with the hat weights of
+    deg Psi and the integrals read off them.  The upper-case fields are the
+    integers of the module docstring; the lower-case Rat views are built
+    from them when read."""
 
-    x: tuple  # (-beta1, 0, beta2)
-    psi_p0: tuple
-    psi_marked: tuple  # common dual for every p_i, i >= 1
-    psi_generic: tuple
-    deg_psi: tuple  # psi_p0 + m psi_marked
-    weights: tuple  # w_i = integral of phi_i * deg Psi
-    vol: object  # integral of deg Psi = sum w_i
-    first_moment: object  # integral of u * deg Psi(u) = sum x_i w_i
-    half_square: object  # (1/2) integral of deg Psi^2 = (1/2) sum g_i w_i
+    L: int  # lcm of the angles' denominators
+    X: tuple  # L x = (-P1, 0, P2)
+    PSI_P0: tuple  # L Psi_p0(x)
+    PSI_MARKED: tuple  # L Psi_pi(x), common to every p_i, i >= 1
+    PSI_GENERIC: tuple  # L Psi_generic(x)
+    G: tuple  # L deg Psi(x) = PSI_P0 + m PSI_MARKED
+    W: tuple  # 6 L^2 w, w_i = integral of phi_i * deg Psi
+    VOL: int  # 6 L^2 vol = sum W_i
+    FM: int  # 6 L^3 first moment = sum X_i W_i
+    HS2: int  # 12 L^3 half square = sum G_i W_i
+
+    x = _view("X", 1)  # (-beta1, 0, beta2)
+    psi_p0 = _view("PSI_P0", 1)
+    psi_marked = _view("PSI_MARKED", 1)
+    psi_generic = _view("PSI_GENERIC", 1)
+    deg_psi = _view("G", 1)
+    weights = _view("W", 2, 6)
+    vol = _view("VOL", 2, 6)  # integral of deg Psi
+    first_moment = _view("FM", 3, 6)  # integral of u * deg Psi(u)
+    half_square = _view("HS2", 3, 12)  # (1/2) integral of deg Psi^2
+
+    def cross(self, psi: tuple) -> int:
+        """2 L VOL bc_p for the scaled dual ``psi`` (one of the PSI_* fields)."""
+        return self.HS2 - 2 * _dot(psi, self.W)
 
 
 def legendre_dual(h: SupportFunction) -> DualData:
     """Duals Psi_p(u) = min over slice vertices v of (u v - h_p(v)) at
     x = (-beta1, 0, beta2), the ends of the moment interval cut out by the
-    tail slopes of h_t and the one crossing of vertex lines."""
-    b1, b2 = h.angles.beta1, h.angles.beta2
-    x = (-b1, ZERO, b2)
+    tail slopes of h_t and the one crossing of vertex lines, scaled by L."""
+    L, p1, p2 = common_denominator(h.angles.beta1, h.angles.beta2)
+    X = (-p1, 0, p2)
     p0, marked, generic = (
-        tuple(min(u * v - hv for v, hv in vertices) for u in x) for vertices in h.slices
+        tuple(min(u * v - L * hv for v, hv in vertices) for u in X) for vertices in h.slices
     )
-    g = tuple(a + h.params.m * b for a, b in zip(p0, marked))
-    s1, s2 = b1 / 6, b2 / 6
-    w = (
-        s1 * (2 * g[0] + g[1]),
-        s1 * (g[0] + 2 * g[1]) + s2 * (2 * g[1] + g[2]),
-        s2 * (g[1] + 2 * g[2]),
+    G = tuple(a + h.params.m * b for a, b in zip(p0, marked))
+    W = (
+        p1 * (2 * G[0] + G[1]),
+        p1 * (G[0] + 2 * G[1]) + p2 * (2 * G[1] + G[2]),
+        p2 * (G[1] + 2 * G[2]),
     )
-    return DualData(
-        x=x,
-        psi_p0=p0,
-        psi_marked=marked,
-        psi_generic=generic,
-        deg_psi=g,
-        weights=w,
-        vol=sum(w, ZERO),
-        first_moment=_dot(x, w),
-        half_square=_dot(g, w) / 2,
-    )
-
-
-def bc_p(d: DualData, psi: tuple):
-    """bc_p = (1/vol(Psi)) * integral of ((1/2) deg Psi - Psi_p) deg Psi du,
-    for Psi_p given by its values at d.x (the cross term is their dot
-    product with the hat weights)."""
-    return (d.half_square - _dot(psi, d.weights)) / d.vol
+    return DualData(L, X, p0, marked, generic, G, W, sum(W), _dot(X, W), _dot(G, W))
 
 
 @dataclass(frozen=True)
@@ -197,7 +241,7 @@ def futaki_vanishes(params, angles: Angles) -> int:
 
     Computed on the torus side as -integral of u * deg Psi(u) du (no
     division, so no ampleness assumption is needed)."""
-    return sign(-legendre_dual(anticanonical_support_function(params, angles)).first_moment)
+    return -sign(legendre_dual(anticanonical_support_function(params, angles)).FM)
 
 
 def delta_tvariety(params, angles: Angles) -> DeltaReport:
@@ -208,24 +252,37 @@ def delta_tvariety(params, angles: Angles) -> DeltaReport:
     Vertex terms: 1 / (bc_p + bc v - h_p(v)) per slice vertex (all
     multiplicities are 1), including the vertex of the fiber over p0 and
     one representative of the identical generic-fiber terms.
+
+    S_m permutes the E_i and the F~i, so each orbit has one S, over
+    2 L VOL, and delta and the witnesses come from one representative per
+    orbit; the other terms of an orbit divide A/S only when read.
     """
     model = as_model(params)
     model.ensure_ample(angles)
     n, m = model.n, model.m
-    b1, b2 = angles.beta1, angles.beta2
     d = legendre_dual(anticanonical_support_function(model, angles))
-    bc = d.first_moment / d.vol
-    bc_pi = bc_p(d, d.psi_marked)
+    L, VOL, FM = d.L, d.VOL, d.FM
+    p1, p2 = -d.X[0], d.X[2]
+    cross_marked = d.cross(d.PSI_MARKED)
 
-    terms = [
-        ValuationTerm(name="C1tilde", A=b1, S=bc + b1),
-        ValuationTerm(name="C2tilde", A=b2, S=b2 - bc),
+    def over(num):
+        return Rat(num, 2 * L * VOL)
+
+    orbits = [  # (names, A, S); S = bc + beta1, beta2 - bc, bc_pi - bc, bc_pi,
+        # bc_p0 + n bc + 2 and bc_generic
+        (["C1tilde"], angles.beta1, over(2 * (FM + p1 * VOL))),
+        (["C2tilde"], angles.beta2, over(2 * (p2 * VOL - FM))),
+        ([f"E{i}" for i in range(1, m + 1)], ONE, over(cross_marked - 2 * FM)),
+        ([f"F{i}tilde" for i in range(1, m + 1)], ONE, over(cross_marked)),
+        (["FiberP0"], ONE, over(d.cross(d.PSI_P0) + 2 * n * FM + 4 * L * VOL)),
+        (["GenericFiber"], ONE, over(d.cross(d.PSI_GENERIC))),
     ]
-    terms += [ValuationTerm(name=f"E{i}", A=ONE, S=bc_pi - bc) for i in range(1, m + 1)]
-    terms += [ValuationTerm(name=f"F{i}tilde", A=ONE, S=bc_pi) for i in range(1, m + 1)]
-    terms.append(ValuationTerm(name="FiberP0", A=ONE, S=bc_p(d, d.psi_p0) + n * bc + 2))
-    terms.append(ValuationTerm(name="GenericFiber", A=ONE, S=bc_p(d, d.psi_generic)))
-
-    delta = min(t.ratio for t in terms)
-    witnesses = tuple(t.name for t in terms if t.ratio == delta)
-    return DeltaReport(delta, witnesses, tuple(terms), futaki_sign=sign(-d.first_moment))
+    orbits = [(names, ValuationTerm(names[0], A, S)) for names, A, S in orbits if names]
+    delta = min(rep.ratio for _, rep in orbits)
+    witnesses = tuple(name for names, rep in orbits if rep.ratio == delta for name in names)
+    terms = tuple(
+        rep if name == rep.name else ValuationTerm(name, rep.A, rep.S)
+        for names, rep in orbits
+        for name in names
+    )
+    return DeltaReport(delta, witnesses, terms, futaki_sign=-sign(FM))

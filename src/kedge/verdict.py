@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .picard import C1TILDE, C2TILDE, Angles, CurveId, Ei, as_model
-from .ratmath import Rat, sign
+from .ratmath import Rat, common_denominator, sign
 from .tvariety import DeltaReport, delta_tvariety
 from .volumes import expected_vanishing_order, log_discrepancy
 from .zariski import InconsistencyError
@@ -48,12 +48,15 @@ class Verdict:
 
 
 def condition_sign(params, angles: Angles) -> int:
-    """Sign of the angle bracket; 0 is the polystability condition."""
+    """Sign of the angle bracket; 0 is the polystability condition.
+
+    With L the common denominator of the angles and P_i = L beta_i,
+    3 L^3 times the bracket is the integer
+    3 P1^2 L - n P1^3 - 3 P2^2 L - (n - m) P2^3."""
     model = as_model(params)
     n, m = model.n, model.m
-    b1, b2 = angles.beta1, angles.beta2
-    bracket = (b1 * b1 - Rat(n, 3) * b1**3) - (b2 * b2 + Rat(n - m, 3) * b2**3)
-    return sign(bracket)
+    L, p1, p2 = common_denominator(angles.beta1, angles.beta2)
+    return sign(3 * p1 * p1 * L - n * p1**3 - 3 * p2 * p2 * L - (n - m) * p2**3)
 
 
 def delta_upper_bound(params, angles: Angles):

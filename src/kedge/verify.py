@@ -152,15 +152,16 @@ def verify_route_agreement(samples: int, seed: int):
         params = sample_surface(rng, n_max=4, m_max=4)
         angles = sample_angles(rng, params)
         yield _context(params, angles)
-        report = delta_tvariety(params, angles)
+        model = as_model(params)
+        report = delta_tvariety(model, angles)
         curves = [C1TILDE, C2TILDE]
         curves += [Ei(i) for i in range(1, params.m + 1)]
         curves += [FiTilde(i) for i in range(1, params.m + 1)]
         for curve in curves:
             yield _context(params, angles, curve=curve.label)
             term = report.term(curve.label)
-            a = log_discrepancy(curve, params, angles)
-            s = expected_vanishing_order(curve, params, angles)
+            a = log_discrepancy(curve, model, angles)
+            s = expected_vanishing_order(curve, model, angles)
             yield None if (term.A, term.S) == (a, s) else (
                 f"torus (A,S)=({format_rat(term.A)},{format_rat(term.S)})"
                 f" vs sweep ({format_rat(a)},{format_rat(s)})")
@@ -176,7 +177,7 @@ def verify_halving(samples: int, seed: int):
         yield _context(params, angles)
         model = as_model(params)
         anticanonical_sq = model.self_intersection(model.log_anticanonical(angles))
-        dual = legendre_dual(anticanonical_support_function(params, angles))
+        dual = legendre_dual(anticanonical_support_function(model, angles))
         yield None if 2 * dual.vol == anticanonical_sq else (
             f"2 vol(Psi) = {format_rat(2 * dual.vol)}"
             f" vs (-K)^2 = {format_rat(anticanonical_sq)}")

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from kedge.cli import MAX_M, main
 from kedge.ratmath import format_rat, rat
-from kedge.tvariety import legendre_dual
+from kedge.tvariety import SupportFunction, legendre_dual
 from kedge.verdict import InconsistencyError
 from kedge.verify import SUITES, SuiteResult
 from kedge.volumes import IrrationalThreshold
@@ -74,10 +74,11 @@ def assert_one_line_inconsistency(code, out, err):
     assert_exit_contract(code, err)
 
 
-def halved_dual(h):
-    """The true dual with vol halved: breaks the halving suite's check."""
+def doubled_dual(h):
+    """The true dual with vol doubled, through its integer 6 L^2 vol:
+    breaks the halving suite's check."""
     dual = legendre_dual(h)
-    return dataclasses.replace(dual, vol=dual.vol / 2)
+    return dataclasses.replace(dual, VOL=2 * dual.VOL)
 
 
 def load_schema(name):
@@ -383,13 +384,40 @@ class TestInconsistencyExit:
             "IrrationalThreshold: threshold is an irrational root (synthetic)"
         )
 
-    def test_delta_support_function_certificate_is_exit_2(self, capsys, monkeypatch):
+    @staticmethod
+    def assert_certificate_is_exit_2(capsys, monkeypatch, argv):
+        # Each request certifies its own surface model: a request on the
+        # same (n, m) certified earlier in the process does not excuse it.
+        assert run_cli(capsys, argv)[0] == 0
         monkeypatch.setattr(
             "kedge.tvariety.SupportFunction.divisor_class", lambda self, model: model.zero()
         )
-        code, out, err = run_cli(capsys, DELTA_ARGS)
+        code, out, err = run_cli(capsys, argv)
         assert_one_line_inconsistency(code, out, err)
         assert "support function does not encode" in err
+
+    def test_delta_support_function_certificate_is_exit_2(self, capsys, monkeypatch):
+        self.assert_certificate_is_exit_2(capsys, monkeypatch, DELTA_ARGS)
+
+    def test_scan_support_function_certificate_is_exit_2(self, capsys, monkeypatch):
+        self.assert_certificate_is_exit_2(capsys, monkeypatch, SCAN_ARGS_CONDITION)
+
+    @pytest.mark.parametrize("beta2_grid", ["5/8:3/4:1/32", "1/8:7/8:1/8"])
+    def test_scan_certifies_once_per_request(self, capsys, monkeypatch, beta2_grid):
+        # Three round trips per request (module docstring of tvariety),
+        # however many grid points: 5 x 5 and 5 x 7 here.
+        calls = []
+        original = SupportFunction.divisor_class
+
+        def counting(self, model):
+            calls.append(self.angles)
+            return original(self, model)
+
+        monkeypatch.setattr(SupportFunction, "divisor_class", counting)
+        argv = ["scan", "--n", "0", "--m", "2",
+                "--beta1-grid", "61/128:65/128:1/128", "--beta2-grid", beta2_grid]
+        assert run_cli(capsys, argv)[0] == 0
+        assert len(calls) == 3
 
     def test_failing_suite_is_exit_2(self, capsys, monkeypatch):
         failing = SuiteResult(
@@ -403,7 +431,7 @@ class TestInconsistencyExit:
         assert err == "inconsistency: counterexample found by halving\n"
 
     def test_broken_suite_reports_counterexample(self, capsys, monkeypatch):
-        monkeypatch.setattr("kedge.verify.legendre_dual", halved_dual)
+        monkeypatch.setattr("kedge.verify.legendre_dual", doubled_dual)
         code, out, _ = run_cli(capsys, ["verify", "--suite", "halving", "--samples", "1"])
         assert code == 2
         report = json.loads(out)

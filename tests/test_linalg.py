@@ -69,6 +69,9 @@ class Vec:
     def __rmul__(self, t):
         return Vec(*(t * a for a in self.parts))
 
+    def __truediv__(self, t):
+        return Vec(*(a / t for a in self.parts))
+
     def __eq__(self, other):
         return self.parts == other.parts
 

@@ -1,29 +1,32 @@
 """Torus-side route: Legendre duals on three points, their moments, delta.
 
-The reference here shares nothing with the module's closed forms: each
-dual is the lower envelope of its slice's vertex lines u -> u v - h_p(v),
-evaluated pointwise, and every integral is Simpson's rule on the
-refinement of the moment interval by the crossings of those lines, where
-each integrand is quadratic, so the rule is exact.
+Two references share nothing with the module's integer closed forms.  In
+the first, each dual is the lower envelope of its slice's vertex lines
+u -> u v - h_p(v), evaluated pointwise, and every integral is Simpson's
+rule on the refinement of the moment interval by the crossings of those
+lines, where each integrand is quadratic, so the rule is exact.  The
+second is the route on ``Fraction`` values at x = (-beta1, 0, beta2) that
+the integer route over one common denominator replaced.
 """
 
 import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from kedge.picard import Angles, SurfaceParams, as_model
-from kedge.ratmath import ZERO, rat
+from kedge.picard import Angles, DivisorClass, SurfaceModel, SurfaceParams, as_model
+from kedge.ratmath import ONE, ZERO, Rat, rat, sign
 from kedge.sampling import sample_angles, sample_surface
 from kedge.tvariety import (
+    SupportFunction,
     anticanonical_support_function,
-    bc_p,
     delta_tvariety,
     futaki_vanishes,
     legendre_dual,
 )
+from kedge.zariski import InconsistencyError
 
 HALF = rat(1, 2)
 
@@ -98,6 +101,62 @@ def barycenter(d):
     return d.first_moment / d.vol
 
 
+def dot(xs, ws):
+    return sum((a * b for a, b in zip(xs, ws)), ZERO)
+
+
+def bc_p(d, psi):
+    """(1/vol) * integral of ((1/2) deg Psi - Psi_p) deg Psi, for Psi_p given
+    by its values at d.x, on the Rat views of d."""
+    return (d.half_square - dot(psi, d.weights)) / d.vol
+
+
+DUAL_VIEWS = ("x", "psi_p0", "psi_marked", "psi_generic", "deg_psi", "weights",
+              "vol", "first_moment", "half_square")
+
+
+def reference_dual(params, angles):
+    """Every DualData view on Fraction values at x = (-beta1, 0, beta2): the
+    duals as minima of their vertex lines, and the hat weights of deg Psi."""
+    b1, b2 = angles.beta1, angles.beta2
+    x = (-b1, ZERO, b2)
+    lines = slice_lines(params.n)
+    p0, marked, generic = (
+        tuple(envelope(lines[point])(u) for u in x) for point in ("p0", "marked", "generic")
+    )
+    g = tuple(a + params.m * b for a, b in zip(p0, marked))
+    s1, s2 = b1 / 6, b2 / 6
+    w = (
+        s1 * (2 * g[0] + g[1]),
+        s1 * (g[0] + 2 * g[1]) + s2 * (2 * g[1] + g[2]),
+        s2 * (g[1] + 2 * g[2]),
+    )
+    values = (x, p0, marked, generic, g, w, sum(w, ZERO), dot(x, w), dot(g, w) / 2)
+    return dict(zip(DUAL_VIEWS, values))
+
+
+def reference_delta(params, angles):
+    """(delta, witnesses, [(name, A, S, A/S)], Futaki sign) on Fraction
+    values, one term per curve, each dividing on its own."""
+    d = reference_dual(params, angles)
+    n, m = params.n, params.m
+    b1, b2 = angles.beta1, angles.beta2
+    bc = d["first_moment"] / d["vol"]
+
+    def cross(psi):
+        return (d["half_square"] - dot(psi, d["weights"])) / d["vol"]
+
+    terms = [("C1tilde", b1, bc + b1), ("C2tilde", b2, b2 - bc)]
+    terms += [(f"E{i}", ONE, cross(d["psi_marked"]) - bc) for i in range(1, m + 1)]
+    terms += [(f"F{i}tilde", ONE, cross(d["psi_marked"])) for i in range(1, m + 1)]
+    terms.append(("FiberP0", ONE, cross(d["psi_p0"]) + n * bc + 2))
+    terms.append(("GenericFiber", ONE, cross(d["psi_generic"])))
+    terms = [(name, a, s, a / s) for name, a, s in terms]
+    delta = min(ratio for *_, ratio in terms)
+    witnesses = tuple(name for name, *_, ratio in terms if ratio == delta)
+    return delta, witnesses, terms, sign(-d["first_moment"])
+
+
 @st.composite
 def ample_surfaces(draw):
     """(params, angles) with n, m <= 6 and -K_{S,Delta} ample: beta1 < 2/n
@@ -110,6 +169,28 @@ def ample_surfaces(draw):
         return 2 * t / k if k > 0 else 3 * t
 
     params, angles = SurfaceParams(n, m), Angles(angle(n), angle(m - n))
+    assert as_model(params).ample_angle_range(angles)
+    return params, angles
+
+
+@st.composite
+def ample_surfaces_large_denominators(draw):
+    """(params, angles) with n, m <= 6, -K_{S,Delta} ample and denominators
+    up to 10^6: drawn apart, consecutive (so coprime), equal, or with a
+    common factor."""
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    low = max(n, m - n, 1)
+    q1 = draw(st.integers(low, 10**6))
+    q2 = draw(st.one_of(st.integers(low, 10**6), st.just(q1 + 1), st.just(q1)))
+    if draw(st.booleans()):
+        g = draw(st.integers(2, 1000))
+        q1, q2 = g * draw(st.integers(low, 1000)), g * draw(st.integers(low, 1000))
+
+    def angle(q, k):
+        top = (2 * q - 1) // k if k > 0 else 3 * q  # p / q < 2 / k
+        return Fraction(draw(st.integers(1, top)), q)
+
+    params, angles = SurfaceParams(n, m), Angles(angle(q1, n), angle(q2, m - n))
     assert as_model(params).ample_angle_range(angles)
     return params, angles
 
@@ -314,6 +395,70 @@ class TestMoments:
             angles = sample_angles(rng, params)
             d = legendre_dual(anticanonical_support_function(params, angles))
             assert -angles.beta1 < barycenter(d) < angles.beta2
+
+
+class TestIntegerRoute:
+    """The integer route over one common denominator against the Fraction
+    route it replaced: every view, every term, delta and the Futaki sign."""
+
+    @given(ample_surfaces_large_denominators())
+    @example((SurfaceParams(2, 0), Angles(rat(9, 14), rat(3, 7))))  # m = 0
+    @example((SurfaceParams(0, 0), Angles(rat(3, 4), rat(3, 4))))
+    @example((SurfaceParams(0, 2), Angles(rat(63, 128), rat(21, 32))))  # condition point
+    @example((SurfaceParams(0, 1), Angles(rat(144, 125), rat(48, 25))))  # m = 1 locus
+    def test_matches_fraction_reference(self, surface):
+        params, angles = surface
+        d = legendre_dual(anticanonical_support_function(params, angles))
+        views = {name: getattr(d, name) for name in DUAL_VIEWS}
+        assert views == reference_dual(params, angles)
+        assert all(type(v) is Rat for name in DUAL_VIEWS[:6] for v in views[name])
+        report = delta_tvariety(params, angles)
+        delta, witnesses, terms, futaki_sign = reference_delta(params, angles)
+        assert (report.delta, report.witnesses, report.futaki_sign) == (
+            delta, witnesses, futaki_sign)
+        assert [(t.name, t.A, t.S, t.ratio) for t in report.terms] == terms
+
+    def test_integers_over_the_common_denominator(self):
+        # beta = (1/2, 1/3): L = 6, X = (-3, 0, 2); at n = 2, m = 3 the
+        # scaled duals are L (n u + 2) and L min(0, -u).
+        d = legendre_dual(anticanonical_support_function((2, 3), Angles(HALF, rat(1, 3))))
+        assert (d.L, d.X) == (6, (-3, 0, 2))
+        assert (d.PSI_P0, d.PSI_MARKED, d.PSI_GENERIC) == ((6, 12, 16), (0, 0, -2), (0, 0, 0))
+        assert d.G == (6, 12, 10)
+        assert d.W == (3 * 24, 3 * 30 + 2 * 34, 2 * 32)
+        assert (d.VOL, d.FM, d.HS2) == (sum(d.W), -216 + 128, 6 * 72 + 12 * 158 + 10 * 64)
+        assert all(type(v) is int for v in (d.L, *d.X, *d.G, *d.W, d.VOL, d.FM, d.HS2))
+
+
+class TestCertificate:
+    def test_once_per_model(self, monkeypatch):
+        calls = []
+        original = SupportFunction.divisor_class
+
+        def counting(self, model):
+            calls.append(model)
+            return original(self, model)
+
+        monkeypatch.setattr("kedge.tvariety.SupportFunction.divisor_class", counting)
+        model = as_model((1, 3))
+        for angles in (Angles(HALF, HALF), Angles(rat(1, 3), rat(1, 7))):
+            anticanonical_support_function(model, angles)
+        assert len(calls) == 3
+        anticanonical_support_function(as_model((1, 3)), Angles(HALF, HALF))
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (0, 2), (3, 2)])
+    def test_catches_an_offset_constant_term(self, monkeypatch, n, m):
+        # -K_{S,Delta} off by a class that does not depend on the angles:
+        # agreeing in both slopes, it still misses all three angle pairs.
+        original = SurfaceModel.log_anticanonical
+
+        def offset(self, angles):
+            return original(self, angles) + DivisorClass(0, 1, (0,) * self.m)
+
+        monkeypatch.setattr(SurfaceModel, "log_anticanonical", offset)
+        with pytest.raises(InconsistencyError, match="does not encode"):
+            anticanonical_support_function(as_model((n, m)), Angles(HALF, rat(1, 3)))
 
 
 class TestDelta:

@@ -4,6 +4,8 @@ import collections
 import dataclasses
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import kedge.tvariety
 from kedge.picard import (
@@ -15,7 +17,7 @@ from kedge.picard import (
     OutsideAmpleRange,
     as_model,
 )
-from kedge.ratmath import rat
+from kedge.ratmath import rat, sign
 from kedge.sampling import sample_angles, sample_surface
 from kedge.tvariety import ValuationTerm, delta_tvariety, futaki_vanishes
 from kedge.verdict import (
@@ -54,6 +56,16 @@ class TestConditionSign:
     def test_values(self, params, angles, expected):
         assert condition_sign(params, angles) == expected
 
+    @given(
+        st.integers(0, 8), st.integers(0, 8),
+        st.fractions(min_value=0, max_denominator=10**6).filter(bool),
+        st.fractions(min_value=0, max_denominator=10**6).filter(bool),
+    )
+    def test_integer_bracket_matches_rational_bracket(self, n, m, beta1, beta2):
+        # On any positive angles, ample or not.
+        bracket = (beta1**2 - rat(n, 3) * beta1**3) - (beta2**2 + rat(n - m, 3) * beta2**3)
+        assert condition_sign((n, m), Angles(beta1, beta2)) == sign(bracket)
+
     def test_equivalent_characterizations(self, rng):
         # One locus, four detectors: the bracket sign, the torus-side
         # Futaki sign, and the section expected orders against their
@@ -68,8 +80,6 @@ class TestConditionSign:
             assert delta_tvariety(model, angles).futaki_sign == cs
             s1 = expected_vanishing_order(C1TILDE, model, angles)
             s2 = expected_vanishing_order(C2TILDE, model, angles)
-            from kedge.ratmath import sign
-
             assert sign(angles.beta1 - s1) == cs
             assert sign(s2 - angles.beta2) == cs
 
@@ -172,23 +182,38 @@ class TestTorusWork:
     )
     def test_one_torus_pass_per_verdict(self, monkeypatch, params, angles):
         # Deterministic work: a second support function or a second dual
-        # fails here, and the certificate forms its class without class
-        # arithmetic.
+        # fails here; the certificate runs its three round trips on the
+        # model's first verdict only, and forms each class without class
+        # arithmetic; one A/S is divided per S_m orbit.
         calls = collections.Counter()
-        for name in ("anticanonical_support_function", "legendre_dual"):
-            def counting(*args, _name=name, _original=getattr(kedge.tvariety, name)):
+        targets = {
+            "anticanonical_support_function": kedge.tvariety,
+            "legendre_dual": kedge.tvariety,
+            "divisor_class": kedge.tvariety.SupportFunction,
+        }
+        for name, owner in targets.items():
+            def counting(*args, _name=name, _original=getattr(owner, name)):
                 calls[_name] += 1
                 return _original(*args)
 
-            monkeypatch.setattr(f"kedge.tvariety.{name}", counting)
+            monkeypatch.setattr(owner, name, counting)
 
         def class_arithmetic(*args):
             raise AssertionError("certificate class built by scale or +")
 
         monkeypatch.setattr(DivisorClass, "scale", class_arithmetic)
         monkeypatch.setattr(DivisorClass, "__add__", class_arithmetic)
-        k_polystable(params, angles)
+        model = as_model(params)
+        k_polystable(model, angles)
+        assert calls == {
+            "anticanonical_support_function": 1, "legendre_dual": 1, "divisor_class": 3,
+        }
+        calls.clear()
+        report = k_polystable(model, angles).report
         assert calls == {"anticanonical_support_function": 1, "legendre_dual": 1}
+        divided = [t.name for t in report.terms if "ratio" in vars(t)]
+        orbits = ["C1tilde", "C2tilde", "E1", "F1tilde"][: 2 + 2 * (model.m > 0)]
+        assert divided == orbits + ["FiberP0", "GenericFiber"]
         # Every integral is a dot product with the three hat weights; no
         # general PL type or pairwise product integrator is left.
         assert not hasattr(kedge.tvariety, "PLFunction")

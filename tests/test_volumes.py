@@ -73,6 +73,9 @@ class Affine:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, t):
+        return Affine(self.c0 / t, self.c1 / t)
+
     def __lt__(self, other):
         return (self.c0, self.c1) < (other.c0, other.c1)
 
