@@ -404,7 +404,7 @@ class TestInconsistencyExit:
 
     @pytest.mark.parametrize("beta2_grid", ["5/8:3/4:1/32", "1/8:7/8:1/8"])
     def test_scan_certifies_once_per_request(self, capsys, monkeypatch, beta2_grid):
-        # Three round trips per request (module docstring of tvariety),
+        # Three round trips per request (see anticanonical_support_function),
         # however many grid points: 5 x 5 and 5 x 7 here.
         calls = []
         original = SupportFunction.divisor_class

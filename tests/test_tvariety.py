@@ -20,7 +20,6 @@ from kedge.picard import Angles, DivisorClass, SurfaceModel, SurfaceParams, as_m
 from kedge.ratmath import ONE, ZERO, Rat, rat, sign
 from kedge.sampling import sample_angles, sample_surface
 from kedge.tvariety import (
-    SupportFunction,
     anticanonical_support_function,
     delta_tvariety,
     futaki_vanishes,
@@ -431,22 +430,6 @@ class TestIntegerRoute:
 
 
 class TestCertificate:
-    def test_once_per_model(self, monkeypatch):
-        calls = []
-        original = SupportFunction.divisor_class
-
-        def counting(self, model):
-            calls.append(model)
-            return original(self, model)
-
-        monkeypatch.setattr("kedge.tvariety.SupportFunction.divisor_class", counting)
-        model = as_model((1, 3))
-        for angles in (Angles(HALF, HALF), Angles(rat(1, 3), rat(1, 7))):
-            anticanonical_support_function(model, angles)
-        assert len(calls) == 3
-        anticanonical_support_function(as_model((1, 3)), Angles(HALF, HALF))
-        assert len(calls) == 6
-
     @pytest.mark.parametrize("n, m", [(0, 0), (0, 2), (3, 2)])
     def test_catches_an_offset_constant_term(self, monkeypatch, n, m):
         # -K_{S,Delta} off by a class that does not depend on the angles:
