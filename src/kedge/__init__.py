@@ -43,7 +43,6 @@ from .verdict import (
     OUTSIDE_AMPLE_RANGE,
     Verdict,
     condition_sign,
-    delta_upper_bound,
     k_polystable,
     rational_condition_point,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "as_model",
     "condition_sign",
     "delta_tvariety",
-    "delta_upper_bound",
     "expected_vanishing_order",
     "format_rat",
     "futaki_vanishes",

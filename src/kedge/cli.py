@@ -13,6 +13,7 @@ byte-identical output.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -251,7 +252,7 @@ def cmd_verify(suite, samples, seed, output):
         "samples": samples,
         "seed": seed,
         "ok": ok,
-        "suites": [r.as_dict() for r in results],
+        "suites": [dataclasses.asdict(r) for r in results],
     }
     _dump(report, output)
     if not ok:

@@ -18,6 +18,8 @@ and only the sweep applies.
 
 from __future__ import annotations
 
+import dataclasses
+
 from .picard import C1TILDE, C2TILDE, Ei, FiTilde, as_model
 from .ratmath import Rat, ZERO, rat
 from .volumes import PiecewiseQuadratic, QuadraticPiece
@@ -143,14 +145,7 @@ def normalize_pieces(raw) -> tuple:
                 and prev.negative_support == piece.negative_support
             )
             if same:
-                pieces[-1] = QuadraticPiece(
-                    x_lo=prev.x_lo,
-                    x_hi=piece.x_hi,
-                    q0=prev.q0,
-                    q1=prev.q1,
-                    q2=prev.q2,
-                    negative_support=prev.negative_support,
-                )
+                pieces[-1] = dataclasses.replace(prev, x_hi=piece.x_hi)
                 continue
         pieces.append(piece)
     return tuple(pieces)

@@ -34,6 +34,7 @@ The boundary is Delta = (1-beta1) C~1 + (1-beta2) C~2 with cone angles
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -123,17 +124,22 @@ def FiTilde(i: int) -> CurveId:
     return CurveId("FiTilde", i)
 
 
+# An index as ``CurveId.label`` writes it: ASCII digits, no leading zero.
+_INDEXED_LABEL = re.compile("E([1-9][0-9]*)|F([1-9][0-9]*)tilde")
+
+
 def parse_curve_id(label: str) -> CurveId:
-    """Inverse of ``CurveId.label`` (e.g. ``"E2"`` or ``"F1tilde"``)."""
+    """Inverse of ``CurveId.label`` (e.g. ``"E2"`` or ``"F1tilde"``);
+    surrounding whitespace is ignored."""
     s = label.strip()
     for fixed in (C1TILDE, C2TILDE, GENERIC_FIBER, PULLBACK_C2):
         if s == fixed.kind:
             return fixed
-    if s.startswith("E") and s[1:].isdigit():
-        return Ei(int(s[1:]))
-    if s.startswith("F") and s.endswith("tilde") and s[1:-5].isdigit():
-        return FiTilde(int(s[1:-5]))
-    raise ValueError(f"unknown curve label {label!r}")
+    indexed = _INDEXED_LABEL.fullmatch(s)
+    if indexed is None:
+        raise ValueError(f"unknown curve label {label!r}")
+    e, f = indexed.groups()
+    return Ei(int(e)) if e else FiTilde(int(f))
 
 
 @dataclass(frozen=True)
@@ -287,24 +293,20 @@ class SurfaceModel:
         """
         return all(x >= 0 for x in self.pairings(d)) and d.a >= 0
 
-    def ample_angle_range(self, angles: Angles) -> bool:
-        """Whether -K_{S,Delta} is ample.
-
-        Requires 0 < beta1 (< 2/n when n > 0) and 0 < beta2
-        (< 2/(m-n) when n < m); equivalently, all nefness inequalities
-        for the log anticanonical class are strict.
-        """
-        return self.ample_range_violation(angles) is None
-
     def ample_range_violation(self, angles: Angles) -> str | None:
-        """Human-readable reason ample_angle_range fails, or None."""
+        """Why -K_{S,Delta} is not ample, or None when it is.
+
+        Ample requires 0 < beta1 (< 2/n when n > 0) and 0 < beta2
+        (< 2/(m-n) when n < m); equivalently, all nefness inequalities
+        for the log anticanonical class are strict.  ``Angles`` already
+        rejects beta <= 0, so only the upper bounds are checked here.
+        """
         b1, b2 = angles.beta1, angles.beta2
         if self.n > 0 and self.n * b1 >= 2:
             return f"beta1 must lie in (0, 2/{self.n}), got {b1}"
         if self.n < self.m and (self.m - self.n) * b2 >= 2:
             return f"beta2 must lie in (0, 2/{self.m - self.n}), got {b2}"
         return None
-
 
     def ensure_ample(self, angles: Angles) -> None:
         """Raise OutsideAmpleRange unless -K_{S,Delta} is ample."""

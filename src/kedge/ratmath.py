@@ -13,14 +13,15 @@ expose ``.numerator``/``.denominator`` and exact comparison, which is all
 the rest of the package relies on.
 
 Serialized form is always the string ``"p/q"`` in lowest terms (e.g.
-``"21/23"``, ``"-1/21"``, ``"3/1"``); parsing accepts ``"p/q"`` and bare
-integers, and -- only when explicitly requested -- decimal literals,
+``"21/23"``, ``"-1/21"``, ``"3/1"``); parsing accepts ASCII ``"p/q"`` and
+bare integers, and -- only when explicitly requested -- decimal literals,
 which are converted exactly (base-10), never through binary floats.
 """
 from __future__ import annotations
 
 import math
 import os
+import re
 from fractions import Fraction
 
 _backend = os.environ.get("KEDGE_RATIONAL_BACKEND", "").strip().lower()
@@ -86,47 +87,48 @@ class RatParseError(ValueError):
 MAX_LITERAL_DIGITS = MAX_DECIMAL_EXPONENT = 100
 
 
+# ASCII digits only, one sign per side: int() and Fraction() would also take
+# "1_0", blanks after a sign or a slash, and non-ASCII digits.
+_INTEGER = "[+-]?[0-9]+"
+_RATIONAL = re.compile(f"{_INTEGER}(?:/{_INTEGER})?")
+_DECIMAL = re.compile(rf"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE]({_INTEGER}))?")
+
+
 def parse_rat(text: str, accept_decimal: bool = False):
     """Parse ``"p/q"`` or an integer literal into a Rat.
 
     Decimal literals such as ``"0.5"`` are rejected unless
     ``accept_decimal`` is set, in which case they are converted exactly
-    in base 10 (``"0.1"`` becomes 1/10, not a binary float).
+    in base 10 (``"0.1"`` becomes 1/10, not a binary float).  Surrounding
+    whitespace is ignored.
     """
     s = text.strip()
     if not s:
         raise RatParseError("empty rational literal")
-    exponent = s.lower().partition("e")[2].lstrip("+-")
+    rational = _RATIONAL.fullmatch(s)
+    decimal = None if rational else _DECIMAL.fullmatch(s)
+    if not (rational or decimal):
+        raise RatParseError(f"malformed rational {text!r}: expected 'p/q'")
+    exponent = decimal[1] if decimal else None
     if sum(ch.isdigit() for ch in s) > MAX_LITERAL_DIGITS or (
-        exponent.isdecimal() and int(exponent) > MAX_DECIMAL_EXPONENT
+        exponent and abs(int(exponent)) > MAX_DECIMAL_EXPONENT
     ):
         raise RatParseError(
             f"literal too large: at most {MAX_LITERAL_DIGITS} digits and a decimal "
             f"exponent of at most {MAX_DECIMAL_EXPONENT} in absolute value are accepted"
         )
-    if "/" in s:
-        num_s, _, den_s = s.partition("/")
-        try:
-            num, den = int(num_s), int(den_s)
-        except ValueError:
-            raise RatParseError(f"malformed rational {text!r}: expected 'p/q'") from None
-        if den == 0:
-            raise RatParseError(f"zero denominator in {text!r}")
-        return Rat(num) / Rat(den)
-    if "." in s or "e" in s.lower():
+    if decimal:
         if not accept_decimal:
             raise RatParseError(
                 f"{text!r} looks like a decimal; pass an exact rational 'p/q' "
                 "or enable the lossy decimal flag"
             )
-        try:
-            return Rat(Fraction(s))
-        except ValueError:
-            raise RatParseError(f"malformed decimal {text!r}") from None
-    try:
-        return Rat(int(s))
-    except ValueError:
-        raise RatParseError(f"malformed rational {text!r}") from None
+        return Rat(Fraction(s))
+    num, _, den = s.partition("/")
+    den = int(den or 1)
+    if den == 0:
+        raise RatParseError(f"zero denominator in {text!r}")
+    return Rat(int(num)) / Rat(den)
 
 
 def format_rat(x) -> str:

@@ -49,7 +49,8 @@ and VOL = sum W_i, FM = sum X_i W_i and HS2 = sum G_i W_i are 6 L^2 vol,
 6 L^3 (first moment) and 12 L^3 (half square).  So the barycenter is
 bc = FM / (L VOL), each cross term is bc_p = (HS2 - 2 sum L Psi_p(x_i) W_i)
 / (2 L VOL), every S of the delta minimum is one rational over 2 L VOL,
-and the Futaki sign is -sign(FM).
+and the Futaki sign is -sign(FM).  ``DualData`` holds these integers
+only; a reader divides by the power of L it needs.
 """
 from __future__ import annotations
 
@@ -61,7 +62,6 @@ from .picard import (
     C2TILDE,
     GENERIC_FIBER,
     Angles,
-    DivisorClass,
     SurfaceModel,
     SurfaceParams,
     as_model,
@@ -105,16 +105,12 @@ class SupportFunction:
         carries C~2, and each vertex (p, v) carries the corresponding
         vertical divisor; the class is -sum h_t(n_rho) D_rho -
         sum mu(v) h_p(v) D_{p,v}.  Only the p0 vertex value is nonzero,
-        contributing 2 F.  The sum is formed coordinatewise, as one class.
+        contributing 2 F.
         """
         ((_, h_p0),), _, _ = self.slices
         t1, t2, tf = -self.tail(ONE), -self.tail(-ONE), -h_p0
         c1, c2, f = (model.class_of(c) for c in (C1TILDE, C2TILDE, GENERIC_FIBER))
-        return DivisorClass(
-            t1 * c1.a + t2 * c2.a + tf * f.a,
-            t1 * c1.b + t2 * c2.b + tf * f.b,
-            tuple(t1 * x + t2 * y + tf * z for x, y, z in zip(c1.c, c2.c, f.c)),
-        )
+        return c1.scale(t1) + c2.scale(t2) + f.scale(tf)
 
 
 # Three affinely independent angle pairs.
@@ -141,23 +137,11 @@ def anticanonical_support_function(params, angles: Angles) -> SupportFunction:
     return SupportFunction(params=model.params, angles=angles)
 
 
-def _view(field: str, power: int, factor: int = 1):
-    """Read-only Rat view of an integer field (or tuple of them) of DualData
-    over factor * L**power, built when read."""
-
-    def read(d):
-        num, den = getattr(d, field), factor * d.L**power
-        return tuple(Rat(v, den) for v in num) if isinstance(num, tuple) else Rat(num, den)
-
-    return property(read)
-
-
 @dataclass(frozen=True)
 class DualData:
     """Legendre duals of h and deg Psi at x = X / L, with the hat weights of
-    deg Psi and the integrals read off them.  The upper-case fields are the
-    integers of the module docstring; the lower-case Rat views are built
-    from them when read."""
+    deg Psi and the integrals read off them, as the integers of the module
+    docstring; each field's comment gives its scale."""
 
     L: int  # lcm of the angles' denominators
     X: tuple  # L x = (-P1, 0, P2)
@@ -169,16 +153,6 @@ class DualData:
     VOL: int  # 6 L^2 vol = sum W_i
     FM: int  # 6 L^3 first moment = sum X_i W_i
     HS2: int  # 12 L^3 half square = sum G_i W_i
-
-    x = _view("X", 1)  # (-beta1, 0, beta2)
-    psi_p0 = _view("PSI_P0", 1)
-    psi_marked = _view("PSI_MARKED", 1)
-    psi_generic = _view("PSI_GENERIC", 1)
-    deg_psi = _view("G", 1)
-    weights = _view("W", 2, 6)
-    vol = _view("VOL", 2, 6)  # integral of deg Psi
-    first_moment = _view("FM", 3, 6)  # integral of u * deg Psi(u)
-    half_square = _view("HS2", 3, 12)  # (1/2) integral of deg Psi^2
 
     def cross(self, psi: tuple) -> int:
         """2 L VOL bc_p for the scaled dual ``psi`` (one of the PSI_* fields)."""
@@ -224,10 +198,6 @@ class DeltaReport:
     witnesses: tuple  # names of all terms attaining the minimum, canonical order
     terms: tuple  # ValuationTerm, canonical order
     futaki_sign: int  # sign of -integral of u * deg Psi, as futaki_vanishes
-
-    @property
-    def witness(self) -> str:
-        return self.witnesses[0]
 
     def term(self, name: str) -> ValuationTerm:
         for t in self.terms:

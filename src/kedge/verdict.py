@@ -1,4 +1,4 @@
-"""Final statements: the angle condition, delta bounds, and K-polystability.
+"""Final statements: the angle condition and K-polystability.
 
 ``condition_sign`` evaluates the sign of the angle bracket
 
@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .picard import C1TILDE, C2TILDE, Angles, CurveId, Ei, as_model
+from .picard import Angles, as_model
 from .ratmath import Rat, common_denominator, sign
 from .tvariety import DeltaReport, delta_tvariety
-from .volumes import expected_vanishing_order, log_discrepancy
 from .zariski import InconsistencyError
 
 KPOLYSTABLE = "KPolystable"
@@ -57,26 +56,6 @@ def condition_sign(params, angles: Angles) -> int:
     n, m = model.n, model.m
     L, p1, p2 = common_denominator(angles.beta1, angles.beta2)
     return sign(3 * p1 * p1 * L - n * p1**3 - 3 * p2 * p2 * L - (n - m) * p2**3)
-
-
-def delta_upper_bound(params, angles: Angles):
-    """Minimum of A/S over C~1, C~2 and the exceptional curves
-    (computed by the volume sweep), with every attaining curve.
-
-    Returns (value, witnesses) where witnesses is a tuple of CurveId in
-    the canonical order C~1, C~2, E_1..E_m.
-    """
-    model = as_model(params)
-    model.ensure_ample(angles)
-    competitors: list[CurveId] = [C1TILDE, C2TILDE] + [Ei(i) for i in range(1, model.m + 1)]
-    ratios = []
-    for cid in competitors:
-        a = log_discrepancy(cid, model, angles)
-        s = expected_vanishing_order(cid, model, angles)
-        ratios.append((cid, a / s))
-    best = min(r for _, r in ratios)
-    witnesses = tuple(cid for cid, r in ratios if r == best)
-    return best, witnesses
 
 
 def _check(condition: bool, message: str, *args):
@@ -211,7 +190,7 @@ def rational_condition_point(params, s, width=DEFAULT_BRACKET_WIDTH):
         b2 = Rat(3, m) * (1 - s * s)
         b1 = s * b2
         angles = Angles(b1, b2)
-        if not model.ample_angle_range(angles):
+        if model.ample_range_violation(angles) is not None:
             raise NotFound(
                 f"parametrized point ({b1}, {b2}) is outside the ample range"
             )

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .closedforms import closed_form_S, closed_form_volume_curve
 from .picard import C1TILDE, C2TILDE, Ei, FiTilde, as_model
-from .ratmath import format_rat
+from .ratmath import Rat, format_rat
 from .sampling import (
     LEMMA_CASES,
     sample_angles,
@@ -49,15 +49,6 @@ class SuiteResult:
     checks: int
     passed: bool
     counterexample: dict | None
-
-    def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "samples": self.samples,
-            "checks": self.checks,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-        }
 
 
 def _context(params, angles, **extra) -> dict:
@@ -178,8 +169,9 @@ def verify_halving(samples: int, seed: int):
         model = as_model(params)
         anticanonical_sq = model.self_intersection(model.log_anticanonical(angles))
         dual = legendre_dual(anticanonical_support_function(model, angles))
-        yield None if 2 * dual.vol == anticanonical_sq else (
-            f"2 vol(Psi) = {format_rat(2 * dual.vol)}"
+        twice_vol = Rat(dual.VOL, 3 * dual.L**2)  # VOL = 6 L^2 vol
+        yield None if twice_vol == anticanonical_sq else (
+            f"2 vol(Psi) = {format_rat(twice_vol)}"
             f" vs (-K)^2 = {format_rat(anticanonical_sq)}")
 
 

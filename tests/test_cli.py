@@ -263,6 +263,24 @@ class TestInputHandling:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "too large" in proc.stderr
 
+    @pytest.mark.parametrize("beta1", ["1e-1_0000", "1_0/20", "1/2_0", "\u0661/\u0662", "1/ 2"])
+    def test_non_ascii_literal_is_one_line_user_error(self, capsys, beta1):
+        # int() and Fraction() take underscores, inner blanks and non-ASCII
+        # digits; "1e-1_0000" once slipped past the exponent bound.
+        argv = ["delta", "--n", "0", "--m", "2", "--beta1", beta1, "--beta2", "1/2",
+                "--accept-decimal"]
+        code, out, err = run_cli(capsys, argv)
+        assert_exit_contract(code, err)
+        assert (code, out) == (1, "")
+        assert "malformed" in err
+
+    @pytest.mark.parametrize("label", ["E01", "F02tilde", "F\u0663tilde"])
+    def test_curve_label_is_written_as_label_writes_it(self, capsys, label):
+        code, out, err = run_cli(capsys, CURVE_ARGS[:-1] + [label])
+        assert_exit_contract(code, err)
+        assert (code, out) == (1, "")
+        assert err == f"error: unknown curve label {label!r}\n"
+
     @pytest.mark.parametrize(
         "argv, message",
         [

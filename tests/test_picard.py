@@ -59,6 +59,11 @@ def test_curve_ids_and_labels():
         CurveId("C1tilde", 1)  # spurious index
     with pytest.raises(ValueError):
         parse_curve_id("E0")
+    # Only what ``label`` writes: no leading zero, ASCII digits.
+    for label in ("E01", "F02tilde", "F\u0663tilde", "E\u0663"):
+        with pytest.raises(ValueError):
+            parse_curve_id(label)
+    assert parse_curve_id(" F3tilde ") == FiTilde(3)
     with pytest.raises(ValueError):
         parse_curve_id("D5")
 
@@ -204,17 +209,14 @@ def test_is_nef():
 
 def test_ample_range():
     model = as_model(SurfaceParams(2, 4))
-    assert model.ample_angle_range(Angles(rat(1, 2), rat(1, 2)))
+    assert model.ample_range_violation(Angles(rat(1, 2), rat(1, 2))) is None
     # beta1 = 2/n and beta2 = 2/(m-n) sit on the boundary: excluded.
-    assert not model.ample_angle_range(Angles(rat(1), rat(1, 2)))
-    assert not model.ample_angle_range(Angles(rat(1, 2), rat(1)))
     assert "beta1" in model.ample_range_violation(Angles(rat(1), rat(1, 2)))
     assert "beta2" in model.ample_range_violation(Angles(rat(1, 2), rat(1)))
-    assert model.ample_range_violation(Angles(rat(1, 2), rat(1, 2))) is None
     with pytest.raises(OutsideAmpleRange):
         model.ensure_ample(Angles(rat(1), rat(1, 2)))
     # n = m = 0 has no upper bounds at all.
-    assert as_model(SurfaceParams(0, 0)).ample_angle_range(Angles(5, 7))
+    assert as_model(SurfaceParams(0, 0)).ample_range_violation(Angles(5, 7)) is None
 
 
 def test_as_model_coercions():

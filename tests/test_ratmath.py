@@ -42,7 +42,12 @@ def test_parse_rat(text, expected):
     assert parse_rat(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "a/b", "1/0", "1/2/3", "0.5", "1e-3", "nan"])
+@pytest.mark.parametrize(
+    "text",
+    ["", "a/b", "1/0", "1/2/3", "0.5", "1e-3", "nan",
+     # ASCII digits only, one sign per side: int() and Fraction() take these.
+     "1_0/20", "1/2_0", "\u0661/\u0662", "1_0", "1/ 2", "+-1", "1e-1_0000"],
+)
 def test_parse_rat_rejects(text):
     with pytest.raises(RatParseError):
         parse_rat(text)
@@ -53,8 +58,10 @@ def test_parse_decimal_opt_in_is_exact_base_10():
     # 0.1 must become 1/10, not the nearest binary float.
     assert parse_rat("0.1", accept_decimal=True) == rat(1, 10)
     assert parse_rat("1e-3", accept_decimal=True) == rat(1, 1000)
-    with pytest.raises(RatParseError):
-        parse_rat("0.5.1", accept_decimal=True)
+    assert parse_rat(".5", accept_decimal=True) == parse_rat("+5E-1", accept_decimal=True)
+    for text in ("0.5.1", "1e-1_0000", "1_0.5", "\u0660.5", "1e"):
+        with pytest.raises(RatParseError, match="malformed"):
+            parse_rat(text, accept_decimal=True)
 
 
 def test_parse_rat_size_bounds():

@@ -1,4 +1,4 @@
-"""The main decision layer: bracket sign, delta bounds, polystability."""
+"""The main decision layer: bracket sign and polystability."""
 
 import collections
 import dataclasses
@@ -12,9 +12,6 @@ from kedge.picard import (
     C1TILDE,
     C2TILDE,
     Angles,
-    DivisorClass,
-    Ei,
-    OutsideAmpleRange,
     as_model,
 )
 from kedge.ratmath import rat, sign
@@ -30,7 +27,6 @@ from kedge.verdict import (
     _certify_polystable_branch,
     _check,
     condition_sign,
-    delta_upper_bound,
     k_polystable,
     rational_condition_point,
 )
@@ -82,29 +78,6 @@ class TestConditionSign:
             s2 = expected_vanishing_order(C2TILDE, model, angles)
             assert sign(angles.beta1 - s1) == cs
             assert sign(s2 - angles.beta2) == cs
-
-
-class TestDeltaUpperBound:
-    def test_generic_point(self):
-        value, witnesses = delta_upper_bound((0, 2), Angles(HALF, HALF))
-        assert value == rat(21, 23)
-        assert witnesses == (C2TILDE,)
-
-    def test_condition_point_ties(self):
-        value, witnesses = delta_upper_bound((0, 2), CONDITION_M2)
-        assert value == 1
-        assert witnesses == (C1TILDE, C2TILDE, Ei(1), Ei(2))
-
-    def test_bounds_torus_delta(self, rng):
-        for _ in range(10):
-            params = sample_surface(rng, n_max=3, m_max=3)
-            angles = sample_angles(rng, params)
-            bound, _ = delta_upper_bound(params, angles)
-            assert delta_tvariety(params, angles).delta <= bound
-
-    def test_requires_ample(self):
-        with pytest.raises(OutsideAmpleRange):
-            delta_upper_bound((2, 0), Angles(rat(1), HALF))
 
 
 class TestVerdicts:
@@ -183,8 +156,7 @@ class TestTorusWork:
     def test_one_torus_pass_per_verdict(self, monkeypatch, params, angles):
         # Deterministic work: a second support function or a second dual
         # fails here; the certificate runs its three round trips on the
-        # model's first verdict only, and forms each class without class
-        # arithmetic; one A/S is divided per S_m orbit.
+        # model's first verdict only; one A/S is divided per S_m orbit.
         calls = collections.Counter()
         targets = {
             "anticanonical_support_function": kedge.tvariety,
@@ -198,11 +170,6 @@ class TestTorusWork:
 
             monkeypatch.setattr(owner, name, counting)
 
-        def class_arithmetic(*args):
-            raise AssertionError("certificate class built by scale or +")
-
-        monkeypatch.setattr(DivisorClass, "scale", class_arithmetic)
-        monkeypatch.setattr(DivisorClass, "__add__", class_arithmetic)
         model = as_model(params)
         k_polystable(model, angles)
         assert calls == {

@@ -157,7 +157,8 @@ def sweep_inputs(draw):
     pulled-back section."""
     model = as_model((draw(st.integers(0, 6)), draw(st.integers(0, 6))))
     angle = st.builds(Rat, st.integers(1, 24), st.integers(1, 12))
-    angles = draw(st.builds(Angles, angle, angle).filter(model.ample_angle_range))
+    angles = draw(st.builds(Angles, angle, angle).filter(
+        lambda angles: model.ample_range_violation(angles) is None))
     curves = model.candidate_curves() + [GENERIC_FIBER] + [PULLBACK_C2] * (model.m == 0)
     return draw(st.sampled_from(curves)), model, angles
 
@@ -200,6 +201,11 @@ class TestPinnedCurves:
         assert expected_vanishing_order(Ei(1), params, angles) == rat(22, 21)
         assert expected_vanishing_order(FiTilde(1), params, angles) == rat(1)
         assert expected_vanishing_order(GENERIC_FIBER, params, angles) == rat(19, 21)
+        # At the m = 2 condition point A/S = 1 on both sections and every E_i.
+        condition = Angles(rat(63, 128), rat(21, 32))
+        for curve in (C1TILDE, C2TILDE, Ei(1), Ei(2)):
+            a = log_discrepancy(curve, params, condition)
+            assert expected_vanishing_order(curve, params, condition) == a
 
     def test_big_angle_S_value(self):
         # The m=1 condition point has angles above 1; formulas stay exact.
