@@ -124,8 +124,10 @@ def FiTilde(i: int) -> CurveId:
     return CurveId("FiTilde", i)
 
 
-# An index as ``CurveId.label`` writes it: ASCII digits, no leading zero.
-_INDEXED_LABEL = re.compile("E([1-9][0-9]*)|F([1-9][0-9]*)tilde")
+# An index as ``CurveId.label`` writes it: ASCII digits, no leading zero,
+# and at most three of them, since no surface the CLI accepts (m <= 200)
+# has a fourth, so ``int`` never sees a long string.
+_INDEXED_LABEL = re.compile("E([1-9][0-9]{0,2})|F([1-9][0-9]{0,2})tilde")
 
 
 def parse_curve_id(label: str) -> CurveId:

@@ -1,16 +1,10 @@
-"""Exact rational arithmetic backend.
+"""Exact rational arithmetic: the ``Rat`` type, parsing and formatting.
 
 Every number in the engine is an arbitrary-precision rational; floating
-point is never used in core computations.  Two interchangeable backends
-provide the ``Rat`` type:
-
-  * ``gmpy2.mpq`` (GMP-backed, fast) -- used when gmpy2 is importable;
-  * ``fractions.Fraction`` (pure Python) -- always available.
-
-The choice can be forced with the environment variable
-``KEDGE_RATIONAL_BACKEND`` set to ``gmpy2`` or ``fraction``.  Both types
-expose ``.numerator``/``.denominator`` and exact comparison, which is all
-the rest of the package relies on.
+point is never used in core computations.  ``Rat`` is
+``fractions.Fraction``.  The two routes to S run on Python ``int``s
+inside, over the angles' common denominator (``common_denominator``), and
+``Rat`` is formed at their edges: parsed inputs, reports and outputs.
 
 Serialized form is always the string ``"p/q"`` in lowest terms (e.g.
 ``"21/23"``, ``"-1/21"``, ``"3/1"``); parsing accepts ASCII ``"p/q"`` and
@@ -20,30 +14,10 @@ which are converted exactly (base-10), never through binary floats.
 from __future__ import annotations
 
 import math
-import os
 import re
-from fractions import Fraction
+from fractions import Fraction as Rat
 
-_backend = os.environ.get("KEDGE_RATIONAL_BACKEND", "").strip().lower()
-
-if _backend not in ("", "gmpy2", "fraction"):
-    raise RuntimeError(
-        f"KEDGE_RATIONAL_BACKEND={_backend!r}: expected 'gmpy2' or 'fraction'"
-    )
-
-if _backend in ("", "gmpy2"):
-    try:
-        from gmpy2 import mpq as Rat
-
-        RAT_BACKEND = "gmpy2"
-    except ImportError:
-        if _backend == "gmpy2":
-            raise
-        Rat = Fraction
-        RAT_BACKEND = "fraction"
-else:
-    Rat = Fraction
-    RAT_BACKEND = "fraction"
+RAT_BACKEND = "fraction"
 
 #: Rational zero/one, shared to avoid repeated construction.
 ZERO = Rat(0)
@@ -62,11 +36,10 @@ def as_rat(x):
     return x if type(x) is Rat else Rat(x)
 
 
-def common_denominator(x, y) -> tuple:
-    """(L, L x, L y) as ints, L the least common denominator of x and y."""
-    q1, q2 = int(x.denominator), int(y.denominator)
-    L = q1 // math.gcd(q1, q2) * q2
-    return L, int(x.numerator) * (L // q1), int(y.numerator) * (L // q2)
+def common_denominator(*xs) -> tuple:
+    """(L, L x for each x) as ints, L the least common denominator of xs."""
+    L = math.lcm(*(x.denominator for x in xs))
+    return (L, *(x.numerator * (L // x.denominator) for x in xs))
 
 
 def sign(x) -> int:
@@ -123,12 +96,12 @@ def parse_rat(text: str, accept_decimal: bool = False):
                 f"{text!r} looks like a decimal; pass an exact rational 'p/q' "
                 "or enable the lossy decimal flag"
             )
-        return Rat(Fraction(s))
+        return Rat(s)
     num, _, den = s.partition("/")
     den = int(den or 1)
     if den == 0:
         raise RatParseError(f"zero denominator in {text!r}")
-    return Rat(int(num)) / Rat(den)
+    return Rat(int(num), den)
 
 
 def format_rat(x) -> str:

@@ -1,32 +1,38 @@
 """Exact volume curves x |-> vol(-K_{S,Delta} - x E) by symbolic chamber sweep.
 
-The sweep works in pairing coordinates: it never builds a divisor class
-inside the loop.  It needs only the affine vector r(x) = r0 + x r1 of
-pairings D(x).C over the candidate curves C, where D(x) = -K_Delta - x E,
-kept as two rational lists by candidate index, the quadratic
-D(x)^2 = d0 + d1 x + d2 x^2, and the sparse candidate table.  r0 is
-``SurfaceModel.pairings`` of -K_Delta.  As
--K_Delta = beta1 C~1 + beta2 C~2 + 2F,
-d0 = beta1 r0[C~1] + beta2 r0[C~2] + 2 (beta1 + beta2).  For a candidate
-E, r1 is minus E's row of the table, d1 = -2 r0[E] and d2 = -r1[E]; only
-the generic fiber and the pulled-back section, which are not candidates,
-pair -E through the generic ``intersect``.  Within a chamber the Zariski
-negative support S is constant, the support coefficients
-a(x) = G_S^{-1} r_S(x) are affine in x, and, because P.N = 0, the volume
-P(x)^2 = D(x)^2 - a(x).r_S(x) is an honest quadratic.  The sweep
-therefore never samples.  The support starts empty, because -K_Delta is
-ample, and only grows: P(D) is the largest nef class below D, so
-P(x') <= P(x) for x < x', and no coefficient of the negative part falls
-(E never enters it: Lazarsfeld-Mustata, Ann. Sci. ENS 42 (2009),
-section 6).  At each chamber's left end x0, ``zariski.grow_support``
-grows it on two columns, the value r(x0) and the slope r1, ordered
-lexicographically -- exact "x = x0 + epsilon" arithmetic; its last solve,
-read as an affine function of x, is the chamber's solution, and the next
-wall is the least root of a residual pairing P(x).C that falls.  Each
-chamber becomes one ``QuadraticPiece``, integrated in closed form.
-``_certify_curve`` checks that the support grew strictly at every wall,
-so no two chambers ever merge, and compares the first piece with
-(-K_Delta)^2 from the generic ``intersect``, which checks d0.
+The sweep works in pairing coordinates and in integers: it never builds
+a divisor class inside the loop, and forms a rational only where a piece
+leaves it.  With L the least common denominator of the angles,
+-K_Delta = (L beta1 C~1 + L beta2 C~2 + 2L F) / L, so L r0, the pairings
+(-K_Delta).C over the candidate curves C, is an integer column read off
+the sparse candidate table, and so is L^2 d0 = L^2 (-K_Delta)^2 =
+L beta1 L r0[C~1] + L beta2 L r0[C~2] + 2L (L beta1 + L beta2).  For a candidate E the
+slope column r1 of D(x) = -K_Delta - x E is minus E's row of the table,
+L d1 = -2 L r0[E] and d2 = -r1[E]; only the generic fiber and the
+pulled-back section, which are not candidates, pair -E through the
+generic ``intersect``.  Within a chamber the Zariski negative support S
+is constant, the support coefficients a(x) = G_S^{-1} r_S(x) are affine
+in x, and, because P.N = 0, the volume P(x)^2 = D(x)^2 - a(x).r_S(x) is
+an honest quadratic.  The sweep therefore never samples.  The support
+starts empty, because -K_Delta is ample, and only grows: P(D) is the
+largest nef class below D, so P(x') <= P(x) for x < x', and no
+coefficient of the negative part falls (E never enters it:
+Lazarsfeld-Mustata, Ann. Sci. ENS 42 (2009), section 6).  At each
+chamber's left end x0 = u/v, ``zariski.grow_support`` grows it on two
+integer columns, the value v L r(x0) = v L r0 + u L r1 and the slope r1,
+ordered lexicographically -- exact "x = x0 + epsilon" arithmetic, which
+reads only signs, so each column keeps its own positive scale.  Its last
+solve, with s = |det G_S|, gives s L a(x) = b + s a1 L x, where
+b = (s v L a(x0) - u L s a1) / v is exact; so s L^2 vol(x) is
+c0 + c1 (L x) + c2 (L x)^2 with integer c's.  The next wall is the least
+root (P0 - u L P1) / (-v L P1) of a residual pairing that falls,
+P0 + (x - x0) P1 with P1 < 0 in the scales above; walls are compared by
+cross-multiplication, and every curve that reaches the least one starts
+the next chamber's growth.  Each chamber becomes one ``QuadraticPiece``,
+with q0 = c0 / (s L^2), q1 = c1 / (s L), q2 = c2 / s, integrated in
+closed form.  ``_certify_curve`` checks that the support grew strictly at
+every wall, so no two chambers ever merge, and compares the first piece
+with (-K_Delta)^2 from the generic ``intersect``, which checks d0.
 
 The sweep ends where the quadratic vanishes: that root is the
 pseudoeffective threshold tau.  A final quadratic with irrational roots
@@ -37,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .picard import Angles, CurveId, SurfaceModel, as_model
-from .ratmath import ZERO, Rat, as_rat, sqrt_exact
+from .ratmath import ZERO, Rat, as_rat, common_denominator, sqrt_exact
 from .zariski import DecompositionError, InconsistencyError, NotPseudoeffective, grow_support
 
 
@@ -140,59 +146,80 @@ def volume_sweep(E: CurveId, params, angles: Angles) -> tuple:
     """
     model = as_model(params)
     model.ensure_ample(angles)
-    minus_k, candidates = model.log_anticanonical(angles), model.candidate_curves()
-    # r(x) = r0 + x r1 by candidate index, and D(x)^2 = d0 + d1 x + d2 x^2.
-    r0 = model.pairings(minus_k)
-    # -K_Delta = beta1 C~1 + beta2 C~2 + 2F, and (-K_Delta).F = beta1 + beta2.
-    b1, b2 = angles.beta1, angles.beta2
-    d0 = b1 * r0[0] + b2 * r0[1] + 2 * (b1 + b2)
+    candidates, table = model.candidate_curves(), model.candidate_table
+    # Integers over L: r(x) = r0 + x r1 as L r0 and r1 by candidate index,
+    # and D(x)^2 = d0 + d1 x + d2 x^2 as L^2 d0, L d1 and d2.
+    L, lb1, lb2 = common_denominator(angles.beta1, angles.beta2)
+    r0 = [0] * len(candidates)
+    for j, g in table[0]:
+        r0[j] += lb1 * g
+    for j, g in table[1]:
+        r0[j] += lb2 * g
+    r0[0] += 2 * L  # F.C~1 = F.C~2 = 1
+    r0[1] += 2 * L
+    d0 = lb1 * r0[0] + lb2 * r0[1] + 2 * L * (lb1 + lb2)
     if E in candidates:
-        e, r1 = candidates.index(E), [ZERO] * len(candidates)
-        for j, g in model.candidate_table[e]:
-            r1[j] = Rat(-g)
+        e, r1 = candidates.index(E), [0] * len(candidates)
+        for j, g in table[e]:
+            r1[j] = -g
         d1, d2 = -2 * r0[e], -r1[e]
     else:
-        minus_e = -model.class_of(E)
-        r1 = model.pairings(minus_e)
-        d1, d2 = 2 * model.intersect(minus_k, minus_e), model.self_intersection(minus_e)
+        minus_k, minus_e = model.log_anticanonical(angles), -model.class_of(E)
+        r1 = [int(x) for x in model.pairings(minus_e)]
+        d1 = int(2 * L * model.intersect(minus_k, minus_e))
+        d2 = int(model.self_intersection(minus_e))
     context = f"E={E.label}, n={model.n}, m={model.m}"
 
     pieces: list[QuadraticPiece] = []
-    x0 = Rat(0)
+    x0 = ZERO
     start: list[int] = []
     # Termination: a chamber ends where P(x).C falls to 0 for a curve C
     # outside the support, and the next chamber's growth starts from the
     # support plus every such C: every wall adds a curve, and there are at
     # most 2m + 2 walls.
     while True:
-        value = [v + x0 * s if s else v for v, s in zip(r0, r1)]
+        u, v = x0.numerator, x0.denominator
+        uL = u * L
+        value = [v * a + uL * b for a, b in zip(r0, r1)]
         try:
-            support, (a0, a1), (p0, p1) = grow_support(model, (value, r1), start)
+            support, s, (a0, a1), (p0, p1) = grow_support(model, (value, r1), start)
         except NotPseudoeffective as exc:
             raise DecompositionError(f"jet support growth failed at x = {x0}+: {exc}") from None
-        if any(s < 0 for s in a1):
+        if any(a < 0 for a in a1):
             raise DecompositionError(f"a negative-part coefficient falls after {x0} ({context})")
-        # a(x) = a0 + (x - x0) a1; vol(x) = D(x)^2 - a(x).r_S(x).
-        q0, q1, q2 = d0, d1, d2
-        for c, a, s in zip(support, a0, a1):
-            const = a - x0 * s
-            q0 = q0 - const * r0[c]
-            q1 = q1 - const * r1[c] - s * r0[c]
-            q2 = q2 - s * r1[c]
+        # s L a(x) = b + a1 (L x); s L^2 vol(x) = c0 + c1 (L x) + c2 (L x)^2.
+        c0, c1, c2 = s * d0, s * d1, s * d2
+        for c, a, t in zip(support, a0, a1):
+            b = (a - uL * t) // v
+            c0 -= b * r0[c]
+            c1 -= b * r1[c] + t * r0[c]
+            c2 -= t * r1[c]
         # After growth every residual pairing outside the support is
-        # positive at x0+, so each falling one has a root strictly right of x0.
+        # positive at x0+, so each falling one has a root strictly right of
+        # x0: (P0 - u L P1) / (-v L P1), compared over the common v L.
         inside = set(support)
-        roots = {c: x0 - p0[c] / s for c, s in enumerate(p1) if s < 0 and c not in inside}
-        wall = min(roots.values(), default=None)
-        named = tuple(candidates[c] for c, a, s in sorted(zip(support, a0, a1)) if a or s)
-        if wall is not None and q0 + wall * (q1 + wall * q2) > 0:
-            pieces.append(QuadraticPiece(x0, wall, q0, q1, q2, named))
-            start = support + [c for c, root in roots.items() if root == wall]
-            x0 = wall
-            continue
+        wall, reach = None, []
+        for c, t in enumerate(p1):
+            if t < 0 and c not in inside:
+                root = (p0[c] - uL * t, -t)
+                if wall is None or root[0] * wall[1] < wall[0] * root[1]:
+                    wall, reach = root, [c]
+                elif root[0] * wall[1] == wall[0] * root[1]:
+                    reach.append(c)
+        named = tuple(candidates[c] for c, a, t in sorted(zip(support, a0, a1)) if a or t)
+        q = (Rat(c0, s * L * L), Rat(c1, s * L), Rat(c2, s))
+        if wall is not None:
+            # L x = y / z at the wall; s L^2 vol there has the sign of
+            # c0 z^2 + c1 y z + c2 y^2.
+            y, z = wall[0], wall[1] * v
+            if c0 * z * z + (c1 * z + c2 * y) * y > 0:
+                x = Rat(y, z * L)
+                pieces.append(QuadraticPiece(x0, x, *q, named))
+                start, x0 = support + reach, x
+                continue
         # Positive at x0, and not at the next wall if any: the least root beyond x0 is tau.
-        tau = _smallest_root_after(q0, q1, q2, x0, context)
-        pieces.append(QuadraticPiece(x0, tau, q0, q1, q2, named))
+        tau = _smallest_root_after(*q, x0, context)
+        pieces.append(QuadraticPiece(x0, tau, *q, named))
         return tuple(pieces)
 
 

@@ -3,24 +3,33 @@
 On this surface every irreducible curve of negative self-intersection is
 one of C~1, C~2, E_i, F~i, so the negative part of any pseudoeffective
 class is supported there.  ``grow_support`` is the package's one
-active-set loop, Bauer's support growth.  It works on pairings only:
-rational columns D.C over the candidate indices and the sparse table of
-nonzero candidate pairings (``SurfaceModel.candidate_table``).  Each
-round borders the support's LDL^T factor from the table, solves every
-column on it, reads the residual pairings P.C off the table's nonzeros,
-and adds every candidate the residual meets negatively, until nothing is
-added.  ``zariski_decompose`` runs it on one column from the empty
-support, the chamber sweep in ``volumes`` on two (value and slope, read
-lexicographically) from the previous chamber's support (Bauer's
-guarantee needs a start inside the true one).  ``zariski_decompose``
-forms the positive part once, after growth, and certifies it against the
-three defining conditions on every call; ``zariski_decompose_bruteforce``
-enumerates every negative-definite set of candidates and is kept as an
-independent oracle.  Every solve and definiteness test goes through the
-one LDL^T kernel in ``linalg``: growth factors each round's support
-afresh, the oracle's depth-first walk borders the parent set's factor by
-one row per extension and solves on it, both from the table.  Curves are
-candidate indices throughout; the column D.C comes from
+active-set loop, Bauer's support growth.  It works on pairings only, in
+integers: columns of D.C over the candidate indices, each scaled by its
+own positive integer, and the sparse table of nonzero candidate
+pairings (``SurfaceModel.candidate_table``).  Each round factors the
+support's integer Gram matrix G_S fraction-free from the table, solves
+every column on it for |det G_S| a, reads the residual pairings
+|det G_S| P.C off the table's nonzeros, and adds every candidate the
+residual meets negatively, until nothing is added.  Only signs are read,
+and every scale is positive, so the rational decomposition never has to
+be formed inside the loop.  The sections C~1 and C~2 go last: the
+others have pairwise Gram matrix -I (E_j and F~j together are singular,
+since E_j + F~j = F), so every pivot before the sections is -1 and the
+factor does not fill in; the sections do not meet each other or a common
+curve, so their pivots are integers too.  ``zariski_decompose`` runs it
+on one column, D.C times the least common denominator of its entries,
+from the empty support, and divides once at the end; the chamber sweep
+in ``volumes`` runs it on two (value and slope, read lexicographically)
+from the previous chamber's support (Bauer's guarantee needs a start
+inside the true one).  ``zariski_decompose`` forms the positive part
+once, after growth, and certifies it against the three defining
+conditions on every call; ``zariski_decompose_bruteforce`` enumerates
+every negative-definite set of candidates and is kept as an independent
+oracle.  Every solve and definiteness test goes through the one
+fraction-free elimination in ``linalg``: growth factors each round's
+support afresh, the oracle's depth-first walk borders the parent set's
+factor by one row per extension and solves on it, both from the table.
+Curves are candidate indices throughout; the column D.C comes from
 ``SurfaceModel.pairings``.  ``is_negative_definite`` pairs classes
 through the generic ``intersect`` instead, and ``_certify`` uses it and
 ``intersect`` for the support, so it also checks the table's closed forms.
@@ -32,6 +41,7 @@ from dataclasses import dataclass
 from .linalg import (EMPTY_FACTOR, NotNegativeDefinite, border, is_negative_definite_matrix,
                      solve_factored)
 from .picard import C1TILDE, C2TILDE, DivisorClass, SurfaceModel
+from .ratmath import Rat, common_denominator
 
 
 class NotPseudoeffective(ArithmeticError):
@@ -76,8 +86,8 @@ def is_negative_definite(model: SurfaceModel, curves) -> bool:
 
 
 def negative_definite_supports(model: SurfaceModel):
-    """Every negative-definite set of candidate indices with the LDL^T
-    factor of its Gram matrix, as (indices, factor), the empty set first.
+    """Every negative-definite set of candidate indices with the
+    fraction-free factor of its Gram matrix, as (indices, factor), the empty set first.
 
     Depth first in candidate order, extending only negative-definite
     sets: the family is closed under subsets (principal submatrices of a
@@ -112,7 +122,7 @@ def _bordering(table, c, position):
 
 
 def _support_factor(table, support):
-    """The LDL^T factor of ``support``'s Gram matrix, bordered from the table."""
+    """The factor of ``support``'s Gram matrix, bordered from the table."""
     factor, position = EMPTY_FACTOR, {}
     for c in support:
         factor = border(factor, *_bordering(table, c, position))
@@ -149,29 +159,30 @@ def _certify(model: SurfaceModel, d: DivisorClass, zd: ZariskiDecomposition):
 
 
 def grow_support(model: SurfaceModel, columns, start=()):
-    """Bauer's support growth: (support, coefficients, residuals).
+    """Bauer's support growth: (support, scale, coefficients, residuals).
 
     Curves are indices into ``model.candidate_curves()``.  ``columns`` are
-    rational columns over the candidates, compared lexicographically: D.C
-    alone for ``zariski_decompose``; for the chamber sweep the value and
-    the slope of the pairing jet at a chamber's left end x0 (exact
-    "x = x0 + epsilon" arithmetic).  From ``start``, each round borders
-    the factor of the support's Gram matrix from ``model.candidate_table``,
-    solves G_S a = (D.C)_{C in S} for every column on it, forms the
-    residuals P.C = D.C - sum a_i (C_i.C) over the table's nonzeros, and
-    adds every candidate outside S with a negative residual, until none
-    is added; the coefficient columns over S and the residual columns over
-    every candidate are returned.  S grows strictly: at most k + 1 factors
-    for k candidates.  For a pseudoeffective class and a start inside the
-    true negative support, S stays inside it (Bauer, J. Algebraic Geom. 18,
-    2009), so G_S is negative definite and no coefficient is negative;
-    either failure raises NotPseudoeffective.
+    integer columns over the candidates, each D.C times a positive scale
+    of its own, compared lexicographically: one for ``zariski_decompose``;
+    for the chamber sweep the value and the slope of the pairing jet at a
+    chamber's left end x0 (exact "x = x0 + epsilon" arithmetic).  From
+    ``start``, each round factors the support's Gram matrix G_S from
+    ``model.candidate_table``, solves G_S a = (D.C)_{C in S} for every
+    column on it, forms the residuals P.C = D.C - sum a_i (C_i.C) over the
+    table's nonzeros, and adds every candidate outside S with a negative
+    residual, until none is added.  It returns scale = |det G_S|, and the
+    coefficient columns over S and the residual columns over every
+    candidate, each times scale, in integers.  S grows strictly: at most
+    k + 1 factors for k candidates.  For a pseudoeffective class and a
+    start inside the true negative support, S stays inside it (Bauer, J.
+    Algebraic Geom. 18, 2009), so G_S is negative definite and no
+    coefficient is negative; either failure raises NotPseudoeffective.
     """
     table = model.candidate_table
     zero = (0,) * len(columns)
     support = list(start)
     while True:
-        # C~1 and C~2 (indices 0 and 1) meet every F~i and E_i: bordering
+        # C~1 and C~2 (indices 0 and 1) meet every F~i and E_i: factoring
         # them last keeps the factor free of fill-in, O(k^2) rather than
         # O(k^3) for k curves.
         support.sort(key=lambda c: c < 2)
@@ -188,7 +199,8 @@ def grow_support(model: SurfaceModel, columns, start=()):
                 "orthogonality forces a negative coefficient, which "
                 "cannot happen for a pseudoeffective class"
             )
-        residuals = [list(column) for column in columns]
+        scale = abs(factor[1][-1])
+        residuals = [[scale * v for v in column] for column in columns]
         for residual, coeff in zip(residuals, coeffs):
             for c, a in zip(support, coeff):
                 if a:
@@ -196,24 +208,26 @@ def grow_support(model: SurfaceModel, columns, start=()):
                         residual[j] -= a * g
         violated = [c for c, r in enumerate(zip(*residuals)) if r < zero and c not in support]
         if not violated:
-            return support, coeffs, residuals
+            return support, scale, coeffs, residuals
         support.extend(violated)
 
 
 def zariski_decompose(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
     """Zariski decomposition of ``d``, or NotPseudoeffective.
 
-    ``grow_support`` over the one rational column of pairings of ``d``,
-    then the generic-fiber test on P = D - sum a_i C_i (the brute-force
+    ``grow_support`` over the pairings of ``d`` times their least common
+    denominator, then the generic-fiber test on P = D - sum a_i C_i (the brute-force
     oracle cross-checks the NotPseudoeffective reasoning in the test
     suite).  Every returned decomposition is certified against the three
     defining conditions.
     """
     candidates = model.candidate_curves()
+    denominator, *column = common_denominator(*model.pairings(d))
     try:
-        support, (coeffs,), _residuals = grow_support(model, (model.pairings(d),))
+        support, scale, (coeffs,), _residuals = grow_support(model, (column,))
     except NotPseudoeffective as exc:
         raise NotPseudoeffective(f"{d}: {exc}") from None
+    coeffs = [Rat(a, scale * denominator) for a in coeffs]
     positive = _subtract_curves(model, d, candidates, support, coeffs)
     if positive.a < 0:
         # Residual meets the (nef, moving) generic fiber negatively:
@@ -242,12 +256,15 @@ def zariski_decompose_bruteforce(model: SurfaceModel, d: DivisorClass) -> Zarisk
     that of the full 2^k enumeration, and so are the "two distinct
     decompositions" and NotPseudoeffective outcomes.
     """
-    candidates, pairings = model.candidate_curves(), model.pairings(d)
+    candidates = model.candidate_curves()
+    denominator, *column = common_denominator(*model.pairings(d))
     found: ZariskiDecomposition | None = None
     for subset, factor in negative_definite_supports(model):
-        coeffs = solve_factored(factor, [pairings[c] for c in subset])
+        coeffs = solve_factored(factor, [column[c] for c in subset])
         if any(x < 0 for x in coeffs):
             continue
+        scale = abs(factor[1][-1]) * denominator
+        coeffs = [Rat(x, scale) for x in coeffs]
         p = _subtract_curves(model, d, candidates, subset, coeffs)
         if not model.is_nef(p):
             continue

@@ -1,4 +1,5 @@
-"""Shared fixtures: seeded generators and condition-locus parametrizations."""
+"""Shared fixtures: seeded generators, condition-locus parametrizations and
+the rational LDL^T kernel that the tests use as their reference."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import random
 
 import pytest
 
+from kedge.linalg import NotNegativeDefinite
 from kedge.picard import Angles, SurfaceParams
 from kedge.ratmath import Rat
 
@@ -65,3 +67,43 @@ def negative_definite_families():
         (7, lambda n, m: [C2TILDE, FiTilde(1)] + e_all(n, m)[1:], lambda n, m: n == 0,
          []),
     ]
+
+
+def _reference_forward(rows, rhs) -> list:
+    """z = L^{-1} rhs, skipping zero entries of z."""
+    z = list(rhs)
+    for i, row in enumerate(rows):
+        for j, l in row:
+            if z[j]:
+                z[i] = z[i] - l * z[j]
+    return z
+
+
+def reference_factorize(matrix):
+    """The rational LDL^T factor ``(rows, pivots)`` of a symmetric matrix,
+    bordered row by row: the kernel the fraction-free elimination in
+    ``kedge.linalg`` replaced.  Row i of L holds its nonzero (j, L_ij);
+    raises NotNegativeDefinite at the first pivot >= 0."""
+    rows, pivots = (), ()
+    for i, entries in enumerate(matrix):
+        y = _reference_forward(rows, entries[:i])
+        row = tuple((j, y[j] / d) for j, d in enumerate(pivots) if y[j])
+        pivot = Rat(entries[i])
+        for j, l in row:
+            pivot = pivot - l * y[j]
+        if pivot >= 0:
+            raise NotNegativeDefinite(f"pivot {pivot} >= 0 at row {i}")
+        rows, pivots = rows + (row,), pivots + (pivot,)
+    return rows, pivots
+
+
+def reference_solve(factor, rhs) -> list:
+    """Solve G x = rhs on a ``reference_factorize`` factor.  The right-hand
+    side may live in any module over the rationals: the kernel asks of it
+    only ``-``, left-multiplication by Rat and division by Rat."""
+    rows, pivots = factor
+    x = [z / d for d, z in zip(pivots, _reference_forward(rows, rhs))]
+    for i in reversed(range(len(rows))):
+        for j, l in rows[i]:
+            x[j] = x[j] - l * x[i]
+    return x

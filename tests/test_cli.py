@@ -281,6 +281,16 @@ class TestInputHandling:
         assert (code, out) == (1, "")
         assert err == f"error: unknown curve label {label!r}\n"
 
+    @pytest.mark.parametrize("label", ["E" + "9" * 5000, "F" + "9" * 5000 + "tilde"],
+                             ids=["E-5000-digits", "F-5000-digits"])
+    def test_long_curve_index_is_an_unknown_label(self, capsys, label):
+        # No index above MAX_M names a curve; a long one once reached int()
+        # and ended in Python's own digit-limit message.
+        code, out, err = run_cli(capsys, CURVE_ARGS[:-1] + [label])
+        assert_exit_contract(code, err)
+        assert (code, out) == (1, "")
+        assert err == f"error: unknown curve label {label!r}\n"
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -580,15 +590,44 @@ class TestScanContent:
         assert row[4] == v.status
 
 
+# Numerals as the literal grammar reads them, and as int() and Fraction()
+# would also read them: leading zeros, underscores, inner blanks, non-ASCII
+# digits, and digit counts at and beyond the 100-digit bound.
+NUMERALS = st.one_of(
+    st.integers(0, 10**4).map(str),
+    st.sampled_from(["007", "1_0", "1 0", "\u0661", "\u0662\u0663", "\uff11", "9" * 100,
+                     "9" * 101, "9" * 5000]),
+)
 ANGLE_LITERALS = st.one_of(
     st.builds("{}/{}".format, st.integers(1, 5), st.integers(1, 10)),
     st.sampled_from(
         ["1", "0", "-1/2", "1/0", "0.5", "1e-3", "1e-5000", "x", "", "1/2/3", " 2/3", "nan"]
     ),
+    # sign, numeral, separator, numeral, exponent at and beyond the bound of 100.
+    st.builds(
+        "{}{}{}{}{}".format,
+        st.sampled_from(["", "+", "-", "+-", " -"]),
+        NUMERALS,
+        st.sampled_from(["/", ".", "", "/ ", " /", "/-", "/_"]),
+        NUMERALS,
+        st.sampled_from(["", "e100", "e-100", "e101", "E-101", "e+100", "e1_0", "e-1_0000",
+                         "e" + "9" * 5000]),
+    ),
 )
-CURVE_LABELS = st.sampled_from(
-    ["C1tilde", "C2tilde", "GenericFiber", "PullbackC2", "E1", "E3", "E6", "F1tilde",
-     "F4tilde", "E0", "E7", "F0tilde", "Q7", "e1", "Ftilde", ""]
+# Indices of 1 to 3 digits name a curve, or an out-of-range one; 4 and 5000
+# digits, leading zeros, underscores, blanks and non-ASCII digits name none.
+INDICES = st.one_of(
+    st.integers(0, 8).map(str),
+    st.sampled_from(["01", "1_0", " 1", "1 ", "\u0663", "100", "200", "999", "1000", "9999",
+                     "9" * 5000]),
+)
+CURVE_LABELS = st.one_of(
+    st.sampled_from(
+        ["C1tilde", "C2tilde", "GenericFiber", "PullbackC2", "E1", "E3", "E6", "F1tilde",
+         "F4tilde", "E0", "E7", "F0tilde", "Q7", "e1", "Ftilde", ""]
+    ),
+    st.builds("E{}".format, INDICES),
+    st.builds("F{}tilde".format, INDICES),
 )
 REPORT_SCHEMAS = {
     "delta": "delta_report.schema.json",

@@ -1,10 +1,15 @@
-"""Exact linear algebra: the bordered LDL^T kernel and the signature."""
+"""Exact linear algebra: the fraction-free bordered elimination, checked
+against the rational LDL^T reference, and the signature."""
+
+import math
 
 import pytest
+from conftest import reference_factorize, reference_solve
 from hypothesis import given
 from hypothesis import strategies as st
 
 from kedge.linalg import (
+    EMPTY_FACTOR,
     NotNegativeDefinite,
     border,
     factorize,
@@ -19,10 +24,20 @@ small_rats = st.fractions(
 ).map(lambda f: Rat(f.numerator) / Rat(f.denominator))
 
 
+def integral(matrix, *vectors):
+    """``matrix`` and ``vectors`` times the least common denominator of all
+    their entries: integers, with the same solutions and definiteness."""
+    s = math.lcm(*(Rat(x).denominator for part in (*matrix, *vectors) for x in part))
+    scaled = lambda v: [int(x * s) for x in v]
+    return [scaled(row) for row in matrix], *map(scaled, vectors)
+
+
 def solve_exact(matrix, rhs) -> list:
-    """Solve the negative-definite system ``matrix @ x = rhs`` on one
-    factor; raises NotNegativeDefinite."""
-    return solve_factored(factorize(matrix), rhs)
+    """Solve the negative-definite rational system ``matrix @ x = rhs`` on
+    the integer kernel, divided once at the end; raises NotNegativeDefinite."""
+    integer, column = integral(matrix, rhs)
+    factor = factorize(integer)
+    return [Rat(x, abs(factor[1][-1])) for x in solve_factored(factor, column)]
 
 
 def square_matrices(k):
@@ -55,7 +70,7 @@ def negative_definite_systems(draw):
 
 
 class Vec:
-    """A minimal Rat-module: tuples of rationals, like the sweep's jets."""
+    """A minimal Rat-module: tuples of rationals, like the reference sweep's jets."""
 
     def __init__(self, *parts):
         self.parts = tuple(Rat(p) for p in parts)
@@ -100,11 +115,14 @@ def test_solve_exact_singular():
 
 
 def test_integer_gram_solves_to_rationals():
-    # int / int is a float in Python: every pivot must be a Rat first.
-    x = solve_exact([[-1, 1], [1, -6]], [0, 1])
-    assert x == [rat(-1, 5), rat(-1, 5)]
-    assert all(type(xi) is Rat for xi in x)
-    assert all(type(d) is Rat for d in factorize([[-1, 1], [1, -6]])[1])
+    # The factor holds the leading minors 1, -1, 5, and the solve returns
+    # |det G| x = adj-type integers; one division gives the rationals.
+    factor = factorize([[-1, 1], [1, -6]])
+    assert factor == (((), ((0, 1),)), (1, -1, 5))
+    x = solve_factored(factor, [0, 1])
+    assert x == [-1, -1]
+    assert all(type(v) is int for v in x + list(factor[1]))
+    assert solve_exact([[-1, 1], [1, -6]], [0, 1]) == [rat(-1, 5), rat(-1, 5)]
 
 
 @given(negative_definite_systems())
@@ -113,10 +131,25 @@ def test_solve_exact_verifies(data):
     x = solve_exact(matrix, rhs)
     for row, b in zip(matrix, rhs):
         assert sum((c * xi for c, xi in zip(row, x)), rat(0)) == b
+    # The reference kernel solves the jets the reference sweep uses, and
+    # agrees with the integer kernel on every component.
     jets = [Vec(b, s) for b, s in zip(rhs, slopes)]
-    xs = solve_exact(matrix, jets)
+    xs = reference_solve(reference_factorize(matrix), jets)
     for row, b in zip(matrix, jets):
         assert sum((c * xi for c, xi in zip(row, xs)), Vec(0, 0)) == b
+    assert [xi.parts for xi in xs] == list(zip(x, solve_exact(matrix, slopes)))
+
+
+@given(negative_definite_systems())
+def test_minors_are_the_leading_principal_minors(data):
+    # D_i is the product of the reference's first i pivots, and row i holds
+    # L_ij D_(j+1) at exactly the reference's nonzeros.
+    matrix, *_ = data
+    integer, = integral(matrix)
+    rows, minors = factorize(integer)
+    ref_rows, pivots = reference_factorize(integer)
+    assert list(minors) == [math.prod(pivots[:i]) for i in range(len(pivots) + 1)]
+    assert rows == tuple(tuple((j, l * minors[j + 1]) for j, l in row) for row in ref_rows)
 
 
 @given(negative_definite_systems())
@@ -125,21 +158,40 @@ def test_border_matches_signature_and_fresh_solve(data):
     k = len(matrix)
     bordered = [row + [c] for row, c in zip(matrix, column)] + [column + [diagonal]]
     definite = signature(bordered) == (0, k + 1, 0)
+    bordered, rhs = integral(bordered, rhs)
     try:
-        grown = border(factorize(matrix), column, diagonal)
+        grown = border(factorize([row[:k] for row in bordered[:k]]), bordered[k][:k],
+                       bordered[k][k])
     except NotNegativeDefinite:
         assert not definite
         return
     assert definite
-    assert solve_factored(grown, rhs) == solve_exact(bordered, rhs)
+    assert grown == factorize(bordered)
+    scale = abs(grown[1][-1])
+    assert [Rat(x, scale) for x in solve_factored(grown, rhs)] == reference_solve(
+        reference_factorize(bordered), rhs)
 
 
 def test_solve_exact_accepts_module_valued_rhs():
-    """The right-hand side may live in any module over the rationals;
-    tuples-as-vectors via a minimal wrapper must work unchanged."""
+    """The reference kernel's right-hand side may live in any module over
+    the rationals (the reference sweep solves jets on it); tuples-as-vectors
+    via a minimal wrapper must work unchanged."""
     a = [[rat(-2), rat(0)], [rat(0), rat(-4)]]
-    x = solve_exact(a, [Vec(-2, -4), Vec(-8, 0)])
+    x = reference_solve(reference_factorize(a), [Vec(-2, -4), Vec(-8, 0)])
     assert x == [Vec(1, 2), Vec(2, 0)]
+
+
+def test_rows_without_fill_stay_empty():
+    # -I with two sections bordered last, shaped like a Zariski support:
+    # every minor before the sections is +-1, only the section rows hold
+    # entries, and the solve stays on integers.
+    gram = [[-1, 0, 0, 1, 0], [0, -1, 0, 0, 1], [0, 0, -1, 0, 1],
+            [1, 0, 0, -2, 0], [0, 1, 1, 0, -3]]
+    factor = EMPTY_FACTOR
+    for i, row in enumerate(gram):
+        factor = border(factor, row[:i], row[i])
+    assert factor == (((), (), (), ((0, 1),), ((1, -1), (2, 1))), (1, -1, 1, -1, 1, -1))
+    assert solve_factored(factor, [1, 0, 0, 0, 0]) == [-2, 0, 0, -1, 0]
 
 
 def test_definiteness_small_cases():

@@ -64,6 +64,11 @@ def test_curve_ids_and_labels():
         with pytest.raises(ValueError):
             parse_curve_id(label)
     assert parse_curve_id(" F3tilde ") == FiTilde(3)
+    # At most three digits, refused before int() sees them.
+    assert parse_curve_id("E999") == Ei(999)
+    for label in ("E1000", "F1000tilde", "E" + "9" * 5000, "F" + "9" * 5000 + "tilde"):
+        with pytest.raises(ValueError, match="unknown curve label"):
+            parse_curve_id(label)
     with pytest.raises(ValueError):
         parse_curve_id("D5")
 

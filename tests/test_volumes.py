@@ -3,6 +3,7 @@
 from dataclasses import dataclass, replace
 
 import pytest
+from conftest import reference_factorize, reference_solve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,8 +27,7 @@ from kedge.picard import (
     SurfaceParams,
     as_model,
 )
-from kedge.linalg import factorize, solve_factored
-from kedge.ratmath import Rat, rat
+from kedge.ratmath import Rat, common_denominator, rat
 from kedge.sampling import LEMMA_CASES, sample_angles, sample_case_input, sample_surface
 from kedge.volumes import (
     IrrationalThreshold,
@@ -86,15 +86,15 @@ AFFINE_ZERO = Affine(Rat(0), Rat(0))
 def reference_grow_support(model, pairings, zero, start=()):
     """Bauer's support growth over jets, every pairing read pointwise
     through ``intersect`` of the curves' classes: a fresh dense Gram
-    matrix and solve each round, residuals over every (support,
-    candidate) pair."""
+    matrix and solve each round on the rational reference kernel,
+    residuals over every (support, candidate) pair."""
     candidates = model.candidate_curves()
     classes = {c: model.class_of(c) for c in candidates}
     support = list(start)
     while True:
         support.sort(key=lambda c: c.kind in ("C1tilde", "C2tilde"))
-        coeffs = solve_factored(
-            factorize(model.gram_matrix([classes[c] for c in support])),
+        coeffs = reference_solve(
+            reference_factorize(model.gram_matrix([classes[c] for c in support])),
             [pairings[c] for c in support],
         )
         if any(x < zero for x in coeffs):
@@ -154,12 +154,29 @@ def reference_volume_sweep(E, model, angles):
 def sweep_inputs(draw):
     """(curve, model, angles) with n, m <= 6 and angles in the ample range,
     over every candidate curve, the generic fiber and, at m = 0, the
-    pulled-back section."""
-    model = as_model((draw(st.integers(0, 6)), draw(st.integers(0, 6))))
-    angle = st.builds(Rat, st.integers(1, 24), st.integers(1, 12))
-    angles = draw(st.builds(Angles, angle, angle).filter(
-        lambda angles: model.ample_range_violation(angles) is None))
-    curves = model.candidate_curves() + [GENERIC_FIBER] + [PULLBACK_C2] * (model.m == 0)
+    pulled-back section.  Half the angles are small fractions; the other
+    half have denominators up to 10^6: drawn apart, consecutive (so
+    coprime), equal, or with a common factor."""
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    model = as_model((n, m))
+    if draw(st.booleans()):
+        angle = st.builds(Rat, st.integers(1, 24), st.integers(1, 12))
+        angles = draw(st.builds(Angles, angle, angle).filter(
+            lambda angles: model.ample_range_violation(angles) is None))
+    else:
+        low = max(n, m - n, 1)
+        q1 = draw(st.integers(low, 10**6))
+        q2 = draw(st.one_of(st.integers(low, 10**6), st.just(q1 + 1), st.just(q1)))
+        if draw(st.booleans()):
+            g = draw(st.integers(2, 1000))
+            q1, q2 = g * draw(st.integers(low, 1000)), g * draw(st.integers(low, 1000))
+
+        def angle(q, k):
+            top = (2 * q - 1) // k if k > 0 else 3 * q  # p / q < 2 / k
+            return Rat(draw(st.integers(1, top)), q)
+
+        angles = Angles(angle(q1, n), angle(q2, m - n))
+    curves = model.candidate_curves() + [GENERIC_FIBER] + [PULLBACK_C2] * (m == 0)
     return draw(st.sampled_from(curves)), model, angles
 
 
@@ -355,6 +372,35 @@ class TestSharedEngine:
         curve, model, angles = inputs
         assert volume_sweep(curve, model, angles) == reference_volume_sweep(curve, model, angles)
 
+    @pytest.mark.parametrize(
+        "curve, params, angles, wall, reach",
+        [
+            # An S_6 orbit: every F~i falls to 0 at x = 1/2 with the same residuals.
+            (C1TILDE, (0, 6), Angles(HALF, rat(1, 4)), HALF, [FiTilde(i) for i in range(1, 7)]),
+            # Two curves, two scales: E2 at 2/1 and F~1 at 4/2, tied by
+            # cross-multiplication.
+            (Ei(1), (0, 2), Angles(rat(2), HALF), rat(2), [Ei(2), FiTilde(1)]),
+        ],
+    )
+    def test_curves_that_reach_one_wall_start_the_next_chamber(
+        self, monkeypatch, curve, params, angles, wall, reach
+    ):
+        rounds = []
+
+        def spy(model, columns, start=()):
+            grown = grow_support(model, columns, start)
+            rounds.append((list(start), grown[0]))
+            return grown
+
+        monkeypatch.setattr("kedge.volumes.grow_support", spy)
+        model = as_model(params)
+        pieces = volume_sweep(curve, model, angles)
+        index = [p.x_lo for p in pieces].index(wall)
+        (start, _), (_, support) = rounds[index], rounds[index - 1]
+        assert start == support + [model.candidate_curves().index(c) for c in reach]
+        assert set(reach) <= set(pieces[index].negative_support)
+        assert pieces == reference_volume_sweep(curve, model, angles)
+
     @pytest.mark.parametrize("params, angles", [((0, 2), Angles(HALF, HALF)),
                                                 ((1, 2), Angles(HALF, rat(2, 3)))])
     def test_intersect_count(self, monkeypatch, params, angles):
@@ -402,8 +448,8 @@ class TestSharedEngine:
         # No coefficient of the negative part falls along the ray, so the
         # sweep looks for no such wall; it refuses a chamber that has one.
         def falling(model, columns, start=()):
-            support, (values, slopes), residuals = grow_support(model, columns, start)
-            return support, ([a + 1 for a in values], [-1] * len(slopes)), residuals
+            support, scale, (values, slopes), residuals = grow_support(model, columns, start)
+            return support, scale, ([a + 1 for a in values], [-1] * len(slopes)), residuals
 
         monkeypatch.setattr("kedge.volumes.grow_support", falling)
         with pytest.raises(DecompositionError, match="coefficient falls"):
@@ -412,8 +458,9 @@ class TestSharedEngine:
 
 class TestClosedForms:
     def test_sweep_input_matches_the_generic_lattice(self, monkeypatch, rng):
-        # The sweep's first columns are r0 and r1, and its first chamber has
-        # an empty support (-K_Delta is ample), so that piece is D(x)^2 itself.
+        # The sweep's first columns are L r0 and r1 in integers, L the angles'
+        # common denominator, and its first chamber has an empty support
+        # (-K_Delta is ample), so that piece is D(x)^2 itself.
         columns = []
 
         def spy(model, cols, start=()):
@@ -438,9 +485,10 @@ class TestClosedForms:
                         model.intersect(minus_e, minus_e),
                     )
                     r0, r1 = columns[0]
-                    assert r0 == [model.intersect(minus_k, model.class_of(c)) for c in curves]
+                    L = common_denominator(angles.beta1, angles.beta2)[0]
+                    assert r0 == [L * model.intersect(minus_k, model.class_of(c)) for c in curves]
                     assert r1 == [model.intersect(minus_e, model.class_of(c)) for c in curves]
-                    assert all(type(x) is Rat for x in r1)
+                    assert all(type(x) is int for x in r0 + r1)
 
     @settings(deadline=None)
     @given(st.lists(st.fractions(max_denominator=50).map(Rat), min_size=5, max_size=5))

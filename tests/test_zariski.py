@@ -15,7 +15,7 @@ from kedge.picard import (
     as_model,
 )
 from kedge.linalg import signature
-from kedge.ratmath import rat
+from kedge.ratmath import Rat, common_denominator, rat
 from kedge.sampling import sample_angles, sample_divisor_class, sample_surface
 from kedge.zariski import (
     NotPseudoeffective,
@@ -187,24 +187,28 @@ class TestDecompose:
 
 class TestGrowSupport:
     def test_residual_pairings_match_reconstructed_class(self, rng):
-        # grow_support reads P.C off the candidate table; rebuild the
-        # class P = D - sum a_i C_i and pair it directly instead.
+        # grow_support reads P.C off the candidate table, in integers over
+        # |det G_S| and the column's scale; rebuild the class
+        # P = D - sum a_i C_i and pair it directly instead.
         grown = 0
         for _ in range(80):
             model = as_model(sample_surface(rng, n_max=4, m_max=4))
             d = sample_divisor_class(rng, model)
             candidates = model.candidate_curves()
             pairings = [model.intersect(d, model.class_of(c)) for c in candidates]
+            denominator, *column = common_denominator(*pairings)
             try:
-                support, (coeffs,), (residual,) = grow_support(model, (pairings,))
+                support, scale, (coeffs,), (residual,) = grow_support(model, (column,))
             except NotPseudoeffective:
                 continue
+            assert scale > 0 and all(type(x) is int for x in coeffs + residual)
             p = d
             for c, x in zip(support, coeffs):
-                p = p - model.class_of(candidates[c]).scale(x)
+                p = p - model.class_of(candidates[c]).scale(Rat(x, scale * denominator))
             assert len(residual) == len(candidates)
             for c, r in zip(candidates, residual):
-                assert r == model.intersect(p, model.class_of(c)), (model.params, d, c)
+                assert Rat(r, scale * denominator) == model.intersect(p, model.class_of(c)), (
+                    model.params, d, c)
             grown += support != []
         assert grown >= 20
 
