@@ -17,6 +17,7 @@ import math
 import re
 from fractions import Fraction as Rat
 
+#: The rational type's name, which the benchmark records with every run.
 RAT_BACKEND = "fraction"
 
 #: Rational zero/one, shared to avoid repeated construction.
@@ -38,8 +39,8 @@ def as_rat(x):
 
 def common_denominator(*xs) -> tuple:
     """(L, L x for each x) as ints, L the least common denominator of xs."""
-    L = math.lcm(*(x.denominator for x in xs))
-    return (L, *(x.numerator * (L // x.denominator) for x in xs))
+    L = math.lcm(*[x.denominator for x in xs])
+    return (L, *[x.numerator * (L // x.denominator) for x in xs])
 
 
 def sign(x) -> int:

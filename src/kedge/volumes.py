@@ -2,37 +2,40 @@
 
 The sweep works in pairing coordinates and in integers: it never builds
 a divisor class inside the loop, and forms a rational only where a piece
-leaves it.  With L the least common denominator of the angles,
--K_Delta = (L beta1 C~1 + L beta2 C~2 + 2L F) / L, so L r0, the pairings
-(-K_Delta).C over the candidate curves C, is an integer column read off
-the sparse candidate table, and so is L^2 d0 = L^2 (-K_Delta)^2 =
-L beta1 L r0[C~1] + L beta2 L r0[C~2] + 2L (L beta1 + L beta2).  For a candidate E the
-slope column r1 of D(x) = -K_Delta - x E is minus E's row of the table,
-L d1 = -2 L r0[E] and d2 = -r1[E]; only the generic fiber and the
-pulled-back section, which are not candidates, pair -E through the
-generic ``intersect``.  Within a chamber the Zariski negative support S
-is constant, the support coefficients a(x) = G_S^{-1} r_S(x) are affine
-in x, and, because P.N = 0, the volume P(x)^2 = D(x)^2 - a(x).r_S(x) is
-an honest quadratic.  The sweep therefore never samples.  The support
-starts empty, because -K_Delta is ample, and only grows: P(D) is the
-largest nef class below D, so P(x') <= P(x) for x < x', and no
-coefficient of the negative part falls (E never enters it:
-Lazarsfeld-Mustata, Ann. Sci. ENS 42 (2009), section 6).  At each
-chamber's left end x0 = u/v, ``zariski.grow_support`` grows it on two
-integer columns, the value v L r(x0) = v L r0 + u L r1 and the slope r1,
-ordered lexicographically -- exact "x = x0 + epsilon" arithmetic, which
-reads only signs, so each column keeps its own positive scale.  Its last
-solve, with s = |det G_S|, gives s L a(x) = b + s a1 L x, where
-b = (s v L a(x0) - u L s a1) / v is exact; so s L^2 vol(x) is
-c0 + c1 (L x) + c2 (L x)^2 with integer c's.  The next wall is the least
-root (P0 - u L P1) / (-v L P1) of a residual pairing that falls,
-P0 + (x - x0) P1 with P1 < 0 in the scales above; walls are compared by
+leaves it.  Let L be the least common denominator of the angles and
+b_i = L beta_i.  Then L (-K_Delta) = b1 C~1 + b2 C~2 + 2L F, so L r0,
+the pairings (-K_Delta).C over the candidate curves C, is an integer
+column read off the sparse candidate table, and so is
+L^2 d0 = L^2 (-K_Delta)^2 = b1 L r0[C~1] + b2 L r0[C~2] + 2L (b1 + b2).
+For a candidate E the slope column r1 of D(x) = -K_Delta - x E is minus
+E's row of the table, L d1 = -2 L r0[E] and d2 = -r1[E]; only the
+generic fiber and the pulled-back section, which are not candidates,
+pair -E through the generic ``intersect``.  Within a chamber the
+Zariski negative support S is constant, the support coefficients
+a(x) = G_S^{-1} r_S(x) are affine in x, and, because P.N = 0, the volume
+P(x)^2 = D(x)^2 - a(x).r_S(x) is an honest quadratic.  The sweep
+therefore never samples.  The support starts empty, because -K_Delta is
+ample, and only grows: P(D) is the largest nef class below D, so
+P(x') <= P(x) for x < x', and no coefficient of the negative part falls
+(E never enters it: Lazarsfeld-Mustata, Ann. Sci. ENS 42 (2009),
+section 6).
+
+At each chamber's left end x0 = u/v, ``zariski.grow_support`` grows the
+support on two integer columns, the value v L r(x0) = v L r0 + u L r1
+and the slope r1, ordered lexicographically -- exact "x = x0 + epsilon"
+arithmetic.  It reads only signs, so each column keeps its own positive
+scale.  With s = |det G_S|, its last solve gives
+s L a(x) = w + s a1 (L x), where w = s L a(0) = (s v L a(x0) - u L s a1) / v
+is an exact division; so s L^2 vol(x) = c0 + c1 (L x) + c2 (L x)^2 with
+integer c's.  A residual pairing that falls is P0 + (x - x0) P1 with
+P1 < 0 in the same scales, and its root is (P0 - u L P1) / (-v L P1).
+The least root is the next wall: roots are compared by
 cross-multiplication, and every curve that reaches the least one starts
-the next chamber's growth.  Each chamber becomes one ``QuadraticPiece``,
-with q0 = c0 / (s L^2), q1 = c1 / (s L), q2 = c2 / s, integrated in
-closed form.  ``_certify_curve`` checks that the support grew strictly at
-every wall, so no two chambers ever merge, and compares the first piece
-with (-K_Delta)^2 from the generic ``intersect``, which checks d0.
+the next chamber's growth.  Each chamber becomes one ``QuadraticPiece``
+with q0 = c0 / (s L^2), q1 = c1 / (s L) and q2 = c2 / s, integrated in
+closed form.  ``_certify_curve`` checks that the support grew strictly
+at every wall, so no two chambers ever merge, and compares the first
+piece with (-K_Delta)^2 from the generic ``intersect``, which checks d0.
 
 The sweep ends where the quadratic vanishes: that root is the
 pseudoeffective threshold tau.  A final quadratic with irrational roots
@@ -149,15 +152,15 @@ def volume_sweep(E: CurveId, params, angles: Angles) -> tuple:
     candidates, table = model.candidate_curves(), model.candidate_table
     # Integers over L: r(x) = r0 + x r1 as L r0 and r1 by candidate index,
     # and D(x)^2 = d0 + d1 x + d2 x^2 as L^2 d0, L d1 and d2.
-    L, lb1, lb2 = common_denominator(angles.beta1, angles.beta2)
+    L, b1, b2 = common_denominator(angles.beta1, angles.beta2)
     r0 = [0] * len(candidates)
     for j, g in table[0]:
-        r0[j] += lb1 * g
+        r0[j] += b1 * g
     for j, g in table[1]:
-        r0[j] += lb2 * g
+        r0[j] += b2 * g
     r0[0] += 2 * L  # F.C~1 = F.C~2 = 1
     r0[1] += 2 * L
-    d0 = lb1 * r0[0] + lb2 * r0[1] + 2 * L * (lb1 + lb2)
+    d0 = b1 * r0[0] + b2 * r0[1] + 2 * L * (b1 + b2)
     if E in candidates:
         e, r1 = candidates.index(E), [0] * len(candidates)
         for j, g in table[e]:
@@ -187,12 +190,12 @@ def volume_sweep(E: CurveId, params, angles: Angles) -> tuple:
             raise DecompositionError(f"jet support growth failed at x = {x0}+: {exc}") from None
         if any(a < 0 for a in a1):
             raise DecompositionError(f"a negative-part coefficient falls after {x0} ({context})")
-        # s L a(x) = b + a1 (L x); s L^2 vol(x) = c0 + c1 (L x) + c2 (L x)^2.
+        # s L a(x) = w + a1 (L x); s L^2 vol(x) = c0 + c1 (L x) + c2 (L x)^2.
         c0, c1, c2 = s * d0, s * d1, s * d2
         for c, a, t in zip(support, a0, a1):
-            b = (a - uL * t) // v
-            c0 -= b * r0[c]
-            c1 -= b * r1[c] + t * r0[c]
+            w = (a - uL * t) // v
+            c0 -= w * r0[c]
+            c1 -= w * r1[c] + t * r0[c]
             c2 -= t * r1[c]
         # After growth every residual pairing outside the support is
         # positive at x0+, so each falling one has a root strictly right of

@@ -1,4 +1,4 @@
-"""Rational backend: parsing, formatting, exact square roots."""
+"""Rational type: parsing, formatting, exact square roots."""
 
 import pytest
 from hypothesis import given
