@@ -70,7 +70,7 @@ def border(factor, column, diagonal):
     row = tuple((j, v) for j, v in enumerate(y) if v)
     minor = _eliminate(row, y, minors, diagonal, len(rows))
     if minor * minors[-1] >= 0:
-        raise NotNegativeDefinite(f"pivot {Rat(minor, minors[-1])} >= 0 at row {len(rows)}")
+        raise NotNegativeDefinite(f"pivot {minor} / {minors[-1]} >= 0 at row {len(rows)}")
     return rows + (row,), minors + (minor,)
 
 
@@ -100,10 +100,9 @@ def solve_factored(factor, rhs) -> list:
 def is_negative_definite_matrix(matrix) -> bool:
     """Whether a symmetric rational matrix is negative definite; it is
     scaled to integers first, which a positive scale leaves unchanged."""
-    _scale, *entries = common_denominator(*(x for row in matrix for x in row))
-    k = len(matrix)
+    scale = common_denominator(*(x for row in matrix for x in row))[0]
     try:
-        factorize([entries[i * k:(i + 1) * k] for i in range(k)])
+        factorize([[int(scale * x) for x in row] for row in matrix])
     except NotNegativeDefinite:
         return False
     return True

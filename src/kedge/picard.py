@@ -125,8 +125,8 @@ def FiTilde(i: int) -> CurveId:
 
 
 # An index as ``CurveId.label`` writes it: ASCII digits, no leading zero,
-# and at most three of them, since no surface the CLI accepts (m <= 200)
-# has a fourth, so ``int`` never sees a long string.
+# and at most three of them.  No surface the CLI accepts (m <= 200) has a
+# four-digit index, and ``int`` never sees a long string.
 _INDEXED_LABEL = re.compile("E([1-9][0-9]{0,2})|F([1-9][0-9]{0,2})tilde")
 
 

@@ -216,10 +216,10 @@ def zariski_decompose(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposit
     """Zariski decomposition of ``d``, or NotPseudoeffective.
 
     ``grow_support`` over the pairings of ``d`` times their least common
-    denominator, then the generic-fiber test on P = D - sum a_i C_i (the brute-force
-    oracle cross-checks the NotPseudoeffective reasoning in the test
-    suite).  Every returned decomposition is certified against the three
-    defining conditions.
+    denominator, divided once at the end, then the generic-fiber test on
+    P = D - sum a_i C_i (the brute-force oracle cross-checks the
+    NotPseudoeffective reasoning in the test suite).  Every returned
+    decomposition is certified against the three defining conditions.
     """
     candidates = model.candidate_curves()
     denominator, *column = common_denominator(*model.pairings(d))

@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kedge.linalg import (
-    EMPTY_FACTOR,
     NotNegativeDefinite,
     border,
     factorize,
@@ -116,7 +115,7 @@ def test_solve_exact_singular():
 
 def test_integer_gram_solves_to_rationals():
     # The factor holds the leading minors 1, -1, 5, and the solve returns
-    # |det G| x = adj-type integers; one division gives the rationals.
+    # |det G| x in integers; one division gives the rationals.
     factor = factorize([[-1, 1], [1, -6]])
     assert factor == (((), ((0, 1),)), (1, -1, 5))
     x = solve_factored(factor, [0, 1])
@@ -187,9 +186,7 @@ def test_rows_without_fill_stay_empty():
     # entries, and the solve stays on integers.
     gram = [[-1, 0, 0, 1, 0], [0, -1, 0, 0, 1], [0, 0, -1, 0, 1],
             [1, 0, 0, -2, 0], [0, 1, 1, 0, -3]]
-    factor = EMPTY_FACTOR
-    for i, row in enumerate(gram):
-        factor = border(factor, row[:i], row[i])
+    factor = factorize(gram)
     assert factor == (((), (), (), ((0, 1),), ((1, -1), (2, 1))), (1, -1, 1, -1, 1, -1))
     assert solve_factored(factor, [1, 0, 0, 0, 0]) == [-2, 0, 0, -1, 0]
 
