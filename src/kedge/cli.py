@@ -24,7 +24,7 @@ import click
 
 from .picard import Angles, SurfaceParams, as_model, parse_curve_id
 from .ratmath import RatParseError, format_rat, parse_rat
-from .verdict import InconsistencyError, k_polystable
+from .verdict import OUTSIDE_AMPLE_RANGE, InconsistencyError, k_polystable
 from .verify import SUITES, run_suites
 from .volumes import log_discrepancy, volume_curve
 
@@ -143,10 +143,9 @@ def cmd_delta(n, m, beta1, beta2, approx, accept_decimal, output):
     """Stability threshold, witnesses and verdict at one angle pair."""
     model = as_model(_parse_surface(n, m))
     angles = _parse_angles(beta1, beta2, accept_decimal)
-    violation = model.ample_range_violation(angles)
-    if violation is not None:
-        _user_error(f"outside the ample range: {violation}")
     verdict = k_polystable(model, angles)
+    if verdict.status == OUTSIDE_AMPLE_RANGE:
+        _user_error(f"outside the ample range: {verdict.notes[0]}")
     report = {
         "n": n,
         "m": m,

@@ -48,9 +48,15 @@ W = 6 L^2 w are the integers
 and VOL = sum W_i, FM = sum X_i W_i and HS2 = sum G_i W_i are 6 L^2 vol,
 6 L^3 (first moment) and 12 L^3 (half square).  So the barycenter is
 bc = FM / (L VOL), each cross term is bc_p = (HS2 - 2 sum L Psi_p(x_i) W_i)
-/ (2 L VOL), every S of the delta minimum is one rational over 2 L VOL,
-and the Futaki sign is -sign(FM).  ``DualData`` holds these integers
-only; a reader divides by the power of L it needs.
+/ (2 L VOL), every S of the delta minimum is an integer numerator over
+2 L VOL, and the Futaki sign is -sign(FM).  ``DualData`` holds these
+integers only; a reader divides by the power of L it needs.
+
+The delta minimum stays on integers too.  Each A is beta1, beta2 or 1,
+so L A is P1, P2 or L, and A/S = (L A) 2 VOL / (2 L VOL S).  With
+VOL > 0 and every S numerator > 0, checked invariants, the smallest
+ratio and its ties are found by cross-multiplying integers; delta is the
+one Fraction formed, and a term divides A/S only when it is read.
 """
 from __future__ import annotations
 
@@ -62,6 +68,7 @@ from .picard import (
     C2TILDE,
     GENERIC_FIBER,
     Angles,
+    DivisorClass,
     SurfaceModel,
     SurfaceParams,
     as_model,
@@ -86,11 +93,6 @@ class SupportFunction:
     params: SurfaceParams
     angles: Angles
 
-    def tail(self, v):
-        """h_t(v): slope beta2 for v < 0, slope -beta1 for v >= 0."""
-        v = Rat(v)
-        return self.angles.beta2 * v if v < 0 else -self.angles.beta1 * v
-
     @property
     def slices(self) -> tuple:
         """Vertices (v, h_p(v)) of the slices over p0, over every marked
@@ -104,13 +106,22 @@ class SupportFunction:
         The ray with primitive generator +1 carries C~1, the ray with -1
         carries C~2, and each vertex (p, v) carries the corresponding
         vertical divisor; the class is -sum h_t(n_rho) D_rho -
-        sum mu(v) h_p(v) D_{p,v}.  Only the p0 vertex value is nonzero,
-        contributing 2 F.
+        sum mu(v) h_p(v) D_{p,v}.  The tail gives -h_t(1) = beta1 and
+        -h_t(-1) = beta2, and only the p0 vertex value is nonzero,
+        contributing 2 F.  The sum is taken on integers, the weights over
+        the angles' common denominator L and the three classes'
+        coordinates over theirs, M; each coordinate is one Fraction.
         """
         ((_, h_p0),), _, _ = self.slices
-        t1, t2, tf = -self.tail(ONE), -self.tail(-ONE), -h_p0
-        c1, c2, f = (model.class_of(c) for c in (C1TILDE, C2TILDE, GENERIC_FIBER))
-        return c1.scale(t1) + c2.scale(t2) + f.scale(tf)
+        L, p1, p2 = common_denominator(self.angles.beta1, self.angles.beta2)
+        rows = [(d.a, d.b, *d.c) for d in map(model.class_of, (C1TILDE, C2TILDE, GENERIC_FIBER))]
+        M, *xs = common_denominator(*rows[0], *rows[1], *rows[2])
+        k = len(rows[0])
+        coords = [
+            Rat(p1 * x + p2 * y - L * h_p0 * z, L * M)
+            for x, y, z in zip(xs, xs[k:], xs[2 * k:])
+        ]
+        return DivisorClass(coords[0], coords[1], tuple(coords[2:]))
 
 
 # Three affinely independent angle pairs.
@@ -192,12 +203,27 @@ class ValuationTerm:
 
 @dataclass(frozen=True)
 class DeltaReport:
-    """delta = min over ray and vertex valuations of A/S, with witnesses."""
+    """delta = min over ray and vertex valuations of A/S, with witnesses.
+
+    The terms are kept per S_m orbit: its names, its A and the integer
+    2 L VOL S, with L and VOL from ``dual``.  ``terms`` forms one
+    ValuationTerm per name when it is first read."""
 
     delta: object
     witnesses: tuple  # names of all terms attaining the minimum, canonical order
-    terms: tuple  # ValuationTerm, canonical order
     futaki_sign: int  # sign of -integral of u * deg Psi, as futaki_vanishes
+    orbits: tuple  # (names, A, 2 L VOL S) per S_m orbit, canonical order
+    dual: DualData
+
+    @cached_property
+    def terms(self) -> tuple:
+        """ValuationTerm per name, canonical order; an orbit's terms share A and S."""
+        den = 2 * self.dual.L * self.dual.VOL
+        terms = []
+        for names, A, num in self.orbits:
+            S = Rat(num, den)
+            terms += [ValuationTerm(name, A, S) for name in names]
+        return tuple(terms)
 
     def term(self, name: str) -> ValuationTerm:
         for t in self.terms:
@@ -223,36 +249,46 @@ def delta_tvariety(params, angles: Angles) -> DeltaReport:
     multiplicities are 1), including the vertex of the fiber over p0 and
     one representative of the identical generic-fiber terms.
 
-    S_m permutes the E_i and the F~i, so each orbit has one S, over
-    2 L VOL, and delta and the witnesses come from one representative per
-    orbit; the other terms of an orbit divide A/S only when read.
+    S_m permutes the E_i and the F~i, so each orbit has one A and one S.
+    The minimum is taken on the integer numerators of L A and S (module
+    docstring): S > 0 is a checked invariant (InconsistencyError
+    otherwise), the witnesses are the ties found by cross-multiplication,
+    and delta is the one Fraction formed.  No term divides A/S until it
+    is read.
     """
     model = as_model(params)
     model.ensure_ample(angles)
+    return _delta_tvariety(model, angles)
+
+
+def _delta_tvariety(model: SurfaceModel, angles: Angles) -> DeltaReport:
+    """The body of ``delta_tvariety``, on a model ample at ``angles``."""
     n, m = model.n, model.m
     d = legendre_dual(anticanonical_support_function(model, angles))
     L, VOL, FM = d.L, d.VOL, d.FM
     p1, p2 = -d.X[0], d.X[2]
     cross_marked = d.cross(d.PSI_MARKED)
-
-    def over(num):
-        return Rat(num, 2 * L * VOL)
-
-    orbits = [  # (names, A, S); S = bc + beta1, beta2 - bc, bc_pi - bc, bc_pi,
-        # bc_p0 + n bc + 2 and bc_generic
-        (["C1tilde"], angles.beta1, over(2 * (FM + p1 * VOL))),
-        (["C2tilde"], angles.beta2, over(2 * (p2 * VOL - FM))),
-        ([f"E{i}" for i in range(1, m + 1)], ONE, over(cross_marked - 2 * FM)),
-        ([f"F{i}tilde" for i in range(1, m + 1)], ONE, over(cross_marked)),
-        (["FiberP0"], ONE, over(d.cross(d.PSI_P0) + 2 * n * FM + 4 * L * VOL)),
-        (["GenericFiber"], ONE, over(d.cross(d.PSI_GENERIC))),
+    orbits = [  # (names, A, L A, 2 L VOL S); S = bc + beta1, beta2 - bc,
+        # bc_pi - bc, bc_pi, bc_p0 + n bc + 2 and bc_generic
+        (("C1tilde",), angles.beta1, p1, 2 * (FM + p1 * VOL)),
+        (("C2tilde",), angles.beta2, p2, 2 * (p2 * VOL - FM)),
+        (tuple(f"E{i}" for i in range(1, m + 1)), ONE, L, cross_marked - 2 * FM),
+        (tuple(f"F{i}tilde" for i in range(1, m + 1)), ONE, L, cross_marked),
+        (("FiberP0",), ONE, L, d.cross(d.PSI_P0) + 2 * n * FM + 4 * L * VOL),
+        (("GenericFiber",), ONE, L, d.cross(d.PSI_GENERIC)),
     ]
-    orbits = [(names, ValuationTerm(names[0], A, S)) for names, A, S in orbits if names]
-    delta = min(rep.ratio for _, rep in orbits)
-    witnesses = tuple(name for names, rep in orbits if rep.ratio == delta for name in names)
-    terms = tuple(
-        rep if name == rep.name else ValuationTerm(name, rep.A, rep.S)
-        for names, rep in orbits
-        for name in names
-    )
-    return DeltaReport(delta, witnesses, terms, futaki_sign=-sign(FM))
+    orbits = [orbit for orbit in orbits if orbit[0]]
+    if VOL <= 0:
+        raise InconsistencyError("torus route: vol is not positive")
+    for names, _, _, s in orbits:
+        if s <= 0:
+            raise InconsistencyError(f"torus route: S of {names[0]} is not positive")
+    best = orbits[0]
+    for orbit in orbits[1:]:
+        if orbit[2] * best[3] < best[2] * orbit[3]:
+            best = orbit
+    _, _, a_min, s_min = best
+    ties = (names for names, _, a, s in orbits if a * s_min == a_min * s)
+    witnesses = tuple(name for names in ties for name in names)
+    orbits = tuple((names, A, s) for names, A, _, s in orbits)
+    return DeltaReport(Rat(2 * VOL * a_min, s_min), witnesses, -sign(FM), orbits, d)

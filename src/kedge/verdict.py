@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .picard import Angles, as_model
 from .ratmath import Rat, common_denominator, sign
-from .tvariety import DeltaReport, delta_tvariety
+from .tvariety import DeltaReport, _delta_tvariety
 from .zariski import InconsistencyError
 
 KPOLYSTABLE = "KPolystable"
@@ -52,9 +52,12 @@ def condition_sign(params, angles: Angles) -> int:
     With L the common denominator of the angles and P_i = L beta_i,
     3 L^3 times the bracket is the integer
     3 P1^2 L - n P1^3 - 3 P2^2 L - (n - m) P2^3."""
-    model = as_model(params)
+    return _bracket_sign(as_model(params), *common_denominator(angles.beta1, angles.beta2))
+
+
+def _bracket_sign(model, L: int, p1: int, p2: int) -> int:
+    """``condition_sign`` from L and P_i = L beta_i."""
     n, m = model.n, model.m
-    L, p1, p2 = common_denominator(angles.beta1, angles.beta2)
     return sign(3 * p1 * p1 * L - n * p1**3 - 3 * p2 * p2 * L - (n - m) * p2**3)
 
 
@@ -94,18 +97,21 @@ def k_polystable(params, angles: Angles) -> Verdict:
     condition points).
     """
     model = as_model(params)
-    csign = condition_sign(model, angles)
     reason = model.ample_range_violation(angles)
     if reason is not None:
         return Verdict(
             status=OUTSIDE_AMPLE_RANGE,
-            condition_sign=csign,
+            condition_sign=condition_sign(model, angles),
             delta=None,
             witnesses=(),
             notes=(reason,),
         )
 
-    report = delta_tvariety(model, angles)
+    # The ample range is checked once, above; the bracket reads the
+    # common denominator the torus route formed.
+    report = _delta_tvariety(model, angles)
+    d = report.dual
+    csign = _bracket_sign(model, d.L, -d.X[0], d.X[2])
     _check(report.futaki_sign == csign,
            "bracket sign {} disagrees with the torus-side Futaki sign", csign)
     _check(report.delta <= 1, "delta = {} > 1 contradicts the necessity bound", report.delta)

@@ -15,8 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kedge.cli import MAX_M, main
+from kedge.picard import SurfaceModel
 from kedge.ratmath import format_rat, rat
-from kedge.tvariety import SupportFunction, legendre_dual
+from kedge.tvariety import DualData, SupportFunction, legendre_dual
 from kedge.verdict import InconsistencyError
 from kedge.verify import SUITES, SuiteResult
 from kedge.volumes import IrrationalThreshold
@@ -433,7 +434,8 @@ class TestInconsistencyExit:
     @pytest.mark.parametrize("beta2_grid", ["5/8:3/4:1/32", "1/8:7/8:1/8"])
     def test_scan_certifies_once_per_request(self, capsys, monkeypatch, beta2_grid):
         # Three round trips per request (see anticanonical_support_function),
-        # however many grid points: 5 x 5 and 5 x 7 here.
+        # however many grid points: 5 x 5 and 5 x 7 here; one ample check
+        # per grid point.
         calls = []
         original = SupportFunction.divisor_class
 
@@ -441,11 +443,32 @@ class TestInconsistencyExit:
             calls.append(self.angles)
             return original(self, model)
 
+        ample_checks = []
+        original_check = SurfaceModel.ample_range_violation
+
+        def counting_check(self, angles):
+            ample_checks.append(angles)
+            return original_check(self, angles)
+
         monkeypatch.setattr(SupportFunction, "divisor_class", counting)
+        monkeypatch.setattr(SurfaceModel, "ample_range_violation", counting_check)
         argv = ["scan", "--n", "0", "--m", "2",
                 "--beta1-grid", "61/128:65/128:1/128", "--beta2-grid", beta2_grid]
-        assert run_cli(capsys, argv)[0] == 0
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
         assert len(calls) == 3
+        points = [tuple(row.split(",")[:2]) for row in out.splitlines()[1:]]
+        assert [(format_rat(a.beta1), format_rat(a.beta2)) for a in ample_checks] == points
+
+    @pytest.mark.parametrize("cross", [0, -1])
+    @pytest.mark.parametrize("argv", [DELTA_ARGS, SCAN_ARGS], ids=["delta", "scan"])
+    def test_nonpositive_s_is_exit_2(self, capsys, monkeypatch, argv, cross):
+        # Every S is a cross term over 2 L VOL; read as 0 it would divide
+        # by zero, and read as negative it would make delta negative.
+        monkeypatch.setattr(DualData, "cross", lambda self, psi: cross)
+        code, out, err = run_cli(capsys, argv)
+        assert_one_line_inconsistency(code, out, err)
+        assert "is not positive" in err
 
     def test_failing_suite_is_exit_2(self, capsys, monkeypatch):
         failing = SuiteResult(
@@ -682,6 +705,34 @@ class TestExitCodeContract:
         if accept_decimal:
             argv.append("--accept-decimal")
         code, out, err = run_cli(capsys, argv)
+        assert_exit_contract(code, err)
+        if code == 0:
+            jsonschema.validate(json.loads(out), load_schema(REPORT_SCHEMAS[command]))
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        command=st.sampled_from(sorted(REPORT_SCHEMAS)),
+        n=st.integers(-1, 6),
+        m=st.integers(-1, 6),
+        beta1=ANGLE_LITERALS,
+        beta2=ANGLE_LITERALS,
+        curve=CURVE_LABELS,
+        accept_decimal=st.booleans(),
+    )
+    def test_any_config_exits_0_1_or_2(
+        self, capsys, tmp_path, command, n, m, beta1, beta2, curve, accept_decimal
+    ):
+        # The same values as --config lines, read by the config file's own
+        # parser (which strips blanks around a value) as every option.
+        lines = [f"n = {n}", f"m = {m}", f"beta1 = {beta1}", f"beta2 = {beta2}",
+                 f"curve = {curve}", f"accept-decimal = {accept_decimal}"]
+        cfg = tmp_path / "kedge.cfg"
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, ["--config", str(cfg), command])
         assert_exit_contract(code, err)
         if code == 0:
             jsonschema.validate(json.loads(out), load_schema(REPORT_SCHEMAS[command]))

@@ -9,6 +9,7 @@ second is the route on ``Fraction`` values at x = (-beta1, 0, beta2) that
 the integer route over one common denominator replaced.
 """
 
+import dataclasses
 import itertools
 from fractions import Fraction
 from types import SimpleNamespace
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import kedge.tvariety
 from kedge.picard import Angles, DivisorClass, SurfaceModel, SurfaceParams, as_model
 from kedge.ratmath import ONE, ZERO, Rat, rat, sign
 from kedge.sampling import sample_angles, sample_surface
@@ -26,6 +28,7 @@ from kedge.tvariety import (
     futaki_vanishes,
     legendre_dual,
 )
+from kedge.verdict import rational_condition_point
 from kedge.zariski import InconsistencyError
 
 HALF = rat(1, 2)
@@ -174,6 +177,15 @@ def reference_delta(params, angles):
     return delta, witnesses, terms, sign(-d["first_moment"])
 
 
+def assert_delta_matches_reference(params, angles):
+    """delta, the witnesses in order, the Futaki sign and every term's A, S
+    and A/S from ``delta_tvariety`` equal ``reference_delta``'s."""
+    report = delta_tvariety(params, angles)
+    delta, witnesses, terms, futaki_sign = reference_delta(params, angles)
+    assert (report.delta, report.witnesses, report.futaki_sign) == (delta, witnesses, futaki_sign)
+    assert [(t.name, t.A, t.S, t.ratio) for t in report.terms] == terms
+
+
 @st.composite
 def ample_surfaces(draw):
     """(params, angles) with n, m <= 6 and -K_{S,Delta} ample: beta1 < 2/n
@@ -306,10 +318,6 @@ class TestStructure:
 
     def test_support_function_data(self):
         h = anticanonical_support_function((2, 1), Angles(HALF, rat(1, 3)))
-        # Tail slopes: beta2 on the negative side, -beta1 on the positive.
-        assert h.tail(rat(-3)) == -1
-        assert h.tail(rat(2)) == -1
-        assert h.tail(ZERO) == ZERO
         ((v, h_p0),), marked, generic = h.slices
         assert (v, h_p0) == (2, -2)
         assert [hv for _, hv in marked + generic] == [0, 0, 0]
@@ -424,11 +432,18 @@ class TestIntegerRoute:
         assert all(type(v) is int for v in (d.L, d.VOL, d.FM, d.HS2))
         assert all(type(v) is int for t in (d.X, d.PSI_P0, d.PSI_MARKED, d.PSI_GENERIC, d.G, d.W)
                    for v in t)
-        report = delta_tvariety(params, angles)
-        delta, witnesses, terms, futaki_sign = reference_delta(params, angles)
-        assert (report.delta, report.witnesses, report.futaki_sign) == (
-            delta, witnesses, futaki_sign)
-        assert [(t.name, t.A, t.S, t.ratio) for t in report.terms] == terms
+        assert_delta_matches_reference(params, angles)
+
+    @given(ample_surfaces())
+    @example((SurfaceParams(0, 0), Angles(rat(3, 4), rat(3, 4))))  # every term 1
+    @example((SurfaceParams(0, 2), Angles(rat(63, 128), rat(21, 32))))  # condition point
+    @example((SurfaceParams(0, 1), Angles(rat(144, 125), rat(48, 25))))  # m = 1 locus
+    @example((SurfaceParams(0, 3), rational_condition_point((0, 3), rat(3, 4))))
+    def test_integer_minimum_matches_fraction_reference(self, surface):
+        # The minimum taken by cross-multiplying integers against the
+        # reference's per-term divisions, on small denominators and on
+        # points where several orbits tie.
+        assert_delta_matches_reference(*surface)
 
     def test_integers_over_the_common_denominator(self):
         # beta = (1/2, 1/3): L = 6, X = (-3, 0, 2); at n = 2, m = 3 the
@@ -493,6 +508,16 @@ class TestDelta:
             "C1tilde", "C2tilde", "FiberP0", "GenericFiber",
         )
         assert all(t.ratio == 1 for t in report.terms)
+
+    def test_nonpositive_vol_is_an_inconsistency(self, monkeypatch):
+        # The minimum cross-multiplies S numerators over 2 L VOL, so VOL > 0
+        # is checked with them.
+        original = kedge.tvariety.legendre_dual
+        monkeypatch.setattr(
+            kedge.tvariety, "legendre_dual", lambda h: dataclasses.replace(original(h), VOL=0)
+        )
+        with pytest.raises(InconsistencyError, match="vol is not positive"):
+            delta_tvariety((0, 2), Angles(HALF, HALF))
 
     def test_futaki_sign(self):
         assert futaki_vanishes((0, 2), Angles(HALF, HALF)) == 1

@@ -12,6 +12,8 @@ from kedge.picard import (
     C1TILDE,
     C2TILDE,
     Angles,
+    DivisorClass,
+    SurfaceModel,
     as_model,
 )
 from kedge.ratmath import rat, sign
@@ -154,14 +156,19 @@ class TestTorusWork:
         [((0, 2), Angles(HALF, HALF)), ((2, 0), Angles(rat(9, 14), rat(3, 7)))],
     )
     def test_one_torus_pass_per_verdict(self, monkeypatch, params, angles):
-        # Deterministic work: a second support function or a second dual
-        # fails here; the certificate runs its three round trips on the
-        # model's first verdict only; one A/S is divided per S_m orbit.
+        # Deterministic work: a second support function, a second dual or a
+        # second ample check fails here; the certificate runs its three
+        # round trips on the model's first verdict only, with no
+        # DivisorClass arithmetic.
         calls = collections.Counter()
         targets = {
             "anticanonical_support_function": kedge.tvariety,
             "legendre_dual": kedge.tvariety,
             "divisor_class": kedge.tvariety.SupportFunction,
+            "log_anticanonical": SurfaceModel,
+            "ample_range_violation": SurfaceModel,
+            "scale": DivisorClass,
+            "__add__": DivisorClass,
         }
         for name, owner in targets.items():
             def counting(*args, _name=name, _original=getattr(owner, name)):
@@ -174,13 +181,22 @@ class TestTorusWork:
         k_polystable(model, angles)
         assert calls == {
             "anticanonical_support_function": 1, "legendre_dual": 1, "divisor_class": 3,
+            "log_anticanonical": 3, "ample_range_violation": 1,
         }
         calls.clear()
-        report = k_polystable(model, angles).report
-        assert calls == {"anticanonical_support_function": 1, "legendre_dual": 1}
-        divided = [t.name for t in report.terms if "ratio" in vars(t)]
-        orbits = ["C1tilde", "C2tilde", "E1", "F1tilde"][: 2 + 2 * (model.m > 0)]
-        assert divided == orbits + ["FiberP0", "GenericFiber"]
+        verdict = k_polystable(model, angles)
+        assert calls == {
+            "anticanonical_support_function": 1, "legendre_dual": 1, "ample_range_violation": 1,
+        }
+        # A/S is divided only for a term that is read.  Off the condition
+        # locus nothing reads the terms; at the (2, 0) condition point the
+        # branch certificate reads every one.
+        report = verdict.report
+        if verdict.condition_sign:
+            assert "terms" not in vars(report)
+            assert not any("ratio" in vars(t) for t in report.terms)
+        else:
+            assert all("ratio" in vars(t) for t in report.terms)
         # Every integral is a dot product with the three hat weights; no
         # general PL type or pairwise product integrator is left.
         assert not hasattr(kedge.tvariety, "PLFunction")
@@ -251,12 +267,12 @@ class TestConditionPoints:
 
 class TestCertification:
     def test_tampered_term_is_caught(self):
+        # The E orbit's S doubled: E1 and E2 read A/S = 1/2, not 1.
         report = delta_tvariety((0, 2), CONDITION_M2)
-        terms = tuple(
-            dataclasses.replace(t, S=rat(2)) if t.name == "E1" else t
-            for t in report.terms
+        orbits = tuple(
+            (names, A, 2 * s if names[0] == "E1" else s) for names, A, s in report.orbits
         )
-        tampered = dataclasses.replace(report, terms=terms)
+        tampered = dataclasses.replace(report, orbits=orbits)
         with pytest.raises(InconsistencyError):
             _certify_polystable_branch(2, tampered)
 
@@ -271,7 +287,7 @@ class TestCertification:
         report = delta_tvariety((0, 2), angles)
         assert report.futaki_sign == condition_sign((0, 2), angles) == 1
         flipped = dataclasses.replace(report, futaki_sign=-1)
-        monkeypatch.setattr("kedge.verdict.delta_tvariety", lambda params, angles: flipped)
+        monkeypatch.setattr("kedge.verdict._delta_tvariety", lambda model, angles: flipped)
         with pytest.raises(InconsistencyError, match="Futaki"):
             k_polystable((0, 2), angles)
 
