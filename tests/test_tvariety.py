@@ -177,15 +177,6 @@ def reference_delta(params, angles):
     return delta, witnesses, terms, sign(-d["first_moment"])
 
 
-def assert_delta_matches_reference(params, angles):
-    """delta, the witnesses in order, the Futaki sign and every term's A, S
-    and A/S from ``delta_tvariety`` equal ``reference_delta``'s."""
-    report = delta_tvariety(params, angles)
-    delta, witnesses, terms, futaki_sign = reference_delta(params, angles)
-    assert (report.delta, report.witnesses, report.futaki_sign) == (delta, witnesses, futaki_sign)
-    assert [(t.name, t.A, t.S, t.ratio) for t in report.terms] == terms
-
-
 @st.composite
 def ample_surfaces(draw):
     """(params, angles) with n, m <= 6 and -K_{S,Delta} ample: beta1 < 2/n
@@ -420,11 +411,13 @@ class TestIntegerRoute:
     """The integer route over one common denominator against the Fraction
     route it replaced: every quantity, every term, delta and the Futaki sign."""
 
-    @given(ample_surfaces_large_denominators())
+    # Small denominators tie more often; the examples are ties.
+    @given(st.one_of(ample_surfaces(), ample_surfaces_large_denominators()))
     @example((SurfaceParams(2, 0), Angles(rat(9, 14), rat(3, 7))))  # m = 0
-    @example((SurfaceParams(0, 0), Angles(rat(3, 4), rat(3, 4))))
+    @example((SurfaceParams(0, 0), Angles(rat(3, 4), rat(3, 4))))  # every term 1
     @example((SurfaceParams(0, 2), Angles(rat(63, 128), rat(21, 32))))  # condition point
     @example((SurfaceParams(0, 1), Angles(rat(144, 125), rat(48, 25))))  # m = 1 locus
+    @example((SurfaceParams(0, 3), rational_condition_point((0, 3), rat(3, 4))))  # m >= 3
     def test_matches_fraction_reference(self, surface):
         params, angles = surface
         d = legendre_dual(anticanonical_support_function(params, angles))
@@ -432,18 +425,13 @@ class TestIntegerRoute:
         assert all(type(v) is int for v in (d.L, d.VOL, d.FM, d.HS2))
         assert all(type(v) is int for t in (d.X, d.PSI_P0, d.PSI_MARKED, d.PSI_GENERIC, d.G, d.W)
                    for v in t)
-        assert_delta_matches_reference(params, angles)
-
-    @given(ample_surfaces())
-    @example((SurfaceParams(0, 0), Angles(rat(3, 4), rat(3, 4))))  # every term 1
-    @example((SurfaceParams(0, 2), Angles(rat(63, 128), rat(21, 32))))  # condition point
-    @example((SurfaceParams(0, 1), Angles(rat(144, 125), rat(48, 25))))  # m = 1 locus
-    @example((SurfaceParams(0, 3), rational_condition_point((0, 3), rat(3, 4))))
-    def test_integer_minimum_matches_fraction_reference(self, surface):
-        # The minimum taken by cross-multiplying integers against the
-        # reference's per-term divisions, on small denominators and on
-        # points where several orbits tie.
-        assert_delta_matches_reference(*surface)
+        # The minimum, taken by cross-multiplying integers, against the
+        # reference's per-term divisions.
+        report = delta_tvariety(params, angles)
+        delta, witnesses, terms, futaki_sign = reference_delta(params, angles)
+        assert (report.delta, report.witnesses, report.futaki_sign) == (
+            delta, witnesses, futaki_sign)
+        assert [(t.name, t.A, t.S, t.ratio) for t in report.terms] == terms
 
     def test_integers_over_the_common_denominator(self):
         # beta = (1/2, 1/3): L = 6, X = (-3, 0, 2); at n = 2, m = 3 the
