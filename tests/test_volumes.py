@@ -444,6 +444,24 @@ class TestSharedEngine:
         with pytest.raises(DecompositionError, match="grow strictly"):
             _certify_curve(model, angles, PiecewiseQuadratic(broken))
 
+    @pytest.mark.parametrize("first_changes, second_changes, message", [
+        ({"x_lo": rat(1, 4)}, {}, "start at x = 0"),
+        ({}, {"q0": rat(5)}, "vanish at the threshold"),
+        ({"x_hi": rat(1, 4)}, {}, "partition the interval"),
+        ({"q1": rat(-3)}, {}, "continuous across walls"),
+        # (x - 1)(1 - 8x) agrees with 4 - 6x + 2x^2 at both ends of
+        # [1/2, 1] but rises at 1/2.
+        ({}, {"q0": rat(-1), "q1": rat(9), "q2": rat(-8)}, "nonincreasing"),
+    ], ids=["start", "vanish", "partition", "continuity", "monotone"])
+    def test_certificate_refuses_a_broken_piece(self, first_changes, second_changes, message):
+        # 7/2 - 4x on [0, 1/2], then 4 - 6x + 2x^2 on [1/2, 1]; each change
+        # breaks one post-condition and keeps the ones checked before it.
+        model, angles = as_model((0, 2)), Angles(HALF, HALF)
+        first, second = volume_curve(C1TILDE, model, angles).pieces
+        broken = (replace(first, **first_changes), replace(second, **second_changes))
+        with pytest.raises(DecompositionError, match=message):
+            _certify_curve(model, angles, PiecewiseQuadratic(broken))
+
     def test_falling_coefficient_is_refused(self, monkeypatch):
         # No coefficient of the negative part falls along the ray, so the
         # sweep looks for no such wall; it refuses a chamber that has one.
