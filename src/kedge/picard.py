@@ -260,6 +260,12 @@ class SurfaceModel:
         return tuple(tuple((j, g) for j, g in row if g) for row in rows)
 
     @cached_property
+    def candidate_labels(self) -> tuple:
+        """``CurveId.label`` of each of ``candidate_curves``, in that order,
+        spelled once per model."""
+        return tuple(curve.label for curve in self.candidate_curves())
+
+    @cached_property
     def certified(self) -> set:
         """Names of the angle-independent certificates this instance passed,
         so that each runs once per surface model."""

@@ -116,14 +116,3 @@ def isqrt_exact(k: int) -> int | None:
         return None
     r = math.isqrt(k)
     return r if r * r == k else None
-
-
-def sqrt_exact(x):
-    """Exact rational square root of ``x``, or None if irrational."""
-    num = isqrt_exact(x.numerator)
-    if num is None:
-        return None
-    den = isqrt_exact(x.denominator)
-    if den is None:
-        return None
-    return Rat(num) / Rat(den)

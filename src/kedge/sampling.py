@@ -5,6 +5,8 @@ All randomised checks in the package draw from these generators so that a
 are drawn as exact rationals: denominator uniform in 1..64, numerator
 uniform in 1..4*denominator, rejected until the pair lands in the ample
 range (and in the extra validity range of a requested closed-form case).
+The ample test runs on the drawn integers, by cross-multiplication, before
+any rational exists: only the accepted pair becomes ``Angles``.
 """
 
 from __future__ import annotations
@@ -30,20 +32,23 @@ MAX_TRIES = 10_000  # rejection-sampling draws before giving up
 LEMMA_CASES = ("C1tilde", "C2tilde", CASE_N_GE_M, CASE_C1_FIRST, CASE_C2_FIRST, CASE_N_ZERO)
 
 
-def sample_rational(rng: random.Random) -> Rat:
-    """A positive rational with denominator <= 64, value <= MAX_VALUE."""
-    den = rng.randint(1, MAX_DENOMINATOR)
-    num = rng.randint(1, MAX_VALUE * den)
-    return Rat(num, den)
-
-
 def sample_angles(rng: random.Random, params) -> Angles:
-    """Rejection-sample an angle pair in the ample range of ``params``."""
+    """Rejection-sample an angle pair in the ample range of ``params``.
+
+    Each angle is p / d, d uniform in 1..MAX_DENOMINATOR and p uniform in
+    1..MAX_VALUE*d; the pair is ample when n p1 < 2 d1 (n > 0) and
+    (m - n) p2 < 2 d2 (m > n), as ``ample_range_violation`` states it.
+    """
     model = as_model(params)
+    k1, k2 = model.n, model.m - model.n
+    randint = rng.randint
     for _ in range(MAX_TRIES):
-        angles = Angles(sample_rational(rng), sample_rational(rng))
-        if model.ample_range_violation(angles) is None:
-            return angles
+        d1 = randint(1, MAX_DENOMINATOR)
+        p1 = randint(1, MAX_VALUE * d1)
+        d2 = randint(1, MAX_DENOMINATOR)
+        p2 = randint(1, MAX_VALUE * d2)
+        if (k1 <= 0 or k1 * p1 < 2 * d1) and (k2 <= 0 or k2 * p2 < 2 * d2):
+            return Angles(Rat(p1, d1), Rat(p2, d2))
     raise RuntimeError(f"could not sample ample angles for {model.params}")
 
 

@@ -268,12 +268,13 @@ def _delta_tvariety(model: SurfaceModel, angles: Angles) -> DeltaReport:
     L, VOL, FM = d.L, d.VOL, d.FM
     p1, p2 = -d.X[0], d.X[2]
     cross_marked = d.cross(d.PSI_MARKED)
+    labels = model.candidate_labels  # C1tilde, C2tilde, E1..Em, F1tilde..Fmtilde
     orbits = [  # (names, A, L A, 2 L VOL S); S = bc + beta1, beta2 - bc,
         # bc_pi - bc, bc_pi, bc_p0 + n bc + 2 and bc_generic
         (("C1tilde",), angles.beta1, p1, 2 * (FM + p1 * VOL)),
         (("C2tilde",), angles.beta2, p2, 2 * (p2 * VOL - FM)),
-        (tuple(f"E{i}" for i in range(1, m + 1)), ONE, L, cross_marked - 2 * FM),
-        (tuple(f"F{i}tilde" for i in range(1, m + 1)), ONE, L, cross_marked),
+        (labels[2:m + 2], ONE, L, cross_marked - 2 * FM),
+        (labels[m + 2:], ONE, L, cross_marked),
         (("FiberP0",), ONE, L, d.cross(d.PSI_P0) + 2 * n * FM + 4 * L * VOL),
         (("GenericFiber",), ONE, L, d.cross(d.PSI_GENERIC)),
     ]

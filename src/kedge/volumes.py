@@ -33,20 +33,24 @@ The least root is the next wall: roots are compared by
 cross-multiplication, and every curve that reaches the least one starts
 the next chamber's growth.  Each chamber becomes one ``QuadraticPiece``
 with q0 = c0 / (s L^2), q1 = c1 / (s L) and q2 = c2 / s, integrated in
-closed form.  ``_certify_curve`` checks that the support grew strictly
+closed form as one integer numerator over one denominator: one division
+per piece.  ``_certify_curve`` checks that the support grew strictly
 at every wall, so no two chambers ever merge, and compares the first
 piece with (-K_Delta)^2 from the generic ``intersect``, which checks d0.
+Its continuity, vanishing and monotonicity checks cross-multiply the
+pieces' numerators and denominators, on integers.
 
 The sweep ends where the quadratic vanishes: that root is the
-pseudoeffective threshold tau.  A final quadratic with irrational roots
-raises IrrationalThreshold instead of approximating.
+pseudoeffective threshold tau, found from c0, c1, c2 by an integer
+square root.  A final quadratic with irrational roots raises
+IrrationalThreshold instead of approximating.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .picard import Angles, CurveId, SurfaceModel, as_model
-from .ratmath import ZERO, Rat, as_rat, common_denominator, sqrt_exact
+from .ratmath import ZERO, Rat, as_rat, common_denominator, isqrt_exact
 from .zariski import DecompositionError, InconsistencyError, NotPseudoeffective, grow_support
 
 
@@ -71,11 +75,20 @@ class QuadraticPiece:
 
     def integral(self):
         """Exact integral of the quadratic over [x_lo, x_hi]:
-        q0 D1 + q1 D2 / 2 + q2 D3 / 3, where Dk = x_hi^k - x_lo^k."""
-        lo, hi = self.x_lo, self.x_hi
-        lo2, hi2 = lo * lo, hi * hi
-        return (self.q0 * (hi - lo) + self.q1 * (hi2 - lo2) / 2
-                + self.q2 * (hi2 * hi - lo2 * lo) / 3)
+        q0 D1 + q1 D2 / 2 + q2 D3 / 3, where Dk = x_hi^k - x_lo^k.
+
+        With qk = nk / dk, B the product of the endpoints' denominators,
+        X = B x_hi and Y = B x_lo, it is (X - Y) (6 n0 d1 d2 B^2
+        + 3 n1 d0 d2 B (X + Y) + 2 n2 d0 d1 (X^2 + X Y + Y^2)) over
+        6 d0 d1 d2 B^3: one integer numerator, one division."""
+        lo, hi, q0, q1, q2 = self.x_lo, self.x_hi, self.q0, self.q1, self.q2
+        B = lo.denominator * hi.denominator
+        X, Y = hi.numerator * lo.denominator, lo.numerator * hi.denominator
+        n0, d0, n1, d1 = q0.numerator, q0.denominator, q1.numerator, q1.denominator
+        n2, d2 = q2.numerator, q2.denominator
+        inner = (6 * n0 * d1 * d2 * B * B + 3 * n1 * d0 * d2 * B * (X + Y)
+                 + 2 * n2 * d0 * d1 * (X * X + X * Y + Y * Y))
+        return Rat((X - Y) * inner, 6 * d0 * d1 * d2 * B * B * B)
 
 
 @dataclass(frozen=True)
@@ -114,30 +127,36 @@ class PiecewiseQuadratic:
         return self.integral() / self.pieces[0].q0
 
 
-def _smallest_root_after(q0, q1, q2, x0, context: str):
-    """Least root of q0 + q1 x + q2 x^2 strictly right of x0 (exact).
+def _smallest_root_after(c0, c1, c2, s, L, x0, context: str):
+    """Least root strictly right of x0 of the last chamber's volume, where
+    s L^2 vol(x) = c0 + c1 X + c2 X^2 in X = L x (exact, on integers).
 
-    Raises IrrationalThreshold when the root exists but is irrational.
+    Each root is num / den with den > 0 and is compared with x0 = u / v
+    as num v against u den; tau is the one rational formed.  Raises
+    IrrationalThreshold when the root exists but is irrational.
     """
-    if q2 == 0:
-        if q1 == 0:
+    u, v = x0.numerator, x0.denominator
+    if c2 == 0:
+        if c1 == 0:
             raise DecompositionError(f"volume curve constant and positive ({context})")
-        r = -q0 / q1
-        if r <= x0:
-            raise DecompositionError(f"volume root {r} not beyond {x0} ({context})")
-        return r
-    disc = q1 * q1 - 4 * q2 * q0
+        num, den = (-c0, c1 * L) if c1 > 0 else (c0, -c1 * L)
+        if num * v <= u * den:
+            raise DecompositionError(f"volume root {Rat(num, den)} not beyond {x0} ({context})")
+        return Rat(num, den)
+    disc = c1 * c1 - 4 * c2 * c0
     if disc < 0:
         raise DecompositionError(f"volume quadratic has no real root ({context})")
-    s = sqrt_exact(disc)
-    if s is None:
+    r = isqrt_exact(disc)
+    if r is None:
+        q0, q1, q2 = Rat(c0, s * L * L), Rat(c1, s * L), Rat(c2, s)
         raise IrrationalThreshold(
             f"threshold is an irrational root of {q0} + {q1} x + {q2} x^2 ({context})"
         )
-    roots = sorted({(-q1 - s) / (2 * q2), (-q1 + s) / (2 * q2)})
-    for r in roots:
-        if r > x0:
-            return r
+    # The roots in X are (-c1 -+ r) / (2 c2), so x = num / (2 |c2| L), smaller first.
+    den = 2 * abs(c2) * L
+    for num in ((-c1 - r, -c1 + r) if c2 > 0 else (c1 - r, c1 + r)):
+        if num * v > u * den:
+            return Rat(num, den)
     raise DecompositionError(f"no volume root beyond {x0} ({context})")
 
 
@@ -221,36 +240,49 @@ def volume_sweep(E: CurveId, params, angles: Angles) -> tuple:
                 start, x0 = support + reach, x
                 continue
         # Positive at x0, and not at the next wall if any: the least root beyond x0 is tau.
-        tau = _smallest_root_after(*q, x0, context)
+        tau = _smallest_root_after(c0, c1, c2, s, L, x0, context)
         pieces.append(QuadraticPiece(x0, tau, *q, named))
         return tuple(pieces)
+
+
+def _jets(piece: QuadraticPiece, x) -> tuple:
+    """Integers (w, d, t) at x = u / v, with qk = nk / dk and d = d0 d1 d2:
+    the value there is w / (d v^2), and the slope q1 + 2 q2 x is
+    t / (d1 d2 v), of the sign of t."""
+    u, v, q0, q1, q2 = x.numerator, x.denominator, piece.q0, piece.q1, piece.q2
+    n0, d0, n1, d1 = q0.numerator, q0.denominator, q1.numerator, q1.denominator
+    n2, d2 = q2.numerator, q2.denominator
+    w = n0 * d1 * d2 * v * v + (n1 * d0 * d2 * v + n2 * d0 * d1 * u) * u
+    return w, d0 * d1 * d2, n1 * d2 * v + 2 * n2 * d1 * u
 
 
 def _certify_curve(model: SurfaceModel, angles: Angles, curve: PiecewiseQuadratic):
     """Cheap exact post-conditions: continuity, endpoints, monotonicity,
     and a negative support that grows strictly at every wall (the theorem
-    the sweep rests on; it also means no two chambers ever merge)."""
+    the sweep rests on; it also means no two chambers ever merge).  Values
+    and slopes at the endpoints are compared on integers (``_jets``)."""
     pieces = curve.pieces
     if not pieces or pieces[0].x_lo != 0:
         raise DecompositionError("volume curve must start at x = 0")
     minus_k = model.log_anticanonical(angles)
     if pieces[0].q0 != model.self_intersection(minus_k):
         raise DecompositionError("volume at x = 0 must equal (-K_Delta)^2")
-    if pieces[-1].value(pieces[-1].x_hi) != 0:
+    ends = [(_jets(piece, piece.x_lo), _jets(piece, piece.x_hi)) for piece in pieces]
+    _, (w_tau, _, _) = ends[-1]
+    if w_tau != 0:
         raise DecompositionError("volume must vanish at the threshold")
-    for left, right in zip(pieces, pieces[1:]):
+    for i in range(1, len(pieces)):
+        left, right = pieces[i - 1], pieces[i]
         if left.x_hi != right.x_lo:
             raise DecompositionError("pieces must partition the interval")
-        if left.value(left.x_hi) != right.value(right.x_lo):
+        (w, d, _), (w_next, d_next, _) = ends[i - 1][1], ends[i][0]
+        if w * d_next != w_next * d:  # both at the same x
             raise DecompositionError("volume curve must be continuous across walls")
         if not set(left.negative_support) < set(right.negative_support):
             raise DecompositionError("negative support must grow strictly at every wall")
-    for piece in pieces:
-        # derivative q1 + 2 q2 x is affine: checking both endpoints
-        # bounds it on the whole piece
-        for x in (piece.x_lo, piece.x_hi):
-            if piece.q1 + 2 * piece.q2 * x > 0:
-                raise DecompositionError("volume curve must be nonincreasing")
+    # The slope is affine on a piece: its sign at both ends bounds it.
+    if any(t > 0 for lo, hi in ends for t in (lo[2], hi[2])):
+        raise DecompositionError("volume curve must be nonincreasing")
 
 
 def volume_curve(E: CurveId, params, angles: Angles) -> PiecewiseQuadratic:

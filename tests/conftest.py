@@ -1,5 +1,6 @@
-"""Shared fixtures: seeded generators, condition-locus parametrizations and
-the rational LDL^T kernel that the tests use as their reference."""
+"""Shared fixtures: seeded generators, condition-locus parametrizations, and
+the rational references the tests check the integer code against: the
+LDL^T kernel, the angle sampler and the volume curve's last root."""
 
 from __future__ import annotations
 
@@ -8,8 +9,11 @@ import random
 import pytest
 
 from kedge.linalg import NotNegativeDefinite
-from kedge.picard import Angles, SurfaceParams
-from kedge.ratmath import Rat
+from kedge.picard import Angles, SurfaceParams, as_model
+from kedge.ratmath import Rat, isqrt_exact
+from kedge.sampling import MAX_DENOMINATOR, MAX_TRIES, MAX_VALUE
+from kedge.volumes import IrrationalThreshold
+from kedge.zariski import DecompositionError
 
 
 @pytest.fixture
@@ -107,3 +111,59 @@ def reference_solve(factor, rhs) -> list:
         for j, l in rows[i]:
             x[j] = x[j] - l * x[i]
     return x
+
+
+def reference_sample_rational(rng: random.Random) -> Rat:
+    """A positive rational with denominator <= 64, value <= MAX_VALUE."""
+    den = rng.randint(1, MAX_DENOMINATOR)
+    num = rng.randint(1, MAX_VALUE * den)
+    return Rat(num, den)
+
+
+def reference_sample_angles(rng: random.Random, params) -> Angles:
+    """The rational rejection sampler that ``sampling.sample_angles``
+    replaced: it builds every drawn pair and asks the model why it is not
+    ample."""
+    model = as_model(params)
+    for _ in range(MAX_TRIES):
+        angles = Angles(reference_sample_rational(rng), reference_sample_rational(rng))
+        if model.ample_range_violation(angles) is None:
+            return angles
+    raise RuntimeError(f"could not sample ample angles for {model.params}")
+
+
+def sqrt_exact(x):
+    """Exact rational square root of ``x``, or None if irrational."""
+    num = isqrt_exact(x.numerator)
+    if num is None:
+        return None
+    den = isqrt_exact(x.denominator)
+    if den is None:
+        return None
+    return Rat(num) / Rat(den)
+
+
+def reference_smallest_root_after(q0, q1, q2, x0, context: str):
+    """Least root of q0 + q1 x + q2 x^2 strictly right of x0, on rationals:
+    the form ``volumes._smallest_root_after`` had before it read the
+    chamber's integers."""
+    if q2 == 0:
+        if q1 == 0:
+            raise DecompositionError(f"volume curve constant and positive ({context})")
+        r = -q0 / q1
+        if r <= x0:
+            raise DecompositionError(f"volume root {r} not beyond {x0} ({context})")
+        return r
+    disc = q1 * q1 - 4 * q2 * q0
+    if disc < 0:
+        raise DecompositionError(f"volume quadratic has no real root ({context})")
+    s = sqrt_exact(disc)
+    if s is None:
+        raise IrrationalThreshold(
+            f"threshold is an irrational root of {q0} + {q1} x + {q2} x^2 ({context})"
+        )
+    roots = sorted({(-q1 - s) / (2 * q2), (-q1 + s) / (2 * q2)})
+    for r in roots:
+        if r > x0:
+            return r
+    raise DecompositionError(f"no volume root beyond {x0} ({context})")

@@ -1,6 +1,7 @@
 """Rational type: parsing, formatting, exact square roots."""
 
 import pytest
+from conftest import sqrt_exact
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -14,7 +15,6 @@ from kedge.ratmath import (
     parse_rat,
     rat,
     sign,
-    sqrt_exact,
 )
 
 rationals = st.fractions().map(lambda f: Rat(f.numerator) / Rat(f.denominator))

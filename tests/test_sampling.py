@@ -2,6 +2,9 @@
 
 import random
 
+import pytest
+from conftest import reference_sample_angles, reference_sample_rational
+
 from kedge.closedforms import EXCEPTIONAL_CASES, classify_exceptional_case
 from kedge.picard import DivisorClass, as_model
 from kedge.sampling import (
@@ -11,16 +14,38 @@ from kedge.sampling import (
     sample_angles,
     sample_case_input,
     sample_divisor_class,
-    sample_rational,
     sample_surface,
 )
 
 
 def test_rational_bounds(rng):
     for _ in range(200):
-        x = sample_rational(rng)
+        x = reference_sample_rational(rng)
         assert 0 < x <= MAX_VALUE
         assert x.denominator <= MAX_DENOMINATOR
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_angles_match_the_rational_reference(n):
+    # The integer sampler makes the same randint calls in the same order
+    # and accepts the same pairs as the rational rejection loop.
+    for m in range(7):
+        for seed in range(20):
+            drawn, reference = random.Random(seed), random.Random(seed)
+            assert sample_angles(drawn, (n, m)) == reference_sample_angles(reference, (n, m))
+            assert drawn.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("case", LEMMA_CASES)
+def test_case_inputs_match_the_rational_reference(monkeypatch, case):
+    # The reference is sample_case_input over the rational sampler.
+    seeds = range(20)
+    generators = [random.Random(seed) for seed in seeds]
+    drawn = [sample_case_input(rng, case) for rng in generators]
+    monkeypatch.setattr("kedge.sampling.sample_angles", reference_sample_angles)
+    references = [random.Random(seed) for seed in seeds]
+    assert drawn == [sample_case_input(rng, case) for rng in references]
+    assert [rng.getstate() for rng in generators] == [rng.getstate() for rng in references]
 
 
 def test_angles_are_ample(rng):
@@ -63,7 +88,7 @@ def test_divisor_class_shape(rng):
 def test_seed_determinism():
     def draw(seed):
         r = random.Random(seed)
-        out = [sample_rational(r) for _ in range(5)]
+        out = [reference_sample_rational(r) for _ in range(5)]
         params = sample_surface(r)
         out.append(params)
         out.append(sample_angles(r, params))

@@ -3,7 +3,7 @@
 from dataclasses import dataclass, replace
 
 import pytest
-from conftest import reference_factorize, reference_solve
+from conftest import reference_factorize, reference_smallest_root_after, reference_solve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -145,7 +145,7 @@ def reference_volume_sweep(E, model, angles):
             start = support + [c for c in candidates if roots.get(c) == wall]
             x0 = wall
             continue
-        tau = _smallest_root_after(q0, q1, q2, x0, context)
+        tau = reference_smallest_root_after(q0, q1, q2, x0, context)
         pieces.append(QuadraticPiece(x0, tau, q0, q1, q2, named))
         return tuple(pieces)
 
@@ -540,7 +540,34 @@ class TestScalars:
 
     def test_irrational_root_refused(self):
         # 2 - x^2 first vanishes at sqrt(2): must refuse, never approximate.
-        with pytest.raises(IrrationalThreshold):
-            _smallest_root_after(rat(2), rat(0), rat(-1), rat(0), "synthetic")
-        assert _smallest_root_after(rat(4), rat(0), rat(-1), rat(0), "synthetic") == 2
-        assert _smallest_root_after(rat(4), rat(-4), rat(0), rat(0), "synthetic") == 1
+        # The chamber's integers give s L^2 vol = c0 + c1 (L x) + c2 (L x)^2.
+        with pytest.raises(IrrationalThreshold, match=r"root of 2 \+ 0 x \+ -1 x\^2"):
+            _smallest_root_after(2, 0, -1, 1, 1, rat(0), "synthetic")
+        with pytest.raises(IrrationalThreshold, match=r"root of 1/9 \+ 0 x \+ -1/18 x\^2"):
+            _smallest_root_after(8, 0, -1, 18, 2, rat(0), "synthetic")
+        assert _smallest_root_after(4, 0, -1, 1, 1, rat(0), "synthetic") == 2
+        assert _smallest_root_after(4, -4, 0, 1, 1, rat(0), "synthetic") == 1
+        assert _smallest_root_after(16, 0, -1, 3, 2, rat(0), "synthetic") == 2
+        # Both roots of (x - 2)(x - 3), either sign of c2, lie beyond 0:
+        # the smaller one is tau; beyond 5/2 the larger one is.
+        for sign in (1, -1):
+            c0, c1, c2 = 6 * sign, -5 * sign, sign
+            assert _smallest_root_after(c0, c1, c2, 1, 1, rat(0), "synthetic") == 2
+            assert _smallest_root_after(c0, c1, c2, 1, 1, rat(5, 2), "synthetic") == 3
+
+    @settings(deadline=None)
+    @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30),
+           st.integers(1, 12), st.integers(1, 12), st.fractions(0, 6, max_denominator=12))
+    def test_root_matches_the_rational_reference(self, c0, c1, c2, s, L, x0):
+        # Same root, or the same error with the same message, as the
+        # rational form on q0 = c0 / (s L^2), q1 = c1 / (s L), q2 = c2 / s.
+        x0 = Rat(x0)
+        q = (Rat(c0, s * L * L), Rat(c1, s * L), Rat(c2, s))
+        try:
+            expected = reference_smallest_root_after(*q, x0, "synthetic")
+        except (DecompositionError, IrrationalThreshold) as exc:
+            with pytest.raises(type(exc)) as raised:
+                _smallest_root_after(c0, c1, c2, s, L, x0, "synthetic")
+            assert str(raised.value) == str(exc)
+        else:
+            assert _smallest_root_after(c0, c1, c2, s, L, x0, "synthetic") == expected
