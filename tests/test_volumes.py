@@ -7,6 +7,7 @@ from conftest import reference_factorize, reference_smallest_root_after, referen
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kedge import closedforms, linalg, volumes, zariski
 from kedge.closedforms import (
     angle_bracket,
     classify_exceptional_case,
@@ -27,6 +28,7 @@ from kedge.picard import (
     SurfaceParams,
     as_model,
 )
+from kedge.linalg import border
 from kedge.ratmath import Rat, common_denominator, rat
 from kedge.sampling import LEMMA_CASES, sample_angles, sample_case_input, sample_surface
 from kedge.volumes import (
@@ -281,6 +283,30 @@ class TestInvariants:
                 curve, params, angles
             )
         assert closed_form_S(GENERIC_FIBER, params, angles) is None
+
+    def test_closed_forms_never_call_the_sweep(self, monkeypatch, rng):
+        # The oracle is independent of the route it checks: with the sweep,
+        # its support growth and the bordered factor refusing every call,
+        # under every name a module holds them by, the closed forms answer.
+        routes = (volume_sweep, grow_support, border)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closed forms reached the sweep")
+
+        for module in (closedforms, linalg, volumes, zariski):
+            for name, value in list(vars(module).items()):
+                if any(value is route for route in routes):
+                    monkeypatch.setattr(module, name, refuse)
+        with pytest.raises(AssertionError, match="reached the sweep"):
+            volume_curve(C1TILDE, (1, 1), Angles(HALF, HALF))
+        for case in LEMMA_CASES:
+            params, angles, index = sample_case_input(rng, case)
+            curve = {"C1tilde": C1TILDE, "C2tilde": C2TILDE}.get(case) or Ei(index)
+            assert closed_form_volume_curve(curve, params, angles) is not None
+            assert closed_form_S(curve, params, angles) is not None
+        params = sample_surface(rng, m_min=1)
+        angles = sample_angles(rng, params)
+        assert closed_form_S(FiTilde(params.m), params, angles) is not None
 
     def test_S_bracket_relation(self, rng):
         # beta1 - S(C1tilde) = S(C2tilde) - beta2 = 2 bracket / vol.
