@@ -27,7 +27,7 @@ from .picard import (
     as_model,
     parse_curve_id,
 )
-from .ratmath import Rat, RatParseError, format_rat, parse_rat, rat, sign
+from .ratmath import Rat, RatParseError, format_rat, parse_rat, sign
 from .tvariety import (
     DeltaReport,
     ValuationTerm,
@@ -105,7 +105,6 @@ __all__ = [
     "log_discrepancy",
     "parse_curve_id",
     "parse_rat",
-    "rat",
     "rational_condition_point",
     "sign",
     "volume",

@@ -28,7 +28,6 @@ from .verdict import OUTSIDE_AMPLE_RANGE, InconsistencyError, k_polystable
 from .verify import SUITES, run_suites
 from .volumes import log_discrepancy, volume_curve
 
-_COMMANDS = ("delta", "volume-curve", "verify", "scan")
 # Largest accepted m: the lattice has rank m + 2, and the candidate set,
 # every pairing vector and the sweep's solves grow with m.
 MAX_M = 200
@@ -97,7 +96,7 @@ def _load_config(ctx, param, value):
         if not eq:
             _user_error(f"config line {line_no}: expected 'key = value'")
         defaults[key.strip().replace("-", "_")] = val.strip()
-    ctx.default_map = {name: dict(defaults) for name in _COMMANDS}
+    ctx.default_map = {name: dict(defaults) for name in ctx.command.commands}
 
 
 @click.group(no_args_is_help=False)

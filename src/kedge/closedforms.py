@@ -8,45 +8,42 @@ a short polynomial in the angles.  This module writes those formulas down
 directly, with no Zariski decomposition involved, so the two can be checked
 against each other.
 
-The exceptional-curve case splits into four regimes depending on how ``n``
-compares with ``m`` and on which of the curves ``C1tilde``/``C2tilde`` enters
-the negative part first.  Two of the regimes carry an extra inequality on the
-angles (the formulas below assume the second wall sits to the right of the
-first); outside that range :func:`closed_form_volume_curve` returns ``None``
-and only the sweep applies.
+Each curve is a list of walls and one chamber per gap between neighbouring
+walls: a thunk for the chamber's quadratic and the chamber's negative
+support; a quadratic is a coefficient triple, written out or in one of the
+two shapes ``k (c - x)^2 + s`` and ``(t - x)(c + d x)``.  A chamber of zero
+width is skipped before its quadratic is evaluated, so the chambers that
+collapse at ``n = 1`` or ``n = m``, whose quadratics would divide by zero,
+are never formed.  The sections C~1 and C~2 share one two-chamber formula in
+the angles and self-intersections of the two sections.  The exceptional-curve case splits into
+four regimes depending on how ``n`` compares with ``m`` and on which of the
+curves ``C1tilde``/``C2tilde`` enters the negative part first; the chamber
+where ``C2tilde`` has entered alone is one formula, the ``E-c2-first``
+middle chamber, which is also the ``E-n0`` third chamber at ``n = 0``.  Two
+of the regimes carry an extra inequality on the angles (the second wall must
+sit to the right of the first); outside that range
+:func:`closed_form_volume_curve` returns ``None`` and only the sweep
+applies.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from itertools import pairwise
 
 from .picard import C1TILDE, C2TILDE, Ei, FiTilde, as_model
-from .ratmath import Rat, ZERO, rat
+from .ratmath import ONE, Rat, ZERO
 from .volumes import PiecewiseQuadratic, QuadraticPiece
 
-# Quadratics are coefficient triples (q0, q1, q2) for q0 + q1*x + q2*x^2.
+
+def _square(k, c, s=ZERO):
+    """k (c - x)^2 + s as a coefficient triple (q0, q1, q2); k is a Rat."""
+    return (k * c * c + s, -2 * k * c, k)
 
 
-def _lin_sq(c0, c1):
-    """(c0 + c1*x)^2 as a coefficient triple."""
-    c0 = rat(c0)
-    c1 = rat(c1)
-    return (c0 * c0, 2 * c0 * c1, c1 * c1)
-
-
-def _lin_mul(a, b):
-    a0, a1 = (rat(a[0]), rat(a[1]))
-    b0, b1 = (rat(b[0]), rat(b[1]))
-    return (a0 * b0, a0 * b1 + a1 * b0, a1 * b1)
-
-
-def _scale(q, t):
-    t = rat(t)
-    return (q[0] * t, q[1] * t, q[2] * t)
-
-
-def _shift(q, c):
-    return (q[0] + rat(c), q[1], q[2])
+def _product(t, c, d):
+    """(t - x)(c + d x) as a coefficient triple; d is a Rat."""
+    return (t * c, t * d - c, -d)
 
 
 # Case identifiers for the exceptional-curve regimes.  ``classify`` returns
@@ -151,22 +148,14 @@ def normalize_pieces(raw) -> tuple:
     return tuple(pieces)
 
 
-def _freeze(raw_pieces) -> PiecewiseQuadratic:
-    pieces = []
-    for x_lo, x_hi, quad, support in raw_pieces:
-        if x_lo == x_hi:
-            continue
-        q0, q1, q2 = quad()
-        pieces.append(
-            QuadraticPiece(
-                x_lo=x_lo,
-                x_hi=x_hi,
-                q0=rat(q0),
-                q1=rat(q1),
-                q2=rat(q2),
-                negative_support=support,
-            )
-        )
+def _freeze(walls, chambers) -> PiecewiseQuadratic:
+    """One piece per chamber of nonzero width between consecutive walls,
+    its thunk evaluated only then; neighbours that are one chamber merge."""
+    pieces = [
+        QuadraticPiece(lo, hi, *quadratic(), support)
+        for (lo, hi), (quadratic, support) in zip(pairwise(walls), chambers, strict=True)
+        if lo != hi
+    ]
     return PiecewiseQuadratic(pieces=normalize_pieces(pieces))
 
 
@@ -174,9 +163,7 @@ def closed_form_volume_curve(E, params, angles) -> PiecewiseQuadratic | None:
     """The curve ``x -> vol(-K - x E)`` assembled from the closed forms.
 
     Returns ``None`` for curves or angle ranges the closed forms do not
-    cover.  Degenerate chambers (``n = 1`` or ``n = m`` collapse a wall) are
-    skipped before their formulas are evaluated, so no division by zero
-    occurs.  Each support is listed in candidate order (C~1, C~2, E_i,
+    cover.  Each support is listed in candidate order (C~1, C~2, E_i,
     F~i), as the sweep names it.
     """
     model = as_model(params)
@@ -185,107 +172,49 @@ def closed_form_volume_curve(E, params, angles) -> PiecewiseQuadratic | None:
     b1, b2 = angles.beta1, angles.beta2
     total = b1 + b2
     vol = total_volume(model.params, angles)
+    fs = tuple(FiTilde(j) for j in range(1, m + 1))
 
-    if E.kind == "C1tilde":
-        fs = tuple(FiTilde(i) for i in range(1, m + 1))
-        raw = [
-            (ZERO, b1, lambda: (vol, -2 * (2 - n * b1), rat(-n)), ()),
-            (
-                b1,
-                total,
-                lambda: _lin_mul((total, -1), (4 - (m - n) * (b2 - b1), n - m)),
-                fs,
-            ),
-        ]
-        return _freeze(raw)
-
-    if E.kind == "C2tilde":
-        es = tuple(Ei(i) for i in range(1, m + 1))
-        raw = [
-            (ZERO, b2, lambda: (vol, -2 * (2 - (m - n) * b2), rat(n - m)), ()),
-            (
-                b2,
-                total,
-                lambda: _lin_mul((total, -1), (4 - n * (b1 - b2), -n)),
-                es,
-            ),
-        ]
-        return _freeze(raw)
+    if E.kind in ("C1tilde", "C2tilde"):
+        # One formula in the angle b and self-intersection e of E and of the
+        # other section: -K.E = 2 + e b, and past x = b the fibre curves
+        # meeting E join the support.
+        if E.kind == "C1tilde":
+            (b, e), (b_other, e_other), joining = (b1, -n), (b2, n - m), fs
+        else:
+            (b, e), (b_other, e_other) = (b2, n - m), (b1, -n)
+            joining = tuple(Ei(j) for j in range(1, m + 1))
+        return _freeze((ZERO, b, total), (
+            (lambda: (vol, -2 * (2 + e * b), Rat(e)), ()),
+            (lambda: _product(total, 4 + e_other * (b_other - b), Rat(e_other)), joining),
+        ))
 
     if E.kind != "Ei":
         return None
     case = classify_exceptional_case(model.params, angles)
     if case is None:
         return None
-    i = E.index
-    fi = FiTilde(i)
-
-    first = (ZERO, b1, lambda: (vol, -2 * b2, rat(-1)), ())
-
-    def fiber_only():
-        return (4 * total - (n - 1) * b1 * b1 + (n - m) * b2 * b2, -2 * total, ZERO)
-
-    def with_c1():
-        # (n-1)*(b2 + (2-x)/(n-1))^2 - (m-1)*b2^2, valid only when n > 1.
-        sq = _scale(_lin_sq((n - 1) * b2 + 2, -1), Rat(1, n - 1))
-        return _shift(sq, -(m - 1) * b2 * b2)
-
-    def with_c1_c2():
-        return _scale(_lin_sq(-2, 1), Rat(m - 1, (m - n) * (n - 1)))
-
+    fi = FiTilde(E.index)
+    c1_wall, c2_wall, two = 2 - (n - 1) * b1, 2 - (m - n) * b2, Rat(2)
+    # Every regime opens with the ample chamber and the fibre-only chamber.
+    opening = (
+        (lambda: (vol, -2 * b2, Rat(-1)), ()),
+        (lambda: (4 * total - (n - 1) * b1 * b1 + (n - m) * b2 * b2, -2 * total, ZERO), (fi,)),
+    )
+    with_c1 = (lambda: _square(Rat(1, n - 1), 2 + (n - 1) * b2, -(m - 1) * b2 * b2),
+               (C1TILDE, fi))
+    with_c2 = (lambda: _square(Rat(1, m - n), 2 + (m - n) * b1, -(m - 1) * b1 * b1),
+               (C2TILDE, fi))
+    with_c1_c2 = (lambda: _square(Rat(m - 1, (m - n) * (n - 1)), 2), (C1TILDE, C2TILDE, fi))
     if case == CASE_N_GE_M:
         tau = 2 + (n - m) * b2
-        raw = [
-            first,
-            (b1, 2 - (n - 1) * b1, fiber_only, (fi,)),
-            (2 - (n - 1) * b1, rat(2), with_c1, (C1TILDE, fi)),
-            (
-                rat(2),
-                tau,
-                lambda: _scale(_lin_sq(tau, -1), Rat(1, n - m)),
-                (C1TILDE, *(FiTilde(j) for j in range(1, m + 1))),
-            ),
-        ]
+        last = (lambda: _square(Rat(1, n - m), tau), (C1TILDE, *fs))
+        walls, chambers = (c1_wall, two, tau), (with_c1, last)
     elif case == CASE_C1_FIRST:
-        raw = [
-            first,
-            (b1, 2 - (n - 1) * b1, fiber_only, (fi,)),
-            (2 - (n - 1) * b1, 2 - (m - n) * b2, with_c1, (C1TILDE, fi)),
-            (2 - (m - n) * b2, rat(2), with_c1_c2, (C1TILDE, C2TILDE, fi)),
-        ]
+        walls, chambers = (c1_wall, c2_wall, two), (with_c1, with_c1_c2)
     elif case == CASE_C2_FIRST:
-        raw = [
-            first,
-            (b1, 2 - (m - n) * b2, fiber_only, (fi,)),
-            (
-                2 - (m - n) * b2,
-                2 - (n - 1) * b1,
-                lambda: _scale(
-                    (4 + (m - n) * (4 - (n - 1) * b1) * b1, -2 * (2 + (m - n) * b1), rat(1)),
-                    Rat(1, m - n),
-                ),
-                (C2TILDE, fi),
-            ),
-            (2 - (n - 1) * b1, rat(2), with_c1_c2, (C1TILDE, C2TILDE, fi)),
-        ]
+        walls, chambers = (c2_wall, c1_wall, two), (with_c2, with_c1_c2)
     else:  # CASE_N_ZERO
-        others = tuple(Ei(j) for j in range(1, m + 1) if j != i)
-        raw = [
-            first,
-            (b1, 2 - m * b2, fiber_only, (fi,)),
-            (
-                2 - m * b2,
-                rat(2),
-                lambda: _scale(
-                    (4 + m * (4 + b1) * b1, -2 * (2 + m * b1), rat(1)), Rat(1, m)
-                ),
-                (C2TILDE, fi),
-            ),
-            (
-                rat(2),
-                2 + b1,
-                lambda: _lin_sq(2 + b1, -1),
-                (C2TILDE, *others, fi),
-            ),
-        ]
-    return _freeze(raw)
+        others = tuple(Ei(j) for j in range(1, m + 1) if j != E.index)
+        last = (lambda: _square(ONE, 2 + b1), (C2TILDE, *others, fi))
+        walls, chambers = (c2_wall, two, 2 + b1), (with_c2, last)
+    return _freeze((ZERO, b1, *walls), (*opening, *chambers))

@@ -25,13 +25,6 @@ ZERO = Rat(0)
 ONE = Rat(1)
 
 
-def rat(numerator, denominator=None):
-    """Build a Rat from ints, another rational, or ``p, q``."""
-    if denominator is None:
-        return Rat(numerator)
-    return Rat(numerator) / Rat(denominator)
-
-
 def as_rat(x):
     """x itself when it is already a Rat, else Rat(x): no re-wrapping."""
     return x if type(x) is Rat else Rat(x)

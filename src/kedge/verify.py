@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 
 from .closedforms import closed_form_S, closed_form_volume_curve
-from .picard import C1TILDE, C2TILDE, Ei, FiTilde, as_model
+from .picard import C1TILDE, C2TILDE, Ei, as_model
 from .ratmath import Rat, format_rat
 from .sampling import (
     LEMMA_CASES,
@@ -145,10 +145,7 @@ def verify_route_agreement(samples: int, seed: int):
         yield _context(params, angles)
         model = as_model(params)
         report = delta_tvariety(model, angles)
-        curves = [C1TILDE, C2TILDE]
-        curves += [Ei(i) for i in range(1, params.m + 1)]
-        curves += [FiTilde(i) for i in range(1, params.m + 1)]
-        for curve in curves:
+        for curve in model.candidate_curves():
             yield _context(params, angles, curve=curve.label)
             term = report.term(curve.label)
             a = log_discrepancy(curve, model, angles)

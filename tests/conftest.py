@@ -1,6 +1,7 @@
-"""Shared fixtures: seeded generators, condition-locus parametrizations, and
-the rational references the tests check the integer code against: the
-LDL^T kernel, the angle sampler and the volume curve's last root."""
+"""Shared fixtures: seeded generators, condition-locus parametrizations, the
+``rat`` constructor the tests spell their rationals with, and the rational
+references the tests check the integer code against: the LDL^T kernel, the
+angle sampler and the volume curve's last root."""
 
 from __future__ import annotations
 
@@ -130,6 +131,13 @@ def reference_sample_angles(rng: random.Random, params) -> Angles:
         if model.ample_range_violation(angles) is None:
             return angles
     raise RuntimeError(f"could not sample ample angles for {model.params}")
+
+
+def rat(numerator, denominator=None):
+    """Build a Rat from ints, another rational, or ``p, q``."""
+    if denominator is None:
+        return Rat(numerator)
+    return Rat(numerator) / Rat(denominator)
 
 
 def sqrt_exact(x):

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from kedge.picard import Angles, as_model
-from kedge.ratmath import rat, sign
+from kedge.ratmath import sign
 from kedge.sampling import sample_angles, sample_divisor_class, sample_surface
 from kedge.tvariety import futaki_vanishes
 from kedge.verdict import (
@@ -35,7 +35,7 @@ from kedge.zariski import (
     zariski_decompose_bruteforce,
 )
 
-from conftest import condition_point_m0, negative_definite_families, small_surfaces
+from conftest import condition_point_m0, negative_definite_families, rat, small_surfaces
 
 SEED = 20260823
 LEMMA_SAMPLES = 200

@@ -11,12 +11,13 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from conftest import rat
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kedge.cli import MAX_M, main
+from kedge.cli import MAX_M, cli, main
 from kedge.picard import SurfaceModel
-from kedge.ratmath import format_rat, rat
+from kedge.ratmath import format_rat
 from kedge.tvariety import DualData, SupportFunction, legendre_dual
 from kedge.verdict import InconsistencyError
 from kedge.verify import SUITES, SuiteResult
@@ -511,11 +512,22 @@ class TestConfigAndOutput:
         assert json.loads(out)["beta2"] == "2/3"
 
     def test_config_reaches_other_subcommands(self, capsys, tmp_path):
-        cfg = tmp_path / "kedge.cfg"
-        cfg.write_text("n = 0\nm = 2\nbeta1 = 1/2\nbeta2 = 1/2\ncurve = E1\n")
-        code, out, _ = run_cli(capsys, ["--config", str(cfg), "volume-curve"])
-        assert code == 0
-        assert out == (GOLDEN / "volume_curve_e1.json").read_text(encoding="utf-8")
+        # Every subcommand of the group answers from the config alone as it
+        # does with the same options spelled on the command line.
+        configs = {
+            "delta": {"n": "0", "m": "2", "beta1": "1/2", "beta2": "1/2"},
+            "volume-curve": {"n": "0", "m": "2", "beta1": "1/2", "beta2": "1/2", "curve": "E1"},
+            "verify": {"samples": "1", "seed": "7"},
+            "scan": {"n": "1", "m": "0", "beta1-grid": "1/2:2:1/4", "beta2-grid": "1/4:1:1/4"},
+        }
+        assert set(configs) == set(cli.commands)
+        for command, options in configs.items():
+            cfg = tmp_path / f"{command}.cfg"
+            cfg.write_text("".join(f"{key} = {value}\n" for key, value in options.items()))
+            flags = [arg for key, value in options.items() for arg in (f"--{key}", value)]
+            from_config = run_cli(capsys, ["--config", str(cfg), command])
+            assert from_config[0] == 0
+            assert from_config == run_cli(capsys, [command, *flags])
 
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "kedge.cfg"

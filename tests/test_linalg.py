@@ -4,7 +4,7 @@ against the rational LDL^T reference, and the signature."""
 import math
 
 import pytest
-from conftest import reference_factorize, reference_solve
+from conftest import rat, reference_factorize, reference_solve
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,7 +16,7 @@ from kedge.linalg import (
     signature,
     solve_factored,
 )
-from kedge.ratmath import Rat, rat
+from kedge.ratmath import Rat
 
 small_rats = st.fractions(
     min_value=-5, max_value=5, max_denominator=6

@@ -1,6 +1,7 @@
 """Picard lattice of the blown-up ruled surface: classes, pairing, cones."""
 
 import pytest
+from conftest import rat
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -20,7 +21,7 @@ from kedge.picard import (
     as_model,
     parse_curve_id,
 )
-from kedge.ratmath import Rat, rat
+from kedge.ratmath import Rat
 
 small_rats = st.fractions(
     min_value=-4, max_value=4, max_denominator=5

@@ -1,7 +1,7 @@
 """Rational type: parsing, formatting, exact square roots."""
 
 import pytest
-from conftest import sqrt_exact
+from conftest import rat, sqrt_exact
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,7 +13,6 @@ from kedge.ratmath import (
     format_rat,
     isqrt_exact,
     parse_rat,
-    rat,
     sign,
 )
 

@@ -15,12 +15,13 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from conftest import rat
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import kedge.tvariety
 from kedge.picard import Angles, DivisorClass, SurfaceModel, SurfaceParams, as_model
-from kedge.ratmath import ONE, ZERO, Rat, rat, sign
+from kedge.ratmath import ONE, ZERO, Rat, sign
 from kedge.sampling import sample_angles, sample_surface
 from kedge.tvariety import (
     anticanonical_support_function,

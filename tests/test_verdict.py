@@ -16,7 +16,7 @@ from kedge.picard import (
     SurfaceModel,
     as_model,
 )
-from kedge.ratmath import rat, sign
+from kedge.ratmath import sign
 from kedge.sampling import sample_angles, sample_surface
 from kedge.tvariety import ValuationTerm, delta_tvariety, futaki_vanishes
 from kedge.verdict import (
@@ -34,7 +34,7 @@ from kedge.verdict import (
 )
 from kedge.volumes import expected_vanishing_order
 
-from conftest import condition_point_m0
+from conftest import condition_point_m0, rat
 
 HALF = rat(1, 2)
 CONDITION_M2 = Angles(rat(63, 128), rat(21, 32))

@@ -4,8 +4,8 @@ acceptance module reruns them at contract strength)."""
 import dataclasses
 
 import pytest
+from conftest import rat
 
-from kedge.ratmath import rat
 from kedge.tvariety import legendre_dual
 from kedge.verify import SUITES, SuiteResult, run_suites
 from kedge.zariski import DecompositionError, ZariskiDecomposition

@@ -3,7 +3,7 @@
 from dataclasses import dataclass, replace
 
 import pytest
-from conftest import reference_factorize, reference_smallest_root_after, reference_solve
+from conftest import rat, reference_factorize, reference_smallest_root_after, reference_solve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +29,7 @@ from kedge.picard import (
     as_model,
 )
 from kedge.linalg import border
-from kedge.ratmath import Rat, common_denominator, rat
+from kedge.ratmath import Rat, common_denominator
 from kedge.sampling import LEMMA_CASES, sample_angles, sample_case_input, sample_surface
 from kedge.volumes import (
     IrrationalThreshold,

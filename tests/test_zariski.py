@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import negative_definite_families
+from conftest import negative_definite_families, rat
 from kedge.picard import (
     Angles,
     C1TILDE,
@@ -15,7 +15,7 @@ from kedge.picard import (
     as_model,
 )
 from kedge.linalg import signature
-from kedge.ratmath import Rat, common_denominator, rat
+from kedge.ratmath import Rat, common_denominator
 from kedge.sampling import sample_angles, sample_divisor_class, sample_surface
 from kedge.zariski import (
     NotPseudoeffective,
