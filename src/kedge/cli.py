@@ -22,7 +22,7 @@ from pathlib import Path
 
 import click
 
-from .picard import Angles, SurfaceParams, as_model, parse_curve_id
+from .picard import Angles, SurfaceModel, parse_curve_id
 from .ratmath import RatParseError, format_rat, parse_rat
 from .verdict import OUTSIDE_AMPLE_RANGE, InconsistencyError, k_polystable
 from .verify import SUITES, run_suites
@@ -70,20 +70,22 @@ def _parse_angles(beta1: str, beta2: str, accept_decimal: bool) -> Angles:
         _user_error(str(exc))
 
 
-def _parse_surface(n: int, m: int) -> SurfaceParams:
+def _parse_surface(n: int, m: int) -> SurfaceModel:
     if m > MAX_M:
         _user_error(f"m must be at most {MAX_M}, got {m}")
     try:
-        return SurfaceParams(n, m)
+        return SurfaceModel(n, m)
     except ValueError as exc:
         _user_error(str(exc))
 
 
 def _load_config(ctx, param, value):
-    """--config file of ``key = value`` lines, used as defaults everywhere."""
+    """--config file of ``key = value`` lines, used as defaults everywhere;
+    a key that names no option of any subcommand is a user error."""
     if not value:
         return
     defaults = {}
+    options = {p.name for command in ctx.command.commands.values() for p in command.params}
     try:
         lines = Path(value).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
@@ -95,7 +97,10 @@ def _load_config(ctx, param, value):
         key, eq, val = stripped.partition("=")
         if not eq:
             _user_error(f"config line {line_no}: expected 'key = value'")
-        defaults[key.strip().replace("-", "_")] = val.strip()
+        name = key.strip().replace("-", "_")
+        if name not in options:
+            _user_error(f"config line {line_no}: unknown option {key.strip()!r}")
+        defaults[name] = val.strip()
     ctx.default_map = {name: dict(defaults) for name in ctx.command.commands}
 
 
@@ -140,7 +145,7 @@ def _common_options(fn):
 @_common_options
 def cmd_delta(n, m, beta1, beta2, approx, accept_decimal, output):
     """Stability threshold, witnesses and verdict at one angle pair."""
-    model = as_model(_parse_surface(n, m))
+    model = _parse_surface(n, m)
     angles = _parse_angles(beta1, beta2, accept_decimal)
     verdict = k_polystable(model, angles)
     if verdict.status == OUTSIDE_AMPLE_RANGE:
@@ -183,7 +188,7 @@ def cmd_delta(n, m, beta1, beta2, approx, accept_decimal, output):
 @_common_options
 def cmd_volume_curve(n, m, curve, beta1, beta2, approx, accept_decimal, output):
     """Piecewise-quadratic volume curve x -> vol(-K - x C) for one curve."""
-    params = _parse_surface(n, m)
+    model = _parse_surface(n, m)
     angles = _parse_angles(beta1, beta2, accept_decimal)
     try:
         cid = parse_curve_id(curve)
@@ -191,7 +196,6 @@ def cmd_volume_curve(n, m, curve, beta1, beta2, approx, accept_decimal, output):
         _user_error(str(exc))
     if cid.index is not None and not 1 <= cid.index <= m:
         _user_error(f"curve {cid.label} does not exist on a surface with m={m}")
-    model = as_model(params)
     violation = model.ample_range_violation(angles)
     if violation is not None:
         _user_error(f"outside the ample range: {violation}")
@@ -286,7 +290,7 @@ def _parse_grid(text: str, what: str):
 @click.option("--output", "-o", default=None, help="Write the CSV to this file.")
 def cmd_scan(n, m, beta1_grid, beta2_grid, approx, output):
     """Verdicts over a rational angle grid, as CSV (beta1 outer loop)."""
-    model = as_model(_parse_surface(n, m))
+    model = _parse_surface(n, m)
     grid1 = _parse_grid(beta1_grid, "beta1")
     grid2 = _parse_grid(beta2_grid, "beta2")
     buffer = io.StringIO()

@@ -53,8 +53,6 @@ CASE_C1_FIRST = "E-c1-first"
 CASE_C2_FIRST = "E-c2-first"
 CASE_N_ZERO = "E-n0"
 
-EXCEPTIONAL_CASES = (CASE_N_GE_M, CASE_C1_FIRST, CASE_C2_FIRST, CASE_N_ZERO)
-
 
 def classify_exceptional_case(params, angles) -> str | None:
     """Which closed-form regime covers ``vol(-K - x E_i)`` at these angles.
@@ -76,22 +74,20 @@ def classify_exceptional_case(params, angles) -> str | None:
     return CASE_C2_FIRST if b1 <= 2 - (m - n) * b2 else None
 
 
-def total_volume(params, angles) -> Rat:
+def total_volume(model, angles) -> Rat:
     """vol(-K) = 4(b1+b2) - n*b1^2 + (n-m)*b2^2."""
-    model = as_model(params)
     n, m = model.n, model.m
     b1, b2 = angles.beta1, angles.beta2
     return 4 * (b1 + b2) - n * b1 * b1 + (n - m) * b2 * b2
 
 
-def angle_bracket(params, angles) -> Rat:
+def angle_bracket(model, angles) -> Rat:
     """b1^2 - b2^2 - (n*b1^3 + (n-m)*b2^3)/3, the sign-carrying bracket.
 
     ``S(C1tilde) = b1 - 2*bracket/vol`` and ``S(C2tilde) = b2 + 2*bracket/vol``,
     and the bracket is also (vol/2 times) the barycenter of the fibration's
     weight measure, so its sign decides which ray degenerates.
     """
-    model = as_model(params)
     n, m = model.n, model.m
     b1, b2 = angles.beta1, angles.beta2
     return b1 * b1 - b2 * b2 - (n * b1**3 + (n - m) * b2**3) / Rat(3)
@@ -106,11 +102,11 @@ def closed_form_S(E, params, angles) -> Rat | None:
     model.ensure_ample(angles)
     n, m = model.n, model.m
     b1, b2 = angles.beta1, angles.beta2
-    vol = total_volume(model.params, angles)
+    vol = total_volume(model, angles)
     if E.kind == "C1tilde":
-        return b1 - 2 * angle_bracket(model.params, angles) / vol
+        return b1 - 2 * angle_bracket(model, angles) / vol
     if E.kind == "C2tilde":
-        return b2 + 2 * angle_bracket(model.params, angles) / vol
+        return b2 + 2 * angle_bracket(model, angles) / vol
     if E.kind == "Ei":
         inner = (
             -(n - 2) * b1 * b1
@@ -171,7 +167,7 @@ def closed_form_volume_curve(E, params, angles) -> PiecewiseQuadratic | None:
     n, m = model.n, model.m
     b1, b2 = angles.beta1, angles.beta2
     total = b1 + b2
-    vol = total_volume(model.params, angles)
+    vol = total_volume(model, angles)
     fs = tuple(FiTilde(j) for j in range(1, m + 1))
 
     if E.kind in ("C1tilde", "C2tilde"):
@@ -190,7 +186,7 @@ def closed_form_volume_curve(E, params, angles) -> PiecewiseQuadratic | None:
 
     if E.kind != "Ei":
         return None
-    case = classify_exceptional_case(model.params, angles)
+    case = classify_exceptional_case(model, angles)
     if case is None:
         return None
     fi = FiTilde(E.index)

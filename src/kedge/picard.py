@@ -46,20 +46,6 @@ class OutsideAmpleRange(ValueError):
 
 
 @dataclass(frozen=True)
-class SurfaceParams:
-    """Discrete parameters: F_n with m blown-up points on C2."""
-
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if not (isinstance(self.n, int) and isinstance(self.m, int)):
-            raise TypeError("n and m must be integers")
-        if self.n < 0 or self.m < 0:
-            raise ValueError(f"n and m must be nonnegative, got n={self.n}, m={self.m}")
-
-
-@dataclass(frozen=True)
 class Angles:
     """Cone angles 2*pi*beta_i along the two boundary curves.
 
@@ -197,17 +183,17 @@ class DivisorClass:
 
 @dataclass(frozen=True)
 class SurfaceModel:
-    """The Picard lattice of S together with its named classes."""
+    """The surface S: F_n with m blown-up points on C2, its Picard lattice
+    and its named classes."""
 
-    params: SurfaceParams
+    n: int
+    m: int
 
-    @property
-    def n(self) -> int:
-        return self.params.n
-
-    @property
-    def m(self) -> int:
-        return self.params.m
+    def __post_init__(self):
+        if not (isinstance(self.n, int) and isinstance(self.m, int)):
+            raise TypeError("n and m must be integers")
+        if self.n < 0 or self.m < 0:
+            raise ValueError(f"n and m must be nonnegative, got n={self.n}, m={self.m}")
 
     def zero(self) -> DivisorClass:
         return DivisorClass(ZERO, ZERO, (ZERO,) * self.m)
@@ -323,12 +309,13 @@ class SurfaceModel:
             raise OutsideAmpleRange(f"(n={self.n}, m={self.m}): {reason}")
 
 
+SurfaceParams = SurfaceModel  # the surface's former name, still importable
+
+
 def as_model(params) -> SurfaceModel:
-    """Coerce SurfaceModel | SurfaceParams | (n, m) to a SurfaceModel."""
+    """Coerce SurfaceModel | (n, m) to a SurfaceModel."""
     if isinstance(params, SurfaceModel):
         return params
-    if isinstance(params, SurfaceParams):
-        return SurfaceModel(params)
     if isinstance(params, tuple) and len(params) == 2:
-        return SurfaceModel(SurfaceParams(*params))
+        return SurfaceModel(*params)
     raise TypeError(f"cannot interpret {params!r} as surface parameters")

@@ -20,7 +20,7 @@ from .closedforms import (
     CASE_N_ZERO,
     classify_exceptional_case,
 )
-from .picard import Angles, DivisorClass, SurfaceModel, SurfaceParams, as_model
+from .picard import Angles, DivisorClass, SurfaceModel, as_model
 from .ratmath import Rat
 
 MAX_DENOMINATOR = 64
@@ -49,41 +49,41 @@ def sample_angles(rng: random.Random, params) -> Angles:
         p2 = randint(1, MAX_VALUE * d2)
         if (k1 <= 0 or k1 * p1 < 2 * d1) and (k2 <= 0 or k2 * p2 < 2 * d2):
             return Angles(Rat(p1, d1), Rat(p2, d2))
-    raise RuntimeError(f"could not sample ample angles for {model.params}")
+    raise RuntimeError(f"could not sample ample angles for {model}")
 
 
 def sample_surface(
     rng: random.Random, n_max: int = 6, m_max: int = 6, m_min: int = 0
-) -> SurfaceParams:
-    return SurfaceParams(rng.randint(0, n_max), rng.randint(m_min, m_max))
+) -> SurfaceModel:
+    return SurfaceModel(rng.randint(0, n_max), rng.randint(m_min, m_max))
 
 
 def sample_case_input(rng: random.Random, case: str):
-    """(params, angles, index) in the validity domain of a closed-form case.
+    """(model, angles, index) in the validity domain of a closed-form case.
 
     ``index`` is the exceptional-curve index for the E cases (always 1; the
     marked points are interchangeable) and 0 for the section cases.
     """
     if case in ("C1tilde", "C2tilde"):
-        params = sample_surface(rng)
-        return params, sample_angles(rng, params), 0
+        model = sample_surface(rng)
+        return model, sample_angles(rng, model), 0
     for _ in range(MAX_TRIES):
         if case == CASE_N_GE_M:
             m = rng.randint(1, 6)
-            params = SurfaceParams(rng.randint(m, 6), m)
+            model = SurfaceModel(rng.randint(m, 6), m)
         elif case == CASE_C1_FIRST:
             n = rng.randint(2, 5)
-            params = SurfaceParams(n, rng.randint(n + 1, 6))
+            model = SurfaceModel(n, rng.randint(n + 1, 6))
         elif case == CASE_C2_FIRST:
             n = rng.randint(1, 5)
-            params = SurfaceParams(n, rng.randint(n + 1, 6))
+            model = SurfaceModel(n, rng.randint(n + 1, 6))
         elif case == CASE_N_ZERO:
-            params = SurfaceParams(0, rng.randint(1, 6))
+            model = SurfaceModel(0, rng.randint(1, 6))
         else:
             raise ValueError(f"unknown case {case!r}")
-        angles = sample_angles(rng, params)
-        if classify_exceptional_case(params, angles) == case:
-            return params, angles, 1
+        angles = sample_angles(rng, model)
+        if classify_exceptional_case(model, angles) == case:
+            return model, angles, 1
     raise RuntimeError(f"could not sample inputs for case {case!r}")
 
 

@@ -5,14 +5,19 @@ lattice, so every polyhedron is an interval) by one nontrivial slice per
 marked point of P^1: the slice over p0 has the single vertex n, the
 slice over each blown-up point p_i has vertices -1 and 0, all other
 slices are trivial.  The log anticanonical class corresponds to a
-divisorial support function h; its pointwise Legendre duals
+divisorial support function h: its linear tail has slope beta2 on v < 0
+and -beta1 on v >= 0, and its per-point affine pieces are pinned down by
+the vertex values h_p0(n) = -2 and h_pi(-1) = h_pi(0) = 0.  So h is fixed
+by n, m and the angles, and no object stands for it:
+``legendre_dual(model, angles)`` certifies once per surface model that h
+encodes -K_{S,Delta}, then returns its pointwise Legendre duals
 
-    Psi_p(u) = min over vertices v of the slice over p of (u v - h_p(v))
+    Psi_p(u) = min over vertices v of the slice over p of (u v - h_p(v)).
 
-live on the moment interval [-beta1, beta2] and carry the integrals of
-deg Psi (vol, first moment, half square).  With one cross term per point
-they assemble into the delta invariant as a minimum over ray and vertex
-valuations; delta and the Futaki sign read the same first moment.
+They live on the moment interval [-beta1, beta2] and carry the integrals
+of deg Psi (vol, first moment, half square).  With one cross term per
+point they assemble into the delta invariant as a minimum over ray and
+vertex valuations; delta and the Futaki sign read the same first moment.
 
 Three points carry every dual exactly.  Psi_p0(u) = n u + 2 is one line
 and Psi_generic = 0 another; the two lines -u and 0 of a marked slice
@@ -70,7 +75,6 @@ from .picard import (
     Angles,
     DivisorClass,
     SurfaceModel,
-    SurfaceParams,
     as_model,
 )
 from .ratmath import ONE, Rat, common_denominator, sign
@@ -81,71 +85,39 @@ def _dot(xs, ws):
     return sum(a * b for a, b in zip(xs, ws))
 
 
-@dataclass(frozen=True)
-class SupportFunction:
-    """Divisorial support function of -K_{S,Delta}.
+def _slices(n: int) -> tuple:
+    """Vertices (v, h_p(v)) of the slices over p0, over every marked point
+    p_i and over a generic point, as ints; every vertex is a lattice point,
+    so every multiplicity is 1."""
+    return ((n, -2),), ((-1, 0), (0, 0)), ((0, 0),)
 
-    The linear tail has slope beta2 on v < 0 and -beta1 on v >= 0; the
-    per-point affine pieces are pinned down by their vertex values
-    h_{p0}(n) = -2 and h_{pi}(-1) = h_{pi}(0) = 0.
+
+def _encoded_class(model: SurfaceModel, angles: Angles) -> DivisorClass:
+    """Reassemble the divisor class encoded by h at ``angles``.
+
+    The ray with primitive generator +1 carries C~1, the ray with -1
+    carries C~2, and each vertex (p, v) carries the corresponding
+    vertical divisor; the class is -sum h_t(n_rho) D_rho -
+    sum mu(v) h_p(v) D_{p,v}.  The tail gives -h_t(1) = beta1 and
+    -h_t(-1) = beta2, and only the p0 vertex value is nonzero,
+    contributing 2 F.  The sum is taken on integers, the weights over
+    the angles' common denominator L and the three classes'
+    coordinates over theirs, M; each coordinate is one Fraction.
     """
-
-    params: SurfaceParams
-    angles: Angles
-
-    @property
-    def slices(self) -> tuple:
-        """Vertices (v, h_p(v)) of the slices over p0, over every marked
-        point p_i and over a generic point, as ints; every vertex is a
-        lattice point, so every multiplicity is 1."""
-        return ((self.params.n, -2),), ((-1, 0), (0, 0)), ((0, 0),)
-
-    def divisor_class(self, model: SurfaceModel):
-        """Reassemble the divisor class encoded by h.
-
-        The ray with primitive generator +1 carries C~1, the ray with -1
-        carries C~2, and each vertex (p, v) carries the corresponding
-        vertical divisor; the class is -sum h_t(n_rho) D_rho -
-        sum mu(v) h_p(v) D_{p,v}.  The tail gives -h_t(1) = beta1 and
-        -h_t(-1) = beta2, and only the p0 vertex value is nonzero,
-        contributing 2 F.  The sum is taken on integers, the weights over
-        the angles' common denominator L and the three classes'
-        coordinates over theirs, M; each coordinate is one Fraction.
-        """
-        ((_, h_p0),), _, _ = self.slices
-        L, p1, p2 = common_denominator(self.angles.beta1, self.angles.beta2)
-        rows = [(d.a, d.b, *d.c) for d in map(model.class_of, (C1TILDE, C2TILDE, GENERIC_FIBER))]
-        M, *xs = common_denominator(*rows[0], *rows[1], *rows[2])
-        k = len(rows[0])
-        coords = [
-            Rat(p1 * x + p2 * y - L * h_p0 * z, L * M)
-            for x, y, z in zip(xs, xs[k:], xs[2 * k:])
-        ]
-        return DivisorClass(coords[0], coords[1], tuple(coords[2:]))
+    ((_, h_p0),), _, _ = _slices(model.n)
+    L, p1, p2 = common_denominator(angles.beta1, angles.beta2)
+    rows = [(d.a, d.b, *d.c) for d in map(model.class_of, (C1TILDE, C2TILDE, GENERIC_FIBER))]
+    M, *xs = common_denominator(*rows[0], *rows[1], *rows[2])
+    k = len(rows[0])
+    coords = [
+        Rat(p1 * x + p2 * y - L * h_p0 * z, L * M)
+        for x, y, z in zip(xs, xs[k:], xs[2 * k:])
+    ]
+    return DivisorClass(coords[0], coords[1], tuple(coords[2:]))
 
 
 # Three affinely independent angle pairs.
 _CERTIFICATE_ANGLES = (Angles(1, 1), Angles(2, 1), Angles(1, 2))
-
-
-def anticanonical_support_function(params, angles: Angles) -> SupportFunction:
-    """Support function h of -K_{S,Delta}, certified by round-tripping
-    the encoded class against the lattice side (InconsistencyError if not).
-
-    The encoded class, beta1 [C~1] + beta2 [C~2] + 2 F, and
-    ``log_anticanonical`` are both affine in (beta1, beta2).  Two affine
-    maps that agree at three affinely independent points agree everywhere,
-    so the round trip is checked at (1, 1), (2, 1) and (1, 2) once per
-    SurfaceModel instance, and then holds for every angle pair.
-    """
-    model = as_model(params)
-    if "support function" not in model.certified:
-        for frame in _CERTIFICATE_ANGLES:
-            encoded = SupportFunction(params=model.params, angles=frame).divisor_class(model)
-            if encoded != model.log_anticanonical(frame):
-                raise InconsistencyError("support function does not encode -K_{S,Delta}")
-        model.certified.add("support function")
-    return SupportFunction(params=model.params, angles=angles)
 
 
 @dataclass(frozen=True)
@@ -170,16 +142,33 @@ class DualData:
         return self.HS2 - 2 * _dot(psi, self.W)
 
 
-def legendre_dual(h: SupportFunction) -> DualData:
-    """Duals Psi_p(u) = min over slice vertices v of (u v - h_p(v)) at
-    x = (-beta1, 0, beta2), the ends of the moment interval cut out by the
-    tail slopes of h_t and the one crossing of vertex lines, scaled by L."""
-    L, p1, p2 = common_denominator(h.angles.beta1, h.angles.beta2)
+def legendre_dual(params, angles: Angles) -> DualData:
+    """Duals Psi_p(u) = min over slice vertices v of (u v - h_p(v)) of the
+    support function h of -K_{S,Delta}, at x = (-beta1, 0, beta2), the ends
+    of the moment interval cut out by the tail slopes of h_t and the one
+    crossing of vertex lines, scaled by L.
+
+    h is certified first by round-tripping its encoded class against the
+    lattice side (InconsistencyError if not).  The encoded class,
+    beta1 [C~1] + beta2 [C~2] + 2 F, and ``log_anticanonical`` are both
+    affine in (beta1, beta2).  Two affine maps that agree at three affinely
+    independent points agree everywhere, so the round trip is checked at
+    (1, 1), (2, 1) and (1, 2) once per SurfaceModel instance, and then
+    holds for every angle pair.
+    """
+    model = as_model(params)
+    if "support function" not in model.certified:
+        for frame in _CERTIFICATE_ANGLES:
+            if _encoded_class(model, frame) != model.log_anticanonical(frame):
+                raise InconsistencyError("support function does not encode -K_{S,Delta}")
+        model.certified.add("support function")
+    L, p1, p2 = common_denominator(angles.beta1, angles.beta2)
     X = (-p1, 0, p2)
     p0, marked, generic = (
-        tuple(min(u * v - L * hv for v, hv in vertices) for u in X) for vertices in h.slices
+        tuple(min(u * v - L * hv for v, hv in vertices) for u in X)
+        for vertices in _slices(model.n)
     )
-    G = tuple(a + h.params.m * b for a, b in zip(p0, marked))
+    G = tuple(a + model.m * b for a, b in zip(p0, marked))
     W = (
         p1 * (2 * G[0] + G[1]),
         p1 * (G[0] + 2 * G[1]) + p2 * (2 * G[1] + G[2]),
@@ -237,7 +226,7 @@ def futaki_vanishes(params, angles: Angles) -> int:
 
     Computed on the torus side as -integral of u * deg Psi(u) du (no
     division, so no ampleness assumption is needed)."""
-    return -sign(legendre_dual(anticanonical_support_function(params, angles)).FM)
+    return -sign(legendre_dual(params, angles).FM)
 
 
 def delta_tvariety(params, angles: Angles) -> DeltaReport:
@@ -264,7 +253,7 @@ def delta_tvariety(params, angles: Angles) -> DeltaReport:
 def _delta_tvariety(model: SurfaceModel, angles: Angles) -> DeltaReport:
     """The body of ``delta_tvariety``, on a model ample at ``angles``."""
     n, m = model.n, model.m
-    d = legendre_dual(anticanonical_support_function(model, angles))
+    d = legendre_dual(model, angles)
     L, VOL, FM = d.L, d.VOL, d.FM
     p1, p2 = -d.X[0], d.X[2]
     cross_marked = d.cross(d.PSI_MARKED)

@@ -68,23 +68,24 @@ def _check(condition: bool, message: str, *args):
 
 
 def _certify_polystable_branch(m: int, report: DeltaReport):
-    """Verify the hypotheses of the theorems behind the delta = 1 verdict."""
-    rays = [report.term("C1tilde"), report.term("C2tilde")]
-    verticals = [t for t in report.terms if t.name not in ("C1tilde", "C2tilde")]
+    """Verify the hypotheses of the theorems behind the delta = 1 verdict,
+    once per S_m orbit: an orbit's terms share one A and one S, and each
+    check names the orbit's first curve."""
+    den = 2 * report.dual.L * report.dual.VOL
+    ratios = [(names[0], A / Rat(s, den)) for names, A, s in report.orbits]
+    rays, verticals = ratios[:2], ratios[2:]  # C~1 and C~2 lead the orbits
     _check(report.delta == 1, "condition point must have delta = 1, got {}", report.delta)
-    for t in rays:
-        _check(t.ratio == 1, "ray term {} must equal 1 at a condition point", t.name)
+    for name, ratio in rays:
+        _check(ratio == 1, "ray term {} must equal 1 at a condition point", name)
     if m == 0:
-        for t in verticals:
-            _check(t.ratio == 1, "toric case: term {} must equal 1", t.name)
+        for name, ratio in verticals:
+            _check(ratio == 1, "toric case: term {} must equal 1", name)
     elif m == 2:
-        curve_names = {f"E{i}" for i in range(1, m + 1)} | {f"F{i}tilde" for i in range(1, m + 1)}
-        for t in report.terms:
-            if t.name in curve_names:
-                _check(t.ratio == 1, "m=2: curve term {} must equal 1", t.name)
+        for name, ratio in verticals[:2]:  # the E_i and the F~i orbits
+            _check(ratio == 1, "m=2: curve term {} must equal 1", name)
     else:  # m >= 3
-        for t in verticals:
-            _check(t.ratio > 1, "m>=3: vertical term {} must exceed 1", t.name)
+        for name, ratio in verticals:
+            _check(ratio > 1, "m>=3: vertical term {} must exceed 1", name)
 
 
 def k_polystable(params, angles: Angles) -> Verdict:

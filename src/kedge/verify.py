@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 
 from .closedforms import closed_form_S, closed_form_volume_curve
-from .picard import C1TILDE, C2TILDE, Ei, as_model
+from .picard import C1TILDE, C2TILDE, Ei
 from .ratmath import Rat, format_rat
 from .sampling import (
     LEMMA_CASES,
@@ -36,7 +36,7 @@ from .sampling import (
     sample_divisor_class,
     sample_surface,
 )
-from .tvariety import anticanonical_support_function, delta_tvariety, legendre_dual
+from .tvariety import delta_tvariety, legendre_dual
 from .volumes import expected_vanishing_order, log_discrepancy, volume_curve
 from .zariski import (InconsistencyError, NotPseudoeffective, zariski_decompose,
                       zariski_decompose_bruteforce)
@@ -51,10 +51,10 @@ class SuiteResult:
     counterexample: dict | None
 
 
-def _context(params, angles, **extra) -> dict:
+def _context(model, angles, **extra) -> dict:
     ctx = {
-        "n": params.n,
-        "m": params.m,
+        "n": model.n,
+        "m": model.m,
         "beta1": format_rat(angles.beta1),
         "beta2": format_rat(angles.beta2),
     }
@@ -103,14 +103,14 @@ def verify_lemmas(samples: int, seed: int):
     rng = random.Random(seed)
     for case in LEMMA_CASES:
         for _ in range(samples):
-            params, angles, index = sample_case_input(rng, case)
+            model, angles, index = sample_case_input(rng, case)
             curve = {"C1tilde": C1TILDE, "C2tilde": C2TILDE}.get(case) or Ei(index)
-            yield _context(params, angles, case=case, curve=curve.label)
-            expected = closed_form_volume_curve(curve, params, angles)
-            got = volume_curve(curve, params, angles)
+            yield _context(model, angles, case=case, curve=curve.label)
+            expected = closed_form_volume_curve(curve, model, angles)
+            got = volume_curve(curve, model, angles)
             same = expected is not None and got.pieces == expected.pieces
             yield None if same else "volume curve differs from closed form"
-            s_closed = closed_form_S(curve, params, angles)
+            s_closed = closed_form_S(curve, model, angles)
             s_swept = got.expected_vanishing_order()
             yield None if s_closed == s_swept else (
                 f"S mismatch: closed {format_rat(s_closed)} vs swept {format_rat(s_swept)}")
@@ -121,7 +121,7 @@ def verify_zariski_oracle(samples: int, seed: int):
     """Incremental vs brute-force decomposition on random classes (m <= 4)."""
     rng = random.Random(seed)
     for _ in range(samples):
-        model = as_model(sample_surface(rng, n_max=4, m_max=4))
+        model = sample_surface(rng, n_max=4, m_max=4)
         d = sample_divisor_class(rng, model)
         yield {"n": model.n, "m": model.m, "class": repr(d)}
         try:
@@ -140,13 +140,12 @@ def verify_route_agreement(samples: int, seed: int):
     """Torus-side A and S per curve against the sweep side."""
     rng = random.Random(seed)
     for _ in range(samples):
-        params = sample_surface(rng, n_max=4, m_max=4)
-        angles = sample_angles(rng, params)
-        yield _context(params, angles)
-        model = as_model(params)
+        model = sample_surface(rng, n_max=4, m_max=4)
+        angles = sample_angles(rng, model)
+        yield _context(model, angles)
         report = delta_tvariety(model, angles)
         for curve in model.candidate_curves():
-            yield _context(params, angles, curve=curve.label)
+            yield _context(model, angles, curve=curve.label)
             term = report.term(curve.label)
             a = log_discrepancy(curve, model, angles)
             s = expected_vanishing_order(curve, model, angles)
@@ -160,12 +159,11 @@ def verify_halving(samples: int, seed: int):
     """vol(Psi) = (1/2) (-K)^2 on random ample samples."""
     rng = random.Random(seed)
     for _ in range(samples):
-        params = sample_surface(rng)
-        angles = sample_angles(rng, params)
-        yield _context(params, angles)
-        model = as_model(params)
+        model = sample_surface(rng)
+        angles = sample_angles(rng, model)
+        yield _context(model, angles)
         anticanonical_sq = model.self_intersection(model.log_anticanonical(angles))
-        dual = legendre_dual(anticanonical_support_function(model, angles))
+        dual = legendre_dual(model, angles)
         twice_vol = Rat(dual.VOL, 3 * dual.L**2)  # VOL = 6 L^2 vol
         yield None if twice_vol == anticanonical_sq else (
             f"2 vol(Psi) = {format_rat(twice_vol)}"

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from kedge.linalg import NotNegativeDefinite
-from kedge.picard import Angles, SurfaceParams, as_model
+from kedge.picard import Angles, SurfaceModel, as_model
 from kedge.ratmath import Rat, isqrt_exact
 from kedge.sampling import MAX_DENOMINATOR, MAX_TRIES, MAX_VALUE
 from kedge.volumes import IrrationalThreshold
@@ -42,7 +42,7 @@ def condition_point_m0(n: int, t: Rat) -> Angles:
 def small_surfaces(n_max: int = 4, m_max: int = 4):
     """All (n, m) pairs up to the given bounds."""
     return [
-        SurfaceParams(n, m) for n in range(n_max + 1) for m in range(m_max + 1)
+        SurfaceModel(n, m) for n in range(n_max + 1) for m in range(m_max + 1)
     ]
 
 
@@ -130,7 +130,7 @@ def reference_sample_angles(rng: random.Random, params) -> Angles:
         angles = Angles(reference_sample_rational(rng), reference_sample_rational(rng))
         if model.ample_range_violation(angles) is None:
             return angles
-    raise RuntimeError(f"could not sample ample angles for {model.params}")
+    raise RuntimeError(f"could not sample ample angles for {model}")
 
 
 def rat(numerator, denominator=None):

@@ -99,7 +99,7 @@ def test_criterion_3_zariski_oracle(capsys):
     draws = 0
     while effective < ORACLE_SAMPLES and draws < 10 * ORACLE_SAMPLES:
         draws += 1
-        model = as_model(sample_surface(rng, n_max=4, m_max=4))
+        model = sample_surface(rng, n_max=4, m_max=4)
         d = sample_divisor_class(rng, model)
         try:
             zd = zariski_decompose(model, d)
@@ -110,7 +110,7 @@ def test_criterion_3_zariski_oracle(capsys):
         except NotPseudoeffective:
             oracle = None
         if zd != oracle and failure is None:
-            failure = (model.params, d, "routes disagree")
+            failure = (model, d, "routes disagree")
         if zd is None:
             continue
         p = zd.positive
@@ -126,7 +126,7 @@ def test_criterion_3_zariski_oracle(capsys):
         if conditions:
             effective += 1
         elif failure is None:
-            failure = (model.params, d, "certificate failed")
+            failure = (model, d, "certificate failed")
     ok = result.passed and failure is None and effective >= ORACLE_SAMPLES
     announce(
         capsys, 3,

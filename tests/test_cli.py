@@ -15,10 +15,11 @@ from conftest import rat
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import kedge.tvariety
 from kedge.cli import MAX_M, cli, main
 from kedge.picard import SurfaceModel
 from kedge.ratmath import format_rat
-from kedge.tvariety import DualData, SupportFunction, legendre_dual
+from kedge.tvariety import DualData, legendre_dual
 from kedge.verdict import InconsistencyError
 from kedge.verify import SUITES, SuiteResult
 from kedge.volumes import IrrationalThreshold
@@ -76,10 +77,10 @@ def assert_one_line_inconsistency(code, out, err):
     assert_exit_contract(code, err)
 
 
-def doubled_dual(h):
+def doubled_dual(model, angles):
     """The true dual with vol doubled, through its integer 6 L^2 vol:
     breaks the halving suite's check."""
-    dual = legendre_dual(h)
+    dual = legendre_dual(model, angles)
     return dataclasses.replace(dual, VOL=2 * dual.VOL)
 
 
@@ -420,7 +421,7 @@ class TestInconsistencyExit:
         # same (n, m) certified earlier in the process does not excuse it.
         assert run_cli(capsys, argv)[0] == 0
         monkeypatch.setattr(
-            "kedge.tvariety.SupportFunction.divisor_class", lambda self, model: model.zero()
+            "kedge.tvariety._encoded_class", lambda model, angles: model.zero()
         )
         code, out, err = run_cli(capsys, argv)
         assert_one_line_inconsistency(code, out, err)
@@ -434,15 +435,14 @@ class TestInconsistencyExit:
 
     @pytest.mark.parametrize("beta2_grid", ["5/8:3/4:1/32", "1/8:7/8:1/8"])
     def test_scan_certifies_once_per_request(self, capsys, monkeypatch, beta2_grid):
-        # Three round trips per request (see anticanonical_support_function),
-        # however many grid points: 5 x 5 and 5 x 7 here; one ample check
-        # per grid point.
+        # Three round trips per request (see legendre_dual), however many
+        # grid points: 5 x 5 and 5 x 7 here; one ample check per grid point.
         calls = []
-        original = SupportFunction.divisor_class
+        original = kedge.tvariety._encoded_class
 
-        def counting(self, model):
-            calls.append(self.angles)
-            return original(self, model)
+        def counting(model, angles):
+            calls.append(angles)
+            return original(model, angles)
 
         ample_checks = []
         original_check = SurfaceModel.ample_range_violation
@@ -451,7 +451,7 @@ class TestInconsistencyExit:
             ample_checks.append(angles)
             return original_check(self, angles)
 
-        monkeypatch.setattr(SupportFunction, "divisor_class", counting)
+        monkeypatch.setattr(kedge.tvariety, "_encoded_class", counting)
         monkeypatch.setattr(SurfaceModel, "ample_range_violation", counting_check)
         argv = ["scan", "--n", "0", "--m", "2",
                 "--beta1-grid", "61/128:65/128:1/128", "--beta2-grid", beta2_grid]
@@ -528,6 +528,24 @@ class TestConfigAndOutput:
             from_config = run_cli(capsys, ["--config", str(cfg), command])
             assert from_config[0] == 0
             assert from_config == run_cli(capsys, [command, *flags])
+
+    def test_unknown_config_key(self, capsys, tmp_path):
+        # A misspelt key names no option of any subcommand: one error line
+        # and exit 1, not a default that is dropped without a word.
+        cfg = tmp_path / "kedge.cfg"
+        cfg.write_text("samples = 1\nsed = 7\n")
+        code, out, err = run_cli(capsys, ["--config", str(cfg), "verify"])
+        assert (code, out) == (1, "")
+        assert err == "error: config line 2: unknown option 'sed'\n"
+
+    def test_config_key_of_another_subcommand(self, capsys, tmp_path):
+        # One file serves every subcommand: keys that name another
+        # subcommand's options (seed, curve) are accepted and unused.
+        cfg = tmp_path / "kedge.cfg"
+        cfg.write_text("n = 0\nm = 2\nbeta1 = 1/2\nbeta2 = 1/2\nseed = 7\ncurve = E1\n")
+        code, out, _ = run_cli(capsys, ["--config", str(cfg), "delta"])
+        assert code == 0
+        assert out == (GOLDEN / "delta_f0_blow2_half.json").read_text(encoding="utf-8")
 
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "kedge.cfg"

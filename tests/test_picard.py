@@ -17,6 +17,7 @@ from kedge.picard import (
     GENERIC_FIBER,
     OutsideAmpleRange,
     PULLBACK_C2,
+    SurfaceModel,
     SurfaceParams,
     as_model,
     parse_curve_id,
@@ -28,12 +29,15 @@ small_rats = st.fractions(
 ).map(lambda f: Rat(f.numerator) / Rat(f.denominator))
 
 
-def test_surface_params_validation():
-    assert SurfaceParams(2, 3).n == 2
-    with pytest.raises(ValueError):
-        SurfaceParams(-1, 0)
-    with pytest.raises(ValueError):
-        SurfaceParams(0, -2)
+def test_surface_model_validation():
+    assert (SurfaceModel(2, 3).n, SurfaceModel(2, 3).m) == (2, 3)
+    with pytest.raises(ValueError, match="nonnegative, got n=-1, m=0"):
+        SurfaceModel(-1, 0)
+    with pytest.raises(ValueError, match="nonnegative, got n=0, m=-2"):
+        SurfaceModel(0, -2)
+    for n, m in [(1.0, 2), (1, "2"), (rat(1), 2)]:
+        with pytest.raises(TypeError, match="n and m must be integers"):
+            SurfaceModel(n, m)
 
 
 def test_angles_validation():
@@ -86,7 +90,7 @@ def test_divisor_class_arithmetic():
 
 
 def test_named_classes():
-    model = as_model(SurfaceParams(2, 2))
+    model = SurfaceModel(2, 2)
     assert model.class_of(C1TILDE) == DivisorClass(1, -2, (0, 0))
     assert model.class_of(C2TILDE) == DivisorClass(1, 0, (1, 1))
     assert model.class_of(Ei(1)) == DivisorClass(0, 0, (-1, 0))
@@ -99,7 +103,7 @@ def test_named_classes():
 
 def test_self_intersections():
     for n, m in [(0, 0), (0, 3), (2, 1), (3, 4)]:
-        model = as_model(SurfaceParams(n, m))
+        model = SurfaceModel(n, m)
         assert model.self_intersection(model.class_of(C1TILDE)) == -n
         assert model.self_intersection(model.class_of(C2TILDE)) == n - m
         assert model.self_intersection(model.class_of(GENERIC_FIBER)) == 0
@@ -116,7 +120,7 @@ def test_self_intersections():
 
 
 def test_fiber_decomposes_through_marked_points():
-    model = as_model(SurfaceParams(1, 2))
+    model = SurfaceModel(1, 2)
     fiber = model.class_of(GENERIC_FIBER)
     for i in (1, 2):
         assert model.class_of(FiTilde(i)) + model.class_of(Ei(i)) == fiber
@@ -124,7 +128,7 @@ def test_fiber_decomposes_through_marked_points():
 
 def test_lattice_signature():
     for n, m in [(0, 0), (1, 2), (3, 4)]:
-        model = as_model(SurfaceParams(n, m))
+        model = SurfaceModel(n, m)
         # Basis (pi*C2, pi*F, E_1..E_m): [[n, 1], [1, 0]] + (-I_m).
         basis = [DivisorClass(1, 0, (0,) * m), DivisorClass(0, 1, (0,) * m)]
         basis += [model.class_of(Ei(i)) for i in range(1, m + 1)]
@@ -133,7 +137,7 @@ def test_lattice_signature():
 
 @given(st.tuples(small_rats, small_rats, small_rats, small_rats, small_rats, small_rats))
 def test_pairing_symmetric_bilinear(coords):
-    model = as_model(SurfaceParams(2, 1))
+    model = SurfaceModel(2, 1)
     d1 = DivisorClass(coords[0], coords[1], (coords[2],))
     d2 = DivisorClass(coords[3], coords[4], (coords[5],))
     assert model.intersect(d1, d2) == model.intersect(d2, d1)
@@ -144,7 +148,7 @@ def test_pairing_symmetric_bilinear(coords):
 def test_closed_form_curve_pairings_match_intersect():
     for n in range(7):
         for m in range(7):
-            model = as_model(SurfaceParams(n, m))
+            model = SurfaceModel(n, m)
             curves = model.candidate_curves()
             table = [dict(row) for row in model.candidate_table]
             assert len(table) == len(curves)
@@ -163,7 +167,7 @@ def test_closed_form_curve_pairings_match_intersect():
     st.lists(small_rats, min_size=2, max_size=8),
 )
 def test_closed_form_class_pairings_match_intersect(n, coords):
-    model = as_model(SurfaceParams(n, len(coords) - 2))
+    model = SurfaceModel(n, len(coords) - 2)
     d = DivisorClass(coords[0], coords[1], tuple(coords[2:]))
     curves = model.candidate_curves()
     assert model.pairings(d) == [model.intersect(d, model.class_of(c)) for c in curves]
@@ -182,14 +186,14 @@ def anticanonical(model):
 def test_anticanonical():
     # -K_S is the log anticanonical class at beta1 = beta2 = 1.
     for n, m in [(0, 0), (1, 1), (2, 3)]:
-        model = as_model(SurfaceParams(n, m))
+        model = SurfaceModel(n, m)
         mk = anticanonical(model)
         assert mk == model.log_anticanonical(Angles(1, 1))
         assert model.self_intersection(mk) == 8 - m
 
 
 def test_log_anticanonical():
-    model = as_model(SurfaceParams(2, 1))
+    model = SurfaceModel(2, 1)
     angles = Angles(rat(1, 2), rat(1, 3))
     d = model.log_anticanonical(angles)
     assert d == DivisorClass(rat(5, 6), 1, (rat(1, 3),))
@@ -204,7 +208,7 @@ def test_log_anticanonical():
 
 
 def test_is_nef():
-    model = as_model(SurfaceParams(2, 1))
+    model = SurfaceModel(2, 1)
     assert model.is_nef(model.class_of(GENERIC_FIBER))
     assert model.is_nef(model.class_of(PULLBACK_C2))
     assert not model.is_nef(model.class_of(Ei(1)))
@@ -214,7 +218,7 @@ def test_is_nef():
 
 
 def test_ample_range():
-    model = as_model(SurfaceParams(2, 4))
+    model = SurfaceModel(2, 4)
     assert model.ample_range_violation(Angles(rat(1, 2), rat(1, 2))) is None
     # beta1 = 2/n and beta2 = 2/(m-n) sit on the boundary: excluded.
     assert "beta1" in model.ample_range_violation(Angles(rat(1), rat(1, 2)))
@@ -222,14 +226,17 @@ def test_ample_range():
     with pytest.raises(OutsideAmpleRange):
         model.ensure_ample(Angles(rat(1), rat(1, 2)))
     # n = m = 0 has no upper bounds at all.
-    assert as_model(SurfaceParams(0, 0)).ample_range_violation(Angles(5, 7)) is None
+    assert SurfaceModel(0, 0).ample_range_violation(Angles(5, 7)) is None
 
 
 def test_as_model_coercions():
-    params = SurfaceParams(1, 2)
-    model = as_model(params)
-    assert as_model(params).params == params
+    # A model as is, an (n, m) tuple as an equal model, the former name
+    # as the same type; nothing else.
+    model = SurfaceModel(1, 2)
     assert as_model(model) is model
-    assert as_model((1, 2)).params == params
-    with pytest.raises(TypeError):
-        as_model("not a surface")
+    assert as_model((1, 2)) == model and type(as_model((1, 2))) is SurfaceModel
+    assert SurfaceParams is SurfaceModel
+    assert isinstance(SurfaceParams(1, 2), SurfaceModel)
+    for other in ("not a surface", [1, 2], (1, 2, 3), {"n": 1, "m": 2}, None):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            as_model(other)

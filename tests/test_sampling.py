@@ -5,8 +5,8 @@ import random
 import pytest
 from conftest import reference_sample_angles, reference_sample_rational
 
-from kedge.closedforms import EXCEPTIONAL_CASES, classify_exceptional_case
-from kedge.picard import DivisorClass, as_model
+from kedge.closedforms import classify_exceptional_case
+from kedge.picard import DivisorClass, SurfaceModel, as_model
 from kedge.sampling import (
     LEMMA_CASES,
     MAX_DENOMINATOR,
@@ -50,15 +50,16 @@ def test_case_inputs_match_the_rational_reference(monkeypatch, case):
 
 def test_angles_are_ample(rng):
     for _ in range(50):
-        params = sample_surface(rng)
-        angles = sample_angles(rng, params)
-        assert as_model(params).ample_range_violation(angles) is None
+        model = sample_surface(rng)
+        angles = sample_angles(rng, model)
+        assert model.ample_range_violation(angles) is None
 
 
 def test_surface_ranges(rng):
     seen = set()
     for _ in range(100):
         params = sample_surface(rng, n_max=3, m_max=2, m_min=1)
+        assert type(params) is SurfaceModel
         assert 0 <= params.n <= 3
         assert 1 <= params.m <= 2
         seen.add((params.n, params.m))
@@ -68,11 +69,12 @@ def test_surface_ranges(rng):
 def test_case_inputs_match_their_case(rng):
     for case in LEMMA_CASES:
         for _ in range(10):
-            params, angles, index = sample_case_input(rng, case)
-            assert as_model(params).ample_range_violation(angles) is None
-            if case in EXCEPTIONAL_CASES:
-                assert classify_exceptional_case(params, angles) == case
-                assert 1 <= index <= params.m
+            model, angles, index = sample_case_input(rng, case)
+            assert type(model) is SurfaceModel
+            assert model.ample_range_violation(angles) is None
+            if case not in ("C1tilde", "C2tilde"):
+                assert classify_exceptional_case(model, angles) == case
+                assert 1 <= index <= model.m
             else:
                 assert index == 0
 
@@ -92,7 +94,7 @@ def test_seed_determinism():
         params = sample_surface(r)
         out.append(params)
         out.append(sample_angles(r, params))
-        out.append(sample_divisor_class(r, as_model(params)))
+        out.append(sample_divisor_class(r, params))
         out.extend(sample_case_input(r, case) for case in LEMMA_CASES)
         return out
 

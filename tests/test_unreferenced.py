@@ -1,11 +1,13 @@
-"""No function that nothing calls: every module-level function and every
-method in ``src/kedge`` is named somewhere in ``src/kedge``.
+"""No function that nothing calls and no constant that nothing reads:
+every module-level function, every method and every module-level
+assignment in ``src/kedge`` is read somewhere in ``src/kedge``.
 
-A reference is a ``Name`` or an ``Attribute`` node with the function's name;
-imports do not count, so a name that only ``__init__`` re-exports is not
-referenced.  Dunder methods are called by the language and click commands
-by click; the allow-list holds documented library entry points that the
-package itself does not call.
+A reference is a ``Name`` or an ``Attribute`` node with the definition's
+name, read rather than assigned; imports do not count, so a name that only
+``__init__`` re-exports is not referenced.  Dunder methods are called by the
+language, dunder names are read by it, and click commands are called by
+click; the allow-list holds documented library entry points that the package
+itself does not call and the names that only the benchmark reads.
 """
 
 import ast
@@ -19,6 +21,8 @@ ALLOWED = {
     "verdict.rational_condition_point",
     "zariski.volume",
     "linalg.signature",
+    "ratmath.RAT_BACKEND",
+    "picard.SurfaceParams",
 }
 
 
@@ -29,8 +33,13 @@ def _is_click_command(fn):
     )
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(module: str, tree: ast.Module):
-    """(module.qualname, name) of each module-level function and method."""
+    """(module.qualname, name) of each module-level function, method and
+    assigned name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if not _is_click_command(node):
@@ -38,15 +47,21 @@ def _definitions(module: str, tree: ast.Module):
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if not (item.name.startswith("__") and item.name.endswith("__")):
+                    if not _is_dunder(item.name):
                         yield f"{module}.{node.name}.{item.name}", item.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not _is_dunder(name.id):
+                        yield f"{module}.{name.id}", name.id
 
 
 def _references(tree: ast.Module):
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr
 
 

@@ -156,15 +156,13 @@ class TestTorusWork:
         [((0, 2), Angles(HALF, HALF)), ((2, 0), Angles(rat(9, 14), rat(3, 7)))],
     )
     def test_one_torus_pass_per_verdict(self, monkeypatch, params, angles):
-        # Deterministic work: a second support function, a second dual or a
-        # second ample check fails here; the certificate runs its three
-        # round trips on the model's first verdict only, with no
-        # DivisorClass arithmetic.
+        # Deterministic work: a second dual or a second ample check fails
+        # here; the certificate runs its three round trips on the model's
+        # first verdict only, with no DivisorClass arithmetic.
         calls = collections.Counter()
         targets = {
-            "anticanonical_support_function": kedge.tvariety,
             "legendre_dual": kedge.tvariety,
-            "divisor_class": kedge.tvariety.SupportFunction,
+            "_encoded_class": kedge.tvariety,
             "log_anticanonical": SurfaceModel,
             "ample_range_violation": SurfaceModel,
             "scale": DivisorClass,
@@ -180,23 +178,18 @@ class TestTorusWork:
         model = as_model(params)
         k_polystable(model, angles)
         assert calls == {
-            "anticanonical_support_function": 1, "legendre_dual": 1, "divisor_class": 3,
-            "log_anticanonical": 3, "ample_range_violation": 1,
+            "legendre_dual": 1, "_encoded_class": 3, "log_anticanonical": 3,
+            "ample_range_violation": 1,
         }
         calls.clear()
         verdict = k_polystable(model, angles)
-        assert calls == {
-            "anticanonical_support_function": 1, "legendre_dual": 1, "ample_range_violation": 1,
-        }
+        assert calls == {"legendre_dual": 1, "ample_range_violation": 1}
         # A/S is divided only for a term that is read.  Off the condition
         # locus nothing reads the terms; at the (2, 0) condition point the
-        # branch certificate reads every one.
+        # branch certificate reads one A/S per S_m orbit and forms no term.
         report = verdict.report
-        if verdict.condition_sign:
-            assert "terms" not in vars(report)
-            assert not any("ratio" in vars(t) for t in report.terms)
-        else:
-            assert all("ratio" in vars(t) for t in report.terms)
+        assert "terms" not in vars(report)
+        assert not any("ratio" in vars(t) for t in report.terms)
         # Every integral is a dot product with the three hat weights; no
         # general PL type or pairwise product integrator is left.
         assert not hasattr(kedge.tvariety, "PLFunction")
@@ -273,7 +266,7 @@ class TestCertification:
             (names, A, 2 * s if names[0] == "E1" else s) for names, A, s in report.orbits
         )
         tampered = dataclasses.replace(report, orbits=orbits)
-        with pytest.raises(InconsistencyError):
+        with pytest.raises(InconsistencyError, match="curve term E1 must equal 1"):
             _certify_polystable_branch(2, tampered)
 
     def test_tampered_delta_is_caught(self):

@@ -25,7 +25,6 @@ from kedge.picard import (
     OutsideAmpleRange,
     PULLBACK_C2,
     SurfaceModel,
-    SurfaceParams,
     as_model,
 )
 from kedge.linalg import border
@@ -184,7 +183,7 @@ def sweep_inputs(draw):
 
 class TestPinnedCurves:
     def test_section_curve_two_pieces(self):
-        pq = volume_curve(C1TILDE, SurfaceParams(0, 2), Angles(HALF, HALF))
+        pq = volume_curve(C1TILDE, SurfaceModel(0, 2), Angles(HALF, HALF))
         assert len(pq.pieces) == 2
         first, second = pq.pieces
         assert (first.x_lo, first.x_hi) == (0, HALF)
@@ -196,7 +195,7 @@ class TestPinnedCurves:
         assert pq.tau == 1
 
     def test_exceptional_curve_four_pieces_n0(self):
-        pq = volume_curve(Ei(1), SurfaceParams(0, 2), Angles(rat(1, 4), HALF))
+        pq = volume_curve(Ei(1), SurfaceModel(0, 2), Angles(rat(1, 4), HALF))
         assert [p.x_lo for p in pq.pieces] == [0, rat(1, 4), rat(1), rat(2)]
         assert pq.tau == rat(9, 4)
         last = pq.pieces[-1]
@@ -205,15 +204,15 @@ class TestPinnedCurves:
         assert (last.q0, last.q1, last.q2) == (rat(81, 16), rat(-9, 2), rat(1))
 
     def test_thresholds(self):
-        assert threshold(C1TILDE, SurfaceParams(1, 2), Angles(HALF, rat(2, 3))) == rat(7, 6)
-        assert threshold(C2TILDE, SurfaceParams(1, 2), Angles(HALF, rat(2, 3))) == rat(7, 6)
+        assert threshold(C1TILDE, SurfaceModel(1, 2), Angles(HALF, rat(2, 3))) == rat(7, 6)
+        assert threshold(C2TILDE, SurfaceModel(1, 2), Angles(HALF, rat(2, 3))) == rat(7, 6)
         # n >= m: tau = 2 + (n-m) beta2.
-        assert threshold(Ei(1), SurfaceParams(3, 1), Angles(rat(1, 3), HALF)) == rat(3)
+        assert threshold(Ei(1), SurfaceModel(3, 1), Angles(rat(1, 3), HALF)) == rat(3)
         # n < m with (n-1) beta1 >= (m-n) beta2: tau = 2.
-        assert threshold(Ei(1), SurfaceParams(2, 3), Angles(rat(3, 4), rat(1, 4))) == rat(2)
+        assert threshold(Ei(1), SurfaceModel(2, 3), Angles(rat(3, 4), rat(1, 4))) == rat(2)
 
     def test_pinned_S_values(self):
-        params = SurfaceParams(0, 2)
+        params = SurfaceModel(0, 2)
         angles = Angles(HALF, HALF)
         assert expected_vanishing_order(C1TILDE, params, angles) == rat(19, 42)
         assert expected_vanishing_order(C2TILDE, params, angles) == rat(23, 42)
@@ -228,7 +227,7 @@ class TestPinnedCurves:
 
     def test_big_angle_S_value(self):
         # The m=1 condition point has angles above 1; formulas stay exact.
-        params = SurfaceParams(0, 1)
+        params = SurfaceModel(0, 1)
         angles = Angles(rat(144, 125), rat(48, 25))
         assert expected_vanishing_order(Ei(1), params, angles) == rat(202, 175)
 
@@ -348,8 +347,8 @@ class TestSharedEngine:
     @pytest.mark.parametrize(
         "curve, params, angles, solves",
         [
-            (Ei(1), SurfaceParams(0, 2), Angles(HALF, HALF), 4),
-            (C1TILDE, SurfaceParams(1, 2), Angles(HALF, rat(2, 3)), 2),
+            (Ei(1), SurfaceModel(0, 2), Angles(HALF, HALF), 4),
+            (C1TILDE, SurfaceModel(1, 2), Angles(HALF, rat(2, 3)), 2),
         ],
     )
     def test_sweep_solve_count(self, monkeypatch, curve, params, angles, solves):
@@ -462,7 +461,7 @@ class TestSharedEngine:
     def test_certificate_requires_growing_support(self, left, right):
         # The negative part only grows along the ray, so a wall whose
         # support does not grow strictly is an internal failure.
-        model = as_model(SurfaceParams(0, 2))
+        model = SurfaceModel(0, 2)
         angles = Angles(HALF, HALF)
         first, second = volume_curve(C1TILDE, model, angles).pieces
         _certify_curve(model, angles, PiecewiseQuadratic((first, second)))
@@ -497,7 +496,7 @@ class TestSharedEngine:
 
         monkeypatch.setattr("kedge.volumes.grow_support", falling)
         with pytest.raises(DecompositionError, match="coefficient falls"):
-            volume_curve(C1TILDE, SurfaceParams(0, 2), Angles(HALF, HALF))
+            volume_curve(C1TILDE, SurfaceModel(0, 2), Angles(HALF, HALF))
 
 
 class TestClosedForms:
@@ -515,7 +514,7 @@ class TestClosedForms:
         for n in range(7):
             for m in range(7):
                 model = as_model((n, m))
-                angles = sample_angles(rng, model.params)
+                angles = sample_angles(rng, model)
                 minus_k = model.log_anticanonical(angles)
                 curves = model.candidate_curves()
                 for curve in curves + [GENERIC_FIBER] + [PULLBACK_C2] * (m == 0):
@@ -546,7 +545,7 @@ class TestClosedForms:
 
 class TestScalars:
     def test_log_discrepancy(self):
-        params = SurfaceParams(1, 2)
+        params = SurfaceModel(1, 2)
         angles = Angles(rat(1, 3), rat(2, 3))
         assert log_discrepancy(C1TILDE, params, angles) == rat(1, 3)
         assert log_discrepancy(C2TILDE, params, angles) == rat(2, 3)
@@ -556,13 +555,13 @@ class TestScalars:
         with pytest.raises(ValueError):
             log_discrepancy(PULLBACK_C2, params, angles)
         # With no blown-up points the pullback is the boundary curve itself.
-        assert log_discrepancy(PULLBACK_C2, SurfaceParams(1, 0), angles) == rat(2, 3)
+        assert log_discrepancy(PULLBACK_C2, SurfaceModel(1, 0), angles) == rat(2, 3)
 
     def test_outside_ample_range(self):
         with pytest.raises(OutsideAmpleRange):
-            volume_curve(C1TILDE, SurfaceParams(2, 0), Angles(rat(1), HALF))
+            volume_curve(C1TILDE, SurfaceModel(2, 0), Angles(rat(1), HALF))
         with pytest.raises(OutsideAmpleRange):
-            expected_vanishing_order(Ei(1), SurfaceParams(0, 4), Angles(HALF, HALF))
+            expected_vanishing_order(Ei(1), SurfaceModel(0, 4), Angles(HALF, HALF))
 
     def test_irrational_root_refused(self):
         # 2 - x^2 first vanishes at sqrt(2): must refuse, never approximate.

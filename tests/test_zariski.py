@@ -11,7 +11,7 @@ from kedge.picard import (
     Ei,
     FiTilde,
     GENERIC_FIBER,
-    SurfaceParams,
+    SurfaceModel,
     as_model,
 )
 from kedge.linalg import signature
@@ -154,7 +154,7 @@ class TestDecompose:
     def test_oracle_agreement_random(self, rng):
         agreements = 0
         for _ in range(60):
-            model = as_model(sample_surface(rng, n_max=4, m_max=3))
+            model = sample_surface(rng, n_max=4, m_max=3)
             d = sample_divisor_class(rng, model)
             try:
                 fast = zariski_decompose(model, d)
@@ -164,13 +164,13 @@ class TestDecompose:
                 slow = zariski_decompose_bruteforce(model, d)
             except NotPseudoeffective:
                 slow = None
-            assert fast == slow, (model.params, d)
+            assert fast == slow, (model, d)
             agreements += 1
         assert agreements == 60
 
     def test_postconditions_on_random_effective_classes(self, rng):
         for _ in range(60):
-            model = as_model(sample_surface(rng, n_max=4, m_max=4))
+            model = sample_surface(rng, n_max=4, m_max=4)
             d = sample_divisor_class(rng, model)
             try:
                 zd = zariski_decompose(model, d)
@@ -192,7 +192,7 @@ class TestGrowSupport:
         # P = D - sum a_i C_i and pair it directly instead.
         grown = 0
         for _ in range(80):
-            model = as_model(sample_surface(rng, n_max=4, m_max=4))
+            model = sample_surface(rng, n_max=4, m_max=4)
             d = sample_divisor_class(rng, model)
             candidates = model.candidate_curves()
             pairings = [model.intersect(d, model.class_of(c)) for c in candidates]
@@ -208,7 +208,7 @@ class TestGrowSupport:
             assert len(residual) == len(candidates)
             for c, r in zip(candidates, residual):
                 assert Rat(r, scale * denominator) == model.intersect(p, model.class_of(c)), (
-                    model.params, d, c)
+                    model, d, c)
             grown += support != []
         assert grown >= 20
 
