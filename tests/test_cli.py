@@ -54,6 +54,81 @@ SCAN_ARGS_CONDITION = [
     "--beta1-grid", "61/128:65/128:1/128", "--beta2-grid", "5/8:11/16:1/32",
 ]
 
+CONFIG = "<config file>"
+BIG = "9" * 5000  # past int()'s digit limit
+DECIMAL_CONFIG = ["n = 0", "m = 2", "beta1 = 0.5", "beta2 = 1/2"]
+# (argv, config lines, exit code, exact stderr) of the command line's own
+# parsing: the wording of every usage error, and spellings that parse.
+USAGE_CASES = [
+    pytest.param(argv, config, code, err, id=case_id)
+    for case_id, argv, config, code, err in [
+        ("missing-command", [], [], 1, "error: Missing command.\n"),
+        ("no-such-command", ["x"], [], 1, "error: No such command 'x'.\n"),
+        ("command-suggestion", ["volume"], [], 1,
+         "error: No such command 'volume'. Did you mean 'volume-curve'?\n"),
+        ("config-without-value", ["--config"], [], 1,
+         "error: Option '--config' requires an argument.\n"),
+        ("config-after-command", ["delta", "--config", CONFIG], [], 1,
+         "error: No such option '--config'.\n"),
+        ("group-option-unknown", ["--n", "0", "delta"], [], 1,
+         "error: No such option '--n'.\n"),
+        ("group-option-suggestion", ["--confg", CONFIG, "delta"], [], 1,
+         "error: No such option '--confg'. Did you mean '--config'?\n"),
+        ("missing-option", ["delta", "--m", "2", "--beta1", "1/2", "--beta2", "1/2"], [], 1,
+         "error: Missing option '--n'.\n"),
+        ("option-without-value", DELTA_ARGS + ["--n"], [], 1,
+         "error: Option '--n' requires an argument.\n"),
+        ("short-option-last", DELTA_ARGS + ["-o"], [], 1,
+         "error: Option '-o' requires an argument.\n"),
+        ("not-an-integer", ["delta", "--n", "x"], [], 1,
+         "error: Invalid value for '--n': 'x' is not a valid integer.\n"),
+        ("option-as-value", ["delta", "--n", "--m", "2"], [], 1,
+         "error: Invalid value for '--n': '--m' is not a valid integer.\n"),
+        ("given-before-missing", ["delta", "--beta1", "1/2", "--m", "x"], [], 1,
+         "error: Invalid value for '--m': 'x' is not a valid integer.\n"),
+        ("5000-digit-n", ["delta", "--n", BIG, "--m", "2", "--beta1", "1/2", "--beta2", "1/2"],
+         [], 1, f"error: Invalid value for '--n': '{BIG}' is not a valid integer.\n"),
+        ("5000-digit-seed", ["verify", "--seed", BIG], [], 1,
+         f"error: Invalid value for '--seed': '{BIG}' is not a valid integer.\n"),
+        ("option-suggestion", ["delta", "--nn", "0"], [], 1,
+         "error: No such option '--nn'. Did you mean '--n'?\n"),
+        ("option-suggestions", ["delta", "--beta", "1/2"], [], 1,
+         "error: No such option '--beta'. (Did you mean one of: '--beta1', '--beta2'?)\n"),
+        ("no-such-option", ["delta", "--foo"], [], 1, "error: No such option '--foo'.\n"),
+        ("no-such-short-option", ["delta", "-n", "0"], [], 1,
+         "error: No such option '-n'.\n"),
+        ("extra-argument", DELTA_ARGS + ["x"], [], 1,
+         "error: Got unexpected extra argument (x)\n"),
+        ("extra-arguments", DELTA_ARGS + ["--", "x", "--n"], [], 1,
+         "error: Got unexpected extra arguments (x --n)\n"),
+        ("flag-with-value", DELTA_ARGS + ["--approx=1"], [], 1,
+         "error: Option '--approx' does not take a value.\n"),
+        ("unknown-suite", ["verify", "--suite", "nope"], [], 1,
+         "error: Invalid value for '--suite': 'nope' is not one of 'halving', 'lemmas', "
+         "'route-agreement', 'zariski-oracle', 'all'.\n"),
+        ("equals-spelling", ["delta", "--n=0", "--m", "2", "--beta1=1/2", "--beta2", "1/2"],
+         [], 0, ""),
+        ("repeated-option", ["delta", "--n", "5", *DELTA_ARGS[1:]], [], 0, ""),
+        ("blanks-around-integer",
+         ["delta", "--n", " 0 ", "--m", "2", "--beta1", "1/2", "--beta2", "1/2"], [], 0, ""),
+        ("attached-short-value", [*DELTA_ARGS, "-o", "unwritten.json", "-o."], [], 1,
+         "error: cannot write output file: [Errno 21] Is a directory: '.'\n"),
+        ("config-flag-true", ["--config", CONFIG, "delta"],
+         DECIMAL_CONFIG + ["accept-decimal = true"], 0, ""),
+        ("config-flag-false", ["--config", CONFIG, "delta"],
+         DECIMAL_CONFIG + ["accept-decimal = false"], 1,
+         "error: '0.5' looks like a decimal; pass an exact rational 'p/q' or enable the "
+         "lossy decimal flag\n"),
+        ("config-flag-invalid", ["--config", CONFIG, "delta"],
+         DECIMAL_CONFIG + ["accept-decimal = maybe"], 1,
+         "error: Invalid value for '--accept-decimal': 'maybe' is not a valid boolean. "
+         "Recognized values: , 0, 1, f, false, n, no, off, on, t, true, y, yes\n"),
+        ("config-value-invalid", ["--config", CONFIG, "delta"], ["n = x"], 1,
+         "error: Invalid value for '--n': 'x' is not a valid integer.\n"),
+        ("flag-overrides-config", ["--config", CONFIG, *DELTA_ARGS], ["n = x"], 0, ""),
+    ]
+]
+
 
 def run_cli(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
@@ -294,19 +369,21 @@ class TestInputHandling:
         assert (code, out) == (1, "")
         assert err == f"error: unknown curve label {label!r}\n"
 
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (["verify", "--suite", "nope"], "Invalid value for '--suite'"),
-            (["delta", "--n", "x"], "Invalid value for '--n'"),
-            (["delta", "--m", "2", "--beta1", "1/2", "--beta2", "1/2"], "Missing option '--n'"),
-        ],
-    )
-    def test_usage_error_is_one_line(self, capsys, argv, message):
-        code, out, err = run_cli(capsys, argv)
-        assert_exit_contract(code, err)
-        assert code == 1 and out == ""
-        assert message in err
+    @pytest.mark.parametrize("argv, config, code, err", USAGE_CASES)
+    def test_usage_error_is_one_line(
+        self, capsys, tmp_path, monkeypatch, argv, config, code, err
+    ):
+        # Each case's exact stderr; a case that exits 0 prints the delta golden.
+        # CONFIG in argv stands for a file holding the case's config lines.
+        monkeypatch.delenv("KEDGE_OUTPUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "kedge.cfg"
+        cfg.write_text("".join(f"{line}\n" for line in config), encoding="utf-8")
+        argv = [str(cfg) if arg == CONFIG else arg for arg in argv]
+        result = run_cli(capsys, argv)
+        assert_exit_contract(result[0], result[2])
+        golden = (GOLDEN / "delta_f0_blow2_half.json").read_text(encoding="utf-8")
+        assert result == (code, golden if code == 0 else "", err)
 
     @pytest.mark.parametrize(
         "argv",
