@@ -8,6 +8,9 @@ adds decimal fields (suffixed ``_approx``) that are lossy and for human
 reading only.  Reports are JSON (schemas ship under ``kedge/schemas/``)
 except for ``scan``, which emits CSV.  Identical flags + seed produce
 byte-identical output.
+
+Each subcommand declares its options in one table, built at import; a small
+loop matches ``argv`` against it with click's syntax and click's messages.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ import json
 import os
 import sys
 from pathlib import Path
-
-import click
+from typing import Callable, NamedTuple
 
 from .picard import Angles, SurfaceModel, parse_curve_id
 from .ratmath import RatParseError, format_rat, parse_rat
@@ -36,14 +38,15 @@ MAX_POINTS = 10_000
 
 
 def _user_error(message: str):
-    click.echo(f"error: {message}", err=True)
+    sys.stderr.write(f"error: {message}\n")
     sys.exit(1)
 
 
 def _emit(text: str, output: str | None):
     """Write to stdout, or to --output (under $KEDGE_OUTPUT_DIR if relative)."""
     if output is None:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
+        sys.stdout.flush()
         return
     path = Path(output)
     base = os.environ.get("KEDGE_OUTPUT_DIR")
@@ -79,70 +82,6 @@ def _parse_surface(n: int, m: int) -> SurfaceModel:
         _user_error(str(exc))
 
 
-def _load_config(ctx, param, value):
-    """--config file of ``key = value`` lines, used as defaults everywhere;
-    a key that names no option of any subcommand is a user error."""
-    if not value:
-        return
-    defaults = {}
-    options = {p.name for command in ctx.command.commands.values() for p in command.params}
-    try:
-        lines = Path(value).read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        _user_error(f"cannot read config file: {exc}")
-    for line_no, line in enumerate(lines, 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, eq, val = stripped.partition("=")
-        if not eq:
-            _user_error(f"config line {line_no}: expected 'key = value'")
-        name = key.strip().replace("-", "_")
-        if name not in options:
-            _user_error(f"config line {line_no}: unknown option {key.strip()!r}")
-        defaults[name] = val.strip()
-    ctx.default_map = {name: dict(defaults) for name in ctx.command.commands}
-
-
-@click.group(no_args_is_help=False)
-@click.option(
-    "--config",
-    type=click.Path(),
-    callback=_load_config,
-    is_eager=True,
-    expose_value=False,
-    help="Key-value file supplying default option values.",
-)
-def cli():
-    """Exact K-polystability computations for the blown-up ruled surfaces."""
-
-
-def _surface_options(fn):
-    fn = click.option("--beta2", required=True, help="Second cone angle as p/q.")(fn)
-    fn = click.option("--beta1", required=True, help="First cone angle as p/q.")(fn)
-    fn = click.option("--m", "m", type=int, required=True, help="Number of blown-up points.")(fn)
-    fn = click.option("--n", "n", type=int, required=True, help="Ruled-surface twisting degree.")(fn)
-    return fn
-
-
-def _common_options(fn):
-    fn = click.option("--output", "-o", default=None, help="Write the report to this file.")(fn)
-    fn = click.option(
-        "--accept-decimal",
-        is_flag=True,
-        help="Allow decimal angle literals (converted exactly in base 10).",
-    )(fn)
-    fn = click.option(
-        "--approx",
-        is_flag=True,
-        help="Add lossy decimal fields (suffixed _approx) for human reading.",
-    )(fn)
-    return fn
-
-
-@cli.command("delta")
-@_surface_options
-@_common_options
 def cmd_delta(n, m, beta1, beta2, approx, accept_decimal, output):
     """Stability threshold, witnesses and verdict at one angle pair."""
     model = _parse_surface(n, m)
@@ -182,10 +121,6 @@ def cmd_delta(n, m, beta1, beta2, approx, accept_decimal, output):
     _dump(report, output)
 
 
-@cli.command("volume-curve")
-@_surface_options
-@click.option("--curve", required=True, help="Curve label, e.g. C1tilde, E1, F2tilde.")
-@_common_options
 def cmd_volume_curve(n, m, curve, beta1, beta2, approx, accept_decimal, output):
     """Piecewise-quadratic volume curve x -> vol(-K - x C) for one curve."""
     model = _parse_surface(n, m)
@@ -232,17 +167,6 @@ def cmd_volume_curve(n, m, curve, beta1, beta2, approx, accept_decimal, output):
     _dump(report, output)
 
 
-@cli.command("verify")
-@click.option(
-    "--suite",
-    type=click.Choice(sorted(SUITES) + ["all"]),
-    default="all",
-    show_default=True,
-    help="Which cross-checking suite to run.",
-)
-@click.option("--samples", type=int, default=50, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--output", "-o", default=None, help="Write the report to this file.")
 def cmd_verify(suite, samples, seed, output):
     """Run oracle suites; any failure is an inconsistency (exit 2)."""
     if not 0 < samples <= MAX_POINTS:
@@ -259,7 +183,7 @@ def cmd_verify(suite, samples, seed, output):
     _dump(report, output)
     if not ok:
         failed = ", ".join(r.suite for r in results if not r.passed)
-        click.echo(f"inconsistency: counterexample found by {failed}", err=True)
+        sys.stderr.write(f"inconsistency: counterexample found by {failed}\n")
         sys.exit(2)
 
 
@@ -281,13 +205,6 @@ def _parse_grid(text: str, what: str):
     return [start + i * step for i in range(count)]
 
 
-@cli.command("scan")
-@click.option("--n", "n", type=int, required=True, help="Ruled-surface twisting degree.")
-@click.option("--m", "m", type=int, required=True, help="Number of blown-up points.")
-@click.option("--beta1-grid", required=True, help="start:stop:step in rationals p/q.")
-@click.option("--beta2-grid", required=True, help="start:stop:step in rationals p/q.")
-@click.option("--approx", is_flag=True, help="Add lossy decimal columns.")
-@click.option("--output", "-o", default=None, help="Write the CSV to this file.")
 def cmd_scan(n, m, beta1_grid, beta2_grid, approx, output):
     """Verdicts over a rational angle grid, as CSV (beta1 outer loop)."""
     model = _parse_surface(n, m)
@@ -320,19 +237,256 @@ def cmd_scan(n, m, beta1_grid, beta2_grid, approx, output):
     _emit(buffer.getvalue(), output)
 
 
+
+
+class Option(NamedTuple):
+    """One command-line option: its spellings, the handler keyword it fills,
+    its converter (``int``, ``str``, a tuple of choices, or ``bool`` for a
+    flag that takes no value), whether it is required, its default and its
+    help line."""
+
+    flags: tuple[str, ...]
+    dest: str
+    convert: Callable | tuple[str, ...]
+    required: bool = False
+    default: object = None
+    help: str = ""
+
+
+HELP = Option(("--help",), "help", bool, default=False, help="Show this message and exit.")
+GROUP_FLAGS = {
+    "--config": Option(("--config",), "config", str,
+                       help="Key-value file supplying default option values."),
+    "--help": HELP,
+}
+SURFACE = (
+    Option(("--n",), "n", int, True, help="Ruled-surface twisting degree."),
+    Option(("--m",), "m", int, True, help="Number of blown-up points."),
+    Option(("--beta1",), "beta1", str, True, help="First cone angle as p/q."),
+    Option(("--beta2",), "beta2", str, True, help="Second cone angle as p/q."),
+)
+DECIMALS = (
+    Option(("--approx",), "approx", bool, default=False,
+           help="Add lossy decimal fields (suffixed _approx) for human reading."),
+    Option(("--accept-decimal",), "accept_decimal", bool, default=False,
+           help="Allow decimal angle literals (converted exactly in base 10)."),
+    Option(("-o", "--output"), "output", str, help="Write the report to this file."),
+)
+# click's spellings of a boolean, for flags set from a --config file.
+BOOL_STATES = {"1": True, "0": False, "yes": True, "no": False, "true": True, "false": False,
+               "on": True, "off": False, "t": True, "f": False, "y": True, "n": False, "": False}
+
+
+def _command(run, *options):
+    """A subcommand's table: its handler, its options in declaration order,
+    and the option of each spelling, ``--help`` included."""
+    return run, options, {flag: option for option in (*options, HELP) for flag in option.flags}
+
+
+COMMANDS = {
+    "delta": _command(cmd_delta, *SURFACE, *DECIMALS),
+    "volume-curve": _command(
+        cmd_volume_curve, *SURFACE,
+        Option(("--curve",), "curve", str, True, help="Curve label, e.g. C1tilde, E1, F2tilde."),
+        *DECIMALS,
+    ),
+    "verify": _command(
+        cmd_verify,
+        Option(("--suite",), "suite", (*sorted(SUITES), "all"), default="all",
+               help="Which cross-checking suite to run."),
+        Option(("--samples",), "samples", int, default=50, help="Inputs drawn per suite."),
+        Option(("--seed",), "seed", int, default=0, help="Seed of the drawn inputs."),
+        DECIMALS[-1],
+    ),
+    "scan": _command(
+        cmd_scan, *SURFACE[:2],
+        Option(("--beta1-grid",), "beta1_grid", str, True,
+               help="start:stop:step in rationals p/q."),
+        Option(("--beta2-grid",), "beta2_grid", str, True,
+               help="start:stop:step in rationals p/q."),
+        Option(("--approx",), "approx", bool, default=False, help="Add lossy decimal columns."),
+        Option(("-o", "--output"), "output", str, help="Write the CSV to this file."),
+    ),
+}
+
+
+def _did_you_mean(word: str, names) -> str:
+    from difflib import get_close_matches  # only on this error path
+
+    matches = sorted(get_close_matches(word, names))
+    quoted = ", ".join(map(repr, matches))
+    if len(matches) > 1:
+        return f" (Did you mean one of: {quoted}?)"
+    return f" Did you mean {quoted}?" if matches else ""
+
+
+def _parse(flags: dict[str, Option], argv: list[str], interspersed: bool):
+    """Match ``argv`` against a table of spellings, as click's parser does.
+
+    Returns each given option's text (``True`` for a flag) by dest, in the
+    order first given, the last spelling winning, and the positional tokens:
+    all of them, or, when not ``interspersed``, every token from the first
+    positional on.  A value is the attached text (``--opt=value``,
+    ``-ovalue``), else the next token, whatever it starts with.
+    """
+    given, positional = {}, []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token == "--":
+            return given, positional + argv[i:]
+        if token[:1] != "-" or len(token) == 1:
+            if not interspersed:
+                return given, argv[i - 1:]
+            positional.append(token)
+            continue
+        if token[1] == "-":
+            name, attached, value = token.partition("=")
+        else:
+            name, attached, value = token[:2], token[2:], token[2:]
+        option = flags.get(name)
+        if option is None:
+            long_flags = [flag for flag in flags if flag[1] == "-"]
+            hint = _did_you_mean(name, long_flags) if token[1] == "-" else ""
+            _user_error(f"No such option {name!r}.{hint}")
+        if option.convert is bool:
+            if attached:
+                _user_error(f"Option {name!r} does not take a value.")
+            value = True
+        elif not attached:
+            if i == len(argv):
+                _user_error(f"Option {name!r} requires an argument.")
+            value = argv[i]
+            i += 1
+        given[option.dest] = value
+    return given, positional
+
+
+def _convert(option: Option, text: str):
+    convert = option.convert
+    if convert is bool:
+        value = BOOL_STATES.get(text.strip().lower())
+        if value is not None:
+            return value
+        problem = f"is not a valid boolean. Recognized values: {', '.join(sorted(BOOL_STATES))}"
+    elif isinstance(convert, tuple):
+        if text in convert:
+            return text
+        problem = f"is not one of {', '.join(map(repr, convert))}."
+    else:
+        try:
+            return convert(text)
+        except ValueError:
+            problem = "is not a valid integer."
+    _user_error(f"Invalid value for {_hint(option)}: {text!r} {problem}")
+
+
+def _hint(option: Option) -> str:
+    return " / ".join(f"'{flag}'" for flag in option.flags)
+
+
+def _load_config(path: str) -> dict[str, str]:
+    """--config file of ``key = value`` lines, used as defaults everywhere;
+    a key that names no option of any subcommand is a user error."""
+    if not path:
+        return {}
+    known = {option.dest for _, options, _ in COMMANDS.values() for option in options}
+    defaults = {}
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        _user_error(f"cannot read config file: {exc}")
+    for line_no, line in enumerate(lines, 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, eq, val = stripped.partition("=")
+        if not eq:
+            _user_error(f"config line {line_no}: expected 'key = value'")
+        name = key.strip().replace("-", "_")
+        if name not in known:
+            _user_error(f"config line {line_no}: unknown option {key.strip()!r}")
+        defaults[name] = val.strip()
+    return defaults
+
+
+def _help(usage: str, doc: str, options, commands=()):
+    """Print the usage line, the description and one line per option and
+    subcommand, then exit 0."""
+    metavars = {int: " INTEGER", str: " TEXT", bool: ""}
+    rows = []
+    for option in (*options, HELP):
+        convert = option.convert
+        metavar = f" [{'|'.join(convert)}]" if isinstance(convert, tuple) else metavars[convert]
+        note = ("  [required]" if option.required
+                else "" if option.default is None or convert is bool
+                else f"  [default: {option.default}]")
+        rows.append((", ".join(option.flags) + metavar, option.help + note))
+    width = max(len(left) for left, _ in rows) + 2
+    lines = [f"Usage: kedge {usage}", "", f"  {doc}", "", "Options:"]
+    lines += [f"  {left:<{width}}{text}" for left, text in rows]
+    if commands:
+        width = max(map(len, commands)) + 2
+        lines += ["", "Commands:"]
+        lines += [f"  {name:<{width}}{run.__doc__.splitlines()[0]}"
+                  for name, (run, _, _) in commands.items()]
+    sys.stdout.write("\n".join(lines) + "\n")
+    sys.exit(0)
+
+
+def _group_options(argv: list[str]):
+    """The --config defaults, and the tokens from the subcommand's name on;
+    --config and --help act in the order given."""
+    given, rest = _parse(GROUP_FLAGS, argv, interspersed=False)
+    config = {}
+    for dest in given:
+        if dest == "help":
+            _help("[OPTIONS] COMMAND [ARGS]...",
+                  "Exact K-polystability computations for the blown-up ruled surfaces.",
+                  [GROUP_FLAGS["--config"]], COMMANDS)
+        config = _load_config(given["config"])
+    return config, rest
+
+
+def _run(argv: list[str]):
+    """Parse the group's options, then the subcommand's, and run it."""
+    config, rest = _group_options(argv)
+    if not rest:
+        _user_error("Missing command.")
+    name, *args = rest
+    if name not in COMMANDS:
+        # As click does, a name after "--" that looks like an option is read as one.
+        _group_options(rest)
+        _user_error(f"No such command {name!r}.{_did_you_mean(name, COMMANDS)}")
+    run, options, flags = COMMANDS[name]
+    given, extra = _parse(flags, args, interspersed=True)
+    if "help" in given:
+        _help(f"{name} [OPTIONS]", run.__doc__, options)
+    # Options given on the command line convert first, in the order given.
+    first = {dest: i for i, dest in enumerate(given)}
+    values = {}
+    for option in sorted(options, key=lambda option: first.get(option.dest, len(first))):
+        text = given.get(option.dest, config.get(option.dest))
+        if text is None:
+            if option.required:
+                _user_error(f"Missing option {_hint(option)}.")
+            text = option.default
+        elif text is not True:
+            text = _convert(option, text)
+        values[option.dest] = text
+    if extra:
+        plural = "s" if len(extra) > 1 else ""
+        _user_error(f"Got unexpected extra argument{plural} ({' '.join(extra)})")
+    run(**values)
+
+
 def main(argv=None):
     """Entry point with the documented exit-code contract."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        raise SystemExit(exc.exit_code)
-    except click.Abort:
-        raise SystemExit(1)
-    except click.ClickException as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        raise SystemExit(1)
+        _run(sys.argv[1:] if argv is None else list(argv))
     except InconsistencyError as exc:
-        click.echo(f"inconsistency: {exc}", err=True)
+        sys.stderr.write(f"inconsistency: {exc}\n")
         raise SystemExit(2)
     raise SystemExit(0)
 

@@ -174,10 +174,12 @@ def rational_condition_point(params, s, width=DEFAULT_BRACKET_WIDTH):
 
     n = 0, m = 0: the locus is the diagonal; returns (s, s).
 
-    n > 0: the locus is not rationally parametrized; ``s`` is taken as
-    beta2 and a ConditionBracket of width <= ``width`` around the
-    matching beta1 is returned (the bracket function is strictly
-    increasing in beta1 on (0, 2/n), so bisection is certified).
+    n > 0: the locus beta1^2 - (n/3) beta1^3 = beta2^2 + ((n - m)/3) beta2^3
+    is a nodal cubic, rational through its node at the origin, but this
+    function still bisects: ``s`` is taken as beta2 and a ConditionBracket
+    of width <= ``width`` around the matching beta1 is returned (the
+    bracket function is strictly increasing in beta1 on (0, 2/n), so
+    bisection is certified).
 
     ``width`` must be positive (ValueError otherwise), whatever n is.
     """

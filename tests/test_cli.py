@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kedge.tvariety
-from kedge.cli import MAX_M, cli, main
+from kedge.cli import COMMANDS, GROUP_FLAGS, HELP, MAX_M, main
 from kedge.picard import SurfaceModel
 from kedge.ratmath import format_rat
 from kedge.tvariety import DualData, legendre_dual
@@ -597,7 +597,7 @@ class TestConfigAndOutput:
             "verify": {"samples": "1", "seed": "7"},
             "scan": {"n": "1", "m": "0", "beta1-grid": "1/2:2:1/4", "beta2-grid": "1/4:1:1/4"},
         }
-        assert set(configs) == set(cli.commands)
+        assert set(configs) == set(COMMANDS)
         for command, options in configs.items():
             cfg = tmp_path / f"{command}.cfg"
             cfg.write_text("".join(f"{key} = {value}\n" for key, value in options.items()))
@@ -683,6 +683,34 @@ class TestConfigAndOutput:
         assert code == 0
         assert target.exists()
         assert not (tmp_path / "unused").exists()
+
+
+class TestHelpAndImports:
+    @pytest.mark.parametrize("command", [None, *COMMANDS])
+    def test_help_names_every_option(self, capsys, command):
+        # One line per option holds all its spellings and its help string;
+        # the layout beyond that is free.
+        if command is None:
+            argv, options = ["--help"], [*GROUP_FLAGS.values()]
+        else:
+            argv, options = [command, "--help"], [*COMMANDS[command][1], HELP]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        for option in options:
+            assert any(option.help in line and all(flag in line for flag in option.flags)
+                       for line in lines), option
+        if command is None:
+            assert all(any(line.split()[:1] == [name] for line in lines) for name in COMMANDS)
+
+    def test_cli_imports_only_the_standard_library(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        script = ("import sys, kedge.cli; "
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'click'))")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 class TestScanContent:

@@ -5,9 +5,9 @@ assignment in ``src/kedge`` is read somewhere in ``src/kedge``.
 A reference is a ``Name`` or an ``Attribute`` node with the definition's
 name, read rather than assigned; imports do not count, so a name that only
 ``__init__`` re-exports is not referenced.  Dunder methods are called by the
-language, dunder names are read by it, and click commands are called by
-click; the allow-list holds documented library entry points that the package
-itself does not call and the names that only the benchmark reads.
+language and dunder names are read by it; the allow-list holds documented
+library entry points that the package itself does not call and the names that
+only the benchmark reads.
 """
 
 import ast
@@ -26,13 +26,6 @@ ALLOWED = {
 }
 
 
-def _is_click_command(fn):
-    return any(
-        isinstance(d, ast.Call) and ast.unparse(d.func) in ("cli.command", "click.group")
-        for d in fn.decorator_list
-    )
-
-
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
@@ -42,8 +35,7 @@ def _definitions(module: str, tree: ast.Module):
     assigned name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if not _is_click_command(node):
-                yield f"{module}.{node.name}", node.name
+            yield f"{module}.{node.name}", node.name
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
