@@ -22,7 +22,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .picard import Angles, SurfaceModel, parse_curve_id
 from .ratmath import RatParseError, format_rat, parse_rat
@@ -239,7 +239,8 @@ def cmd_scan(n, m, beta1_grid, beta2_grid, approx, output):
 
 
 
-class Option(NamedTuple):
+@dataclasses.dataclass(frozen=True)
+class Option:
     """One command-line option: its spellings, the handler keyword it fills,
     its converter (``int``, ``str``, a tuple of choices, or ``bool`` for a
     flag that takes no value), whether it is required, its default and its
@@ -270,8 +271,8 @@ DECIMALS = (
            help="Add lossy decimal fields (suffixed _approx) for human reading."),
     Option(("--accept-decimal",), "accept_decimal", bool, default=False,
            help="Allow decimal angle literals (converted exactly in base 10)."),
-    Option(("-o", "--output"), "output", str, help="Write the report to this file."),
 )
+OUTPUT = Option(("-o", "--output"), "output", str, help="Write the report to this file.")
 # click's spellings of a boolean, for flags set from a --config file.
 BOOL_STATES = {"1": True, "0": False, "yes": True, "no": False, "true": True, "false": False,
                "on": True, "off": False, "t": True, "f": False, "y": True, "n": False, "": False}
@@ -284,11 +285,11 @@ def _command(run, *options):
 
 
 COMMANDS = {
-    "delta": _command(cmd_delta, *SURFACE, *DECIMALS),
+    "delta": _command(cmd_delta, *SURFACE, *DECIMALS, OUTPUT),
     "volume-curve": _command(
         cmd_volume_curve, *SURFACE,
         Option(("--curve",), "curve", str, True, help="Curve label, e.g. C1tilde, E1, F2tilde."),
-        *DECIMALS,
+        *DECIMALS, OUTPUT,
     ),
     "verify": _command(
         cmd_verify,
@@ -296,7 +297,7 @@ COMMANDS = {
                help="Which cross-checking suite to run."),
         Option(("--samples",), "samples", int, default=50, help="Inputs drawn per suite."),
         Option(("--seed",), "seed", int, default=0, help="Seed of the drawn inputs."),
-        DECIMALS[-1],
+        OUTPUT,
     ),
     "scan": _command(
         cmd_scan, *SURFACE[:2],
@@ -311,7 +312,7 @@ COMMANDS = {
 
 
 def _did_you_mean(word: str, names) -> str:
-    from difflib import get_close_matches  # only on this error path
+    from difflib import get_close_matches  # imported here: only usage errors need it
 
     matches = sorted(get_close_matches(word, names))
     quoted = ", ".join(map(repr, matches))
@@ -466,7 +467,7 @@ def _run(argv: list[str]):
     # Options given on the command line convert first, in the order given.
     first = {dest: i for i, dest in enumerate(given)}
     values = {}
-    for option in sorted(options, key=lambda option: first.get(option.dest, len(first))):
+    for option in sorted(options, key=lambda o: first.get(o.dest, len(first))):
         text = given.get(option.dest, config.get(option.dest))
         if text is None:
             if option.required:

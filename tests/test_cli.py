@@ -70,6 +70,8 @@ USAGE_CASES = [
          "error: Option '--config' requires an argument.\n"),
         ("config-after-command", ["delta", "--config", CONFIG], [], 1,
          "error: No such option '--config'.\n"),
+        ("option-after-double-dash", ["--", "--n", "0"], [], 1,
+         "error: No such option '--n'.\n"),
         ("group-option-unknown", ["--n", "0", "delta"], [], 1,
          "error: No such option '--n'.\n"),
         ("group-option-suggestion", ["--confg", CONFIG, "delta"], [], 1,
