@@ -35,7 +35,6 @@ from .tvariety import (
     futaki_vanishes,
 )
 from .verdict import (
-    ConditionBracket,
     InconsistencyError,
     KPOLYSTABLE,
     NOT_KPOLYSTABLE,
@@ -69,7 +68,6 @@ __all__ = [
     "Angles",
     "C1TILDE",
     "C2TILDE",
-    "ConditionBracket",
     "CurveId",
     "DeltaReport",
     "DivisorClass",

@@ -7,7 +7,10 @@
 directly as a polynomial; it must agree with the torus-side Futaki sign
 on every input, and the polystable verdict fires only when it is
 exactly zero (the condition cuts a codimension-1 locus; no tolerance is
-meaningful in exact arithmetic).  The verdict cross-checks the
+meaningful in exact arithmetic).  ``rational_condition_point`` gives
+exact points of that locus at every (n, m) from one formula, the line
+through the cubic's node, with one split case: for m = 2n the locus holds
+the diagonal.  The verdict cross-checks the
 hypotheses of the theorems it invokes and raises InconsistencyError --
 the repo's loudest alarm -- rather than returning a silently wrong
 answer when one of them fails.
@@ -142,95 +145,39 @@ def k_polystable(params, angles: Angles) -> Verdict:
     )
 
 
-@dataclass(frozen=True)
-class ConditionBracket:
-    """Certified bracketing interval for a condition point with n > 0.
+def rational_condition_point(params, s):
+    """The exact condition point on the line through the node.
 
-    condition_sign(., (beta1_lo, beta2)) = sign_lo and likewise for the
-    upper end; the root lies in [beta1_lo, beta1_hi].  A lucky exact hit
-    collapses the interval (sign 0 at both ends).
-    """
+    The locus beta1^2 - (n/3) beta1^3 = beta2^2 + ((n - m)/3) beta2^3 is a
+    plane cubic with a node at the origin, so it is rational: the line
+    beta1 = s beta2 meets it in one more point,
 
-    beta2: object
-    beta1_lo: object
-    beta1_hi: object
-    sign_lo: int
-    sign_hi: int
+        beta2 = 3 (s^2 - 1) / (n (s^3 + 1) - m),  beta1 = s beta2.
 
-    @property
-    def width(self):
-        return self.beta1_hi - self.beta1_lo
+    For m = 2n the cubic splits as the diagonal times a conic with no
+    ample point, and every diagonal point of the ample range is a
+    condition point; there ``s`` is the coordinate and (s, s) is returned.
 
-
-DEFAULT_BRACKET_WIDTH = Rat(1, 2**20)
-
-
-def rational_condition_point(params, s, width=DEFAULT_BRACKET_WIDTH):
-    """Rational points on the condition locus.
-
-    n = 0, m >= 1: the locus is rationally parametrized; for 0 < s < 1
-    the point beta2 = (3/m)(1 - s^2), beta1 = s beta2 satisfies the
-    condition exactly (NotFound when it falls outside the ample range).
-
-    n = 0, m = 0: the locus is the diagonal; returns (s, s).
-
-    n > 0: the locus beta1^2 - (n/3) beta1^3 = beta2^2 + ((n - m)/3) beta2^3
-    is a nodal cubic, rational through its node at the origin, but this
-    function still bisects: ``s`` is taken as beta2 and a ConditionBracket
-    of width <= ``width`` around the matching beta1 is returned (the
-    bracket function is strictly increasing in beta1 on (0, 2/n), so
-    bisection is certified).
-
-    ``width`` must be positive (ValueError otherwise), whatever n is.
+    NotFound when the line meets the cubic only at the node (s = 1 or
+    n (s^3 + 1) = m), when a coordinate is not positive, or when the point
+    is outside the ample range.
     """
     model = as_model(params)
     n, m = model.n, model.m
     s = Rat(s)
-    width = Rat(width)
-    if width <= 0:
-        raise ValueError(f"bracket width must be positive, got {width}")
-    if n == 0 and m == 0:
-        if s <= 0:
-            raise NotFound(f"need s > 0 for the diagonal point, got {s}")
-        return Angles(s, s)
-    if n == 0:
-        if not 0 < s < 1:
-            raise NotFound(f"need 0 < s < 1, got {s}")
-        b2 = Rat(3, m) * (1 - s * s)
+    if m == 2 * n:
+        b1 = b2 = s
+    else:
+        den = n * (s**3 + 1) - m
+        if s == 1 or den == 0:
+            raise NotFound(f"the line of slope {s} meets the condition locus only at the node")
+        b2 = 3 * (s * s - 1) / den
         b1 = s * b2
-        angles = Angles(b1, b2)
-        if model.ample_range_violation(angles) is not None:
-            raise NotFound(
-                f"parametrized point ({b1}, {b2}) is outside the ample range"
-            )
-        if condition_sign(model, angles) != 0:
-            raise InconsistencyError("parametrized point misses the condition locus")
-        return angles
-
-    # n > 0: bisection in beta1 at fixed beta2 = s
-    b2 = s
-    if b2 <= 0 or (n < m and (m - n) * b2 >= 2):
-        raise NotFound(f"beta2 = {b2} is outside the ample range")
-    rhs = b2 * b2 + Rat(n - m, 3) * b2**3
-    peak = Rat(4, 3 * n * n)  # maximum of beta1^2 - (n/3) beta1^3 on [0, 2/n]
-    if not 0 < rhs < peak:
-        raise NotFound(
-            f"no beta1 in (0, 2/{n}) balances beta2 = {b2} (target {rhs} not in (0, {peak}))"
-        )
-
-    def g(b1):
-        return b1 * b1 - Rat(n, 3) * b1**3 - rhs
-
-    lo, hi = Rat(0), Rat(2, n)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        v = g(mid)
-        if v == 0:
-            return ConditionBracket(beta2=b2, beta1_lo=mid, beta1_hi=mid, sign_lo=0, sign_hi=0)
-        if v < 0:
-            lo = mid
-        else:
-            hi = mid
-    return ConditionBracket(
-        beta2=b2, beta1_lo=lo, beta1_hi=hi, sign_lo=sign(g(lo)), sign_hi=sign(g(hi))
-    )
+    if b1 <= 0 or b2 <= 0:
+        raise NotFound(f"condition point ({b1}, {b2}) is not positive")
+    angles = Angles(b1, b2)
+    if model.ample_range_violation(angles) is not None:
+        raise NotFound(f"condition point ({b1}, {b2}) is outside the ample range")
+    if condition_sign(model, angles) != 0:
+        raise InconsistencyError("parametrized point misses the condition locus")
+    return angles

@@ -1,4 +1,4 @@
-"""Shared fixtures: seeded generators, condition-locus parametrizations, the
+"""Shared fixtures: seeded generators, the surface and curve families, the
 ``rat`` constructor the tests spell their rationals with, and the rational
 references the tests check the integer code against: the LDL^T kernel, the
 angle sampler and the volume curve's last root."""
@@ -21,22 +21,6 @@ from kedge.zariski import DecompositionError
 def rng():
     """Fresh deterministic generator per test."""
     return random.Random(20260823)
-
-
-def condition_point_m0(n: int, t: Rat) -> Angles:
-    """Rational point on the m=0 condition locus, parameter t in (0, 1).
-
-    For n > 0 the locus beta1^2 - (n/3) beta1^3 = beta2^2 + (n/3) beta2^3
-    is rationally parametrized by beta2 = t*beta1 with
-    beta1 = 3(1-t) / (n (1 - t + t^2)); for n = 0 it is the diagonal.
-    """
-    t = Rat(t)
-    if not 0 < t < 1:
-        raise ValueError("t must lie in (0, 1)")
-    if n == 0:
-        return Angles(t, t)
-    beta1 = 3 * (1 - t) / (n * (1 - t + t * t))
-    return Angles(beta1, t * beta1)
 
 
 def small_surfaces(n_max: int = 4, m_max: int = 4):

@@ -19,8 +19,10 @@ from kedge.tvariety import futaki_vanishes
 from kedge.verdict import (
     KPOLYSTABLE,
     NOT_KPOLYSTABLE,
+    NotFound,
     condition_sign,
     k_polystable,
+    rational_condition_point,
 )
 from kedge.verify import (
     verify_halving,
@@ -35,7 +37,7 @@ from kedge.zariski import (
     zariski_decompose_bruteforce,
 )
 
-from conftest import condition_point_m0, negative_definite_families, rat, small_surfaces
+from conftest import negative_definite_families, rat, small_surfaces
 
 SEED = 20260823
 LEMMA_SAMPLES = 200
@@ -252,32 +254,43 @@ def test_criterion_8_negative_definite_families(capsys):
 def test_criterion_9_m0_condition_locus(capsys):
     failures = []
     eps = rat(1, 10**6)
+    # Slopes on both sides of 1: below for n = 0, above for m = 0.
+    slopes = [rat(p, q) for p, q in
+              ((1, 3), (1, 2), (3, 4), (9, 10), (10, 9), (9, 7), (8, 5), (5, 3))]
     for n in (0, 1, 2):
-        for t in (rat(3, 5), rat(5, 8), rat(7, 9), rat(9, 10)):
-            angles = condition_point_m0(n, t)
-            if condition_sign((n, 0), angles) != 0:
-                failures.append((n, t, "constructed point missed"))
-            up = Angles(angles.beta1 + eps, angles.beta2)
-            down = Angles(angles.beta1 - eps, angles.beta2)
-            if condition_sign((n, 0), up) != 1 or condition_sign((n, 0), down) != -1:
-                failures.append((n, t, "perturbation sign wrong"))
-        # Grid sweep: the sign must match the torus-side Futaki sign
-        # everywhere, and vanish exactly where the locus equation holds.
-        for k in range(1, 14):
-            for j in range(1, 18):
-                angles = Angles(rat(k, 7), rat(j, 9))
-                cs = condition_sign((n, 0), angles)
-                b1, b2 = angles.beta1, angles.beta2
-                locus = b1 * b1 - rat(n, 3) * b1**3 - b2 * b2 - rat(n, 3) * b2**3
-                if cs != sign(locus):
-                    failures.append((n, k, j, "sign mismatch with locus equation"))
-                if cs != futaki_vanishes((n, 0), angles):
-                    failures.append((n, k, j, "sign mismatch with Futaki route"))
+        for m in (0, 1, 2, 3):
+            found = 0
+            for s in slopes:
+                try:
+                    angles = rational_condition_point((n, m), s)
+                except NotFound:
+                    continue
+                found += 1
+                if condition_sign((n, m), angles) != 0:
+                    failures.append((n, m, s, "constructed point missed"))
+                up =Angles(angles.beta1 + eps, angles.beta2)
+                down = Angles(angles.beta1 - eps, angles.beta2)
+                if condition_sign((n, m), up) != 1 or condition_sign((n, m), down) != -1:
+                    failures.append((n, m, s, "perturbation sign wrong"))
+            if not found:
+                failures.append((n, m, "no condition point constructed"))
+            # Grid sweep: the sign must match the torus-side Futaki sign
+            # everywhere, and vanish exactly where the locus equation holds.
+            for k in range(1, 14):
+                for j in range(1, 18):
+                    angles = Angles(rat(k, 7), rat(j, 9))
+                    cs = condition_sign((n, m), angles)
+                    b1, b2 = angles.beta1, angles.beta2
+                    locus = b1 * b1 - rat(n, 3) * b1**3 - b2 * b2 - rat(n - m, 3) * b2**3
+                    if cs != sign(locus):
+                        failures.append((n, m, k, j, "sign mismatch with locus equation"))
+                    if cs != futaki_vanishes((n, m), angles):
+                        failures.append((n, m, k, j, "sign mismatch with Futaki route"))
     ok = not failures
     announce(
         capsys, 9,
-        "m=0 condition locus: zero exactly at constructed rational points "
-        "(n = 0, 1, 2)",
+        "condition locus: zero exactly at constructed rational points "
+        "(n <= 2, m <= 3)",
         ok,
     )
     assert ok, failures[:5]

@@ -48,6 +48,8 @@ DELTA_ARGS_COPRIME = [
     "delta", "--n", "1", "--m", "6",
     "--beta1", "765433/999983", "--beta2", "345679/999979",
 ]
+# A condition point with n > 0 and m >= 3: the m >= 3 branch certificate.
+DELTA_ARGS_CONDITION = ["delta", "--n", "1", "--m", "3", "--beta1", "15/23", "--beta2", "45/46"]
 # A grid through the condition point (63/128, 21/32) of (0, 2).
 SCAN_ARGS_CONDITION = [
     "scan", "--n", "0", "--m", "2",
@@ -179,6 +181,7 @@ class TestGoldens:
             (CURVE_ARGS_M200, "volume_curve_m200_e1.json"),
             (DELTA_ARGS_COPRIME, "delta_f1_blow6_coprime.json"),
             (SCAN_ARGS_CONDITION, "scan_m2_condition.csv"),
+            (DELTA_ARGS_CONDITION, "delta_f1_blow3_condition.json"),
         ],
     )
     def test_byte_identical(self, capsys, argv, golden):

@@ -412,6 +412,8 @@ class TestIntegerRoute:
     @example((SurfaceModel(0, 2), Angles(rat(63, 128), rat(21, 32))))  # condition point
     @example((SurfaceModel(0, 1), Angles(rat(144, 125), rat(48, 25))))  # m = 1 locus
     @example((SurfaceModel(0, 3), rational_condition_point((0, 3), rat(3, 4))))  # m >= 3
+    @example((SurfaceModel(1, 3), Angles(rat(15, 23), rat(45, 46))))  # n > 0, m >= 3
+    @example((SurfaceModel(1, 2), Angles(HALF, HALF)))  # m = 2n: the diagonal
     def test_matches_fraction_reference(self, surface):
         params, angles = surface
         d = legendre_dual(params, angles)

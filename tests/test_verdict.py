@@ -4,7 +4,7 @@ import collections
 import dataclasses
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 import kedge.tvariety
@@ -13,6 +13,9 @@ from kedge.picard import (
     C2TILDE,
     Angles,
     DivisorClass,
+    Ei,
+    FiTilde,
+    GENERIC_FIBER,
     SurfaceModel,
     as_model,
 )
@@ -23,7 +26,6 @@ from kedge.verdict import (
     KPOLYSTABLE,
     NOT_KPOLYSTABLE,
     OUTSIDE_AMPLE_RANGE,
-    ConditionBracket,
     InconsistencyError,
     NotFound,
     _certify_polystable_branch,
@@ -34,7 +36,7 @@ from kedge.verdict import (
 )
 from kedge.volumes import expected_vanishing_order
 
-from conftest import condition_point_m0, rat
+from conftest import rat
 
 HALF = rat(1, 2)
 CONDITION_M2 = Angles(rat(63, 128), rat(21, 32))
@@ -200,7 +202,7 @@ class TestM0Locus:
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_parametrized_locus(self, n):
         for t in [rat(3, 5), rat(2, 3), rat(7, 8)]:
-            angles = condition_point_m0(n, t)
+            angles = rational_condition_point((n, 0), 1 / t)
             assert condition_sign((n, 0), angles) == 0
             v = k_polystable((n, 0), angles)
             assert v.status == KPOLYSTABLE
@@ -208,8 +210,10 @@ class TestM0Locus:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_boundary_of_ample_range(self, n):
-        angles = condition_point_m0(n, HALF)
-        assert angles.beta1 == rat(2, n)
+        # The slope-2 point of the m = 0 locus, which the function refuses.
+        angles = Angles(rat(2, n), rat(1, n))
+        with pytest.raises(NotFound, match="outside the ample range"):
+            rational_condition_point((n, 0), 2)
         v = k_polystable((n, 0), angles)
         assert v.status == OUTSIDE_AMPLE_RANGE
         assert v.condition_sign == 0
@@ -234,28 +238,47 @@ class TestConditionPoints:
             rational_condition_point((0, 2), s)
 
     def test_bracket_for_ruled_surface(self):
-        b = rational_condition_point((2, 0), rat(3, 7))
-        assert isinstance(b, ConditionBracket)
-        assert b.beta2 == rat(3, 7)
-        assert b.width <= rat(1, 2**20)
-        assert (b.sign_lo, b.sign_hi) == (-1, 1)
-        # The exact root is 9/14; the bracket must contain it.
-        assert b.beta1_lo < rat(9, 14) < b.beta1_hi
-        assert condition_sign((2, 0), Angles(b.beta1_lo, b.beta2)) == b.sign_lo
-        assert condition_sign((2, 0), Angles(b.beta1_hi, b.beta2)) == b.sign_hi
+        # Exact zeros of the angle bracket at n > 0.
+        assert rational_condition_point((2, 0), rat(3, 2)) == Angles(rat(9, 14), rat(3, 7))
+        assert rational_condition_point((1, 3), rat(2, 3)) == Angles(rat(15, 23), rat(45, 46))
 
-    @pytest.mark.parametrize("params", [(1, 0), (0, 2), (0, 0)])
-    @pytest.mark.parametrize("width", [rat(0), rat(-1, 8)])
-    def test_nonpositive_width_is_rejected(self, params, width):
-        # At n > 0 a width <= 0 would never end the bisection.
-        with pytest.raises(ValueError, match="width must be positive"):
-            rational_condition_point(params, HALF, width=width)
+    def test_diagonal_when_m_is_2n(self):
+        # The cubic splits as the diagonal times a conic with no ample point.
+        assert rational_condition_point((1, 2), HALF) == Angles(HALF, HALF)
 
     def test_no_root_cases(self):
-        with pytest.raises(NotFound):
-            rational_condition_point((2, 0), rat(1))  # target above the peak
-        with pytest.raises(NotFound):
-            rational_condition_point((1, 3), rat(2))  # beta2 not ample
+        for params, s, reason in [
+            ((0, 2), rat(1), "only at the node"),
+            ((1, 9), rat(2), "only at the node"),  # n (s^3 + 1) = m
+            ((2, 1), HALF, r"\(-9/10, -9/5\) is not positive"),
+            ((1, 0), rat(2), "outside the ample range"),  # beta1 = 2/n
+            ((1, 2), rat(2), "outside the ample range"),  # off the diagonal's ample part
+        ]:
+            with pytest.raises(NotFound, match=reason):
+                rational_condition_point(params, s)
+
+    @given(
+        st.integers(0, 4), st.integers(0, 6),
+        st.integers(1, 13).flatmap(
+            lambda q: st.integers(1, 2 * q - 1).map(lambda p: rat(p, q))),
+    )
+    @example(1, 3, rat(2, 3))
+    @example(1, 2, HALF)  # the diagonal point (1/2, 1/2)
+    def test_points_on_the_locus(self, n, m, s):
+        try:
+            angles = rational_condition_point((n, m), s)
+        except NotFound:
+            reject()
+        b1, b2 = angles.beta1, angles.beta2
+        assert b1 * b1 - rat(n, 3) * b1**3 == b2 * b2 + rat(n - m, 3) * b2**3
+        v = k_polystable((n, m), angles)
+        if m == 1:
+            assert v.status == NOT_KPOLYSTABLE and v.delta < 1
+        else:
+            assert v.status == KPOLYSTABLE and v.delta == 1
+        curves = [C1TILDE, C2TILDE, GENERIC_FIBER] + ([Ei(1), FiTilde(1)] if m else [])
+        for curve in curves:
+            assert v.report.term(curve.label).S == expected_vanishing_order(curve, (n, m), angles)
 
 
 class TestCertification:
