@@ -23,8 +23,6 @@ from .picard import (
     OutsideAmpleRange,
     PULLBACK_C2,
     SurfaceModel,
-    SurfaceParams,
-    as_model,
     parse_curve_id,
 )
 from .ratmath import Rat, RatParseError, format_rat, parse_rat, sign
@@ -88,11 +86,9 @@ __all__ = [
     "Rat",
     "RatParseError",
     "SurfaceModel",
-    "SurfaceParams",
     "ValuationTerm",
     "Verdict",
     "ZariskiDecomposition",
-    "as_model",
     "condition_sign",
     "delta_tvariety",
     "expected_vanishing_order",

@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 from itertools import pairwise
 
-from .picard import C1TILDE, C2TILDE, Ei, FiTilde, as_model
+from .picard import C1TILDE, C2TILDE, Ei, FiTilde
 from .ratmath import ONE, Rat, ZERO
 from .volumes import PiecewiseQuadratic, QuadraticPiece
 
@@ -54,13 +54,12 @@ CASE_C2_FIRST = "E-c2-first"
 CASE_N_ZERO = "E-n0"
 
 
-def classify_exceptional_case(params, angles) -> str | None:
+def classify_exceptional_case(model, angles) -> str | None:
     """Which closed-form regime covers ``vol(-K - x E_i)`` at these angles.
 
     Returns ``None`` when ``m == 0`` (no exceptional curves) or when the
     angles fall outside the validity range of the only candidate regime.
     """
-    model = as_model(params)
     n, m = model.n, model.m
     if m == 0:
         return None
@@ -93,12 +92,11 @@ def angle_bracket(model, angles) -> Rat:
     return b1 * b1 - b2 * b2 - (n * b1**3 + (n - m) * b2**3) / Rat(3)
 
 
-def closed_form_S(E, params, angles) -> Rat | None:
+def closed_form_S(E, model, angles) -> Rat | None:
     """Expected vanishing order along ``E`` via the closed forms.
 
     Covers the four named-curve kinds; other curves return ``None``.
     """
-    model = as_model(params)
     model.ensure_ample(angles)
     n, m = model.n, model.m
     b1, b2 = angles.beta1, angles.beta2
@@ -155,14 +153,13 @@ def _freeze(walls, chambers) -> PiecewiseQuadratic:
     return PiecewiseQuadratic(pieces=normalize_pieces(pieces))
 
 
-def closed_form_volume_curve(E, params, angles) -> PiecewiseQuadratic | None:
+def closed_form_volume_curve(E, model, angles) -> PiecewiseQuadratic | None:
     """The curve ``x -> vol(-K - x E)`` assembled from the closed forms.
 
     Returns ``None`` for curves or angle ranges the closed forms do not
     cover.  Each support is listed in candidate order (C~1, C~2, E_i,
     F~i), as the sweep names it.
     """
-    model = as_model(params)
     model.ensure_ample(angles)
     n, m = model.n, model.m
     b1, b2 = angles.beta1, angles.beta2

@@ -21,13 +21,10 @@ fill in is factored and solved in time proportional to its size.  The
 package's right-hand sides are integer columns (scaled by a positive
 integer where they are rational); ``solve_factored`` returns the
 solution times |det G|, again in integers.
-
-``signature`` is a separate congruence diagonalization over arbitrary
-symmetric matrices; it is the tests' independent reference.
 """
 from __future__ import annotations
 
-from .ratmath import Rat, common_denominator
+from .ratmath import common_denominator
 
 EMPTY_FACTOR = ((), (1,))
 
@@ -107,47 +104,3 @@ def is_negative_definite_matrix(matrix) -> bool:
         return False
     return True
 
-
-def signature(matrix) -> tuple[int, int, int]:
-    """Signature (positive, negative, zero) of a symmetric matrix.
-
-    Exact congruence diagonalization: pick a nonzero diagonal pivot, or
-    manufacture one from a nonzero off-diagonal pair by a row+column
-    addition, then clear the pivot's row and column symmetrically.
-    """
-    k = len(matrix)
-    a = [[Rat(x) for x in row] for row in matrix]
-    pos = neg = zero = 0
-    rows = list(range(k))
-    while rows:
-        p = next((r for r in rows if a[r][r] != 0), None)
-        if p is None:
-            off = next(
-                ((r, c) for r in rows for c in rows if c != r and a[r][c] != 0), None
-            )
-            if off is None:
-                zero += len(rows)
-                break
-            r0, c0 = off
-            # congruence by "row r0 += row c0" creates 2*a[r0][c0] on the diagonal
-            for c in range(k):
-                a[r0][c] = a[r0][c] + a[c0][c]
-            for r in range(k):
-                a[r][r0] = a[r][r0] + a[r][c0]
-            p = r0
-        d = a[p][p]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        rows.remove(p)
-        inv = Rat(1) / d
-        for r in rows:
-            factor = a[r][p] * inv
-            if factor == 0:
-                continue
-            for c in range(k):
-                a[r][c] = a[r][c] - factor * a[p][c]
-            for rr in range(k):
-                a[rr][r] = a[rr][r] - factor * a[rr][p]
-    return pos, neg, zero

@@ -311,11 +311,3 @@ class SurfaceModel:
 
 SurfaceParams = SurfaceModel  # the surface's former name, still importable
 
-
-def as_model(params) -> SurfaceModel:
-    """Coerce SurfaceModel | (n, m) to a SurfaceModel."""
-    if isinstance(params, SurfaceModel):
-        return params
-    if isinstance(params, tuple) and len(params) == 2:
-        return SurfaceModel(*params)
-    raise TypeError(f"cannot interpret {params!r} as surface parameters")

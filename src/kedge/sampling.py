@@ -20,7 +20,7 @@ from .closedforms import (
     CASE_N_ZERO,
     classify_exceptional_case,
 )
-from .picard import Angles, DivisorClass, SurfaceModel, as_model
+from .picard import Angles, DivisorClass, SurfaceModel
 from .ratmath import Rat
 
 MAX_DENOMINATOR = 64
@@ -32,14 +32,13 @@ MAX_TRIES = 10_000  # rejection-sampling draws before giving up
 LEMMA_CASES = ("C1tilde", "C2tilde", CASE_N_GE_M, CASE_C1_FIRST, CASE_C2_FIRST, CASE_N_ZERO)
 
 
-def sample_angles(rng: random.Random, params) -> Angles:
-    """Rejection-sample an angle pair in the ample range of ``params``.
+def sample_angles(rng: random.Random, model: SurfaceModel) -> Angles:
+    """Rejection-sample an angle pair in the ample range of ``model``.
 
     Each angle is p / d, d uniform in 1..MAX_DENOMINATOR and p uniform in
     1..MAX_VALUE*d; the pair is ample when n p1 < 2 d1 (n > 0) and
     (m - n) p2 < 2 d2 (m > n), as ``ample_range_violation`` states it.
     """
-    model = as_model(params)
     k1, k2 = model.n, model.m - model.n
     randint = rng.randint
     for _ in range(MAX_TRIES):
@@ -52,10 +51,8 @@ def sample_angles(rng: random.Random, params) -> Angles:
     raise RuntimeError(f"could not sample ample angles for {model}")
 
 
-def sample_surface(
-    rng: random.Random, n_max: int = 6, m_max: int = 6, m_min: int = 0
-) -> SurfaceModel:
-    return SurfaceModel(rng.randint(0, n_max), rng.randint(m_min, m_max))
+def sample_surface(rng: random.Random, n_max: int = 6, m_max: int = 6) -> SurfaceModel:
+    return SurfaceModel(rng.randint(0, n_max), rng.randint(0, m_max))
 
 
 def sample_case_input(rng: random.Random, case: str):

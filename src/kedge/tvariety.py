@@ -75,7 +75,6 @@ from .picard import (
     Angles,
     DivisorClass,
     SurfaceModel,
-    as_model,
 )
 from .ratmath import ONE, Rat, common_denominator, sign
 from .zariski import InconsistencyError
@@ -142,7 +141,7 @@ class DualData:
         return self.HS2 - 2 * _dot(psi, self.W)
 
 
-def legendre_dual(params, angles: Angles) -> DualData:
+def legendre_dual(model: SurfaceModel, angles: Angles) -> DualData:
     """Duals Psi_p(u) = min over slice vertices v of (u v - h_p(v)) of the
     support function h of -K_{S,Delta}, at x = (-beta1, 0, beta2), the ends
     of the moment interval cut out by the tail slopes of h_t and the one
@@ -156,7 +155,6 @@ def legendre_dual(params, angles: Angles) -> DualData:
     (1, 1), (2, 1) and (1, 2) once per SurfaceModel instance, and then
     holds for every angle pair.
     """
-    model = as_model(params)
     if "support function" not in model.certified:
         for frame in _CERTIFICATE_ANGLES:
             if _encoded_class(model, frame) != model.log_anticanonical(frame):
@@ -221,15 +219,15 @@ class DeltaReport:
         raise KeyError(name)
 
 
-def futaki_vanishes(params, angles: Angles) -> int:
+def futaki_vanishes(model: SurfaceModel, angles: Angles) -> int:
     """Sign of the angle bracket; 0 exactly when the barycenter vanishes.
 
     Computed on the torus side as -integral of u * deg Psi(u) du (no
     division, so no ampleness assumption is needed)."""
-    return -sign(legendre_dual(params, angles).FM)
+    return -sign(legendre_dual(model, angles).FM)
 
 
-def delta_tvariety(params, angles: Angles) -> DeltaReport:
+def delta_tvariety(model: SurfaceModel, angles: Angles) -> DeltaReport:
     """delta as the exact minimum over ray and vertex valuations.
 
     Ray terms: -h_t(n_rho) / (bc n_rho - h_t(n_rho)) for the two rays,
@@ -245,7 +243,6 @@ def delta_tvariety(params, angles: Angles) -> DeltaReport:
     and delta is the one Fraction formed.  No term divides A/S until it
     is read.
     """
-    model = as_model(params)
     model.ensure_ample(angles)
     return _delta_tvariety(model, angles)
 

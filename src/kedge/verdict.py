@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .picard import Angles, as_model
+from .picard import Angles
 from .ratmath import Rat, common_denominator, sign
 from .tvariety import DeltaReport, _delta_tvariety
 from .zariski import InconsistencyError
@@ -49,13 +49,13 @@ class Verdict:
         return self.witnesses[0] if self.witnesses else None
 
 
-def condition_sign(params, angles: Angles) -> int:
+def condition_sign(model, angles: Angles) -> int:
     """Sign of the angle bracket; 0 is the polystability condition.
 
     With L the common denominator of the angles and P_i = L beta_i,
     3 L^3 times the bracket is the integer
     3 P1^2 L - n P1^3 - 3 P2^2 L - (n - m) P2^3."""
-    return _bracket_sign(as_model(params), *common_denominator(angles.beta1, angles.beta2))
+    return _bracket_sign(model, *common_denominator(angles.beta1, angles.beta2))
 
 
 def _bracket_sign(model, L: int, p1: int, p2: int) -> int:
@@ -91,7 +91,7 @@ def _certify_polystable_branch(m: int, report: DeltaReport):
             _check(ratio > 1, "m>=3: vertical term {} must exceed 1", name)
 
 
-def k_polystable(params, angles: Angles) -> Verdict:
+def k_polystable(model, angles: Angles) -> Verdict:
     """The main decision: KPolystable iff the bracket vanishes and m != 1.
 
     Within the ample range the verdict always carries delta and its
@@ -100,7 +100,6 @@ def k_polystable(params, angles: Angles) -> Verdict:
     off the condition locus and for m = 1, the term patterns at
     condition points).
     """
-    model = as_model(params)
     reason = model.ample_range_violation(angles)
     if reason is not None:
         return Verdict(
@@ -145,7 +144,7 @@ def k_polystable(params, angles: Angles) -> Verdict:
     )
 
 
-def rational_condition_point(params, s):
+def rational_condition_point(model, s):
     """The exact condition point on the line through the node.
 
     The locus beta1^2 - (n/3) beta1^3 = beta2^2 + ((n - m)/3) beta2^3 is a
@@ -162,7 +161,6 @@ def rational_condition_point(params, s):
     n (s^3 + 1) = m), when a coordinate is not positive, or when the point
     is outside the ample range.
     """
-    model = as_model(params)
     n, m = model.n, model.m
     s = Rat(s)
     if m == 2 * n:

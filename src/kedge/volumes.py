@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .picard import Angles, CurveId, SurfaceModel, as_model
+from .picard import Angles, CurveId, SurfaceModel
 from .ratmath import ZERO, Rat, as_rat, common_denominator, isqrt_exact
 from .zariski import DecompositionError, InconsistencyError, NotPseudoeffective, grow_support
 
@@ -160,13 +160,12 @@ def _smallest_root_after(c0, c1, c2, s, L, x0, context: str):
     raise DecompositionError(f"no volume root beyond {x0} ({context})")
 
 
-def volume_sweep(E: CurveId, params, angles: Angles) -> tuple:
+def volume_sweep(E: CurveId, model: SurfaceModel, angles: Angles) -> tuple:
     """Chamber decomposition of x |-> vol(-K_Delta - x E).
 
     One QuadraticPiece per chamber, in order; the last ends at tau.  The
     support starts empty (-K_Delta is ample) and each wall grows it.
     """
-    model = as_model(params)
     model.ensure_ample(angles)
     candidates, table = model.candidate_curves(), model.candidate_table
     # Integers over L: r(x) = r0 + x r1 as L r0 and r1 by candidate index,
@@ -285,27 +284,25 @@ def _certify_curve(model: SurfaceModel, angles: Angles, curve: PiecewiseQuadrati
         raise DecompositionError("volume curve must be nonincreasing")
 
 
-def volume_curve(E: CurveId, params, angles: Angles) -> PiecewiseQuadratic:
+def volume_curve(E: CurveId, model: SurfaceModel, angles: Angles) -> PiecewiseQuadratic:
     """Exact piecewise-quadratic x |-> vol(-K_Delta - x E) on [0, tau]."""
-    model = as_model(params)
     curve = PiecewiseQuadratic(pieces=volume_sweep(E, model, angles))
     _certify_curve(model, angles, curve)
     return curve
 
 
-def expected_vanishing_order(E: CurveId, params, angles: Angles):
+def expected_vanishing_order(E: CurveId, model: SurfaceModel, angles: Angles):
     """S(E) = (1/vol(-K_Delta)) * integral_0^tau vol(-K_Delta - x E) dx."""
-    return volume_curve(E, params, angles).expected_vanishing_order()
+    return volume_curve(E, model, angles).expected_vanishing_order()
 
 
-def log_discrepancy(E: CurveId, params, angles: Angles):
+def log_discrepancy(E: CurveId, model: SurfaceModel, angles: Angles):
     """A(E) = 1 minus the boundary coefficient along E.
 
     beta1 for C1tilde, beta2 for C2tilde, 1 for curves not in the
     boundary.  PullbackC2 is only a prime divisor when m = 0 (it is then
     the second boundary curve itself).
     """
-    model = as_model(params)
     if E.kind == "C1tilde":
         return angles.beta1
     if E.kind == "C2tilde":

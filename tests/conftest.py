@@ -1,7 +1,7 @@
 """Shared fixtures: seeded generators, the surface and curve families, the
 ``rat`` constructor the tests spell their rationals with, and the rational
 references the tests check the integer code against: the LDL^T kernel, the
-angle sampler and the volume curve's last root."""
+signature, the angle sampler and the volume curve's last root."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import random
 import pytest
 
 from kedge.linalg import NotNegativeDefinite
-from kedge.picard import Angles, SurfaceModel, as_model
+from kedge.picard import Angles, SurfaceModel
 from kedge.ratmath import Rat, isqrt_exact
 from kedge.sampling import MAX_DENOMINATOR, MAX_TRIES, MAX_VALUE
 from kedge.volumes import IrrationalThreshold
@@ -98,6 +98,51 @@ def reference_solve(factor, rhs) -> list:
     return x
 
 
+def signature(matrix) -> tuple[int, int, int]:
+    """Signature (positive, negative, zero) of a symmetric matrix.
+
+    Exact congruence diagonalization: pick a nonzero diagonal pivot, or
+    manufacture one from a nonzero off-diagonal pair by a row+column
+    addition, then clear the pivot's row and column symmetrically.
+    """
+    k = len(matrix)
+    a = [[Rat(x) for x in row] for row in matrix]
+    pos = neg = zero = 0
+    rows = list(range(k))
+    while rows:
+        p = next((r for r in rows if a[r][r] != 0), None)
+        if p is None:
+            off = next(
+                ((r, c) for r in rows for c in rows if c != r and a[r][c] != 0), None
+            )
+            if off is None:
+                zero += len(rows)
+                break
+            r0, c0 = off
+            # congruence by "row r0 += row c0" creates 2*a[r0][c0] on the diagonal
+            for c in range(k):
+                a[r0][c] = a[r0][c] + a[c0][c]
+            for r in range(k):
+                a[r][r0] = a[r][r0] + a[r][c0]
+            p = r0
+        d = a[p][p]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        rows.remove(p)
+        inv = Rat(1) / d
+        for r in rows:
+            factor = a[r][p] * inv
+            if factor == 0:
+                continue
+            for c in range(k):
+                a[r][c] = a[r][c] - factor * a[p][c]
+            for rr in range(k):
+                a[rr][r] = a[rr][r] - factor * a[rr][p]
+    return pos, neg, zero
+
+
 def reference_sample_rational(rng: random.Random) -> Rat:
     """A positive rational with denominator <= 64, value <= MAX_VALUE."""
     den = rng.randint(1, MAX_DENOMINATOR)
@@ -105,11 +150,10 @@ def reference_sample_rational(rng: random.Random) -> Rat:
     return Rat(num, den)
 
 
-def reference_sample_angles(rng: random.Random, params) -> Angles:
+def reference_sample_angles(rng: random.Random, model: SurfaceModel) -> Angles:
     """The rational rejection sampler that ``sampling.sample_angles``
     replaced: it builds every drawn pair and asks the model why it is not
     ample."""
-    model = as_model(params)
     for _ in range(MAX_TRIES):
         angles = Angles(reference_sample_rational(rng), reference_sample_rational(rng))
         if model.ample_range_violation(angles) is None:

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from kedge.picard import Angles, as_model
+from kedge.picard import Angles, SurfaceModel
 from kedge.ratmath import sign
 from kedge.sampling import sample_angles, sample_divisor_class, sample_surface
 from kedge.tvariety import futaki_vanishes
@@ -185,13 +185,13 @@ def test_criterion_5_halving(capsys):
 
 def test_criterion_6_named_verdicts(capsys):
     expectations = [
-        ((0, 2), Angles(rat(1, 2), rat(1, 2)),
+        (SurfaceModel(0, 2), Angles(rat(1, 2), rat(1, 2)),
          NOT_KPOLYSTABLE, rat(21, 23), "C2tilde"),
-        ((0, 2), Angles(rat(63, 128), rat(21, 32)),
+        (SurfaceModel(0, 2), Angles(rat(63, 128), rat(21, 32)),
          KPOLYSTABLE, rat(1), "C1tilde"),
-        ((0, 1), Angles(rat(144, 125), rat(48, 25)),
+        (SurfaceModel(0, 1), Angles(rat(144, 125), rat(48, 25)),
          NOT_KPOLYSTABLE, rat(175, 202), "E1"),
-        ((0, 2), Angles(rat(63, 128) + rat(1, 1000), rat(21, 32)),
+        (SurfaceModel(0, 2), Angles(rat(63, 128) + rat(1, 1000), rat(21, 32)),
          NOT_KPOLYSTABLE, rat(627718875, 628223387), "C2tilde"),
     ]
     failures = []
@@ -232,14 +232,13 @@ def test_criterion_7_delta_bounded_by_one(capsys):
 def test_criterion_8_negative_definite_families(capsys):
     failures = []
     for number, curves, constraint, violations in negative_definite_families():
-        for params in small_surfaces(4, 4):
-            if params.m < 1 or not constraint(params.n, params.m):
+        for model in small_surfaces(4, 4):
+            if model.m < 1 or not constraint(model.n, model.m):
                 continue
-            model = as_model(params)
-            if not is_negative_definite(model, curves(params.n, params.m)):
-                failures.append((number, params.n, params.m, "expected definite"))
+            if not is_negative_definite(model, curves(model.n, model.m)):
+                failures.append((number, model.n, model.m, "expected definite"))
         for n, m in violations:
-            model = as_model((n, m))
+            model = SurfaceModel(n, m)
             if is_negative_definite(model, curves(n, m)):
                 failures.append((number, n, m, "expected violation"))
     ok = not failures
@@ -259,18 +258,19 @@ def test_criterion_9_m0_condition_locus(capsys):
               ((1, 3), (1, 2), (3, 4), (9, 10), (10, 9), (9, 7), (8, 5), (5, 3))]
     for n in (0, 1, 2):
         for m in (0, 1, 2, 3):
+            model = SurfaceModel(n, m)
             found = 0
             for s in slopes:
                 try:
-                    angles = rational_condition_point((n, m), s)
+                    angles = rational_condition_point(model, s)
                 except NotFound:
                     continue
                 found += 1
-                if condition_sign((n, m), angles) != 0:
+                if condition_sign(model, angles) != 0:
                     failures.append((n, m, s, "constructed point missed"))
                 up =Angles(angles.beta1 + eps, angles.beta2)
                 down = Angles(angles.beta1 - eps, angles.beta2)
-                if condition_sign((n, m), up) != 1 or condition_sign((n, m), down) != -1:
+                if condition_sign(model, up) != 1 or condition_sign(model, down) != -1:
                     failures.append((n, m, s, "perturbation sign wrong"))
             if not found:
                 failures.append((n, m, "no condition point constructed"))
@@ -279,12 +279,12 @@ def test_criterion_9_m0_condition_locus(capsys):
             for k in range(1, 14):
                 for j in range(1, 18):
                     angles = Angles(rat(k, 7), rat(j, 9))
-                    cs = condition_sign((n, m), angles)
+                    cs = condition_sign(model, angles)
                     b1, b2 = angles.beta1, angles.beta2
                     locus = b1 * b1 - rat(n, 3) * b1**3 - b2 * b2 - rat(n - m, 3) * b2**3
                     if cs != sign(locus):
                         failures.append((n, m, k, j, "sign mismatch with locus equation"))
-                    if cs != futaki_vanishes((n, m), angles):
+                    if cs != futaki_vanishes(model, angles):
                         failures.append((n, m, k, j, "sign mismatch with Futaki route"))
     ok = not failures
     announce(

@@ -747,7 +747,7 @@ class TestScanContent:
 
         _, out, _ = run_cli(capsys, SCAN_ARGS)
         row = out.splitlines()[1].split(",")
-        v = k_polystable((1, 0), Angles(rat(1, 2), rat(1, 4)))
+        v = k_polystable(SurfaceModel(1, 0), Angles(rat(1, 2), rat(1, 4)))
         assert row[2] == str(v.condition_sign)
         assert row[3] == "5/7" and v.delta == rat(5, 7)
         assert row[4] == v.status

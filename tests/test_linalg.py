@@ -4,7 +4,7 @@ against the rational LDL^T reference, and the signature."""
 import math
 
 import pytest
-from conftest import rat, reference_factorize, reference_solve
+from conftest import rat, reference_factorize, reference_solve, signature
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,7 +13,6 @@ from kedge.linalg import (
     border,
     factorize,
     is_negative_definite_matrix,
-    signature,
     solve_factored,
 )
 from kedge.ratmath import Rat

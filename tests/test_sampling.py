@@ -6,7 +6,7 @@ import pytest
 from conftest import reference_sample_angles, reference_sample_rational
 
 from kedge.closedforms import classify_exceptional_case
-from kedge.picard import DivisorClass, SurfaceModel, as_model
+from kedge.picard import DivisorClass, SurfaceModel
 from kedge.sampling import (
     LEMMA_CASES,
     MAX_DENOMINATOR,
@@ -30,9 +30,10 @@ def test_angles_match_the_rational_reference(n):
     # The integer sampler makes the same randint calls in the same order
     # and accepts the same pairs as the rational rejection loop.
     for m in range(7):
+        model = SurfaceModel(n, m)
         for seed in range(20):
             drawn, reference = random.Random(seed), random.Random(seed)
-            assert sample_angles(drawn, (n, m)) == reference_sample_angles(reference, (n, m))
+            assert sample_angles(drawn, model) == reference_sample_angles(reference, model)
             assert drawn.getstate() == reference.getstate()
 
 
@@ -58,10 +59,10 @@ def test_angles_are_ample(rng):
 def test_surface_ranges(rng):
     seen = set()
     for _ in range(100):
-        params = sample_surface(rng, n_max=3, m_max=2, m_min=1)
+        params = sample_surface(rng, n_max=3, m_max=2)
         assert type(params) is SurfaceModel
         assert 0 <= params.n <= 3
-        assert 1 <= params.m <= 2
+        assert 0 <= params.m <= 2
         seen.add((params.n, params.m))
     assert len(seen) > 4  # actually explores the grid
 
@@ -80,7 +81,7 @@ def test_case_inputs_match_their_case(rng):
 
 
 def test_divisor_class_shape(rng):
-    model = as_model((2, 3))
+    model = SurfaceModel(2, 3)
     for _ in range(50):
         d = sample_divisor_class(rng, model)
         assert isinstance(d, DivisorClass)

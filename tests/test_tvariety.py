@@ -20,7 +20,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import kedge.tvariety
-from kedge.picard import Angles, DivisorClass, SurfaceModel, SurfaceParams, as_model
+from kedge.picard import Angles, DivisorClass, SurfaceModel, SurfaceParams
 from kedge.ratmath import ONE, ZERO, Rat, sign
 from kedge.sampling import sample_angles, sample_surface
 from kedge.tvariety import delta_tvariety, futaki_vanishes, legendre_dual
@@ -257,7 +257,7 @@ class TestPLFunction:
     def test_hat_weights(self):
         # deg Psi = (2, 2, 1) at x = (-1/2, 0, 1/2): w_0 = (1/12)(4 + 2),
         # w_1 = (1/12)(2 + 4) + (1/12)(4 + 1), w_2 = (1/12)(2 + 2).
-        d = rat_dual((0, 2), Angles(HALF, HALF))
+        d = rat_dual(SurfaceModel(0, 2), Angles(HALF, HALF))
         assert d.deg_psi == (2, 2, 1)
         assert d.weights == (HALF, rat(11, 12), rat(1, 3))
         deg = simpson(lambda u: interpolate(d.x, d.deg_psi, u), list(d.x))
@@ -311,12 +311,12 @@ class TestStructure:
     def test_divisor_class_round_trip(self):
         for n, m in [(0, 0), (0, 2), (1, 1), (3, 2)]:
             angles = Angles(rat(1, 3), rat(1, 4))
-            model = as_model((n, m))
+            model = SurfaceModel(n, m)
             assert kedge.tvariety._encoded_class(model, angles) == model.log_anticanonical(angles)
 
     def test_dual_values(self):
         angles = Angles(HALF, rat(1, 3))
-        d = rat_dual((2, 3), angles)
+        d = rat_dual(SurfaceModel(2, 3), angles)
         assert d.x == (-HALF, 0, rat(1, 3))
         # Psi_p0(u) = n u + 2; Psi_marked(u) = min(0, -u); Psi_generic = 0.
         assert d.psi_p0 == (1, 2, rat(8, 3))
@@ -324,7 +324,7 @@ class TestStructure:
         assert d.psi_generic == (0, 0, 0)
         assert d.deg_psi == (1, 2, rat(5, 3))
         # Without marked points deg Psi is Psi_p0.
-        d0 = rat_dual((2, 0), angles)
+        d0 = rat_dual(SurfaceModel(2, 0), angles)
         assert d0.deg_psi == d0.psi_p0
 
     @given(ample_points())
@@ -356,15 +356,15 @@ class TestStructure:
             left, right = slopes(d)
             assert left >= right  # concave
             assert min(d.deg_psi) > 0
-        boundary = rat_dual((2, 0), Angles(rat(1), rat(1, 2)))
+        boundary = rat_dual(SurfaceModel(2, 0), Angles(rat(1), rat(1, 2)))
         assert min(boundary.deg_psi) == 0
-        outside = rat_dual((2, 0), Angles(rat(3, 2), rat(1, 2)))
+        outside = rat_dual(SurfaceModel(2, 0), Angles(rat(3, 2), rat(1, 2)))
         assert min(outside.deg_psi) < 0
 
 
 class TestMoments:
     def test_pinned_values(self):
-        d = rat_dual((0, 2), Angles(HALF, HALF))
+        d = rat_dual(SurfaceModel(0, 2), Angles(HALF, HALF))
         assert d.vol == rat(7, 4)
         assert barycenter(d) == rat(-1, 21)
         assert bc_p(d, d.psi_p0) == rat(-23, 21)
@@ -411,7 +411,8 @@ class TestIntegerRoute:
     @example((SurfaceModel(0, 0), Angles(rat(3, 4), rat(3, 4))))  # every term 1
     @example((SurfaceModel(0, 2), Angles(rat(63, 128), rat(21, 32))))  # condition point
     @example((SurfaceModel(0, 1), Angles(rat(144, 125), rat(48, 25))))  # m = 1 locus
-    @example((SurfaceModel(0, 3), rational_condition_point((0, 3), rat(3, 4))))  # m >= 3
+    @example((SurfaceModel(0, 3),
+              rational_condition_point(SurfaceModel(0, 3), rat(3, 4))))  # m >= 3
     @example((SurfaceModel(1, 3), Angles(rat(15, 23), rat(45, 46))))  # n > 0, m >= 3
     @example((SurfaceModel(1, 2), Angles(HALF, HALF)))  # m = 2n: the diagonal
     def test_matches_fraction_reference(self, surface):
@@ -432,7 +433,7 @@ class TestIntegerRoute:
     def test_integers_over_the_common_denominator(self):
         # beta = (1/2, 1/3): L = 6, X = (-3, 0, 2); at n = 2, m = 3 the
         # scaled duals are L (n u + 2) and L min(0, -u).
-        d = legendre_dual((2, 3), Angles(HALF, rat(1, 3)))
+        d = legendre_dual(SurfaceModel(2, 3), Angles(HALF, rat(1, 3)))
         assert (d.L, d.X) == (6, (-3, 0, 2))
         assert (d.PSI_P0, d.PSI_MARKED, d.PSI_GENERIC) == ((6, 12, 16), (0, 0, -2), (0, 0, 0))
         assert d.G == (6, 12, 10)
@@ -453,12 +454,12 @@ class TestCertificate:
 
         monkeypatch.setattr(SurfaceModel, "log_anticanonical", offset)
         with pytest.raises(InconsistencyError, match="does not encode"):
-            legendre_dual(as_model((n, m)), Angles(HALF, rat(1, 3)))
+            legendre_dual(SurfaceModel(n, m), Angles(HALF, rat(1, 3)))
 
 
 class TestDelta:
     def test_generic_point_report(self):
-        report = delta_tvariety((0, 2), Angles(HALF, HALF))
+        report = delta_tvariety(SurfaceModel(0, 2), Angles(HALF, HALF))
         assert report.delta == rat(21, 23)
         assert report.witnesses == ("C2tilde",)
         assert [t.name for t in report.terms] == [
@@ -472,31 +473,31 @@ class TestDelta:
         with pytest.raises(KeyError):
             report.term("E3")
 
-    def test_former_surface_name_gives_the_tuple_terms(self):
+    def test_former_surface_name_gives_the_model_terms(self):
         # A surface built by the former name SurfaceParams, as the benchmark's
-        # checks build it, answers every term as the (n, m) tuple does.
+        # checks build it, answers every term as SurfaceModel(2, 3) does.
         angles = Angles(HALF, rat(1, 3))
         by_name = delta_tvariety(SurfaceParams(2, 3), angles)
-        by_tuple = delta_tvariety((2, 3), angles)
+        by_model = delta_tvariety(SurfaceModel(2, 3), angles)
         for label in ("C1tilde", "C2tilde", "E1", "F3tilde", "FiberP0", "GenericFiber"):
-            name_term, tuple_term = by_name.term(label), by_tuple.term(label)
-            assert (name_term.A, name_term.S) == (tuple_term.A, tuple_term.S)
+            name_term, model_term = by_name.term(label), by_model.term(label)
+            assert (name_term.A, name_term.S) == (model_term.A, model_term.S)
 
     def test_condition_point_all_curve_terms_attain(self):
-        report = delta_tvariety((0, 2), Angles(rat(63, 128), rat(21, 32)))
+        report = delta_tvariety(SurfaceModel(0, 2), Angles(rat(63, 128), rat(21, 32)))
         assert report.delta == 1
         assert report.witnesses == (
             "C1tilde", "C2tilde", "E1", "E2", "F1tilde", "F2tilde",
         )
 
     def test_single_point_condition_still_unstable(self):
-        report = delta_tvariety((0, 1), Angles(rat(144, 125), rat(48, 25)))
+        report = delta_tvariety(SurfaceModel(0, 1), Angles(rat(144, 125), rat(48, 25)))
         assert report.delta == rat(175, 202)
         # Both the exceptional curve and its fiber transform attain delta.
         assert report.witnesses == ("E1", "F1tilde")
 
     def test_toric_case_all_terms_one(self):
-        report = delta_tvariety((0, 0), Angles(rat(3, 4), rat(3, 4)))
+        report = delta_tvariety(SurfaceModel(0, 0), Angles(rat(3, 4), rat(3, 4)))
         assert report.delta == 1
         assert report.witnesses == (
             "C1tilde", "C2tilde", "FiberP0", "GenericFiber",
@@ -512,11 +513,11 @@ class TestDelta:
             lambda model, angles: dataclasses.replace(original(model, angles), VOL=0),
         )
         with pytest.raises(InconsistencyError, match="vol is not positive"):
-            delta_tvariety((0, 2), Angles(HALF, HALF))
+            delta_tvariety(SurfaceModel(0, 2), Angles(HALF, HALF))
 
     def test_futaki_sign(self):
-        assert futaki_vanishes((0, 2), Angles(HALF, HALF)) == 1
-        assert futaki_vanishes((0, 2), Angles(rat(63, 128), rat(21, 32))) == 0
-        assert futaki_vanishes((0, 2), Angles(rat(1, 4), HALF)) == -1
+        assert futaki_vanishes(SurfaceModel(0, 2), Angles(HALF, HALF)) == 1
+        assert futaki_vanishes(SurfaceModel(0, 2), Angles(rat(63, 128), rat(21, 32))) == 0
+        assert futaki_vanishes(SurfaceModel(0, 2), Angles(rat(1, 4), HALF)) == -1
         # No ampleness precondition: signs are defined on all positive angles.
-        assert futaki_vanishes((2, 0), Angles(rat(3, 2), rat(1, 2))) in (-1, 0, 1)
+        assert futaki_vanishes(SurfaceModel(2, 0), Angles(rat(3, 2), rat(1, 2))) in (-1, 0, 1)

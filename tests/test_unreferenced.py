@@ -20,7 +20,6 @@ ALLOWED = {
     "tvariety.futaki_vanishes",
     "verdict.rational_condition_point",
     "zariski.volume",
-    "linalg.signature",
     "ratmath.RAT_BACKEND",
     "picard.SurfaceParams",
 }

@@ -17,7 +17,6 @@ from kedge.picard import (
     FiTilde,
     GENERIC_FIBER,
     SurfaceModel,
-    as_model,
 )
 from kedge.ratmath import sign
 from kedge.sampling import sample_angles, sample_surface
@@ -46,11 +45,11 @@ class TestConditionSign:
     @pytest.mark.parametrize(
         "params, angles, expected",
         [
-            ((0, 2), Angles(HALF, HALF), 1),
-            ((0, 2), CONDITION_M2, 0),
-            ((0, 2), Angles(rat(1, 4), HALF), -1),
-            ((0, 1), Angles(rat(144, 125), rat(48, 25)), 0),
-            ((2, 0), Angles(rat(9, 14), rat(3, 7)), 0),
+            (SurfaceModel(0, 2), Angles(HALF, HALF), 1),
+            (SurfaceModel(0, 2), CONDITION_M2, 0),
+            (SurfaceModel(0, 2), Angles(rat(1, 4), HALF), -1),
+            (SurfaceModel(0, 1), Angles(rat(144, 125), rat(48, 25)), 0),
+            (SurfaceModel(2, 0), Angles(rat(9, 14), rat(3, 7)), 0),
         ],
     )
     def test_values(self, params, angles, expected):
@@ -64,17 +63,15 @@ class TestConditionSign:
     def test_integer_bracket_matches_rational_bracket(self, n, m, beta1, beta2):
         # On any positive angles, ample or not.
         bracket = (beta1**2 - rat(n, 3) * beta1**3) - (beta2**2 + rat(n - m, 3) * beta2**3)
-        assert condition_sign((n, m), Angles(beta1, beta2)) == sign(bracket)
+        assert condition_sign(SurfaceModel(n, m), Angles(beta1, beta2)) == sign(bracket)
 
     def test_equivalent_characterizations(self, rng):
         # One locus, four detectors: the bracket sign, the torus-side
         # Futaki sign, and the section expected orders against their
         # angles must all tell the same story.
-        model = as_model((0, 2))
         for _ in range(25):
-            params = sample_surface(rng)
-            model = as_model(params)
-            angles = sample_angles(rng, params)
+            model = sample_surface(rng)
+            angles = sample_angles(rng, model)
             cs = condition_sign(model, angles)
             assert futaki_vanishes(model, angles) == cs
             assert delta_tvariety(model, angles).futaki_sign == cs
@@ -86,7 +83,7 @@ class TestConditionSign:
 
 class TestVerdicts:
     def test_condition_point_m2(self):
-        v = k_polystable((0, 2), CONDITION_M2)
+        v = k_polystable(SurfaceModel(0, 2), CONDITION_M2)
         assert v.status == KPOLYSTABLE
         assert v.condition_sign == 0
         assert v.delta == 1
@@ -96,7 +93,7 @@ class TestVerdicts:
         assert "m=2" in v.notes[0]
 
     def test_condition_point_m1_excluded(self):
-        v = k_polystable((0, 1), Angles(rat(144, 125), rat(48, 25)))
+        v = k_polystable(SurfaceModel(0, 1), Angles(rat(144, 125), rat(48, 25)))
         assert v.status == NOT_KPOLYSTABLE
         assert v.condition_sign == 0
         assert v.delta == rat(175, 202)
@@ -104,14 +101,14 @@ class TestVerdicts:
         assert "m=1 exclusion" in v.notes[0]
 
     def test_generic_point(self):
-        v = k_polystable((0, 2), Angles(HALF, HALF))
+        v = k_polystable(SurfaceModel(0, 2), Angles(HALF, HALF))
         assert v.status == NOT_KPOLYSTABLE
         assert v.condition_sign == 1
         assert v.delta == rat(21, 23)
         assert v.witness == "C2tilde"
 
     def test_perturbed_condition_point(self):
-        v = k_polystable((0, 2), Angles(rat(63, 128) + rat(1, 1000), rat(21, 32)))
+        v = k_polystable(SurfaceModel(0, 2), Angles(rat(63, 128) + rat(1, 1000), rat(21, 32)))
         assert v.status == NOT_KPOLYSTABLE
         assert v.condition_sign == 1
         assert v.delta == rat(627718875, 628223387)
@@ -120,7 +117,7 @@ class TestVerdicts:
     def test_outside_ample_range(self):
         # A condition point sitting exactly on the ample boundary: the
         # sign is still reported, delta is not.
-        v = k_polystable((2, 0), Angles(rat(1), HALF))
+        v = k_polystable(SurfaceModel(2, 0), Angles(rat(1), HALF))
         assert v.status == OUTSIDE_AMPLE_RANGE
         assert v.condition_sign == 0
         assert v.delta is None
@@ -129,14 +126,15 @@ class TestVerdicts:
         assert v.notes
 
     def test_toric_condition_point(self):
-        v = k_polystable((2, 0), Angles(rat(9, 14), rat(3, 7)))
+        v = k_polystable(SurfaceModel(2, 0), Angles(rat(9, 14), rat(3, 7)))
         assert v.status == KPOLYSTABLE
         assert v.delta == 1
         assert v.witnesses == ("C1tilde", "C2tilde", "FiberP0", "GenericFiber")
 
     def test_many_points_condition_locus(self):
-        angles = rational_condition_point((0, 3), rat(3, 4))
-        v = k_polystable((0, 3), angles)
+        model = SurfaceModel(0, 3)
+        angles = rational_condition_point(model, rat(3, 4))
+        v = k_polystable(model, angles)
         assert v.status == KPOLYSTABLE
         assert v.delta == 1
         assert v.witnesses == ("C1tilde", "C2tilde")
@@ -155,7 +153,8 @@ class TestVerdicts:
 class TestTorusWork:
     @pytest.mark.parametrize(
         "params, angles",
-        [((0, 2), Angles(HALF, HALF)), ((2, 0), Angles(rat(9, 14), rat(3, 7)))],
+        [(SurfaceModel(0, 2), Angles(HALF, HALF)),
+         (SurfaceModel(2, 0), Angles(rat(9, 14), rat(3, 7)))],
     )
     def test_one_torus_pass_per_verdict(self, monkeypatch, params, angles):
         # Deterministic work: a second dual or a second ample check fails
@@ -177,14 +176,13 @@ class TestTorusWork:
 
             monkeypatch.setattr(owner, name, counting)
 
-        model = as_model(params)
-        k_polystable(model, angles)
+        k_polystable(params, angles)
         assert calls == {
             "legendre_dual": 1, "_encoded_class": 3, "log_anticanonical": 3,
             "ample_range_violation": 1,
         }
         calls.clear()
-        verdict = k_polystable(model, angles)
+        verdict = k_polystable(params, angles)
         assert calls == {"legendre_dual": 1, "ample_range_violation": 1}
         # A/S is divided only for a term that is read.  Off the condition
         # locus nothing reads the terms; at the (2, 0) condition point the
@@ -201,58 +199,62 @@ class TestTorusWork:
 class TestM0Locus:
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_parametrized_locus(self, n):
+        model = SurfaceModel(n, 0)
         for t in [rat(3, 5), rat(2, 3), rat(7, 8)]:
-            angles = rational_condition_point((n, 0), 1 / t)
-            assert condition_sign((n, 0), angles) == 0
-            v = k_polystable((n, 0), angles)
+            angles = rational_condition_point(model, 1 / t)
+            assert condition_sign(model, angles) == 0
+            v = k_polystable(model, angles)
             assert v.status == KPOLYSTABLE
             assert v.delta == 1
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_boundary_of_ample_range(self, n):
         # The slope-2 point of the m = 0 locus, which the function refuses.
-        angles = Angles(rat(2, n), rat(1, n))
+        model, angles = SurfaceModel(n, 0), Angles(rat(2, n), rat(1, n))
         with pytest.raises(NotFound, match="outside the ample range"):
-            rational_condition_point((n, 0), 2)
-        v = k_polystable((n, 0), angles)
+            rational_condition_point(model, 2)
+        v = k_polystable(model, angles)
         assert v.status == OUTSIDE_AMPLE_RANGE
         assert v.condition_sign == 0
 
 
 class TestConditionPoints:
     def test_rational_parametrization_m2(self):
-        assert rational_condition_point((0, 2), rat(3, 4)) == CONDITION_M2
+        assert rational_condition_point(SurfaceModel(0, 2), rat(3, 4)) == CONDITION_M2
 
     def test_rational_parametrization_m1(self):
-        angles = rational_condition_point((0, 1), rat(3, 5))
+        angles = rational_condition_point(SurfaceModel(0, 1), rat(3, 5))
         assert angles == Angles(rat(144, 125), rat(48, 25))
 
     def test_diagonal_for_toric_surface(self):
-        assert rational_condition_point((0, 0), HALF) == Angles(HALF, HALF)
+        assert rational_condition_point(SurfaceModel(0, 0), HALF) == Angles(HALF, HALF)
         with pytest.raises(NotFound):
-            rational_condition_point((0, 0), rat(0))
+            rational_condition_point(SurfaceModel(0, 0), rat(0))
 
     @pytest.mark.parametrize("s", [rat(0), rat(1), rat(5, 4)])
     def test_out_of_range_parameter(self, s):
         with pytest.raises(NotFound):
-            rational_condition_point((0, 2), s)
+            rational_condition_point(SurfaceModel(0, 2), s)
 
     def test_bracket_for_ruled_surface(self):
         # Exact zeros of the angle bracket at n > 0.
-        assert rational_condition_point((2, 0), rat(3, 2)) == Angles(rat(9, 14), rat(3, 7))
-        assert rational_condition_point((1, 3), rat(2, 3)) == Angles(rat(15, 23), rat(45, 46))
+        assert rational_condition_point(SurfaceModel(2, 0), rat(3, 2)) == Angles(
+            rat(9, 14), rat(3, 7))
+        assert rational_condition_point(SurfaceModel(1, 3), rat(2, 3)) == Angles(
+            rat(15, 23), rat(45, 46))
 
     def test_diagonal_when_m_is_2n(self):
         # The cubic splits as the diagonal times a conic with no ample point.
-        assert rational_condition_point((1, 2), HALF) == Angles(HALF, HALF)
+        assert rational_condition_point(SurfaceModel(1, 2), HALF) == Angles(HALF, HALF)
 
     def test_no_root_cases(self):
         for params, s, reason in [
-            ((0, 2), rat(1), "only at the node"),
-            ((1, 9), rat(2), "only at the node"),  # n (s^3 + 1) = m
-            ((2, 1), HALF, r"\(-9/10, -9/5\) is not positive"),
-            ((1, 0), rat(2), "outside the ample range"),  # beta1 = 2/n
-            ((1, 2), rat(2), "outside the ample range"),  # off the diagonal's ample part
+            (SurfaceModel(0, 2), rat(1), "only at the node"),
+            (SurfaceModel(1, 9), rat(2), "only at the node"),  # n (s^3 + 1) = m
+            (SurfaceModel(2, 1), HALF, r"\(-9/10, -9/5\) is not positive"),
+            (SurfaceModel(1, 0), rat(2), "outside the ample range"),  # beta1 = 2/n
+            # off the diagonal's ample part
+            (SurfaceModel(1, 2), rat(2), "outside the ample range"),
         ]:
             with pytest.raises(NotFound, match=reason):
                 rational_condition_point(params, s)
@@ -265,26 +267,27 @@ class TestConditionPoints:
     @example(1, 3, rat(2, 3))
     @example(1, 2, HALF)  # the diagonal point (1/2, 1/2)
     def test_points_on_the_locus(self, n, m, s):
+        model = SurfaceModel(n, m)
         try:
-            angles = rational_condition_point((n, m), s)
+            angles = rational_condition_point(model, s)
         except NotFound:
             reject()
         b1, b2 = angles.beta1, angles.beta2
         assert b1 * b1 - rat(n, 3) * b1**3 == b2 * b2 + rat(n - m, 3) * b2**3
-        v = k_polystable((n, m), angles)
+        v = k_polystable(model, angles)
         if m == 1:
             assert v.status == NOT_KPOLYSTABLE and v.delta < 1
         else:
             assert v.status == KPOLYSTABLE and v.delta == 1
         curves = [C1TILDE, C2TILDE, GENERIC_FIBER] + ([Ei(1), FiTilde(1)] if m else [])
         for curve in curves:
-            assert v.report.term(curve.label).S == expected_vanishing_order(curve, (n, m), angles)
+            assert v.report.term(curve.label).S == expected_vanishing_order(curve, model, angles)
 
 
 class TestCertification:
     def test_tampered_term_is_caught(self):
         # The E orbit's S doubled: E1 and E2 read A/S = 1/2, not 1.
-        report = delta_tvariety((0, 2), CONDITION_M2)
+        report = delta_tvariety(SurfaceModel(0, 2), CONDITION_M2)
         orbits = tuple(
             (names, A, 2 * s if names[0] == "E1" else s) for names, A, s in report.orbits
         )
@@ -293,19 +296,19 @@ class TestCertification:
             _certify_polystable_branch(2, tampered)
 
     def test_tampered_delta_is_caught(self):
-        report = delta_tvariety((0, 2), CONDITION_M2)
+        report = delta_tvariety(SurfaceModel(0, 2), CONDITION_M2)
         tampered = dataclasses.replace(report, delta=rat(9, 10))
         with pytest.raises(InconsistencyError, match="got 9/10"):
             _certify_polystable_branch(2, tampered)
 
     def test_flipped_futaki_sign_is_caught(self, monkeypatch):
-        angles = Angles(HALF, HALF)
-        report = delta_tvariety((0, 2), angles)
-        assert report.futaki_sign == condition_sign((0, 2), angles) == 1
+        model, angles = SurfaceModel(0, 2), Angles(HALF, HALF)
+        report = delta_tvariety(model, angles)
+        assert report.futaki_sign == condition_sign(model, angles) == 1
         flipped = dataclasses.replace(report, futaki_sign=-1)
         monkeypatch.setattr("kedge.verdict._delta_tvariety", lambda model, angles: flipped)
         with pytest.raises(InconsistencyError, match="Futaki"):
-            k_polystable((0, 2), angles)
+            k_polystable(model, angles)
 
     def test_message_is_formatted_only_on_failure(self):
         class Unprintable:

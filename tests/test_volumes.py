@@ -25,7 +25,6 @@ from kedge.picard import (
     OutsideAmpleRange,
     PULLBACK_C2,
     SurfaceModel,
-    as_model,
 )
 from kedge.linalg import border
 from kedge.ratmath import Rat, common_denominator
@@ -159,7 +158,7 @@ def sweep_inputs(draw):
     half have denominators up to 10^6: drawn apart, consecutive (so
     coprime), equal, or with a common factor."""
     n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
-    model = as_model((n, m))
+    model = SurfaceModel(n, m)
     if draw(st.booleans()):
         angle = st.builds(Rat, st.integers(1, 24), st.integers(1, 12))
         angles = draw(st.builds(Angles, angle, angle).filter(
@@ -236,10 +235,9 @@ class TestInvariants:
     @pytest.mark.parametrize("case", LEMMA_CASES)
     def test_piecewise_structure(self, rng, case):
         for _ in range(8):
-            params, angles, index = sample_case_input(rng, case)
+            model, angles, index = sample_case_input(rng, case)
             curve = {"C1tilde": C1TILDE, "C2tilde": C2TILDE}.get(case) or Ei(index)
-            pq = volume_curve(curve, params, angles)
-            model = as_model(params)
+            pq = volume_curve(curve, model, angles)
             vol = model.self_intersection(model.log_anticanonical(angles))
             assert pq.x_lo == 0
             assert pq.value(rat(0)) == vol
@@ -275,7 +273,7 @@ class TestInvariants:
                 )
         # The fiber components have a closed-form S (but no closed-form curve).
         for _ in range(10):
-            params = sample_surface(rng, m_min=1)
+            params = SurfaceModel(rng.randint(0, 6), rng.randint(1, 6))
             angles = sample_angles(rng, params)
             curve = FiTilde(rng.randint(1, params.m))
             assert expected_vanishing_order(curve, params, angles) == closed_form_S(
@@ -297,13 +295,13 @@ class TestInvariants:
                 if any(value is route for route in routes):
                     monkeypatch.setattr(module, name, refuse)
         with pytest.raises(AssertionError, match="reached the sweep"):
-            volume_curve(C1TILDE, (1, 1), Angles(HALF, HALF))
+            volume_curve(C1TILDE, SurfaceModel(1, 1), Angles(HALF, HALF))
         for case in LEMMA_CASES:
             params, angles, index = sample_case_input(rng, case)
             curve = {"C1tilde": C1TILDE, "C2tilde": C2TILDE}.get(case) or Ei(index)
             assert closed_form_volume_curve(curve, params, angles) is not None
             assert closed_form_S(curve, params, angles) is not None
-        params = sample_surface(rng, m_min=1)
+        params = SurfaceModel(rng.randint(0, 6), rng.randint(1, 6))
         angles = sample_angles(rng, params)
         assert closed_form_S(FiTilde(params.m), params, angles) is not None
 
@@ -319,13 +317,14 @@ class TestInvariants:
             assert s2 - angles.beta2 == gap
 
     def test_exceptional_case_classification(self):
-        assert classify_exceptional_case((3, 2), Angles(HALF, HALF)) == "E-n-ge-m"
-        assert classify_exceptional_case((2, 4), Angles(rat(3, 4), rat(1, 4))) == "E-c1-first"
-        assert classify_exceptional_case((1, 2), Angles(HALF, HALF)) == "E-c2-first"
-        assert classify_exceptional_case((0, 2), Angles(rat(1, 4), HALF)) == "E-n0"
-        assert classify_exceptional_case((0, 0), Angles(HALF, HALF)) is None
+        assert classify_exceptional_case(SurfaceModel(3, 2), Angles(HALF, HALF)) == "E-n-ge-m"
+        assert classify_exceptional_case(
+            SurfaceModel(2, 4), Angles(rat(3, 4), rat(1, 4))) == "E-c1-first"
+        assert classify_exceptional_case(SurfaceModel(1, 2), Angles(HALF, HALF)) == "E-c2-first"
+        assert classify_exceptional_case(SurfaceModel(0, 2), Angles(rat(1, 4), HALF)) == "E-n0"
+        assert classify_exceptional_case(SurfaceModel(0, 0), Angles(HALF, HALF)) is None
         # Outside the validity inequality of the only applicable regime.
-        assert classify_exceptional_case((0, 1), Angles(rat(3, 2), rat(3, 4))) is None
+        assert classify_exceptional_case(SurfaceModel(0, 1), Angles(rat(3, 2), rat(3, 4))) is None
 
 
 class TestSharedEngine:
@@ -333,9 +332,8 @@ class TestSharedEngine:
         # The sweep grows each chamber's support over jets at its left wall;
         # the rational decomposition at the chamber's midpoint must agree.
         for _ in range(60):
-            params = sample_surface(rng, n_max=4, m_max=4)
-            angles = sample_angles(rng, params)
-            model = as_model(params)
+            model = sample_surface(rng, n_max=4, m_max=4)
+            angles = sample_angles(rng, model)
             minus_k = model.log_anticanonical(angles)
             for curve in model.candidate_curves():
                 for piece in volume_curve(curve, model, angles).pieces:
@@ -381,7 +379,7 @@ class TestSharedEngine:
 
         monkeypatch.setattr("kedge.volumes.grow_support", guarded)
         monkeypatch.setattr("kedge.zariski.grow_support", guarded)
-        model = as_model((0, 2))
+        model = SurfaceModel(0, 2)
         angles = Angles(HALF, HALF)
         for curve in model.candidate_curves() + [GENERIC_FIBER]:
             rounds.clear()
@@ -401,10 +399,11 @@ class TestSharedEngine:
         "curve, params, angles, wall, reach",
         [
             # An S_6 orbit: every F~i falls to 0 at x = 1/2 with the same residuals.
-            (C1TILDE, (0, 6), Angles(HALF, rat(1, 4)), HALF, [FiTilde(i) for i in range(1, 7)]),
+            (C1TILDE, SurfaceModel(0, 6), Angles(HALF, rat(1, 4)), HALF,
+             [FiTilde(i) for i in range(1, 7)]),
             # Two curves, two scales: E2 at 2/1 and F~1 at 4/2, tied by
             # cross-multiplication.
-            (Ei(1), (0, 2), Angles(rat(2), HALF), rat(2), [Ei(2), FiTilde(1)]),
+            (Ei(1), SurfaceModel(0, 2), Angles(rat(2), HALF), rat(2), [Ei(2), FiTilde(1)]),
         ],
     )
     def test_curves_that_reach_one_wall_start_the_next_chamber(
@@ -418,16 +417,15 @@ class TestSharedEngine:
             return grown
 
         monkeypatch.setattr("kedge.volumes.grow_support", spy)
-        model = as_model(params)
-        pieces = volume_sweep(curve, model, angles)
+        pieces = volume_sweep(curve, params, angles)
         index = [p.x_lo for p in pieces].index(wall)
         (start, _), (_, support) = rounds[index], rounds[index - 1]
-        assert start == support + [model.candidate_curves().index(c) for c in reach]
+        assert start == support + [params.candidate_curves().index(c) for c in reach]
         assert set(reach) <= set(pieces[index].negative_support)
-        assert pieces == reference_volume_sweep(curve, model, angles)
+        assert pieces == reference_volume_sweep(curve, params, angles)
 
-    @pytest.mark.parametrize("params, angles", [((0, 2), Angles(HALF, HALF)),
-                                                ((1, 2), Angles(HALF, rat(2, 3)))])
+    @pytest.mark.parametrize("params, angles", [(SurfaceModel(0, 2), Angles(HALF, HALF)),
+                                                (SurfaceModel(1, 2), Angles(HALF, rat(2, 3)))])
     def test_intersect_count(self, monkeypatch, params, angles):
         # A candidate's sweep reads D(x)^2 and the slope column off the
         # pairings: the generic intersect runs once, in the certificate.
@@ -439,16 +437,15 @@ class TestSharedEngine:
             return intersect(self, d1, d2)
 
         monkeypatch.setattr(SurfaceModel, "intersect", counting)
-        model = as_model(params)
-        for curve in model.candidate_curves() + [GENERIC_FIBER]:
+        for curve in params.candidate_curves() + [GENERIC_FIBER]:
             calls.clear()
-            volume_curve(curve, model, angles)
+            volume_curve(curve, params, angles)
             assert len(calls) == (3 if curve == GENERIC_FIBER else 1)
 
     def test_certificate_checks_the_volume_at_zero(self):
         # The first piece's q0 is d0's closed form; the certificate compares
         # it with (-K_Delta)^2 from the generic intersect.
-        model, angles = as_model((0, 2)), Angles(HALF, HALF)
+        model, angles = SurfaceModel(0, 2), Angles(HALF, HALF)
         first, second = volume_curve(C1TILDE, model, angles).pieces
         broken = (replace(first, q0=first.q0 + 1), second)
         with pytest.raises(DecompositionError, match=r"must equal \(-K_Delta\)\^2"):
@@ -481,7 +478,7 @@ class TestSharedEngine:
     def test_certificate_refuses_a_broken_piece(self, first_changes, second_changes, message):
         # 7/2 - 4x on [0, 1/2], then 4 - 6x + 2x^2 on [1/2, 1]; each change
         # breaks one post-condition and keeps the ones checked before it.
-        model, angles = as_model((0, 2)), Angles(HALF, HALF)
+        model, angles = SurfaceModel(0, 2), Angles(HALF, HALF)
         first, second = volume_curve(C1TILDE, model, angles).pieces
         broken = (replace(first, **first_changes), replace(second, **second_changes))
         with pytest.raises(DecompositionError, match=message):
@@ -513,7 +510,7 @@ class TestClosedForms:
         monkeypatch.setattr("kedge.volumes.grow_support", spy)
         for n in range(7):
             for m in range(7):
-                model = as_model((n, m))
+                model = SurfaceModel(n, m)
                 angles = sample_angles(rng, model)
                 minus_k = model.log_anticanonical(angles)
                 curves = model.candidate_curves()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import negative_definite_families, rat
+from conftest import negative_definite_families, rat, signature
 from kedge.picard import (
     Angles,
     C1TILDE,
@@ -12,9 +12,7 @@ from kedge.picard import (
     FiTilde,
     GENERIC_FIBER,
     SurfaceModel,
-    as_model,
 )
-from kedge.linalg import signature
 from kedge.ratmath import Rat, common_denominator
 from kedge.sampling import sample_angles, sample_divisor_class, sample_surface
 from kedge.zariski import (
@@ -31,7 +29,7 @@ from kedge.zariski import (
 
 def shifted_anticanonical(n, m, beta1, beta2, curve, x):
     """-K_{Delta} - x * curve as a DivisorClass."""
-    model = as_model((n, m))
+    model = SurfaceModel(n, m)
     angles = Angles(rat(*beta1) if isinstance(beta1, tuple) else beta1,
                     rat(*beta2) if isinstance(beta2, tuple) else beta2)
     return model, model.log_anticanonical(angles) - model.class_of(curve).scale(x)
@@ -39,17 +37,17 @@ def shifted_anticanonical(n, m, beta1, beta2, curve, x):
 
 class TestNegativeDefinite:
     def test_fiber_transforms_are_minus_identity(self):
-        model = as_model((3, 4))
+        model = SurfaceModel(3, 4)
         curves = [FiTilde(i) for i in range(1, 5)]
         assert is_negative_definite(model, curves)
 
     def test_section_plus_fiber_degenerates_at_n1(self):
         # Gram [[-1, 1], [1, -1]] is singular, so not negative definite.
-        assert not is_negative_definite(as_model((1, 1)), [C1TILDE, FiTilde(1)])
-        assert is_negative_definite(as_model((2, 1)), [C1TILDE, FiTilde(1)])
+        assert not is_negative_definite(SurfaceModel(1, 1), [C1TILDE, FiTilde(1)])
+        assert is_negative_definite(SurfaceModel(2, 1), [C1TILDE, FiTilde(1)])
 
     def test_both_sections_and_fiber(self):
-        assert is_negative_definite(as_model((2, 3)), [C1TILDE, C2TILDE, FiTilde(1)])
+        assert is_negative_definite(SurfaceModel(2, 3), [C1TILDE, C2TILDE, FiTilde(1)])
 
     @pytest.mark.parametrize("family,builder,constraint,violations",
                              negative_definite_families())
@@ -60,11 +58,11 @@ class TestNegativeDefinite:
                 if not constraint(n, m):
                     continue
                 hits += 1
-                model = as_model((n, m))
+                model = SurfaceModel(n, m)
                 assert is_negative_definite(model, builder(n, m)), (family, n, m)
         assert hits > 0
         for n, m in violations:
-            model = as_model((n, m))
+            model = SurfaceModel(n, m)
             assert not is_negative_definite(model, builder(n, m)), (family, n, m)
 
     def test_order_free_on_shuffled_supports(self, rng):
@@ -72,7 +70,7 @@ class TestNegativeDefinite:
         # order the curves come in.
         for n in range(5):
             for m in range(5):
-                model = as_model((n, m))
+                model = SurfaceModel(n, m)
                 candidates = model.candidate_curves()
                 for _ in range(20):
                     curves = rng.sample(candidates, rng.randint(0, len(candidates)))
@@ -83,7 +81,7 @@ class TestNegativeDefinite:
 
 class TestDecompose:
     def test_nef_class_is_its_own_positive_part(self):
-        model = as_model((2, 2))
+        model = SurfaceModel(2, 2)
         d = model.log_anticanonical(Angles(rat(1, 2), rat(1, 2)))
         zd = zariski_decompose(model, d)
         assert zd.negative == ()
@@ -128,11 +126,11 @@ class TestDecompose:
             negative=((Ei(1), rat(1, 2)),),
         )
         assert zd.support == (Ei(1),)
-        model = as_model((0, 1))
+        model = SurfaceModel(0, 1)
         assert zd.negative_class(model) == DivisorClass(0, 0, (rat(-1, 2),))
 
     def test_not_pseudoeffective(self):
-        model = as_model((2, 1))
+        model = SurfaceModel(2, 1)
         minus_fiber = DivisorClass(0, -1, (0,))
         with pytest.raises(NotPseudoeffective):
             zariski_decompose(model, minus_fiber)
@@ -145,7 +143,7 @@ class TestDecompose:
 
     def test_fiber_minus_too_much_exceptional(self):
         # F - 2 E_1 = F1tilde - E_1 is not pseudoeffective.
-        model = as_model((2, 1))
+        model = SurfaceModel(2, 1)
         with pytest.raises(NotPseudoeffective):
             zariski_decompose(model, DivisorClass(0, 1, (2,)))
         with pytest.raises(NotPseudoeffective):
@@ -270,7 +268,7 @@ class TestPrunedOracle:
         outcomes = {"decomposed": 0, "not pseudoeffective": 0}
         for n in range(5):
             for m in range(4):
-                model = as_model((n, m))
+                model = SurfaceModel(n, m)
                 classes = [sample_divisor_class(rng, model) for _ in range(3)]
                 classes.append(DivisorClass(0, -1, (0,) * m))  # minus a fiber
                 for d in classes:
@@ -287,7 +285,7 @@ class TestPrunedOracle:
 
     @pytest.mark.parametrize("n, count", [(0, 161), (1, 180), (2, 198), (3, 180), (4, 161)])
     def test_negative_definite_support_counts_at_m4(self, n, count):
-        model = as_model((n, 4))
+        model = SurfaceModel(n, 4)
         supports = [s for s, _factor in negative_definite_supports(model)]
         assert len(supports) == count
         assert supports[0] == []
@@ -306,13 +304,13 @@ class TestPrunedOracle:
     ])
     def test_negative_definite_support_counts_at_m5_m6(self, m, counts):
         for n, count in enumerate(counts):
-            supports = [tuple(s) for s, _factor in negative_definite_supports(as_model((n, m)))]
+            supports = [tuple(s) for s, _factor in negative_definite_supports(SurfaceModel(n, m))]
             assert len(set(supports)) == len(supports) == count, (n, m)
 
     @pytest.mark.parametrize("m", [5, 6])
     def test_oracle_agrees_with_growth_at_m5_m6(self, rng, m):
         for n in range(m + 1):
-            model = as_model((n, m))
+            model = SurfaceModel(n, m)
             for _ in range(2):
                 d = sample_divisor_class(rng, model)
                 try:
@@ -328,7 +326,7 @@ class TestPrunedOracle:
 
 class TestVolume:
     def test_anticanonical_volume(self):
-        model = as_model((0, 2))
+        model = SurfaceModel(0, 2)
         d = model.log_anticanonical(Angles(rat(1, 2), rat(1, 2)))
         assert volume(model, d) == rat(7, 2)
 
@@ -343,9 +341,8 @@ class TestVolume:
 
     def test_monotone_under_effective_additions(self, rng):
         for _ in range(40):
-            params = sample_surface(rng, n_max=3, m_max=3)
-            model = as_model(params)
-            d = model.log_anticanonical(sample_angles(rng, params))
+            model = sample_surface(rng, n_max=3, m_max=3)
+            d = model.log_anticanonical(sample_angles(rng, model))
             base = volume(model, d)
             bigger = d + model.class_of(GENERIC_FIBER).scale(rat(1, 3))
             assert volume(model, bigger) >= base
@@ -355,6 +352,6 @@ class TestVolume:
 
 
 def test_decomposition_unavailable_index():
-    model = as_model((1, 1))
+    model = SurfaceModel(1, 1)
     with pytest.raises(ValueError):
         zariski_decompose(model, DivisorClass(1, 1, (0, 0)))
