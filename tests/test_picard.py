@@ -133,6 +133,17 @@ def test_lattice_signature():
         assert signature(model.gram_matrix(basis)) == (1, m + 1, 0)
 
 
+def test_named_classes_have_integer_coordinates():
+    # Every pairing between named classes is then an integral Fraction, so
+    # the certificate's int() of a pairing is exact.
+    for n in range(7):
+        for m in range(7):
+            model = SurfaceModel(n, m)
+            for curve in model.candidate_curves() + [GENERIC_FIBER, PULLBACK_C2]:
+                cls = model.class_of(curve)
+                assert all(x.denominator == 1 for x in (cls.a, cls.b, *cls.c)), (n, m, curve)
+
+
 @given(st.tuples(small_rats, small_rats, small_rats, small_rats, small_rats, small_rats))
 def test_pairing_symmetric_bilinear(coords):
     model = SurfaceModel(2, 1)

@@ -539,6 +539,16 @@ class TestClosedForms:
         assert piece.integral() == anti(hi) - anti(lo)
         assert piece.value(hi) == q0 + q1 * hi + q2 * hi * hi
 
+    def test_uncovered_curves_and_angles_have_no_closed_form(self):
+        # The closed forms cover the sections and the E_i only; at n = 0 the
+        # E_i regime needs beta1 <= 2 - m beta2.
+        model, angles = SurfaceModel(1, 2), Angles(HALF, HALF)
+        assert closed_form_volume_curve(FiTilde(1), model, angles) is None
+        assert closed_form_volume_curve(GENERIC_FIBER, model, angles) is None
+        model, angles = SurfaceModel(0, 2), Angles(rat(3, 2), HALF)
+        assert classify_exceptional_case(model, angles) is None
+        assert closed_form_volume_curve(Ei(1), model, angles) is None
+
 
 class TestScalars:
     def test_log_discrepancy(self):

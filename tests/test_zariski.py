@@ -16,8 +16,10 @@ from kedge.picard import (
 from kedge.ratmath import Rat, common_denominator
 from kedge.sampling import sample_angles, sample_divisor_class, sample_surface
 from kedge.zariski import (
+    DecompositionError,
     NotPseudoeffective,
     ZariskiDecomposition,
+    _certify,
     grow_support,
     is_negative_definite,
     negative_definite_supports,
@@ -183,6 +185,47 @@ class TestDecompose:
             assert zd.positive + zd.negative_class(model) == d
 
 
+class TestCertify:
+    """Each of the certificate's refusals, on a hand-built decomposition."""
+
+    def test_positive_part_not_nef(self):
+        model = SurfaceModel(1, 1)
+        e1 = model.class_of(Ei(1))
+        with pytest.raises(DecompositionError) as raised:
+            _certify(model, e1, ZariskiDecomposition(e1, ()))
+        assert str(raised.value) == "positive part not nef: DivisorClass(a=0, b=0, c=(-1))"
+
+    def test_nonpositive_coefficient(self):
+        model = SurfaceModel(1, 1)
+        zero = model.zero()
+        with pytest.raises(DecompositionError) as raised:
+            _certify(model, zero, ZariskiDecomposition(zero, ((Ei(1), rat(0)),)))
+        assert str(raised.value) == "nonpositive coefficient 0 on E1"
+
+    def test_positive_part_not_orthogonal(self):
+        model = SurfaceModel(1, 1)
+        fiber = model.class_of(GENERIC_FIBER)
+        with pytest.raises(DecompositionError) as raised:
+            _certify(model, fiber, ZariskiDecomposition(fiber, ((C1TILDE, rat(1)),)))
+        assert str(raised.value) == "positive part not orthogonal to C1tilde"
+
+    def test_support_not_negative_definite(self):
+        # C1tilde and F1tilde on (1, 1): Gram [[-1, 1], [1, -1]] is singular.
+        model = SurfaceModel(1, 1)
+        zero = model.zero()
+        zd = ZariskiDecomposition(zero, ((C1TILDE, rat(1)), (FiTilde(1), rat(1))))
+        with pytest.raises(DecompositionError) as raised:
+            _certify(model, zero, zd)
+        assert str(raised.value) == "support Gram matrix not negative definite"
+
+    def test_reconstruction(self):
+        model, d = shifted_anticanonical(0, 2, (1, 2), (1, 2), Ei(1), rat(3, 2))
+        zd = zariski_decompose(model, d)
+        with pytest.raises(DecompositionError) as raised:
+            _certify(model, d + model.class_of(GENERIC_FIBER), zd)
+        assert str(raised.value) == "P + N does not reconstruct the input class"
+
+
 class TestGrowSupport:
     def test_residual_pairings_match_reconstructed_class(self, rng):
         # grow_support reads P.C off the candidate table, in integers over
@@ -209,6 +252,16 @@ class TestGrowSupport:
                     model, d, c)
             grown += support != []
         assert grown >= 20
+
+    def test_start_outside_negative_definite_sets(self):
+        # Bauer's guarantee needs a start inside the true support; a start
+        # that is not negative definite (C1tilde, F1tilde on (1, 1)) refuses.
+        model = SurfaceModel(1, 1)
+        candidates = model.candidate_curves()
+        start = (candidates.index(C1TILDE), candidates.index(FiTilde(1)))
+        column = [int(x) for x in model.pairings(model.zero())]
+        with pytest.raises(NotPseudoeffective, match="support is not negative definite"):
+            grow_support(model, (column,), start)
 
 
 def pivoting_solve(matrix, rhs):
