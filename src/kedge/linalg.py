@@ -24,8 +24,6 @@ solution times |det G|, again in integers.
 """
 from __future__ import annotations
 
-from .ratmath import common_denominator
-
 EMPTY_FACTOR = ((), (1,))
 
 
@@ -73,7 +71,8 @@ def border(factor, column, diagonal):
 
 def factorize(matrix):
     """The factor of a symmetric integer matrix, bordered row by row from
-    its lower triangle; raises NotNegativeDefinite."""
+    its lower triangle (row i is read only up to its diagonal); raises
+    NotNegativeDefinite."""
     factor = EMPTY_FACTOR
     for i, row in enumerate(matrix):
         factor = border(factor, row[:i], row[i])
@@ -93,14 +92,4 @@ def solve_factored(factor, rhs) -> list:
                 x[j] -= w * xi
     return x
 
-
-def is_negative_definite_matrix(matrix) -> bool:
-    """Whether a symmetric rational matrix is negative definite; it is
-    scaled to integers first, which a positive scale leaves unchanged."""
-    scale = common_denominator(*(x for row in matrix for x in row))[0]
-    try:
-        factorize([[int(scale * x) for x in row] for row in matrix])
-    except NotNegativeDefinite:
-        return False
-    return True
 

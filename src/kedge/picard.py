@@ -260,9 +260,6 @@ class SurfaceModel:
     def self_intersection(self, d: DivisorClass):
         return self.intersect(d, d)
 
-    def gram_matrix(self, classes) -> list[list]:
-        return [[self.intersect(x, y) for y in classes] for x in classes]
-
     def candidate_curves(self) -> list[CurveId]:
         """The curves that can support a Zariski negative part."""
         return (

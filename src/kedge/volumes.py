@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .picard import Angles, CurveId, SurfaceModel
-from .ratmath import ZERO, Rat, as_rat, common_denominator, isqrt_exact
+from .ratmath import ZERO, Rat, common_denominator, isqrt_exact
 from .zariski import DecompositionError, InconsistencyError, NotPseudoeffective, grow_support
 
 
@@ -68,10 +68,6 @@ class QuadraticPiece:
     q1: object
     q2: object
     negative_support: tuple  # CurveIds
-
-    def value(self, x):
-        x = as_rat(x)
-        return self.q0 + x * (self.q1 + x * self.q2)
 
     def integral(self):
         """Exact integral of the quadratic over [x_lo, x_hi]:
@@ -98,25 +94,8 @@ class PiecewiseQuadratic:
     pieces: tuple  # QuadraticPiece, ordered, partitioning [0, tau]
 
     @property
-    def x_lo(self):
-        return self.pieces[0].x_lo
-
-    @property
-    def x_hi(self):
-        return self.pieces[-1].x_hi
-
-    @property
     def tau(self):
-        return self.x_hi
-
-    def value(self, x):
-        x = as_rat(x)
-        if x < self.x_lo or x > self.x_hi:
-            raise ValueError(f"{x} outside [{self.x_lo}, {self.x_hi}]")
-        for piece in self.pieces:
-            if x <= piece.x_hi:
-                return piece.value(x)
-        raise AssertionError("unreachable: pieces partition the interval")
+        return self.pieces[-1].x_hi
 
     def integral(self):
         return sum((piece.integral() for piece in self.pieces), ZERO)

@@ -30,16 +30,16 @@ fraction-free elimination in ``linalg``: growth factors each round's
 support afresh, the oracle's depth-first walk borders the parent set's
 factor by one row per extension and solves on it, both from the table.
 Curves are candidate indices throughout; the column D.C comes from
-``SurfaceModel.pairings``.  ``is_negative_definite`` pairs classes
-through the generic ``intersect`` instead, and ``_certify`` uses it and
-``intersect`` for the support, so it also checks the table's closed forms.
+``SurfaceModel.pairings``.  ``_certify`` pairs through the generic
+``intersect`` instead, and ``is_negative_definite`` factors the integer
+lower triangle of the support's pairings, so the certificate also checks
+the table's closed forms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (EMPTY_FACTOR, NotNegativeDefinite, border, is_negative_definite_matrix,
-                     solve_factored)
+from .linalg import EMPTY_FACTOR, NotNegativeDefinite, border, factorize, solve_factored
 from .picard import C1TILDE, C2TILDE, DivisorClass, SurfaceModel
 from .ratmath import Rat, common_denominator
 
@@ -77,12 +77,18 @@ class ZariskiDecomposition:
 
 
 def is_negative_definite(model: SurfaceModel, curves) -> bool:
-    """Whether the Gram matrix of the given curves is negative definite,
-    paired through their classes and the generic ``intersect``.  C~1 and
-    C~2 go last, as in ``grow_support``: the order does not change
-    definiteness, and the factor of the others has no fill-in."""
-    curves = sorted(curves, key=lambda c: c in (C1TILDE, C2TILDE))
-    return is_negative_definite_matrix(model.gram_matrix([model.class_of(c) for c in curves]))
+    """Whether the Gram matrix of the given curves is negative definite:
+    its lower triangle, paired through their classes (integer coordinates)
+    and the generic ``intersect``, factored with C~1 and C~2 last, as in
+    ``grow_support`` (the order does not change definiteness, and the
+    others' factor has no fill-in)."""
+    classes = [model.class_of(c) for c in sorted(curves, key=lambda c: c in (C1TILDE, C2TILDE))]
+    try:
+        factorize([[int(model.intersect(x, y)) for y in classes[:i + 1]]
+                   for i, x in enumerate(classes)])
+    except NotNegativeDefinite:
+        return False
+    return True
 
 
 def negative_definite_supports(model: SurfaceModel):

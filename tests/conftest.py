@@ -1,7 +1,8 @@
 """Shared fixtures: seeded generators, the surface and curve families, the
 ``rat`` constructor the tests spell their rationals with, and the rational
 references the tests check the integer code against: the LDL^T kernel, the
-signature, the angle sampler and the volume curve's last root."""
+Gram matrix through the generic pairing, the signature, the angle sampler and
+the volume curve's last root."""
 
 from __future__ import annotations
 
@@ -96,6 +97,10 @@ def reference_solve(factor, rhs) -> list:
         for j, l in rows[i]:
             x[j] = x[j] - l * x[i]
     return x
+
+
+def gram(model, classes) -> list[list]:
+    return [[model.intersect(x, y) for y in classes] for x in classes]
 
 
 def signature(matrix) -> tuple[int, int, int]:

@@ -12,7 +12,6 @@ from kedge.linalg import (
     NotNegativeDefinite,
     border,
     factorize,
-    is_negative_definite_matrix,
     solve_factored,
 )
 from kedge.ratmath import Rat
@@ -191,9 +190,10 @@ def test_rows_without_fill_stay_empty():
 
 
 def test_definiteness_small_cases():
-    assert is_negative_definite_matrix([[rat(-2), rat(1)], [rat(1), rat(-2)]])
-    assert not is_negative_definite_matrix([[rat(-1), rat(-2)], [rat(-2), rat(-1)]])
-    assert not is_negative_definite_matrix([[rat(0)]])
+    factorize(*integral([[rat(-2), rat(1)], [rat(1), rat(-2)]]))
+    for matrix in ([[rat(-1), rat(-2)], [rat(-2), rat(-1)]], [[rat(0)]]):
+        with pytest.raises(NotNegativeDefinite):
+            factorize(*integral(matrix))
 
 
 def test_signature_known():
@@ -210,4 +210,8 @@ def test_signature_of_symmetrized(matrix):
     ]
     pos, neg, zero = signature(sym)
     assert pos + neg + zero == 3
-    assert is_negative_definite_matrix(sym) == (neg == 3)
+    if neg == 3:
+        factorize(*integral(sym))
+    else:
+        with pytest.raises(NotNegativeDefinite):
+            factorize(*integral(sym))

@@ -1,7 +1,7 @@
 """Picard lattice of the blown-up ruled surface: classes, pairing, cones."""
 
 import pytest
-from conftest import rat, signature
+from conftest import gram, rat, signature
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -130,7 +130,7 @@ def test_lattice_signature():
         # Basis (pi*C2, pi*F, E_1..E_m): [[n, 1], [1, 0]] + (-I_m).
         basis = [DivisorClass(1, 0, (0,) * m), DivisorClass(0, 1, (0,) * m)]
         basis += [model.class_of(Ei(i)) for i in range(1, m + 1)]
-        assert signature(model.gram_matrix(basis)) == (1, m + 1, 0)
+        assert signature(gram(model, basis)) == (1, m + 1, 0)
 
 
 def test_named_classes_have_integer_coordinates():

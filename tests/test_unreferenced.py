@@ -2,12 +2,15 @@
 every module-level function, every method and every module-level
 assignment in ``src/kedge`` is read somewhere in ``src/kedge``.
 
-A reference is a ``Name`` or an ``Attribute`` node with the definition's
-name, read rather than assigned; imports do not count, so a name that only
-``__init__`` re-exports is not referenced.  Dunder methods are called by the
-language and dunder names are read by it; the allow-list holds documented
-library entry points that the package itself does not call and the names that
-only the benchmark reads.
+A reference is a read (not an assignment) of the definition's name outside
+the definition's own body: a ``Name`` or an ``Attribute`` node for a
+function or a constant, and only an ``Attribute`` node (``x.name``) for a
+method, so a local variable that shares a method's name does not keep the
+method, nor does a method that calls itself.  Imports do not count, so a name
+that only ``__init__`` re-exports is not referenced.  Dunder methods are
+called by the language and dunder names are read by it; the allow-list holds
+documented library entry points that the package itself does not call and the
+names that only the benchmark reads.
 """
 
 import ast
@@ -30,39 +33,52 @@ def _is_dunder(name: str) -> bool:
 
 
 def _definitions(module: str, tree: ast.Module):
-    """(module.qualname, name) of each module-level function, method and
-    assigned name."""
+    """(module.qualname, name, node, whether a method) of each module-level
+    function, method and assigned name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield f"{module}.{node.name}", node.name
+            yield f"{module}.{node.name}", node.name, node, False
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     if not _is_dunder(item.name):
-                        yield f"{module}.{node.name}.{item.name}", item.name
+                        yield f"{module}.{node.name}.{item.name}", item.name, item, True
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name) and not _is_dunder(name.id):
-                        yield f"{module}.{name.id}", name.id
+                        yield f"{module}.{name.id}", name.id, node, False
 
 
-def _references(tree: ast.Module):
+def _reads(tree: ast.Module):
+    """(node, name, whether an attribute) of every name read."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id
+            yield node, node.id, False
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr
+            yield node, node.attr, True
+
+
+def _unreferenced(trees) -> set:
+    reads = {}
+    for tree in trees.values():
+        for node, name, attribute in _reads(tree):
+            reads.setdefault(name, []).append((node, attribute))
+    unreferenced = set()
+    for module, tree in trees.items():
+        for qual, name, node, method in _definitions(module, tree):
+            own = {id(inner) for inner in ast.walk(node)}
+            if not any(id(read) not in own and (attribute or not method)
+                       for read, attribute in reads.get(name, ())):
+                unreferenced.add(qual)
+    return unreferenced
 
 
 def test_every_function_is_referenced_in_src():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
-    referenced = {name for tree in trees.values() for name in _references(tree)}
-    defined = [d for module, tree in trees.items() for d in _definitions(module, tree)]
-    unreferenced = [qual for qual, name in defined
-                    if name not in referenced and qual not in ALLOWED]
-    assert unreferenced == []
+    unreferenced = _unreferenced(trees)
+    assert sorted(unreferenced - ALLOWED) == []
     # The allow-list names only what exists and is otherwise unreferenced.
-    assert ALLOWED <= {qual for qual, name in defined if name not in referenced}
+    assert ALLOWED <= unreferenced

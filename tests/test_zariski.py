@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import negative_definite_families, rat, signature
+from conftest import gram, negative_definite_families, rat, signature
 from kedge.picard import (
     Angles,
     C1TILDE,
@@ -76,8 +76,8 @@ class TestNegativeDefinite:
                 candidates = model.candidate_curves()
                 for _ in range(20):
                     curves = rng.sample(candidates, rng.randint(0, len(candidates)))
-                    gram = model.gram_matrix([model.class_of(c) for c in curves])
-                    expected = signature(gram) == (0, len(curves), 0)
+                    classes = [model.class_of(c) for c in curves]
+                    expected = signature(gram(model, classes)) == (0, len(curves), 0)
                     assert is_negative_definite(model, curves) == expected, (n, m, curves)
 
 
@@ -299,7 +299,7 @@ def exhaustive_decompositions(model, d):
         subset = [c for i, c in enumerate(candidates) if mask >> i & 1]
         classes = [model.class_of(c) for c in subset]
         coeffs = pivoting_solve(
-            model.gram_matrix(classes), [model.intersect(d, cls) for cls in classes]
+            gram(model, classes), [model.intersect(d, cls) for cls in classes]
         )
         if coeffs is None:
             continue
@@ -310,7 +310,7 @@ def exhaustive_decompositions(model, d):
             continue
         negative = tuple((c, x) for c, x in zip(subset, coeffs) if x != 0)
         support = [model.class_of(c) for c, _ in negative]
-        if signature(model.gram_matrix(support)) != (0, len(support), 0):
+        if signature(gram(model, support)) != (0, len(support), 0):
             continue
         found.add(ZariskiDecomposition(positive=p, negative=negative))
     return found
