@@ -244,11 +244,6 @@ def delta_tvariety(model: SurfaceModel, angles: Angles) -> DeltaReport:
     is read.
     """
     model.ensure_ample(angles)
-    return _delta_tvariety(model, angles)
-
-
-def _delta_tvariety(model: SurfaceModel, angles: Angles) -> DeltaReport:
-    """The body of ``delta_tvariety``, on a model ample at ``angles``."""
     n, m = model.n, model.m
     d = legendre_dual(model, angles)
     L, VOL, FM = d.L, d.VOL, d.FM

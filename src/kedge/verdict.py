@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .picard import Angles
+from .picard import Angles, OutsideAmpleRange
 from .ratmath import Rat, common_denominator, sign
-from .tvariety import DeltaReport, _delta_tvariety
+from .tvariety import DeltaReport, delta_tvariety
 from .zariski import InconsistencyError
 
 KPOLYSTABLE = "KPolystable"
@@ -100,19 +100,18 @@ def k_polystable(model, angles: Angles) -> Verdict:
     off the condition locus and for m = 1, the term patterns at
     condition points).
     """
-    reason = model.ample_range_violation(angles)
-    if reason is not None:
+    try:
+        report = delta_tvariety(model, angles)
+    except OutsideAmpleRange:
         return Verdict(
             status=OUTSIDE_AMPLE_RANGE,
             condition_sign=condition_sign(model, angles),
             delta=None,
             witnesses=(),
-            notes=(reason,),
+            notes=(model.ample_range_violation(angles),),
         )
 
-    # The ample range is checked once, above; the bracket reads the
-    # common denominator the torus route formed.
-    report = _delta_tvariety(model, angles)
+    # The bracket reads the common denominator the torus route formed.
     d = report.dual
     csign = _bracket_sign(model, d.L, -d.X[0], d.X[2])
     _check(report.futaki_sign == csign,

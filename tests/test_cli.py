@@ -130,6 +130,7 @@ USAGE_CASES = [
         ("config-value-invalid", ["--config", CONFIG, "delta"], ["n = x"], 1,
          "error: Invalid value for '--n': 'x' is not a valid integer.\n"),
         ("flag-overrides-config", ["--config", CONFIG, *DELTA_ARGS], ["n = x"], 0, ""),
+        ("empty-config-path", ["--config", "", *DELTA_ARGS], [], 0, ""),
     ]
 ]
 

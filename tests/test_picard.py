@@ -76,6 +76,19 @@ def test_curve_ids_and_labels():
         parse_curve_id("D5")
 
 
+def test_unknown_curve_kind_is_refused():
+    with pytest.raises(ValueError) as raised:
+        CurveId("Bogus")
+    assert str(raised.value) == "unknown curve kind 'Bogus'"
+
+
+def test_intersect_refuses_a_class_of_another_surface():
+    model = SurfaceModel(0, 2)
+    with pytest.raises(ValueError) as raised:
+        model.intersect(SurfaceModel(0, 3).zero(), model.zero())
+    assert str(raised.value) == "dimension mismatch against surface parameters"
+
+
 def test_divisor_class_arithmetic():
     d1 = DivisorClass(1, 2, (rat(1, 2),))
     d2 = DivisorClass(0, 1, (1,))

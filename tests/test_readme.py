@@ -1,5 +1,6 @@
 """The README's examples run and print what the README shows: the Python
-block of *Quick start* and the ``kedge delta`` command with its JSON."""
+block of *Quick start* and the ``kedge delta`` command with its JSON.  The
+root package exports exactly the names that block imports from it."""
 
 import ast
 import json
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import kedge
 from kedge.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -57,3 +59,15 @@ def test_delta_example_prints_its_json(capsys):
     assert list(out["per_divisor"]) == [
         "C1tilde", "C2tilde", "E1", "E2", "F1tilde", "F2tilde", "FiberP0", "GenericFiber",
     ]
+
+
+def test_root_exports_only_the_quick_start_names():
+    (block,) = fenced_blocks(QUICK_START, "python")
+    (imported,) = [node for node in ast.parse(block).body
+                   if isinstance(node, ast.ImportFrom) and node.module == "kedge"]
+    names = [alias.name for alias in imported.names]
+    assert names == ["Angles", "SurfaceModel", "k_polystable"]
+    assert kedge.__all__ == [*names, "__version__"]
+    namespace = {}
+    exec("from kedge import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted([*names, "__version__"])

@@ -80,6 +80,19 @@ def test_case_inputs_match_their_case(rng):
                 assert index == 0
 
 
+def test_unknown_case_is_refused():
+    with pytest.raises(ValueError) as raised:
+        sample_case_input(random.Random(0), "nope")
+    assert str(raised.value) == "unknown case 'nope'"
+
+
+def test_no_ample_draw_is_refused():
+    # beta1 < 2/200 needs 200 p1 < 2 d1 with d1 <= 64, which no draw meets.
+    with pytest.raises(RuntimeError) as raised:
+        sample_angles(random.Random(0), SurfaceModel(200, 0))
+    assert str(raised.value) == "could not sample ample angles for SurfaceModel(n=200, m=0)"
+
+
 def test_divisor_class_shape(rng):
     model = SurfaceModel(2, 3)
     for _ in range(50):

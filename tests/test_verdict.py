@@ -306,7 +306,7 @@ class TestCertification:
         report = delta_tvariety(model, angles)
         assert report.futaki_sign == condition_sign(model, angles) == 1
         flipped = dataclasses.replace(report, futaki_sign=-1)
-        monkeypatch.setattr("kedge.verdict._delta_tvariety", lambda model, angles: flipped)
+        monkeypatch.setattr("kedge.verdict.delta_tvariety", lambda model, angles: flipped)
         with pytest.raises(InconsistencyError, match="Futaki"):
             k_polystable(model, angles)
 

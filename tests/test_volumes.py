@@ -500,6 +500,15 @@ class TestSharedEngine:
         with pytest.raises(DecompositionError, match="coefficient falls"):
             volume_curve(C1TILDE, SurfaceModel(0, 2), Angles(HALF, HALF))
 
+    def test_support_growth_failure_is_refused(self, monkeypatch):
+        def refusing(model, columns, start=()):
+            raise NotPseudoeffective("synthetic")
+
+        monkeypatch.setattr("kedge.volumes.grow_support", refusing)
+        with pytest.raises(DecompositionError) as raised:
+            volume_sweep(C1TILDE, SurfaceModel(0, 2), Angles(HALF, HALF))
+        assert str(raised.value) == "jet support growth failed at x = 0+: synthetic"
+
 
 class TestClosedForms:
     def test_sweep_input_matches_the_generic_lattice(self, monkeypatch, rng):

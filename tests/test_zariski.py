@@ -263,6 +263,18 @@ class TestGrowSupport:
         with pytest.raises(NotPseudoeffective, match="support is not negative definite"):
             grow_support(model, (column,), start)
 
+    def test_negative_coefficient_is_refused(self):
+        # F1tilde's pairings on (0, 2) from the start {E1}: orthogonality to
+        # E1 (E1^2 = -1, F1tilde.E1 = 1) asks for the coefficient -1.
+        model = SurfaceModel(0, 2)
+        column = [1, 0, 1, 0, -1, 0]  # C1tilde, C2tilde, E1, E2, F1tilde, F2tilde
+        with pytest.raises(NotPseudoeffective) as raised:
+            grow_support(model, (column,), start=[2])
+        assert str(raised.value) == (
+            "orthogonality forces a negative coefficient, which cannot happen "
+            "for a pseudoeffective class"
+        )
+
 
 def pivoting_solve(matrix, rhs):
     """Gaussian elimination with row exchanges, for any nonsingular
