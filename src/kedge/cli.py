@@ -19,8 +19,10 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import Callable
 
@@ -59,8 +61,60 @@ def _emit(text: str, output: str | None):
         _user_error(f"cannot write output file: {exc}")
 
 
+def _json(value, indent: str, out: list):
+    """Append the text of ``json.dumps(value, indent=2)`` to ``out``, for the
+    values a report holds: dicts with str keys, lists and tuples, str, int,
+    float, bool and None.  Nested lines start with ``indent`` plus two
+    spaces per level; a str item is encoded without a recursive call."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True or value is False:
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(float.__repr__(value) if math.isfinite(value) else json.dumps(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            out += (sep, _encode_str(key), ": ")
+            if isinstance(item, str):
+                out.append(_encode_str(item))
+            else:
+                _json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            if isinstance(item, str):
+                out.append(_encode_str(item))
+            else:
+                _json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _dump(report: dict, output: str | None):
-    _emit(json.dumps(report, indent=2) + "\n", output)
+    """Write ``json.dumps(report, indent=2)`` and a newline, byte for byte,
+    without the standard library's pure-Python indenting encoder."""
+    out: list = []
+    _json(report, "", out)
+    out.append("\n")
+    _emit("".join(out), output)
 
 
 def _parse_angles(beta1: str, beta2: str, accept_decimal: bool) -> Angles:

@@ -34,11 +34,13 @@ The boundary is Delta = (1-beta1) C~1 + (1-beta2) C~2 with cone angles
 """
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .ratmath import ONE, ZERO, Rat, as_rat
+from .ratmath import Rat, as_rat, common_denominator
 
 
 class OutsideAmpleRange(ValueError):
@@ -130,51 +132,91 @@ def parse_curve_id(label: str) -> CurveId:
     return Ei(int(e)) if e else FiTilde(int(f))
 
 
-@dataclass(frozen=True)
+def _freeze(d: "DivisorClass", num, den: int) -> "DivisorClass":
+    object.__setattr__(d, "num", tuple(num))
+    object.__setattr__(d, "den", den)
+    return d
+
+
 class DivisorClass:
-    """Exact rational class a.pi*C2 + b.pi*F - sum c_i E_i."""
+    """Exact rational class a.pi*C2 + b.pi*F - sum c_i E_i.
 
-    a: object
-    b: object
-    c: tuple
+    Stored as integer coordinates ``num`` = (a, b, c_1, ..., c_m) over one
+    positive denominator ``den``, in lowest terms, so that equal classes
+    have equal fields.  ``DivisorClass(a, b, c)`` takes rational
+    coordinates, ``DivisorClass.over(num, den)`` integer ones; every
+    operation works on the integers, and ``a``, ``b`` and ``c`` form the
+    rational coordinates when they are read.  Instances are immutable.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_rat(self.a))
-        object.__setattr__(self, "b", as_rat(self.b))
-        object.__setattr__(self, "c", tuple(as_rat(x) for x in self.c))
+    __slots__ = ("num", "den")
+
+    def __init__(self, a, b, c):
+        den, *num = common_denominator(as_rat(a), as_rat(b), *map(as_rat, c))
+        _freeze(self, num, den)
+
+    @classmethod
+    def over(cls, num, den: int = 1) -> "DivisorClass":
+        """The class num / den, for integer coordinates and den > 0."""
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num, den = [x // g for x in num], den // g
+        return _freeze(object.__new__(cls), num, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return DivisorClass.over, (self.num, self.den)
+
+    @property
+    def a(self):
+        return Rat(self.num[0], self.den)
+
+    @property
+    def b(self):
+        return Rat(self.num[1], self.den)
+
+    @property
+    def c(self) -> tuple:
+        return tuple(Rat(x, self.den) for x in self.num[2:])
 
     @property
     def m(self) -> int:
-        return len(self.c)
+        return len(self.num) - 2
+
+    def __eq__(self, other):
+        if type(other) is not DivisorClass:
+            return NotImplemented
+        return self.den == other.den and self.num == other.num
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c))
+
+    def _combine(self, other: "DivisorClass", sign: int) -> "DivisorClass":
+        """self + sign * other."""
+        if len(self.num) != len(other.num):
+            raise ValueError(
+                f"dimension mismatch: classes live on m={self.m} vs m={other.m}"
+            )
+        p, q = self.den, other.den
+        sp = sign * p
+        return DivisorClass.over([x * q + y * sp for x, y in zip(self.num, other.num)], p * q)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check_rank(other)
-        return DivisorClass(
-            self.a + other.a,
-            self.b + other.b,
-            tuple(x + y for x, y in zip(self.c, other.c)),
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check_rank(other)
-        return DivisorClass(
-            self.a - other.a,
-            self.b - other.b,
-            tuple(x - y for x, y in zip(self.c, other.c)),
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(-self.a, -self.b, tuple(-x for x in self.c))
+        return DivisorClass.over([-x for x in self.num], self.den)
 
     def scale(self, t) -> "DivisorClass":
-        t = Rat(t)
-        return DivisorClass(t * self.a, t * self.b, tuple(t * x for x in self.c))
-
-    def _check_rank(self, other: "DivisorClass"):
-        if len(self.c) != len(other.c):
-            raise ValueError(
-                f"dimension mismatch: classes live on m={len(self.c)} vs m={len(other.c)}"
-            )
+        """t times the class, for an int or a Rat t."""
+        p = t.numerator
+        return DivisorClass.over([p * x for x in self.num], t.denominator * self.den)
 
     def __repr__(self) -> str:
         cs = ",".join(str(x) for x in self.c)
@@ -196,41 +238,46 @@ class SurfaceModel:
             raise ValueError(f"n and m must be nonnegative, got n={self.n}, m={self.m}")
 
     def zero(self) -> DivisorClass:
-        return DivisorClass(ZERO, ZERO, (ZERO,) * self.m)
+        return DivisorClass.over((0,) * (self.m + 2))
 
     def class_of(self, cid: CurveId) -> DivisorClass:
-        """Class of a named curve in the (pi*C2, pi*F, E_i) basis."""
+        """Class of a named curve in the (pi*C2, pi*F, E_i) basis; every
+        named class is integral."""
         n, m = self.n, self.m
-        unit = lambda i, v: tuple(v if j == i - 1 else ZERO for j in range(m))
         if cid.kind == "C1tilde":
-            return DivisorClass(ONE, Rat(-n), (ZERO,) * m)
+            return DivisorClass.over((1, -n) + (0,) * m)
         if cid.kind == "C2tilde":
-            return DivisorClass(ONE, ZERO, (ONE,) * m)
+            return DivisorClass.over((1, 0) + (1,) * m)
         if cid.kind == "GenericFiber":
-            return DivisorClass(ZERO, ONE, (ZERO,) * m)
+            return DivisorClass.over((0, 1) + (0,) * m)
         if cid.kind == "PullbackC2":
-            return DivisorClass(ONE, ZERO, (ZERO,) * m)
+            return DivisorClass.over((1, 0) + (0,) * m)
         if cid.index > m:
             raise ValueError(f"curve {cid.label} out of range for m={m}")
+        num = [0, 0] + [0] * m
         if cid.kind == "Ei":
-            return DivisorClass(ZERO, ZERO, unit(cid.index, -ONE))
-        return DivisorClass(ZERO, ONE, unit(cid.index, ONE))  # FiTilde
+            num[cid.index + 1] = -1
+        else:  # FiTilde
+            num[1] = num[cid.index + 1] = 1
+        return DivisorClass.over(num)
 
     def intersect(self, d1: DivisorClass, d2: DivisorClass):
-        """Intersection number n.a1a2 + a1b2 + a2b1 - sum c1i c2i."""
+        """Intersection number n.a1a2 + a1b2 + a2b1 - sum c1i c2i, on the
+        integer coordinates, over the product of the denominators."""
         if d1.m != self.m or d2.m != self.m:
             raise ValueError("dimension mismatch against surface parameters")
-        acc = self.n * d1.a * d2.a + d1.a * d2.b + d2.a * d1.b
-        for x, y in zip(d1.c, d2.c):
-            acc -= x * y
-        return acc
+        (a1, b1, *c1), (a2, b2, *c2) = d1.num, d2.num
+        acc = (self.n * a1 + b1) * a2 + a1 * b2 - sum(map(operator.mul, c1, c2))
+        return Rat(acc, d1.den * d2.den)
 
-    def pairings(self, d: DivisorClass) -> list:
-        """D.C for every C in ``candidate_curves()`` order, in closed form:
-        D.C~1 = b, D.C~2 = na + b - sum c_i, D.E_i = c_i, D.F~i = a - c_i."""
+    def pairings(self, d: DivisorClass) -> tuple:
+        """(den, den D.C for every C in ``candidate_curves()`` order), as
+        ints, den the class's denominator; in closed form D.C~1 = b,
+        D.C~2 = na + b - sum c_i, D.E_i = c_i and D.F~i = a - c_i."""
         if d.m != self.m:
             raise ValueError("dimension mismatch against surface parameters")
-        return [d.b, self.n * d.a + d.b - sum(d.c), *d.c, *(d.a - x for x in d.c)]
+        a, b, *c = d.num
+        return (d.den, b, self.n * a + b - sum(c), *c, *[a - x for x in c])
 
     @cached_property
     def candidate_table(self) -> tuple:
@@ -244,6 +291,15 @@ class SurfaceModel:
         rows += [[(e, -1), (1, 1), (e + m, 1)] for e in es]
         rows += [[(f, -1), (0, 1), (f - m, 1)] for f in fs]
         return tuple(tuple((j, g) for j, g in row if g) for row in rows)
+
+    @cached_property
+    def candidate_coordinates(self) -> tuple:
+        """Entry i lists every (j, x), x != 0, of the integer coordinates
+        (a, b, c_1, ..., c_m) of ``candidate_curves()[i]``'s class."""
+        return tuple(
+            tuple((j, x) for j, x in enumerate(self.class_of(c).num) if x)
+            for c in self.candidate_curves()
+        )
 
     @cached_property
     def candidate_labels(self) -> tuple:
@@ -269,9 +325,11 @@ class SurfaceModel:
         )
 
     def log_anticanonical(self, angles: Angles) -> DivisorClass:
-        """-K_{S,Delta} = (beta1+beta2, 2 - n beta1, c_i = beta2)."""
-        b1, b2 = angles.beta1, angles.beta2
-        return DivisorClass(b1 + b2, 2 - self.n * b1, (b2,) * self.m)
+        """-K_{S,Delta} = (beta1+beta2, 2 - n beta1, c_i = beta2): with L the
+        angles' common denominator and P_i = L beta_i, L (-K_{S,Delta}) is
+        (P1 + P2, 2 L - n P1, c_i = P2), over L."""
+        L, p1, p2 = common_denominator(angles.beta1, angles.beta2)
+        return DivisorClass.over((p1 + p2, 2 * L - self.n * p1) + (p2,) * self.m, L)
 
     def is_nef(self, d: DivisorClass) -> bool:
         """Nefness test.
@@ -282,7 +340,8 @@ class SurfaceModel:
         fiber generate the dual of the nef cone.  ``pairings`` runs first,
         so a class of the wrong rank raises ValueError even when a < 0.
         """
-        return all(x >= 0 for x in self.pairings(d)) and d.a >= 0
+        _, *pairings = self.pairings(d)
+        return all(x >= 0 for x in pairings) and d.num[0] >= 0
 
     def ample_range_violation(self, angles: Angles) -> str | None:
         """Why -K_{S,Delta} is not ample, or None when it is.

@@ -90,17 +90,20 @@ def sample_divisor_class(rng: random.Random, model: SurfaceModel) -> DivisorClas
     Half the draws are nonnegative combinations of the candidate curves and
     the two nef generators, hence effective; the other half are raw small
     rational coordinates and may fail to be pseudoeffective, which the
-    decomposition routines must report consistently.
+    decomposition routines must report consistently.  Every coefficient is
+    p / q with q <= 4, so the class is summed on integers over 12.
     """
 
-    def coeff(lo: int, hi: int) -> Rat:
-        return Rat(rng.randint(lo, hi), rng.randint(1, 4))
+    def coeff(lo: int, hi: int) -> int:
+        p = rng.randint(lo, hi)
+        return p * (12 // rng.randint(1, 4))
 
     if rng.random() < 0.5:
-        total = DivisorClass(coeff(0, 6), coeff(0, 6), (Rat(0),) * model.m)
-        for curve in model.candidate_curves():
-            total = total + model.class_of(curve).scale(coeff(0, 3))
-        return total
-    return DivisorClass(
-        coeff(-1, 4), coeff(-2, 6), tuple(coeff(-2, 4) for _ in range(model.m))
-    )
+        num = [coeff(0, 6), coeff(0, 6)] + [0] * model.m
+        for row in model.candidate_coordinates:
+            t = coeff(0, 3)
+            for j, x in row:
+                num[j] += t * x
+    else:
+        num = [coeff(-1, 4), coeff(-2, 6)] + [coeff(-2, 4) for _ in range(model.m)]
+    return DivisorClass.over(num, 12)

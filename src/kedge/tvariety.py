@@ -65,6 +65,7 @@ one Fraction formed, and a term divides A/S only when it is read.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -99,20 +100,17 @@ def _encoded_class(model: SurfaceModel, angles: Angles) -> DivisorClass:
     vertical divisor; the class is -sum h_t(n_rho) D_rho -
     sum mu(v) h_p(v) D_{p,v}.  The tail gives -h_t(1) = beta1 and
     -h_t(-1) = beta2, and only the p0 vertex value is nonzero,
-    contributing 2 F.  The sum is taken on integers, the weights over
-    the angles' common denominator L and the three classes'
-    coordinates over theirs, M; each coordinate is one Fraction.
+    contributing 2 F.  The sum is taken on the classes' integer
+    coordinates, the weights over the angles' common denominator L and
+    the three classes over theirs, M; the class is formed once.
     """
     ((_, h_p0),), _, _ = _slices(model.n)
     L, p1, p2 = common_denominator(angles.beta1, angles.beta2)
-    rows = [(d.a, d.b, *d.c) for d in map(model.class_of, (C1TILDE, C2TILDE, GENERIC_FIBER))]
-    M, *xs = common_denominator(*rows[0], *rows[1], *rows[2])
-    k = len(rows[0])
-    coords = [
-        Rat(p1 * x + p2 * y - L * h_p0 * z, L * M)
-        for x, y, z in zip(xs, xs[k:], xs[2 * k:])
-    ]
-    return DivisorClass(coords[0], coords[1], tuple(coords[2:]))
+    classes = [model.class_of(c) for c in (C1TILDE, C2TILDE, GENERIC_FIBER)]
+    M = math.lcm(*(d.den for d in classes))
+    w1, w2, w3 = (w * (M // d.den) for w, d in zip((p1, p2, -L * h_p0), classes))
+    num = [w1 * x + w2 * y + w3 * z for x, y, z in zip(*(d.num for d in classes))]
+    return DivisorClass.over(num, L * M)
 
 
 # Three affinely independent angle pairs.
@@ -198,7 +196,7 @@ class DeltaReport:
 
     delta: object
     witnesses: tuple  # names of all terms attaining the minimum, canonical order
-    futaki_sign: int  # sign of -integral of u * deg Psi, as futaki_vanishes
+    futaki_sign: int  # sign of -integral of u * deg Psi
     orbits: tuple  # (names, A, 2 L VOL S) per S_m orbit, canonical order
     dual: DualData
 
@@ -217,14 +215,6 @@ class DeltaReport:
             if t.name == name:
                 return t
         raise KeyError(name)
-
-
-def futaki_vanishes(model: SurfaceModel, angles: Angles) -> int:
-    """Sign of the angle bracket; 0 exactly when the barycenter vanishes.
-
-    Computed on the torus side as -integral of u * deg Psi(u) du (no
-    division, so no ampleness assumption is needed)."""
-    return -sign(legendre_dual(model, angles).FM)
 
 
 def delta_tvariety(model: SurfaceModel, angles: Angles) -> DeltaReport:

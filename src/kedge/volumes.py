@@ -36,9 +36,10 @@ with q0 = c0 / (s L^2), q1 = c1 / (s L) and q2 = c2 / s, integrated in
 closed form as one integer numerator over one denominator: one division
 per piece.  ``_certify_curve`` checks that the support grew strictly
 at every wall, so no two chambers ever merge, and compares the first
-piece with (-K_Delta)^2 from the generic ``intersect``, which checks d0.
-Its continuity, vanishing and monotonicity checks cross-multiply the
-pieces' numerators and denominators, on integers.
+piece with (-K_Delta)^2 from the generic ``intersect`` on the lattice's
+integer coordinates, which checks d0.  It and the continuity, vanishing
+and monotonicity checks cross-multiply the pieces' numerators and
+denominators, on integers.
 
 The sweep ends where the quadratic vanishes: that root is the
 pseudoeffective threshold tau, found from c0, c1, c2 by an integer
@@ -165,7 +166,7 @@ def volume_sweep(E: CurveId, model: SurfaceModel, angles: Angles) -> tuple:
         d1, d2 = -2 * r0[e], -r1[e]
     else:
         minus_k, minus_e = model.log_anticanonical(angles), -model.class_of(E)
-        r1 = [int(x) for x in model.pairings(minus_e)]
+        _, *r1 = model.pairings(minus_e)  # -E is integral: its denominator is 1
         d1 = int(2 * L * model.intersect(minus_k, minus_e))
         d2 = int(model.self_intersection(minus_e))
     context = f"E={E.label}, n={model.n}, m={model.m}"
@@ -242,8 +243,9 @@ def _certify_curve(model: SurfaceModel, angles: Angles, curve: PiecewiseQuadrati
     pieces = curve.pieces
     if not pieces or pieces[0].x_lo != 0:
         raise DecompositionError("volume curve must start at x = 0")
-    minus_k = model.log_anticanonical(angles)
-    if pieces[0].q0 != model.self_intersection(minus_k):
+    q0 = pieces[0].q0
+    square = model.self_intersection(model.log_anticanonical(angles))
+    if q0.numerator * square.denominator != square.numerator * q0.denominator:
         raise DecompositionError("volume at x = 0 must equal (-K_Delta)^2")
     ends = [(_jets(piece, piece.x_lo), _jets(piece, piece.x_hi)) for piece in pieces]
     _, (w_tau, _, _) = ends[-1]

@@ -17,15 +17,15 @@ others have pairwise Gram matrix -I (E_j and F~j together are singular,
 since E_j + F~j = F), so every pivot before the sections is -1 and the
 factor does not fill in; the sections do not meet each other or a common
 curve, so their pivots are integers too.  ``zariski_decompose`` runs it
-on one column, D.C times the least common denominator of its entries,
-from the empty support, and divides once at the end; the chamber sweep
-in ``volumes`` runs it on two (value and slope, read lexicographically)
-from the previous chamber's support (Bauer's guarantee needs a start
-inside the true one).  ``zariski_decompose`` forms the positive part
-once, after growth, and certifies it against the three defining
-conditions on every call; ``zariski_decompose_bruteforce`` enumerates
-every negative-definite set of candidates and is kept as an independent
-oracle.  Every solve and definiteness test goes through the one
+on one column, D.C times the class's denominator, from the empty
+support, and forms the positive part in one sparse pass over the
+support's integer coordinates; the chamber sweep in ``volumes`` runs it
+on two (value and slope, read lexicographically) from the previous
+chamber's support (Bauer's guarantee needs a start inside the true
+one).  ``zariski_decompose`` certifies each decomposition against the
+three defining conditions on every call; ``zariski_decompose_bruteforce``
+enumerates every negative-definite set of candidates and is kept as an
+independent oracle.  Every solve and definiteness test goes through the one
 fraction-free elimination in ``linalg``: growth factors each round's
 support afresh, the oracle's depth-first walk borders the parent set's
 factor by one row per extension and solves on it, both from the table.
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 from .linalg import EMPTY_FACTOR, NotNegativeDefinite, border, factorize, solve_factored
 from .picard import C1TILDE, C2TILDE, DivisorClass, SurfaceModel
-from .ratmath import Rat, common_denominator
+from .ratmath import Rat
 
 
 class NotPseudoeffective(ArithmeticError):
@@ -136,16 +136,23 @@ def _support_factor(table, support):
     return factor
 
 
-def _subtract_curves(model: SurfaceModel, d: DivisorClass, candidates, support, coeffs):
-    """The class D - sum a_i C_i over the candidate indices ``support``."""
-    for c, x in zip(support, coeffs):
-        d = d - model.class_of(candidates[c]).scale(x)
-    return d
+def _subtract_curves(model: SurfaceModel, d: DivisorClass, support, coeffs, scale: int):
+    """The class D - sum (a_i / scale) C_i over the candidate indices
+    ``support``, for integers a_i and scale > 0: one pass over the
+    candidates' nonzero integer coordinates, and one class formed."""
+    rows, den = model.candidate_coordinates, d.den
+    num = [scale * x for x in d.num]
+    for c, a in zip(support, coeffs):
+        if a:
+            a *= den
+            for j, x in rows[c]:
+                num[j] -= a * x
+    return DivisorClass.over(num, scale * den)
 
 
-def _negative_part(candidates, support, coeffs) -> tuple:
-    """(curve, coefficient) pairs with nonzero coefficient, in candidate order."""
-    return tuple((candidates[c], x) for c, x in sorted(zip(support, coeffs)) if x)
+def _negative_part(candidates, support, coeffs, scale: int) -> tuple:
+    """(curve, a_i / scale) pairs with nonzero a_i, in candidate order."""
+    return tuple((candidates[c], Rat(a, scale)) for c, a in sorted(zip(support, coeffs)) if a)
 
 
 def _certify(model: SurfaceModel, d: DivisorClass, zd: ZariskiDecomposition):
@@ -221,25 +228,25 @@ def grow_support(model: SurfaceModel, columns, start=()):
 def zariski_decompose(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
     """Zariski decomposition of ``d``, or NotPseudoeffective.
 
-    ``grow_support`` over the pairings of ``d`` times their least common
-    denominator, divided once at the end, then the generic-fiber test on
-    P = D - sum a_i C_i (the brute-force oracle cross-checks the
+    ``grow_support`` over the pairings of ``d`` times its denominator,
+    one sparse pass for P = D - sum a_i C_i, then the generic-fiber test
+    on P (the brute-force oracle cross-checks the
     NotPseudoeffective reasoning in the test suite).  Every returned
     decomposition is certified against the three defining conditions.
     """
-    candidates = model.candidate_curves()
-    denominator, *column = common_denominator(*model.pairings(d))
+    denominator, *column = model.pairings(d)
     try:
         support, scale, (coeffs,), _residuals = grow_support(model, (column,))
     except NotPseudoeffective as exc:
         raise NotPseudoeffective(f"{d}: {exc}") from None
-    coeffs = [Rat(a, scale * denominator) for a in coeffs]
-    positive = _subtract_curves(model, d, candidates, support, coeffs)
-    if positive.a < 0:
+    scale *= denominator
+    positive = _subtract_curves(model, d, support, coeffs, scale)
+    if positive.num[0] < 0:
         # Residual meets the (nef, moving) generic fiber negatively:
         # no effective class can, so d is not pseudoeffective.
         raise NotPseudoeffective(f"{d} pairs negatively with the generic fiber")
-    zd = ZariskiDecomposition(positive, _negative_part(candidates, support, coeffs))
+    negative = _negative_part(model.candidate_curves(), support, coeffs, scale)
+    zd = ZariskiDecomposition(positive, negative)
     _certify(model, d, zd)
     return zd
 
@@ -263,18 +270,17 @@ def zariski_decompose_bruteforce(model: SurfaceModel, d: DivisorClass) -> Zarisk
     decompositions" and NotPseudoeffective outcomes.
     """
     candidates = model.candidate_curves()
-    denominator, *column = common_denominator(*model.pairings(d))
+    denominator, *column = model.pairings(d)
     found: ZariskiDecomposition | None = None
     for subset, factor in negative_definite_supports(model):
         coeffs = solve_factored(factor, [column[c] for c in subset])
         if any(x < 0 for x in coeffs):
             continue
         scale = abs(factor[1][-1]) * denominator
-        coeffs = [Rat(x, scale) for x in coeffs]
-        p = _subtract_curves(model, d, candidates, subset, coeffs)
+        p = _subtract_curves(model, d, subset, coeffs, scale)
         if not model.is_nef(p):
             continue
-        zd = ZariskiDecomposition(p, _negative_part(candidates, subset, coeffs))
+        zd = ZariskiDecomposition(p, _negative_part(candidates, subset, coeffs, scale))
         if found is not None and (found.positive != zd.positive or found.negative != zd.negative):
             raise DecompositionError(
                 f"two distinct decompositions found for {d}: {found} vs {zd}"
@@ -283,11 +289,3 @@ def zariski_decompose_bruteforce(model: SurfaceModel, d: DivisorClass) -> Zarisk
     if found is None:
         raise NotPseudoeffective(f"no candidate subset decomposes {d}")
     return found
-
-
-def volume(model: SurfaceModel, d: DivisorClass):
-    """vol(D) = P^2 for the Zariski positive part (= D^2 when D is nef)."""
-    if model.is_nef(d):
-        return model.self_intersection(d)
-    zd = zariski_decompose(model, d)
-    return model.self_intersection(zd.positive)

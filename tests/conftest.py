@@ -1,21 +1,24 @@
 """Shared fixtures: seeded generators, the surface and curve families, the
 ``rat`` constructor the tests spell their rationals with, and the rational
 references the tests check the integer code against: the LDL^T kernel, the
-Gram matrix through the generic pairing, the signature, the angle sampler and
-the volume curve's last root."""
+Gram matrix through the generic pairing, the signature, the angle sampler,
+the volume curve's last root, the volume of a class, the torus-side Futaki
+sign and the rational divisor class."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from kedge.linalg import NotNegativeDefinite
 from kedge.picard import Angles, SurfaceModel
-from kedge.ratmath import Rat, isqrt_exact
+from kedge.ratmath import Rat, isqrt_exact, sign
 from kedge.sampling import MAX_DENOMINATOR, MAX_TRIES, MAX_VALUE
+from kedge.tvariety import legendre_dual
 from kedge.volumes import IrrationalThreshold
-from kedge.zariski import DecompositionError
+from kedge.zariski import DecompositionError, zariski_decompose
 
 
 @pytest.fixture
@@ -208,3 +211,85 @@ def reference_smallest_root_after(q0, q1, q2, x0, context: str):
         if r > x0:
             return r
     raise DecompositionError(f"no volume root beyond {x0} ({context})")
+
+
+def volume(model, d):
+    """vol(D) = P^2 for the Zariski positive part (= D^2 when D is nef)."""
+    if model.is_nef(d):
+        return model.self_intersection(d)
+    return model.self_intersection(zariski_decompose(model, d).positive)
+
+
+def futaki_vanishes(model, angles) -> int:
+    """Sign of the angle bracket; 0 exactly when the barycenter vanishes.
+
+    Computed on the torus side as -integral of u * deg Psi(u) du (no
+    division, so no ampleness assumption is needed): the sign that
+    ``DeltaReport.futaki_sign`` records."""
+    return -sign(legendre_dual(model, angles).FM)
+
+
+@dataclass(frozen=True)
+class ReferenceDivisorClass:
+    """The rational class a.pi*C2 + b.pi*F - sum c_i E_i as m + 2 Fractions:
+    the form ``picard.DivisorClass`` had before it held integer coordinates
+    over one denominator.  Equality, hashing and ``repr`` are the ones the
+    integer class must keep."""
+
+    a: object
+    b: object
+    c: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", Rat(self.a))
+        object.__setattr__(self, "b", Rat(self.b))
+        object.__setattr__(self, "c", tuple(Rat(x) for x in self.c))
+
+    def __add__(self, other):
+        self._check_rank(other)
+        return ReferenceDivisorClass(
+            self.a + other.a, self.b + other.b, tuple(x + y for x, y in zip(self.c, other.c)))
+
+    def __sub__(self, other):
+        self._check_rank(other)
+        return ReferenceDivisorClass(
+            self.a - other.a, self.b - other.b, tuple(x - y for x, y in zip(self.c, other.c)))
+
+    def __neg__(self):
+        return ReferenceDivisorClass(-self.a, -self.b, tuple(-x for x in self.c))
+
+    def scale(self, t):
+        t = Rat(t)
+        return ReferenceDivisorClass(t * self.a, t * self.b, tuple(t * x for x in self.c))
+
+    def _check_rank(self, other):
+        if len(self.c) != len(other.c):
+            raise ValueError(
+                f"dimension mismatch: classes live on m={len(self.c)} vs m={len(other.c)}"
+            )
+
+    def __repr__(self) -> str:
+        cs = ",".join(str(x) for x in self.c)
+        return f"DivisorClass(a={self.a}, b={self.b}, c=({cs}))"
+
+
+def reference_intersect(model, d1, d2):
+    """n a1 a2 + a1 b2 + a2 b1 - sum c1i c2i on ``ReferenceDivisorClass``es."""
+    acc = model.n * d1.a * d2.a + d1.a * d2.b + d2.a * d1.b
+    for x, y in zip(d1.c, d2.c):
+        acc -= x * y
+    return acc
+
+
+def reference_pairings(model, d) -> list:
+    """D.C over the candidate curves, in closed form, on Fractions."""
+    return [d.b, model.n * d.a + d.b - sum(d.c), *d.c, *(d.a - x for x in d.c)]
+
+
+def reference_is_nef(model, d) -> bool:
+    return all(x >= 0 for x in reference_pairings(model, d)) and d.a >= 0
+
+
+def reference_log_anticanonical(model, angles):
+    b1, b2 = angles.beta1, angles.beta2
+    return ReferenceDivisorClass(b1 + b2, 2 - model.n * b1, (b2,) * model.m)

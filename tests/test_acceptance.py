@@ -15,7 +15,6 @@ import pytest
 from kedge.picard import Angles, SurfaceModel
 from kedge.ratmath import sign
 from kedge.sampling import sample_angles, sample_divisor_class, sample_surface
-from kedge.tvariety import futaki_vanishes
 from kedge.verdict import (
     KPOLYSTABLE,
     NOT_KPOLYSTABLE,
@@ -37,7 +36,7 @@ from kedge.zariski import (
     zariski_decompose_bruteforce,
 )
 
-from conftest import negative_definite_families, rat, small_surfaces
+from conftest import futaki_vanishes, negative_definite_families, rat, small_surfaces
 
 SEED = 20260823
 LEMMA_SAMPLES = 200

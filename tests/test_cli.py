@@ -12,10 +12,11 @@ from pathlib import Path
 import jsonschema
 import pytest
 from conftest import rat
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import kedge.tvariety
+from kedge import cli
 from kedge.cli import COMMANDS, GROUP_FLAGS, HELP, MAX_M, main
 from kedge.picard import SurfaceModel
 from kedge.ratmath import format_rat
@@ -194,6 +195,53 @@ class TestGoldens:
         first = run_cli(capsys, SCAN_ARGS)
         second = run_cli(capsys, SCAN_ARGS)
         assert first == second
+
+
+def write_json(value) -> str:
+    out = []
+    cli._json(value, "", out)
+    return "".join(out)
+
+
+# Reports as the CLI builds them: str keys, and every str drawn from all of
+# Unicode, so non-ASCII and control characters are in range.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.tuples(children, children)
+    | st.dictionaries(st.text(), children),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    """``_dump`` writes ``json.dumps(report, indent=2)`` byte for byte."""
+
+    @pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.glob("*.json")))
+    def test_goldens(self, golden):
+        text = (GOLDEN / golden).read_text(encoding="utf-8")
+        report = json.loads(text)
+        assert write_json(report) == json.dumps(report, indent=2) == text[:-1]
+
+    @given(json_values)
+    @example({})
+    @example([])
+    @example({"a": {}, "b": [[], [{}]], "c": [[1, [2.5, None]], True, False]})
+    @example({"\u00e9\x00\x1f\u2028": "tab\there \"quoted\" \\ \ud83d\ude00"})
+    @example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 21 / 23])
+    def test_matches_json_dumps(self, value):
+        assert write_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("argv", [DELTA_ARGS, CURVE_ARGS, DELTA_ARGS_CONDITION],
+                             ids=["delta", "volume-curve", "delta-condition"])
+    def test_approx_reports(self, capsys, argv):
+        code, out, _ = run_cli(capsys, argv + ["--approx"])
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_unsupported_value_is_refused_like_json_dumps(self):
+        for value in (Fraction(1, 2), {"x": [Fraction(1, 2)]}):
+            with pytest.raises(TypeError, match="Object of type Fraction is not JSON serializable"):
+                write_json(value)
 
 
 class TestSchemas:

@@ -1,7 +1,10 @@
 """Picard lattice of the blown-up ruled surface: classes, pairing, cones."""
 
+import math
+
 import pytest
-from conftest import gram, rat, signature
+from conftest import (ReferenceDivisorClass, gram, rat, reference_intersect, reference_is_nef,
+                      reference_log_anticanonical, reference_pairings, signature)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -192,7 +195,9 @@ def test_closed_form_class_pairings_match_intersect(n, coords):
     model = SurfaceModel(n, len(coords) - 2)
     d = DivisorClass(coords[0], coords[1], tuple(coords[2:]))
     curves = model.candidate_curves()
-    assert model.pairings(d) == [model.intersect(d, model.class_of(c)) for c in curves]
+    den, *column = model.pairings(d)
+    assert den == d.den and all(type(x) is int for x in column)
+    assert [Rat(x, den) for x in column] == [model.intersect(d, model.class_of(c)) for c in curves]
     for wrong_rank in (DivisorClass(d.a, d.b, d.c + (0,)), DivisorClass(-1, 0, d.c + (0,))):
         with pytest.raises(ValueError):
             model.pairings(wrong_rank)
@@ -255,3 +260,48 @@ def test_former_surface_name_is_the_model_type():
     # The benchmark's checks build surfaces by the former name.
     assert SurfaceParams is SurfaceModel
     assert isinstance(SurfaceParams(1, 2), SurfaceModel)
+
+
+lattice_rats = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@st.composite
+def class_pairs(draw):
+    """(model, coordinates of two classes, a scalar, angles), n, m <= 6; the
+    second class repeats the first now and then, so equality is exercised."""
+    model = SurfaceModel(draw(st.integers(0, 6)), draw(st.integers(0, 6)))
+    coords = st.lists(lattice_rats, min_size=model.m + 2, max_size=model.m + 2)
+    first = draw(coords)
+    second = first if draw(st.booleans()) and draw(st.booleans()) else draw(coords)
+    angles = Angles(*draw(st.tuples(*[st.fractions(min_value=0, max_value=4,
+                                                   max_denominator=40).filter(bool)] * 2)))
+    return model, first, second, draw(lattice_rats), angles
+
+
+def as_classes(coords):
+    a, b, *c = coords
+    return DivisorClass(a, b, tuple(c)), ReferenceDivisorClass(a, b, tuple(c))
+
+
+def same(d, ref):
+    """The integer class and the rational reference agree field by field."""
+    return (repr(d) == repr(ref) and hash(d) == hash(ref)
+            and (d.a, d.b, d.c) == (ref.a, ref.b, ref.c))
+
+
+@given(class_pairs())
+def test_integer_lattice_matches_the_rational_reference(case):
+    model, first, second, t, angles = case
+    (x, rx), (y, ry) = as_classes(first), as_classes(second)
+    assert same(x, rx) and same(y, ry)
+    assert math.gcd(x.den, *x.num) == 1 and x.den > 0, "lowest terms"
+    assert (x == y) == (rx == ry) and (hash(x) == hash(y)) == (hash(rx) == hash(ry))
+    assert x == DivisorClass.over([3 * v for v in x.num], 3 * x.den)
+    for result, expected in ((x + y, rx + ry), (x - y, rx - ry), (-x, -rx),
+                             (x.scale(t), rx.scale(t)), (x.scale(2), rx.scale(2))):
+        assert same(result, expected)
+    assert model.intersect(x, y) == reference_intersect(model, rx, ry)
+    den, *column = model.pairings(x)
+    assert [Rat(v, den) for v in column] == reference_pairings(model, rx)
+    assert model.is_nef(x) == reference_is_nef(model, rx)
+    assert same(model.log_anticanonical(angles), reference_log_anticanonical(model, angles))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from conftest import rat
+from conftest import futaki_vanishes, rat
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -23,7 +23,7 @@ import kedge.tvariety
 from kedge.picard import Angles, DivisorClass, SurfaceModel, SurfaceParams
 from kedge.ratmath import ONE, ZERO, Rat, sign
 from kedge.sampling import sample_angles, sample_surface
-from kedge.tvariety import delta_tvariety, futaki_vanishes, legendre_dual
+from kedge.tvariety import delta_tvariety, legendre_dual
 from kedge.verdict import rational_condition_point
 from kedge.zariski import InconsistencyError
 

@@ -20,9 +20,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "kedge"
 
 # module.qualname: documented entry points, read by the tests as references.
 ALLOWED = {
-    "tvariety.futaki_vanishes",
     "verdict.rational_condition_point",
-    "zariski.volume",
     "ratmath.RAT_BACKEND",
     "picard.SurfaceParams",
 }

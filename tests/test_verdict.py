@@ -20,7 +20,7 @@ from kedge.picard import (
 )
 from kedge.ratmath import sign
 from kedge.sampling import sample_angles, sample_surface
-from kedge.tvariety import ValuationTerm, delta_tvariety, futaki_vanishes
+from kedge.tvariety import ValuationTerm, delta_tvariety
 from kedge.verdict import (
     KPOLYSTABLE,
     NOT_KPOLYSTABLE,
@@ -35,7 +35,7 @@ from kedge.verdict import (
 )
 from kedge.volumes import expected_vanishing_order
 
-from conftest import rat
+from conftest import futaki_vanishes, rat
 
 HALF = rat(1, 2)
 CONDITION_M2 = Angles(rat(63, 128), rat(21, 32))
@@ -309,6 +309,68 @@ class TestCertification:
         monkeypatch.setattr("kedge.verdict.delta_tvariety", lambda model, angles: flipped)
         with pytest.raises(InconsistencyError, match="Futaki"):
             k_polystable(model, angles)
+
+    @staticmethod
+    def with_orbit_s(report, name, s):
+        """``report`` with the 2 L VOL S of the orbit led by ``name`` set to ``s(old)``."""
+        orbits = tuple(
+            (names, A, s(old) if names[0] == name else old) for names, A, old in report.orbits
+        )
+        return dataclasses.replace(report, orbits=orbits)
+
+    @staticmethod
+    def refusal(call) -> str:
+        with pytest.raises(InconsistencyError) as raised:
+            call()
+        return str(raised.value)
+
+    def test_tampered_ray_term_is_caught(self):
+        report = delta_tvariety(SurfaceModel(0, 2), CONDITION_M2)
+        tampered = self.with_orbit_s(report, "C1tilde", lambda s: 2 * s)
+        assert self.refusal(lambda: _certify_polystable_branch(2, tampered)) == (
+            "ray term C1tilde must equal 1 at a condition point")
+
+    def test_tampered_toric_term_is_caught(self):
+        model = SurfaceModel(2, 0)
+        angles = rational_condition_point(model, rat(3, 2))
+        report = delta_tvariety(model, angles)
+        tampered = self.with_orbit_s(report, "FiberP0", lambda s: 2 * s)
+        assert self.refusal(lambda: _certify_polystable_branch(0, tampered)) == (
+            "toric case: term FiberP0 must equal 1")
+
+    def test_tampered_fiber_orbit_at_m2_is_caught(self):
+        report = delta_tvariety(SurfaceModel(0, 2), CONDITION_M2)
+        tampered = self.with_orbit_s(report, "F1tilde", lambda s: 2 * s)
+        assert self.refusal(lambda: _certify_polystable_branch(2, tampered)) == (
+            "m=2: curve term F1tilde must equal 1")
+
+    def test_vertical_term_equal_to_one_at_m3_is_caught(self):
+        # A/S = 1 exactly is not enough at m >= 3: the E orbit's S set to
+        # A = 1, that is 2 L VOL S = 2 L VOL.
+        model = SurfaceModel(0, 3)
+        report = delta_tvariety(model, rational_condition_point(model, rat(2, 3)))
+        _certify_polystable_branch(3, report)
+        den = 2 * report.dual.L * report.dual.VOL
+        tampered = self.with_orbit_s(report, "E1", lambda s: den)
+        assert self.refusal(lambda: _certify_polystable_branch(3, tampered)) == (
+            "m>=3: vertical term E1 must exceed 1")
+
+    @pytest.mark.parametrize("params, slope, delta, message", [
+        (SurfaceModel(0, 2), None, rat(3, 2),
+         "delta = 3/2 > 1 contradicts the necessity bound"),
+        (SurfaceModel(0, 2), None, rat(1),
+         "delta must be < 1 off the condition locus"),
+        (SurfaceModel(0, 1), rat(3, 5), rat(1),
+         "m=1 exclusion requires delta < 1 on the condition locus"),
+    ], ids=["necessity-bound", "off-locus", "m1-exclusion"])
+    def test_tampered_delta_in_the_verdict_is_caught(self, monkeypatch, params, slope, delta,
+                                                      message):
+        angles = Angles(HALF, HALF) if slope is None else rational_condition_point(params, slope)
+        report = delta_tvariety(params, angles)
+        assert report.delta < 1
+        tampered = dataclasses.replace(report, delta=delta)
+        monkeypatch.setattr("kedge.verdict.delta_tvariety", lambda model, angles: tampered)
+        assert self.refusal(lambda: k_polystable(params, angles)) == message
 
     def test_message_is_formatted_only_on_failure(self):
         class Unprintable:

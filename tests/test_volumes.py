@@ -4,7 +4,7 @@ from dataclasses import dataclass, replace
 
 import pytest
 from conftest import (gram, rat, reference_factorize, reference_smallest_root_after,
-                      reference_solve)
+                      reference_solve, volume)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,7 +46,6 @@ from kedge.zariski import (
     NotPseudoeffective,
     _support_factor,
     grow_support,
-    volume,
     zariski_decompose,
 )
 
@@ -453,6 +452,16 @@ class TestSharedEngine:
         model, angles = SurfaceModel(0, 2), Angles(HALF, HALF)
         first, second = volume_curve(C1TILDE, model, angles).pieces
         broken = (replace(first, q0=first.q0 + 1), second)
+        with pytest.raises(DecompositionError, match=r"must equal \(-K_Delta\)\^2"):
+            _certify_curve(model, angles, PiecewiseQuadratic(broken))
+
+    def test_certificate_compares_the_whole_volume_at_zero(self):
+        # Halving q0 = 7/2 keeps its numerator: the comparison must read
+        # both numerator and denominator.
+        model, angles = SurfaceModel(0, 2), Angles(HALF, HALF)
+        first, second = volume_curve(C1TILDE, model, angles).pieces
+        assert first.q0 == rat(7, 2)
+        broken = (replace(first, q0=first.q0 / 2), second)
         with pytest.raises(DecompositionError, match=r"must equal \(-K_Delta\)\^2"):
             _certify_curve(model, angles, PiecewiseQuadratic(broken))
 

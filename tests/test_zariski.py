@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import gram, negative_definite_families, rat, signature
+from conftest import gram, negative_definite_families, rat, signature, volume
 from kedge.picard import (
     Angles,
     C1TILDE,
@@ -23,7 +23,6 @@ from kedge.zariski import (
     grow_support,
     is_negative_definite,
     negative_definite_supports,
-    volume,
     zariski_decompose,
     zariski_decompose_bruteforce,
 )

@@ -1,0 +1,122 @@
+"""Apply hand mutants to a copy of the repository and run tier-1 on each.
+
+Each mutant replaces one exact text in one module of ``src/kedge``.  The
+text must occur exactly once, so a refactor that moves or rewrites it makes
+the tool fail loudly before anything runs, instead of passing quietly.  Each
+mutant is applied alone to a fresh copy in a temporary directory, tier-1
+runs there with ``-x``, and the mutant is caught when a test fails.  The
+tool prints caught or survived, with the first failing test, and exits 1
+when any mutant survives.  A surviving mutant costs a full tier-1 run.
+
+Usage: python tools/mutants.py [NAME ...]   (no name: every mutant)
+"""
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, module under src/kedge, exact old text, new text)
+MUTANTS = (
+    ("fiber-p0-s-plus-one", "tvariety.py",
+     "d.cross(d.PSI_P0) + 2 * n * FM + 4 * L * VOL)",
+     "d.cross(d.PSI_P0) + 2 * n * FM + 6 * L * VOL)"),
+    ("zariski-orthogonality-off", "zariski.py",
+     "if model.intersect(p, model.class_of(cid)) != 0:",
+     "if False:"),
+    ("curve-square-off", "volumes.py",
+     "if q0.numerator * square.denominator != square.numerator * q0.denominator:",
+     "if False:"),
+    ("support-function-off", "tvariety.py",
+     "if _encoded_class(model, frame) != model.log_anticanonical(frame):",
+     "if False:"),
+    ("ample-bound-strict", "picard.py",
+     "if self.n > 0 and self.n * b1 >= 2:",
+     "if self.n > 0 and self.n * b1 > 2:"),
+    ("ray-term-off", "verdict.py",
+     '_check(ratio == 1, "ray term',
+     '_check(True, "ray term'),
+    ("toric-term-off", "verdict.py",
+     '_check(ratio == 1, "toric case',
+     '_check(True, "toric case'),
+    ("m2-e-orbit-only", "verdict.py",
+     "for name, ratio in verticals[:2]:",
+     "for name, ratio in verticals[:1]:"),
+    ("m3-ratio-at-least-one", "verdict.py",
+     '_check(ratio > 1, "m>=3',
+     '_check(ratio >= 1, "m>=3'),
+    ("delta-bound-off", "verdict.py",
+     '_check(report.delta <= 1, "delta = {} > 1',
+     '_check(True, "delta = {} > 1'),
+    ("off-locus-delta-off", "verdict.py",
+     '_check(report.delta < 1, "delta must be < 1 off',
+     '_check(True, "delta must be < 1 off'),
+    ("m1-delta-off", "verdict.py",
+     '_check(report.delta < 1, "m=1 exclusion',
+     '_check(True, "m=1 exclusion'),
+    ("curve-square-numerators-only", "volumes.py",
+     "if q0.numerator * square.denominator != square.numerator * q0.denominator:",
+     "if q0.numerator != square.numerator:"),
+    ("reconstruction-off", "zariski.py",
+     "if p + zd.negative_class(model) != d:",
+     "if False and p + zd.negative_class(model) != d:"),
+)
+
+IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__")
+FAILED = re.compile(r"^(?:FAILED|ERROR) (.+)$", re.MULTILINE)
+
+
+def check_table(mutants) -> list[str]:
+    """One message per mutant whose old text does not occur exactly once."""
+    problems = []
+    for name, module, old, _ in mutants:
+        count = (ROOT / "src" / "kedge" / module).read_text(encoding="utf-8").count(old)
+        if count != 1:
+            problems.append(f"{name}: old text occurs {count} times in {module}: {old!r}")
+    return problems
+
+
+def run_mutant(module: str, old: str, new: str) -> str | None:
+    """The first failing test of tier-1 on a mutated copy, with pytest's
+    one-line reason, or None."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=IGNORED)
+        path = copy / "src" / "kedge" / module
+        path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH="src")
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests"],
+            cwd=copy, env=env, capture_output=True, text=True,
+        )
+    if result.returncode == 0:
+        return None
+    failed = FAILED.search(result.stdout)
+    return failed[1] if failed else f"pytest exit {result.returncode}"
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m[0] in argv]
+    unknown = set(argv) - {m[0] for m in MUTANTS}
+    problems = check_table(chosen) + [f"unknown mutant {name!r}" for name in sorted(unknown)]
+    if problems:
+        print("\n".join(problems), file=sys.stderr)
+        return 2
+    survived = 0
+    for name, module, old, new in chosen:
+        failing = run_mutant(module, old, new)
+        survived += failing is None
+        status = "survived" if failing is None else f"caught    {failing[:160]}"
+        print(f"{name:<30} {status}", flush=True)
+    print(f"{len(chosen) - survived} caught, {survived} survived")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
