@@ -271,7 +271,7 @@ class SurfaceModel:
         return Rat(acc, d1.den * d2.den)
 
     def pairings(self, d: DivisorClass) -> tuple:
-        """(den, den D.C for every C in ``candidate_curves()`` order), as
+        """(den, den D.C for every C in ``candidates`` order), as
         ints, den the class's denominator; in closed form D.C~1 = b,
         D.C~2 = na + b - sum c_i, D.E_i = c_i and D.F~i = a - c_i."""
         if d.m != self.m:
@@ -282,30 +282,40 @@ class SurfaceModel:
     @cached_property
     def candidate_table(self) -> tuple:
         """Entry i lists every (j, C_i.C_j != 0), i and j indexing
-        ``candidate_curves``, in O(m) from the closed forms
+        ``candidates``, in O(m) from the closed forms
         C~1^2 = -n, C~2^2 = n-m, E_i.E_j = F~i.F~j = -delta_ij,
-        E_i.F~j = delta_ij, C~1.F~i = C~2.E_i = 1, and 0 otherwise."""
+        E_i.F~j = delta_ij, C~1.F~i = C~2.E_i = 1, and 0 otherwise; only
+        the sections' self-intersections can be 0."""
         n, m = self.n, self.m
         es, fs = range(2, m + 2), range(m + 2, 2 * m + 2)
-        rows = [[(0, -n)] + [(f, 1) for f in fs], [(1, n - m)] + [(e, 1) for e in es]]
-        rows += [[(e, -1), (1, 1), (e + m, 1)] for e in es]
-        rows += [[(f, -1), (0, 1), (f - m, 1)] for f in fs]
-        return tuple(tuple((j, g) for j, g in row if g) for row in rows)
+        rows = [((0, -n),) * (n != 0) + tuple((f, 1) for f in fs),
+                ((1, n - m),) * (n != m) + tuple((e, 1) for e in es)]
+        rows += [((e, -1), (1, 1), (e + m, 1)) for e in es]
+        rows += [((f, -1), (0, 1), (f - m, 1)) for f in fs]
+        return tuple(rows)
+
+    @cached_property
+    def candidates(self) -> tuple:
+        """The curves that can support a Zariski negative part, in the
+        order every candidate index refers to: C~1, C~2, E_1, ..., E_m,
+        F~1, ..., F~m; built once per model."""
+        indices = range(1, self.m + 1)
+        return (C1TILDE, C2TILDE, *map(Ei, indices), *map(FiTilde, indices))
 
     @cached_property
     def candidate_coordinates(self) -> tuple:
         """Entry i lists every (j, x), x != 0, of the integer coordinates
-        (a, b, c_1, ..., c_m) of ``candidate_curves()[i]``'s class."""
+        (a, b, c_1, ..., c_m) of ``candidates[i]``'s class."""
         return tuple(
             tuple((j, x) for j, x in enumerate(self.class_of(c).num) if x)
-            for c in self.candidate_curves()
+            for c in self.candidates
         )
 
     @cached_property
     def candidate_labels(self) -> tuple:
-        """``CurveId.label`` of each of ``candidate_curves``, in that order,
+        """``CurveId.label`` of each of ``candidates``, in that order,
         spelled once per model."""
-        return tuple(curve.label for curve in self.candidate_curves())
+        return tuple(curve.label for curve in self.candidates)
 
     @cached_property
     def certified(self) -> set:
@@ -315,14 +325,6 @@ class SurfaceModel:
 
     def self_intersection(self, d: DivisorClass):
         return self.intersect(d, d)
-
-    def candidate_curves(self) -> list[CurveId]:
-        """The curves that can support a Zariski negative part."""
-        return (
-            [C1TILDE, C2TILDE]
-            + [Ei(i) for i in range(1, self.m + 1)]
-            + [FiTilde(i) for i in range(1, self.m + 1)]
-        )
 
     def log_anticanonical(self, angles: Angles) -> DivisorClass:
         """-K_{S,Delta} = (beta1+beta2, 2 - n beta1, c_i = beta2): with L the

@@ -144,7 +144,7 @@ def verify_route_agreement(samples: int, seed: int):
         angles = sample_angles(rng, model)
         yield _context(model, angles)
         report = delta_tvariety(model, angles)
-        for curve in model.candidate_curves():
+        for curve in model.candidates:
             yield _context(model, angles, curve=curve.label)
             term = report.term(curve.label)
             a = log_discrepancy(curve, model, angles)

@@ -7,14 +7,14 @@ b_i = L beta_i.  Then L (-K_Delta) = b1 C~1 + b2 C~2 + 2L F, so L r0,
 the pairings (-K_Delta).C over the candidate curves C, is an integer
 column read off the sparse candidate table, and so is
 L^2 d0 = L^2 (-K_Delta)^2 = b1 L r0[C~1] + b2 L r0[C~2] + 2L (b1 + b2).
-For a candidate E the slope column r1 of D(x) = -K_Delta - x E is minus
-E's row of the table, L d1 = -2 L r0[E] and d2 = -r1[E]; only the
-generic fiber and the pulled-back section, which are not candidates,
-pair -E through the generic ``intersect``.  Within a chamber the
-Zariski negative support S is constant, the support coefficients
-a(x) = G_S^{-1} r_S(x) are affine in x, and, because P.N = 0, the volume
-P(x)^2 = D(x)^2 - a(x).r_S(x) is an honest quadratic.  The sweep
-therefore never samples.  The support starts empty, because -K_Delta is
+Every swept curve E, candidate or not, takes one path: the slope column
+r1 of D(x) = -K_Delta - x E is ``pairings`` of -E, L d1 = 2 L
+(-K_Delta).(-E) = 2 (b1 r1[C~1] + b2 r1[C~2]) - 4L a_E, since F.E = a_E,
+E's pi^* C2 coordinate, and d2 = E.E comes from the generic
+``intersect``.  Within a chamber the Zariski negative support S is
+constant, the support coefficients a(x) = G_S^{-1} r_S(x) are affine
+in x, and, because P.N = 0, the volume P(x)^2 = D(x)^2 - a(x).r_S(x) is
+an honest quadratic.  The sweep therefore never samples.  The support starts empty, because -K_Delta is
 ample, and only grows: P(D) is the largest nef class below D, so
 P(x') <= P(x) for x < x', and no coefficient of the negative part falls
 (E never enters it: Lazarsfeld-Mustata, Ann. Sci. ENS 42 (2009),
@@ -35,11 +35,13 @@ the next chamber's growth.  Each chamber becomes one ``QuadraticPiece``
 with q0 = c0 / (s L^2), q1 = c1 / (s L) and q2 = c2 / s, integrated in
 closed form as one integer numerator over one denominator: one division
 per piece.  ``_certify_curve`` checks that the support grew strictly
-at every wall, so no two chambers ever merge, and compares the first
-piece with (-K_Delta)^2 from the generic ``intersect`` on the lattice's
-integer coordinates, which checks d0.  It and the continuity, vanishing
-and monotonicity checks cross-multiply the pieces' numerators and
-denominators, on integers.
+at every wall, so no two chambers ever merge.  The first chamber's
+support is empty, because -K_Delta is ample, so the first piece is
+D(x)^2 itself: the certificate compares its q0 with (-K_Delta)^2 and its
+q1 with 2 (-K_Delta).(-E), both from the generic ``intersect`` on the
+lattice's integer coordinates, which checks d0 and d1.  It and the
+continuity, vanishing and monotonicity checks cross-multiply the pieces'
+numerators and denominators, on integers.
 
 The sweep ends where the quadratic vanishes: that root is the
 pseudoeffective threshold tau, found from c0, c1, c2 by an integer
@@ -147,7 +149,7 @@ def volume_sweep(E: CurveId, model: SurfaceModel, angles: Angles) -> tuple:
     support starts empty (-K_Delta is ample) and each wall grows it.
     """
     model.ensure_ample(angles)
-    candidates, table = model.candidate_curves(), model.candidate_table
+    candidates, table = model.candidates, model.candidate_table
     # Integers over L: r(x) = r0 + x r1 as L r0 and r1 by candidate index,
     # and D(x)^2 = d0 + d1 x + d2 x^2 as L^2 d0, L d1 and d2.
     L, b1, b2 = common_denominator(angles.beta1, angles.beta2)
@@ -159,16 +161,10 @@ def volume_sweep(E: CurveId, model: SurfaceModel, angles: Angles) -> tuple:
     r0[0] += 2 * L  # F.C~1 = F.C~2 = 1
     r0[1] += 2 * L
     d0 = b1 * r0[0] + b2 * r0[1] + 2 * L * (b1 + b2)
-    if E in candidates:
-        e, r1 = candidates.index(E), [0] * len(candidates)
-        for j, g in table[e]:
-            r1[j] = -g
-        d1, d2 = -2 * r0[e], -r1[e]
-    else:
-        minus_k, minus_e = model.log_anticanonical(angles), -model.class_of(E)
-        _, *r1 = model.pairings(minus_e)  # -E is integral: its denominator is 1
-        d1 = int(2 * L * model.intersect(minus_k, minus_e))
-        d2 = int(model.self_intersection(minus_e))
+    e = model.class_of(E)
+    _, *r1 = model.pairings(-e)  # -E is integral: its denominator is 1
+    d1 = 2 * (b1 * r1[0] + b2 * r1[1]) - 4 * L * e.num[0]  # F.E = a_E
+    d2 = int(model.self_intersection(e))
     context = f"E={E.label}, n={model.n}, m={model.m}"
 
     pieces: list[QuadraticPiece] = []
@@ -235,18 +231,23 @@ def _jets(piece: QuadraticPiece, x) -> tuple:
     return w, d0 * d1 * d2, n1 * d2 * v + 2 * n2 * d1 * u
 
 
-def _certify_curve(model: SurfaceModel, angles: Angles, curve: PiecewiseQuadratic):
-    """Cheap exact post-conditions: continuity, endpoints, monotonicity,
-    and a negative support that grows strictly at every wall (the theorem
-    the sweep rests on; it also means no two chambers ever merge).  Values
-    and slopes at the endpoints are compared on integers (``_jets``)."""
+def _certify_curve(E: CurveId, model: SurfaceModel, angles: Angles, curve: PiecewiseQuadratic):
+    """Cheap exact post-conditions on the volume curve of E: value and
+    slope at x = 0, continuity, endpoints, monotonicity, and a negative
+    support that grows strictly at every wall (the theorem the sweep
+    rests on; it also means no two chambers ever merge).  Values and
+    slopes at the endpoints are compared on integers (``_jets``)."""
     pieces = curve.pieces
     if not pieces or pieces[0].x_lo != 0:
         raise DecompositionError("volume curve must start at x = 0")
-    q0 = pieces[0].q0
-    square = model.self_intersection(model.log_anticanonical(angles))
+    q0, q1 = pieces[0].q0, pieces[0].q1
+    minus_k = model.log_anticanonical(angles)
+    square = model.self_intersection(minus_k)
     if q0.numerator * square.denominator != square.numerator * q0.denominator:
         raise DecompositionError("volume at x = 0 must equal (-K_Delta)^2")
+    k_e = model.intersect(minus_k, model.class_of(E))  # q1 = 2 (-K_Delta).(-E) = -2 k_e
+    if q1.numerator * k_e.denominator != -2 * k_e.numerator * q1.denominator:
+        raise DecompositionError("slope at x = 0 must equal 2 (-K_Delta).(-E)")
     ends = [(_jets(piece, piece.x_lo), _jets(piece, piece.x_hi)) for piece in pieces]
     _, (w_tau, _, _) = ends[-1]
     if w_tau != 0:
@@ -268,7 +269,7 @@ def _certify_curve(model: SurfaceModel, angles: Angles, curve: PiecewiseQuadrati
 def volume_curve(E: CurveId, model: SurfaceModel, angles: Angles) -> PiecewiseQuadratic:
     """Exact piecewise-quadratic x |-> vol(-K_Delta - x E) on [0, tau]."""
     curve = PiecewiseQuadratic(pieces=volume_sweep(E, model, angles))
-    _certify_curve(model, angles, curve)
+    _certify_curve(E, model, angles, curve)
     return curve
 
 

@@ -174,7 +174,7 @@ def _certify(model: SurfaceModel, d: DivisorClass, zd: ZariskiDecomposition):
 def grow_support(model: SurfaceModel, columns, start=()):
     """Bauer's support growth: (support, scale, coefficients, residuals).
 
-    Curves are indices into ``model.candidate_curves()``.  ``columns`` are
+    Curves are indices into ``model.candidates``.  ``columns`` are
     integer columns over the candidates, each D.C times a positive scale
     of its own, compared lexicographically: one for ``zariski_decompose``;
     for the chamber sweep the value and the slope of the pairing jet at a
@@ -245,7 +245,7 @@ def zariski_decompose(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposit
         # Residual meets the (nef, moving) generic fiber negatively:
         # no effective class can, so d is not pseudoeffective.
         raise NotPseudoeffective(f"{d} pairs negatively with the generic fiber")
-    negative = _negative_part(model.candidate_curves(), support, coeffs, scale)
+    negative = _negative_part(model.candidates, support, coeffs, scale)
     zd = ZariskiDecomposition(positive, negative)
     _certify(model, d, zd)
     return zd
@@ -269,7 +269,7 @@ def zariski_decompose_bruteforce(model: SurfaceModel, d: DivisorClass) -> Zarisk
     that of the full 2^k enumeration, and so are the "two distinct
     decompositions" and NotPseudoeffective outcomes.
     """
-    candidates = model.candidate_curves()
+    candidates = model.candidates
     denominator, *column = model.pairings(d)
     found: ZariskiDecomposition | None = None
     for subset, factor in negative_definite_supports(model):

@@ -79,6 +79,18 @@ def test_curve_ids_and_labels():
         parse_curve_id("D5")
 
 
+def test_candidates_are_one_tuple_per_model():
+    for m in (0, 1, 3):
+        model = SurfaceModel(1, m)
+        candidates = model.candidates
+        assert model.candidates is candidates, "built once, read as the same object"
+        assert candidates == (C1TILDE, C2TILDE, *[Ei(i) for i in range(1, m + 1)],
+                              *[FiTilde(i) for i in range(1, m + 1)])
+        assert len(model.candidate_labels) == len(candidates)
+        for curve, label in zip(candidates, model.candidate_labels):
+            assert parse_curve_id(label) == curve and curve.label == label
+
+
 def test_unknown_curve_kind_is_refused():
     with pytest.raises(ValueError) as raised:
         CurveId("Bogus")
@@ -155,7 +167,7 @@ def test_named_classes_have_integer_coordinates():
     for n in range(7):
         for m in range(7):
             model = SurfaceModel(n, m)
-            for curve in model.candidate_curves() + [GENERIC_FIBER, PULLBACK_C2]:
+            for curve in (*model.candidates, GENERIC_FIBER, PULLBACK_C2):
                 cls = model.class_of(curve)
                 assert all(x.denominator == 1 for x in (cls.a, cls.b, *cls.c)), (n, m, curve)
 
@@ -174,7 +186,7 @@ def test_closed_form_curve_pairings_match_intersect():
     for n in range(7):
         for m in range(7):
             model = SurfaceModel(n, m)
-            curves = model.candidate_curves()
+            curves = model.candidates
             table = [dict(row) for row in model.candidate_table]
             assert len(table) == len(curves)
             for i, row in enumerate(table):
@@ -194,7 +206,7 @@ def test_closed_form_curve_pairings_match_intersect():
 def test_closed_form_class_pairings_match_intersect(n, coords):
     model = SurfaceModel(n, len(coords) - 2)
     d = DivisorClass(coords[0], coords[1], tuple(coords[2:]))
-    curves = model.candidate_curves()
+    curves = model.candidates
     den, *column = model.pairings(d)
     assert den == d.den and all(type(x) is int for x in column)
     assert [Rat(x, den) for x in column] == [model.intersect(d, model.class_of(c)) for c in curves]

@@ -5,7 +5,7 @@ from dataclasses import dataclass, replace
 import pytest
 from conftest import (gram, rat, reference_factorize, reference_smallest_root_after,
                       reference_solve, volume)
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kedge import closedforms, linalg, volumes, zariski
@@ -92,7 +92,7 @@ def reference_grow_support(model, pairings, zero, start=()):
     through ``intersect`` of the curves' classes: a fresh dense Gram
     matrix and solve each round on the rational reference kernel,
     residuals over every (support, candidate) pair."""
-    candidates = model.candidate_curves()
+    candidates = model.candidates
     classes = {c: model.class_of(c) for c in candidates}
     support = list(start)
     while True:
@@ -121,7 +121,7 @@ def reference_volume_sweep(E, model, angles):
     """The chamber sweep with pairing jets as ``Affine`` objects in dicts
     keyed by curve, on ``reference_grow_support``."""
     minus_k, minus_e = model.log_anticanonical(angles), -model.class_of(E)
-    candidates = model.candidate_curves()
+    candidates = model.candidates
     r0 = {c: model.intersect(minus_k, model.class_of(c)) for c in candidates}
     r1 = {c: model.intersect(minus_e, model.class_of(c)) for c in candidates}
     d0 = model.self_intersection(minus_k)
@@ -180,7 +180,7 @@ def sweep_inputs(draw):
             return Rat(draw(st.integers(1, top)), q)
 
         angles = Angles(angle(q1, n), angle(q2, m - n))
-    curves = model.candidate_curves() + [GENERIC_FIBER] + [PULLBACK_C2] * (m == 0)
+    curves = [*model.candidates, GENERIC_FIBER] + [PULLBACK_C2] * (m == 0)
     return draw(st.sampled_from(curves)), model, angles
 
 
@@ -262,7 +262,7 @@ class TestInvariants:
                 assert piece.q1 + 2 * piece.q2 * piece.x_lo <= 0
                 assert piece.q1 + 2 * piece.q2 * piece.x_hi <= 0
                 for cid in piece.negative_support:
-                    assert cid in model.candidate_curves()
+                    assert cid in model.candidates
 
     def test_closed_form_regression_sampled(self, rng):
         for case in LEMMA_CASES:
@@ -339,7 +339,7 @@ class TestSharedEngine:
             model = sample_surface(rng, n_max=4, m_max=4)
             angles = sample_angles(rng, model)
             minus_k = model.log_anticanonical(angles)
-            for curve in model.candidate_curves():
+            for curve in model.candidates:
                 for piece in volume_curve(curve, model, angles).pieces:
                     x = (piece.x_lo + piece.x_hi) / 2
                     d = minus_k - model.class_of(curve).scale(x)
@@ -385,7 +385,7 @@ class TestSharedEngine:
         monkeypatch.setattr("kedge.zariski.grow_support", guarded)
         model = SurfaceModel(0, 2)
         angles = Angles(HALF, HALF)
-        for curve in model.candidate_curves() + [GENERIC_FIBER]:
+        for curve in (*model.candidates, GENERIC_FIBER):
             rounds.clear()
             assert len(volume_curve(curve, model, angles).pieces) == len(rounds)
         d = model.log_anticanonical(angles) - model.class_of(Ei(1)).scale(rat(3, 2))
@@ -424,16 +424,18 @@ class TestSharedEngine:
         pieces = volume_sweep(curve, params, angles)
         index = [p.x_lo for p in pieces].index(wall)
         (start, _), (_, support) = rounds[index], rounds[index - 1]
-        assert start == support + [params.candidate_curves().index(c) for c in reach]
+        assert start == support + [params.candidates.index(c) for c in reach]
         assert set(reach) <= set(pieces[index].negative_support)
         assert pieces == reference_volume_sweep(curve, params, angles)
 
     @pytest.mark.parametrize("params, angles", [(SurfaceModel(0, 2), Angles(HALF, HALF)),
                                                 (SurfaceModel(1, 2), Angles(HALF, rat(2, 3)))])
     def test_intersect_count(self, monkeypatch, params, angles):
-        # A candidate's sweep reads D(x)^2 and the slope column off the
-        # pairings: the generic intersect runs once, in the certificate.
-        # The generic fiber, no candidate, pairs -E twice more.
+        # Every curve takes one path: the sweep reads d0 off the table, d1
+        # and the slope column off E's pairings, and forms d2 = E^2 through
+        # the generic intersect; the certificate forms (-K_Delta)^2 and
+        # (-K_Delta).(-E) through it.  Candidates and the generic fiber
+        # alike: 3 calls.
         intersect, calls = SurfaceModel.intersect, []
 
         def counting(self, d1, d2):
@@ -441,10 +443,10 @@ class TestSharedEngine:
             return intersect(self, d1, d2)
 
         monkeypatch.setattr(SurfaceModel, "intersect", counting)
-        for curve in params.candidate_curves() + [GENERIC_FIBER]:
+        for curve in (*params.candidates, GENERIC_FIBER):
             calls.clear()
             volume_curve(curve, params, angles)
-            assert len(calls) == (3 if curve == GENERIC_FIBER else 1)
+            assert len(calls) == 3
 
     def test_certificate_checks_the_volume_at_zero(self):
         # The first piece's q0 is d0's closed form; the certificate compares
@@ -453,7 +455,19 @@ class TestSharedEngine:
         first, second = volume_curve(C1TILDE, model, angles).pieces
         broken = (replace(first, q0=first.q0 + 1), second)
         with pytest.raises(DecompositionError, match=r"must equal \(-K_Delta\)\^2"):
-            _certify_curve(model, angles, PiecewiseQuadratic(broken))
+            _certify_curve(C1TILDE, model, angles, PiecewiseQuadratic(broken))
+
+    def test_certificate_checks_the_slope_at_zero(self):
+        # The first chamber's support is empty (-K_Delta is ample), so the
+        # first piece is D(x)^2 and its q1 is 2 (-K_Delta).(-E) from the
+        # generic intersect.  A wrong d1 of 3/2 times the true one, with q0
+        # right, would give S = 34139/48204 here instead of 191/206.
+        model, angles = SurfaceModel(1, 3), Angles(HALF, rat(1, 3))
+        first, *rest = volume_curve(FiTilde(1), model, angles).pieces
+        broken = (replace(first, q1=first.q1 * rat(3, 2)), *rest)
+        with pytest.raises(DecompositionError,
+                           match=r"^slope at x = 0 must equal 2 \(-K_Delta\)\.\(-E\)$"):
+            _certify_curve(FiTilde(1), model, angles, PiecewiseQuadratic(broken))
 
     def test_certificate_compares_the_whole_volume_at_zero(self):
         # Halving q0 = 7/2 keeps its numerator: the comparison must read
@@ -463,7 +477,7 @@ class TestSharedEngine:
         assert first.q0 == rat(7, 2)
         broken = (replace(first, q0=first.q0 / 2), second)
         with pytest.raises(DecompositionError, match=r"must equal \(-K_Delta\)\^2"):
-            _certify_curve(model, angles, PiecewiseQuadratic(broken))
+            _certify_curve(C1TILDE, model, angles, PiecewiseQuadratic(broken))
 
     @pytest.mark.parametrize(
         "left, right",
@@ -475,16 +489,17 @@ class TestSharedEngine:
         model = SurfaceModel(0, 2)
         angles = Angles(HALF, HALF)
         first, second = volume_curve(C1TILDE, model, angles).pieces
-        _certify_curve(model, angles, PiecewiseQuadratic((first, second)))
+        _certify_curve(C1TILDE, model, angles, PiecewiseQuadratic((first, second)))
         broken = (replace(first, negative_support=left), replace(second, negative_support=right))
         with pytest.raises(DecompositionError, match="grow strictly"):
-            _certify_curve(model, angles, PiecewiseQuadratic(broken))
+            _certify_curve(C1TILDE, model, angles, PiecewiseQuadratic(broken))
 
     @pytest.mark.parametrize("first_changes, second_changes, message", [
         ({"x_lo": rat(1, 4)}, {}, "start at x = 0"),
         ({}, {"q0": rat(5)}, "vanish at the threshold"),
         ({"x_hi": rat(1, 4)}, {}, "partition the interval"),
-        ({"q1": rat(-3)}, {}, "continuous across walls"),
+        # 5 - 7x + 2x^2 still vanishes at 1, but is 2, not 3/2, at 1/2.
+        ({}, {"q0": rat(5), "q1": rat(-7)}, "continuous across walls"),
         # (x - 1)(1 - 8x) agrees with 4 - 6x + 2x^2 at both ends of
         # [1/2, 1] but rises at 1/2.
         ({}, {"q0": rat(-1), "q1": rat(9), "q2": rat(-8)}, "nonincreasing"),
@@ -496,7 +511,7 @@ class TestSharedEngine:
         first, second = volume_curve(C1TILDE, model, angles).pieces
         broken = (replace(first, **first_changes), replace(second, **second_changes))
         with pytest.raises(DecompositionError, match=message):
-            _certify_curve(model, angles, PiecewiseQuadratic(broken))
+            _certify_curve(C1TILDE, model, angles, PiecewiseQuadratic(broken))
 
     def test_falling_coefficient_is_refused(self, monkeypatch):
         # No coefficient of the negative part falls along the ray, so the
@@ -536,8 +551,8 @@ class TestClosedForms:
                 model = SurfaceModel(n, m)
                 angles = sample_angles(rng, model)
                 minus_k = model.log_anticanonical(angles)
-                curves = model.candidate_curves()
-                for curve in curves + [GENERIC_FIBER] + [PULLBACK_C2] * (m == 0):
+                curves = model.candidates
+                for curve in (*curves, GENERIC_FIBER) + (PULLBACK_C2,) * (m == 0):
                     columns.clear()
                     first = volume_sweep(curve, model, angles)[0]
                     minus_e = -model.class_of(curve)
@@ -612,6 +627,12 @@ class TestScalars:
     @settings(deadline=None)
     @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30),
            st.integers(1, 12), st.integers(1, 12), st.fractions(0, 6, max_denominator=12))
+    # Each refusal at least once, whatever the draws: a constant curve, a
+    # linear root not beyond x0, no real root, and both roots at or before x0.
+    @example(5, 0, 0, 1, 1, rat(0))
+    @example(-2, -1, 0, 1, 1, rat(0))
+    @example(1, 0, 1, 1, 1, rat(0))
+    @example(6, -5, 1, 1, 1, rat(3))
     def test_root_matches_the_rational_reference(self, c0, c1, c2, s, L, x0):
         # Same root, or the same error with the same message, as the
         # rational form on q0 = c0 / (s L^2), q1 = c1 / (s L), q2 = c2 / s.

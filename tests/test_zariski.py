@@ -72,7 +72,7 @@ class TestNegativeDefinite:
         for n in range(5):
             for m in range(5):
                 model = SurfaceModel(n, m)
-                candidates = model.candidate_curves()
+                candidates = model.candidates
                 for _ in range(20):
                     curves = rng.sample(candidates, rng.randint(0, len(candidates)))
                     classes = [model.class_of(c) for c in curves]
@@ -234,7 +234,7 @@ class TestGrowSupport:
         for _ in range(80):
             model = sample_surface(rng, n_max=4, m_max=4)
             d = sample_divisor_class(rng, model)
-            candidates = model.candidate_curves()
+            candidates = model.candidates
             pairings = [model.intersect(d, model.class_of(c)) for c in candidates]
             denominator, *column = common_denominator(*pairings)
             try:
@@ -256,7 +256,7 @@ class TestGrowSupport:
         # Bauer's guarantee needs a start inside the true support; a start
         # that is not negative definite (C1tilde, F1tilde on (1, 1)) refuses.
         model = SurfaceModel(1, 1)
-        candidates = model.candidate_curves()
+        candidates = model.candidates
         start = (candidates.index(C1TILDE), candidates.index(FiTilde(1)))
         column = [int(x) for x in model.pairings(model.zero())]
         with pytest.raises(NotPseudoeffective, match="support is not negative definite"):
@@ -304,7 +304,7 @@ def exhaustive_decompositions(model, d):
     """Every decomposition some subset of the 2^k candidate subsets passes,
     paired through the generic ``intersect``; every nonsingular subset is
     solved, indefinite ones included."""
-    candidates = model.candidate_curves()
+    candidates = model.candidates
     found = set()
     for mask in range(1 << len(candidates)):
         subset = [c for i, c in enumerate(candidates) if mask >> i & 1]
@@ -353,7 +353,7 @@ class TestPrunedOracle:
         supports = [s for s, _factor in negative_definite_supports(model)]
         assert len(supports) == count
         assert supports[0] == []
-        candidates = model.candidate_curves()
+        candidates = model.candidates
         every_subset = (
             [i for i in range(len(candidates)) if mask >> i & 1]
             for mask in range(1, 1 << len(candidates))
@@ -410,7 +410,7 @@ class TestVolume:
             base = volume(model, d)
             bigger = d + model.class_of(GENERIC_FIBER).scale(rat(1, 3))
             assert volume(model, bigger) >= base
-            for curve in model.candidate_curves():
+            for curve in model.candidates:
                 extra = d + model.class_of(curve).scale(rat(1, 4))
                 assert volume(model, extra) >= base
 

@@ -66,6 +66,84 @@ MUTANTS = (
     ("reconstruction-off", "zariski.py",
      "if p + zd.negative_class(model) != d:",
      "if False and p + zd.negative_class(model) != d:"),
+    # The sweep's one path and the curve certificate's slope at x = 0.
+    ("d1-fiber-term-halved", "volumes.py",
+     "- 4 * L * e.num[0]",
+     "- 2 * L * e.num[0]"),
+    ("curve-slope-off", "volumes.py",
+     "if q1.numerator * k_e.denominator != -2 * k_e.numerator * q1.denominator:",
+     "if False:"),
+    # One per InconsistencyError, DecompositionError or IrrationalThreshold
+    # raise (or ``_check`` call) that the mutants above leave uncovered.
+    ("root-constant-off", "volumes.py",
+     "if c1 == 0:",
+     "if False:"),
+    ("root-not-beyond-off", "volumes.py",
+     "if num * v <= u * den:",
+     "if False:"),
+    ("root-no-real-off", "volumes.py",
+     "if disc < 0:",
+     "if False:"),
+    ("irrational-threshold-off", "volumes.py",
+     "if r is None:",
+     "if False:"),
+    ("no-root-beyond-off", "volumes.py",
+     'raise DecompositionError(f"no volume root beyond {x0} ({context})")',
+     "return x0"),
+    ("jet-growth-failure-raw", "volumes.py",
+     "except NotPseudoeffective as exc:",
+     "except ZeroDivisionError as exc:"),
+    ("falling-coefficient-off", "volumes.py",
+     "if any(a < 0 for a in a1):",
+     "if False:"),
+    ("curve-start-off", "volumes.py",
+     "if not pieces or pieces[0].x_lo != 0:",
+     "if not pieces:"),
+    ("curve-vanishing-off", "volumes.py",
+     "if w_tau != 0:",
+     "if False:"),
+    ("curve-partition-off", "volumes.py",
+     "if left.x_hi != right.x_lo:",
+     "if False:"),
+    ("curve-continuity-off", "volumes.py",
+     "if w * d_next != w_next * d:",
+     "if False:"),
+    ("curve-support-growth-off", "volumes.py",
+     "if not set(left.negative_support) < set(right.negative_support):",
+     "if False:"),
+    ("curve-monotone-off", "volumes.py",
+     "if any(t > 0 for lo, hi in ends for t in (lo[2], hi[2])):",
+     "if False:"),
+    ("torus-vol-positive-off", "tvariety.py",
+     "if VOL <= 0:",
+     "if False:"),
+    ("torus-s-positive-off", "tvariety.py",
+     "if s <= 0:",
+     "if False:"),
+    ("condition-delta-one-off", "verdict.py",
+     '_check(report.delta == 1, "condition point',
+     '_check(True, "condition point'),
+    ("m2-term-off", "verdict.py",
+     '_check(ratio == 1, "m=2: curve term',
+     '_check(True, "m=2: curve term'),
+    ("futaki-sign-off", "verdict.py",
+     "_check(report.futaki_sign == csign,",
+     "_check(True,"),
+    ("condition-point-self-check-off", "verdict.py",
+     "if condition_sign(model, angles) != 0:",
+     "if False:"),
+    ("zariski-nef-off", "zariski.py",
+     'if not model.is_nef(p):\n        raise DecompositionError',
+     'if False:\n        raise DecompositionError'),
+    ("zariski-coefficient-sign-off", "zariski.py",
+     "if coeff <= 0:",
+     "if False:"),
+    ("zariski-definite-off", "zariski.py",
+     "if not is_negative_definite(model, zd.support):",
+     "if False and not is_negative_definite(model, zd.support):"),
+    ("bruteforce-two-decompositions-off", "zariski.py",
+     "if found is not None and (found.positive != zd.positive",
+     "if False and (found.positive != zd.positive"),
 )
 
 IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__")
