@@ -8,13 +8,14 @@ ruling fiber).  Its Picard group is free of rank m+2 with basis
     (pi^* C2,  pi^* F,  E_1, ..., E_m),
 
 where pi is the blow-down, F a ruling fiber and E_i the exceptional
-curves.  A class is stored as
+curves.  A class is
 
     D  =  a . pi^* C2  +  b . pi^* F  -  sum_i c_i . E_i,
 
 (note the MINUS sign: effective exceptional multiples have c_i <= 0 in
 the ``c`` vector convention used throughout -- storing coefficients of
--E_i avoids sign errors against the intersection rules below).
+-E_i avoids sign errors against the intersection rules below), built by
+the one constructor ``DivisorClass(num, den)``.
 
 Intersection numbers in this basis:
 
@@ -40,7 +41,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .ratmath import Rat, as_rat, common_denominator
+from .ratmath import Rat, common_denominator
 
 
 class OutsideAmpleRange(ValueError):
@@ -132,67 +133,32 @@ def parse_curve_id(label: str) -> CurveId:
     return Ei(int(e)) if e else FiTilde(int(f))
 
 
-def _freeze(d: "DivisorClass", num, den: int) -> "DivisorClass":
-    object.__setattr__(d, "num", tuple(num))
-    object.__setattr__(d, "den", den)
-    return d
-
-
+@dataclass(frozen=True, slots=True, init=False)
 class DivisorClass:
     """Exact rational class a.pi*C2 + b.pi*F - sum c_i E_i.
 
-    Stored as integer coordinates ``num`` = (a, b, c_1, ..., c_m) over one
-    positive denominator ``den``, in lowest terms, so that equal classes
-    have equal fields.  ``DivisorClass(a, b, c)`` takes rational
-    coordinates, ``DivisorClass.over(num, den)`` integer ones; every
-    operation works on the integers, and ``a``, ``b`` and ``c`` form the
-    rational coordinates when they are read.  Instances are immutable.
+    ``DivisorClass(num, den)`` is the class num / den: integer coordinates
+    ``num`` = (a, b, c_1, ..., c_m) over one positive denominator ``den``,
+    stored in lowest terms, so that equal classes have equal fields.
+    Every operation works on the integers.  Instances are immutable.
     """
 
-    __slots__ = ("num", "den")
+    num: tuple
+    den: int = 1
 
-    def __init__(self, a, b, c):
-        den, *num = common_denominator(as_rat(a), as_rat(b), *map(as_rat, c))
-        _freeze(self, num, den)
-
-    @classmethod
-    def over(cls, num, den: int = 1) -> "DivisorClass":
-        """The class num / den, for integer coordinates and den > 0."""
+    def __init__(self, num, den: int = 1):
+        if den <= 0:
+            raise ValueError(f"a class's denominator must be positive, got {den}")
         if den != 1:
             g = math.gcd(den, *num)
             if g != 1:
                 num, den = [x // g for x in num], den // g
-        return _freeze(object.__new__(cls), num, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):
-        return DivisorClass.over, (self.num, self.den)
-
-    @property
-    def a(self):
-        return Rat(self.num[0], self.den)
-
-    @property
-    def b(self):
-        return Rat(self.num[1], self.den)
-
-    @property
-    def c(self) -> tuple:
-        return tuple(Rat(x, self.den) for x in self.num[2:])
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
 
     @property
     def m(self) -> int:
         return len(self.num) - 2
-
-    def __eq__(self, other):
-        if type(other) is not DivisorClass:
-            return NotImplemented
-        return self.den == other.den and self.num == other.num
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c))
 
     def _combine(self, other: "DivisorClass", sign: int) -> "DivisorClass":
         """self + sign * other."""
@@ -202,7 +168,7 @@ class DivisorClass:
             )
         p, q = self.den, other.den
         sp = sign * p
-        return DivisorClass.over([x * q + y * sp for x, y in zip(self.num, other.num)], p * q)
+        return DivisorClass([x * q + y * sp for x, y in zip(self.num, other.num)], p * q)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return self._combine(other, 1)
@@ -211,16 +177,16 @@ class DivisorClass:
         return self._combine(other, -1)
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass.over([-x for x in self.num], self.den)
+        return DivisorClass([-x for x in self.num], self.den)
 
     def scale(self, t) -> "DivisorClass":
         """t times the class, for an int or a Rat t."""
         p = t.numerator
-        return DivisorClass.over([p * x for x in self.num], t.denominator * self.den)
+        return DivisorClass([p * x for x in self.num], t.denominator * self.den)
 
     def __repr__(self) -> str:
-        cs = ",".join(str(x) for x in self.c)
-        return f"DivisorClass(a={self.a}, b={self.b}, c=({cs}))"
+        a, b, *c = (Rat(x, self.den) for x in self.num)
+        return f"DivisorClass(a={a}, b={b}, c=({','.join(map(str, c))}))"
 
 
 @dataclass(frozen=True)
@@ -238,20 +204,20 @@ class SurfaceModel:
             raise ValueError(f"n and m must be nonnegative, got n={self.n}, m={self.m}")
 
     def zero(self) -> DivisorClass:
-        return DivisorClass.over((0,) * (self.m + 2))
+        return DivisorClass((0,) * (self.m + 2))
 
     def class_of(self, cid: CurveId) -> DivisorClass:
         """Class of a named curve in the (pi*C2, pi*F, E_i) basis; every
         named class is integral."""
         n, m = self.n, self.m
         if cid.kind == "C1tilde":
-            return DivisorClass.over((1, -n) + (0,) * m)
+            return DivisorClass((1, -n) + (0,) * m)
         if cid.kind == "C2tilde":
-            return DivisorClass.over((1, 0) + (1,) * m)
+            return DivisorClass((1, 0) + (1,) * m)
         if cid.kind == "GenericFiber":
-            return DivisorClass.over((0, 1) + (0,) * m)
+            return DivisorClass((0, 1) + (0,) * m)
         if cid.kind == "PullbackC2":
-            return DivisorClass.over((1, 0) + (0,) * m)
+            return DivisorClass((1, 0) + (0,) * m)
         if cid.index > m:
             raise ValueError(f"curve {cid.label} out of range for m={m}")
         num = [0, 0] + [0] * m
@@ -259,7 +225,7 @@ class SurfaceModel:
             num[cid.index + 1] = -1
         else:  # FiTilde
             num[1] = num[cid.index + 1] = 1
-        return DivisorClass.over(num)
+        return DivisorClass(num)
 
     def intersect(self, d1: DivisorClass, d2: DivisorClass):
         """Intersection number n.a1a2 + a1b2 + a2b1 - sum c1i c2i, on the
@@ -331,7 +297,7 @@ class SurfaceModel:
         angles' common denominator and P_i = L beta_i, L (-K_{S,Delta}) is
         (P1 + P2, 2 L - n P1, c_i = P2), over L."""
         L, p1, p2 = common_denominator(angles.beta1, angles.beta2)
-        return DivisorClass.over((p1 + p2, 2 * L - self.n * p1) + (p2,) * self.m, L)
+        return DivisorClass((p1 + p2, 2 * L - self.n * p1) + (p2,) * self.m, L)
 
     def is_nef(self, d: DivisorClass) -> bool:
         """Nefness test.

@@ -25,11 +25,6 @@ ZERO = Rat(0)
 ONE = Rat(1)
 
 
-def as_rat(x):
-    """x itself when it is already a Rat, else Rat(x): no re-wrapping."""
-    return x if type(x) is Rat else Rat(x)
-
-
 def common_denominator(*xs) -> tuple:
     """(L, L x for each x) as ints, L the least common denominator of xs."""
     L = math.lcm(*[x.denominator for x in xs])

@@ -106,4 +106,4 @@ def sample_divisor_class(rng: random.Random, model: SurfaceModel) -> DivisorClas
                 num[j] += t * x
     else:
         num = [coeff(-1, 4), coeff(-2, 6)] + [coeff(-2, 4) for _ in range(model.m)]
-    return DivisorClass.over(num, 12)
+    return DivisorClass(num, 12)

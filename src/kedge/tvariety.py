@@ -110,7 +110,7 @@ def _encoded_class(model: SurfaceModel, angles: Angles) -> DivisorClass:
     M = math.lcm(*(d.den for d in classes))
     w1, w2, w3 = (w * (M // d.den) for w, d in zip((p1, p2, -L * h_p0), classes))
     num = [w1 * x + w2 * y + w3 * z for x, y, z in zip(*(d.num for d in classes))]
-    return DivisorClass.over(num, L * M)
+    return DivisorClass(num, L * M)
 
 
 # Three affinely independent angle pairs.

@@ -147,7 +147,7 @@ def _subtract_curves(model: SurfaceModel, d: DivisorClass, support, coeffs, scal
             a *= den
             for j, x in rows[c]:
                 num[j] -= a * x
-    return DivisorClass.over(num, scale * den)
+    return DivisorClass(num, scale * den)
 
 
 def _negative_part(candidates, support, coeffs, scale: int) -> tuple:

@@ -1,9 +1,10 @@
 """Shared fixtures: seeded generators, the surface and curve families, the
-``rat`` constructor the tests spell their rationals with, and the rational
-references the tests check the integer code against: the LDL^T kernel, the
-Gram matrix through the generic pairing, the signature, the angle sampler,
-the volume curve's last root, the volume of a class, the torus-side Futaki
-sign and the rational divisor class."""
+``rat`` constructor the tests spell their rationals with, the ``divisor``
+constructor and ``coordinates`` view of a class in rational coordinates, and
+the rational references the tests check the integer code against: the LDL^T
+kernel, the Gram matrix through the generic pairing, the signature, the
+angle sampler, the volume curve's last root, the volume of a class, the
+torus-side Futaki sign and the rational divisor class."""
 
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 import pytest
 
 from kedge.linalg import NotNegativeDefinite
-from kedge.picard import Angles, SurfaceModel
-from kedge.ratmath import Rat, isqrt_exact, sign
+from kedge.picard import Angles, DivisorClass, SurfaceModel
+from kedge.ratmath import Rat, common_denominator, isqrt_exact, sign
 from kedge.sampling import MAX_DENOMINATOR, MAX_TRIES, MAX_VALUE
 from kedge.tvariety import legendre_dual
 from kedge.volumes import IrrationalThreshold
@@ -176,6 +177,18 @@ def rat(numerator, denominator=None):
     return Rat(numerator) / Rat(denominator)
 
 
+def divisor(a, b, c) -> DivisorClass:
+    """The class a.pi*C2 + b.pi*F - sum c_i E_i, for rational a, b and c_i."""
+    den, *num = common_denominator(Rat(a), Rat(b), *map(Rat, c))
+    return DivisorClass(num, den)
+
+
+def coordinates(d: DivisorClass) -> tuple:
+    """The rational coordinates (a, b, (c_1, ..., c_m)) of a class."""
+    a, b, *c = (Rat(x, d.den) for x in d.num)
+    return a, b, tuple(c)
+
+
 def sqrt_exact(x):
     """Exact rational square root of ``x``, or None if irrational."""
     num = isqrt_exact(x.numerator)
@@ -233,8 +246,8 @@ def futaki_vanishes(model, angles) -> int:
 class ReferenceDivisorClass:
     """The rational class a.pi*C2 + b.pi*F - sum c_i E_i as m + 2 Fractions:
     the form ``picard.DivisorClass`` had before it held integer coordinates
-    over one denominator.  Equality, hashing and ``repr`` are the ones the
-    integer class must keep."""
+    over one denominator.  Equality and ``repr`` are the ones the integer
+    class must keep."""
 
     a: object
     b: object

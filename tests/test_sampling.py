@@ -98,7 +98,7 @@ def test_divisor_class_shape(rng):
     for _ in range(50):
         d = sample_divisor_class(rng, model)
         assert isinstance(d, DivisorClass)
-        assert len(d.c) == model.m
+        assert d.m == model.m
 
 
 def test_seed_determinism():

@@ -15,12 +15,12 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from conftest import futaki_vanishes, rat
+from conftest import divisor, futaki_vanishes, rat
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import kedge.tvariety
-from kedge.picard import Angles, DivisorClass, SurfaceModel, SurfaceParams
+from kedge.picard import Angles, SurfaceModel, SurfaceParams
 from kedge.ratmath import ONE, ZERO, Rat, sign
 from kedge.sampling import sample_angles, sample_surface
 from kedge.tvariety import delta_tvariety, legendre_dual
@@ -450,7 +450,7 @@ class TestCertificate:
         original = SurfaceModel.log_anticanonical
 
         def offset(self, angles):
-            return original(self, angles) + DivisorClass(0, 1, (0,) * self.m)
+            return original(self, angles) + divisor(0, 1, (0,) * self.m)
 
         monkeypatch.setattr(SurfaceModel, "log_anticanonical", offset)
         with pytest.raises(InconsistencyError, match="does not encode"):

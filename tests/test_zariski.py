@@ -2,12 +2,11 @@
 
 import pytest
 
-from conftest import gram, negative_definite_families, rat, signature, volume
+from conftest import divisor, gram, negative_definite_families, rat, signature, volume
 from kedge.picard import (
     Angles,
     C1TILDE,
     C2TILDE,
-    DivisorClass,
     Ei,
     FiTilde,
     GENERIC_FIBER,
@@ -123,16 +122,16 @@ class TestDecompose:
 
     def test_support_property(self):
         zd = ZariskiDecomposition(
-            positive=DivisorClass(1, 1, (0,)),
+            positive=divisor(1, 1, (0,)),
             negative=((Ei(1), rat(1, 2)),),
         )
         assert zd.support == (Ei(1),)
         model = SurfaceModel(0, 1)
-        assert zd.negative_class(model) == DivisorClass(0, 0, (rat(-1, 2),))
+        assert zd.negative_class(model) == divisor(0, 0, (rat(-1, 2),))
 
     def test_not_pseudoeffective(self):
         model = SurfaceModel(2, 1)
-        minus_fiber = DivisorClass(0, -1, (0,))
+        minus_fiber = divisor(0, -1, (0,))
         with pytest.raises(NotPseudoeffective):
             zariski_decompose(model, minus_fiber)
         with pytest.raises(NotPseudoeffective):
@@ -140,15 +139,15 @@ class TestDecompose:
         # A class meeting the generic fiber negatively can never be
         # pseudoeffective, whatever the rest looks like.
         with pytest.raises(NotPseudoeffective):
-            zariski_decompose(model, DivisorClass(-1, rat(-1, 2), (0,)))
+            zariski_decompose(model, divisor(-1, rat(-1, 2), (0,)))
 
     def test_fiber_minus_too_much_exceptional(self):
         # F - 2 E_1 = F1tilde - E_1 is not pseudoeffective.
         model = SurfaceModel(2, 1)
         with pytest.raises(NotPseudoeffective):
-            zariski_decompose(model, DivisorClass(0, 1, (2,)))
+            zariski_decompose(model, divisor(0, 1, (2,)))
         with pytest.raises(NotPseudoeffective):
-            zariski_decompose_bruteforce(model, DivisorClass(0, 1, (2,)))
+            zariski_decompose_bruteforce(model, divisor(0, 1, (2,)))
 
     def test_oracle_agreement_random(self, rng):
         agreements = 0
@@ -334,7 +333,7 @@ class TestPrunedOracle:
             for m in range(4):
                 model = SurfaceModel(n, m)
                 classes = [sample_divisor_class(rng, model) for _ in range(3)]
-                classes.append(DivisorClass(0, -1, (0,) * m))  # minus a fiber
+                classes.append(divisor(0, -1, (0,) * m))  # minus a fiber
                 for d in classes:
                     expected = exhaustive_decompositions(model, d)
                     assert len(expected) <= 1, (n, m, d)
@@ -418,4 +417,4 @@ class TestVolume:
 def test_decomposition_unavailable_index():
     model = SurfaceModel(1, 1)
     with pytest.raises(ValueError):
-        zariski_decompose(model, DivisorClass(1, 1, (0, 0)))
+        zariski_decompose(model, divisor(1, 1, (0, 0)))

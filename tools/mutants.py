@@ -144,6 +144,14 @@ MUTANTS = (
     ("bruteforce-two-decompositions-off", "zariski.py",
      "if found is not None and (found.positive != zd.positive",
      "if False and (found.positive != zd.positive"),
+    # The divisor class's one constructor: a positive denominator, and the
+    # lowest terms that equality compares.
+    ("divisor-den-check-off", "picard.py",
+     "if den <= 0:",
+     "if False:"),
+    ("divisor-lowest-terms-off", "picard.py",
+     "if g != 1:",
+     "if False:"),
 )
 
 IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__")
