@@ -180,17 +180,19 @@ def cmd_volume_curve(n, m, curve, beta1, beta2, approx, accept_decimal, output):
     model = _parse_surface(n, m)
     angles = _parse_angles(beta1, beta2, accept_decimal)
     try:
-        cid = parse_curve_id(curve)
+        curve = parse_curve_id(curve)
     except ValueError as exc:
         _user_error(str(exc))
-    if cid.index is not None and not 1 <= cid.index <= m:
-        _user_error(f"curve {cid.label} does not exist on a surface with m={m}")
+    try:
+        model.class_of(curve)
+    except ValueError:
+        _user_error(f"curve {curve} does not exist on a surface with m={m}")
     violation = model.ample_range_violation(angles)
     if violation is not None:
         _user_error(f"outside the ample range: {violation}")
     try:
-        a_value = log_discrepancy(cid, model, angles)
-        pq = volume_curve(cid, model, angles)
+        a_value = log_discrepancy(curve, model, angles)
+        pq = volume_curve(curve, model, angles)
         s_value = pq.expected_vanishing_order()
     except ValueError as exc:
         _user_error(str(exc))
@@ -199,7 +201,7 @@ def cmd_volume_curve(n, m, curve, beta1, beta2, approx, accept_decimal, output):
         "m": m,
         "beta1": format_rat(angles.beta1),
         "beta2": format_rat(angles.beta2),
-        "curve": cid.label,
+        "curve": curve,
         "tau": format_rat(pq.tau),
         "A": format_rat(a_value),
         "S": format_rat(s_value),
@@ -214,7 +216,7 @@ def cmd_volume_curve(n, m, curve, beta1, beta2, approx, accept_decimal, output):
             "q0": format_rat(piece.q0),
             "q1": format_rat(piece.q1),
             "q2": format_rat(piece.q2),
-            "negative_support": [c.label for c in piece.negative_support],
+            "negative_support": list(piece.negative_support),
         }
         for piece in pq.pieces
     ]

@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 from itertools import pairwise
 
-from .picard import C1TILDE, C2TILDE, Ei, FiTilde
+from .picard import C1TILDE, C2TILDE
 from .ratmath import ONE, Rat, ZERO
 from .volumes import PiecewiseQuadratic, QuadraticPiece
 
@@ -95,24 +95,25 @@ def angle_bracket(model, angles) -> Rat:
 def closed_form_S(E, model, angles) -> Rat | None:
     """Expected vanishing order along ``E`` via the closed forms.
 
-    Covers the four named-curve kinds; other curves return ``None``.
+    Covers C~1, C~2 and every E_i and F~i, read off ``model.candidates``;
+    other curves return ``None``.
     """
     model.ensure_ample(angles)
     n, m = model.n, model.m
     b1, b2 = angles.beta1, angles.beta2
     vol = total_volume(model, angles)
-    if E.kind == "C1tilde":
+    if E == C1TILDE:
         return b1 - 2 * angle_bracket(model, angles) / vol
-    if E.kind == "C2tilde":
+    if E == C2TILDE:
         return b2 + 2 * angle_bracket(model, angles) / vol
-    if E.kind == "Ei":
+    if E in model.candidates[2:m + 2]:  # E_1 ... E_m
         inner = (
             -(n - 2) * b1 * b1
             + (n - m) * b2 * b2
             + (n * (n - 2) * b1**3 + (n - m) ** 2 * b2**3) / Rat(3)
         )
         return 1 + inner / vol
-    if E.kind == "FiTilde":
+    if E in model.candidates[m + 2:]:  # F~1 ... F~m
         inner = (
             -n * b1 * b1
             + (n - m + 2) * b2 * b2
@@ -165,28 +166,28 @@ def closed_form_volume_curve(E, model, angles) -> PiecewiseQuadratic | None:
     b1, b2 = angles.beta1, angles.beta2
     total = b1 + b2
     vol = total_volume(model, angles)
-    fs = tuple(FiTilde(j) for j in range(1, m + 1))
+    es, fs = model.candidates[2:m + 2], model.candidates[m + 2:]
 
-    if E.kind in ("C1tilde", "C2tilde"):
+    if E in (C1TILDE, C2TILDE):
         # One formula in the angle b and self-intersection e of E and of the
         # other section: -K.E = 2 + e b, and past x = b the fibre curves
         # meeting E join the support.
-        if E.kind == "C1tilde":
+        if E == C1TILDE:
             (b, e), (b_other, e_other), joining = (b1, -n), (b2, n - m), fs
         else:
-            (b, e), (b_other, e_other) = (b2, n - m), (b1, -n)
-            joining = tuple(Ei(j) for j in range(1, m + 1))
+            (b, e), (b_other, e_other), joining = (b2, n - m), (b1, -n), es
         return _freeze((ZERO, b, total), (
             (lambda: (vol, -2 * (2 + e * b), Rat(e)), ()),
             (lambda: _product(total, 4 + e_other * (b_other - b), Rat(e_other)), joining),
         ))
 
-    if E.kind != "Ei":
+    if E not in es:
         return None
     case = classify_exceptional_case(model, angles)
     if case is None:
         return None
-    fi = FiTilde(E.index)
+    i = es.index(E)
+    fi = fs[i]  # E_i's partner: E_i + F~i = F
     c1_wall, c2_wall, two = 2 - (n - 1) * b1, 2 - (m - n) * b2, Rat(2)
     # Every regime opens with the ample chamber and the fibre-only chamber.
     opening = (
@@ -207,7 +208,7 @@ def closed_form_volume_curve(E, model, angles) -> PiecewiseQuadratic | None:
     elif case == CASE_C2_FIRST:
         walls, chambers = (c2_wall, c1_wall, two), (with_c2, with_c1_c2)
     else:  # CASE_N_ZERO
-        others = tuple(Ei(j) for j in range(1, m + 1) if j != E.index)
+        others = es[:i] + es[i + 1:]
         last = (lambda: _square(ONE, 2 + b1), (C2TILDE, *others, fi))
         walls, chambers = (c2_wall, two, 2 + b1), (with_c2, last)
     return _freeze((ZERO, b1, *walls), (*opening, *chambers))

@@ -53,84 +53,54 @@ class Angles:
     """Cone angles 2*pi*beta_i along the two boundary curves.
 
     Both angles must be positive.  Values above 1 are accepted (the
-    formulas stay exact rational functions).
+    formulas stay exact rational functions).  An angle is an int, a
+    Fraction or a string that Fraction reads exactly ("p/q", "0.1"); a
+    float is refused, since it holds a binary value (0.1 is
+    3602879701896397/2**55).
     """
 
     beta1: object
     beta2: object
 
     def __post_init__(self):
+        for beta in (self.beta1, self.beta2):
+            if isinstance(beta, float):
+                raise ValueError(f'angle {beta!r} is a binary float; pass it exactly, as "p/q"')
         object.__setattr__(self, "beta1", Rat(self.beta1))
         object.__setattr__(self, "beta2", Rat(self.beta2))
         if self.beta1 <= 0 or self.beta2 <= 0:
             raise ValueError(f"angles must be positive, got ({self.beta1}, {self.beta2})")
 
 
-# Curve kinds.  The index is meaningful only for "Ei" / "FiTilde".
-_KINDS = ("C1tilde", "C2tilde", "Ei", "FiTilde", "GenericFiber", "PullbackC2")
-_INDEXED = ("Ei", "FiTilde")
+# A curve is its name.  The fixed names, then every indexed name: E_i as
+# ``Ei(i)`` writes it and F~i as ``FiTilde(i)`` does, ASCII digits with no
+# leading zero.  ``SurfaceModel.class_of`` is the one place a name is read.
+C1TILDE = "C1tilde"
+C2TILDE = "C2tilde"
+GENERIC_FIBER = "GenericFiber"
+PULLBACK_C2 = "PullbackC2"
+_FIXED = (C1TILDE, C2TILDE, GENERIC_FIBER, PULLBACK_C2)
+_INDEXED = re.compile("E([1-9][0-9]*)|F([1-9][0-9]*)tilde")
 
 
-@dataclass(frozen=True)
-class CurveId:
-    """Identifier of one of the named curve classes on S."""
-
-    kind: str
-    index: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown curve kind {self.kind!r}")
-        if self.kind in _INDEXED:
-            if not isinstance(self.index, int) or self.index < 1:
-                raise ValueError(f"{self.kind} needs an index >= 1, got {self.index!r}")
-        elif self.index is not None:
-            raise ValueError(f"{self.kind} takes no index")
-
-    @property
-    def label(self) -> str:
-        if self.kind == "Ei":
-            return f"E{self.index}"
-        if self.kind == "FiTilde":
-            return f"F{self.index}tilde"
-        return self.kind
-
-    def __repr__(self) -> str:
-        return f"CurveId({self.label})"
+def Ei(i: int) -> str:
+    return f"E{i}"
 
 
-C1TILDE = CurveId("C1tilde")
-C2TILDE = CurveId("C2tilde")
-GENERIC_FIBER = CurveId("GenericFiber")
-PULLBACK_C2 = CurveId("PullbackC2")
+def FiTilde(i: int) -> str:
+    return f"F{i}tilde"
 
 
-def Ei(i: int) -> CurveId:
-    return CurveId("Ei", i)
-
-
-def FiTilde(i: int) -> CurveId:
-    return CurveId("FiTilde", i)
-
-
-# An index as ``CurveId.label`` writes it: ASCII digits, no leading zero,
-# and at most three of them.  No surface the CLI accepts (m <= 200) has a
-# four-digit index, and ``int`` never sees a long string.
-_INDEXED_LABEL = re.compile("E([1-9][0-9]{0,2})|F([1-9][0-9]{0,2})tilde")
-
-
-def parse_curve_id(label: str) -> CurveId:
-    """Inverse of ``CurveId.label`` (e.g. ``"E2"`` or ``"F1tilde"``);
-    surrounding whitespace is ignored."""
-    s = label.strip()
-    for fixed in (C1TILDE, C2TILDE, GENERIC_FIBER, PULLBACK_C2):
-        if s == fixed.kind:
-            return fixed
-    indexed = _INDEXED_LABEL.fullmatch(s)
-    if indexed is None:
+def parse_curve_id(label: str) -> str:
+    """The curve a command-line label names (e.g. ``"E2"`` or
+    ``"F1tilde"``); surrounding whitespace is ignored.  An index has at
+    most three digits: no surface the CLI accepts (m <= 200) has a
+    four-digit one."""
+    name = label.strip()
+    indexed = _INDEXED.fullmatch(name)
+    if name not in _FIXED and (indexed is None or len(indexed[indexed.lastindex]) > 3):
         raise ValueError(f"unknown curve label {label!r}")
-    e, f = indexed.groups()
-    return Ei(int(e)) if e else FiTilde(int(f))
+    return name
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -206,25 +176,31 @@ class SurfaceModel:
     def zero(self) -> DivisorClass:
         return DivisorClass((0,) * (self.m + 2))
 
-    def class_of(self, cid: CurveId) -> DivisorClass:
-        """Class of a named curve in the (pi*C2, pi*F, E_i) basis; every
-        named class is integral."""
+    def class_of(self, name: str) -> DivisorClass:
+        """Class of the named curve in the (pi*C2, pi*F, E_i) basis; every
+        named class is integral.  ValueError for a name that is not a
+        curve of this surface: an unknown one, or an index above m."""
         n, m = self.n, self.m
-        if cid.kind == "C1tilde":
+        if name == C1TILDE:
             return DivisorClass((1, -n) + (0,) * m)
-        if cid.kind == "C2tilde":
+        if name == C2TILDE:
             return DivisorClass((1, 0) + (1,) * m)
-        if cid.kind == "GenericFiber":
+        if name == GENERIC_FIBER:
             return DivisorClass((0, 1) + (0,) * m)
-        if cid.kind == "PullbackC2":
+        if name == PULLBACK_C2:
             return DivisorClass((1, 0) + (0,) * m)
-        if cid.index > m:
-            raise ValueError(f"curve {cid.label} out of range for m={m}")
+        indexed = _INDEXED.fullmatch(name)
+        if indexed is None:
+            raise ValueError(f"unknown curve name {name!r}")
+        e, f = indexed.groups()
+        i = int(e or f)
+        if i > m:
+            raise ValueError(f"curve {name} out of range for m={m}")
         num = [0, 0] + [0] * m
-        if cid.kind == "Ei":
-            num[cid.index + 1] = -1
-        else:  # FiTilde
-            num[1] = num[cid.index + 1] = 1
+        if e:
+            num[i + 1] = -1
+        else:
+            num[1] = num[i + 1] = 1
         return DivisorClass(num)
 
     def intersect(self, d1: DivisorClass, d2: DivisorClass):
@@ -262,9 +238,9 @@ class SurfaceModel:
 
     @cached_property
     def candidates(self) -> tuple:
-        """The curves that can support a Zariski negative part, in the
-        order every candidate index refers to: C~1, C~2, E_1, ..., E_m,
-        F~1, ..., F~m; built once per model."""
+        """The names of the curves that can support a Zariski negative
+        part, in the order every candidate index refers to: C~1, C~2,
+        E_1, ..., E_m, F~1, ..., F~m; built once per model."""
         indices = range(1, self.m + 1)
         return (C1TILDE, C2TILDE, *map(Ei, indices), *map(FiTilde, indices))
 
@@ -276,12 +252,6 @@ class SurfaceModel:
             tuple((j, x) for j, x in enumerate(self.class_of(c).num) if x)
             for c in self.candidates
         )
-
-    @cached_property
-    def candidate_labels(self) -> tuple:
-        """``CurveId.label`` of each of ``candidates``, in that order,
-        spelled once per model."""
-        return tuple(curve.label for curve in self.candidates)
 
     @cached_property
     def certified(self) -> set:

@@ -65,7 +65,6 @@ one Fraction formed, and a term divides A/S only when it is read.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -100,17 +99,16 @@ def _encoded_class(model: SurfaceModel, angles: Angles) -> DivisorClass:
     vertical divisor; the class is -sum h_t(n_rho) D_rho -
     sum mu(v) h_p(v) D_{p,v}.  The tail gives -h_t(1) = beta1 and
     -h_t(-1) = beta2, and only the p0 vertex value is nonzero,
-    contributing 2 F.  The sum is taken on the classes' integer
-    coordinates, the weights over the angles' common denominator L and
-    the three classes over theirs, M; the class is formed once.
+    contributing 2 F.  Every named class has denominator 1, so the sum
+    is taken on the classes' integer coordinates with the weights over
+    the angles' common denominator L, and the class is formed once.
     """
     ((_, h_p0),), _, _ = _slices(model.n)
     L, p1, p2 = common_denominator(angles.beta1, angles.beta2)
-    classes = [model.class_of(c) for c in (C1TILDE, C2TILDE, GENERIC_FIBER)]
-    M = math.lcm(*(d.den for d in classes))
-    w1, w2, w3 = (w * (M // d.den) for w, d in zip((p1, p2, -L * h_p0), classes))
-    num = [w1 * x + w2 * y + w3 * z for x, y, z in zip(*(d.num for d in classes))]
-    return DivisorClass(num, L * M)
+    w3 = -L * h_p0
+    coords = (model.class_of(c).num for c in (C1TILDE, C2TILDE, GENERIC_FIBER))
+    num = [p1 * x + p2 * y + w3 * z for x, y, z in zip(*coords)]
+    return DivisorClass(num, L)
 
 
 # Three affinely independent angle pairs.
@@ -239,13 +237,13 @@ def delta_tvariety(model: SurfaceModel, angles: Angles) -> DeltaReport:
     L, VOL, FM = d.L, d.VOL, d.FM
     p1, p2 = -d.X[0], d.X[2]
     cross_marked = d.cross(d.PSI_MARKED)
-    labels = model.candidate_labels  # C1tilde, C2tilde, E1..Em, F1tilde..Fmtilde
+    names = model.candidates  # C1tilde, C2tilde, E1..Em, F1tilde..Fmtilde
     orbits = [  # (names, A, L A, 2 L VOL S); S = bc + beta1, beta2 - bc,
         # bc_pi - bc, bc_pi, bc_p0 + n bc + 2 and bc_generic
         (("C1tilde",), angles.beta1, p1, 2 * (FM + p1 * VOL)),
         (("C2tilde",), angles.beta2, p2, 2 * (p2 * VOL - FM)),
-        (labels[2:m + 2], ONE, L, cross_marked - 2 * FM),
-        (labels[m + 2:], ONE, L, cross_marked),
+        (names[2:m + 2], ONE, L, cross_marked - 2 * FM),
+        (names[m + 2:], ONE, L, cross_marked),
         (("FiberP0",), ONE, L, d.cross(d.PSI_P0) + 2 * n * FM + 4 * L * VOL),
         (("GenericFiber",), ONE, L, d.cross(d.PSI_GENERIC)),
     ]

@@ -104,8 +104,8 @@ def verify_lemmas(samples: int, seed: int):
     for case in LEMMA_CASES:
         for _ in range(samples):
             model, angles, index = sample_case_input(rng, case)
-            curve = {"C1tilde": C1TILDE, "C2tilde": C2TILDE}.get(case) or Ei(index)
-            yield _context(model, angles, case=case, curve=curve.label)
+            curve = case if case in (C1TILDE, C2TILDE) else Ei(index)
+            yield _context(model, angles, case=case, curve=curve)
             expected = closed_form_volume_curve(curve, model, angles)
             got = volume_curve(curve, model, angles)
             same = expected is not None and got.pieces == expected.pieces
@@ -145,8 +145,8 @@ def verify_route_agreement(samples: int, seed: int):
         yield _context(model, angles)
         report = delta_tvariety(model, angles)
         for curve in model.candidates:
-            yield _context(model, angles, curve=curve.label)
-            term = report.term(curve.label)
+            yield _context(model, angles, curve=curve)
+            term = report.term(curve)
             a = log_discrepancy(curve, model, angles)
             s = expected_vanishing_order(curve, model, angles)
             yield None if (term.A, term.S) == (a, s) else (

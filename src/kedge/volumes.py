@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .picard import Angles, CurveId, SurfaceModel
+from .picard import C1TILDE, C2TILDE, PULLBACK_C2, Angles, SurfaceModel
 from .ratmath import ZERO, Rat, common_denominator, isqrt_exact
 from .zariski import DecompositionError, InconsistencyError, NotPseudoeffective, grow_support
 
@@ -70,7 +70,7 @@ class QuadraticPiece:
     q0: object
     q1: object
     q2: object
-    negative_support: tuple  # CurveIds
+    negative_support: tuple  # curve names
 
     def integral(self):
         """Exact integral of the quadratic over [x_lo, x_hi]:
@@ -142,7 +142,7 @@ def _smallest_root_after(c0, c1, c2, s, L, x0, context: str):
     raise DecompositionError(f"no volume root beyond {x0} ({context})")
 
 
-def volume_sweep(E: CurveId, model: SurfaceModel, angles: Angles) -> tuple:
+def volume_sweep(E: str, model: SurfaceModel, angles: Angles) -> tuple:
     """Chamber decomposition of x |-> vol(-K_Delta - x E).
 
     One QuadraticPiece per chamber, in order; the last ends at tau.  The
@@ -165,7 +165,7 @@ def volume_sweep(E: CurveId, model: SurfaceModel, angles: Angles) -> tuple:
     _, *r1 = model.pairings(-e)  # -E is integral: its denominator is 1
     d1 = 2 * (b1 * r1[0] + b2 * r1[1]) - 4 * L * e.num[0]  # F.E = a_E
     d2 = int(model.self_intersection(e))
-    context = f"E={E.label}, n={model.n}, m={model.m}"
+    context = f"E={E}, n={model.n}, m={model.m}"
 
     pieces: list[QuadraticPiece] = []
     x0 = ZERO
@@ -231,7 +231,7 @@ def _jets(piece: QuadraticPiece, x) -> tuple:
     return w, d0 * d1 * d2, n1 * d2 * v + 2 * n2 * d1 * u
 
 
-def _certify_curve(E: CurveId, model: SurfaceModel, angles: Angles, curve: PiecewiseQuadratic):
+def _certify_curve(E: str, model: SurfaceModel, angles: Angles, curve: PiecewiseQuadratic):
     """Cheap exact post-conditions on the volume curve of E: value and
     slope at x = 0, continuity, endpoints, monotonicity, and a negative
     support that grows strictly at every wall (the theorem the sweep
@@ -266,31 +266,33 @@ def _certify_curve(E: CurveId, model: SurfaceModel, angles: Angles, curve: Piece
         raise DecompositionError("volume curve must be nonincreasing")
 
 
-def volume_curve(E: CurveId, model: SurfaceModel, angles: Angles) -> PiecewiseQuadratic:
+def volume_curve(E: str, model: SurfaceModel, angles: Angles) -> PiecewiseQuadratic:
     """Exact piecewise-quadratic x |-> vol(-K_Delta - x E) on [0, tau]."""
     curve = PiecewiseQuadratic(pieces=volume_sweep(E, model, angles))
     _certify_curve(E, model, angles, curve)
     return curve
 
 
-def expected_vanishing_order(E: CurveId, model: SurfaceModel, angles: Angles):
+def expected_vanishing_order(E: str, model: SurfaceModel, angles: Angles):
     """S(E) = (1/vol(-K_Delta)) * integral_0^tau vol(-K_Delta - x E) dx."""
     return volume_curve(E, model, angles).expected_vanishing_order()
 
 
-def log_discrepancy(E: CurveId, model: SurfaceModel, angles: Angles):
+def log_discrepancy(E: str, model: SurfaceModel, angles: Angles):
     """A(E) = 1 minus the boundary coefficient along E.
 
     beta1 for C1tilde, beta2 for C2tilde, 1 for curves not in the
     boundary.  PullbackC2 is only a prime divisor when m = 0 (it is then
-    the second boundary curve itself).
+    the second boundary curve itself).  A name that is not a curve of
+    the model is refused as ``class_of`` refuses it (ValueError).
     """
-    if E.kind == "C1tilde":
+    if E == C1TILDE:
         return angles.beta1
-    if E.kind == "C2tilde":
+    if E == C2TILDE:
         return angles.beta2
-    if E.kind == "PullbackC2":
+    if E == PULLBACK_C2:
         if model.m != 0:
             raise ValueError("PullbackC2 is not a prime divisor once points are blown up")
         return angles.beta2
+    model.class_of(E)
     return Rat(1)

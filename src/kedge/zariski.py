@@ -63,16 +63,16 @@ class ZariskiDecomposition:
     """D = P + N with P nef, P.N_i = 0, and negative-definite support."""
 
     positive: DivisorClass
-    negative: tuple  # ordered tuple of (CurveId, Rat coefficient > 0)
+    negative: tuple  # ordered tuple of (curve name, Rat coefficient > 0)
 
     @property
     def support(self) -> tuple:
-        return tuple(cid for cid, _ in self.negative)
+        return tuple(curve for curve, _ in self.negative)
 
     def negative_class(self, model: SurfaceModel) -> DivisorClass:
         acc = model.zero()
-        for cid, coeff in self.negative:
-            acc = acc + model.class_of(cid).scale(coeff)
+        for curve, coeff in self.negative:
+            acc = acc + model.class_of(curve).scale(coeff)
         return acc
 
 
@@ -160,11 +160,11 @@ def _certify(model: SurfaceModel, d: DivisorClass, zd: ZariskiDecomposition):
     p = zd.positive
     if not model.is_nef(p):
         raise DecompositionError(f"positive part not nef: {p}")
-    for cid, coeff in zd.negative:
+    for curve, coeff in zd.negative:
         if coeff <= 0:
-            raise DecompositionError(f"nonpositive coefficient {coeff} on {cid.label}")
-        if model.intersect(p, model.class_of(cid)) != 0:
-            raise DecompositionError(f"positive part not orthogonal to {cid.label}")
+            raise DecompositionError(f"nonpositive coefficient {coeff} on {curve}")
+        if model.intersect(p, model.class_of(curve)) != 0:
+            raise DecompositionError(f"positive part not orthogonal to {curve}")
     if not is_negative_definite(model, zd.support):
         raise DecompositionError("support Gram matrix not negative definite")
     if p + zd.negative_class(model) != d:

@@ -334,9 +334,14 @@ class TestInputHandling:
         assert code == 1
 
     def test_curve_index_out_of_range(self, capsys):
-        code, _, err = run_cli(capsys, CURVE_ARGS[:-1] + ["E3"])
-        assert code == 1
-        assert "m=2" in err
+        # Refused by name before the angles are checked (beta2 = 5 is
+        # outside every ample range).
+        for m, label, beta2 in [("2", "E3", "1/2"), ("3", "E7", "1/2"), ("3", "F4tilde", "5")]:
+            argv = CURVE_ARGS[:-1] + [label]
+            argv[argv.index("--m") + 1], argv[argv.index("--beta2") + 1] = m, beta2
+            code, out, err = run_cli(capsys, argv)
+            assert (code, out) == (1, "")
+            assert err == f"error: curve {label} does not exist on a surface with m={m}\n"
 
     def test_pullback_section_refused_before_sweeping(self, capsys, monkeypatch):
         def sweep(E, params, angles):

@@ -16,7 +16,6 @@ from kedge.picard import (
     Angles,
     C1TILDE,
     C2TILDE,
-    CurveId,
     DivisorClass,
     Ei,
     FiTilde,
@@ -28,6 +27,7 @@ from kedge.picard import (
     parse_curve_id,
 )
 from kedge.ratmath import Rat
+from kedge.volumes import log_discrepancy
 
 small_rats = st.fractions(
     min_value=-4, max_value=4, max_denominator=5
@@ -56,31 +56,54 @@ def test_angles_validation():
         Angles(rat(1, 2), rat(-1))
 
 
+def test_angles_refuse_a_float():
+    # 0.1 as a float is 3602879701896397/36028797018963968, not 1/10.
+    for beta1, beta2 in [(0.1, rat(1, 2)), (rat(1, 2), 0.5)]:
+        with pytest.raises(ValueError) as raised:
+            Angles(beta1, beta2)
+        bad = beta1 if isinstance(beta1, float) else beta2
+        assert str(raised.value) == f'angle {bad!r} is a binary float; pass it exactly, as "p/q"'
+    assert Angles(1, rat(1, 2)) == Angles("1", "1/2") == Angles(rat(1), "0.5")
+    assert Angles("0.1", 1).beta1 == rat(1, 10)
+
+
 def test_curve_ids_and_labels():
-    assert C1TILDE.label == "C1tilde"
-    assert Ei(2).label == "E2"
-    assert FiTilde(1).label == "F1tilde"
-    assert GENERIC_FIBER.label == "GenericFiber"
-    for cid in (C1TILDE, C2TILDE, Ei(3), FiTilde(7), GENERIC_FIBER, PULLBACK_C2):
-        assert parse_curve_id(cid.label) == cid
-    with pytest.raises(ValueError):
-        CurveId("Ei")  # missing index
-    with pytest.raises(ValueError):
-        CurveId("C1tilde", 1)  # spurious index
+    assert (C1TILDE, C2TILDE, GENERIC_FIBER, PULLBACK_C2) == (
+        "C1tilde", "C2tilde", "GenericFiber", "PullbackC2")
+    assert (Ei(2), FiTilde(1)) == ("E2", "F1tilde")
+    for name in (C1TILDE, C2TILDE, Ei(3), FiTilde(7), GENERIC_FIBER, PULLBACK_C2):
+        assert parse_curve_id(name) == name
     with pytest.raises(ValueError):
         parse_curve_id("E0")
-    # Only what ``label`` writes: no leading zero, ASCII digits.
-    for label in ("E01", "F02tilde", "F\u0663tilde", "E\u0663"):
+    # Only what ``Ei`` and ``FiTilde`` write: no leading zero, ASCII digits.
+    for label in ("E01", "F02tilde", "F٣tilde", "E٣"):
         with pytest.raises(ValueError):
             parse_curve_id(label)
     assert parse_curve_id(" F3tilde ") == FiTilde(3)
-    # At most three digits, refused before int() sees them.
+    # At most three digits, refused without converting them.
     assert parse_curve_id("E999") == Ei(999)
     for label in ("E1000", "F1000tilde", "E" + "9" * 5000, "F" + "9" * 5000 + "tilde"):
-        with pytest.raises(ValueError, match="unknown curve label"):
+        with pytest.raises(ValueError) as raised:
             parse_curve_id(label)
+        assert str(raised.value) == f"unknown curve label {label!r}"
     with pytest.raises(ValueError):
         parse_curve_id("D5")
+
+
+def closed_form_class(n: int, m: int, position: int) -> DivisorClass:
+    """The class of ``candidates[position]`` from the candidate order
+    alone, in the coordinates (a, b, c) of a.pi*C2 + b.F - sum c_i E_i:
+    C~1 = pi*C2 - n F, C~2 = pi*C2 - sum E_i, E_i, F~i = F - E_i."""
+    c = [0] * m
+    if position == 0:
+        return divisor(1, -n, c)
+    if position == 1:
+        return divisor(1, 0, [1] * m)
+    if position < m + 2:
+        c[position - 2] = -1
+        return divisor(0, 0, c)
+    c[position - m - 2] = 1
+    return divisor(0, 1, c)
 
 
 def test_candidates_are_one_tuple_per_model():
@@ -90,15 +113,49 @@ def test_candidates_are_one_tuple_per_model():
         assert model.candidates is candidates, "built once, read as the same object"
         assert candidates == (C1TILDE, C2TILDE, *[Ei(i) for i in range(1, m + 1)],
                               *[FiTilde(i) for i in range(1, m + 1)])
-        assert len(model.candidate_labels) == len(candidates)
-        for curve, label in zip(candidates, model.candidate_labels):
-            assert parse_curve_id(label) == curve and curve.label == label
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(7) for m in range(7)]
+                         + [(0, 200), (5, 200)])
+def test_candidate_names_round_trip_and_have_their_classes(n, m):
+    model = SurfaceModel(n, m)
+    for position, name in enumerate(model.candidates):
+        assert parse_curve_id(name) == name
+        assert model.class_of(name) == closed_form_class(n, m, position), (n, m, name)
+
+
+def test_class_of_reads_any_index_up_to_m():
+    # The CLI's three-digit bound is its own: the lattice reads every index.
+    model = SurfaceModel(0, 1000)
+    e, f = model.class_of(Ei(1000)), model.class_of(FiTilde(1000))
+    assert e.num == (0, 0) + (0,) * 999 + (-1,)
+    assert f.num == (0, 1) + (0,) * 999 + (1,)
+    assert e + f == model.class_of(GENERIC_FIBER)
+    with pytest.raises(ValueError) as raised:
+        parse_curve_id("E1000")
+    assert str(raised.value) == "unknown curve label 'E1000'"
 
 
 def test_unknown_curve_kind_is_refused():
+    model, angles = SurfaceModel(0, 3), Angles(rat(1, 2), rat(1, 2))
+    for name in ("Bogus", "E0", "F0tilde", "E01", "e1"):
+        with pytest.raises(ValueError) as raised:
+            model.class_of(name)
+        assert str(raised.value) == f"unknown curve name {name!r}"
     with pytest.raises(ValueError) as raised:
-        CurveId("Bogus")
-    assert str(raised.value) == "unknown curve kind 'Bogus'"
+        log_discrepancy("Bogus", model, angles)
+    assert str(raised.value) == "unknown curve name 'Bogus'"
+
+
+def test_class_of_refuses_an_index_above_m():
+    model, angles = SurfaceModel(0, 3), Angles(rat(1, 2), rat(1, 2))
+    for name in (Ei(4), FiTilde(4)):
+        with pytest.raises(ValueError) as raised:
+            model.class_of(name)
+        assert str(raised.value) == f"curve {name} out of range for m=3"
+    with pytest.raises(ValueError) as raised:
+        log_discrepancy(Ei(4), model, angles)
+    assert str(raised.value) == "curve E4 out of range for m=3"
 
 
 def test_intersect_refuses_a_class_of_another_surface():

@@ -284,7 +284,7 @@ class TestConditionPoints:
             assert v.status == KPOLYSTABLE and v.delta == 1
         curves = [C1TILDE, C2TILDE, GENERIC_FIBER] + ([Ei(1), FiTilde(1)] if m else [])
         for curve in curves:
-            assert v.report.term(curve.label).S == expected_vanishing_order(curve, model, angles)
+            assert v.report.term(curve).S == expected_vanishing_order(curve, model, angles)
 
 
 class TestCertification:

@@ -96,7 +96,7 @@ def reference_grow_support(model, pairings, zero, start=()):
     classes = {c: model.class_of(c) for c in candidates}
     support = list(start)
     while True:
-        support.sort(key=lambda c: c.kind in ("C1tilde", "C2tilde"))
+        support.sort(key=lambda c: c in (C1TILDE, C2TILDE))
         coeffs = reference_solve(
             reference_factorize(gram(model, [classes[c] for c in support])),
             [pairings[c] for c in support],
@@ -127,7 +127,7 @@ def reference_volume_sweep(E, model, angles):
     d0 = model.self_intersection(minus_k)
     d1 = 2 * model.intersect(minus_k, minus_e)
     d2 = model.self_intersection(minus_e)
-    context = f"E={E.label}, n={model.n}, m={model.m}"
+    context = f"E={E}, n={model.n}, m={model.m}"
     pieces, x0, start = [], Rat(0), []
     while True:
         jets = {c: Affine(r0[c] + x0 * r1[c], r1[c]) for c in candidates}

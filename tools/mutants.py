@@ -28,7 +28,7 @@ MUTANTS = (
      "d.cross(d.PSI_P0) + 2 * n * FM + 4 * L * VOL)",
      "d.cross(d.PSI_P0) + 2 * n * FM + 6 * L * VOL)"),
     ("zariski-orthogonality-off", "zariski.py",
-     "if model.intersect(p, model.class_of(cid)) != 0:",
+     "if model.intersect(p, model.class_of(curve)) != 0:",
      "if False:"),
     ("curve-square-off", "volumes.py",
      "if q0.numerator * square.denominator != square.numerator * q0.denominator:",
@@ -152,6 +152,17 @@ MUTANTS = (
     ("divisor-lowest-terms-off", "picard.py",
      "if g != 1:",
      "if False:"),
+    # A curve is its name: the refusals of a name that is no curve of the
+    # surface.
+    ("class-of-index-bound-off", "picard.py",
+     "if i > m:",
+     "if False:"),
+    ("cli-curve-existence-off", "cli.py",
+     "model.class_of(curve)\n    except ValueError:",
+     "pass\n    except ValueError:"),
+    ("log-discrepancy-refusal-off", "volumes.py",
+     "    model.class_of(E)\n    return Rat(1)",
+     "    return Rat(1)"),
 )
 
 IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__")
