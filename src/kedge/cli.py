@@ -37,6 +37,8 @@ from .volumes import log_discrepancy, volume_curve
 MAX_M = 200
 # Largest accepted --samples, and points per scan grid axis.
 MAX_POINTS = 10_000
+# Most points in one scan grid: every row is buffered before it is written.
+MAX_SCAN_POINTS = 1_000_000
 
 
 def _user_error(message: str):
@@ -266,29 +268,33 @@ def cmd_scan(n, m, beta1_grid, beta2_grid, approx, output):
     model = _parse_surface(n, m)
     grid1 = _parse_grid(beta1_grid, "beta1")
     grid2 = _parse_grid(beta2_grid, "beta2")
+    if len(grid1) * len(grid2) > MAX_SCAN_POINTS:
+        _user_error(f"scan grid too large (over {MAX_SCAN_POINTS} points)")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     header = ["beta1", "beta2", "condition_sign", "delta", "status"]
     if approx:
         header += ["beta1_approx", "beta2_approx", "delta_approx"]
     writer.writerow(header)
-    for b1 in grid1:
-        for b2 in grid2:
+    # Each grid value with its cells, formatted once per axis: the exact
+    # text, and the float under --approx.
+    cells1, cells2 = (
+        [(b, format_rat(b), repr(float(b)) if approx else "") for b in grid]
+        for grid in (grid1, grid2)
+    )
+    for b1, exact1, approx1 in cells1:
+        for b2, exact2, approx2 in cells2:
             verdict = k_polystable(model, Angles(b1, b2))
-            delta_cell = "" if verdict.delta is None else format_rat(verdict.delta)
+            delta = verdict.delta
             row = [
-                format_rat(b1),
-                format_rat(b2),
+                exact1,
+                exact2,
                 str(verdict.condition_sign),
-                delta_cell,
+                "" if delta is None else format_rat(delta),
                 verdict.status,
             ]
             if approx:
-                row += [
-                    repr(float(b1)),
-                    repr(float(b2)),
-                    "" if verdict.delta is None else repr(float(verdict.delta)),
-                ]
+                row += [approx1, approx2, "" if delta is None else repr(float(delta))]
             writer.writerow(row)
     _emit(buffer.getvalue(), output)
 

@@ -38,10 +38,10 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
-from .ratmath import Rat, common_denominator
+from .ratmath import Rat
 
 
 class OutsideAmpleRange(ValueError):
@@ -54,22 +54,33 @@ class Angles:
 
     Both angles must be positive.  Values above 1 are accepted (the
     formulas stay exact rational functions).  An angle is an int, a
-    Fraction or a string that Fraction reads exactly ("p/q", "0.1"); a
-    float is refused, since it holds a binary value (0.1 is
-    3602879701896397/2**55).
+    Fraction (kept as it is) or a string that Fraction reads exactly
+    ("p/q", "0.1"); a float is refused, since it holds a binary value
+    (0.1 is 3602879701896397/2**55).
+
+    ``scaled`` is the angles' integer form (L, P1, P2), formed once:
+    L = lcm(q1, q2) for beta_i = p_i / q_i, and P_i = L beta_i.  Every
+    route reads it; equality, hashing and ``repr`` see (beta1, beta2) only.
     """
 
     beta1: object
     beta2: object
+    scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for beta in (self.beta1, self.beta2):
+        betas = self.beta1, self.beta2
+        for beta in betas:
             if isinstance(beta, float):
                 raise ValueError(f'angle {beta!r} is a binary float; pass it exactly, as "p/q"')
-        object.__setattr__(self, "beta1", Rat(self.beta1))
-        object.__setattr__(self, "beta2", Rat(self.beta2))
-        if self.beta1 <= 0 or self.beta2 <= 0:
-            raise ValueError(f"angles must be positive, got ({self.beta1}, {self.beta2})")
+        b1, b2 = [beta if isinstance(beta, Rat) else Rat(beta) for beta in betas]
+        object.__setattr__(self, "beta1", b1)
+        object.__setattr__(self, "beta2", b2)
+        q1, q2 = b1.denominator, b2.denominator
+        L = math.lcm(q1, q2)
+        p1, p2 = b1.numerator * (L // q1), b2.numerator * (L // q2)
+        if p1 <= 0 or p2 <= 0:
+            raise ValueError(f"angles must be positive, got ({b1}, {b2})")
+        object.__setattr__(self, "scaled", (L, p1, p2))
 
 
 # A curve is its name.  The fixed names, then every indexed name: E_i as
@@ -263,10 +274,10 @@ class SurfaceModel:
         return self.intersect(d, d)
 
     def log_anticanonical(self, angles: Angles) -> DivisorClass:
-        """-K_{S,Delta} = (beta1+beta2, 2 - n beta1, c_i = beta2): with L the
-        angles' common denominator and P_i = L beta_i, L (-K_{S,Delta}) is
+        """-K_{S,Delta} = (beta1+beta2, 2 - n beta1, c_i = beta2): with the
+        angles' integer form (L, P1, P2), L (-K_{S,Delta}) is
         (P1 + P2, 2 L - n P1, c_i = P2), over L."""
-        L, p1, p2 = common_denominator(angles.beta1, angles.beta2)
+        L, p1, p2 = angles.scaled
         return DivisorClass((p1 + p2, 2 * L - self.n * p1) + (p2,) * self.m, L)
 
     def is_nef(self, d: DivisorClass) -> bool:
@@ -287,13 +298,14 @@ class SurfaceModel:
         Ample requires 0 < beta1 (< 2/n when n > 0) and 0 < beta2
         (< 2/(m-n) when n < m); equivalently, all nefness inequalities
         for the log anticanonical class are strict.  ``Angles`` already
-        rejects beta <= 0, so only the upper bounds are checked here.
+        rejects beta <= 0, so only the upper bounds are checked here, on
+        the integer form: n beta1 >= 2 is n P1 >= 2 L.
         """
-        b1, b2 = angles.beta1, angles.beta2
-        if self.n > 0 and self.n * b1 >= 2:
-            return f"beta1 must lie in (0, 2/{self.n}), got {b1}"
-        if self.n < self.m and (self.m - self.n) * b2 >= 2:
-            return f"beta2 must lie in (0, 2/{self.m - self.n}), got {b2}"
+        L, p1, p2 = angles.scaled
+        if self.n > 0 and self.n * p1 >= 2 * L:
+            return f"beta1 must lie in (0, 2/{self.n}), got {angles.beta1}"
+        if self.n < self.m and (self.m - self.n) * p2 >= 2 * L:
+            return f"beta2 must lie in (0, 2/{self.m - self.n}), got {angles.beta2}"
         return None
 
     def ensure_ample(self, angles: Angles) -> None:

@@ -3,8 +3,8 @@
 Every number in the engine is an arbitrary-precision rational; floating
 point is never used in core computations.  ``Rat`` is
 ``fractions.Fraction``.  The two routes to S run on Python ``int``s
-inside, over the angles' common denominator (``common_denominator``), and
-``Rat`` is formed at their edges: parsed inputs, reports and outputs.
+inside, over the angles' common denominator (``picard.Angles.scaled``),
+and ``Rat`` is formed at their edges: parsed inputs, reports and outputs.
 
 Serialized form is always the string ``"p/q"`` in lowest terms (e.g.
 ``"21/23"``, ``"-1/21"``, ``"3/1"``); parsing accepts ASCII ``"p/q"`` and
@@ -23,12 +23,6 @@ RAT_BACKEND = "fraction"
 #: Rational zero/one, shared to avoid repeated construction.
 ZERO = Rat(0)
 ONE = Rat(1)
-
-
-def common_denominator(*xs) -> tuple:
-    """(L, L x for each x) as ints, L the least common denominator of xs."""
-    L = math.lcm(*[x.denominator for x in xs])
-    return (L, *[x.numerator * (L // x.denominator) for x in xs])
 
 
 def sign(x) -> int:

@@ -36,10 +36,11 @@ linear on both halves is the exact dot product sum f(x_i) w_i: vol takes
 f = 1, the first moment f = u, the half square f = deg Psi / 2 and each
 cross term f = Psi_p.
 
-All of it is integer arithmetic over one common denominator.  Let
-L = lcm(q1, q2) for beta_i = p_i / q_i, and P_i = L beta_i.  Every slice
-vertex v and every value h_p(v) is an integer, so at X = L x =
-(-P1, 0, P2) each scaled dual
+All of it is integer arithmetic over one common denominator, read from
+the angles' integer form ``Angles.scaled`` = (L, P1, P2): L = lcm(q1, q2)
+for beta_i = p_i / q_i, and P_i = L beta_i.  Every slice vertex v and
+every value h_p(v) is an integer, so at X = L x = (-P1, 0, P2) each
+scaled dual
 
     L Psi_p(x_i) = min over vertices v of (X_i v - L h_p(v))
 
@@ -76,12 +77,8 @@ from .picard import (
     DivisorClass,
     SurfaceModel,
 )
-from .ratmath import ONE, Rat, common_denominator, sign
+from .ratmath import ONE, Rat, sign
 from .zariski import InconsistencyError
-
-
-def _dot(xs, ws):
-    return sum(a * b for a, b in zip(xs, ws))
 
 
 def _slices(n: int) -> tuple:
@@ -104,7 +101,7 @@ def _encoded_class(model: SurfaceModel, angles: Angles) -> DivisorClass:
     the angles' common denominator L, and the class is formed once.
     """
     ((_, h_p0),), _, _ = _slices(model.n)
-    L, p1, p2 = common_denominator(angles.beta1, angles.beta2)
+    L, p1, p2 = angles.scaled
     w3 = -L * h_p0
     coords = (model.class_of(c).num for c in (C1TILDE, C2TILDE, GENERIC_FIBER))
     num = [p1 * x + p2 * y + w3 * z for x, y, z in zip(*coords)]
@@ -134,7 +131,8 @@ class DualData:
 
     def cross(self, psi: tuple) -> int:
         """2 L VOL bc_p for the scaled dual ``psi`` (one of the PSI_* fields)."""
-        return self.HS2 - 2 * _dot(psi, self.W)
+        w0, w1, w2 = self.W
+        return self.HS2 - 2 * (psi[0] * w0 + psi[1] * w1 + psi[2] * w2)
 
 
 def legendre_dual(model: SurfaceModel, angles: Angles) -> DualData:
@@ -156,19 +154,24 @@ def legendre_dual(model: SurfaceModel, angles: Angles) -> DualData:
             if _encoded_class(model, frame) != model.log_anticanonical(frame):
                 raise InconsistencyError("support function does not encode -K_{S,Delta}")
         model.certified.add("support function")
-    L, p1, p2 = common_denominator(angles.beta1, angles.beta2)
-    X = (-p1, 0, p2)
-    p0, marked, generic = (
-        tuple(min(u * v - L * hv for v, hv in vertices) for u in X)
-        for vertices in _slices(model.n)
-    )
-    G = tuple(a + model.m * b for a, b in zip(p0, marked))
-    W = (
-        p1 * (2 * G[0] + G[1]),
-        p1 * (G[0] + 2 * G[1]) + p2 * (2 * G[1] + G[2]),
-        p2 * (G[1] + 2 * G[2]),
-    )
-    return DualData(L, X, p0, marked, generic, G, W, sum(W), _dot(X, W), _dot(G, W))
+    L, p1, p2 = angles.scaled
+    duals = []
+    for (v, hv), *others in _slices(model.n):
+        # L Psi_p at X = (-P1, 0, P2): the least vertex line X v - L h_p(v).
+        c = L * hv
+        lo, mid, hi = -p1 * v - c, -c, p2 * v - c
+        for v, hv in others:
+            c = L * hv
+            lo, mid, hi = min(lo, -p1 * v - c), min(mid, -c), min(hi, p2 * v - c)
+        duals.append((lo, mid, hi))
+    p0, marked, generic = duals
+    m = model.m
+    G = g0, g1, g2 = p0[0] + m * marked[0], p0[1] + m * marked[1], p0[2] + m * marked[2]
+    w0 = p1 * (2 * g0 + g1)
+    w1 = p1 * (g0 + 2 * g1) + p2 * (2 * g1 + g2)
+    w2 = p2 * (g1 + 2 * g2)
+    return DualData(L, (-p1, 0, p2), p0, marked, generic, G, (w0, w1, w2),
+                    w0 + w1 + w2, p2 * w2 - p1 * w0, g0 * w0 + g1 * w1 + g2 * w2)
 
 
 @dataclass(frozen=True)
@@ -234,8 +237,8 @@ def delta_tvariety(model: SurfaceModel, angles: Angles) -> DeltaReport:
     model.ensure_ample(angles)
     n, m = model.n, model.m
     d = legendre_dual(model, angles)
-    L, VOL, FM = d.L, d.VOL, d.FM
-    p1, p2 = -d.X[0], d.X[2]
+    L, p1, p2 = angles.scaled
+    VOL, FM = d.VOL, d.FM
     cross_marked = d.cross(d.PSI_MARKED)
     names = model.candidates  # C1tilde, C2tilde, E1..Em, F1tilde..Fmtilde
     orbits = [  # (names, A, L A, 2 L VOL S); S = bc + beta1, beta2 - bc,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .picard import Angles, OutsideAmpleRange
-from .ratmath import Rat, common_denominator, sign
+from .ratmath import Rat, sign
 from .tvariety import DeltaReport, delta_tvariety
 from .zariski import InconsistencyError
 
@@ -52,14 +52,9 @@ class Verdict:
 def condition_sign(model, angles: Angles) -> int:
     """Sign of the angle bracket; 0 is the polystability condition.
 
-    With L the common denominator of the angles and P_i = L beta_i,
-    3 L^3 times the bracket is the integer
-    3 P1^2 L - n P1^3 - 3 P2^2 L - (n - m) P2^3."""
-    return _bracket_sign(model, *common_denominator(angles.beta1, angles.beta2))
-
-
-def _bracket_sign(model, L: int, p1: int, p2: int) -> int:
-    """``condition_sign`` from L and P_i = L beta_i."""
+    With the angles' integer form (L, P1, P2), P_i = L beta_i, 3 L^3 times
+    the bracket is the integer 3 P1^2 L - n P1^3 - 3 P2^2 L - (n - m) P2^3."""
+    L, p1, p2 = angles.scaled
     n, m = model.n, model.m
     return sign(3 * p1 * p1 * L - n * p1**3 - 3 * p2 * p2 * L - (n - m) * p2**3)
 
@@ -111,9 +106,7 @@ def k_polystable(model, angles: Angles) -> Verdict:
             notes=(model.ample_range_violation(angles),),
         )
 
-    # The bracket reads the common denominator the torus route formed.
-    d = report.dual
-    csign = _bracket_sign(model, d.L, -d.X[0], d.X[2])
+    csign = condition_sign(model, angles)
     _check(report.futaki_sign == csign,
            "bracket sign {} disagrees with the torus-side Futaki sign", csign)
     _check(report.delta <= 1, "delta = {} > 1 contradicts the necessity bound", report.delta)

@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .picard import C1TILDE, C2TILDE, PULLBACK_C2, Angles, SurfaceModel
-from .ratmath import ZERO, Rat, common_denominator, isqrt_exact
+from .ratmath import ZERO, Rat, isqrt_exact
 from .zariski import DecompositionError, InconsistencyError, NotPseudoeffective, grow_support
 
 
@@ -152,7 +152,7 @@ def volume_sweep(E: str, model: SurfaceModel, angles: Angles) -> tuple:
     candidates, table = model.candidates, model.candidate_table
     # Integers over L: r(x) = r0 + x r1 as L r0 and r1 by candidate index,
     # and D(x)^2 = d0 + d1 x + d2 x^2 as L^2 d0, L d1 and d2.
-    L, b1, b2 = common_denominator(angles.beta1, angles.beta2)
+    L, b1, b2 = angles.scaled
     r0 = [0] * len(candidates)
     for j, g in table[0]:
         r0[j] += b1 * g

@@ -1,13 +1,15 @@
 """Shared fixtures: seeded generators, the surface and curve families, the
 ``rat`` constructor the tests spell their rationals with, the ``divisor``
 constructor and ``coordinates`` view of a class in rational coordinates, and
-the rational references the tests check the integer code against: the LDL^T
-kernel, the Gram matrix through the generic pairing, the signature, the
-angle sampler, the volume curve's last root, the volume of a class, the
-torus-side Futaki sign and the rational divisor class."""
+the rational references the tests check the integer code against: the
+common denominator, the LDL^T kernel, the Gram matrix through the generic
+pairing, the signature, the angle sampler, the volume curve's last root,
+the volume of a class, the torus-side Futaki sign and the rational divisor
+class."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -15,7 +17,7 @@ import pytest
 
 from kedge.linalg import NotNegativeDefinite
 from kedge.picard import Angles, DivisorClass, SurfaceModel
-from kedge.ratmath import Rat, common_denominator, isqrt_exact, sign
+from kedge.ratmath import Rat, isqrt_exact, sign
 from kedge.sampling import MAX_DENOMINATOR, MAX_TRIES, MAX_VALUE
 from kedge.tvariety import legendre_dual
 from kedge.volumes import IrrationalThreshold
@@ -175,6 +177,12 @@ def rat(numerator, denominator=None):
     if denominator is None:
         return Rat(numerator)
     return Rat(numerator) / Rat(denominator)
+
+
+def common_denominator(*xs) -> tuple:
+    """(L, L x for each x) as ints, L the least common denominator of xs."""
+    L = math.lcm(*[x.denominator for x in xs])
+    return (L, *[x.numerator * (L // x.denominator) for x in xs])
 
 
 def divisor(a, b, c) -> DivisorClass:

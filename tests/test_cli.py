@@ -1,6 +1,8 @@
 """End-to-end CLI contract: byte-stable reports, schemas, exit codes."""
 
+import csv
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -17,11 +19,11 @@ from hypothesis import strategies as st
 
 import kedge.tvariety
 from kedge import cli
-from kedge.cli import COMMANDS, GROUP_FLAGS, HELP, MAX_M, main
-from kedge.picard import SurfaceModel
+from kedge.cli import COMMANDS, GROUP_FLAGS, HELP, MAX_M, MAX_SCAN_POINTS, main
+from kedge.picard import Angles, SurfaceModel
 from kedge.ratmath import format_rat
 from kedge.tvariety import DualData, legendre_dual
-from kedge.verdict import InconsistencyError
+from kedge.verdict import InconsistencyError, k_polystable
 from kedge.verify import SUITES, SuiteResult
 from kedge.volumes import IrrationalThreshold
 from kedge.zariski import DecompositionError
@@ -494,6 +496,26 @@ class TestInputHandling:
             assert code == 1 and out == ""
             assert err == "error: beta1 grid too large (over 10000 points)\n"
 
+    @pytest.mark.parametrize("beta2_grid, points", [("1:1000:1", 1000 * 1000),
+                                                    ("1:1001:1", 1000 * 1001)])
+    def test_scan_grid_bound_counts_all_points(self, capsys, monkeypatch, beta2_grid, points):
+        # A grid within the bound reaches the computation, stopped here at
+        # its first point; one past it is refused before anything is computed.
+        def stop(*args):
+            raise InconsistencyError("reached the computation")
+
+        monkeypatch.setattr("kedge.cli.k_polystable", stop)
+        code, out, err = run_cli(
+            capsys,
+            ["scan", "--n", "0", "--m", "0", "--beta1-grid", "1:1000:1", "--beta2-grid", beta2_grid],
+        )
+        assert_exit_contract(code, err)
+        assert out == ""
+        if points <= MAX_SCAN_POINTS:
+            assert (code, err) == (2, "inconsistency: reached the computation\n")
+        else:
+            assert (code, err) == (1, "error: scan grid too large (over 1000000 points)\n")
+
 
 class TestInconsistencyExit:
     def test_delta_inconsistency_is_exit_2(self, capsys, monkeypatch):
@@ -964,3 +986,65 @@ class TestExitCodeContract:
         assert_exit_contract(code, err)
         if code == 0:
             jsonschema.validate(json.loads(out), load_schema("verify_report.schema.json"))
+
+
+def reference_scan(n, m, grid1, grid2, approx):
+    """The scan CSV with every cell formatted at its own point."""
+    model = SurfaceModel(n, m)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    header = ["beta1", "beta2", "condition_sign", "delta", "status"]
+    if approx:
+        header += ["beta1_approx", "beta2_approx", "delta_approx"]
+    writer.writerow(header)
+    for b1 in grid1:
+        for b2 in grid2:
+            verdict = k_polystable(model, Angles(b1, b2))
+            row = [format_rat(b1), format_rat(b2), str(verdict.condition_sign),
+                   "" if verdict.delta is None else format_rat(verdict.delta), verdict.status]
+            if approx:
+                row += [repr(float(b1)), repr(float(b2)),
+                        "" if verdict.delta is None else repr(float(verdict.delta))]
+            writer.writerow(row)
+    return buffer.getvalue()
+
+
+# A grid axis (start, step, points) over (0, 3]: at n, m <= 4 it often
+# crosses beta1 = 2/n or beta2 = 2/(m - n), so OutsideAmpleRange rows appear.
+GRID_AXES = st.tuples(
+    st.builds(Fraction, st.integers(1, 12), st.integers(1, 12)).filter(lambda x: x <= 3),
+    st.builds(Fraction, st.integers(1, 6), st.integers(1, 12)),
+    st.integers(1, 4),
+)
+
+
+class TestScanAgainstPerPointReference:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(0, 4), m=st.integers(0, 4), axis1=GRID_AXES, axis2=GRID_AXES,
+           approx=st.booleans())
+    def test_scan_matches_the_reference_byte_for_byte(self, capsys, n, m, axis1, axis2, approx):
+        (spec1, _), (spec2, _) = _small_grid(*axis1), _small_grid(*axis2)
+        grid1, grid2 = ([start + i * step for i in range(points)]
+                        for start, step, points in (axis1, axis2))
+        argv = ["scan", "--n", str(n), "--m", str(m), "--beta1-grid", spec1,
+                "--beta2-grid", spec2] + ["--approx"] * approx
+        assert run_cli(capsys, argv) == (0, reference_scan(n, m, grid1, grid2, approx), "")
+
+    @pytest.mark.parametrize("approx", [False, True])
+    @pytest.mark.parametrize("n, m, axis", [(3, 0, "beta1"), (1, 4, "beta2")])
+    def test_ample_bound_is_refused_and_just_below_it_accepted(self, capsys, n, m, axis, approx):
+        # 2/3 is beta1's bound at n = 3 and beta2's at m - n = 3; 1999/3000
+        # lies just below it.
+        spec = "1999/3000:2/3:1/3000"
+        other = "1/4:1/4:1"
+        grids = (spec, other) if axis == "beta1" else (other, spec)
+        argv = ["scan", "--n", str(n), "--m", str(m), "--beta1-grid", grids[0],
+                "--beta2-grid", grids[1]] + ["--approx"] * approx
+        code, out, err = run_cli(capsys, argv)
+        values = [Fraction(1999, 3000), Fraction(2, 3)]
+        grid1, grid2 = (values, [Fraction(1, 4)]) if axis == "beta1" else ([Fraction(1, 4)], values)
+        assert (code, out, err) == (0, reference_scan(n, m, grid1, grid2, approx), "")
+        below, bound = (row.split(",") for row in out.splitlines()[1:])
+        assert below[4] != "OutsideAmpleRange" and below[3] != ""
+        assert bound[3:5] == ["", "OutsideAmpleRange"]

@@ -6,9 +6,9 @@ import math
 import pickle
 
 import pytest
-from conftest import (ReferenceDivisorClass, coordinates, divisor, gram, rat, reference_intersect,
-                      reference_is_nef, reference_log_anticanonical, reference_pairings,
-                      signature)
+from conftest import (ReferenceDivisorClass, common_denominator, coordinates, divisor, gram, rat,
+                      reference_intersect, reference_is_nef, reference_log_anticanonical,
+                      reference_pairings, signature)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -65,6 +65,50 @@ def test_angles_refuse_a_float():
         assert str(raised.value) == f'angle {bad!r} is a binary float; pass it exactly, as "p/q"'
     assert Angles(1, rat(1, 2)) == Angles("1", "1/2") == Angles(rat(1), "0.5")
     assert Angles("0.1", 1).beta1 == rat(1, 10)
+
+
+@pytest.mark.parametrize("beta1, beta2, shown", [
+    ("0", "1/2", "0, 1/2"), ("1/2", "-1/2", "1/2, -1/2"), (rat(-1, 2), 1, "-1/2, 1"),
+    (0, rat(0), "0, 0"), ("-6/4", "1", "-3/2, 1"),
+])
+def test_angles_refuse_a_nonpositive_angle(beta1, beta2, shown):
+    with pytest.raises(ValueError) as raised:
+        Angles(beta1, beta2)
+    assert str(raised.value) == f"angles must be positive, got ({shown})"
+
+
+@st.composite
+def angle_arguments(draw):
+    """(argument, value): a positive angle as ``Angles`` takes it -- an int,
+    a Fraction, or a "p/q" string scaled by k, so that it need not be in
+    lowest terms ("6/4") -- with denominators up to 10**30."""
+    kind = draw(st.sampled_from(("int", "fraction", "string")))
+    if kind == "int":
+        value = draw(st.integers(1, 10**6))
+        return value, Rat(value)
+    value = draw(st.fractions(min_value=0, max_value=10**6, max_denominator=10**30).filter(bool))
+    if kind == "fraction":
+        return value, value
+    k = draw(st.integers(1, 10**6))
+    return f"{value.numerator * k}/{value.denominator * k}", value
+
+
+@given(angle_arguments(), angle_arguments())
+def test_angles_integer_form_matches_the_reference(first, second):
+    (arg1, b1), (arg2, b2) = first, second
+    angles = Angles(arg1, arg2)
+    assert angles.scaled == common_denominator(b1, b2)
+    assert all(type(x) is int for x in angles.scaled)
+    # The integer form is invisible to equality, hashing and repr.
+    reduced = Angles(Rat(b1.numerator, b1.denominator), Rat(b2.numerator, b2.denominator))
+    assert angles == reduced and hash(angles) == hash(reduced)
+    assert repr(angles) == repr(reduced) == f"Angles(beta1={b1!r}, beta2={b2!r})"
+    # A Fraction is held as it is; anything else becomes one.
+    for arg, beta in ((arg1, angles.beta1), (arg2, angles.beta2)):
+        assert type(beta) is Rat
+        assert (beta is arg) == isinstance(arg, Rat)
+    assert pickle.loads(pickle.dumps(angles)).scaled == angles.scaled
+    assert dataclasses.replace(angles, beta1=b2).scaled == common_denominator(b2, b2)
 
 
 def test_curve_ids_and_labels():

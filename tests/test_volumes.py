@@ -3,8 +3,8 @@
 from dataclasses import dataclass, replace
 
 import pytest
-from conftest import (gram, rat, reference_factorize, reference_smallest_root_after,
-                      reference_solve, volume)
+from conftest import (common_denominator, gram, rat, reference_factorize,
+                      reference_smallest_root_after, reference_solve, volume)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +28,7 @@ from kedge.picard import (
     SurfaceModel,
 )
 from kedge.linalg import border
-from kedge.ratmath import Rat, common_denominator
+from kedge.ratmath import Rat
 from kedge.sampling import LEMMA_CASES, sample_angles, sample_case_input, sample_surface
 from kedge.volumes import (
     IrrationalThreshold,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import divisor, gram, negative_definite_families, rat, signature, volume
+from conftest import common_denominator, divisor, gram, negative_definite_families, rat, signature, volume
 from kedge.picard import (
     Angles,
     C1TILDE,
@@ -12,7 +12,7 @@ from kedge.picard import (
     GENERIC_FIBER,
     SurfaceModel,
 )
-from kedge.ratmath import Rat, common_denominator
+from kedge.ratmath import Rat
 from kedge.sampling import sample_angles, sample_divisor_class, sample_surface
 from kedge.zariski import (
     DecompositionError,

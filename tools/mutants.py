@@ -37,8 +37,11 @@ MUTANTS = (
      "if _encoded_class(model, frame) != model.log_anticanonical(frame):",
      "if False:"),
     ("ample-bound-strict", "picard.py",
-     "if self.n > 0 and self.n * b1 >= 2:",
-     "if self.n > 0 and self.n * b1 > 2:"),
+     "if self.n > 0 and self.n * p1 >= 2 * L:",
+     "if self.n > 0 and self.n * p1 > 2 * L:"),
+    ("ample-bound2-strict", "picard.py",
+     "if self.n < self.m and (self.m - self.n) * p2 >= 2 * L:",
+     "if self.n < self.m and (self.m - self.n) * p2 > 2 * L:"),
     ("ray-term-off", "verdict.py",
      '_check(ratio == 1, "ray term',
      '_check(True, "ray term'),
@@ -151,6 +154,13 @@ MUTANTS = (
      "if False:"),
     ("divisor-lowest-terms-off", "picard.py",
      "if g != 1:",
+     "if False:"),
+    # The angles' integer form (L, P1, P2), formed once per angle pair.
+    ("angles-p2-scale-wrong", "picard.py",
+     "b2.numerator * (L // q2)",
+     "b2.numerator * (L // q1)"),
+    ("angles-positivity-off", "picard.py",
+     "if p1 <= 0 or p2 <= 0:",
      "if False:"),
     # A curve is its name: the refusals of a name that is no curve of the
     # surface.
