@@ -165,7 +165,9 @@ def cmd_delta(n, m, beta1, beta2, approx, accept_decimal, output):
             "per_divisor": {},
         }
     )
-    for term in verdict.report.terms:
+    # One entry per S_m orbit, formatted once and listed under each name.
+    for orbit in verdict.report.orbits:
+        term = verdict.report.term(orbit.name)
         entry = {
             "A": format_rat(term.A),
             "S": format_rat(term.S),
@@ -173,7 +175,8 @@ def cmd_delta(n, m, beta1, beta2, approx, accept_decimal, output):
         }
         if approx:
             entry["ratio_approx"] = float(term.ratio)
-        report["per_divisor"][term.name] = entry
+        for name in orbit.names():
+            report["per_divisor"][name] = entry
     _dump(report, output)
 
 

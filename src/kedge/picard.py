@@ -85,13 +85,14 @@ class Angles:
 
 # A curve is its name.  The fixed names, then every indexed name: E_i as
 # ``Ei(i)`` writes it and F~i as ``FiTilde(i)`` does, ASCII digits with no
-# leading zero.  ``SurfaceModel.class_of`` is the one place a name is read.
+# leading zero.  ``SurfaceModel.class_of`` reads a curve's class from its
+# name, and the torus route's ``DeltaReport.term`` a term's orbit.
 C1TILDE = "C1tilde"
 C2TILDE = "C2tilde"
 GENERIC_FIBER = "GenericFiber"
 PULLBACK_C2 = "PullbackC2"
 _FIXED = (C1TILDE, C2TILDE, GENERIC_FIBER, PULLBACK_C2)
-_INDEXED = re.compile("E([1-9][0-9]*)|F([1-9][0-9]*)tilde")
+INDEXED_NAME = re.compile("E([1-9][0-9]*)|F([1-9][0-9]*)tilde")
 
 
 def Ei(i: int) -> str:
@@ -108,7 +109,7 @@ def parse_curve_id(label: str) -> str:
     most three digits: no surface the CLI accepts (m <= 200) has a
     four-digit one."""
     name = label.strip()
-    indexed = _INDEXED.fullmatch(name)
+    indexed = INDEXED_NAME.fullmatch(name)
     if name not in _FIXED and (indexed is None or len(indexed[indexed.lastindex]) > 3):
         raise ValueError(f"unknown curve label {label!r}")
     return name
@@ -200,7 +201,7 @@ class SurfaceModel:
             return DivisorClass((0, 1) + (0,) * m)
         if name == PULLBACK_C2:
             return DivisorClass((1, 0) + (0,) * m)
-        indexed = _INDEXED.fullmatch(name)
+        indexed = INDEXED_NAME.fullmatch(name)
         if indexed is None:
             raise ValueError(f"unknown curve name {name!r}")
         e, f = indexed.groups()

@@ -58,23 +58,32 @@ bc = FM / (L VOL), each cross term is bc_p = (HS2 - 2 sum L Psi_p(x_i) W_i)
 2 L VOL, and the Futaki sign is -sign(FM).  ``DualData`` holds these
 integers only; a reader divides by the power of L it needs.
 
-The delta minimum stays on integers too.  Each A is beta1, beta2 or 1,
-so L A is P1, P2 or L, and A/S = (L A) 2 VOL / (2 L VOL S).  With
-VOL > 0 and every S numerator > 0, checked invariants, the smallest
-ratio and its ties are found by cross-multiplying integers; delta is the
-one Fraction formed, and a term divides A/S only when it is read.
+The delta minimum stays on integers too, with one record per S_m orbit.
+Each A is beta1, beta2 or 1, so L A is P1, P2 or L, and
+A/S = 2 VOL (L A) / (2 L VOL S).  An ``Orbit`` holds its first name, its
+size, A, L A and 2 L VOL S.  One pass over the six records (four at
+m = 0) checks every S > 0, after VOL > 0, and finds a least A/S by
+cross-multiplying integers.  delta = 2 VOL a_min / s_min is the one
+Fraction formed, and the verdict compares it and each orbit's A/S with 1
+on the same integers.  A name is spelled only where it is read: in the
+witnesses (the orbits tied with the least one) and in a term asked for
+by name, as the CLI's per-divisor table asks once per orbit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .picard import (
     C1TILDE,
     C2TILDE,
     GENERIC_FIBER,
+    INDEXED_NAME,
     Angles,
     DivisorClass,
+    Ei,
+    FiTilde,
     SurfaceModel,
 )
 from .ratmath import ONE, Rat, sign
@@ -112,8 +121,7 @@ def _encoded_class(model: SurfaceModel, angles: Angles) -> DivisorClass:
 _CERTIFICATE_ANGLES = (Angles(1, 1), Angles(2, 1), Angles(1, 2))
 
 
-@dataclass(frozen=True)
-class DualData:
+class DualData(NamedTuple):
     """Legendre duals of h and deg Psi at x = X / L, with the hat weights of
     deg Psi and the integrals read off them, as the integers of the module
     docstring; each field's comment gives its scale."""
@@ -187,34 +195,63 @@ class ValuationTerm:
         return self.A / self.S
 
 
-@dataclass(frozen=True)
-class DeltaReport:
+FIBER_P0 = "FiberP0"
+E1, F1TILDE = Ei(1), FiTilde(1)
+_FAMILIES = {E1: Ei, F1TILDE: FiTilde}  # an orbit's first name -> its names' spelling
+
+
+class Orbit(NamedTuple):
+    """One S_m orbit of the delta minimum: every term in it has one A and one S."""
+
+    name: str  # first name, canonical order
+    size: int
+    A: object  # beta1, beta2 or 1
+    a: int  # L A
+    s: int  # 2 L VOL S, with L and VOL from the report's dual
+
+    def names(self) -> tuple:
+        """Every name in the orbit, canonical order."""
+        family = _FAMILIES.get(self.name)
+        if family is None:
+            return (self.name,)
+        return tuple(map(family, range(1, self.size + 1)))
+
+
+class DeltaReport(NamedTuple):
     """delta = min over ray and vertex valuations of A/S, with witnesses.
 
-    The terms are kept per S_m orbit: its names, its A and the integer
-    2 L VOL S, with L and VOL from ``dual``.  ``terms`` forms one
-    ValuationTerm per name when it is first read."""
+    The terms are kept as one ``Orbit`` per S_m orbit.  A least orbit's
+    integers give delta = 2 VOL a_min / s_min, formed when read; a name is
+    spelled only when the witnesses or a term are asked for."""
 
-    delta: object
-    witnesses: tuple  # names of all terms attaining the minimum, canonical order
+    a_min: int  # L A of a least orbit
+    s_min: int  # its 2 L VOL S
     futaki_sign: int  # sign of -integral of u * deg Psi
-    orbits: tuple  # (names, A, 2 L VOL S) per S_m orbit, canonical order
+    orbits: tuple  # Orbit records, canonical order
     dual: DualData
 
-    @cached_property
-    def terms(self) -> tuple:
-        """ValuationTerm per name, canonical order; an orbit's terms share A and S."""
-        den = 2 * self.dual.L * self.dual.VOL
-        terms = []
-        for names, A, num in self.orbits:
-            S = Rat(num, den)
-            terms += [ValuationTerm(name, A, S) for name in names]
-        return tuple(terms)
+    @property
+    def delta(self):
+        return Rat(2 * self.dual.VOL * self.a_min, self.s_min)
+
+    @property
+    def witnesses(self) -> tuple:
+        """Names of all terms attaining the minimum, canonical order."""
+        a_min, s_min = self.a_min, self.s_min
+        return tuple(name for orbit in self.orbits if orbit.a * s_min == a_min * orbit.s
+                     for name in orbit.names())
 
     def term(self, name: str) -> ValuationTerm:
-        for t in self.terms:
-            if t.name == name:
-                return t
+        """The term of ``name``, from its orbit; KeyError for a name with
+        no term on this surface."""
+        first, i = name, 1
+        indexed = INDEXED_NAME.fullmatch(name)
+        if indexed is not None:
+            e, f = indexed.groups()
+            first, i = (E1, int(e)) if e else (F1TILDE, int(f))
+        for orbit in self.orbits:
+            if orbit.name == first and i <= orbit.size:
+                return ValuationTerm(name, orbit.A, Rat(orbit.s, 2 * self.dual.L * self.dual.VOL))
         raise KeyError(name)
 
 
@@ -227,41 +264,31 @@ def delta_tvariety(model: SurfaceModel, angles: Angles) -> DeltaReport:
     multiplicities are 1), including the vertex of the fiber over p0 and
     one representative of the identical generic-fiber terms.
 
-    S_m permutes the E_i and the F~i, so each orbit has one A and one S.
-    The minimum is taken on the integer numerators of L A and S (module
-    docstring): S > 0 is a checked invariant (InconsistencyError
-    otherwise), the witnesses are the ties found by cross-multiplication,
-    and delta is the one Fraction formed.  No term divides A/S until it
-    is read.
+    S_m permutes the E_i and the F~i, so each orbit has one A and one S,
+    and the report holds one ``Orbit`` per orbit.  One pass over them
+    checks S > 0 (InconsistencyError otherwise, as for VOL <= 0) and finds
+    a least A/S by cross-multiplying L A and 2 L VOL S (module docstring).
     """
     model.ensure_ample(angles)
     n, m = model.n, model.m
     d = legendre_dual(model, angles)
     L, p1, p2 = angles.scaled
     VOL, FM = d.VOL, d.FM
-    cross_marked = d.cross(d.PSI_MARKED)
-    names = model.candidates  # C1tilde, C2tilde, E1..Em, F1tilde..Fmtilde
-    orbits = [  # (names, A, L A, 2 L VOL S); S = bc + beta1, beta2 - bc,
-        # bc_pi - bc, bc_pi, bc_p0 + n bc + 2 and bc_generic
-        (("C1tilde",), angles.beta1, p1, 2 * (FM + p1 * VOL)),
-        (("C2tilde",), angles.beta2, p2, 2 * (p2 * VOL - FM)),
-        (names[2:m + 2], ONE, L, cross_marked - 2 * FM),
-        (names[m + 2:], ONE, L, cross_marked),
-        (("FiberP0",), ONE, L, d.cross(d.PSI_P0) + 2 * n * FM + 4 * L * VOL),
-        (("GenericFiber",), ONE, L, d.cross(d.PSI_GENERIC)),
-    ]
-    orbits = [orbit for orbit in orbits if orbit[0]]
     if VOL <= 0:
         raise InconsistencyError("torus route: vol is not positive")
-    for names, _, _, s in orbits:
-        if s <= 0:
-            raise InconsistencyError(f"torus route: S of {names[0]} is not positive")
+    # S = bc + beta1, beta2 - bc, bc_pi - bc, bc_pi, bc_p0 + n bc + 2 and bc_generic
+    orbits = [Orbit(C1TILDE, 1, angles.beta1, p1, 2 * (FM + p1 * VOL)),
+              Orbit(C2TILDE, 1, angles.beta2, p2, 2 * (p2 * VOL - FM))]
+    if m:
+        cross_marked = d.cross(d.PSI_MARKED)
+        orbits += [Orbit(E1, m, ONE, L, cross_marked - 2 * FM),
+                   Orbit(F1TILDE, m, ONE, L, cross_marked)]
+    orbits += [Orbit(FIBER_P0, 1, ONE, L, d.cross(d.PSI_P0) + 2 * n * FM + 4 * L * VOL),
+               Orbit(GENERIC_FIBER, 1, ONE, L, d.cross(d.PSI_GENERIC))]
     best = orbits[0]
-    for orbit in orbits[1:]:
-        if orbit[2] * best[3] < best[2] * orbit[3]:
+    for orbit in orbits:
+        if orbit.s <= 0:
+            raise InconsistencyError(f"torus route: S of {orbit.name} is not positive")
+        if orbit.a * best.s < best.a * orbit.s:
             best = orbit
-    _, _, a_min, s_min = best
-    ties = (names for names, _, a, s in orbits if a * s_min == a_min * s)
-    witnesses = tuple(name for names in ties for name in names)
-    orbits = tuple((names, A, s) for names, A, _, s in orbits)
-    return DeltaReport(Rat(2 * VOL * a_min, s_min), witnesses, -sign(FM), orbits, d)
+    return DeltaReport(best.a, best.s, -sign(FM), tuple(orbits), d)

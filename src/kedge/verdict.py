@@ -17,7 +17,7 @@ answer when one of them fails.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .picard import Angles, OutsideAmpleRange
 from .ratmath import Rat, sign
@@ -33,20 +33,23 @@ class NotFound(LookupError):
     """No condition point exists for the requested parameter."""
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """K-polystability verdict with the data that supports it."""
 
     status: str  # KPolystable | NotKPolystable | OutsideAmpleRange
     condition_sign: int
     delta: object  # Rat, or None when outside the ample range
-    witnesses: tuple  # names of valuations attaining delta (empty if N/A)
     notes: tuple  # human-readable diagnostics
     report: DeltaReport | None = None
 
     @property
+    def witnesses(self) -> tuple:
+        """Names of valuations attaining delta (empty if N/A)."""
+        return () if self.report is None else self.report.witnesses
+
+    @property
     def witness(self):
-        return self.witnesses[0] if self.witnesses else None
+        return next(iter(self.witnesses), None)
 
 
 def condition_sign(model, angles: Angles) -> int:
@@ -68,22 +71,25 @@ def _check(condition: bool, message: str, *args):
 def _certify_polystable_branch(m: int, report: DeltaReport):
     """Verify the hypotheses of the theorems behind the delta = 1 verdict,
     once per S_m orbit: an orbit's terms share one A and one S, and each
-    check names the orbit's first curve."""
-    den = 2 * report.dual.L * report.dual.VOL
-    ratios = [(names[0], A / Rat(s, den)) for names, A, s in report.orbits]
-    rays, verticals = ratios[:2], ratios[2:]  # C~1 and C~2 lead the orbits
-    _check(report.delta == 1, "condition point must have delta = 1, got {}", report.delta)
-    for name, ratio in rays:
-        _check(ratio == 1, "ray term {} must equal 1 at a condition point", name)
+    check names the orbit's first curve.  A/S = 2 VOL (L A) / (2 L VOL S)
+    with S > 0, so each comparison with 1 is one of integers."""
+    two_vol = 2 * report.dual.VOL
+    rays, verticals = report.orbits[:2], report.orbits[2:]  # C~1 and C~2 lead the orbits
+    _check(two_vol * report.a_min == report.s_min,
+           "condition point must have delta = 1, got {.delta}", report)
+    for orbit in rays:
+        _check(two_vol * orbit.a == orbit.s,
+               "ray term {} must equal 1 at a condition point", orbit.name)
     if m == 0:
-        for name, ratio in verticals:
-            _check(ratio == 1, "toric case: term {} must equal 1", name)
+        for orbit in verticals:
+            _check(two_vol * orbit.a == orbit.s, "toric case: term {} must equal 1", orbit.name)
     elif m == 2:
-        for name, ratio in verticals[:2]:  # the E_i and the F~i orbits
-            _check(ratio == 1, "m=2: curve term {} must equal 1", name)
+        for orbit in verticals[:2]:  # the E_i and the F~i orbits
+            _check(two_vol * orbit.a == orbit.s, "m=2: curve term {} must equal 1", orbit.name)
     else:  # m >= 3
-        for name, ratio in verticals:
-            _check(ratio > 1, "m>=3: vertical term {} must exceed 1", name)
+        for orbit in verticals:
+            _check(two_vol * orbit.a > orbit.s, "m>=3: vertical term {} must exceed 1",
+                   orbit.name)
 
 
 def k_polystable(model, angles: Angles) -> Verdict:
@@ -93,47 +99,36 @@ def k_polystable(model, angles: Angles) -> Verdict:
     witnesses from the torus route, and every branch cross-checks the
     facts it relies on (bracket sign against the Futaki sign, delta < 1
     off the condition locus and for m = 1, the term patterns at
-    condition points).
+    condition points).  delta = 2 VOL a_min / s_min with s_min > 0, so
+    each comparison of delta with 1 is one of integers.
     """
     try:
         report = delta_tvariety(model, angles)
     except OutsideAmpleRange:
-        return Verdict(
-            status=OUTSIDE_AMPLE_RANGE,
-            condition_sign=condition_sign(model, angles),
-            delta=None,
-            witnesses=(),
-            notes=(model.ample_range_violation(angles),),
-        )
+        return Verdict(OUTSIDE_AMPLE_RANGE, condition_sign(model, angles), None,
+                       (model.ample_range_violation(angles),))
 
     csign = condition_sign(model, angles)
     _check(report.futaki_sign == csign,
            "bracket sign {} disagrees with the torus-side Futaki sign", csign)
-    _check(report.delta <= 1, "delta = {} > 1 contradicts the necessity bound", report.delta)
+    delta = report.delta
+    twice_vol_a, s_min = 2 * report.dual.VOL * report.a_min, report.s_min
+    _check(twice_vol_a <= s_min, "delta = {} > 1 contradicts the necessity bound", delta)
 
-    notes: list[str] = []
     if csign == 0 and model.m != 1:
         _certify_polystable_branch(model.m, report)
         branch = "toric (m=0)" if model.m == 0 else f"m={model.m}"
-        notes.append(f"condition holds; {branch} branch hypotheses verified")
+        note = f"condition holds; {branch} branch hypotheses verified"
         status = KPOLYSTABLE
     elif csign == 0:
-        _check(report.delta < 1, "m=1 exclusion requires delta < 1 on the condition locus")
-        notes.append("m=1 exclusion: condition holds but delta < 1")
+        _check(twice_vol_a < s_min, "m=1 exclusion requires delta < 1 on the condition locus")
+        note = "m=1 exclusion: condition holds but delta < 1"
         status = NOT_KPOLYSTABLE
     else:
-        _check(report.delta < 1, "delta must be < 1 off the condition locus")
-        notes.append(f"bracket sign {csign:+d}; delta < 1")
+        _check(twice_vol_a < s_min, "delta must be < 1 off the condition locus")
+        note = f"bracket sign {csign:+d}; delta < 1"
         status = NOT_KPOLYSTABLE
-
-    return Verdict(
-        status=status,
-        condition_sign=csign,
-        delta=report.delta,
-        witnesses=report.witnesses,
-        notes=tuple(notes),
-        report=report,
-    )
+    return Verdict(status, csign, delta, (note,), report)
 
 
 def rational_condition_point(model, s):

@@ -4,24 +4,25 @@ constructor and ``coordinates`` view of a class in rational coordinates, and
 the rational references the tests check the integer code against: the
 common denominator, the LDL^T kernel, the Gram matrix through the generic
 pairing, the signature, the angle sampler, the volume curve's last root,
-the volume of a class, the torus-side Futaki sign and the rational divisor
-class."""
+the volume of a class, the torus-side Futaki sign, the name-expanding
+torus-route delta and the rational divisor class."""
 
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
 
 from kedge.linalg import NotNegativeDefinite
 from kedge.picard import Angles, DivisorClass, SurfaceModel
-from kedge.ratmath import Rat, isqrt_exact, sign
+from kedge.ratmath import ONE, Rat, isqrt_exact, sign
 from kedge.sampling import MAX_DENOMINATOR, MAX_TRIES, MAX_VALUE
 from kedge.tvariety import legendre_dual
 from kedge.volumes import IrrationalThreshold
-from kedge.zariski import DecompositionError, zariski_decompose
+from kedge.zariski import DecompositionError, InconsistencyError, zariski_decompose
 
 
 @pytest.fixture
@@ -248,6 +249,48 @@ def futaki_vanishes(model, angles) -> int:
     division, so no ampleness assumption is needed): the sign that
     ``DeltaReport.futaki_sign`` records."""
     return -sign(legendre_dual(model, angles).FM)
+
+
+def reference_delta_tvariety(model, angles) -> SimpleNamespace:
+    """delta by the torus route with every name spelled: the form
+    ``tvariety.delta_tvariety`` had before it kept one record per S_m orbit.
+    The orbits carry their names, sliced from ``model.candidates``; the
+    witnesses are the names of every orbit tied at the minimum, and
+    ``terms`` maps each name to its (A, S)."""
+    model.ensure_ample(angles)
+    n, m = model.n, model.m
+    d = legendre_dual(model, angles)
+    L, p1, p2 = angles.scaled
+    VOL, FM = d.VOL, d.FM
+    cross_marked = d.cross(d.PSI_MARKED)
+    names = model.candidates  # C1tilde, C2tilde, E1..Em, F1tilde..Fmtilde
+    orbits = [  # (names, A, L A, 2 L VOL S)
+        (("C1tilde",), angles.beta1, p1, 2 * (FM + p1 * VOL)),
+        (("C2tilde",), angles.beta2, p2, 2 * (p2 * VOL - FM)),
+        (names[2:m + 2], ONE, L, cross_marked - 2 * FM),
+        (names[m + 2:], ONE, L, cross_marked),
+        (("FiberP0",), ONE, L, d.cross(d.PSI_P0) + 2 * n * FM + 4 * L * VOL),
+        (("GenericFiber",), ONE, L, d.cross(d.PSI_GENERIC)),
+    ]
+    orbits = [orbit for orbit in orbits if orbit[0]]
+    if VOL <= 0:
+        raise InconsistencyError("torus route: vol is not positive")
+    for names, _, _, s in orbits:
+        if s <= 0:
+            raise InconsistencyError(f"torus route: S of {names[0]} is not positive")
+    best = orbits[0]
+    for orbit in orbits[1:]:
+        if orbit[2] * best[3] < best[2] * orbit[3]:
+            best = orbit
+    _, _, a_min, s_min = best
+    ties = (names for names, _, a, s in orbits if a * s_min == a_min * s)
+    den = 2 * L * VOL
+    return SimpleNamespace(
+        delta=Rat(2 * VOL * a_min, s_min),
+        witnesses=tuple(name for names in ties for name in names),
+        futaki_sign=-sign(FM),
+        terms={name: (A, Rat(s, den)) for names, A, _, s in orbits for name in names},
+    )
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,6 @@
 """End-to-end CLI contract: byte-stable reports, schemas, exit codes."""
 
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -164,7 +163,7 @@ def doubled_dual(model, angles):
     """The true dual with vol doubled, through its integer 6 L^2 vol:
     breaks the halving suite's check."""
     dual = legendre_dual(model, angles)
-    return dataclasses.replace(dual, VOL=2 * dual.VOL)
+    return dual._replace(VOL=2 * dual.VOL)
 
 
 def load_schema(name):

@@ -6,25 +6,26 @@ u -> u v - h_p(v), evaluated pointwise, and every integral is Simpson's
 rule on the refinement of the moment interval by the crossings of those
 lines, where each integrand is quadratic, so the rule is exact.  The
 second is the route on ``Fraction`` values at x = (-beta1, 0, beta2) that
-the integer route over one common denominator replaced.
+the integer route over one common denominator replaced.  A third,
+``conftest.reference_delta_tvariety``, is the route with every name
+spelled, which the orbit records replaced.
 """
 
-import dataclasses
 import itertools
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from conftest import divisor, futaki_vanishes, rat
-from hypothesis import example, given
+from conftest import divisor, futaki_vanishes, rat, reference_delta_tvariety
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 import kedge.tvariety
-from kedge.picard import Angles, SurfaceModel, SurfaceParams
+from kedge.picard import PULLBACK_C2, Angles, Ei, FiTilde, SurfaceModel, SurfaceParams
 from kedge.ratmath import ONE, ZERO, Rat, sign
 from kedge.sampling import sample_angles, sample_surface
 from kedge.tvariety import delta_tvariety, legendre_dual
-from kedge.verdict import rational_condition_point
+from kedge.verdict import NotFound, rational_condition_point
 from kedge.zariski import InconsistencyError
 
 HALF = rat(1, 2)
@@ -209,6 +210,20 @@ def ample_surfaces_large_denominators(draw):
     model, angles = SurfaceModel(n, m), Angles(angle(q1, n), angle(q2, m - n))
     assert model.ample_range_violation(angles) is None
     return model, angles
+
+
+@st.composite
+def condition_points(draw):
+    """(params, angles) on the condition locus with n, m <= 6, from
+    ``rational_condition_point``; m = 0 and m = 2, where whole orbits tie
+    at delta = 1, are drawn more often."""
+    n, m = draw(st.integers(0, 6)), draw(st.one_of(st.sampled_from([0, 2]), st.integers(0, 6)))
+    q = draw(st.integers(1, 13))
+    model = SurfaceModel(n, m)
+    try:
+        return model, rational_condition_point(model, rat(draw(st.integers(1, 2 * q - 1)), q))
+    except NotFound:
+        reject()
 
 
 @st.composite
@@ -428,7 +443,8 @@ class TestIntegerRoute:
         delta, witnesses, terms, futaki_sign = reference_delta(params, angles)
         assert (report.delta, report.witnesses, report.futaki_sign) == (
             delta, witnesses, futaki_sign)
-        assert [(t.name, t.A, t.S, t.ratio) for t in report.terms] == terms
+        assert [(name, t.A, t.S, t.ratio) for name, *_ in terms
+                for t in [report.term(name)]] == terms
 
     def test_integers_over_the_common_denominator(self):
         # beta = (1/2, 1/3): L = 6, X = (-3, 0, 2); at n = 2, m = 3 the
@@ -440,6 +456,32 @@ class TestIntegerRoute:
         assert d.W == (3 * 24, 3 * 30 + 2 * 34, 2 * 32)
         assert (d.VOL, d.FM, d.HS2) == (sum(d.W), -216 + 128, 6 * 72 + 12 * 158 + 10 * 64)
         assert all(type(v) is int for v in (d.L, *d.X, *d.G, *d.W, d.VOL, d.FM, d.HS2))
+
+
+class TestOrbitRecords:
+    """One record per S_m orbit against the route that spelled every name."""
+
+    @given(st.one_of(ample_surfaces(), condition_points()))
+    @example((SurfaceModel(2, 0), Angles(rat(9, 14), rat(3, 7))))  # m = 0 condition point
+    @example((SurfaceModel(0, 2), Angles(rat(63, 128), rat(21, 32))))  # m = 2 condition point
+    @example((SurfaceModel(0, 1), Angles(rat(144, 125), rat(48, 25))))  # E1 and F1tilde tie
+    # Most condition-point draws miss the locus's ample part and are rejected.
+    @settings(deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    def test_matches_name_expanding_reference(self, surface):
+        model, angles = surface
+        report = delta_tvariety(model, angles)
+        reference = reference_delta_tvariety(model, angles)
+        assert (report.delta, report.witnesses, report.futaki_sign) == (
+            reference.delta, reference.witnesses, reference.futaki_sign)
+        names = [*model.candidates, "FiberP0", "GenericFiber"]
+        assert [name for orbit in report.orbits for name in orbit.names()] == names
+        assert list(reference.terms) == names
+        for name in names:
+            term = report.term(name)
+            assert (term.name, term.A, term.S) == (name, *reference.terms[name])
+        for name in (Ei(model.m + 1), FiTilde(model.m + 1), "E0", PULLBACK_C2):
+            with pytest.raises(KeyError):
+                report.term(name)
 
 
 class TestCertificate:
@@ -462,7 +504,7 @@ class TestDelta:
         report = delta_tvariety(SurfaceModel(0, 2), Angles(HALF, HALF))
         assert report.delta == rat(21, 23)
         assert report.witnesses == ("C2tilde",)
-        assert [t.name for t in report.terms] == [
+        assert [name for orbit in report.orbits for name in orbit.names()] == [
             "C1tilde", "C2tilde", "E1", "E2", "F1tilde", "F2tilde",
             "FiberP0", "GenericFiber",
         ]
@@ -502,7 +544,7 @@ class TestDelta:
         assert report.witnesses == (
             "C1tilde", "C2tilde", "FiberP0", "GenericFiber",
         )
-        assert all(t.ratio == 1 for t in report.terms)
+        assert all(report.term(orbit.name).ratio == 1 for orbit in report.orbits)
 
     def test_nonpositive_vol_is_an_inconsistency(self, monkeypatch):
         # The minimum cross-multiplies S numerators over 2 L VOL, so VOL > 0
@@ -510,7 +552,7 @@ class TestDelta:
         original = kedge.tvariety.legendre_dual
         monkeypatch.setattr(
             kedge.tvariety, "legendre_dual",
-            lambda model, angles: dataclasses.replace(original(model, angles), VOL=0),
+            lambda model, angles: original(model, angles)._replace(VOL=0),
         )
         with pytest.raises(InconsistencyError, match="vol is not positive"):
             delta_tvariety(SurfaceModel(0, 2), Angles(HALF, HALF))

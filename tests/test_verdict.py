@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, reject, settings
@@ -20,7 +21,7 @@ from kedge.picard import (
 )
 from kedge.ratmath import sign
 from kedge.sampling import sample_angles, sample_surface
-from kedge.tvariety import ValuationTerm, delta_tvariety
+from kedge.tvariety import Orbit, ValuationTerm, delta_tvariety
 from kedge.verdict import (
     KPOLYSTABLE,
     NOT_KPOLYSTABLE,
@@ -159,15 +160,22 @@ class TestTorusWork:
     def test_one_torus_pass_per_verdict(self, monkeypatch, params, angles):
         # Deterministic work: a second dual or a second ample check fails
         # here; the certificate runs its three round trips on the model's
-        # first verdict only, with no DivisorClass arithmetic.
+        # first verdict only, with no DivisorClass arithmetic.  delta is
+        # the one Fraction formed and no Fraction is compared: every check
+        # reads integers.  No term is formed and no name is spelled.
         calls = collections.Counter()
         targets = {
             "legendre_dual": kedge.tvariety,
             "_encoded_class": kedge.tvariety,
+            "Rat": kedge.tvariety,
+            "ValuationTerm": kedge.tvariety,
+            "names": Orbit,
             "log_anticanonical": SurfaceModel,
             "ample_range_violation": SurfaceModel,
             "scale": DivisorClass,
             "__add__": DivisorClass,
+            "_richcmp": Fraction,
+            "__eq__": Fraction,
         }
         for name, owner in targets.items():
             def counting(*args, _name=name, _original=getattr(owner, name)):
@@ -179,21 +187,28 @@ class TestTorusWork:
         k_polystable(params, angles)
         assert calls == {
             "legendre_dual": 1, "_encoded_class": 3, "log_anticanonical": 3,
-            "ample_range_violation": 1,
+            "ample_range_violation": 1, "Rat": 1,
         }
         calls.clear()
         verdict = k_polystable(params, angles)
-        assert calls == {"legendre_dual": 1, "ample_range_violation": 1}
-        # A/S is divided only for a term that is read.  Off the condition
-        # locus nothing reads the terms; at the (2, 0) condition point the
-        # branch certificate reads one A/S per S_m orbit and forms no term.
-        report = verdict.report
-        assert "terms" not in vars(report)
-        assert not any("ratio" in vars(t) for t in report.terms)
+        assert calls == {"legendre_dual": 1, "ample_range_violation": 1, "Rat": 1}
+        assert not hasattr(verdict.report, "terms")
         # Every integral is a dot product with the three hat weights; no
         # general PL type or pairwise product integrator is left.
         assert not hasattr(kedge.tvariety, "PLFunction")
         assert not hasattr(kedge.tvariety, "integrate_product")
+
+    def test_no_candidate_names_on_the_torus_route(self):
+        # The verdict reads one record per S_m orbit, so a fresh model's
+        # first verdict never builds the 2m + 2 candidate names.
+        model = SurfaceModel(0, 200)
+        verdict = k_polystable(model, Angles(HALF, rat(1, 400)))
+        assert verdict.status == NOT_KPOLYSTABLE
+        assert "candidates" not in model.__dict__
+        assert [(orbit.name, orbit.size) for orbit in verdict.report.orbits] == [
+            ("C1tilde", 1), ("C2tilde", 1), ("E1", 200), ("F1tilde", 200),
+            ("FiberP0", 1), ("GenericFiber", 1),
+        ]
 
 
 class TestM0Locus:
@@ -288,44 +303,53 @@ class TestConditionPoints:
 
 
 class TestCertification:
-    def test_tampered_term_is_caught(self):
-        # The E orbit's S doubled: E1 and E2 read A/S = 1/2, not 1.
-        report = delta_tvariety(SurfaceModel(0, 2), CONDITION_M2)
-        orbits = tuple(
-            (names, A, 2 * s if names[0] == "E1" else s) for names, A, s in report.orbits
-        )
-        tampered = dataclasses.replace(report, orbits=orbits)
-        with pytest.raises(InconsistencyError, match="curve term E1 must equal 1"):
-            _certify_polystable_branch(2, tampered)
-
-    def test_tampered_delta_is_caught(self):
-        report = delta_tvariety(SurfaceModel(0, 2), CONDITION_M2)
-        tampered = dataclasses.replace(report, delta=rat(9, 10))
-        with pytest.raises(InconsistencyError, match="got 9/10"):
-            _certify_polystable_branch(2, tampered)
-
-    def test_flipped_futaki_sign_is_caught(self, monkeypatch):
-        model, angles = SurfaceModel(0, 2), Angles(HALF, HALF)
-        report = delta_tvariety(model, angles)
-        assert report.futaki_sign == condition_sign(model, angles) == 1
-        flipped = dataclasses.replace(report, futaki_sign=-1)
-        monkeypatch.setattr("kedge.verdict.delta_tvariety", lambda model, angles: flipped)
-        with pytest.raises(InconsistencyError, match="Futaki"):
-            k_polystable(model, angles)
+    """Each check reads the integers of the report: an orbit's L A and
+    2 L VOL S, and the least orbit's (a_min, s_min), with
+    delta = 2 VOL a_min / s_min.  The tamperings set those integers."""
 
     @staticmethod
     def with_orbit_s(report, name, s):
         """``report`` with the 2 L VOL S of the orbit led by ``name`` set to ``s(old)``."""
         orbits = tuple(
-            (names, A, s(old) if names[0] == name else old) for names, A, old in report.orbits
+            orbit._replace(s=s(orbit.s)) if orbit.name == name else orbit
+            for orbit in report.orbits
         )
-        return dataclasses.replace(report, orbits=orbits)
+        return report._replace(orbits=orbits)
+
+    @staticmethod
+    def with_delta(report, delta):
+        """``report`` with the least orbit's integers set so that it reads ``delta``."""
+        return report._replace(a_min=delta.numerator,
+                               s_min=2 * report.dual.VOL * delta.denominator)
 
     @staticmethod
     def refusal(call) -> str:
         with pytest.raises(InconsistencyError) as raised:
             call()
         return str(raised.value)
+
+    def test_tampered_term_is_caught(self):
+        # The E orbit's S doubled: E1 and E2 read A/S = 1/2, not 1.
+        report = delta_tvariety(SurfaceModel(0, 2), CONDITION_M2)
+        tampered = self.with_orbit_s(report, "E1", lambda s: 2 * s)
+        assert self.refusal(lambda: _certify_polystable_branch(2, tampered)) == (
+            "m=2: curve term E1 must equal 1")
+
+    def test_tampered_delta_is_caught(self):
+        report = delta_tvariety(SurfaceModel(0, 2), CONDITION_M2)
+        tampered = self.with_delta(report, rat(9, 10))
+        assert tampered.delta == rat(9, 10)
+        assert self.refusal(lambda: _certify_polystable_branch(2, tampered)) == (
+            "condition point must have delta = 1, got 9/10")
+
+    def test_flipped_futaki_sign_is_caught(self, monkeypatch):
+        model, angles = SurfaceModel(0, 2), Angles(HALF, HALF)
+        report = delta_tvariety(model, angles)
+        assert report.futaki_sign == condition_sign(model, angles) == 1
+        flipped = report._replace(futaki_sign=-1)
+        monkeypatch.setattr("kedge.verdict.delta_tvariety", lambda model, angles: flipped)
+        assert self.refusal(lambda: k_polystable(model, angles)) == (
+            "bracket sign 1 disagrees with the torus-side Futaki sign")
 
     def test_tampered_ray_term_is_caught(self):
         report = delta_tvariety(SurfaceModel(0, 2), CONDITION_M2)
@@ -371,7 +395,7 @@ class TestCertification:
         angles = Angles(HALF, HALF) if slope is None else rational_condition_point(params, slope)
         report = delta_tvariety(params, angles)
         assert report.delta < 1
-        tampered = dataclasses.replace(report, delta=delta)
+        tampered = self.with_delta(report, delta)
         monkeypatch.setattr("kedge.verdict.delta_tvariety", lambda model, angles: tampered)
         assert self.refusal(lambda: k_polystable(params, angles)) == message
 

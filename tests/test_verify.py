@@ -37,7 +37,7 @@ def test_each_suite_passes():
         (
             "halving",
             "legendre_dual",
-            lambda model, angles: dataclasses.replace(legendre_dual(model, angles), VOL=0),
+            lambda model, angles: legendre_dual(model, angles)._replace(VOL=0),
             True,
         ),
     ],

@@ -43,25 +43,25 @@ MUTANTS = (
      "if self.n < self.m and (self.m - self.n) * p2 >= 2 * L:",
      "if self.n < self.m and (self.m - self.n) * p2 > 2 * L:"),
     ("ray-term-off", "verdict.py",
-     '_check(ratio == 1, "ray term',
-     '_check(True, "ray term'),
+     '_check(two_vol * orbit.a == orbit.s,\n               "ray term',
+     '_check(True,\n               "ray term'),
     ("toric-term-off", "verdict.py",
-     '_check(ratio == 1, "toric case',
+     '_check(two_vol * orbit.a == orbit.s, "toric case',
      '_check(True, "toric case'),
     ("m2-e-orbit-only", "verdict.py",
-     "for name, ratio in verticals[:2]:",
-     "for name, ratio in verticals[:1]:"),
+     "for orbit in verticals[:2]:",
+     "for orbit in verticals[:1]:"),
     ("m3-ratio-at-least-one", "verdict.py",
-     '_check(ratio > 1, "m>=3',
-     '_check(ratio >= 1, "m>=3'),
+     '_check(two_vol * orbit.a > orbit.s, "m>=3',
+     '_check(two_vol * orbit.a >= orbit.s, "m>=3'),
     ("delta-bound-off", "verdict.py",
-     '_check(report.delta <= 1, "delta = {} > 1',
+     '_check(twice_vol_a <= s_min, "delta = {} > 1',
      '_check(True, "delta = {} > 1'),
     ("off-locus-delta-off", "verdict.py",
-     '_check(report.delta < 1, "delta must be < 1 off',
+     '_check(twice_vol_a < s_min, "delta must be < 1 off',
      '_check(True, "delta must be < 1 off'),
     ("m1-delta-off", "verdict.py",
-     '_check(report.delta < 1, "m=1 exclusion',
+     '_check(twice_vol_a < s_min, "m=1 exclusion',
      '_check(True, "m=1 exclusion'),
     ("curve-square-numerators-only", "volumes.py",
      "if q0.numerator * square.denominator != square.numerator * q0.denominator:",
@@ -121,13 +121,13 @@ MUTANTS = (
      "if VOL <= 0:",
      "if False:"),
     ("torus-s-positive-off", "tvariety.py",
-     "if s <= 0:",
+     "if orbit.s <= 0:",
      "if False:"),
     ("condition-delta-one-off", "verdict.py",
-     '_check(report.delta == 1, "condition point',
-     '_check(True, "condition point'),
+     '_check(two_vol * report.a_min == report.s_min,\n           "condition point',
+     '_check(True,\n           "condition point'),
     ("m2-term-off", "verdict.py",
-     '_check(ratio == 1, "m=2: curve term',
+     '_check(two_vol * orbit.a == orbit.s, "m=2: curve term',
      '_check(True, "m=2: curve term'),
     ("futaki-sign-off", "verdict.py",
      "_check(report.futaki_sign == csign,",
