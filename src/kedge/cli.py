@@ -16,7 +16,6 @@ loop matches ``argv`` against it with click's syntax and click's messages.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -24,7 +23,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .picard import Angles, SurfaceModel, parse_curve_id
 from .ratmath import RatParseError, format_rat, parse_rat
@@ -125,7 +124,7 @@ def _parse_angles(beta1: str, beta2: str, accept_decimal: bool) -> Angles:
             parse_rat(beta1, accept_decimal=accept_decimal),
             parse_rat(beta2, accept_decimal=accept_decimal),
         )
-    except (RatParseError, ValueError) as exc:
+    except ValueError as exc:
         _user_error(str(exc))
 
 
@@ -168,13 +167,10 @@ def cmd_delta(n, m, beta1, beta2, approx, accept_decimal, output):
     # One entry per S_m orbit, formatted once and listed under each name.
     for orbit in verdict.report.orbits:
         term = verdict.report.term(orbit.name)
-        entry = {
-            "A": format_rat(term.A),
-            "S": format_rat(term.S),
-            "ratio": format_rat(term.ratio),
-        }
+        ratio = term.ratio
+        entry = {"A": format_rat(term.A), "S": format_rat(term.S), "ratio": format_rat(ratio)}
         if approx:
-            entry["ratio_approx"] = float(term.ratio)
+            entry["ratio_approx"] = float(ratio)
         for name in orbit.names():
             report["per_divisor"][name] = entry
     _dump(report, output)
@@ -239,13 +235,12 @@ def cmd_verify(suite, samples, seed, output):
         "samples": samples,
         "seed": seed,
         "ok": ok,
-        "suites": [dataclasses.asdict(r) for r in results],
+        "suites": [r._asdict() for r in results],
     }
     _dump(report, output)
     if not ok:
         failed = ", ".join(r.suite for r in results if not r.passed)
-        sys.stderr.write(f"inconsistency: counterexample found by {failed}\n")
-        sys.exit(2)
+        raise InconsistencyError(f"counterexample found by {failed}")
 
 
 def _parse_grid(text: str, what: str):
@@ -302,10 +297,7 @@ def cmd_scan(n, m, beta1_grid, beta2_grid, approx, output):
     _emit(buffer.getvalue(), output)
 
 
-
-
-@dataclasses.dataclass(frozen=True)
-class Option:
+class Option(NamedTuple):
     """One command-line option: its spellings, the handler keyword it fills,
     its converter (``int``, ``str``, a tuple of choices, or ``bool`` for a
     flag that takes no value), whether it is required, its default and its
@@ -320,41 +312,38 @@ class Option:
 
 
 HELP = Option(("--help",), "help", bool, default=False, help="Show this message and exit.")
-GROUP_FLAGS = {
-    "--config": Option(("--config",), "config", str,
-                       help="Key-value file supplying default option values."),
-    "--help": HELP,
-}
 SURFACE = (
     Option(("--n",), "n", int, True, help="Ruled-surface twisting degree."),
     Option(("--m",), "m", int, True, help="Number of blown-up points."),
     Option(("--beta1",), "beta1", str, True, help="First cone angle as p/q."),
     Option(("--beta2",), "beta2", str, True, help="Second cone angle as p/q."),
 )
-DECIMALS = (
-    Option(("--approx",), "approx", bool, default=False,
-           help="Add lossy decimal fields (suffixed _approx) for human reading."),
-    Option(("--accept-decimal",), "accept_decimal", bool, default=False,
-           help="Allow decimal angle literals (converted exactly in base 10)."),
-)
-OUTPUT = Option(("-o", "--output"), "output", str, help="Write the report to this file.")
+APPROX = Option(("--approx",), "approx", bool, default=False,
+                help="Add lossy decimal fields or columns (suffixed _approx) for human reading.")
+DECIMAL = Option(("--accept-decimal",), "accept_decimal", bool, default=False,
+                 help="Allow decimal angle literals (converted exactly in base 10).")
+OUTPUT = Option(("-o", "--output"), "output", str,
+                help="Write the report (JSON, or scan's CSV) to this file.")
 # click's spellings of a boolean, for flags set from a --config file.
 BOOL_STATES = {"1": True, "0": False, "yes": True, "no": False, "true": True, "false": False,
                "on": True, "off": False, "t": True, "f": False, "y": True, "n": False, "": False}
 
 
 def _command(run, *options):
-    """A subcommand's table: its handler, its options in declaration order,
-    and the option of each spelling, ``--help`` included."""
+    """A subcommand's table, or the group's (handler None): its handler, its
+    options in declaration order, and the option of each spelling, ``--help``
+    included."""
     return run, options, {flag: option for option in (*options, HELP) for flag in option.flags}
 
 
+GROUP = _command(None, Option(("--config",), "config", str,
+                              help="Key-value file supplying default option values."))
 COMMANDS = {
-    "delta": _command(cmd_delta, *SURFACE, *DECIMALS, OUTPUT),
+    "delta": _command(cmd_delta, *SURFACE, APPROX, DECIMAL, OUTPUT),
     "volume-curve": _command(
         cmd_volume_curve, *SURFACE,
         Option(("--curve",), "curve", str, True, help="Curve label, e.g. C1tilde, E1, F2tilde."),
-        *DECIMALS, OUTPUT,
+        APPROX, DECIMAL, OUTPUT,
     ),
     "verify": _command(
         cmd_verify,
@@ -370,8 +359,7 @@ COMMANDS = {
                help="start:stop:step in rationals p/q."),
         Option(("--beta2-grid",), "beta2_grid", str, True,
                help="start:stop:step in rationals p/q."),
-        Option(("--approx",), "approx", bool, default=False, help="Add lossy decimal columns."),
-        Option(("-o", "--output"), "output", str, help="Write the CSV to this file."),
+        APPROX, OUTPUT,
     ),
 }
 
@@ -504,13 +492,14 @@ def _help(usage: str, doc: str, options, commands=()):
 def _group_options(argv: list[str]):
     """The --config defaults, and the tokens from the subcommand's name on;
     --config and --help act in the order given."""
-    given, rest = _parse(GROUP_FLAGS, argv, interspersed=False)
+    _, options, flags = GROUP
+    given, rest = _parse(flags, argv, interspersed=False)
     config = {}
     for dest in given:
         if dest == "help":
             _help("[OPTIONS] COMMAND [ARGS]...",
                   "Exact K-polystability computations for the blown-up ruled surfaces.",
-                  [GROUP_FLAGS["--config"]], COMMANDS)
+                  options, COMMANDS)
         config = _load_config(given["config"])
     return config, rest
 

@@ -28,7 +28,6 @@ applies.
 
 from __future__ import annotations
 
-import dataclasses
 from itertools import pairwise
 
 from .picard import C1TILDE, C2TILDE
@@ -137,7 +136,7 @@ def normalize_pieces(raw) -> tuple:
                 and prev.negative_support == piece.negative_support
             )
             if same:
-                pieces[-1] = dataclasses.replace(prev, x_hi=piece.x_hi)
+                pieces[-1] = prev._replace(x_hi=piece.x_hi)
                 continue
         pieces.append(piece)
     return tuple(pieces)

@@ -103,6 +103,13 @@ def FiTilde(i: int) -> str:
     return f"F{i}tilde"
 
 
+def index_at_most(digits: str, bound: int) -> bool:
+    """Whether the index that ``digits`` spells is at most ``bound``; an
+    index with more digits than ``bound`` is above it, unread (``int``
+    refuses a string of over 4300 digits)."""
+    return len(digits) <= len(str(bound)) and int(digits) <= bound
+
+
 def parse_curve_id(label: str) -> str:
     """The curve a command-line label names (e.g. ``"E2"`` or
     ``"F1tilde"``); surrounding whitespace is ignored.  An index has at
@@ -205,9 +212,9 @@ class SurfaceModel:
         if indexed is None:
             raise ValueError(f"unknown curve name {name!r}")
         e, f = indexed.groups()
-        i = int(e or f)
-        if i > m:
+        if not index_at_most(e or f, m):
             raise ValueError(f"curve {name} out of range for m={m}")
+        i = int(e or f)
         num = [0, 0] + [0] * m
         if e:
             num[i + 1] = -1

@@ -20,7 +20,7 @@ from .closedforms import (
     CASE_N_ZERO,
     classify_exceptional_case,
 )
-from .picard import Angles, DivisorClass, SurfaceModel
+from .picard import C1TILDE, C2TILDE, Angles, DivisorClass, Ei, SurfaceModel
 from .ratmath import Rat
 
 MAX_DENOMINATOR = 64
@@ -29,7 +29,7 @@ MAX_TRIES = 10_000  # rejection-sampling draws before giving up
 
 # Case families for the closed-form regression: the two section sweeps work
 # for every (n, m), the exceptional-curve sweep splits into four regimes.
-LEMMA_CASES = ("C1tilde", "C2tilde", CASE_N_GE_M, CASE_C1_FIRST, CASE_C2_FIRST, CASE_N_ZERO)
+LEMMA_CASES = (C1TILDE, C2TILDE, CASE_N_GE_M, CASE_C1_FIRST, CASE_C2_FIRST, CASE_N_ZERO)
 
 
 def sample_angles(rng: random.Random, model: SurfaceModel) -> Angles:
@@ -56,14 +56,15 @@ def sample_surface(rng: random.Random, n_max: int = 6, m_max: int = 6) -> Surfac
 
 
 def sample_case_input(rng: random.Random, case: str):
-    """(model, angles, index) in the validity domain of a closed-form case.
+    """(model, angles, curve) in the validity domain of a closed-form case.
 
-    ``index`` is the exceptional-curve index for the E cases (always 1; the
-    marked points are interchangeable) and 0 for the section cases.
+    ``curve`` is the curve whose volume curve the case describes: the
+    section a section case names, and E1 for the E cases (the marked points
+    are interchangeable).
     """
-    if case in ("C1tilde", "C2tilde"):
+    if case in (C1TILDE, C2TILDE):
         model = sample_surface(rng)
-        return model, sample_angles(rng, model), 0
+        return model, sample_angles(rng, model), case
     for _ in range(MAX_TRIES):
         if case == CASE_N_GE_M:
             m = rng.randint(1, 6)
@@ -80,7 +81,7 @@ def sample_case_input(rng: random.Random, case: str):
             raise ValueError(f"unknown case {case!r}")
         angles = sample_angles(rng, model)
         if classify_exceptional_case(model, angles) == case:
-            return model, angles, 1
+            return model, angles, Ei(1)
     raise RuntimeError(f"could not sample inputs for case {case!r}")
 
 

@@ -71,8 +71,6 @@ by name, as the CLI's per-divisor table asks once per orbit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from .picard import (
@@ -85,6 +83,7 @@ from .picard import (
     Ei,
     FiTilde,
     SurfaceModel,
+    index_at_most,
 )
 from .ratmath import ONE, Rat, sign
 from .zariski import InconsistencyError
@@ -182,15 +181,14 @@ def legendre_dual(model: SurfaceModel, angles: Angles) -> DualData:
                     w0 + w1 + w2, p2 * w2 - p1 * w0, g0 * w0 + g1 * w1 + g2 * w2)
 
 
-@dataclass(frozen=True)
-class ValuationTerm:
+class ValuationTerm(NamedTuple):
     """One competitor in the delta minimum: named valuation with A, S, A/S."""
 
     name: str
     A: object
     S: object
 
-    @cached_property
+    @property
     def ratio(self):
         return self.A / self.S
 
@@ -244,13 +242,13 @@ class DeltaReport(NamedTuple):
     def term(self, name: str) -> ValuationTerm:
         """The term of ``name``, from its orbit; KeyError for a name with
         no term on this surface."""
-        first, i = name, 1
+        first, index = name, "1"
         indexed = INDEXED_NAME.fullmatch(name)
         if indexed is not None:
             e, f = indexed.groups()
-            first, i = (E1, int(e)) if e else (F1TILDE, int(f))
+            first, index = (E1, e) if e else (F1TILDE, f)
         for orbit in self.orbits:
-            if orbit.name == first and i <= orbit.size:
+            if orbit.name == first and index_at_most(index, orbit.size):
                 return ValuationTerm(name, orbit.A, Rat(orbit.s, 2 * self.dual.L * self.dual.VOL))
         raise KeyError(name)
 

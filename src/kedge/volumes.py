@@ -50,7 +50,7 @@ IrrationalThreshold instead of approximating.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .picard import C1TILDE, C2TILDE, PULLBACK_C2, Angles, SurfaceModel
 from .ratmath import ZERO, Rat, isqrt_exact
@@ -61,8 +61,7 @@ class IrrationalThreshold(InconsistencyError):
     """The pseudoeffective threshold came out irrational, which this family rules out."""
 
 
-@dataclass(frozen=True)
-class QuadraticPiece:
+class QuadraticPiece(NamedTuple):
     """Public piece of a volume curve: interval, quadratic, support."""
 
     x_lo: object
@@ -90,8 +89,7 @@ class QuadraticPiece:
         return Rat((X - Y) * inner, 6 * d0 * d1 * d2 * B * B * B)
 
 
-@dataclass(frozen=True)
-class PiecewiseQuadratic:
+class PiecewiseQuadratic(NamedTuple):
     """Exact chambered representation of x |-> vol(-K_Delta - x E) on [0, tau]."""
 
     pieces: tuple  # QuadraticPiece, ordered, partitioning [0, tau]

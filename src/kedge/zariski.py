@@ -37,7 +37,7 @@ the table's closed forms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linalg import EMPTY_FACTOR, NotNegativeDefinite, border, factorize, solve_factored
 from .picard import C1TILDE, C2TILDE, DivisorClass, SurfaceModel
@@ -58,8 +58,7 @@ class DecompositionError(InconsistencyError):
     """Internal certification of a decomposition failed (should not happen)."""
 
 
-@dataclass(frozen=True)
-class ZariskiDecomposition:
+class ZariskiDecomposition(NamedTuple):
     """D = P + N with P nef, P.N_i = 0, and negative-definite support."""
 
     positive: DivisorClass

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import kedge.tvariety
 from kedge import cli
-from kedge.cli import COMMANDS, GROUP_FLAGS, HELP, MAX_M, MAX_SCAN_POINTS, main
+from kedge.cli import COMMANDS, GROUP, HELP, MAX_M, MAX_SCAN_POINTS, main
 from kedge.picard import Angles, SurfaceModel
 from kedge.ratmath import format_rat
 from kedge.tvariety import DualData, legendre_dual
@@ -229,6 +229,9 @@ class TestJsonWriter:
     @example({"a": {}, "b": [[], [{}]], "c": [[1, [2.5, None]], True, False]})
     @example({"\u00e9\x00\x1f\u2028": "tab\there \"quoted\" \\ \ud83d\ude00"})
     @example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 21 / 23])
+    @example("caf\u00e9")  # top-level scalars: a str, an int and None
+    @example(7)
+    @example(None)
     def test_matches_json_dumps(self, value):
         assert write_json(value) == json.dumps(value, indent=2)
 
@@ -770,10 +773,8 @@ class TestHelpAndImports:
     def test_help_names_every_option(self, capsys, command):
         # One line per option holds all its spellings and its help string;
         # the layout beyond that is free.
-        if command is None:
-            argv, options = ["--help"], [*GROUP_FLAGS.values()]
-        else:
-            argv, options = [command, "--help"], [*COMMANDS[command][1], HELP]
+        argv = ["--help"] if command is None else [command, "--help"]
+        options = [*(GROUP if command is None else COMMANDS[command])[1], HELP]
         code, out, err = run_cli(capsys, argv)
         assert (code, err) == (0, "")
         lines = out.splitlines()

@@ -193,7 +193,8 @@ def test_unknown_curve_kind_is_refused():
 
 def test_class_of_refuses_an_index_above_m():
     model, angles = SurfaceModel(0, 3), Angles(rat(1, 2), rat(1, 2))
-    for name in (Ei(4), FiTilde(4)):
+    # int refuses a string of over 4300 digits: a longer index is above m, unread.
+    for name in (Ei(4), FiTilde(4), "E" + "1" * 5000, "F" + "1" * 5000 + "tilde"):
         with pytest.raises(ValueError) as raised:
             model.class_of(name)
         assert str(raised.value) == f"curve {name} out of range for m=3"

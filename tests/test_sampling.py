@@ -6,7 +6,7 @@ import pytest
 from conftest import reference_sample_angles, reference_sample_rational
 
 from kedge.closedforms import classify_exceptional_case
-from kedge.picard import DivisorClass, SurfaceModel
+from kedge.picard import C1TILDE, C2TILDE, DivisorClass, Ei, SurfaceModel
 from kedge.sampling import (
     LEMMA_CASES,
     MAX_DENOMINATOR,
@@ -70,20 +70,28 @@ def test_surface_ranges(rng):
 def test_case_inputs_match_their_case(rng):
     for case in LEMMA_CASES:
         for _ in range(10):
-            model, angles, index = sample_case_input(rng, case)
+            model, angles, curve = sample_case_input(rng, case)
             assert type(model) is SurfaceModel
             assert model.ample_range_violation(angles) is None
-            if case not in ("C1tilde", "C2tilde"):
+            if case not in (C1TILDE, C2TILDE):
                 assert classify_exceptional_case(model, angles) == case
-                assert 1 <= index <= model.m
+                assert curve == Ei(1) and model.m >= 1
             else:
-                assert index == 0
+                assert curve == case
 
 
 def test_unknown_case_is_refused():
     with pytest.raises(ValueError) as raised:
         sample_case_input(random.Random(0), "nope")
     assert str(raised.value) == "unknown case 'nope'"
+
+
+def test_exhausted_case_draws_are_refused(monkeypatch):
+    # A case that no draw meets runs out of tries, after MAX_TRIES draws.
+    monkeypatch.setattr("kedge.sampling.classify_exceptional_case", lambda model, angles: None)
+    with pytest.raises(RuntimeError) as raised:
+        sample_case_input(random.Random(0), "E-n-ge-m")
+    assert str(raised.value) == "could not sample inputs for case 'E-n-ge-m'"
 
 
 def test_no_ample_draw_is_refused():

@@ -1,7 +1,6 @@
 """The main decision layer: bracket sign and polystability."""
 
 import collections
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -274,6 +273,14 @@ class TestConditionPoints:
             with pytest.raises(NotFound, match=reason):
                 rational_condition_point(params, s)
 
+    def test_point_off_the_locus_is_an_inconsistency(self, monkeypatch):
+        # The parametrization puts every point on the locus; the self-check
+        # reads the bracket sign, so a sign that is never 0 makes it fire.
+        monkeypatch.setattr("kedge.verdict.condition_sign", lambda model, angles: 1)
+        with pytest.raises(InconsistencyError) as raised:
+            rational_condition_point(SurfaceModel(1, 3), rat(7, 10))
+        assert str(raised.value) == "parametrized point misses the condition locus"
+
     @given(
         st.integers(0, 4), st.integers(0, 6),
         st.integers(1, 13).flatmap(
@@ -411,5 +418,4 @@ class TestCertification:
     def test_valuation_term_ratio(self):
         t = ValuationTerm("E1", A=rat(3, 2), S=rat(3, 4))
         assert t.ratio == 2
-        assert t.ratio is t.ratio  # divided once, then read
-        assert dataclasses.replace(t, S=rat(1, 2)).ratio == 3
+        assert t._replace(S=rat(1, 2)).ratio == 3

@@ -1,6 +1,6 @@
 """Volume curves from the Zariski sweep: chamber structure, S, A, thresholds."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import pytest
 from conftest import (common_denominator, gram, rat, reference_factorize,
@@ -239,8 +239,7 @@ class TestInvariants:
     @pytest.mark.parametrize("case", LEMMA_CASES)
     def test_piecewise_structure(self, rng, case):
         for _ in range(8):
-            model, angles, index = sample_case_input(rng, case)
-            curve = {"C1tilde": C1TILDE, "C2tilde": C2TILDE}.get(case) or Ei(index)
+            model, angles, curve = sample_case_input(rng, case)
             pq = volume_curve(curve, model, angles)
             vol = model.self_intersection(model.log_anticanonical(angles))
             assert pq.pieces[0].x_lo == 0
@@ -267,8 +266,7 @@ class TestInvariants:
     def test_closed_form_regression_sampled(self, rng):
         for case in LEMMA_CASES:
             for _ in range(10):
-                params, angles, index = sample_case_input(rng, case)
-                curve = {"C1tilde": C1TILDE, "C2tilde": C2TILDE}.get(case) or Ei(index)
+                params, angles, curve = sample_case_input(rng, case)
                 expect = closed_form_volume_curve(curve, params, angles)
                 assert expect is not None
                 assert volume_curve(curve, params, angles).pieces == expect.pieces
@@ -301,8 +299,7 @@ class TestInvariants:
         with pytest.raises(AssertionError, match="reached the sweep"):
             volume_curve(C1TILDE, SurfaceModel(1, 1), Angles(HALF, HALF))
         for case in LEMMA_CASES:
-            params, angles, index = sample_case_input(rng, case)
-            curve = {"C1tilde": C1TILDE, "C2tilde": C2TILDE}.get(case) or Ei(index)
+            params, angles, curve = sample_case_input(rng, case)
             assert closed_form_volume_curve(curve, params, angles) is not None
             assert closed_form_S(curve, params, angles) is not None
         params = SurfaceModel(rng.randint(0, 6), rng.randint(1, 6))
@@ -453,7 +450,7 @@ class TestSharedEngine:
         # it with (-K_Delta)^2 from the generic intersect.
         model, angles = SurfaceModel(0, 2), Angles(HALF, HALF)
         first, second = volume_curve(C1TILDE, model, angles).pieces
-        broken = (replace(first, q0=first.q0 + 1), second)
+        broken = (first._replace(q0=first.q0 + 1), second)
         with pytest.raises(DecompositionError, match=r"must equal \(-K_Delta\)\^2"):
             _certify_curve(C1TILDE, model, angles, PiecewiseQuadratic(broken))
 
@@ -464,7 +461,7 @@ class TestSharedEngine:
         # right, would give S = 34139/48204 here instead of 191/206.
         model, angles = SurfaceModel(1, 3), Angles(HALF, rat(1, 3))
         first, *rest = volume_curve(FiTilde(1), model, angles).pieces
-        broken = (replace(first, q1=first.q1 * rat(3, 2)), *rest)
+        broken = (first._replace(q1=first.q1 * rat(3, 2)), *rest)
         with pytest.raises(DecompositionError,
                            match=r"^slope at x = 0 must equal 2 \(-K_Delta\)\.\(-E\)$"):
             _certify_curve(FiTilde(1), model, angles, PiecewiseQuadratic(broken))
@@ -475,7 +472,7 @@ class TestSharedEngine:
         model, angles = SurfaceModel(0, 2), Angles(HALF, HALF)
         first, second = volume_curve(C1TILDE, model, angles).pieces
         assert first.q0 == rat(7, 2)
-        broken = (replace(first, q0=first.q0 / 2), second)
+        broken = (first._replace(q0=first.q0 / 2), second)
         with pytest.raises(DecompositionError, match=r"must equal \(-K_Delta\)\^2"):
             _certify_curve(C1TILDE, model, angles, PiecewiseQuadratic(broken))
 
@@ -490,7 +487,7 @@ class TestSharedEngine:
         angles = Angles(HALF, HALF)
         first, second = volume_curve(C1TILDE, model, angles).pieces
         _certify_curve(C1TILDE, model, angles, PiecewiseQuadratic((first, second)))
-        broken = (replace(first, negative_support=left), replace(second, negative_support=right))
+        broken = (first._replace(negative_support=left), second._replace(negative_support=right))
         with pytest.raises(DecompositionError, match="grow strictly"):
             _certify_curve(C1TILDE, model, angles, PiecewiseQuadratic(broken))
 
@@ -509,7 +506,7 @@ class TestSharedEngine:
         # breaks one post-condition and keeps the ones checked before it.
         model, angles = SurfaceModel(0, 2), Angles(HALF, HALF)
         first, second = volume_curve(C1TILDE, model, angles).pieces
-        broken = (replace(first, **first_changes), replace(second, **second_changes))
+        broken = (first._replace(**first_changes), second._replace(**second_changes))
         with pytest.raises(DecompositionError, match=message):
             _certify_curve(C1TILDE, model, angles, PiecewiseQuadratic(broken))
 

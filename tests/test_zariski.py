@@ -149,6 +149,20 @@ class TestDecompose:
         with pytest.raises(NotPseudoeffective):
             zariski_decompose_bruteforce(model, divisor(0, 1, (2,)))
 
+    def test_two_decompositions_are_an_inconsistency(self, monkeypatch):
+        # The decomposition is unique; with every class called nef, E1 + F
+        # passes both as its own positive part and as F + 1 E1.
+        monkeypatch.setattr(SurfaceModel, "is_nef", lambda self, d: True)
+        model = SurfaceModel(0, 2)
+        d = model.class_of(Ei(1)) + model.class_of(GENERIC_FIBER)
+        with pytest.raises(DecompositionError) as raised:
+            zariski_decompose_bruteforce(model, d)
+        assert str(raised.value) == (
+            "two distinct decompositions found for DivisorClass(a=0, b=1, c=(-1,0)):"
+            " ZariskiDecomposition(positive=DivisorClass(a=0, b=1, c=(-1,0)), negative=())"
+            " vs ZariskiDecomposition(positive=DivisorClass(a=0, b=1, c=(0,0)),"
+            " negative=(('E1', Fraction(1, 1)),))")
+
     def test_oracle_agreement_random(self, rng):
         agreements = 0
         for _ in range(60):

@@ -5,12 +5,9 @@ A refusal is a ``raise`` statement, or a call of the CLI's ``_user_error``
 (which exits with code 1).  The trace is ``sys.settrace``, restricted to
 the code objects of ``src/kedge`` that hold a refusal not yet reached, so
 every other line runs untraced.  Tests that start a separate process are
-not traced.  ``KNOWN`` lists the refusals that no known input reaches; each
-entry's text must occur in exactly one refusal, so a refactor that
-moves it makes the tool fail loudly.  The tool exits 1 when a refusal
-outside ``KNOWN`` is unreached or a ``KNOWN`` one is reached, and 2 when
-tier-1 fails or the table is stale.  It is not part of tier-1, and takes
-about twice tier-1's time.
+not traced.  Every refusal is expected to be reached: the tool exits 1
+when one is not, and 2 when tier-1 fails.  It is not part of tier-1, and
+takes about twice tier-1's time.
 
 Usage: python tools/reach.py
 """
@@ -26,16 +23,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "kedge"
-
-# (module under src/kedge, text of the refusal, why no input reaches it)
-KNOWN = (
-    ("verdict.py", "parametrized point misses the condition locus",
-     "rational_condition_point's self-check: every point it builds is on the locus"),
-    ("sampling.py", "could not sample inputs for case",
-     "sample_case_input running out of tries"),
-    ("zariski.py", "two distinct decompositions found",
-     "zariski_decompose_bruteforce finding two decompositions: the decomposition is unique"),
-)
 
 
 def refusals(path: Path) -> dict[int, str]:
@@ -87,17 +74,6 @@ def trace_tier1(pending: dict[str, set[int]]) -> int:
 
 def main() -> int:
     table = {str(path): refusals(path) for path in sorted(SRC.glob("*.py"))}
-    known, problems = {}, []
-    for module, text, why in KNOWN:
-        hits = [(str(SRC / module), line) for line, found in table[str(SRC / module)].items()
-                if text in found]
-        if len(hits) != 1:
-            problems.append(f"{module}: {text!r} is in {len(hits)} refusals")
-        else:
-            known[hits[0]] = why
-    if problems:
-        print("\n".join(problems), file=sys.stderr)
-        return 2
     pending = {path: set(lines) for path, lines in table.items()}
     code = trace_tier1(pending)
     if code != 0:
@@ -105,15 +81,11 @@ def main() -> int:
         return 2
     total = sum(map(len, table.values()))
     unreached = sorted((path, line) for path, lines in pending.items() for line in lines)
-    print(f"\n{total} refusals in src/kedge, {total - len(unreached)} reached by tier-1;"
-          f" unreached:")
+    print(f"\n{total} refusals in src/kedge, {total - len(unreached)} reached by tier-1"
+          + ("; unreached:" if unreached else ""))
     for path, line in unreached:
-        note = f"known: {known[path, line]}" if (path, line) in known else "NEW"
-        print(f"  {Path(path).name}:{line}  {table[path][line]}\n      {note}")
-    reached_known = sorted(set(known) - set(unreached))
-    for path, line in reached_known:
-        print(f"  {Path(path).name}:{line} is in KNOWN but reached: drop it from the table")
-    return 1 if reached_known or set(unreached) - set(known) else 0
+        print(f"  {Path(path).name}:{line}  {table[path][line]}")
+    return 1 if unreached else 0
 
 
 if __name__ == "__main__":
