@@ -27,8 +27,8 @@ from typing import Callable, NamedTuple
 
 from .picard import Angles, SurfaceModel, parse_curve_id
 from .ratmath import RatParseError, format_rat, parse_rat
-from .verdict import OUTSIDE_AMPLE_RANGE, InconsistencyError, k_polystable
-from .verify import SUITES, run_suites
+from .verdict import InconsistencyError, k_polystable
+from .verify import SUITES, point_header, run_suites
 from .volumes import log_discrepancy, volume_curve
 
 # Largest accepted m: the lattice has rank m + 2, and the candidate set,
@@ -58,7 +58,7 @@ def _emit(text: str, output: str | None):
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         _user_error(f"cannot write output file: {exc}")
 
 
@@ -137,20 +137,19 @@ def _parse_surface(n: int, m: int) -> SurfaceModel:
         _user_error(str(exc))
 
 
+def _ensure_ample(model: SurfaceModel, angles: Angles):
+    violation = model.ample_range_violation(angles)
+    if violation is not None:
+        _user_error(f"outside the ample range: {violation}")
+
+
 def cmd_delta(n, m, beta1, beta2, approx, accept_decimal, output):
     """Stability threshold, witnesses and verdict at one angle pair."""
     model = _parse_surface(n, m)
     angles = _parse_angles(beta1, beta2, accept_decimal)
+    _ensure_ample(model, angles)
     verdict = k_polystable(model, angles)
-    if verdict.status == OUTSIDE_AMPLE_RANGE:
-        _user_error(f"outside the ample range: {verdict.notes[0]}")
-    report = {
-        "n": n,
-        "m": m,
-        "beta1": format_rat(angles.beta1),
-        "beta2": format_rat(angles.beta2),
-        "delta": format_rat(verdict.delta),
-    }
+    report = point_header(model, angles, delta=format_rat(verdict.delta))
     if approx:
         report["delta_approx"] = float(verdict.delta)
     report.update(
@@ -166,7 +165,7 @@ def cmd_delta(n, m, beta1, beta2, approx, accept_decimal, output):
     )
     # One entry per S_m orbit, formatted once and listed under each name.
     for orbit in verdict.report.orbits:
-        term = verdict.report.term(orbit.name)
+        term = verdict.report.orbit_term(orbit, orbit.name)
         ratio = term.ratio
         entry = {"A": format_rat(term.A), "S": format_rat(term.S), "ratio": format_rat(ratio)}
         if approx:
@@ -188,25 +187,15 @@ def cmd_volume_curve(n, m, curve, beta1, beta2, approx, accept_decimal, output):
         model.class_of(curve)
     except ValueError:
         _user_error(f"curve {curve} does not exist on a surface with m={m}")
-    violation = model.ample_range_violation(angles)
-    if violation is not None:
-        _user_error(f"outside the ample range: {violation}")
+    _ensure_ample(model, angles)
     try:
         a_value = log_discrepancy(curve, model, angles)
         pq = volume_curve(curve, model, angles)
         s_value = pq.expected_vanishing_order()
     except ValueError as exc:
         _user_error(str(exc))
-    report = {
-        "n": n,
-        "m": m,
-        "beta1": format_rat(angles.beta1),
-        "beta2": format_rat(angles.beta2),
-        "curve": curve,
-        "tau": format_rat(pq.tau),
-        "A": format_rat(a_value),
-        "S": format_rat(s_value),
-    }
+    report = point_header(model, angles, curve=curve, tau=format_rat(pq.tau),
+                          A=format_rat(a_value), S=format_rat(s_value))
     if approx:
         report["tau_approx"] = float(pq.tau)
         report["S_approx"] = float(s_value)
@@ -449,7 +438,7 @@ def _load_config(path: str) -> dict[str, str]:
     defaults = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         _user_error(f"cannot read config file: {exc}")
     for line_no, line in enumerate(lines, 1):
         stripped = line.strip()

@@ -85,8 +85,8 @@ class Angles:
 
 # A curve is its name.  The fixed names, then every indexed name: E_i as
 # ``Ei(i)`` writes it and F~i as ``FiTilde(i)`` does, ASCII digits with no
-# leading zero.  ``SurfaceModel.class_of`` reads a curve's class from its
-# name, and the torus route's ``DeltaReport.term`` a term's orbit.
+# leading zero.  This is the one grammar of names: ``parse_curve_id`` reads
+# a command-line label by it, and ``SurfaceModel.class_of`` a curve's class.
 C1TILDE = "C1tilde"
 C2TILDE = "C2tilde"
 GENERIC_FIBER = "GenericFiber"
@@ -187,7 +187,7 @@ class SurfaceModel:
     m: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and isinstance(self.m, int)):
+        if type(self.n) is not int or type(self.m) is not int:  # a bool is refused too
             raise TypeError("n and m must be integers")
         if self.n < 0 or self.m < 0:
             raise ValueError(f"n and m must be nonnegative, got n={self.n}, m={self.m}")

@@ -66,25 +66,15 @@ m = 0) checks every S > 0, after VOL > 0, and finds a least A/S by
 cross-multiplying integers.  delta = 2 VOL a_min / s_min is the one
 Fraction formed, and the verdict compares it and each orbit's A/S with 1
 on the same integers.  A name is spelled only where it is read: in the
-witnesses (the orbits tied with the least one) and in a term asked for
-by name, as the CLI's per-divisor table asks once per orbit.
+witnesses (the orbits tied with the least one) and in a term, which the
+CLI's per-divisor table reads once per orbit and ``DeltaReport.term``
+finds by looking the name up among the orbits' names.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .picard import (
-    C1TILDE,
-    C2TILDE,
-    GENERIC_FIBER,
-    INDEXED_NAME,
-    Angles,
-    DivisorClass,
-    Ei,
-    FiTilde,
-    SurfaceModel,
-    index_at_most,
-)
+from .picard import C1TILDE, C2TILDE, GENERIC_FIBER, Angles, DivisorClass, Ei, FiTilde, SurfaceModel
 from .ratmath import ONE, Rat, sign
 from .zariski import InconsistencyError
 
@@ -239,17 +229,16 @@ class DeltaReport(NamedTuple):
         return tuple(name for orbit in self.orbits if orbit.a * s_min == a_min * orbit.s
                      for name in orbit.names())
 
+    def orbit_term(self, orbit: Orbit, name: str) -> ValuationTerm:
+        """The term of ``name``, one of ``orbit``'s names."""
+        return ValuationTerm(name, orbit.A, Rat(orbit.s, 2 * self.dual.L * self.dual.VOL))
+
     def term(self, name: str) -> ValuationTerm:
-        """The term of ``name``, from its orbit; KeyError for a name with
-        no term on this surface."""
-        first, index = name, "1"
-        indexed = INDEXED_NAME.fullmatch(name)
-        if indexed is not None:
-            e, f = indexed.groups()
-            first, index = (E1, e) if e else (F1TILDE, f)
+        """The term of ``name``, from the orbit that lists it; KeyError for
+        a name with no term on this surface."""
         for orbit in self.orbits:
-            if orbit.name == first and index_at_most(index, orbit.size):
-                return ValuationTerm(name, orbit.A, Rat(orbit.s, 2 * self.dual.L * self.dual.VOL))
+            if name in orbit.names():
+                return self.orbit_term(orbit, name)
         raise KeyError(name)
 
 

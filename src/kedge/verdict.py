@@ -146,8 +146,11 @@ def rational_condition_point(model, s):
 
     NotFound when the line meets the cubic only at the node (s = 1 or
     n (s^3 + 1) = m), when a coordinate is not positive, or when the point
-    is outside the ample range.
+    is outside the ample range.  A float ``s`` is refused (ValueError), as
+    ``Angles`` refuses a float angle: it holds a binary value.
     """
+    if isinstance(s, float):
+        raise ValueError(f's = {s!r} is a binary float; pass it exactly, as "p/q"')
     n, m = model.n, model.m
     s = Rat(s)
     if m == 2 * n:

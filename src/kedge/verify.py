@@ -36,7 +36,7 @@ from .sampling import (
     sample_surface,
 )
 from .tvariety import delta_tvariety, legendre_dual
-from .volumes import expected_vanishing_order, log_discrepancy, volume_curve
+from .volumes import log_discrepancy, volume_curve
 from .zariski import (InconsistencyError, NotPseudoeffective, zariski_decompose,
                       zariski_decompose_bruteforce)
 
@@ -49,15 +49,11 @@ class SuiteResult(NamedTuple):
     counterexample: dict | None
 
 
-def _context(model, angles, **extra) -> dict:
-    ctx = {
-        "n": model.n,
-        "m": model.m,
-        "beta1": format_rat(angles.beta1),
-        "beta2": format_rat(angles.beta2),
-    }
-    ctx.update(extra)
-    return ctx
+def point_header(model, angles, **extra) -> dict:
+    """The n, m, beta1, beta2 header of a report on one point, followed by
+    ``extra`` in the order given."""
+    return {"n": model.n, "m": model.m, "beta1": format_rat(angles.beta1),
+            "beta2": format_rat(angles.beta2), **extra}
 
 
 def _suite(name: str):
@@ -103,7 +99,7 @@ def verify_lemmas(samples: int, seed: int):
     for case in LEMMA_CASES:
         for _ in range(samples):
             model, angles, curve = sample_case_input(rng, case)
-            yield _context(model, angles, case=case, curve=curve)
+            yield point_header(model, angles, case=case, curve=curve)
             expected = closed_form_volume_curve(curve, model, angles)
             got = volume_curve(curve, model, angles)
             same = expected is not None and got.pieces == expected.pieces
@@ -140,13 +136,13 @@ def verify_route_agreement(samples: int, seed: int):
     for _ in range(samples):
         model = sample_surface(rng, n_max=4, m_max=4)
         angles = sample_angles(rng, model)
-        yield _context(model, angles)
+        yield point_header(model, angles)
         report = delta_tvariety(model, angles)
         for curve in model.candidates:
-            yield _context(model, angles, curve=curve)
+            yield point_header(model, angles, curve=curve)
             term = report.term(curve)
             a = log_discrepancy(curve, model, angles)
-            s = expected_vanishing_order(curve, model, angles)
+            s = volume_curve(curve, model, angles).expected_vanishing_order()
             yield None if (term.A, term.S) == (a, s) else (
                 f"torus (A,S)=({format_rat(term.A)},{format_rat(term.S)})"
                 f" vs sweep ({format_rat(a)},{format_rat(s)})")
@@ -159,7 +155,7 @@ def verify_halving(samples: int, seed: int):
     for _ in range(samples):
         model = sample_surface(rng)
         angles = sample_angles(rng, model)
-        yield _context(model, angles)
+        yield point_header(model, angles)
         anticanonical_sq = model.self_intersection(model.log_anticanonical(angles))
         dual = legendre_dual(model, angles)
         twice_vol = Rat(dual.VOL, 3 * dual.L**2)  # VOL = 6 L^2 vol

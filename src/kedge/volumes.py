@@ -271,11 +271,6 @@ def volume_curve(E: str, model: SurfaceModel, angles: Angles) -> PiecewiseQuadra
     return curve
 
 
-def expected_vanishing_order(E: str, model: SurfaceModel, angles: Angles):
-    """S(E) = (1/vol(-K_Delta)) * integral_0^tau vol(-K_Delta - x E) dx."""
-    return volume_curve(E, model, angles).expected_vanishing_order()
-
-
 def log_discrepancy(E: str, model: SurfaceModel, angles: Angles):
     """A(E) = 1 minus the boundary coefficient along E.
 

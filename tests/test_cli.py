@@ -133,6 +133,10 @@ USAGE_CASES = [
          "error: Invalid value for '--n': 'x' is not a valid integer.\n"),
         ("flag-overrides-config", ["--config", CONFIG, *DELTA_ARGS], ["n = x"], 0, ""),
         ("empty-config-path", ["--config", "", *DELTA_ARGS], [], 0, ""),
+        ("nul-in-config-path", ["--config", "a\0b", "delta"], [], 1,
+         "error: cannot read config file: embedded null byte\n"),
+        ("nul-in-output-path", ["--config", CONFIG, *DELTA_ARGS], ["output = a\0b"], 1,
+         "error: cannot write output file: embedded null byte\n"),
     ]
 ]
 

@@ -40,7 +40,7 @@ def test_surface_model_validation():
         SurfaceModel(-1, 0)
     with pytest.raises(ValueError, match="nonnegative, got n=0, m=-2"):
         SurfaceModel(0, -2)
-    for n, m in [(1.0, 2), (1, "2"), (rat(1), 2)]:
+    for n, m in [(1.0, 2), (1, "2"), (rat(1), 2), (True, 3), (1, False)]:
         with pytest.raises(TypeError, match="n and m must be integers"):
             SurfaceModel(n, m)
 

@@ -33,7 +33,7 @@ from kedge.verdict import (
     k_polystable,
     rational_condition_point,
 )
-from kedge.volumes import expected_vanishing_order
+from kedge.volumes import volume_curve
 
 from conftest import futaki_vanishes, rat
 
@@ -75,8 +75,8 @@ class TestConditionSign:
             cs = condition_sign(model, angles)
             assert futaki_vanishes(model, angles) == cs
             assert delta_tvariety(model, angles).futaki_sign == cs
-            s1 = expected_vanishing_order(C1TILDE, model, angles)
-            s2 = expected_vanishing_order(C2TILDE, model, angles)
+            s1 = volume_curve(C1TILDE, model, angles).expected_vanishing_order()
+            s2 = volume_curve(C2TILDE, model, angles).expected_vanishing_order()
             assert sign(angles.beta1 - s1) == cs
             assert sign(s2 - angles.beta2) == cs
 
@@ -273,6 +273,12 @@ class TestConditionPoints:
             with pytest.raises(NotFound, match=reason):
                 rational_condition_point(params, s)
 
+    def test_float_parameter_is_refused(self):
+        # 0.1 as a float is 3602879701896397/36028797018963968, not 1/10.
+        with pytest.raises(ValueError) as raised:
+            rational_condition_point(SurfaceModel(1, 2), 0.1)
+        assert str(raised.value) == 's = 0.1 is a binary float; pass it exactly, as "p/q"'
+
     def test_point_off_the_locus_is_an_inconsistency(self, monkeypatch):
         # The parametrization puts every point on the locus; the self-check
         # reads the bracket sign, so a sign that is never 0 makes it fire.
@@ -306,7 +312,8 @@ class TestConditionPoints:
             assert v.status == KPOLYSTABLE and v.delta == 1
         curves = [C1TILDE, C2TILDE, GENERIC_FIBER] + ([Ei(1), FiTilde(1)] if m else [])
         for curve in curves:
-            assert v.report.term(curve).S == expected_vanishing_order(curve, model, angles)
+            swept = volume_curve(curve, model, angles).expected_vanishing_order()
+            assert v.report.term(curve).S == swept
 
 
 class TestCertification:

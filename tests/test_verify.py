@@ -57,10 +57,10 @@ def test_broken_reference_is_a_counterexample(monkeypatch, suite, name, broken, 
 @pytest.mark.parametrize(
     "suite, name, keys",
     [
-        ("lemmas", "volume_curve", {"case", "curve"}),
+        ("lemmas", "closed_form_volume_curve", {"case", "curve"}),
         ("zariski-oracle", "zariski_decompose", {"class"}),
         ("route-agreement", "delta_tvariety", set()),
-        ("route-agreement", "expected_vanishing_order", {"curve"}),
+        ("route-agreement", "log_discrepancy", {"curve"}),
         ("halving", "legendre_dual", set()),
     ],
 )

@@ -36,7 +36,6 @@ from kedge.volumes import (
     QuadraticPiece,
     _certify_curve,
     _smallest_root_after,
-    expected_vanishing_order,
     log_discrepancy,
     volume_curve,
     volume_sweep,
@@ -217,22 +216,23 @@ class TestPinnedCurves:
     def test_pinned_S_values(self):
         params = SurfaceModel(0, 2)
         angles = Angles(HALF, HALF)
-        assert expected_vanishing_order(C1TILDE, params, angles) == rat(19, 42)
-        assert expected_vanishing_order(C2TILDE, params, angles) == rat(23, 42)
-        assert expected_vanishing_order(Ei(1), params, angles) == rat(22, 21)
-        assert expected_vanishing_order(FiTilde(1), params, angles) == rat(1)
-        assert expected_vanishing_order(GENERIC_FIBER, params, angles) == rat(19, 21)
+        assert volume_curve(C1TILDE, params, angles).expected_vanishing_order() == rat(19, 42)
+        assert volume_curve(C2TILDE, params, angles).expected_vanishing_order() == rat(23, 42)
+        assert volume_curve(Ei(1), params, angles).expected_vanishing_order() == rat(22, 21)
+        assert volume_curve(FiTilde(1), params, angles).expected_vanishing_order() == rat(1)
+        s_generic = volume_curve(GENERIC_FIBER, params, angles).expected_vanishing_order()
+        assert s_generic == rat(19, 21)
         # At the m = 2 condition point A/S = 1 on both sections and every E_i.
         condition = Angles(rat(63, 128), rat(21, 32))
         for curve in (C1TILDE, C2TILDE, Ei(1), Ei(2)):
             a = log_discrepancy(curve, params, condition)
-            assert expected_vanishing_order(curve, params, condition) == a
+            assert volume_curve(curve, params, condition).expected_vanishing_order() == a
 
     def test_big_angle_S_value(self):
         # The m=1 condition point has angles above 1; formulas stay exact.
         params = SurfaceModel(0, 1)
         angles = Angles(rat(144, 125), rat(48, 25))
-        assert expected_vanishing_order(Ei(1), params, angles) == rat(202, 175)
+        assert volume_curve(Ei(1), params, angles).expected_vanishing_order() == rat(202, 175)
 
 
 class TestInvariants:
@@ -270,17 +270,15 @@ class TestInvariants:
                 expect = closed_form_volume_curve(curve, params, angles)
                 assert expect is not None
                 assert volume_curve(curve, params, angles).pieces == expect.pieces
-                assert expected_vanishing_order(curve, params, angles) == closed_form_S(
-                    curve, params, angles
-                )
+                s = volume_curve(curve, params, angles).expected_vanishing_order()
+                assert s == closed_form_S(curve, params, angles)
         # The fiber components have a closed-form S (but no closed-form curve).
         for _ in range(10):
             params = SurfaceModel(rng.randint(0, 6), rng.randint(1, 6))
             angles = sample_angles(rng, params)
             curve = FiTilde(rng.randint(1, params.m))
-            assert expected_vanishing_order(curve, params, angles) == closed_form_S(
-                curve, params, angles
-            )
+            s = volume_curve(curve, params, angles).expected_vanishing_order()
+            assert s == closed_form_S(curve, params, angles)
         assert closed_form_S(GENERIC_FIBER, params, angles) is None
 
     def test_closed_forms_never_call_the_sweep(self, monkeypatch, rng):
@@ -311,8 +309,8 @@ class TestInvariants:
         for _ in range(25):
             params = sample_surface(rng)
             angles = sample_angles(rng, params)
-            s1 = expected_vanishing_order(C1TILDE, params, angles)
-            s2 = expected_vanishing_order(C2TILDE, params, angles)
+            s1 = volume_curve(C1TILDE, params, angles).expected_vanishing_order()
+            s2 = volume_curve(C2TILDE, params, angles).expected_vanishing_order()
             gap = 2 * angle_bracket(params, angles) / total_volume(params, angles)
             assert angles.beta1 - s1 == gap
             assert s2 - angles.beta2 == gap
@@ -602,7 +600,7 @@ class TestScalars:
         with pytest.raises(OutsideAmpleRange):
             volume_curve(C1TILDE, SurfaceModel(2, 0), Angles(rat(1), HALF))
         with pytest.raises(OutsideAmpleRange):
-            expected_vanishing_order(Ei(1), SurfaceModel(0, 4), Angles(HALF, HALF))
+            volume_curve(Ei(1), SurfaceModel(0, 4), Angles(HALF, HALF)).expected_vanishing_order()
 
     def test_irrational_root_refused(self):
         # 2 - x^2 first vanishes at sqrt(2): must refuse, never approximate.

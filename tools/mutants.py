@@ -174,6 +174,13 @@ MUTANTS = (
     ("log-discrepancy-refusal-off", "volumes.py",
      "    model.class_of(E)\n    return Rat(1)",
      "    return Rat(1)"),
+    # Inputs of the wrong type: a bool surface parameter, a float slope.
+    ("surface-model-bool-accepted", "picard.py",
+     "if type(self.n) is not int or type(self.m) is not int:",
+     "if not (isinstance(self.n, int) and isinstance(self.m, int)):"),
+    ("condition-point-float-accepted", "verdict.py",
+     "if isinstance(s, float):",
+     "if False:"),
 )
 
 IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__")
