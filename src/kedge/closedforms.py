@@ -8,22 +8,26 @@ a short polynomial in the angles.  This module writes those formulas down
 directly, with no Zariski decomposition involved, so the two can be checked
 against each other.
 
-Each curve is a list of walls and one chamber per gap between neighbouring
-walls: a thunk for the chamber's quadratic and the chamber's negative
-support; a quadratic is a coefficient triple, written out or in one of the
-two shapes ``k (c - x)^2 + s`` and ``(t - x)(c + d x)``.  A chamber of zero
-width is skipped before its quadratic is evaluated, so the chambers that
-collapse at ``n = 1`` or ``n = m``, whose quadratics would divide by zero,
-are never formed.  The sections C~1 and C~2 share one two-chamber formula in
-the angles and self-intersections of the two sections.  The exceptional-curve case splits into
-four regimes depending on how ``n`` compares with ``m`` and on which of the
-curves ``C1tilde``/``C2tilde`` enters the negative part first; the chamber
-where ``C2tilde`` has entered alone is one formula, the ``E-c2-first``
-middle chamber, which is also the ``E-n0`` third chamber at ``n = 0``.  Two
-of the regimes carry an extra inequality on the angles (the second wall must
-sit to the right of the first); outside that range
-:func:`closed_form_volume_curve` returns ``None`` and only the sweep
-applies.
+Everything is computed on the angles' integer form (L, P1, P2)
+(``Angles.scaled``), as the sweep is.  Each curve is a list of walls, each
+an integer over L, and one chamber per gap between neighbouring walls: a
+thunk for the chamber's quadratic and the chamber's negative support; a
+quadratic is a coefficient triple of integer numerators over powers of L
+(one ``Rat`` per coefficient), written out or in one of the two shapes
+``k (c - x)^2 + s`` and ``(t - x)(c + d x)``.  A chamber of zero width is
+skipped before its quadratic is evaluated, so the chambers that collapse at
+``n = 1`` or ``n = m``, whose quadratics would divide by zero, are never
+formed.  The sections C~1 and C~2 share one two-chamber formula in the
+angles and self-intersections of the two sections.  The exceptional-curve
+case splits into four regimes depending on how ``n`` compares with ``m``
+and on which of the curves ``C1tilde``/``C2tilde`` enters the negative part
+first, told apart on the integers; the chamber where ``C2tilde`` has
+entered alone is one formula, the ``E-c2-first`` middle chamber, which is
+also the ``E-n0`` third chamber at ``n = 0``.  Two of the regimes carry an
+extra inequality on the angles (the second wall must sit to the right of
+the first); outside that range :func:`closed_form_volume_curve` returns
+``None`` and only the sweep applies.  Each S is one ``Rat`` over 3 L V,
+with V = L^2 vol(-K_Delta).
 """
 
 from __future__ import annotations
@@ -31,18 +35,31 @@ from __future__ import annotations
 from itertools import pairwise
 
 from .picard import C1TILDE, C2TILDE
-from .ratmath import ONE, Rat, ZERO
+from .ratmath import Rat
 from .volumes import PiecewiseQuadratic, QuadraticPiece
 
 
-def _square(k, c, s=ZERO):
-    """k (c - x)^2 + s as a coefficient triple (q0, q1, q2); k is a Rat."""
-    return (k * c * c + s, -2 * k * c, k)
+def _quadratic(a0, a1, a2, L, d=1):
+    """q0 + q1 x + q2 x^2 with q0 = a0 / (d L^2), q1 = a1 / (d L) and
+    q2 = a2 / d, for integers a0, a1, a2 and d."""
+    return Rat(a0, d * L * L), Rat(a1, d * L), Rat(a2, d)
 
 
-def _product(t, c, d):
-    """(t - x)(c + d x) as a coefficient triple; d is a Rat."""
-    return (t * c, t * d - c, -d)
+def _square(kn, kd, c, L, s=0):
+    """k (c - x)^2 + s with k = kn / kd, c = C / L and s = S / L^2, given
+    the integers C and S."""
+    return _quadratic(kn * c * c + kd * s, -2 * kn * c, kn, L, kd)
+
+
+def _product(t, c, d, L):
+    """(t - x)(c + d x) with t = T / L, c = C / L and an integer d, given
+    the integers T and C."""
+    return _quadratic(t * c, t * d - c, -d, L)
+
+
+def _scaled_volume(n, m, L, p1, p2) -> int:
+    """V = L^2 vol(-K_Delta) = 4 L (P1 + P2) - n P1^2 + (n - m) P2^2."""
+    return 4 * L * (p1 + p2) - n * p1 * p1 + (n - m) * p2 * p2
 
 
 # Case identifiers for the exceptional-curve regimes.  ``classify`` returns
@@ -58,68 +75,49 @@ def classify_exceptional_case(model, angles) -> str | None:
 
     Returns ``None`` when ``m == 0`` (no exceptional curves) or when the
     angles fall outside the validity range of the only candidate regime.
+    Compared on the integers: beta1 <= 2 - m beta2 is P1 + m P2 <= 2 L.
     """
     n, m = model.n, model.m
     if m == 0:
         return None
-    b1, b2 = angles.beta1, angles.beta2
+    L, p1, p2 = angles.scaled
     if n >= m:
         return CASE_N_GE_M
     if n == 0:
-        return CASE_N_ZERO if b1 <= 2 - m * b2 else None
-    if (n - 1) * b1 >= (m - n) * b2:
+        return CASE_N_ZERO if p1 + m * p2 <= 2 * L else None
+    if (n - 1) * p1 >= (m - n) * p2:
         return CASE_C1_FIRST
-    return CASE_C2_FIRST if b1 <= 2 - (m - n) * b2 else None
-
-
-def total_volume(model, angles) -> Rat:
-    """vol(-K) = 4(b1+b2) - n*b1^2 + (n-m)*b2^2."""
-    n, m = model.n, model.m
-    b1, b2 = angles.beta1, angles.beta2
-    return 4 * (b1 + b2) - n * b1 * b1 + (n - m) * b2 * b2
-
-
-def angle_bracket(model, angles) -> Rat:
-    """b1^2 - b2^2 - (n*b1^3 + (n-m)*b2^3)/3, the sign-carrying bracket.
-
-    ``S(C1tilde) = b1 - 2*bracket/vol`` and ``S(C2tilde) = b2 + 2*bracket/vol``,
-    and the bracket is also (vol/2 times) the barycenter of the fibration's
-    weight measure, so its sign decides which ray degenerates.
-    """
-    n, m = model.n, model.m
-    b1, b2 = angles.beta1, angles.beta2
-    return b1 * b1 - b2 * b2 - (n * b1**3 + (n - m) * b2**3) / Rat(3)
+    return CASE_C2_FIRST if p1 + (m - n) * p2 <= 2 * L else None
 
 
 def closed_form_S(E, model, angles) -> Rat | None:
     """Expected vanishing order along ``E`` via the closed forms.
 
     Covers C~1, C~2 and every E_i and F~i, read off ``model.candidates``;
-    other curves return ``None``.
+    other curves return ``None``.  With the angle bracket
+    b = b1^2 - b2^2 - (n b1^3 + (n - m) b2^3) / 3, S(C~1) = b1 - 2 b / vol
+    and S(C~2) = b2 + 2 b / vol; S(E_i) and S(F~i) are 1 + inner / vol.
+    Each numerator is scaled by 3 L^3, so S is one Rat over 3 L V.
     """
     model.ensure_ample(angles)
     n, m = model.n, model.m
-    b1, b2 = angles.beta1, angles.beta2
-    vol = total_volume(model, angles)
-    if E == C1TILDE:
-        return b1 - 2 * angle_bracket(model, angles) / vol
-    if E == C2TILDE:
-        return b2 + 2 * angle_bracket(model, angles) / vol
+    L, p1, p2 = angles.scaled
+    V = _scaled_volume(n, m, L, p1, p2)
+    den = 3 * L * V
+    if E in (C1TILDE, C2TILDE):
+        bracket = 3 * L * (p1 * p1 - p2 * p2) - n * p1**3 - (n - m) * p2**3
+        if E == C1TILDE:
+            return Rat(3 * p1 * V - 2 * bracket, den)
+        return Rat(3 * p2 * V + 2 * bracket, den)
     if E in model.candidates[2:m + 2]:  # E_1 ... E_m
-        inner = (
-            -(n - 2) * b1 * b1
-            + (n - m) * b2 * b2
-            + (n * (n - 2) * b1**3 + (n - m) ** 2 * b2**3) / Rat(3)
-        )
-        return 1 + inner / vol
-    if E in model.candidates[m + 2:]:  # F~1 ... F~m
-        inner = (
-            -n * b1 * b1
-            + (n - m + 2) * b2 * b2
-            + (n * n * b1**3 + (n - m + 2) * (n - m) * b2**3) / Rat(3)
-        )
-        return 1 + inner / vol
-    return None
+        inner = (3 * L * (-(n - 2) * p1 * p1 + (n - m) * p2 * p2)
+                 + n * (n - 2) * p1**3 + (n - m) ** 2 * p2**3)
+    elif E in model.candidates[m + 2:]:  # F~1 ... F~m
+        inner = (3 * L * (-n * p1 * p1 + (n - m + 2) * p2 * p2)
+                 + n * n * p1**3 + (n - m + 2) * (n - m) * p2**3)
+    else:
+        return None
+    return Rat(den + inner, den)
 
 
 def normalize_pieces(raw) -> tuple:
@@ -142,12 +140,14 @@ def normalize_pieces(raw) -> tuple:
     return tuple(pieces)
 
 
-def _freeze(walls, chambers) -> PiecewiseQuadratic:
-    """One piece per chamber of nonzero width between consecutive walls,
-    its thunk evaluated only then; neighbours that are one chamber merge."""
+def _freeze(L, walls, chambers) -> PiecewiseQuadratic:
+    """One piece per chamber of nonzero width between consecutive walls
+    (integers over L), its thunk evaluated only then; neighbours that are
+    one chamber merge."""
+    ends = [Rat(wall, L) for wall in walls]
     pieces = [
         QuadraticPiece(lo, hi, *quadratic(), support)
-        for (lo, hi), (quadratic, support) in zip(pairwise(walls), chambers, strict=True)
+        for (lo, hi), (quadratic, support) in zip(pairwise(ends), chambers, strict=True)
         if lo != hi
     ]
     return PiecewiseQuadratic(pieces=normalize_pieces(pieces))
@@ -158,13 +158,14 @@ def closed_form_volume_curve(E, model, angles) -> PiecewiseQuadratic | None:
 
     Returns ``None`` for curves or angle ranges the closed forms do not
     cover.  Each support is listed in candidate order (C~1, C~2, E_i,
-    F~i), as the sweep names it.
+    F~i), as the sweep names it.  Walls and quadratics are read off
+    (L, P1, P2): a wall w is the integer L w.
     """
     model.ensure_ample(angles)
     n, m = model.n, model.m
-    b1, b2 = angles.beta1, angles.beta2
-    total = b1 + b2
-    vol = total_volume(model, angles)
+    L, p1, p2 = angles.scaled
+    total = p1 + p2
+    V = _scaled_volume(n, m, L, p1, p2)
     es, fs = model.candidates[2:m + 2], model.candidates[m + 2:]
 
     if E in (C1TILDE, C2TILDE):
@@ -172,12 +173,12 @@ def closed_form_volume_curve(E, model, angles) -> PiecewiseQuadratic | None:
         # other section: -K.E = 2 + e b, and past x = b the fibre curves
         # meeting E join the support.
         if E == C1TILDE:
-            (b, e), (b_other, e_other), joining = (b1, -n), (b2, n - m), fs
+            (b, e), (b_other, e_other), joining = (p1, -n), (p2, n - m), fs
         else:
-            (b, e), (b_other, e_other), joining = (b2, n - m), (b1, -n), es
-        return _freeze((ZERO, b, total), (
-            (lambda: (vol, -2 * (2 + e * b), Rat(e)), ()),
-            (lambda: _product(total, 4 + e_other * (b_other - b), Rat(e_other)), joining),
+            (b, e), (b_other, e_other), joining = (p2, n - m), (p1, -n), es
+        return _freeze(L, (0, b, total), (
+            (lambda: _quadratic(V, -2 * (2 * L + e * b), e, L), ()),
+            (lambda: _product(total, 4 * L + e_other * (b_other - b), e_other, L), joining),
         ))
 
     if E not in es:
@@ -187,20 +188,21 @@ def closed_form_volume_curve(E, model, angles) -> PiecewiseQuadratic | None:
         return None
     i = es.index(E)
     fi = fs[i]  # E_i's partner: E_i + F~i = F
-    c1_wall, c2_wall, two = 2 - (n - 1) * b1, 2 - (m - n) * b2, Rat(2)
+    c1_wall, c2_wall, two = 2 * L - (n - 1) * p1, 2 * L - (m - n) * p2, 2 * L
     # Every regime opens with the ample chamber and the fibre-only chamber.
     opening = (
-        (lambda: (vol, -2 * b2, Rat(-1)), ()),
-        (lambda: (4 * total - (n - 1) * b1 * b1 + (n - m) * b2 * b2, -2 * total, ZERO), (fi,)),
+        (lambda: _quadratic(V, -2 * p2, -1, L), ()),
+        (lambda: _quadratic(4 * L * total - (n - 1) * p1 * p1 + (n - m) * p2 * p2,
+                            -2 * total, 0, L), (fi,)),
     )
-    with_c1 = (lambda: _square(Rat(1, n - 1), 2 + (n - 1) * b2, -(m - 1) * b2 * b2),
+    with_c1 = (lambda: _square(1, n - 1, 2 * L + (n - 1) * p2, L, -(m - 1) * p2 * p2),
                (C1TILDE, fi))
-    with_c2 = (lambda: _square(Rat(1, m - n), 2 + (m - n) * b1, -(m - 1) * b1 * b1),
+    with_c2 = (lambda: _square(1, m - n, 2 * L + (m - n) * p1, L, -(m - 1) * p1 * p1),
                (C2TILDE, fi))
-    with_c1_c2 = (lambda: _square(Rat(m - 1, (m - n) * (n - 1)), 2), (C1TILDE, C2TILDE, fi))
+    with_c1_c2 = (lambda: _square(m - 1, (m - n) * (n - 1), 2 * L, L), (C1TILDE, C2TILDE, fi))
     if case == CASE_N_GE_M:
-        tau = 2 + (n - m) * b2
-        last = (lambda: _square(Rat(1, n - m), tau), (C1TILDE, *fs))
+        tau = 2 * L + (n - m) * p2
+        last = (lambda: _square(1, n - m, tau, L), (C1TILDE, *fs))
         walls, chambers = (c1_wall, two, tau), (with_c1, last)
     elif case == CASE_C1_FIRST:
         walls, chambers = (c1_wall, c2_wall, two), (with_c1, with_c1_c2)
@@ -208,6 +210,6 @@ def closed_form_volume_curve(E, model, angles) -> PiecewiseQuadratic | None:
         walls, chambers = (c2_wall, c1_wall, two), (with_c2, with_c1_c2)
     else:  # CASE_N_ZERO
         others = es[:i] + es[i + 1:]
-        last = (lambda: _square(ONE, 2 + b1), (C2TILDE, *others, fi))
-        walls, chambers = (c2_wall, two, 2 + b1), (with_c2, last)
-    return _freeze((ZERO, b1, *walls), (*opening, *chambers))
+        last = (lambda: _square(1, 1, 2 * L + p1, L), (C2TILDE, *others, fi))
+        walls, chambers = (c2_wall, two, 2 * L + p1), (with_c2, last)
+    return _freeze(L, (0, p1, *walls), (*opening, *chambers))

@@ -39,7 +39,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .ratmath import Rat
 
@@ -178,6 +178,20 @@ class DivisorClass:
         return f"DivisorClass(a={a}, b={b}, c=({','.join(map(str, c))}))"
 
 
+#: How many surfaces' candidate tables a process keeps; the least recently
+#: used (n, m) is dropped first.
+SHARED_SURFACES = 64
+
+
+def _per_surface(build):
+    """A property built once per surface (n, m) in a process and shared by
+    every ``SurfaceModel`` of that (n, m): the first model of a surface not
+    among the last ``SHARED_SURFACES`` builds it (the cache keeps that
+    model as its key), and each model then keeps the shared result, which
+    is immutable."""
+    return cached_property(lru_cache(maxsize=SHARED_SURFACES)(build))
+
+
 @dataclass(frozen=True)
 class SurfaceModel:
     """The surface S: F_n with m blown-up points on C2, its Picard lattice
@@ -240,7 +254,7 @@ class SurfaceModel:
         a, b, *c = d.num
         return (d.den, b, self.n * a + b - sum(c), *c, *[a - x for x in c])
 
-    @cached_property
+    @_per_surface
     def candidate_table(self) -> tuple:
         """Entry i lists every (j, C_i.C_j != 0), i and j indexing
         ``candidates``, in O(m) from the closed forms
@@ -255,15 +269,15 @@ class SurfaceModel:
         rows += [((f, -1), (0, 1), (f - m, 1)) for f in fs]
         return tuple(rows)
 
-    @cached_property
+    @_per_surface
     def candidates(self) -> tuple:
         """The names of the curves that can support a Zariski negative
         part, in the order every candidate index refers to: C~1, C~2,
-        E_1, ..., E_m, F~1, ..., F~m; built once per model."""
+        E_1, ..., E_m, F~1, ..., F~m; built once per surface."""
         indices = range(1, self.m + 1)
         return (C1TILDE, C2TILDE, *map(Ei, indices), *map(FiTilde, indices))
 
-    @cached_property
+    @_per_surface
     def candidate_coordinates(self) -> tuple:
         """Entry i lists every (j, x), x != 0, of the integer coordinates
         (a, b, c_1, ..., c_m) of ``candidates[i]``'s class."""
@@ -275,7 +289,8 @@ class SurfaceModel:
     @cached_property
     def certified(self) -> set:
         """Names of the angle-independent certificates this instance passed,
-        so that each runs once per surface model."""
+        so that each runs once per surface model; unlike the candidate
+        tables, it is not shared between equal models."""
         return set()
 
     def self_intersection(self, d: DivisorClass):

@@ -33,8 +33,8 @@ The least root is the next wall: roots are compared by
 cross-multiplication, and every curve that reaches the least one starts
 the next chamber's growth.  Each chamber becomes one ``QuadraticPiece``
 with q0 = c0 / (s L^2), q1 = c1 / (s L) and q2 = c2 / s, integrated in
-closed form as one integer numerator over one denominator: one division
-per piece.  ``_certify_curve`` checks that the support grew strictly
+closed form; the pieces' integrals sum to one integer numerator over one
+denominator: one division per curve.  ``_certify_curve`` checks that the support grew strictly
 at every wall, so no two chambers ever merge.  The first chamber's
 support is empty, because -K_Delta is ample, so the first piece is
 D(x)^2 itself: the certificate compares its q0 with (-K_Delta)^2 and its
@@ -71,14 +71,15 @@ class QuadraticPiece(NamedTuple):
     q2: object
     negative_support: tuple  # curve names
 
-    def integral(self):
-        """Exact integral of the quadratic over [x_lo, x_hi]:
-        q0 D1 + q1 D2 / 2 + q2 D3 / 3, where Dk = x_hi^k - x_lo^k.
+    def integral_terms(self) -> tuple:
+        """Exact integral of the quadratic over [x_lo, x_hi],
+        q0 D1 + q1 D2 / 2 + q2 D3 / 3 where Dk = x_hi^k - x_lo^k, as an
+        integer numerator and a positive integer denominator.
 
         With qk = nk / dk, B the product of the endpoints' denominators,
         X = B x_hi and Y = B x_lo, it is (X - Y) (6 n0 d1 d2 B^2
         + 3 n1 d0 d2 B (X + Y) + 2 n2 d0 d1 (X^2 + X Y + Y^2)) over
-        6 d0 d1 d2 B^3: one integer numerator, one division."""
+        6 d0 d1 d2 B^3."""
         lo, hi, q0, q1, q2 = self.x_lo, self.x_hi, self.q0, self.q1, self.q2
         B = lo.denominator * hi.denominator
         X, Y = hi.numerator * lo.denominator, lo.numerator * hi.denominator
@@ -86,7 +87,7 @@ class QuadraticPiece(NamedTuple):
         n2, d2 = q2.numerator, q2.denominator
         inner = (6 * n0 * d1 * d2 * B * B + 3 * n1 * d0 * d2 * B * (X + Y)
                  + 2 * n2 * d0 * d1 * (X * X + X * Y + Y * Y))
-        return Rat((X - Y) * inner, 6 * d0 * d1 * d2 * B * B * B)
+        return (X - Y) * inner, 6 * d0 * d1 * d2 * B * B * B
 
 
 class PiecewiseQuadratic(NamedTuple):
@@ -99,7 +100,13 @@ class PiecewiseQuadratic(NamedTuple):
         return self.pieces[-1].x_hi
 
     def integral(self):
-        return sum((piece.integral() for piece in self.pieces), ZERO)
+        """The pieces' integrals summed as one integer numerator over one
+        denominator, and one Rat formed at the end."""
+        num, den = 0, 1
+        for piece in self.pieces:
+            p, q = piece.integral_terms()
+            num, den = num * q + p * den, den * q
+        return Rat(num, den)
 
     def expected_vanishing_order(self):
         """S(E) = integral / vol(-K_Delta), for the volume curve of E: the

@@ -5,23 +5,26 @@ the rational references the tests check the integer code against: the
 common denominator, the LDL^T kernel, the Gram matrix through the generic
 pairing, the signature, the angle sampler, the volume curve's last root,
 the volume of a class, the torus-side Futaki sign, the name-expanding
-torus-route delta and the rational divisor class."""
+torus-route delta, the rational divisor class and the closed-form oracle
+on Fractions."""
 
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
+from itertools import pairwise
 from types import SimpleNamespace
 
 import pytest
 
+from kedge.closedforms import CASE_C1_FIRST, CASE_C2_FIRST, CASE_N_GE_M, CASE_N_ZERO
 from kedge.linalg import NotNegativeDefinite
-from kedge.picard import Angles, DivisorClass, SurfaceModel
-from kedge.ratmath import ONE, Rat, isqrt_exact, sign
+from kedge.picard import C1TILDE, C2TILDE, Angles, DivisorClass, SurfaceModel
+from kedge.ratmath import ONE, ZERO, Rat, isqrt_exact, sign
 from kedge.sampling import MAX_DENOMINATOR, MAX_TRIES, MAX_VALUE
 from kedge.tvariety import legendre_dual
-from kedge.volumes import IrrationalThreshold
+from kedge.volumes import IrrationalThreshold, PiecewiseQuadratic, QuadraticPiece
 from kedge.zariski import DecompositionError, InconsistencyError, zariski_decompose
 
 
@@ -357,3 +360,150 @@ def reference_is_nef(model, d) -> bool:
 def reference_log_anticanonical(model, angles):
     b1, b2 = angles.beta1, angles.beta2
     return ReferenceDivisorClass(b1 + b2, 2 - model.n * b1, (b2,) * model.m)
+
+
+# The closed-form oracle on Fractions: the form ``kedge.closedforms`` had
+# before it read the angles' integers (L, P1, P2).  The integer forms must
+# return the same pieces, S values and Nones.
+
+def _reference_square(k, c, s=ZERO):
+    """k (c - x)^2 + s as a coefficient triple (q0, q1, q2); k is a Rat."""
+    return (k * c * c + s, -2 * k * c, k)
+
+
+def _reference_product(t, c, d):
+    """(t - x)(c + d x) as a coefficient triple; d is a Rat."""
+    return (t * c, t * d - c, -d)
+
+
+def reference_classify_exceptional_case(model, angles) -> str | None:
+    n, m = model.n, model.m
+    if m == 0:
+        return None
+    b1, b2 = angles.beta1, angles.beta2
+    if n >= m:
+        return CASE_N_GE_M
+    if n == 0:
+        return CASE_N_ZERO if b1 <= 2 - m * b2 else None
+    if (n - 1) * b1 >= (m - n) * b2:
+        return CASE_C1_FIRST
+    return CASE_C2_FIRST if b1 <= 2 - (m - n) * b2 else None
+
+
+def total_volume(model, angles) -> Rat:
+    """vol(-K) = 4(b1+b2) - n*b1^2 + (n-m)*b2^2."""
+    n, m = model.n, model.m
+    b1, b2 = angles.beta1, angles.beta2
+    return 4 * (b1 + b2) - n * b1 * b1 + (n - m) * b2 * b2
+
+
+def angle_bracket(model, angles) -> Rat:
+    """b1^2 - b2^2 - (n*b1^3 + (n-m)*b2^3)/3, the sign-carrying bracket:
+    S(C1tilde) = b1 - 2*bracket/vol and S(C2tilde) = b2 + 2*bracket/vol."""
+    n, m = model.n, model.m
+    b1, b2 = angles.beta1, angles.beta2
+    return b1 * b1 - b2 * b2 - (n * b1**3 + (n - m) * b2**3) / Rat(3)
+
+
+def reference_closed_form_S(E, model, angles) -> Rat | None:
+    model.ensure_ample(angles)
+    n, m = model.n, model.m
+    b1, b2 = angles.beta1, angles.beta2
+    vol = total_volume(model, angles)
+    if E == C1TILDE:
+        return b1 - 2 * angle_bracket(model, angles) / vol
+    if E == C2TILDE:
+        return b2 + 2 * angle_bracket(model, angles) / vol
+    if E in model.candidates[2:m + 2]:  # E_1 ... E_m
+        inner = (
+            -(n - 2) * b1 * b1
+            + (n - m) * b2 * b2
+            + (n * (n - 2) * b1**3 + (n - m) ** 2 * b2**3) / Rat(3)
+        )
+        return 1 + inner / vol
+    if E in model.candidates[m + 2:]:  # F~1 ... F~m
+        inner = (
+            -n * b1 * b1
+            + (n - m + 2) * b2 * b2
+            + (n * n * b1**3 + (n - m + 2) * (n - m) * b2**3) / Rat(3)
+        )
+        return 1 + inner / vol
+    return None
+
+
+def _reference_normalize(raw) -> tuple:
+    pieces: list[QuadraticPiece] = []
+    for piece in raw:
+        if pieces:
+            prev = pieces[-1]
+            same = (
+                prev.x_hi == piece.x_lo
+                and (prev.q0, prev.q1, prev.q2) == (piece.q0, piece.q1, piece.q2)
+                and prev.negative_support == piece.negative_support
+            )
+            if same:
+                pieces[-1] = prev._replace(x_hi=piece.x_hi)
+                continue
+        pieces.append(piece)
+    return tuple(pieces)
+
+
+def _reference_freeze(walls, chambers) -> PiecewiseQuadratic:
+    pieces = [
+        QuadraticPiece(lo, hi, *quadratic(), support)
+        for (lo, hi), (quadratic, support) in zip(pairwise(walls), chambers, strict=True)
+        if lo != hi
+    ]
+    return PiecewiseQuadratic(pieces=_reference_normalize(pieces))
+
+
+def reference_closed_form_volume_curve(E, model, angles) -> PiecewiseQuadratic | None:
+    model.ensure_ample(angles)
+    n, m = model.n, model.m
+    b1, b2 = angles.beta1, angles.beta2
+    total = b1 + b2
+    vol = total_volume(model, angles)
+    es, fs = model.candidates[2:m + 2], model.candidates[m + 2:]
+
+    if E in (C1TILDE, C2TILDE):
+        if E == C1TILDE:
+            (b, e), (b_other, e_other), joining = (b1, -n), (b2, n - m), fs
+        else:
+            (b, e), (b_other, e_other), joining = (b2, n - m), (b1, -n), es
+        return _reference_freeze((ZERO, b, total), (
+            (lambda: (vol, -2 * (2 + e * b), Rat(e)), ()),
+            (lambda: _reference_product(total, 4 + e_other * (b_other - b), Rat(e_other)),
+             joining),
+        ))
+
+    if E not in es:
+        return None
+    case = reference_classify_exceptional_case(model, angles)
+    if case is None:
+        return None
+    i = es.index(E)
+    fi = fs[i]
+    c1_wall, c2_wall, two = 2 - (n - 1) * b1, 2 - (m - n) * b2, Rat(2)
+    opening = (
+        (lambda: (vol, -2 * b2, Rat(-1)), ()),
+        (lambda: (4 * total - (n - 1) * b1 * b1 + (n - m) * b2 * b2, -2 * total, ZERO), (fi,)),
+    )
+    with_c1 = (lambda: _reference_square(Rat(1, n - 1), 2 + (n - 1) * b2, -(m - 1) * b2 * b2),
+               (C1TILDE, fi))
+    with_c2 = (lambda: _reference_square(Rat(1, m - n), 2 + (m - n) * b1, -(m - 1) * b1 * b1),
+               (C2TILDE, fi))
+    with_c1_c2 = (lambda: _reference_square(Rat(m - 1, (m - n) * (n - 1)), 2),
+                  (C1TILDE, C2TILDE, fi))
+    if case == CASE_N_GE_M:
+        tau = 2 + (n - m) * b2
+        last = (lambda: _reference_square(Rat(1, n - m), tau), (C1TILDE, *fs))
+        walls, chambers = (c1_wall, two, tau), (with_c1, last)
+    elif case == CASE_C1_FIRST:
+        walls, chambers = (c1_wall, c2_wall, two), (with_c1, with_c1_c2)
+    elif case == CASE_C2_FIRST:
+        walls, chambers = (c2_wall, c1_wall, two), (with_c2, with_c1_c2)
+    else:  # CASE_N_ZERO
+        others = es[:i] + es[i + 1:]
+        last = (lambda: _reference_square(ONE, 2 + b1), (C2TILDE, *others, fi))
+        walls, chambers = (c2_wall, two, 2 + b1), (with_c2, last)
+    return _reference_freeze((ZERO, b1, *walls), (*opening, *chambers))

@@ -1,0 +1,85 @@
+"""The closed-form oracle on the angles' integers against its rational
+reference (``conftest.reference_closed_form_volume_curve`` and friends):
+the same pieces, S values and ``None`` returns for every candidate curve,
+the generic fiber and, at m = 0, the pulled-back section, over a grid of
+surfaces and small-denominator angles in the ample range, and at each tie
+of the exceptional-curve classification."""
+
+import pytest
+from conftest import (reference_classify_exceptional_case, reference_closed_form_S,
+                      reference_closed_form_volume_curve)
+
+from kedge.closedforms import (CASE_C1_FIRST, CASE_C2_FIRST, CASE_N_ZERO,
+                               classify_exceptional_case, closed_form_S,
+                               closed_form_volume_curve)
+from kedge.picard import GENERIC_FIBER, PULLBACK_C2, Angles, SurfaceModel
+from kedge.ratmath import Rat
+
+# Every p/q in (0, 2] with q <= 3: the grid each angle is drawn from.
+GRID = sorted({Rat(p, q) for q in range(1, 4) for p in range(1, 2 * q + 1)})
+
+
+def axis(k: int) -> list:
+    """The grid's angles below the ample bound 2/k (all when k <= 0),
+    and a quarter and three quarters of that bound, so that every surface
+    of the grid has angles."""
+    if k <= 0:
+        return GRID
+    bound = Rat(2, k)
+    return sorted({x for x in GRID if x < bound} | {bound / 4, 3 * bound / 4})
+
+
+def curves(model) -> tuple:
+    extra = (GENERIC_FIBER, PULLBACK_C2) if model.m == 0 else (GENERIC_FIBER,)
+    return (*model.candidates, *extra)
+
+
+def pieces(curve):
+    return None if curve is None else curve.pieces
+
+
+def assert_matches_reference(model, angles):
+    case = classify_exceptional_case(model, angles)
+    assert case == reference_classify_exceptional_case(model, angles), (model, angles)
+    for curve in curves(model):
+        context = (model, angles, curve)
+        got = closed_form_volume_curve(curve, model, angles)
+        assert pieces(got) == pieces(reference_closed_form_volume_curve(curve, model, angles)), context
+        s = closed_form_S(curve, model, angles)
+        assert s == reference_closed_form_S(curve, model, angles), context
+        assert s is None or type(s) is Rat
+    return case
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_integer_forms_match_the_reference(n):
+    for m in range(9):
+        model = SurfaceModel(n, m)
+        for beta1 in axis(n):
+            for beta2 in axis(m - n):
+                assert_matches_reference(model, Angles(beta1, beta2))
+
+
+def ties():
+    """(model, angles, case) at each boundary of the classification."""
+    for m in range(1, 9):
+        # n = 0: beta1 = 2 - m beta2.
+        for beta2 in (Rat(1, 2 * m), Rat(1, m), Rat(3, 2 * m)):
+            yield SurfaceModel(0, m), Angles(2 - m * beta2, beta2), CASE_N_ZERO
+        for n in range(1, m):
+            k = m - n
+            if n >= 2:  # (n - 1) beta1 = (m - n) beta2, with beta2 > 0
+                t = Rat(1, n * k)
+                yield SurfaceModel(n, m), Angles(k * t, (n - 1) * t), CASE_C1_FIRST
+            # beta1 = 2 - (m - n) beta2, inside the C~2-first regime.
+            beta2 = Rat(2 * n - 1, n * k)
+            yield SurfaceModel(n, m), Angles(2 - k * beta2, beta2), CASE_C2_FIRST
+
+
+def test_classification_ties_match_the_reference():
+    seen = set()
+    for model, angles, case in ties():
+        assert model.ample_range_violation(angles) is None
+        assert assert_matches_reference(model, angles) == case, (model, angles)
+        seen.add(case)
+    assert seen == {CASE_N_ZERO, CASE_C1_FIRST, CASE_C2_FIRST}

@@ -22,6 +22,7 @@ from kedge.picard import (
     GENERIC_FIBER,
     OutsideAmpleRange,
     PULLBACK_C2,
+    SHARED_SURFACES,
     SurfaceModel,
     SurfaceParams,
     parse_curve_id,
@@ -157,6 +158,34 @@ def test_candidates_are_one_tuple_per_model():
         assert model.candidates is candidates, "built once, read as the same object"
         assert candidates == (C1TILDE, C2TILDE, *[Ei(i) for i in range(1, m + 1)],
                               *[FiTilde(i) for i in range(1, m + 1)])
+
+
+CANDIDATE_TABLES = ("candidates", "candidate_table", "candidate_coordinates")
+
+
+def test_candidate_tables_are_shared_by_equal_models():
+    first, second = SurfaceModel(2, 5), SurfaceModel(2, 5)
+    assert first is not second
+    for name in CANDIDATE_TABLES:
+        assert getattr(first, name) is getattr(second, name), name
+    # The certificates stay per instance, so every model runs its own.
+    assert first.certified is not second.certified
+    assert SurfaceModel(2, 6).candidate_table is not first.candidate_table
+
+
+def test_candidate_table_cache_is_bounded():
+    for name in CANDIDATE_TABLES:
+        cache = getattr(SurfaceModel, name).func
+        for m in range(SHARED_SURFACES + 5):
+            getattr(SurfaceModel(1, m), name)
+        info = cache.cache_info()
+        assert (info.maxsize, info.currsize) == (SHARED_SURFACES, SHARED_SURFACES), name
+        # The least recently built surface was dropped: a new model of it
+        # builds again, and the most recent one is read from the cache.
+        getattr(SurfaceModel(1, 0), name)
+        getattr(SurfaceModel(1, SHARED_SURFACES + 4), name)
+        after = cache.cache_info()
+        assert (after.misses - info.misses, after.hits - info.hits) == (1, 1), name
 
 
 @pytest.mark.parametrize("n, m", [(n, m) for n in range(7) for m in range(7)]

@@ -3,18 +3,16 @@
 from dataclasses import dataclass
 
 import pytest
-from conftest import (common_denominator, gram, rat, reference_factorize,
-                      reference_smallest_root_after, reference_solve, volume)
+from conftest import (angle_bracket, common_denominator, gram, rat, reference_factorize,
+                      reference_smallest_root_after, reference_solve, total_volume, volume)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kedge import closedforms, linalg, volumes, zariski
 from kedge.closedforms import (
-    angle_bracket,
     classify_exceptional_case,
     closed_form_S,
     closed_form_volume_curve,
-    total_volume,
 )
 from kedge.picard import (
     Angles,
@@ -569,7 +567,9 @@ class TestClosedForms:
         lo, hi, q0, q1, q2 = numbers
         piece = QuadraticPiece(lo, hi, q0, q1, q2, ())
         anti = lambda x: q0 * x + q1 * x * x / 2 + q2 * x * x * x / 3
-        assert piece.integral() == anti(hi) - anti(lo)
+        num, den = piece.integral_terms()
+        assert den > 0 and Rat(num, den) == anti(hi) - anti(lo)
+        assert PiecewiseQuadratic((piece,)).integral() == anti(hi) - anti(lo)
 
     def test_uncovered_curves_and_angles_have_no_closed_form(self):
         # The closed forms cover the sections and the E_i only; at n = 0 the

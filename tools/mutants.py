@@ -181,6 +181,23 @@ MUTANTS = (
     ("condition-point-float-accepted", "verdict.py",
      "if isinstance(s, float):",
      "if False:"),
+    # The closed-form oracle: each classification boundary, one coefficient
+    # of S(F~i) and the k of the C~1 + C~2 chamber.
+    ("classify-n0-tie-strict", "closedforms.py",
+     "CASE_N_ZERO if p1 + m * p2 <= 2 * L else None",
+     "CASE_N_ZERO if p1 + m * p2 < 2 * L else None"),
+    ("classify-c1-first-tie-strict", "closedforms.py",
+     "if (n - 1) * p1 >= (m - n) * p2:",
+     "if (n - 1) * p1 > (m - n) * p2:"),
+    ("classify-c2-first-tie-strict", "closedforms.py",
+     "CASE_C2_FIRST if p1 + (m - n) * p2 <= 2 * L else None",
+     "CASE_C2_FIRST if p1 + (m - n) * p2 < 2 * L else None"),
+    ("closed-s-fi-cubic-coefficient", "closedforms.py",
+     "+ (n - m + 2) * (n - m) * p2**3",
+     "+ (n - m + 1) * (n - m) * p2**3"),
+    ("closed-c1-c2-k", "closedforms.py",
+     "_square(m - 1, (m - n) * (n - 1), 2 * L, L)",
+     "_square(m, (m - n) * (n - 1), 2 * L, L)"),
 )
 
 IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__")
