@@ -11,11 +11,12 @@ byte-identical output.
 
 Each subcommand declares its options in one table, built at import; a small
 loop matches ``argv`` against it with click's syntax and click's messages.
+``volume-curve`` and ``verify`` import the modules only they run when they
+run, so that ``delta`` and ``scan`` load the torus route alone.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -25,11 +26,9 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .picard import Angles, SurfaceModel, parse_curve_id
+from .picard import Angles, InconsistencyError, SurfaceModel, parse_curve_id, point_header
 from .ratmath import RatParseError, format_rat, parse_rat
-from .verdict import InconsistencyError, k_polystable
-from .verify import SUITES, point_header, run_suites
-from .volumes import log_discrepancy, volume_curve
+from .verdict import k_polystable
 
 # Largest accepted m: the lattice has rank m + 2, and the candidate set,
 # every pairing vector and the sweep's solves grow with m.
@@ -38,6 +37,9 @@ MAX_M = 200
 MAX_POINTS = 10_000
 # Most points in one scan grid: every row is buffered before it is written.
 MAX_SCAN_POINTS = 1_000_000
+# The names of ``verify.SUITES``, sorted, spelled here so that building the
+# option table does not import the suites.
+SUITE_NAMES = ("halving", "lemmas", "route-agreement", "zariski-oracle")
 
 
 def _user_error(message: str):
@@ -177,6 +179,8 @@ def cmd_delta(n, m, beta1, beta2, approx, accept_decimal, output):
 
 def cmd_volume_curve(n, m, curve, beta1, beta2, approx, accept_decimal, output):
     """Piecewise-quadratic volume curve x -> vol(-K - x C) for one curve."""
+    from .volumes import log_discrepancy, volume_curve
+
     model = _parse_surface(n, m)
     angles = _parse_angles(beta1, beta2, accept_decimal)
     try:
@@ -215,9 +219,11 @@ def cmd_volume_curve(n, m, curve, beta1, beta2, approx, accept_decimal, output):
 
 def cmd_verify(suite, samples, seed, output):
     """Run oracle suites; any failure is an inconsistency (exit 2)."""
+    from .verify import run_suites
+
     if not 0 < samples <= MAX_POINTS:
         _user_error(f"--samples must lie in 1..{MAX_POINTS}, got {samples}")
-    names = sorted(SUITES) if suite == "all" else [suite]
+    names = SUITE_NAMES if suite == "all" else [suite]
     results = run_suites(names, samples, seed)
     ok = all(r.passed for r in results)
     report = {
@@ -252,6 +258,8 @@ def _parse_grid(text: str, what: str):
 
 def cmd_scan(n, m, beta1_grid, beta2_grid, approx, output):
     """Verdicts over a rational angle grid, as CSV (beta1 outer loop)."""
+    import csv
+
     model = _parse_surface(n, m)
     grid1 = _parse_grid(beta1_grid, "beta1")
     grid2 = _parse_grid(beta2_grid, "beta2")
@@ -336,7 +344,7 @@ COMMANDS = {
     ),
     "verify": _command(
         cmd_verify,
-        Option(("--suite",), "suite", (*sorted(SUITES), "all"), default="all",
+        Option(("--suite",), "suite", (*SUITE_NAMES, "all"), default="all",
                help="Which cross-checking suite to run."),
         Option(("--samples",), "samples", int, default=50, help="Inputs drawn per suite."),
         Option(("--seed",), "seed", int, default=0, help="Seed of the drawn inputs."),

@@ -32,6 +32,10 @@ The boundary is Delta = (1-beta1) C~1 + (1-beta2) C~2 with cone angles
 
     -K_{S,Delta}  =  (beta1+beta2) pi^* C2 + (2 - n beta1) pi^* F
                      - beta2 sum_i E_i.
+
+The two exceptions of the CLI contract live here too, where every route
+reaches them without loading another: ``OutsideAmpleRange`` and
+``InconsistencyError`` (exit 2).
 """
 from __future__ import annotations
 
@@ -41,11 +45,17 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .ratmath import Rat
+from .ratmath import Rat, format_rat
 
 
 class OutsideAmpleRange(ValueError):
     """The requested angles do not make the log anticanonical class ample."""
+
+
+class InconsistencyError(ArithmeticError):
+    """An internal cross-check failed: the two computation routes, a
+    theorem hypothesis check or a certificate disagreed; results cannot
+    be trusted."""
 
 
 @dataclass(frozen=True)
@@ -81,6 +91,13 @@ class Angles:
         if p1 <= 0 or p2 <= 0:
             raise ValueError(f"angles must be positive, got ({b1}, {b2})")
         object.__setattr__(self, "scaled", (L, p1, p2))
+
+
+def point_header(model: SurfaceModel, angles: Angles, **extra) -> dict:
+    """The n, m, beta1, beta2 header of a report on one point, followed by
+    ``extra`` in the order given."""
+    return {"n": model.n, "m": model.m, "beta1": format_rat(angles.beta1),
+            "beta2": format_rat(angles.beta2), **extra}
 
 
 # A curve is its name.  The fixed names, then every indexed name: E_i as
@@ -280,11 +297,14 @@ class SurfaceModel:
     @_per_surface
     def candidate_coordinates(self) -> tuple:
         """Entry i lists every (j, x), x != 0, of the integer coordinates
-        (a, b, c_1, ..., c_m) of ``candidates[i]``'s class."""
-        return tuple(
-            tuple((j, x) for j, x in enumerate(self.class_of(c).num) if x)
-            for c in self.candidates
-        )
+        (a, b, c_1, ..., c_m) of ``candidates[i]``'s class, in O(m) from
+        the closed forms that ``class_of`` builds: C~1 has a = 1, b = -n;
+        C~2 has a = 1, every c_j = 1; E_i has c_i = -1; F~i has b = c_i = 1."""
+        es = range(2, self.m + 2)
+        rows = [((0, 1),) + ((1, -self.n),) * (self.n != 0), ((0, 1), *((e, 1) for e in es))]
+        rows += [((e, -1),) for e in es]
+        rows += [((1, 1), (e, 1)) for e in es]
+        return tuple(rows)
 
     @cached_property
     def certified(self) -> set:

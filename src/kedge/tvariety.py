@@ -74,9 +74,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .picard import C1TILDE, C2TILDE, GENERIC_FIBER, Angles, DivisorClass, Ei, FiTilde, SurfaceModel
+from .picard import (C1TILDE, C2TILDE, GENERIC_FIBER, Angles, DivisorClass, Ei, FiTilde,
+                     InconsistencyError, SurfaceModel)
 from .ratmath import ONE, Rat, sign
-from .zariski import InconsistencyError
 
 
 def _slices(n: int) -> tuple:

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .picard import Angles, OutsideAmpleRange
+from .picard import Angles, InconsistencyError, OutsideAmpleRange
 from .ratmath import Rat, sign
 from .tvariety import DeltaReport, delta_tvariety
-from .zariski import InconsistencyError
 
 KPOLYSTABLE = "KPolystable"
 NOT_KPOLYSTABLE = "NotKPolystable"

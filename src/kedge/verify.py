@@ -27,6 +27,7 @@ import random
 from typing import NamedTuple
 
 from .closedforms import closed_form_S, closed_form_volume_curve
+from .picard import InconsistencyError, point_header
 from .ratmath import Rat, format_rat
 from .sampling import (
     LEMMA_CASES,
@@ -37,8 +38,7 @@ from .sampling import (
 )
 from .tvariety import delta_tvariety, legendre_dual
 from .volumes import log_discrepancy, volume_curve
-from .zariski import (InconsistencyError, NotPseudoeffective, zariski_decompose,
-                      zariski_decompose_bruteforce)
+from .zariski import NotPseudoeffective, zariski_decompose, zariski_decompose_bruteforce
 
 
 class SuiteResult(NamedTuple):
@@ -47,13 +47,6 @@ class SuiteResult(NamedTuple):
     checks: int
     passed: bool
     counterexample: dict | None
-
-
-def point_header(model, angles, **extra) -> dict:
-    """The n, m, beta1, beta2 header of a report on one point, followed by
-    ``extra`` in the order given."""
-    return {"n": model.n, "m": model.m, "beta1": format_rat(angles.beta1),
-            "beta2": format_rat(angles.beta2), **extra}
 
 
 def _suite(name: str):

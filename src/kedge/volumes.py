@@ -52,9 +52,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .picard import C1TILDE, C2TILDE, PULLBACK_C2, Angles, SurfaceModel
+from .picard import C1TILDE, C2TILDE, PULLBACK_C2, Angles, InconsistencyError, SurfaceModel
 from .ratmath import ZERO, Rat, isqrt_exact
-from .zariski import DecompositionError, InconsistencyError, NotPseudoeffective, grow_support
+from .zariski import DecompositionError, NotPseudoeffective, grow_support
 
 
 class IrrationalThreshold(InconsistencyError):

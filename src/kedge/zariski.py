@@ -40,18 +40,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .linalg import EMPTY_FACTOR, NotNegativeDefinite, border, factorize, solve_factored
-from .picard import C1TILDE, C2TILDE, DivisorClass, SurfaceModel
+from .picard import C1TILDE, C2TILDE, DivisorClass, InconsistencyError, SurfaceModel
 from .ratmath import Rat
 
 
 class NotPseudoeffective(ArithmeticError):
     """No Zariski decomposition exists within the candidate curve set."""
-
-
-class InconsistencyError(ArithmeticError):
-    """An internal cross-check failed: the two computation routes, a
-    theorem hypothesis check or a certificate disagreed; results cannot
-    be trusted."""
 
 
 class DecompositionError(InconsistencyError):

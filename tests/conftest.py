@@ -20,12 +20,12 @@ import pytest
 
 from kedge.closedforms import CASE_C1_FIRST, CASE_C2_FIRST, CASE_N_GE_M, CASE_N_ZERO
 from kedge.linalg import NotNegativeDefinite
-from kedge.picard import C1TILDE, C2TILDE, Angles, DivisorClass, SurfaceModel
+from kedge.picard import C1TILDE, C2TILDE, Angles, DivisorClass, InconsistencyError, SurfaceModel
 from kedge.ratmath import ONE, ZERO, Rat, isqrt_exact, sign
 from kedge.sampling import MAX_DENOMINATOR, MAX_TRIES, MAX_VALUE
 from kedge.tvariety import legendre_dual
 from kedge.volumes import IrrationalThreshold, PiecewiseQuadratic, QuadraticPiece
-from kedge.zariski import DecompositionError, InconsistencyError, zariski_decompose
+from kedge.zariski import DecompositionError, zariski_decompose
 
 
 @pytest.fixture

@@ -152,7 +152,7 @@ def test_criterion_4_route_agreement(capsys, monkeypatch):
         suite="route-agreement", samples=1, checks=1, passed=False,
         counterexample={"synthetic": True},
     )
-    monkeypatch.setattr(kedge.cli, "run_suites", lambda *a: [failing])
+    monkeypatch.setattr(kedge.verify, "run_suites", lambda *a: [failing])
     with pytest.raises(SystemExit) as excinfo:
         kedge.cli.main(["verify", "--suite", "route-agreement", "--samples", "1"])
     capsys.readouterr()

@@ -355,7 +355,7 @@ class TestInputHandling:
         def sweep(E, params, angles):
             raise AssertionError("swept a curve that has no log discrepancy")
 
-        monkeypatch.setattr("kedge.cli.volume_curve", sweep)
+        monkeypatch.setattr("kedge.volumes.volume_curve", sweep)
         code, out, err = run_cli(capsys, CURVE_ARGS[:-1] + ["PullbackC2"])
         assert (code, out) == (1, "")
         assert err == "error: PullbackC2 is not a prime divisor once points are blown up\n"
@@ -467,7 +467,7 @@ class TestInputHandling:
             raise AssertionError("m above the bound reached the computation")
 
         monkeypatch.setattr("kedge.cli.k_polystable", computed)
-        monkeypatch.setattr("kedge.cli.volume_curve", computed)
+        monkeypatch.setattr("kedge.volumes.volume_curve", computed)
         code, out, err = run_cli(capsys, argv + ["--n", "0", "--m", str(MAX_M + 1)])
         assert_exit_contract(code, err)
         assert code == 1 and out == ""
@@ -545,7 +545,7 @@ class TestInconsistencyExit:
         def boom(E, params, angles):
             raise DecompositionError("support Gram matrix not negative definite (synthetic)")
 
-        monkeypatch.setattr("kedge.cli.volume_curve", boom)
+        monkeypatch.setattr("kedge.volumes.volume_curve", boom)
         code, out, err = run_cli(capsys, CURVE_ARGS)
         assert code == 2
         assert out == ""
@@ -557,7 +557,7 @@ class TestInconsistencyExit:
         raise IrrationalThreshold("threshold is an irrational root (synthetic)")
 
     def test_volume_curve_irrational_threshold_is_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setattr("kedge.cli.volume_curve", self.irrational)
+        monkeypatch.setattr("kedge.volumes.volume_curve", self.irrational)
         assert_one_line_inconsistency(*run_cli(capsys, CURVE_ARGS))
 
     def test_verify_irrational_threshold_is_exit_2(self, capsys, monkeypatch):
@@ -640,7 +640,7 @@ class TestInconsistencyExit:
             suite="halving", samples=1, checks=1, passed=False,
             counterexample={"n": 1},
         )
-        monkeypatch.setattr("kedge.cli.run_suites", lambda *a: [failing])
+        monkeypatch.setattr("kedge.verify.run_suites", lambda *a: [failing])
         code, out, err = run_cli(capsys, ["verify", "--suite", "halving"])
         assert code == 2
         assert json.loads(out)["ok"] is False
@@ -796,6 +796,35 @@ class TestHelpAndImports:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=env, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+    @pytest.mark.parametrize("argv, extra", [
+        (["delta", "--n", "1", "--m", "2", "--beta1", "1/2", "--beta2", "1/3"], ()),
+        (["scan", "--n", "0", "--m", "2", "--beta1-grid", "1/2:1:1/2",
+          "--beta2-grid", "1/3:2/3:1/3"], ()),
+        (["volume-curve", "--n", "1", "--m", "2", "--curve", "E1", "--beta1", "1/2",
+          "--beta2", "1/3"], ("linalg", "volumes", "zariski")),
+        (["verify", "--suite", "halving", "--samples", "1"],
+         tuple(path.stem for path in (SRC / "kedge").glob("*.py") if path.stem != "__init__")),
+    ])
+    def test_subcommand_loads_only_the_modules_it_runs(self, argv, extra):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        script = ("import contextlib, io, sys\n"
+                  "from kedge.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    try:\n"
+                  "        main(sys.argv[1:])\n"
+                  "    except SystemExit as exc:\n"
+                  "        code = exc.code\n"
+                  "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'kedge'))")
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, env=env, timeout=60)
+        torus = ("cli", "picard", "ratmath", "tvariety", "verdict")
+        loaded = sorted(["kedge", *(f"kedge.{name}" for name in {*torus, *extra})])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"0 {loaded}\n", "")
+
+    def test_suite_names_are_the_registry_names(self):
+        assert cli.SUITE_NAMES == tuple(sorted(SUITES))
 
 
 class TestScanContent:

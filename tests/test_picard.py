@@ -351,6 +351,17 @@ def test_closed_form_curve_pairings_match_intersect():
                     assert table[i].get(j, 0) == expected, (n, m, c1, c2)
 
 
+def test_closed_form_candidate_coordinates_match_class_of():
+    # Every nonzero (index, coordinate) of each candidate's class, in
+    # coordinate order, as ``class_of`` spells the class.
+    surfaces = [(n, m) for n in range(9) for m in range(13)] + [(0, 200), (3, 200)]
+    for n, m in surfaces:
+        model = SurfaceModel(n, m)
+        expected = tuple(tuple((j, x) for j, x in enumerate(model.class_of(c).num) if x)
+                         for c in model.candidates)
+        assert model.candidate_coordinates == expected, (n, m)
+
+
 @given(
     st.integers(min_value=0, max_value=6),
     st.lists(small_rats, min_size=2, max_size=8),

@@ -21,12 +21,12 @@ from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 import kedge.tvariety
-from kedge.picard import PULLBACK_C2, Angles, Ei, FiTilde, SurfaceModel, SurfaceParams
+from kedge.picard import (PULLBACK_C2, Angles, Ei, FiTilde, InconsistencyError, SurfaceModel,
+                          SurfaceParams)
 from kedge.ratmath import ONE, ZERO, Rat, sign
 from kedge.sampling import sample_angles, sample_surface
 from kedge.tvariety import delta_tvariety, legendre_dual
 from kedge.verdict import NotFound, rational_condition_point
-from kedge.zariski import InconsistencyError
 
 HALF = rat(1, 2)
 
