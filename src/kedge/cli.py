@@ -37,6 +37,8 @@ MAX_M = 200
 MAX_POINTS = 10_000
 # Most points in one scan grid: every row is buffered before it is written.
 MAX_SCAN_POINTS = 1_000_000
+# Most characters read from a --config file.
+MAX_CONFIG_CHARS = 1_000_000
 # The names of ``verify.SUITES``, sorted, spelled here so that building the
 # option table does not import the suites.
 SUITE_NAMES = ("halving", "lemmas", "route-agreement", "zariski-oracle")
@@ -167,7 +169,7 @@ def cmd_delta(n, m, beta1, beta2, approx, accept_decimal, output):
     )
     # One entry per S_m orbit, formatted once and listed under each name.
     for orbit in verdict.report.orbits:
-        term = verdict.report.orbit_term(orbit, orbit.name)
+        term = verdict.report.orbit_term(orbit)
         ratio = term.ratio
         entry = {"A": format_rat(term.A), "S": format_rat(term.S), "ratio": format_rat(ratio)}
         if approx:
@@ -445,10 +447,13 @@ def _load_config(path: str) -> dict[str, str]:
     known = {option.dest for _, options, _ in COMMANDS.values() for option in options}
     defaults = {}
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        with Path(path).open(encoding="utf-8") as handle:
+            text = handle.read(MAX_CONFIG_CHARS + 1)
     except (OSError, ValueError) as exc:
         _user_error(f"cannot read config file: {exc}")
-    for line_no, line in enumerate(lines, 1):
+    if len(text) > MAX_CONFIG_CHARS:
+        _user_error(f"config file too large (over {MAX_CONFIG_CHARS} characters)")
+    for line_no, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -120,37 +120,22 @@ def closed_form_S(E, model, angles) -> Rat | None:
     return Rat(den + inner, den)
 
 
-def normalize_pieces(raw) -> tuple:
-    """Merge neighbours with the same quadratic and support: at degenerate
+def _freeze(L, walls, chambers) -> PiecewiseQuadratic:
+    """One piece per chamber of nonzero width between consecutive walls
+    (integers over L), its thunk evaluated only then.  A piece with the
+    same quadratic and support as the one before extends it: at degenerate
     parameters (``m = 0`` for the sections, small n or m for ``E_i``) a
     closed-form wall separates two chambers that are one."""
     pieces: list[QuadraticPiece] = []
-    for piece in raw:
-        if pieces:
-            prev = pieces[-1]
-            same = (
-                prev.x_hi == piece.x_lo
-                and (prev.q0, prev.q1, prev.q2) == (piece.q0, piece.q1, piece.q2)
-                and prev.negative_support == piece.negative_support
-            )
-            if same:
-                pieces[-1] = prev._replace(x_hi=piece.x_hi)
-                continue
-        pieces.append(piece)
-    return tuple(pieces)
-
-
-def _freeze(L, walls, chambers) -> PiecewiseQuadratic:
-    """One piece per chamber of nonzero width between consecutive walls
-    (integers over L), its thunk evaluated only then; neighbours that are
-    one chamber merge."""
-    ends = [Rat(wall, L) for wall in walls]
-    pieces = [
-        QuadraticPiece(lo, hi, *quadratic(), support)
-        for (lo, hi), (quadratic, support) in zip(pairwise(ends), chambers, strict=True)
-        if lo != hi
-    ]
-    return PiecewiseQuadratic(pieces=normalize_pieces(pieces))
+    for (lo, hi), (quadratic, support) in zip(pairwise(walls), chambers, strict=True):
+        if lo == hi:
+            continue
+        piece = QuadraticPiece(Rat(lo, L), Rat(hi, L), *quadratic(), support)
+        if pieces and piece[2:] == pieces[-1][2:]:  # same q0, q1, q2 and support
+            pieces[-1] = pieces[-1]._replace(x_hi=piece.x_hi)
+        else:
+            pieces.append(piece)
+    return PiecewiseQuadratic(pieces=tuple(pieces))
 
 
 def closed_form_volume_curve(E, model, angles) -> PiecewiseQuadratic | None:

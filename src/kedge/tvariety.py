@@ -55,8 +55,9 @@ and VOL = sum W_i, FM = sum X_i W_i and HS2 = sum G_i W_i are 6 L^2 vol,
 6 L^3 (first moment) and 12 L^3 (half square).  So the barycenter is
 bc = FM / (L VOL), each cross term is bc_p = (HS2 - 2 sum L Psi_p(x_i) W_i)
 / (2 L VOL), every S of the delta minimum is an integer numerator over
-2 L VOL, and the Futaki sign is -sign(FM).  ``DualData`` holds these
-integers only; a reader divides by the power of L it needs.
+2 L VOL, and the Futaki sign is -sign(FM).  ``DualData`` holds L, the
+scaled duals, W, VOL, FM and HS2, integers only (X and G are read off L,
+the angles and the duals); a reader divides by the power of L it needs.
 
 The delta minimum stays on integers too, with one record per S_m orbit.
 Each A is beta1, beta2 or 1, so L A is P1, P2 or L, and
@@ -111,16 +112,14 @@ _CERTIFICATE_ANGLES = (Angles(1, 1), Angles(2, 1), Angles(1, 2))
 
 
 class DualData(NamedTuple):
-    """Legendre duals of h and deg Psi at x = X / L, with the hat weights of
-    deg Psi and the integrals read off them, as the integers of the module
-    docstring; each field's comment gives its scale."""
+    """Legendre duals of h at x = X / L, the hat weights of deg Psi and the
+    integrals read off them, as the integers of the module docstring; each
+    field's comment gives its scale."""
 
     L: int  # lcm of the angles' denominators
-    X: tuple  # L x = (-P1, 0, P2)
     PSI_P0: tuple  # L Psi_p0(x)
     PSI_MARKED: tuple  # L Psi_pi(x), common to every p_i, i >= 1
     PSI_GENERIC: tuple  # L Psi_generic(x)
-    G: tuple  # L deg Psi(x) = PSI_P0 + m PSI_MARKED
     W: tuple  # 6 L^2 w, w_i = integral of phi_i * deg Psi
     VOL: int  # 6 L^2 vol = sum W_i
     FM: int  # 6 L^3 first moment = sum X_i W_i
@@ -163,18 +162,17 @@ def legendre_dual(model: SurfaceModel, angles: Angles) -> DualData:
         duals.append((lo, mid, hi))
     p0, marked, generic = duals
     m = model.m
-    G = g0, g1, g2 = p0[0] + m * marked[0], p0[1] + m * marked[1], p0[2] + m * marked[2]
+    g0, g1, g2 = p0[0] + m * marked[0], p0[1] + m * marked[1], p0[2] + m * marked[2]
     w0 = p1 * (2 * g0 + g1)
     w1 = p1 * (g0 + 2 * g1) + p2 * (2 * g1 + g2)
     w2 = p2 * (g1 + 2 * g2)
-    return DualData(L, (-p1, 0, p2), p0, marked, generic, G, (w0, w1, w2),
+    return DualData(L, p0, marked, generic, (w0, w1, w2),
                     w0 + w1 + w2, p2 * w2 - p1 * w0, g0 * w0 + g1 * w1 + g2 * w2)
 
 
 class ValuationTerm(NamedTuple):
-    """One competitor in the delta minimum: named valuation with A, S, A/S."""
+    """One competitor in the delta minimum: a valuation's A, S and A/S."""
 
-    name: str
     A: object
     S: object
 
@@ -229,16 +227,16 @@ class DeltaReport(NamedTuple):
         return tuple(name for orbit in self.orbits if orbit.a * s_min == a_min * orbit.s
                      for name in orbit.names())
 
-    def orbit_term(self, orbit: Orbit, name: str) -> ValuationTerm:
-        """The term of ``name``, one of ``orbit``'s names."""
-        return ValuationTerm(name, orbit.A, Rat(orbit.s, 2 * self.dual.L * self.dual.VOL))
+    def orbit_term(self, orbit: Orbit) -> ValuationTerm:
+        """The term shared by every name in ``orbit``."""
+        return ValuationTerm(orbit.A, Rat(orbit.s, 2 * self.dual.L * self.dual.VOL))
 
     def term(self, name: str) -> ValuationTerm:
         """The term of ``name``, from the orbit that lists it; KeyError for
         a name with no term on this surface."""
         for orbit in self.orbits:
             if name in orbit.names():
-                return self.orbit_term(orbit, name)
+                return self.orbit_term(orbit)
         raise KeyError(name)
 
 

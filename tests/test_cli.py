@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import kedge.tvariety
 from kedge import cli
-from kedge.cli import COMMANDS, GROUP, HELP, MAX_M, MAX_SCAN_POINTS, main
+from kedge.cli import COMMANDS, GROUP, HELP, MAX_CONFIG_CHARS, MAX_M, MAX_SCAN_POINTS, main
 from kedge.picard import Angles, SurfaceModel
 from kedge.ratmath import format_rat
 from kedge.tvariety import DualData, legendre_dual
@@ -730,6 +730,20 @@ class TestConfigAndOutput:
         assert (code, out) == (1, "")
         assert_exit_contract(code, err)
         assert "cannot read config file" in err
+
+    def test_config_size_bound(self, capsys, tmp_path):
+        # A file of MAX_CONFIG_CHARS characters is read; one more and it is
+        # refused before its lines are parsed.
+        cfg = tmp_path / "kedge.cfg"
+        lines = "n = 0\nm = 2\nbeta1 = 1/2\nbeta2 = 1/2\n#"
+        cfg.write_text(lines + "x" * (MAX_CONFIG_CHARS - len(lines)), encoding="utf-8")
+        code, out, _ = run_cli(capsys, ["--config", str(cfg), "delta"])
+        assert code == 0
+        assert out == (GOLDEN / "delta_f0_blow2_half.json").read_text(encoding="utf-8")
+        cfg.write_text(lines + "x" * (MAX_CONFIG_CHARS + 1 - len(lines)), encoding="utf-8")
+        code, out, err = run_cli(capsys, ["--config", str(cfg), "delta"])
+        assert (code, out) == (1, "")
+        assert err == f"error: config file too large (over {MAX_CONFIG_CHARS} characters)\n"
 
     def test_output_under_a_regular_file(self, capsys, tmp_path):
         blocker = tmp_path / "F"

@@ -11,6 +11,15 @@ that only ``__init__`` re-exports is not referenced.  Dunder methods are
 called by the language and dunder names are read by it; the allow-list holds
 documented library entry points that the package itself does not call and the
 names that only the benchmark reads.
+
+No record keeps a field that nothing reads: every annotated field of a
+``NamedTuple`` or dataclass in ``src/kedge`` is read as an attribute
+(``x.field``) somewhere in ``src/kedge``.  The check goes by name, so a
+field is kept by a read of any attribute of that name, on whatever object:
+a second record's ``name`` field would pass here on the reads of
+``Orbit.name`` alone, and such a field is found by hand.
+``RECORDS_ALLOWED`` holds the records that are written out whole (through
+``_asdict()``), so none of their fields is read by name.
 """
 
 import ast
@@ -24,6 +33,9 @@ ALLOWED = {
     "ratmath.RAT_BACKEND",
     "picard.SurfaceParams",
 }
+
+# module.Class: records written out whole, field by field, through ``_asdict()``.
+RECORDS_ALLOWED = {"verify.SuiteResult"}
 
 
 def _is_dunder(name: str) -> bool:
@@ -73,10 +85,44 @@ def _unreferenced(trees) -> set:
     return unreferenced
 
 
+def _trees() -> dict:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A ``NamedTuple`` subclass or a ``@dataclass`` (called or not)."""
+    bases = {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
+    decorators = {getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+                  for d in node.decorator_list}
+    return "NamedTuple" in bases or "dataclass" in decorators
+
+
+def _unread_fields(trees) -> set:
+    """module.Class.field of every annotated record field that no
+    ``x.field`` read names."""
+    attributes = {name for tree in trees.values()
+                  for _, name, attribute in _reads(tree) if attribute}
+    return {f"{module}.{node.name}.{item.target.id}"
+            for module, tree in trees.items()
+            for node in tree.body if isinstance(node, ast.ClassDef) and _is_record(node)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            and item.target.id not in attributes}
+
+
 def test_every_function_is_referenced_in_src():
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     unreferenced = _unreferenced(trees)
     assert sorted(unreferenced - ALLOWED) == []
     # The allow-list names only what exists and is otherwise unreferenced.
     assert ALLOWED <= unreferenced
+
+
+def test_every_record_field_is_read_in_src():
+    unread = _unread_fields(_trees())
+    records = {field.rpartition(".")[0] for field in unread}
+    assert sorted(field for field in unread
+                  if field.rpartition(".")[0] not in RECORDS_ALLOWED) == []
+    # The allow-list names only records that exist and have an unread field.
+    assert RECORDS_ALLOWED <= records

@@ -423,6 +423,6 @@ class TestCertification:
             _check(False, "delta = {}", 3)
 
     def test_valuation_term_ratio(self):
-        t = ValuationTerm("E1", A=rat(3, 2), S=rat(3, 4))
+        t = ValuationTerm(A=rat(3, 2), S=rat(3, 4))
         assert t.ratio == 2
         assert t._replace(S=rat(1, 2)).ratio == 3

@@ -198,6 +198,10 @@ MUTANTS = (
     ("closed-c1-c2-k", "closedforms.py",
      "_square(m - 1, (m - n) * (n - 1), 2 * L, L)",
      "_square(m, (m - n) * (n - 1), 2 * L, L)"),
+    # The --config size bound.
+    ("config-size-bound-off", "cli.py",
+     "if len(text) > MAX_CONFIG_CHARS:",
+     "if False:"),
 )
 
 IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__")
