@@ -6,7 +6,9 @@ are drawn as exact rationals: denominator uniform in 1..64, numerator
 uniform in 1..4*denominator, rejected until the pair lands in the ample
 range (and in the extra validity range of a requested closed-form case).
 The ample test runs on the drawn integers, by cross-multiplication, before
-any rational exists: only the accepted pair becomes ``Angles``.
+any rational exists: only the accepted pair becomes ``Angles``.  The angle
+draws are ``rng.randint(1, w)``'s, call for call, made on ``rng.getrandbits``
+by ``draw_up_to`` without ``randint``'s argument checks.
 """
 
 from __future__ import annotations
@@ -32,6 +34,18 @@ MAX_TRIES = 10_000  # rejection-sampling draws before giving up
 LEMMA_CASES = (C1TILDE, C2TILDE, CASE_N_GE_M, CASE_C1_FIRST, CASE_C2_FIRST, CASE_N_ZERO)
 
 
+def draw_up_to(getrandbits, w: int) -> int:
+    """``rng.randint(1, w)`` for w >= 1 and ``getrandbits = rng.getrandbits``,
+    with the same draws and the same state after: CPython draws
+    w.bit_length() bits until they fall below w (its
+    ``Random._randbelow_with_getrandbits``) and adds 1."""
+    k = w.bit_length()
+    r = getrandbits(k)
+    while r >= w:
+        r = getrandbits(k)
+    return r + 1
+
+
 def sample_angles(rng: random.Random, model: SurfaceModel) -> Angles:
     """Rejection-sample an angle pair in the ample range of ``model``.
 
@@ -40,12 +54,12 @@ def sample_angles(rng: random.Random, model: SurfaceModel) -> Angles:
     (m - n) p2 < 2 d2 (m > n), as ``ample_range_violation`` states it.
     """
     k1, k2 = model.n, model.m - model.n
-    randint = rng.randint
+    bits = rng.getrandbits
     for _ in range(MAX_TRIES):
-        d1 = randint(1, MAX_DENOMINATOR)
-        p1 = randint(1, MAX_VALUE * d1)
-        d2 = randint(1, MAX_DENOMINATOR)
-        p2 = randint(1, MAX_VALUE * d2)
+        d1 = draw_up_to(bits, MAX_DENOMINATOR)
+        p1 = draw_up_to(bits, MAX_VALUE * d1)
+        d2 = draw_up_to(bits, MAX_DENOMINATOR)
+        p2 = draw_up_to(bits, MAX_VALUE * d2)
         if (k1 <= 0 or k1 * p1 < 2 * d1) and (k2 <= 0 or k2 * p2 < 2 * d2):
             return Angles(Rat(p1, d1), Rat(p2, d2))
     raise RuntimeError(f"could not sample ample angles for {model}")

@@ -29,6 +29,9 @@ independent oracle.  Every solve and definiteness test goes through the one
 fraction-free elimination in ``linalg``: growth factors each round's
 support afresh, the oracle's depth-first walk borders the parent set's
 factor by one row per extension and solves on it, both from the table.
+The walk depends only on (n, m): it runs once per surface in a process,
+and the family it builds is kept in a cache bounded like the candidate
+tables (``picard.SHARED_SURFACES`` surfaces); each call solves afresh.
 Curves are candidate indices throughout; the column D.C comes from
 ``SurfaceModel.pairings``.  ``_certify`` pairs through the generic
 ``intersect`` instead, and ``is_negative_definite`` factors the integer
@@ -37,10 +40,12 @@ the table's closed forms.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .linalg import EMPTY_FACTOR, NotNegativeDefinite, border, factorize, solve_factored
-from .picard import C1TILDE, C2TILDE, DivisorClass, InconsistencyError, SurfaceModel
+from .picard import (C1TILDE, C2TILDE, SHARED_SURFACES, DivisorClass, InconsistencyError,
+                     SurfaceModel)
 from .ratmath import Rat
 
 
@@ -84,9 +89,12 @@ def is_negative_definite(model: SurfaceModel, curves) -> bool:
     return True
 
 
-def negative_definite_supports(model: SurfaceModel):
+@lru_cache(maxsize=SHARED_SURFACES)
+def negative_definite_supports(model: SurfaceModel) -> tuple:
     """Every negative-definite set of candidate indices with the
-    fraction-free factor of its Gram matrix, as (indices, factor), the empty set first.
+    fraction-free factor of its Gram matrix, as (indices, factor) tuples,
+    the empty set first; built once per surface (n, m) and shared, like
+    the candidate tables.
 
     Depth first in candidate order, extending only negative-definite
     sets: the family is closed under subsets (principal submatrices of a
@@ -104,9 +112,9 @@ def negative_definite_supports(model: SurfaceModel):
                 grown = border(factor, *_bordering(table, c, position))
             except NotNegativeDefinite:
                 continue
-            yield from extend(subset + [c], grown, c + 1)
+            yield from extend(subset + (c,), grown, c + 1)
 
-    return extend([], EMPTY_FACTOR, 0)
+    return tuple(extend((), EMPTY_FACTOR, 0))
 
 
 def _bordering(table, c, position):

@@ -11,6 +11,7 @@ from kedge.sampling import (
     LEMMA_CASES,
     MAX_DENOMINATOR,
     MAX_VALUE,
+    draw_up_to,
     sample_angles,
     sample_case_input,
     sample_divisor_class,
@@ -23,6 +24,17 @@ def test_rational_bounds(rng):
         x = reference_sample_rational(rng)
         assert 0 < x <= MAX_VALUE
         assert x.denominator <= MAX_DENOMINATOR
+
+
+def test_draw_is_randint_call_for_call():
+    # The angle draws' kernel: if a CPython changes randint's draws, this
+    # fails before any golden or pinned digest does.
+    for seed in range(20):
+        drawn, reference = random.Random(seed), random.Random(seed)
+        bits = drawn.getrandbits
+        for w in range(1, 257):
+            assert draw_up_to(bits, w) == reference.randint(1, w), (seed, w)
+            assert drawn.getstate() == reference.getstate(), (seed, w)
 
 
 @pytest.mark.parametrize("n", range(7))

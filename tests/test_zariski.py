@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import common_denominator, divisor, gram, negative_definite_families, rat, signature, volume
+from kedge.linalg import factorize
 from kedge.picard import (
     Angles,
     C1TILDE,
@@ -10,6 +11,7 @@ from kedge.picard import (
     Ei,
     FiTilde,
     GENERIC_FIBER,
+    SHARED_SURFACES,
     SurfaceModel,
 )
 from kedge.ratmath import Rat
@@ -365,7 +367,7 @@ class TestPrunedOracle:
         model = SurfaceModel(n, 4)
         supports = [s for s, _factor in negative_definite_supports(model)]
         assert len(supports) == count
-        assert supports[0] == []
+        assert supports[0] == ()
         candidates = model.candidates
         every_subset = (
             [i for i in range(len(candidates)) if mask >> i & 1]
@@ -383,6 +385,39 @@ class TestPrunedOracle:
         for n, count in enumerate(counts):
             supports = [tuple(s) for s, _factor in negative_definite_supports(SurfaceModel(n, m))]
             assert len(set(supports)) == len(supports) == count, (n, m)
+
+    def test_family_is_shared_by_equal_models(self):
+        first, second = SurfaceModel(2, 3), SurfaceModel(2, 3)
+        assert first is not second
+        assert negative_definite_supports(first) is negative_definite_supports(second)
+        assert negative_definite_supports(SurfaceModel(3, 3)) is not negative_definite_supports(first)
+
+    def test_family_cache_is_bounded(self):
+        cache = negative_definite_supports
+        for n in range(SHARED_SURFACES + 5):
+            cache(SurfaceModel(n, 1))
+        info = cache.cache_info()
+        assert (info.maxsize, info.currsize) == (SHARED_SURFACES, SHARED_SURFACES)
+        # The least recently built surface was dropped: a new model of it
+        # builds again, and the most recent one is read from the cache.
+        cache(SurfaceModel(0, 1))
+        cache(SurfaceModel(SHARED_SURFACES + 4, 1))
+        after = cache.cache_info()
+        assert (after.misses - info.misses, after.hits - info.hits) == (1, 1)
+
+    def test_family_factors_are_those_of_the_gram_matrices(self):
+        # Every set and factor is a tuple (shared, so immutable), and each
+        # bordered factor is the one factorize forms from the set's Gram
+        # matrix, paired through the classes by the generic intersect.
+        for m in range(6):
+            for n in range(m + 1):
+                model = SurfaceModel(n, m)
+                classes = [model.class_of(c) for c in model.candidates]
+                for subset, factor in negative_definite_supports(model):
+                    assert type(subset) is tuple and type(factor) is tuple, (n, m, subset)
+                    matrix = gram(model, [classes[c] for c in subset])
+                    expected = factorize([[int(x) for x in row] for row in matrix])
+                    assert factor == expected, (n, m, subset)
 
     @pytest.mark.parametrize("m", [5, 6])
     def test_oracle_agrees_with_growth_at_m5_m6(self, rng, m):

@@ -202,6 +202,14 @@ MUTANTS = (
     ("config-size-bound-off", "cli.py",
      "if len(text) > MAX_CONFIG_CHARS:",
      "if False:"),
+    # The verify battery's inputs and its oracle's family: randint's
+    # rejection bound, and a walk that skips the next candidate.
+    ("sampler-reject-bound", "sampling.py",
+     "while r >= w:",
+     "while r > w:"),
+    ("oracle-family-start", "zariski.py",
+     "yield from extend(subset + (c,), grown, c + 1)",
+     "yield from extend(subset + (c,), grown, c + 2)"),
 )
 
 IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__")
