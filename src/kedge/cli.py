@@ -181,7 +181,7 @@ def cmd_delta(n, m, beta1, beta2, approx, accept_decimal, output):
 
 def cmd_volume_curve(n, m, curve, beta1, beta2, approx, accept_decimal, output):
     """Piecewise-quadratic volume curve x -> vol(-K - x C) for one curve."""
-    from .volumes import log_discrepancy, volume_curve
+    from .volumes import expected_vanishing_order, log_discrepancy, volume_curve
 
     model = _parse_surface(n, m)
     angles = _parse_angles(beta1, beta2, accept_decimal)
@@ -196,14 +196,15 @@ def cmd_volume_curve(n, m, curve, beta1, beta2, approx, accept_decimal, output):
     _ensure_ample(model, angles)
     try:
         a_value = log_discrepancy(curve, model, angles)
-        pq = volume_curve(curve, model, angles)
-        s_value = pq.expected_vanishing_order()
+        pieces = volume_curve(curve, model, angles)
+        s_value = expected_vanishing_order(pieces)
     except ValueError as exc:
         _user_error(str(exc))
-    report = point_header(model, angles, curve=curve, tau=format_rat(pq.tau),
+    tau = pieces[-1].x_hi
+    report = point_header(model, angles, curve=curve, tau=format_rat(tau),
                           A=format_rat(a_value), S=format_rat(s_value))
     if approx:
-        report["tau_approx"] = float(pq.tau)
+        report["tau_approx"] = float(tau)
         report["S_approx"] = float(s_value)
     report["pieces"] = [
         {
@@ -214,7 +215,7 @@ def cmd_volume_curve(n, m, curve, beta1, beta2, approx, accept_decimal, output):
             "q2": format_rat(piece.q2),
             "negative_support": list(piece.negative_support),
         }
-        for piece in pq.pieces
+        for piece in pieces
     ]
     _dump(report, output)
 

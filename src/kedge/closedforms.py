@@ -26,8 +26,9 @@ entered alone is one formula, the ``E-c2-first`` middle chamber, which is
 also the ``E-n0`` third chamber at ``n = 0``.  Two of the regimes carry an
 extra inequality on the angles (the second wall must sit to the right of
 the first); outside that range :func:`closed_form_volume_curve` returns
-``None`` and only the sweep applies.  Each S is one ``Rat`` over 3 L V,
-with V = L^2 vol(-K_Delta).
+``None`` and only the sweep applies.  A curve is returned as the tuple of
+its ``QuadraticPiece``s, the form the sweep returns, so the two compare
+with ``==``.  Each S is one ``Rat`` over 3 L V, with V = L^2 vol(-K_Delta).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from itertools import pairwise
 
 from .picard import C1TILDE, C2TILDE
 from .ratmath import Rat
-from .volumes import PiecewiseQuadratic, QuadraticPiece
+from .volumes import QuadraticPiece
 
 
 def _quadratic(a0, a1, a2, L, d=1):
@@ -120,7 +121,7 @@ def closed_form_S(E, model, angles) -> Rat | None:
     return Rat(den + inner, den)
 
 
-def _freeze(L, walls, chambers) -> PiecewiseQuadratic:
+def _freeze(L, walls, chambers) -> tuple:
     """One piece per chamber of nonzero width between consecutive walls
     (integers over L), its thunk evaluated only then.  A piece with the
     same quadratic and support as the one before extends it: at degenerate
@@ -135,10 +136,10 @@ def _freeze(L, walls, chambers) -> PiecewiseQuadratic:
             pieces[-1] = pieces[-1]._replace(x_hi=piece.x_hi)
         else:
             pieces.append(piece)
-    return PiecewiseQuadratic(pieces=tuple(pieces))
+    return tuple(pieces)
 
 
-def closed_form_volume_curve(E, model, angles) -> PiecewiseQuadratic | None:
+def closed_form_volume_curve(E, model, angles) -> tuple | None:
     """The curve ``x -> vol(-K - x E)`` assembled from the closed forms.
 
     Returns ``None`` for curves or angle ranges the closed forms do not

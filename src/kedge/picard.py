@@ -45,7 +45,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .ratmath import Rat, format_rat
+from .ratmath import Rat, format_rat, parse_rat
 
 
 class OutsideAmpleRange(ValueError):
@@ -64,8 +64,9 @@ class Angles:
 
     Both angles must be positive.  Values above 1 are accepted (the
     formulas stay exact rational functions).  An angle is an int, a
-    Fraction (kept as it is) or a string that Fraction reads exactly
-    ("p/q", "0.1"); a float is refused, since it holds a binary value
+    Fraction (kept as it is) or a string that ``ratmath.parse_rat`` reads
+    with decimals accepted, the CLI's literal grammar and bounds ("p/q",
+    "0.1", "1e-3"); a float is refused, since it holds a binary value
     (0.1 is 3602879701896397/2**55).
 
     ``scaled`` is the angles' integer form (L, P1, P2), formed once:
@@ -82,7 +83,8 @@ class Angles:
         for beta in betas:
             if isinstance(beta, float):
                 raise ValueError(f'angle {beta!r} is a binary float; pass it exactly, as "p/q"')
-        b1, b2 = [beta if isinstance(beta, Rat) else Rat(beta) for beta in betas]
+        b1, b2 = [parse_rat(beta, accept_decimal=True) if isinstance(beta, str)
+                  else beta if isinstance(beta, Rat) else Rat(beta) for beta in betas]
         object.__setattr__(self, "beta1", b1)
         object.__setattr__(self, "beta2", b2)
         q1, q2 = b1.denominator, b2.denominator

@@ -32,9 +32,12 @@ P1 < 0 in the same scales, and its root is (P0 - u L P1) / (-v L P1).
 The least root is the next wall: roots are compared by
 cross-multiplication, and every curve that reaches the least one starts
 the next chamber's growth.  Each chamber becomes one ``QuadraticPiece``
-with q0 = c0 / (s L^2), q1 = c1 / (s L) and q2 = c2 / s, integrated in
-closed form; the pieces' integrals sum to one integer numerator over one
-denominator: one division per curve.  ``_certify_curve`` checks that the support grew strictly
+with q0 = c0 / (s L^2), q1 = c1 / (s L) and q2 = c2 / s, and the volume
+curve is the tuple of its pieces.  S is computed from the pieces by
+``expected_vanishing_order``: each piece is integrated in closed form,
+the integrals sum to one integer numerator over one denominator, and
+one division by the first piece's q0 = vol(-K_Delta) ends it.
+``_certify_curve`` checks that the support grew strictly
 at every wall, so no two chambers ever merge.  The first chamber's
 support is empty, because -K_Delta is ample, so the first piece is
 D(x)^2 itself: the certificate compares its q0 with (-K_Delta)^2 and its
@@ -62,7 +65,8 @@ class IrrationalThreshold(InconsistencyError):
 
 
 class QuadraticPiece(NamedTuple):
-    """Public piece of a volume curve: interval, quadratic, support."""
+    """One chamber of a volume curve, which is the tuple of its pieces in
+    order, partitioning [0, tau]: interval, quadratic, support."""
 
     x_lo: object
     x_hi: object
@@ -71,47 +75,37 @@ class QuadraticPiece(NamedTuple):
     q2: object
     negative_support: tuple  # curve names
 
-    def integral_terms(self) -> tuple:
-        """Exact integral of the quadratic over [x_lo, x_hi],
-        q0 D1 + q1 D2 / 2 + q2 D3 / 3 where Dk = x_hi^k - x_lo^k, as an
-        integer numerator and a positive integer denominator.
 
-        With qk = nk / dk, B the product of the endpoints' denominators,
-        X = B x_hi and Y = B x_lo, it is (X - Y) (6 n0 d1 d2 B^2
-        + 3 n1 d0 d2 B (X + Y) + 2 n2 d0 d1 (X^2 + X Y + Y^2)) over
-        6 d0 d1 d2 B^3."""
-        lo, hi, q0, q1, q2 = self.x_lo, self.x_hi, self.q0, self.q1, self.q2
-        B = lo.denominator * hi.denominator
-        X, Y = hi.numerator * lo.denominator, lo.numerator * hi.denominator
-        n0, d0, n1, d1 = q0.numerator, q0.denominator, q1.numerator, q1.denominator
-        n2, d2 = q2.numerator, q2.denominator
-        inner = (6 * n0 * d1 * d2 * B * B + 3 * n1 * d0 * d2 * B * (X + Y)
-                 + 2 * n2 * d0 * d1 * (X * X + X * Y + Y * Y))
-        return (X - Y) * inner, 6 * d0 * d1 * d2 * B * B * B
+def _piece_integral(piece: QuadraticPiece) -> tuple:
+    """Exact integral of the quadratic over [x_lo, x_hi],
+    q0 D1 + q1 D2 / 2 + q2 D3 / 3 where Dk = x_hi^k - x_lo^k, as an
+    integer numerator and a positive integer denominator.
+
+    With qk = nk / dk, B the product of the endpoints' denominators,
+    X = B x_hi and Y = B x_lo, it is (X - Y) (6 n0 d1 d2 B^2
+    + 3 n1 d0 d2 B (X + Y) + 2 n2 d0 d1 (X^2 + X Y + Y^2)) over
+    6 d0 d1 d2 B^3."""
+    lo, hi, q0, q1, q2 = piece.x_lo, piece.x_hi, piece.q0, piece.q1, piece.q2
+    B = lo.denominator * hi.denominator
+    X, Y = hi.numerator * lo.denominator, lo.numerator * hi.denominator
+    n0, d0, n1, d1 = q0.numerator, q0.denominator, q1.numerator, q1.denominator
+    n2, d2 = q2.numerator, q2.denominator
+    inner = (6 * n0 * d1 * d2 * B * B + 3 * n1 * d0 * d2 * B * (X + Y)
+             + 2 * n2 * d0 * d1 * (X * X + X * Y + Y * Y))
+    return (X - Y) * inner, 6 * d0 * d1 * d2 * B * B * B
 
 
-class PiecewiseQuadratic(NamedTuple):
-    """Exact chambered representation of x |-> vol(-K_Delta - x E) on [0, tau]."""
-
-    pieces: tuple  # QuadraticPiece, ordered, partitioning [0, tau]
-
-    @property
-    def tau(self):
-        return self.pieces[-1].x_hi
-
-    def integral(self):
-        """The pieces' integrals summed as one integer numerator over one
-        denominator, and one Rat formed at the end."""
-        num, den = 0, 1
-        for piece in self.pieces:
-            p, q = piece.integral_terms()
-            num, den = num * q + p * den, den * q
-        return Rat(num, den)
-
-    def expected_vanishing_order(self):
-        """S(E) = integral / vol(-K_Delta), for the volume curve of E: the
-        first piece starts at x = 0, so vol(-K_Delta) is its q0."""
-        return self.integral() / self.pieces[0].q0
+def expected_vanishing_order(pieces: tuple):
+    """S(E) = (integral of vol(-K_Delta - x E) over [0, tau]) / vol(-K_Delta),
+    from the volume curve of E.  The pieces' integrals are summed as one
+    integer numerator over one denominator; the first piece starts at
+    x = 0, so vol(-K_Delta) is its q0, and S is the one Rat formed."""
+    num, den = 0, 1
+    for piece in pieces:
+        p, q = _piece_integral(piece)
+        num, den = num * q + p * den, den * q
+    q0 = pieces[0].q0
+    return Rat(num * q0.denominator, den * q0.numerator)
 
 
 def _smallest_root_after(c0, c1, c2, s, L, x0, context: str):
@@ -236,13 +230,12 @@ def _jets(piece: QuadraticPiece, x) -> tuple:
     return w, d0 * d1 * d2, n1 * d2 * v + 2 * n2 * d1 * u
 
 
-def _certify_curve(E: str, model: SurfaceModel, angles: Angles, curve: PiecewiseQuadratic):
+def _certify_curve(E: str, model: SurfaceModel, angles: Angles, pieces: tuple):
     """Cheap exact post-conditions on the volume curve of E: value and
     slope at x = 0, continuity, endpoints, monotonicity, and a negative
     support that grows strictly at every wall (the theorem the sweep
     rests on; it also means no two chambers ever merge).  Values and
     slopes at the endpoints are compared on integers (``_jets``)."""
-    pieces = curve.pieces
     if not pieces or pieces[0].x_lo != 0:
         raise DecompositionError("volume curve must start at x = 0")
     q0, q1 = pieces[0].q0, pieces[0].q1
@@ -271,11 +264,11 @@ def _certify_curve(E: str, model: SurfaceModel, angles: Angles, curve: Piecewise
         raise DecompositionError("volume curve must be nonincreasing")
 
 
-def volume_curve(E: str, model: SurfaceModel, angles: Angles) -> PiecewiseQuadratic:
-    """Exact piecewise-quadratic x |-> vol(-K_Delta - x E) on [0, tau]."""
-    curve = PiecewiseQuadratic(pieces=volume_sweep(E, model, angles))
-    _certify_curve(E, model, angles, curve)
-    return curve
+def volume_curve(E: str, model: SurfaceModel, angles: Angles) -> tuple:
+    """Exact piecewise-quadratic x |-> vol(-K_Delta - x E) on [0, tau], certified."""
+    pieces = volume_sweep(E, model, angles)
+    _certify_curve(E, model, angles, pieces)
+    return pieces
 
 
 def log_discrepancy(E: str, model: SurfaceModel, angles: Angles):

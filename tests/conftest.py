@@ -24,7 +24,7 @@ from kedge.picard import C1TILDE, C2TILDE, Angles, DivisorClass, InconsistencyEr
 from kedge.ratmath import ONE, ZERO, Rat, isqrt_exact, sign
 from kedge.sampling import MAX_DENOMINATOR, MAX_TRIES, MAX_VALUE
 from kedge.tvariety import legendre_dual
-from kedge.volumes import IrrationalThreshold, PiecewiseQuadratic, QuadraticPiece
+from kedge.volumes import IrrationalThreshold, QuadraticPiece
 from kedge.zariski import DecompositionError, zariski_decompose
 
 
@@ -448,16 +448,16 @@ def _reference_normalize(raw) -> tuple:
     return tuple(pieces)
 
 
-def _reference_freeze(walls, chambers) -> PiecewiseQuadratic:
+def _reference_freeze(walls, chambers) -> tuple:
     pieces = [
         QuadraticPiece(lo, hi, *quadratic(), support)
         for (lo, hi), (quadratic, support) in zip(pairwise(walls), chambers, strict=True)
         if lo != hi
     ]
-    return PiecewiseQuadratic(pieces=_reference_normalize(pieces))
+    return _reference_normalize(pieces)
 
 
-def reference_closed_form_volume_curve(E, model, angles) -> PiecewiseQuadratic | None:
+def reference_closed_form_volume_curve(E, model, angles) -> tuple | None:
     model.ensure_ample(angles)
     n, m = model.n, model.m
     b1, b2 = angles.beta1, angles.beta2

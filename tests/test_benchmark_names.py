@@ -7,20 +7,46 @@ The benchmark's files are parsed with ``ast``, never imported: every
 target of ``run.py`` must be the function ``verify.SUITES`` runs under that
 suite's name, the attributes ``child.py``'s ``call`` reads off the CLI
 module must exist, and the term that ``checks.py``'s ``_torus_term`` reads
-``A`` and ``S`` from must carry every attribute it reads.
+``A`` and ``S`` from must carry every attribute it reads.  The names in
+``tracer.py``'s ``LAYERS`` that ``src/kedge`` no longer defines, which the
+tracer skips and lists as missing, must be exactly ``STALE``, so a refactor
+that strands one more traced name fails here.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 from conftest import rat
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
+# layer.name: the traced names that src/kedge does not define.
+STALE = {
+    "verdict.delta_upper_bound",
+    "tvariety.futaki_vanishes", "tvariety.integrate_product",
+    "tvariety.anticanonical_support_function", "tvariety.vol_psi", "tvariety.barycenter",
+    "tvariety.bc_p", "tvariety.pl_min_of_lines", "tvariety.build_fdivisor",
+    "volumes.threshold", "volumes.normalize_pieces",
+    "zariski.volume",
+    "linalg.solve_exact", "linalg.det_exact", "linalg.is_positive_definite",
+    "linalg.is_negative_definite_matrix", "linalg.signature",
+    "ratmath.sqrt_exact",
+    "closedforms.total_volume", "closedforms.angle_bracket",
+}
+
 
 def _tree(name: str) -> ast.Module:
     return ast.parse((PERFBENCH / name).read_text(encoding="utf-8"))
+
+
+def _assigned(name: str, target: str):
+    """The literal value the module-level assignment to ``target`` in the
+    benchmark's file ``name`` holds."""
+    (assign,) = [node for node in _tree(name).body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == target for t in node.targets)]
+    return ast.literal_eval(assign.value)
 
 
 def _resolve(dotted: str):
@@ -63,10 +89,7 @@ def test_every_imported_kedge_name_resolves():
 def test_suite_functions_are_the_registered_suites():
     from kedge.verify import SUITES
 
-    (assign,) = [node for node in _tree("run.py").body if isinstance(node, ast.Assign)
-                 and any(isinstance(t, ast.Name) and t.id == "SUITE_FUNCTIONS"
-                         for t in node.targets)]
-    suite_functions = ast.literal_eval(assign.value)
+    suite_functions = _assigned("run.py", "SUITE_FUNCTIONS")
     assert set(suite_functions) == set(SUITES)
     for suite, target in suite_functions.items():
         assert _resolve(target) is SUITES[suite], (suite, target)
@@ -93,3 +116,18 @@ def test_torus_term_exposes_what_the_sweep_check_reads():
     for curve in ("C1tilde", "E1", "F2tilde", "GenericFiber"):
         term = report.term(curve)
         assert all(hasattr(term, attr) for attr in term_reads), curve
+
+
+def test_stale_traced_names_are_the_listed_ones():
+    # The tracer's rule: ``layer.name`` or ``layer.Class.name`` is traced
+    # when ``vars`` of the module or class holds a function by that name.
+    stale = set()
+    for layer, entries in _assigned("tracer.py", "LAYERS").items():
+        module = importlib.import_module(f"kedge.{layer}")
+        for entry in entries:
+            owner_name, _, attr = entry.rpartition(".")
+            owner = getattr(module, owner_name, None) if owner_name else module
+            if owner is None or not inspect.isfunction(vars(owner).get(attr)):
+                stale.add(f"{layer}.{entry}")
+    assert sorted(stale - STALE) == [], "a traced name is no longer defined"
+    assert sorted(STALE - stale) == [], "a listed stale name is defined again"

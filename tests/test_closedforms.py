@@ -3,7 +3,9 @@ reference (``conftest.reference_closed_form_volume_curve`` and friends):
 the same pieces, S values and ``None`` returns for every candidate curve,
 the generic fiber and, at m = 0, the pulled-back section, over a grid of
 surfaces and small-denominator angles in the ample range, and at each tie
-of the exceptional-curve classification."""
+of the exceptional-curve classification.  At m up to 200, where the
+reference is not run, each oracle curve integrated by the sweep's S
+(``volumes.expected_vanishing_order``) is the oracle's own S."""
 
 import pytest
 from conftest import (reference_classify_exceptional_case, reference_closed_form_S,
@@ -12,8 +14,10 @@ from conftest import (reference_classify_exceptional_case, reference_closed_form
 from kedge.closedforms import (CASE_C1_FIRST, CASE_C2_FIRST, CASE_N_ZERO,
                                classify_exceptional_case, closed_form_S,
                                closed_form_volume_curve)
-from kedge.picard import GENERIC_FIBER, PULLBACK_C2, Angles, SurfaceModel
+from kedge.picard import C1TILDE, C2TILDE, GENERIC_FIBER, PULLBACK_C2, Angles, Ei, SurfaceModel
 from kedge.ratmath import Rat
+from kedge.sampling import LEMMA_CASES
+from kedge.volumes import expected_vanishing_order
 
 # Every p/q in (0, 2] with q <= 3: the grid each angle is drawn from.
 GRID = sorted({Rat(p, q) for q in range(1, 4) for p in range(1, 2 * q + 1)})
@@ -34,17 +38,13 @@ def curves(model) -> tuple:
     return (*model.candidates, *extra)
 
 
-def pieces(curve):
-    return None if curve is None else curve.pieces
-
-
 def assert_matches_reference(model, angles):
     case = classify_exceptional_case(model, angles)
     assert case == reference_classify_exceptional_case(model, angles), (model, angles)
     for curve in curves(model):
         context = (model, angles, curve)
         got = closed_form_volume_curve(curve, model, angles)
-        assert pieces(got) == pieces(reference_closed_form_volume_curve(curve, model, angles)), context
+        assert got == reference_closed_form_volume_curve(curve, model, angles), context
         s = closed_form_S(curve, model, angles)
         assert s == reference_closed_form_S(curve, model, angles), context
         assert s is None or type(s) is Rat
@@ -83,3 +83,36 @@ def test_classification_ties_match_the_reference():
         assert assert_matches_reference(model, angles) == case, (model, angles)
         seen.add(case)
     assert seen == {CASE_N_ZERO, CASE_C1_FIRST, CASE_C2_FIRST}
+
+
+# The angles of the large-m check: fractions of the ample bounds.
+FRACTIONS = (Rat(1, 7), Rat(1, 2), Rat(5, 6), Rat(99, 100))
+
+
+def large_m_axis(k: int) -> list:
+    """FRACTIONS of the ample bound 2/k, or of 2 when the angle has none
+    (k <= 0)."""
+    return [f * Rat(2, max(k, 1)) for f in FRACTIONS]
+
+
+def test_oracle_curves_integrate_to_their_S_at_large_m():
+    # The closed forms hold at every m; here each curve they give, integrated
+    # by the sweep's S, is their own S, for the sections, E1 and Em.
+    seen, compared = set(), 0
+    for m in (20, 50, 120, 200):
+        for n in sorted({0, 1, 3, m // 2, m - 1, m, m + 3}):
+            model = SurfaceModel(n, m)
+            for beta1 in large_m_axis(n):
+                for beta2 in large_m_axis(m - n):
+                    angles = Angles(beta1, beta2)
+                    case = classify_exceptional_case(model, angles)
+                    for curve in (C1TILDE, C2TILDE, Ei(1), Ei(m)):
+                        pieces = closed_form_volume_curve(curve, model, angles)
+                        if pieces is None:
+                            continue
+                        s = expected_vanishing_order(pieces)
+                        assert s == closed_form_S(curve, model, angles), (model, angles, curve)
+                        seen.add(curve if curve in (C1TILDE, C2TILDE) else case)
+                        compared += 1
+    assert seen == set(LEMMA_CASES)
+    assert compared == 1554  # of 1792: the rest lie outside an E_i regime's range

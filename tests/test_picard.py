@@ -27,7 +27,7 @@ from kedge.picard import (
     SurfaceParams,
     parse_curve_id,
 )
-from kedge.ratmath import Rat
+from kedge.ratmath import Rat, RatParseError
 from kedge.volumes import log_discrepancy
 
 small_rats = st.fractions(
@@ -66,6 +66,20 @@ def test_angles_refuse_a_float():
         assert str(raised.value) == f'angle {bad!r} is a binary float; pass it exactly, as "p/q"'
     assert Angles(1, rat(1, 2)) == Angles("1", "1/2") == Angles(rat(1), "0.5")
     assert Angles("0.1", 1).beta1 == rat(1, 10)
+
+
+def test_angles_read_a_string_by_the_literal_grammar():
+    # A string is read as the CLI reads a literal (decimals accepted), so
+    # the CLI's bounds hold: "1e-200000" is refused before Fraction spends
+    # seconds on it, and "1_0" and a non-ASCII digit, which Fraction would
+    # read as 10 and 1, are refused as the CLI refuses them.
+    assert Angles("1", " 1/2 ") == Angles(1, rat(1, 2))
+    assert Angles("0.1", "1e-3") == Angles(rat(1, 10), rat(1, 1000))
+    for bad in ("1e-200000", "1_0", "\u0661", "1/0", " "):
+        with pytest.raises(RatParseError):
+            Angles(bad, "1/2")
+        with pytest.raises(RatParseError):
+            Angles("1/2", bad)
 
 
 @pytest.mark.parametrize("beta1, beta2, shown", [

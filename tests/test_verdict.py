@@ -18,7 +18,7 @@ from kedge.picard import (
     GENERIC_FIBER,
     SurfaceModel,
 )
-from kedge.ratmath import sign
+from kedge.ratmath import RatParseError, sign
 from kedge.sampling import sample_angles, sample_surface
 from kedge.tvariety import Orbit, ValuationTerm, delta_tvariety
 from kedge.verdict import (
@@ -33,7 +33,7 @@ from kedge.verdict import (
     k_polystable,
     rational_condition_point,
 )
-from kedge.volumes import volume_curve
+from kedge.volumes import expected_vanishing_order, volume_curve
 
 from conftest import futaki_vanishes, rat
 
@@ -75,8 +75,8 @@ class TestConditionSign:
             cs = condition_sign(model, angles)
             assert futaki_vanishes(model, angles) == cs
             assert delta_tvariety(model, angles).futaki_sign == cs
-            s1 = volume_curve(C1TILDE, model, angles).expected_vanishing_order()
-            s2 = volume_curve(C2TILDE, model, angles).expected_vanishing_order()
+            s1 = expected_vanishing_order(volume_curve(C1TILDE, model, angles))
+            s2 = expected_vanishing_order(volume_curve(C2TILDE, model, angles))
             assert sign(angles.beta1 - s1) == cs
             assert sign(s2 - angles.beta2) == cs
 
@@ -257,6 +257,18 @@ class TestConditionPoints:
         assert rational_condition_point(SurfaceModel(1, 3), rat(2, 3)) == Angles(
             rat(15, 23), rat(45, 46))
 
+    def test_string_parameter_is_read_by_the_literal_grammar(self):
+        # As Angles reads a string: the CLI's grammar and bounds, decimals
+        # accepted, so "1e-100000" is refused at once instead of reaching
+        # Python's int-digit limit after seconds of arithmetic.
+        model = SurfaceModel(1, 3)
+        assert rational_condition_point(model, " 2/3 ") == rational_condition_point(
+            model, rat(2, 3))
+        assert rational_condition_point(SurfaceModel(1, 2), "0.5") == Angles(HALF, HALF)
+        for bad in ("1e-100000", "1_0", "\u0661"):
+            with pytest.raises(RatParseError):
+                rational_condition_point(model, bad)
+
     def test_diagonal_when_m_is_2n(self):
         # The cubic splits as the diagonal times a conic with no ample point.
         assert rational_condition_point(SurfaceModel(1, 2), HALF) == Angles(HALF, HALF)
@@ -312,7 +324,7 @@ class TestConditionPoints:
             assert v.status == KPOLYSTABLE and v.delta == 1
         curves = [C1TILDE, C2TILDE, GENERIC_FIBER] + ([Ei(1), FiTilde(1)] if m else [])
         for curve in curves:
-            swept = volume_curve(curve, model, angles).expected_vanishing_order()
+            swept = expected_vanishing_order(volume_curve(curve, model, angles))
             assert v.report.term(curve).S == swept
 
 

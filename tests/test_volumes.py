@@ -30,10 +30,11 @@ from kedge.ratmath import Rat
 from kedge.sampling import LEMMA_CASES, sample_angles, sample_case_input, sample_surface
 from kedge.volumes import (
     IrrationalThreshold,
-    PiecewiseQuadratic,
     QuadraticPiece,
     _certify_curve,
+    _piece_integral,
     _smallest_root_after,
+    expected_vanishing_order,
     log_discrepancy,
     volume_curve,
     volume_sweep,
@@ -55,7 +56,7 @@ def piece_value(piece, x):
 
 def threshold(E, params, angles):
     """Pseudoeffective threshold tau: sup{x : -K_Delta - x E is big}."""
-    return volume_curve(E, params, angles).tau
+    return volume_curve(E, params, angles)[-1].x_hi
 
 
 @dataclass(frozen=True)
@@ -183,22 +184,22 @@ def sweep_inputs(draw):
 
 class TestPinnedCurves:
     def test_section_curve_two_pieces(self):
-        pq = volume_curve(C1TILDE, SurfaceModel(0, 2), Angles(HALF, HALF))
-        assert len(pq.pieces) == 2
-        first, second = pq.pieces
+        pieces = volume_curve(C1TILDE, SurfaceModel(0, 2), Angles(HALF, HALF))
+        assert len(pieces) == 2
+        first, second = pieces
         assert (first.x_lo, first.x_hi) == (0, HALF)
         assert (first.q0, first.q1, first.q2) == (rat(7, 2), rat(-4), 0)
         assert first.negative_support == ()
         assert (second.x_lo, second.x_hi) == (HALF, rat(1))
         assert (second.q0, second.q1, second.q2) == (rat(4), rat(-6), rat(2))
         assert second.negative_support == (FiTilde(1), FiTilde(2))
-        assert pq.tau == 1
+        assert pieces[-1].x_hi == 1
 
     def test_exceptional_curve_four_pieces_n0(self):
-        pq = volume_curve(Ei(1), SurfaceModel(0, 2), Angles(rat(1, 4), HALF))
-        assert [p.x_lo for p in pq.pieces] == [0, rat(1, 4), rat(1), rat(2)]
-        assert pq.tau == rat(9, 4)
-        last = pq.pieces[-1]
+        pieces = volume_curve(Ei(1), SurfaceModel(0, 2), Angles(rat(1, 4), HALF))
+        assert [p.x_lo for p in pieces] == [0, rat(1, 4), rat(1), rat(2)]
+        last = pieces[-1]
+        assert last.x_hi == rat(9, 4)
         assert last.negative_support == (C2TILDE, Ei(2), FiTilde(1))
         # (2 + beta1 - x)^2 expanded.
         assert (last.q0, last.q1, last.q2) == (rat(81, 16), rat(-9, 2), rat(1))
@@ -214,23 +215,23 @@ class TestPinnedCurves:
     def test_pinned_S_values(self):
         params = SurfaceModel(0, 2)
         angles = Angles(HALF, HALF)
-        assert volume_curve(C1TILDE, params, angles).expected_vanishing_order() == rat(19, 42)
-        assert volume_curve(C2TILDE, params, angles).expected_vanishing_order() == rat(23, 42)
-        assert volume_curve(Ei(1), params, angles).expected_vanishing_order() == rat(22, 21)
-        assert volume_curve(FiTilde(1), params, angles).expected_vanishing_order() == rat(1)
-        s_generic = volume_curve(GENERIC_FIBER, params, angles).expected_vanishing_order()
+        assert expected_vanishing_order(volume_curve(C1TILDE, params, angles)) == rat(19, 42)
+        assert expected_vanishing_order(volume_curve(C2TILDE, params, angles)) == rat(23, 42)
+        assert expected_vanishing_order(volume_curve(Ei(1), params, angles)) == rat(22, 21)
+        assert expected_vanishing_order(volume_curve(FiTilde(1), params, angles)) == rat(1)
+        s_generic = expected_vanishing_order(volume_curve(GENERIC_FIBER, params, angles))
         assert s_generic == rat(19, 21)
         # At the m = 2 condition point A/S = 1 on both sections and every E_i.
         condition = Angles(rat(63, 128), rat(21, 32))
         for curve in (C1TILDE, C2TILDE, Ei(1), Ei(2)):
             a = log_discrepancy(curve, params, condition)
-            assert volume_curve(curve, params, condition).expected_vanishing_order() == a
+            assert expected_vanishing_order(volume_curve(curve, params, condition)) == a
 
     def test_big_angle_S_value(self):
         # The m=1 condition point has angles above 1; formulas stay exact.
         params = SurfaceModel(0, 1)
         angles = Angles(rat(144, 125), rat(48, 25))
-        assert volume_curve(Ei(1), params, angles).expected_vanishing_order() == rat(202, 175)
+        assert expected_vanishing_order(volume_curve(Ei(1), params, angles)) == rat(202, 175)
 
 
 class TestInvariants:
@@ -238,22 +239,22 @@ class TestInvariants:
     def test_piecewise_structure(self, rng, case):
         for _ in range(8):
             model, angles, curve = sample_case_input(rng, case)
-            pq = volume_curve(curve, model, angles)
+            pieces = volume_curve(curve, model, angles)
             vol = model.self_intersection(model.log_anticanonical(angles))
-            assert pq.pieces[0].x_lo == 0
-            assert piece_value(pq.pieces[0], rat(0)) == vol
-            assert piece_value(pq.pieces[-1], pq.tau) == 0
+            assert pieces[0].x_lo == 0
+            assert piece_value(pieces[0], rat(0)) == vol
+            assert piece_value(pieces[-1], pieces[-1].x_hi) == 0
             # Derivative at 0+ is -2 (-K . E).
             minus_k = model.log_anticanonical(angles)
             pairing = model.intersect(minus_k, model.class_of(curve))
-            assert pq.pieces[0].q1 == -2 * pairing
-            for left, right in zip(pq.pieces, pq.pieces[1:]):
+            assert pieces[0].q1 == -2 * pairing
+            for left, right in zip(pieces, pieces[1:]):
                 assert left.x_hi == right.x_lo
                 assert piece_value(left, left.x_hi) == piece_value(right, right.x_lo)
                 assert left.negative_support != right.negative_support or (
                     (left.q0, left.q1, left.q2) != (right.q0, right.q1, right.q2)
                 )
-            for piece in pq.pieces:
+            for piece in pieces:
                 assert piece.x_lo < piece.x_hi
                 # Nonincreasing: the derivative q1 + 2 q2 x at both endpoints.
                 assert piece.q1 + 2 * piece.q2 * piece.x_lo <= 0
@@ -267,15 +268,15 @@ class TestInvariants:
                 params, angles, curve = sample_case_input(rng, case)
                 expect = closed_form_volume_curve(curve, params, angles)
                 assert expect is not None
-                assert volume_curve(curve, params, angles).pieces == expect.pieces
-                s = volume_curve(curve, params, angles).expected_vanishing_order()
+                assert volume_curve(curve, params, angles) == expect
+                s = expected_vanishing_order(volume_curve(curve, params, angles))
                 assert s == closed_form_S(curve, params, angles)
         # The fiber components have a closed-form S (but no closed-form curve).
         for _ in range(10):
             params = SurfaceModel(rng.randint(0, 6), rng.randint(1, 6))
             angles = sample_angles(rng, params)
             curve = FiTilde(rng.randint(1, params.m))
-            s = volume_curve(curve, params, angles).expected_vanishing_order()
+            s = expected_vanishing_order(volume_curve(curve, params, angles))
             assert s == closed_form_S(curve, params, angles)
         assert closed_form_S(GENERIC_FIBER, params, angles) is None
 
@@ -307,8 +308,8 @@ class TestInvariants:
         for _ in range(25):
             params = sample_surface(rng)
             angles = sample_angles(rng, params)
-            s1 = volume_curve(C1TILDE, params, angles).expected_vanishing_order()
-            s2 = volume_curve(C2TILDE, params, angles).expected_vanishing_order()
+            s1 = expected_vanishing_order(volume_curve(C1TILDE, params, angles))
+            s2 = expected_vanishing_order(volume_curve(C2TILDE, params, angles))
             gap = 2 * angle_bracket(params, angles) / total_volume(params, angles)
             assert angles.beta1 - s1 == gap
             assert s2 - angles.beta2 == gap
@@ -333,7 +334,7 @@ class TestSharedEngine:
             angles = sample_angles(rng, model)
             minus_k = model.log_anticanonical(angles)
             for curve in model.candidates:
-                for piece in volume_curve(curve, model, angles).pieces:
+                for piece in volume_curve(curve, model, angles):
                     x = (piece.x_lo + piece.x_hi) / 2
                     d = minus_k - model.class_of(curve).scale(x)
                     assert zariski_decompose(model, d).support == piece.negative_support
@@ -380,7 +381,7 @@ class TestSharedEngine:
         angles = Angles(HALF, HALF)
         for curve in (*model.candidates, GENERIC_FIBER):
             rounds.clear()
-            assert len(volume_curve(curve, model, angles).pieces) == len(rounds)
+            assert len(volume_curve(curve, model, angles)) == len(rounds)
         d = model.log_anticanonical(angles) - model.class_of(Ei(1)).scale(rat(3, 2))
         rounds.clear()
         assert zariski_decompose(model, d).support
@@ -445,10 +446,10 @@ class TestSharedEngine:
         # The first piece's q0 is d0's closed form; the certificate compares
         # it with (-K_Delta)^2 from the generic intersect.
         model, angles = SurfaceModel(0, 2), Angles(HALF, HALF)
-        first, second = volume_curve(C1TILDE, model, angles).pieces
+        first, second = volume_curve(C1TILDE, model, angles)
         broken = (first._replace(q0=first.q0 + 1), second)
         with pytest.raises(DecompositionError, match=r"must equal \(-K_Delta\)\^2"):
-            _certify_curve(C1TILDE, model, angles, PiecewiseQuadratic(broken))
+            _certify_curve(C1TILDE, model, angles, broken)
 
     def test_certificate_checks_the_slope_at_zero(self):
         # The first chamber's support is empty (-K_Delta is ample), so the
@@ -456,21 +457,21 @@ class TestSharedEngine:
         # generic intersect.  A wrong d1 of 3/2 times the true one, with q0
         # right, would give S = 34139/48204 here instead of 191/206.
         model, angles = SurfaceModel(1, 3), Angles(HALF, rat(1, 3))
-        first, *rest = volume_curve(FiTilde(1), model, angles).pieces
+        first, *rest = volume_curve(FiTilde(1), model, angles)
         broken = (first._replace(q1=first.q1 * rat(3, 2)), *rest)
         with pytest.raises(DecompositionError,
                            match=r"^slope at x = 0 must equal 2 \(-K_Delta\)\.\(-E\)$"):
-            _certify_curve(FiTilde(1), model, angles, PiecewiseQuadratic(broken))
+            _certify_curve(FiTilde(1), model, angles, broken)
 
     def test_certificate_compares_the_whole_volume_at_zero(self):
         # Halving q0 = 7/2 keeps its numerator: the comparison must read
         # both numerator and denominator.
         model, angles = SurfaceModel(0, 2), Angles(HALF, HALF)
-        first, second = volume_curve(C1TILDE, model, angles).pieces
+        first, second = volume_curve(C1TILDE, model, angles)
         assert first.q0 == rat(7, 2)
         broken = (first._replace(q0=first.q0 / 2), second)
         with pytest.raises(DecompositionError, match=r"must equal \(-K_Delta\)\^2"):
-            _certify_curve(C1TILDE, model, angles, PiecewiseQuadratic(broken))
+            _certify_curve(C1TILDE, model, angles, broken)
 
     @pytest.mark.parametrize(
         "left, right",
@@ -481,11 +482,11 @@ class TestSharedEngine:
         # support does not grow strictly is an internal failure.
         model = SurfaceModel(0, 2)
         angles = Angles(HALF, HALF)
-        first, second = volume_curve(C1TILDE, model, angles).pieces
-        _certify_curve(C1TILDE, model, angles, PiecewiseQuadratic((first, second)))
+        first, second = volume_curve(C1TILDE, model, angles)
+        _certify_curve(C1TILDE, model, angles, (first, second))
         broken = (first._replace(negative_support=left), second._replace(negative_support=right))
         with pytest.raises(DecompositionError, match="grow strictly"):
-            _certify_curve(C1TILDE, model, angles, PiecewiseQuadratic(broken))
+            _certify_curve(C1TILDE, model, angles, broken)
 
     @pytest.mark.parametrize("first_changes, second_changes, message", [
         ({"x_lo": rat(1, 4)}, {}, "start at x = 0"),
@@ -501,10 +502,10 @@ class TestSharedEngine:
         # 7/2 - 4x on [0, 1/2], then 4 - 6x + 2x^2 on [1/2, 1]; each change
         # breaks one post-condition and keeps the ones checked before it.
         model, angles = SurfaceModel(0, 2), Angles(HALF, HALF)
-        first, second = volume_curve(C1TILDE, model, angles).pieces
+        first, second = volume_curve(C1TILDE, model, angles)
         broken = (first._replace(**first_changes), second._replace(**second_changes))
         with pytest.raises(DecompositionError, match=message):
-            _certify_curve(C1TILDE, model, angles, PiecewiseQuadratic(broken))
+            _certify_curve(C1TILDE, model, angles, broken)
 
     def test_falling_coefficient_is_refused(self, monkeypatch):
         # No coefficient of the negative part falls along the ray, so the
@@ -567,9 +568,10 @@ class TestClosedForms:
         lo, hi, q0, q1, q2 = numbers
         piece = QuadraticPiece(lo, hi, q0, q1, q2, ())
         anti = lambda x: q0 * x + q1 * x * x / 2 + q2 * x * x * x / 3
-        num, den = piece.integral_terms()
+        num, den = _piece_integral(piece)
         assert den > 0 and Rat(num, den) == anti(hi) - anti(lo)
-        assert PiecewiseQuadratic((piece,)).integral() == anti(hi) - anti(lo)
+        if q0:  # S divides by the first piece's q0 = vol(-K_Delta)
+            assert expected_vanishing_order((piece,)) == (anti(hi) - anti(lo)) / q0
 
     def test_uncovered_curves_and_angles_have_no_closed_form(self):
         # The closed forms cover the sections and the E_i only; at n = 0 the
@@ -600,7 +602,7 @@ class TestScalars:
         with pytest.raises(OutsideAmpleRange):
             volume_curve(C1TILDE, SurfaceModel(2, 0), Angles(rat(1), HALF))
         with pytest.raises(OutsideAmpleRange):
-            volume_curve(Ei(1), SurfaceModel(0, 4), Angles(HALF, HALF)).expected_vanishing_order()
+            expected_vanishing_order(volume_curve(Ei(1), SurfaceModel(0, 4), Angles(HALF, HALF)))
 
     def test_irrational_root_refused(self):
         # 2 - x^2 first vanishes at sqrt(2): must refuse, never approximate.

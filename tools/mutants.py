@@ -210,6 +210,14 @@ MUTANTS = (
     ("oracle-family-start", "zariski.py",
      "yield from extend(subset + (c,), grown, c + 1)",
      "yield from extend(subset + (c,), grown, c + 2)"),
+    # S from the volume curve's pieces, and an angle string read by the
+    # CLI's literal grammar and bounds.
+    ("s-integral-linear-term", "volumes.py",
+     "+ 3 * n1 * d0 * d2 * B * (X + Y)",
+     "+ 2 * n1 * d0 * d2 * B * (X + Y)"),
+    ("angles-string-through-rat", "picard.py",
+     "parse_rat(beta, accept_decimal=True) if isinstance(beta, str)",
+     "Rat(beta) if isinstance(beta, str)"),
 )
 
 IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__")
