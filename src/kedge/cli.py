@@ -17,7 +17,6 @@ run, so that ``delta`` and ``scan`` load the torus route alone.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -195,11 +194,11 @@ def cmd_volume_curve(n, m, curve, beta1, beta2, approx, accept_decimal, output):
         _user_error(f"curve {curve} does not exist on a surface with m={m}")
     _ensure_ample(model, angles)
     try:
-        a_value = log_discrepancy(curve, model, angles)
-        pieces = volume_curve(curve, model, angles)
-        s_value = expected_vanishing_order(pieces)
+        a_value = log_discrepancy(curve, model, angles)  # PullbackC2 at m > 0 is refused
     except ValueError as exc:
         _user_error(str(exc))
+    pieces = volume_curve(curve, model, angles)
+    s_value = expected_vanishing_order(pieces)
     tau = pieces[-1].x_hi
     report = point_header(model, angles, curve=curve, tau=format_rat(tau),
                           A=format_rat(a_value), S=format_rat(s_value))
@@ -261,19 +260,18 @@ def _parse_grid(text: str, what: str):
 
 def cmd_scan(n, m, beta1_grid, beta2_grid, approx, output):
     """Verdicts over a rational angle grid, as CSV (beta1 outer loop)."""
-    import csv
-
     model = _parse_surface(n, m)
     grid1 = _parse_grid(beta1_grid, "beta1")
     grid2 = _parse_grid(beta2_grid, "beta2")
     if len(grid1) * len(grid2) > MAX_SCAN_POINTS:
         _user_error(f"scan grid too large (over {MAX_SCAN_POINTS} points)")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    # No cell holds a comma, a quote, CR or LF: each is a ``format_rat``
+    # text, an int, a status constant, empty, or the repr of a finite float.
+    # So a row is its cells joined by commas, as ``csv.writer`` writes it.
     header = ["beta1", "beta2", "condition_sign", "delta", "status"]
     if approx:
         header += ["beta1_approx", "beta2_approx", "delta_approx"]
-    writer.writerow(header)
+    lines = [",".join(header)]
     # Each grid value with its cells, formatted once per axis: the exact
     # text, and the float under --approx.
     cells1, cells2 = (
@@ -293,8 +291,8 @@ def cmd_scan(n, m, beta1_grid, beta2_grid, approx, output):
             ]
             if approx:
                 row += [approx1, approx2, "" if delta is None else repr(float(delta))]
-            writer.writerow(row)
-    _emit(buffer.getvalue(), output)
+            lines.append(",".join(row))
+    _emit("\n".join(lines) + "\n", output)
 
 
 class Option(NamedTuple):

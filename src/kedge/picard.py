@@ -45,7 +45,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .ratmath import Rat, format_rat, parse_rat
+from .ratmath import Rat, exact, format_rat
 
 
 class OutsideAmpleRange(ValueError):
@@ -63,11 +63,11 @@ class Angles:
     """Cone angles 2*pi*beta_i along the two boundary curves.
 
     Both angles must be positive.  Values above 1 are accepted (the
-    formulas stay exact rational functions).  An angle is an int, a
-    Fraction (kept as it is) or a string that ``ratmath.parse_rat`` reads
-    with decimals accepted, the CLI's literal grammar and bounds ("p/q",
-    "0.1", "1e-3"); a float is refused, since it holds a binary value
-    (0.1 is 3602879701896397/2**55).
+    formulas stay exact rational functions).  Each angle is read by
+    ``ratmath.exact``: an int, a Fraction (kept as it is) or a string in
+    the CLI's literal grammar and bounds ("p/q", "0.1", "1e-3"); a float
+    is refused with ValueError, and a bool or any other type with
+    TypeError.
 
     ``scaled`` is the angles' integer form (L, P1, P2), formed once:
     L = lcm(q1, q2) for beta_i = p_i / q_i, and P_i = L beta_i.  Every
@@ -79,12 +79,7 @@ class Angles:
     scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        betas = self.beta1, self.beta2
-        for beta in betas:
-            if isinstance(beta, float):
-                raise ValueError(f'angle {beta!r} is a binary float; pass it exactly, as "p/q"')
-        b1, b2 = [parse_rat(beta, accept_decimal=True) if isinstance(beta, str)
-                  else beta if isinstance(beta, Rat) else Rat(beta) for beta in betas]
+        b1, b2 = exact(self.beta1, "angle"), exact(self.beta2, "angle")
         object.__setattr__(self, "beta1", b1)
         object.__setattr__(self, "beta2", b2)
         q1, q2 = b1.denominator, b2.denominator

@@ -10,6 +10,7 @@ Serialized form is always the string ``"p/q"`` in lowest terms (e.g.
 ``"21/23"``, ``"-1/21"``, ``"3/1"``); parsing accepts ASCII ``"p/q"`` and
 bare integers, and -- only when explicitly requested -- decimal literals,
 which are converted exactly (base-10), never through binary floats.
+``exact`` is the one reader of a rational that a library caller passes.
 """
 from __future__ import annotations
 
@@ -20,9 +21,8 @@ from fractions import Fraction as Rat
 #: The rational type's name, which the benchmark records with every run.
 RAT_BACKEND = "fraction"
 
-#: Rational zero/one, shared to avoid repeated construction.
+#: Rational zero, shared to avoid repeated construction.
 ZERO = Rat(0)
-ONE = Rat(1)
 
 
 def sign(x) -> int:
@@ -85,6 +85,24 @@ def parse_rat(text: str, accept_decimal: bool = False):
     if den == 0:
         raise RatParseError(f"zero denominator in {text!r}")
     return Rat(int(num), den)
+
+
+def exact(value, what: str):
+    """Read a rational passed by a library caller: an ``int`` (not a
+    ``bool``), a ``Fraction`` (kept as it is) or a ``str``, which
+    ``parse_rat`` reads with decimals accepted, by its grammar and bounds.
+    A ``float`` is refused (ValueError): it holds a binary value (0.1 is
+    3602879701896397/2**55).  Any other type is refused (TypeError); a
+    ``Decimal`` is passed as its text.  ``what`` leads each message."""
+    if isinstance(value, Rat):
+        return value
+    if isinstance(value, str):
+        return parse_rat(value, accept_decimal=True)
+    if type(value) is int:
+        return Rat(value)
+    if isinstance(value, float):
+        raise ValueError(f'{what} {value!r} is a binary float; pass it exactly, as "p/q"')
+    raise TypeError(f"{what} {value!r} is not an int, a Fraction or a str")
 
 
 def format_rat(x) -> str:

@@ -62,14 +62,15 @@ the angles and the duals); a reader divides by the power of L it needs.
 The delta minimum stays on integers too, with one record per S_m orbit.
 Each A is beta1, beta2 or 1, so L A is P1, P2 or L, and
 A/S = 2 VOL (L A) / (2 L VOL S).  An ``Orbit`` holds its first name, its
-size, A, L A and 2 L VOL S.  One pass over the six records (four at
-m = 0) checks every S > 0, after VOL > 0, and finds a least A/S by
-cross-multiplying integers.  delta = 2 VOL a_min / s_min is the one
-Fraction formed, and the verdict compares it and each orbit's A/S with 1
-on the same integers.  A name is spelled only where it is read: in the
-witnesses (the orbits tied with the least one) and in a term, which the
-CLI's per-divisor table reads once per orbit and ``DeltaReport.term``
-finds by looking the name up among the orbits' names.
+size, L A and 2 L VOL S, and a term forms A and S from them when it is
+read.  One pass over the six records (four at m = 0) checks every S > 0,
+after VOL > 0, and finds a least A/S by cross-multiplying integers.
+delta = 2 VOL a_min / s_min is the one Fraction formed, and the verdict
+compares it and each orbit's A/S with 1 on the same integers.  A name is
+spelled only where it is read: in the witnesses (the orbits tied with the
+least one) and in a term, which the CLI's per-divisor table reads once per
+orbit and ``DeltaReport.term`` finds by looking the name up among the
+orbits' names.
 """
 from __future__ import annotations
 
@@ -77,7 +78,7 @@ from typing import NamedTuple
 
 from .picard import (C1TILDE, C2TILDE, GENERIC_FIBER, Angles, DivisorClass, Ei, FiTilde,
                      InconsistencyError, SurfaceModel)
-from .ratmath import ONE, Rat, sign
+from .ratmath import Rat, sign
 
 
 def _slices(n: int) -> tuple:
@@ -191,8 +192,7 @@ class Orbit(NamedTuple):
 
     name: str  # first name, canonical order
     size: int
-    A: object  # beta1, beta2 or 1
-    a: int  # L A
+    a: int  # L A, with A beta1, beta2 or 1
     s: int  # 2 L VOL S, with L and VOL from the report's dual
 
     def names(self) -> tuple:
@@ -229,7 +229,8 @@ class DeltaReport(NamedTuple):
 
     def orbit_term(self, orbit: Orbit) -> ValuationTerm:
         """The term shared by every name in ``orbit``."""
-        return ValuationTerm(orbit.A, Rat(orbit.s, 2 * self.dual.L * self.dual.VOL))
+        L = self.dual.L
+        return ValuationTerm(Rat(orbit.a, L), Rat(orbit.s, 2 * L * self.dual.VOL))
 
     def term(self, name: str) -> ValuationTerm:
         """The term of ``name``, from the orbit that lists it; KeyError for
@@ -262,14 +263,13 @@ def delta_tvariety(model: SurfaceModel, angles: Angles) -> DeltaReport:
     if VOL <= 0:
         raise InconsistencyError("torus route: vol is not positive")
     # S = bc + beta1, beta2 - bc, bc_pi - bc, bc_pi, bc_p0 + n bc + 2 and bc_generic
-    orbits = [Orbit(C1TILDE, 1, angles.beta1, p1, 2 * (FM + p1 * VOL)),
-              Orbit(C2TILDE, 1, angles.beta2, p2, 2 * (p2 * VOL - FM))]
+    orbits = [Orbit(C1TILDE, 1, p1, 2 * (FM + p1 * VOL)),
+              Orbit(C2TILDE, 1, p2, 2 * (p2 * VOL - FM))]
     if m:
         cross_marked = d.cross(d.PSI_MARKED)
-        orbits += [Orbit(E1, m, ONE, L, cross_marked - 2 * FM),
-                   Orbit(F1TILDE, m, ONE, L, cross_marked)]
-    orbits += [Orbit(FIBER_P0, 1, ONE, L, d.cross(d.PSI_P0) + 2 * n * FM + 4 * L * VOL),
-               Orbit(GENERIC_FIBER, 1, ONE, L, d.cross(d.PSI_GENERIC))]
+        orbits += [Orbit(E1, m, L, cross_marked - 2 * FM), Orbit(F1TILDE, m, L, cross_marked)]
+    orbits += [Orbit(FIBER_P0, 1, L, d.cross(d.PSI_P0) + 2 * n * FM + 4 * L * VOL),
+               Orbit(GENERIC_FIBER, 1, L, d.cross(d.PSI_GENERIC))]
     best = orbits[0]
     for orbit in orbits:
         if orbit.s <= 0:

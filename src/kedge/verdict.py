@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .picard import Angles, InconsistencyError, OutsideAmpleRange
-from .ratmath import Rat, parse_rat, sign
+from .ratmath import exact, sign
 from .tvariety import DeltaReport, delta_tvariety
 
 KPOLYSTABLE = "KPolystable"
@@ -145,14 +145,11 @@ def rational_condition_point(model, s):
 
     NotFound when the line meets the cubic only at the node (s = 1 or
     n (s^3 + 1) = m), when a coordinate is not positive, or when the point
-    is outside the ample range.  A float ``s`` is refused (ValueError), as
-    ``Angles`` refuses a float angle: it holds a binary value; a string is
-    read as ``Angles`` reads one, by ``ratmath.parse_rat``'s bounded grammar.
+    is outside the ample range.  ``s`` is read as ``Angles`` reads an
+    angle, by ``ratmath.exact``.
     """
-    if isinstance(s, float):
-        raise ValueError(f's = {s!r} is a binary float; pass it exactly, as "p/q"')
     n, m = model.n, model.m
-    s = parse_rat(s, accept_decimal=True) if isinstance(s, str) else Rat(s)
+    s = exact(s, "s =")
     if m == 2 * n:
         b1 = b2 = s
     else:

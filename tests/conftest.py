@@ -21,7 +21,7 @@ import pytest
 from kedge.closedforms import CASE_C1_FIRST, CASE_C2_FIRST, CASE_N_GE_M, CASE_N_ZERO
 from kedge.linalg import NotNegativeDefinite
 from kedge.picard import C1TILDE, C2TILDE, Angles, DivisorClass, InconsistencyError, SurfaceModel
-from kedge.ratmath import ONE, ZERO, Rat, isqrt_exact, sign
+from kedge.ratmath import ZERO, Rat, isqrt_exact, sign
 from kedge.sampling import MAX_DENOMINATOR, MAX_TRIES, MAX_VALUE
 from kedge.tvariety import legendre_dual
 from kedge.volumes import IrrationalThreshold, QuadraticPiece
@@ -270,10 +270,10 @@ def reference_delta_tvariety(model, angles) -> SimpleNamespace:
     orbits = [  # (names, A, L A, 2 L VOL S)
         (("C1tilde",), angles.beta1, p1, 2 * (FM + p1 * VOL)),
         (("C2tilde",), angles.beta2, p2, 2 * (p2 * VOL - FM)),
-        (names[2:m + 2], ONE, L, cross_marked - 2 * FM),
-        (names[m + 2:], ONE, L, cross_marked),
-        (("FiberP0",), ONE, L, d.cross(d.PSI_P0) + 2 * n * FM + 4 * L * VOL),
-        (("GenericFiber",), ONE, L, d.cross(d.PSI_GENERIC)),
+        (names[2:m + 2], Rat(1), L, cross_marked - 2 * FM),
+        (names[m + 2:], Rat(1), L, cross_marked),
+        (("FiberP0",), Rat(1), L, d.cross(d.PSI_P0) + 2 * n * FM + 4 * L * VOL),
+        (("GenericFiber",), Rat(1), L, d.cross(d.PSI_GENERIC)),
     ]
     orbits = [orbit for orbit in orbits if orbit[0]]
     if VOL <= 0:
@@ -504,6 +504,6 @@ def reference_closed_form_volume_curve(E, model, angles) -> tuple | None:
         walls, chambers = (c2_wall, c1_wall, two), (with_c2, with_c1_c2)
     else:  # CASE_N_ZERO
         others = es[:i] + es[i + 1:]
-        last = (lambda: _reference_square(ONE, 2 + b1), (C2TILDE, *others, fi))
+        last = (lambda: _reference_square(Rat(1), 2 + b1), (C2TILDE, *others, fi))
         walls, chambers = (c2_wall, two, 2 + b1), (with_c2, last)
     return _reference_freeze((ZERO, b1, *walls), (*opening, *chambers))

@@ -360,6 +360,18 @@ class TestInputHandling:
         assert (code, out) == (1, "")
         assert err == "error: PullbackC2 is not a prime divisor once points are blown up\n"
 
+    @pytest.mark.parametrize("name", ["volume_curve", "expected_vanishing_order"])
+    def test_internal_value_error_is_not_a_user_error(self, capsys, monkeypatch, name):
+        # Past the handler's own checks, a ValueError from the sweep or from
+        # S is a fault of the program: it is not printed as a user error.
+        def fault(*args):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(f"kedge.volumes.{name}", fault)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(CURVE_ARGS)
+        assert capsys.readouterr() == ("", "")
+
     def test_missing_required_option(self, capsys):
         code, _, err = run_cli(capsys, ["delta", "--n", "0", "--m", "2", "--beta1", "1/2"])
         assert code == 1
@@ -1065,11 +1077,24 @@ GRID_AXES = st.tuples(
 )
 
 
+# An axis whose values span 10**-14 to 10**20, so that the --approx cells
+# print as "1e-07" and "1.5e+20" too: the scan joins its cells with commas,
+# and csv.writer, which the reference uses, would quote a cell that held a
+# comma, a quote, CR or LF.
+WIDE_AXES = st.tuples(
+    st.builds(lambda p, e: Fraction(p) * Fraction(10) ** e, st.integers(1, 99),
+              st.integers(-14, 18)),
+    st.builds(lambda p, e: Fraction(p) * Fraction(10) ** e, st.integers(1, 99),
+              st.integers(-16, 18)),
+    st.integers(1, 3),
+)
+
+
 class TestScanAgainstPerPointReference:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(n=st.integers(0, 4), m=st.integers(0, 4), axis1=GRID_AXES, axis2=GRID_AXES,
-           approx=st.booleans())
+    @given(n=st.integers(0, 4), m=st.integers(0, 4), axis1=st.one_of(GRID_AXES, WIDE_AXES),
+           axis2=st.one_of(GRID_AXES, WIDE_AXES), approx=st.booleans())
     def test_scan_matches_the_reference_byte_for_byte(self, capsys, n, m, axis1, axis2, approx):
         (spec1, _), (spec2, _) = _small_grid(*axis1), _small_grid(*axis2)
         grid1, grid2 = ([start + i * step for i in range(points)]

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kedge.ratmath import (
-    ONE,
     Rat,
     RatParseError,
     ZERO,
@@ -21,7 +20,6 @@ rationals = st.fractions().map(lambda f: Rat(f.numerator) / Rat(f.denominator))
 
 def test_constants():
     assert ZERO == 0
-    assert ONE == 1
     assert rat(3, 4) == Rat(3) / Rat(4)
     assert rat(rat(3, 4)) == rat(3, 4)
 

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import kedge.tvariety
 from kedge.picard import (PULLBACK_C2, Angles, Ei, FiTilde, InconsistencyError, SurfaceModel,
                           SurfaceParams)
-from kedge.ratmath import ONE, ZERO, Rat, sign
+from kedge.ratmath import ZERO, Rat, sign
 from kedge.sampling import sample_angles, sample_surface
 from kedge.tvariety import delta_tvariety, legendre_dual
 from kedge.verdict import NotFound, rational_condition_point
@@ -173,10 +173,10 @@ def reference_delta(params, angles):
         return (d["half_square"] - dot(psi, d["weights"])) / d["vol"]
 
     terms = [("C1tilde", b1, bc + b1), ("C2tilde", b2, b2 - bc)]
-    terms += [(f"E{i}", ONE, cross(d["psi_marked"]) - bc) for i in range(1, m + 1)]
-    terms += [(f"F{i}tilde", ONE, cross(d["psi_marked"])) for i in range(1, m + 1)]
-    terms.append(("FiberP0", ONE, cross(d["psi_p0"]) + n * bc + 2))
-    terms.append(("GenericFiber", ONE, cross(d["psi_generic"])))
+    terms += [(f"E{i}", Rat(1), cross(d["psi_marked"]) - bc) for i in range(1, m + 1)]
+    terms += [(f"F{i}tilde", Rat(1), cross(d["psi_marked"])) for i in range(1, m + 1)]
+    terms.append(("FiberP0", Rat(1), cross(d["psi_p0"]) + n * bc + 2))
+    terms.append(("GenericFiber", Rat(1), cross(d["psi_generic"])))
     terms = [(name, a, s, a / s) for name, a, s in terms]
     delta = min(ratio for *_, ratio in terms)
     witnesses = tuple(name for name, *_, ratio in terms if ratio == delta)

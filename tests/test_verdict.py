@@ -1,6 +1,7 @@
 """The main decision layer: bracket sign and polystability."""
 
 import collections
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -290,6 +291,35 @@ class TestConditionPoints:
         with pytest.raises(ValueError) as raised:
             rational_condition_point(SurfaceModel(1, 2), 0.1)
         assert str(raised.value) == 's = 0.1 is a binary float; pass it exactly, as "p/q"'
+
+    @pytest.mark.parametrize("value, read", [
+        (1, rat(1)), (HALF, HALF), (" 1/2 ", HALF), ("0.1", rat(1, 10)), ("1e-3", rat(1, 1000)),
+        (0.1, ValueError), (True, TypeError), (Decimal("0.5"), TypeError),
+        (Decimal("1e-200000"), TypeError), (None, TypeError),
+    ], ids=repr)
+    def test_angles_and_condition_points_read_a_value_alike(self, value, read):
+        # One reader, ratmath.exact, for an angle and for a slope: at (1, 2)
+        # the condition point of slope s is (s, s), so both readers meet
+        # every value, accept the same ones and refuse the rest with the
+        # same exception.  A type other than int, Fraction and str is
+        # refused before any arithmetic: a verdict on Decimal("1e-200000")
+        # read through Fraction took seconds.
+        model = SurfaceModel(1, 2)
+        readers = [("angle", lambda v: Angles(v, HALF).beta1),
+                   ("s =", lambda v: rational_condition_point(model, v).beta1)]
+        for what, reader in readers:
+            if isinstance(read, type):
+                with pytest.raises(read) as raised:
+                    reader(value)
+                assert type(raised.value) is read
+                assert str(raised.value) == (
+                    f'{what} {value!r} is a binary float; pass it exactly, as "p/q"'
+                    if read is ValueError
+                    else f"{what} {value!r} is not an int, a Fraction or a str")
+            elif isinstance(value, Fraction):
+                assert reader(value) is value
+            else:
+                assert type(reader(value)) is Fraction and reader(value) == read
 
     def test_point_off_the_locus_is_an_inconsistency(self, monkeypatch):
         # The parametrization puts every point on the locus; the self-check

@@ -178,9 +178,14 @@ MUTANTS = (
     ("surface-model-bool-accepted", "picard.py",
      "if type(self.n) is not int or type(self.m) is not int:",
      "if not (isinstance(self.n, int) and isinstance(self.m, int)):"),
-    ("condition-point-float-accepted", "verdict.py",
-     "if isinstance(s, float):",
-     "if False:"),
+    # The one reader of a caller's rational: a float read through Rat, a
+    # bool read as an int.
+    ("condition-point-float-accepted", "ratmath.py",
+     "if isinstance(value, float):\n        raise",
+     "if isinstance(value, float):\n        return Rat(value)\n        raise"),
+    ("reader-bool-accepted", "ratmath.py",
+     "if type(value) is int:",
+     "if isinstance(value, int):"),
     # The closed-form oracle: each classification boundary, one coefficient
     # of S(F~i) and the k of the C~1 + C~2 chamber.
     ("classify-n0-tie-strict", "closedforms.py",
@@ -215,9 +220,12 @@ MUTANTS = (
     ("s-integral-linear-term", "volumes.py",
      "+ 3 * n1 * d0 * d2 * B * (X + Y)",
      "+ 2 * n1 * d0 * d2 * B * (X + Y)"),
-    ("angles-string-through-rat", "picard.py",
-     "parse_rat(beta, accept_decimal=True) if isinstance(beta, str)",
-     "Rat(beta) if isinstance(beta, str)"),
+    ("angles-string-through-rat", "ratmath.py",
+     "return parse_rat(value, accept_decimal=True)",
+     "return Rat(value)"),
+    ("orbit-term-a-halved", "tvariety.py",
+     "ValuationTerm(Rat(orbit.a, L),",
+     "ValuationTerm(Rat(orbit.a, 2 * L),"),
 )
 
 IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__")
