@@ -2,7 +2,8 @@
 
 Exit-code contract: 0 success, 1 user/input error, 2 mathematical
 inconsistency (a cross-route disagreement or a failed certificate — the
-loudest alarm; ``main`` maps every ``InconsistencyError`` to it).  All
+loudest alarm; ``main`` maps every ``InconsistencyError`` to it) or an
+internal fault (any other exception, one ``internal error:`` line).  All
 rationals are read and written as exact ``"p/q"`` strings; ``--approx``
 adds decimal fields (suffixed ``_approx``) that are lossy and for human
 reading only.  Reports are JSON (schemas ship under ``kedge/schemas/``)
@@ -543,6 +544,9 @@ def main(argv=None):
         _run(sys.argv[1:] if argv is None else list(argv))
     except InconsistencyError as exc:
         sys.stderr.write(f"inconsistency: {exc}\n")
+        raise SystemExit(2)
+    except Exception as exc:  # a fault of the program: no answer can be trusted
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         raise SystemExit(2)
     raise SystemExit(0)
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from itertools import pairwise
 
-from .picard import C1TILDE, C2TILDE
+from .picard import C1TILDE, C2TILDE, E1, F1TILDE, FiTilde, orbit_of
 from .ratmath import Rat
 from .volumes import QuadraticPiece
 
@@ -94,14 +94,17 @@ def classify_exceptional_case(model, angles) -> str | None:
 def closed_form_S(E, model, angles) -> Rat | None:
     """Expected vanishing order along ``E`` via the closed forms.
 
-    Covers C~1, C~2 and every E_i and F~i, read off ``model.candidates``;
-    other curves return ``None``.  With the angle bracket
+    Covers C~1, C~2 and every E_i and F~i, told apart by
+    ``picard.orbit_of``; the generic fiber and the pulled-back section
+    return ``None``, and a name that is not a curve of the surface is
+    refused with ``class_of``'s ValueError.  With the angle bracket
     b = b1^2 - b2^2 - (n b1^3 + (n - m) b2^3) / 3, S(C~1) = b1 - 2 b / vol
     and S(C~2) = b2 + 2 b / vol; S(E_i) and S(F~i) are 1 + inner / vol.
     Each numerator is scaled by 3 L^3, so S is one Rat over 3 L V.
     """
     model.ensure_ample(angles)
     n, m = model.n, model.m
+    first, _ = orbit_of(E, m)
     L, p1, p2 = angles.scaled
     V = _scaled_volume(n, m, L, p1, p2)
     den = 3 * L * V
@@ -110,10 +113,10 @@ def closed_form_S(E, model, angles) -> Rat | None:
         if E == C1TILDE:
             return Rat(3 * p1 * V - 2 * bracket, den)
         return Rat(3 * p2 * V + 2 * bracket, den)
-    if E in model.candidates[2:m + 2]:  # E_1 ... E_m
+    if first == E1:
         inner = (3 * L * (-(n - 2) * p1 * p1 + (n - m) * p2 * p2)
                  + n * (n - 2) * p1**3 + (n - m) ** 2 * p2**3)
-    elif E in model.candidates[m + 2:]:  # F~1 ... F~m
+    elif first == F1TILDE:
         inner = (3 * L * (-n * p1 * p1 + (n - m + 2) * p2 * p2)
                  + n * n * p1**3 + (n - m + 2) * (n - m) * p2**3)
     else:
@@ -143,12 +146,14 @@ def closed_form_volume_curve(E, model, angles) -> tuple | None:
     """The curve ``x -> vol(-K - x E)`` assembled from the closed forms.
 
     Returns ``None`` for curves or angle ranges the closed forms do not
-    cover.  Each support is listed in candidate order (C~1, C~2, E_i,
-    F~i), as the sweep names it.  Walls and quadratics are read off
-    (L, P1, P2): a wall w is the integer L w.
+    cover, and refuses a name that is not a curve of the surface, as
+    ``closed_form_S`` does.  Each support is listed in candidate order
+    (C~1, C~2, E_i, F~i), as the sweep names it.  Walls and quadratics are
+    read off (L, P1, P2): a wall w is the integer L w.
     """
     model.ensure_ample(angles)
     n, m = model.n, model.m
+    first, i = orbit_of(E, m)
     L, p1, p2 = angles.scaled
     total = p1 + p2
     V = _scaled_volume(n, m, L, p1, p2)
@@ -167,13 +172,10 @@ def closed_form_volume_curve(E, model, angles) -> tuple | None:
             (lambda: _product(total, 4 * L + e_other * (b_other - b), e_other, L), joining),
         ))
 
-    if E not in es:
-        return None
-    case = classify_exceptional_case(model, angles)
+    case = classify_exceptional_case(model, angles) if first == E1 else None
     if case is None:
         return None
-    i = es.index(E)
-    fi = fs[i]  # E_i's partner: E_i + F~i = F
+    fi = FiTilde(i)  # E_i's partner: E_i + F~i = F
     c1_wall, c2_wall, two = 2 * L - (n - 1) * p1, 2 * L - (m - n) * p2, 2 * L
     # Every regime opens with the ample chamber and the fibre-only chamber.
     opening = (
@@ -195,7 +197,7 @@ def closed_form_volume_curve(E, model, angles) -> tuple | None:
     elif case == CASE_C2_FIRST:
         walls, chambers = (c2_wall, c1_wall, two), (with_c2, with_c1_c2)
     else:  # CASE_N_ZERO
-        others = es[:i] + es[i + 1:]
+        others = es[:i - 1] + es[i:]
         last = (lambda: _square(1, 1, 2 * L + p1, L), (C2TILDE, *others, fi))
         walls, chambers = (c2_wall, two, 2 * L + p1), (with_c2, last)
     return _freeze(L, (0, p1, *walls), (*opening, *chambers))

@@ -99,8 +99,10 @@ def point_header(model: SurfaceModel, angles: Angles, **extra) -> dict:
 
 # A curve is its name.  The fixed names, then every indexed name: E_i as
 # ``Ei(i)`` writes it and F~i as ``FiTilde(i)`` does, ASCII digits with no
-# leading zero.  This is the one grammar of names: ``parse_curve_id`` reads
-# a command-line label by it, and ``SurfaceModel.class_of`` a curve's class.
+# leading zero.  This is the one grammar of names.  ``orbit_of`` is its one
+# reader: it maps a name to its S_m orbit, the first name and the index, and
+# ``parse_curve_id``, ``SurfaceModel.class_of`` and the closed forms read a
+# name through it.  ``orbit_names`` is the one speller of an orbit's names.
 C1TILDE = "C1tilde"
 C2TILDE = "C2tilde"
 GENERIC_FIBER = "GenericFiber"
@@ -117,11 +119,33 @@ def FiTilde(i: int) -> str:
     return f"F{i}tilde"
 
 
-def index_at_most(digits: str, bound: int) -> bool:
-    """Whether the index that ``digits`` spells is at most ``bound``; an
-    index with more digits than ``bound`` is above it, unread (``int``
-    refuses a string of over 4300 digits)."""
-    return len(digits) <= len(str(bound)) and int(digits) <= bound
+E1, F1TILDE = Ei(1), FiTilde(1)
+
+
+def orbit_of(name: str, m: int) -> tuple:
+    """(first name, i) of the S_m orbit of the curve ``name`` on a surface
+    with m blown-up points: (E1, i) for E_i, (F1tilde, i) for F~i and
+    (name, 1) for a fixed name.  ValueError for a name that is not a curve
+    there: an unknown one, or an index above m.  An index with more digits
+    than m is above it, unread (``int`` refuses a string of over 4300
+    digits)."""
+    if name in _FIXED:
+        return name, 1
+    indexed = INDEXED_NAME.fullmatch(name)
+    if indexed is None:
+        raise ValueError(f"unknown curve name {name!r}")
+    e, f = indexed.groups()
+    if len(e or f) > len(str(m)) or int(e or f) > m:
+        raise ValueError(f"curve {name} out of range for m={m}")
+    return (E1 if e else F1TILDE), int(e or f)
+
+
+def orbit_names(first: str, size: int) -> tuple:
+    """Every name of the S_m orbit with first name ``first`` and ``size``
+    members, canonical order: E1 ... E_size, F1tilde ... F_size tilde, or
+    ``first`` alone."""
+    spell = {E1: Ei, F1TILDE: FiTilde}.get(first)
+    return (first,) if spell is None else tuple(map(spell, range(1, size + 1)))
 
 
 def parse_curve_id(label: str) -> str:
@@ -130,9 +154,10 @@ def parse_curve_id(label: str) -> str:
     most three digits: no surface the CLI accepts (m <= 200) has a
     four-digit one."""
     name = label.strip()
-    indexed = INDEXED_NAME.fullmatch(name)
-    if name not in _FIXED and (indexed is None or len(indexed[indexed.lastindex]) > 3):
-        raise ValueError(f"unknown curve label {label!r}")
+    try:
+        orbit_of(name, 999)
+    except ValueError:
+        raise ValueError(f"unknown curve label {label!r}") from None
     return name
 
 
@@ -228,23 +253,17 @@ class SurfaceModel:
         named class is integral.  ValueError for a name that is not a
         curve of this surface: an unknown one, or an index above m."""
         n, m = self.n, self.m
-        if name == C1TILDE:
+        first, i = orbit_of(name, m)
+        if first == C1TILDE:
             return DivisorClass((1, -n) + (0,) * m)
-        if name == C2TILDE:
+        if first == C2TILDE:
             return DivisorClass((1, 0) + (1,) * m)
-        if name == GENERIC_FIBER:
+        if first == GENERIC_FIBER:
             return DivisorClass((0, 1) + (0,) * m)
-        if name == PULLBACK_C2:
+        if first == PULLBACK_C2:
             return DivisorClass((1, 0) + (0,) * m)
-        indexed = INDEXED_NAME.fullmatch(name)
-        if indexed is None:
-            raise ValueError(f"unknown curve name {name!r}")
-        e, f = indexed.groups()
-        if not index_at_most(e or f, m):
-            raise ValueError(f"curve {name} out of range for m={m}")
-        i = int(e or f)
         num = [0, 0] + [0] * m
-        if e:
+        if first == E1:
             num[i + 1] = -1
         else:
             num[1] = num[i + 1] = 1
@@ -288,8 +307,8 @@ class SurfaceModel:
         """The names of the curves that can support a Zariski negative
         part, in the order every candidate index refers to: C~1, C~2,
         E_1, ..., E_m, F~1, ..., F~m; built once per surface."""
-        indices = range(1, self.m + 1)
-        return (C1TILDE, C2TILDE, *map(Ei, indices), *map(FiTilde, indices))
+        m = self.m
+        return (C1TILDE, C2TILDE, *orbit_names(E1, m), *orbit_names(F1TILDE, m))
 
     @_per_surface
     def candidate_coordinates(self) -> tuple:

@@ -70,14 +70,16 @@ compares it and each orbit's A/S with 1 on the same integers.  A name is
 spelled only where it is read: in the witnesses (the orbits tied with the
 least one) and in a term, which the CLI's per-divisor table reads once per
 orbit and ``DeltaReport.term`` finds by looking the name up among the
-orbits' names.
+orbits' names.  ``picard.orbit_names`` spells them, as it spells the
+surface's candidate curves; ``FiberP0`` is a name of this route alone,
+which the name grammar does not read.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .picard import (C1TILDE, C2TILDE, GENERIC_FIBER, Angles, DivisorClass, Ei, FiTilde,
-                     InconsistencyError, SurfaceModel)
+from .picard import (C1TILDE, C2TILDE, E1, F1TILDE, GENERIC_FIBER, Angles, DivisorClass,
+                     InconsistencyError, SurfaceModel, orbit_names)
 from .ratmath import Rat, sign
 
 
@@ -183,8 +185,6 @@ class ValuationTerm(NamedTuple):
 
 
 FIBER_P0 = "FiberP0"
-E1, F1TILDE = Ei(1), FiTilde(1)
-_FAMILIES = {E1: Ei, F1TILDE: FiTilde}  # an orbit's first name -> its names' spelling
 
 
 class Orbit(NamedTuple):
@@ -197,10 +197,7 @@ class Orbit(NamedTuple):
 
     def names(self) -> tuple:
         """Every name in the orbit, canonical order."""
-        family = _FAMILIES.get(self.name)
-        if family is None:
-            return (self.name,)
-        return tuple(map(family, range(1, self.size + 1)))
+        return orbit_names(self.name, self.size)
 
 
 class DeltaReport(NamedTuple):

@@ -1,11 +1,13 @@
 """End-to-end CLI contract: byte-stable reports, schemas, exit codes."""
 
 import csv
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -25,7 +27,7 @@ from kedge.tvariety import DualData, legendre_dual
 from kedge.verdict import InconsistencyError, k_polystable
 from kedge.verify import SUITES, SuiteResult
 from kedge.volumes import IrrationalThreshold
-from kedge.zariski import DecompositionError
+from kedge.zariski import DecompositionError, negative_definite_supports
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -363,14 +365,12 @@ class TestInputHandling:
     @pytest.mark.parametrize("name", ["volume_curve", "expected_vanishing_order"])
     def test_internal_value_error_is_not_a_user_error(self, capsys, monkeypatch, name):
         # Past the handler's own checks, a ValueError from the sweep or from
-        # S is a fault of the program: it is not printed as a user error.
+        # S is a fault of the program: exit 2, not a user error's exit 1.
         def fault(*args):
             raise ValueError("internal fault")
 
         monkeypatch.setattr(f"kedge.volumes.{name}", fault)
-        with pytest.raises(ValueError, match="internal fault"):
-            main(CURVE_ARGS)
-        assert capsys.readouterr() == ("", "")
+        assert run_cli(capsys, CURVE_ARGS) == (2, "", "internal error: ValueError: internal fault\n")
 
     def test_missing_required_option(self, capsys):
         code, _, err = run_cli(capsys, ["delta", "--n", "0", "--m", "2", "--beta1", "1/2"])
@@ -1088,6 +1088,73 @@ WIDE_AXES = st.tuples(
               st.integers(-16, 18)),
     st.integers(1, 3),
 )
+
+
+def _fault(*args, **kwargs):
+    raise RuntimeError("injected fault")
+
+
+def clear_per_surface_caches():
+    """Empty the caches shared per surface (n, m), so that a request builds
+    its tables again and calls every function that builds them."""
+    for name in ("candidates", "candidate_table", "candidate_coordinates"):
+        getattr(SurfaceModel, name).func.cache_clear()
+    negative_definite_supports.cache_clear()
+
+
+def kedge_functions_called(capsys, argv) -> list:
+    """Every function of ``src/kedge`` that a cold run of ``argv`` calls,
+    as the function objects that hold its code, less ``main`` (which holds
+    the handler), the functions made anew on each call (lambdas,
+    comprehensions and nested functions: a ``<`` in the qualified name) and
+    closures (whose code cannot be swapped for one with no free
+    variables)."""
+    package = os.path.dirname(cli.__file__)
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            codes.add(frame.f_code)
+
+    clear_per_surface_caches()
+    sys.setprofile(profile)
+    try:
+        assert run_cli(capsys, argv)[0] == 0
+    finally:
+        sys.setprofile(None)
+    found = {f for f in gc.get_objects() if isinstance(f, types.FunctionType)
+             and f.__code__ in codes and "<" not in f.__qualname__
+             and not f.__code__.co_freevars and f is not main}
+    return sorted(found, key=lambda f: (f.__module__, f.__qualname__))
+
+
+class TestInternalFault:
+    @pytest.mark.parametrize("argv", [DELTA_ARGS, SCAN_ARGS, CURVE_ARGS,
+                                      ["verify", "--samples", "1"]], ids=lambda a: a[0])
+    def test_every_called_function_that_fails_gives_one_line_and_exit_2(self, capsys, argv):
+        # Each function the request calls raises in turn, under every binding
+        # of it at once (its code is swapped); nothing in src catches a
+        # RuntimeError, so each run is one internal fault.
+        functions = kedge_functions_called(capsys, argv)
+        assert len(functions) >= 10
+        for function in functions:
+            code = function.__code__
+            function.__code__ = _fault.__code__
+            try:
+                clear_per_surface_caches()
+                result = run_cli(capsys, argv)
+            finally:
+                function.__code__ = code
+            assert result == (2, "", "internal error: RuntimeError: injected fault\n"), \
+                function.__qualname__
+
+    def test_an_interrupt_is_no_internal_fault(self, monkeypatch):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("kedge.cli._run", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(DELTA_ARGS)
 
 
 class TestScanAgainstPerPointReference:

@@ -14,9 +14,11 @@ from conftest import (reference_classify_exceptional_case, reference_closed_form
 from kedge.closedforms import (CASE_C1_FIRST, CASE_C2_FIRST, CASE_N_ZERO,
                                classify_exceptional_case, closed_form_S,
                                closed_form_volume_curve)
-from kedge.picard import C1TILDE, C2TILDE, GENERIC_FIBER, PULLBACK_C2, Angles, Ei, SurfaceModel
+from kedge.picard import (C1TILDE, C2TILDE, GENERIC_FIBER, PULLBACK_C2, Angles, Ei, FiTilde,
+                          SurfaceModel)
 from kedge.ratmath import Rat
 from kedge.sampling import LEMMA_CASES
+from kedge.tvariety import FIBER_P0
 from kedge.volumes import expected_vanishing_order
 
 # Every p/q in (0, 2] with q <= 3: the grid each angle is drawn from.
@@ -112,7 +114,32 @@ def test_oracle_curves_integrate_to_their_S_at_large_m():
                             continue
                         s = expected_vanishing_order(pieces)
                         assert s == closed_form_S(curve, model, angles), (model, angles, curve)
+                        if curve == Ei(m):  # past the ample chamber, E_m's partner F~m
+                            assert all(FiTilde(m) in piece.negative_support
+                                       for piece in pieces[1:]), (model, angles)
                         seen.add(curve if curve in (C1TILDE, C2TILDE) else case)
                         compared += 1
     assert seen == set(LEMMA_CASES)
     assert compared == 1554  # of 1792: the rest lie outside an E_i regime's range
+
+
+def test_a_name_that_is_no_curve_of_the_surface_is_refused():
+    # The closed forms read a name through ``picard.orbit_of``, as
+    # ``class_of`` does, and refuse what it refuses, with its message; the
+    # generic fiber and the pulled-back section are curves with no closed
+    # form.
+    model, angles = SurfaceModel(0, 3), Angles(Rat(1, 2), Rat(1, 2))
+    long_index = "E" + "9" * 5000
+    for name in (Ei(7), long_index, FIBER_P0):
+        with pytest.raises(ValueError) as expected:
+            model.class_of(name)
+        for oracle in (closed_form_S, closed_form_volume_curve):
+            with pytest.raises(ValueError) as raised:
+                oracle(name, model, angles)
+            assert str(raised.value) == str(expected.value), (oracle, name[:8])
+    assert str(expected.value) == "unknown curve name 'FiberP0'"
+    with pytest.raises(ValueError, match=r"^curve E7 out of range for m=3$"):
+        closed_form_S(Ei(7), model, angles)
+    for name in (GENERIC_FIBER, PULLBACK_C2):
+        assert closed_form_S(name, model, angles) is None
+        assert closed_form_volume_curve(name, model, angles) is None

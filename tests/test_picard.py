@@ -17,7 +17,9 @@ from kedge.picard import (
     C1TILDE,
     C2TILDE,
     DivisorClass,
+    E1,
     Ei,
+    F1TILDE,
     FiTilde,
     GENERIC_FIBER,
     OutsideAmpleRange,
@@ -25,6 +27,8 @@ from kedge.picard import (
     SHARED_SURFACES,
     SurfaceModel,
     SurfaceParams,
+    orbit_names,
+    orbit_of,
     parse_curve_id,
 )
 from kedge.ratmath import Rat, RatParseError
@@ -132,7 +136,7 @@ def test_curve_ids_and_labels():
     assert (Ei(2), FiTilde(1)) == ("E2", "F1tilde")
     for name in (C1TILDE, C2TILDE, Ei(3), FiTilde(7), GENERIC_FIBER, PULLBACK_C2):
         assert parse_curve_id(name) == name
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown curve label 'E0'$"):
         parse_curve_id("E0")
     # Only what ``Ei`` and ``FiTilde`` write: no leading zero, ASCII digits.
     for label in ("E01", "F02tilde", "F٣tilde", "E٣"):
@@ -147,6 +151,24 @@ def test_curve_ids_and_labels():
         assert str(raised.value) == f"unknown curve label {label!r}"
     with pytest.raises(ValueError):
         parse_curve_id("D5")
+
+
+def test_orbit_of_and_orbit_names_invert_each_other():
+    # S_m permutes the E_i and the F~i: a name is its orbit's first name and
+    # its index there, and the orbit spells its names in candidate order.
+    assert (orbit_of(Ei(3), 3), orbit_of(FiTilde(2), 3)) == ((E1, 3), (F1TILDE, 2))
+    assert orbit_of(Ei(10), 10) == (E1, 10)
+    assert (orbit_names(E1, 0), orbit_names(F1TILDE, 2)) == ((), ("F1tilde", "F2tilde"))
+    for m in (0, 1, 4):
+        for name in (*SurfaceModel(1, m).candidates, GENERIC_FIBER, PULLBACK_C2):
+            first, i = orbit_of(name, m)
+            size = m if first in (E1, F1TILDE) else 1
+            names = orbit_names(first, size)
+            assert len(names) == size and names[i - 1] == name
+    for name, m in ((Ei(4), 3), (FiTilde(10), 9), ("E" + "1" * 5000, 10**6)):
+        with pytest.raises(ValueError) as raised:
+            orbit_of(name, m)
+        assert str(raised.value) == f"curve {name} out of range for m={m}"
 
 
 def closed_form_class(n: int, m: int, position: int) -> DivisorClass:

@@ -1,5 +1,5 @@
-"""The repository tools' tables stay in step with ``src/kedge``, and the
-line counter counts as its docstring says."""
+"""The repository tools' tables stay in step with ``src/kedge`` and the
+tests, and the line counter counts as its docstring says."""
 
 import importlib.util
 from pathlib import Path
@@ -19,6 +19,17 @@ def test_every_mutant_anchor_occurs_once():
     # change that moves one fails here; no mutant runs.
     mutants = load("mutants")
     assert mutants.check_table(mutants.MUTANTS) == []
+
+
+def test_every_recorded_test_is_defined():
+    # Each mutant runs first the test that caught it, so that test must
+    # still be defined where the table says; a moved test fails here.
+    mutants = load("mutants")
+    assert mutants.check_tests(mutants.MUTANTS) == []
+    assert mutants.defines_test("tests/test_tools.py::test_every_recorded_test_is_defined")
+    for stale in ("tests/test_tools.py::test_gone", "tests/gone.py::test_x",
+                  "tests/test_tools.py", "tests/test_tools.py::load::test_x"):
+        assert not mutants.defines_test(stale), stale
 
 
 # 22 lines.  Code lines: 5, 8, 11, 14-17 (the string assigned to ``text``

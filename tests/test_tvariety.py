@@ -21,12 +21,13 @@ from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 import kedge.tvariety
-from kedge.picard import (PULLBACK_C2, Angles, Ei, FiTilde, InconsistencyError, SurfaceModel,
-                          SurfaceParams)
+from kedge.picard import (GENERIC_FIBER, PULLBACK_C2, Angles, Ei, FiTilde, InconsistencyError,
+                          SurfaceModel, SurfaceParams)
 from kedge.ratmath import ZERO, Rat, sign
 from kedge.sampling import sample_angles, sample_surface
-from kedge.tvariety import delta_tvariety, legendre_dual
+from kedge.tvariety import FIBER_P0, delta_tvariety, legendre_dual
 from kedge.verdict import NotFound, rational_condition_point
+from kedge.volumes import expected_vanishing_order, volume_curve
 
 HALF = rat(1, 2)
 
@@ -184,10 +185,10 @@ def reference_delta(params, angles):
 
 
 @st.composite
-def ample_surfaces(draw):
-    """(params, angles) with n, m <= 6 and -K_{S,Delta} ample: beta1 < 2/n
-    when n > 0 and beta2 < 2/(m - n) when m > n."""
-    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+def ample_surfaces(draw, n_max=6):
+    """(params, angles) with n <= n_max, m <= 6 and -K_{S,Delta} ample:
+    beta1 < 2/n when n > 0 and beta2 < 2/(m - n) when m > n."""
+    n, m = draw(st.integers(0, n_max)), draw(st.integers(0, 6))
 
     def angle(k):
         num = draw(st.integers(1, 60))
@@ -538,6 +539,21 @@ class TestDelta:
         for label in ("C1tilde", "C2tilde", "E1", "F3tilde", "FiberP0", "GenericFiber"):
             name_term, model_term = by_name.term(label), by_model.term(label)
             assert (name_term.A, name_term.S) == (model_term.A, model_term.S)
+
+    @given(ample_surfaces(n_max=4))
+    @settings(max_examples=200, deadline=None)
+    def test_fiber_orbits_meet_the_sweep_and_their_closed_form(self, surface):
+        # FiberP0 is the fiber over a point that is not blown up: its class
+        # is F, the generic fiber's, so the two orbits share one volume curve
+        # and one S, with S (-K_Delta)^2 =
+        # [b1 ((n b1 - 3)^2 + 3) + b2 (((m - n) b2 - 3)^2 + 3)] / 3.
+        model, angles = surface
+        n, m, b1, b2 = model.n, model.m, angles.beta1, angles.beta2
+        report = delta_tvariety(model, angles)
+        swept = expected_vanishing_order(volume_curve(GENERIC_FIBER, model, angles))
+        closed = (b1 * ((n * b1 - 3) ** 2 + 3) + b2 * (((m - n) * b2 - 3) ** 2 + 3)) / (
+            3 * model.self_intersection(model.log_anticanonical(angles)))
+        assert report.term(GENERIC_FIBER).S == report.term(FIBER_P0).S == swept == closed
 
     def test_condition_point_all_curve_terms_attain(self):
         report = delta_tvariety(SurfaceModel(0, 2), Angles(rat(63, 128), rat(21, 32)))

@@ -2,17 +2,22 @@
 
 Each mutant replaces one exact text in one module of ``src/kedge``.  The
 text must occur exactly once, so a refactor that moves or rewrites it makes
-the tool fail loudly before anything runs, instead of passing quietly;
-``tests/test_tools.py`` checks the same in tier-1.  Each mutant is applied
-alone to a fresh copy in a temporary directory, tier-1 (less that check)
-runs there with ``-x``, and the mutant is caught when a test fails.  The
-tool prints caught or survived, with the first failing test, and exits 1
-when any mutant survives.  A surviving mutant costs a full tier-1 run.
+the tool fail loudly before anything runs, instead of passing quietly.
+Each mutant also records the test that caught it, and that test must be
+defined in its file; ``tests/test_tools.py`` checks both in tier-1.  Each
+mutant is applied alone to a fresh copy in a temporary directory.  Its
+recorded test runs there first; only if it passes does the rest of tier-1
+(less ``tests/test_tools.py``) run, with ``-x``.  The mutant is caught
+when a test fails, so the verdict is that of one tier-1 run.  The tool
+prints caught or survived, with the first failing test, and exits 1 when
+any mutant survives.  A surviving mutant costs its test and a full tier-1
+run.
 
 Usage: python tools/mutants.py [NAME ...]   (no name: every mutant)
 """
 from __future__ import annotations
 
+import ast
 import os
 import re
 import shutil
@@ -23,209 +28,291 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (name, module under src/kedge, exact old text, new text)
+# (name, module under src/kedge, exact old text, new text, the test that
+# caught it as pytest names it)
 MUTANTS = (
     ("fiber-p0-s-plus-one", "tvariety.py",
      "d.cross(d.PSI_P0) + 2 * n * FM + 4 * L * VOL)",
-     "d.cross(d.PSI_P0) + 2 * n * FM + 6 * L * VOL)"),
+     "d.cross(d.PSI_P0) + 2 * n * FM + 6 * L * VOL)",
+     "tests/test_acceptance.py::test_criterion_6_named_verdicts"),
     ("zariski-orthogonality-off", "zariski.py",
      "if model.intersect(p, model.class_of(curve)) != 0:",
-     "if False:"),
+     "if False:",
+     "tests/test_zariski.py::TestCertify::test_positive_part_not_orthogonal"),
     ("curve-square-off", "volumes.py",
      "if q0.numerator * square.denominator != square.numerator * q0.denominator:",
-     "if False:"),
+     "if False:",
+     "tests/test_volumes.py::TestSharedEngine::test_certificate_checks_the_volume_at_zero"),
     ("support-function-off", "tvariety.py",
      "if _encoded_class(model, frame) != model.log_anticanonical(frame):",
-     "if False:"),
+     "if False:",
+     "tests/test_cli.py::TestInconsistencyExit::test_delta_support_function_certificate_is_exit_2"),
     ("ample-bound-strict", "picard.py",
      "if self.n > 0 and self.n * p1 >= 2 * L:",
-     "if self.n > 0 and self.n * p1 > 2 * L:"),
+     "if self.n > 0 and self.n * p1 > 2 * L:",
+     "tests/test_cli.py::TestGoldens::test_byte_identical[argv3-scan_m0.csv]"),
     ("ample-bound2-strict", "picard.py",
      "if self.n < self.m and (self.m - self.n) * p2 >= 2 * L:",
-     "if self.n < self.m and (self.m - self.n) * p2 > 2 * L:"),
+     "if self.n < self.m and (self.m - self.n) * p2 > 2 * L:",
+     "tests/test_cli.py::TestScanAgainstPerPointReference::test_ample_bound_is_refused_and_just_below_it_accepted[1-4-beta2-False]"),
     ("ray-term-off", "verdict.py",
      '_check(two_vol * orbit.a == orbit.s,\n               "ray term',
-     '_check(True,\n               "ray term'),
+     '_check(True,\n               "ray term',
+     "tests/test_verdict.py::TestCertification::test_tampered_ray_term_is_caught"),
     ("toric-term-off", "verdict.py",
      '_check(two_vol * orbit.a == orbit.s, "toric case',
-     '_check(True, "toric case'),
+     '_check(True, "toric case',
+     "tests/test_verdict.py::TestCertification::test_tampered_toric_term_is_caught"),
     ("m2-e-orbit-only", "verdict.py",
      "for orbit in verticals[:2]:",
-     "for orbit in verticals[:1]:"),
+     "for orbit in verticals[:1]:",
+     "tests/test_verdict.py::TestCertification::test_tampered_fiber_orbit_at_m2_is_caught"),
     ("m3-ratio-at-least-one", "verdict.py",
      '_check(two_vol * orbit.a > orbit.s, "m>=3',
-     '_check(two_vol * orbit.a >= orbit.s, "m>=3'),
+     '_check(two_vol * orbit.a >= orbit.s, "m>=3',
+     "tests/test_verdict.py::TestCertification::test_vertical_term_equal_to_one_at_m3_is_caught"),
     ("delta-bound-off", "verdict.py",
      '_check(twice_vol_a <= s_min, "delta = {} > 1',
-     '_check(True, "delta = {} > 1'),
+     '_check(True, "delta = {} > 1',
+     "tests/test_verdict.py::TestCertification::test_tampered_delta_in_the_verdict_is_caught[necessity-bound]"),
     ("off-locus-delta-off", "verdict.py",
      '_check(twice_vol_a < s_min, "delta must be < 1 off',
-     '_check(True, "delta must be < 1 off'),
+     '_check(True, "delta must be < 1 off',
+     "tests/test_verdict.py::TestCertification::test_tampered_delta_in_the_verdict_is_caught[off-locus]"),
     ("m1-delta-off", "verdict.py",
      '_check(twice_vol_a < s_min, "m=1 exclusion',
-     '_check(True, "m=1 exclusion'),
+     '_check(True, "m=1 exclusion',
+     "tests/test_verdict.py::TestCertification::test_tampered_delta_in_the_verdict_is_caught[m1-exclusion]"),
     ("curve-square-numerators-only", "volumes.py",
      "if q0.numerator * square.denominator != square.numerator * q0.denominator:",
-     "if q0.numerator != square.numerator:"),
+     "if q0.numerator != square.numerator:",
+     "tests/test_volumes.py::TestSharedEngine::test_certificate_compares_the_whole_volume_at_zero"),
     ("reconstruction-off", "zariski.py",
      "if p + zd.negative_class(model) != d:",
-     "if False and p + zd.negative_class(model) != d:"),
+     "if False and p + zd.negative_class(model) != d:",
+     "tests/test_zariski.py::TestCertify::test_reconstruction"),
     # The sweep's one path and the curve certificate's slope at x = 0.
     ("d1-fiber-term-halved", "volumes.py",
      "- 4 * L * e.num[0]",
-     "- 2 * L * e.num[0]"),
+     "- 2 * L * e.num[0]",
+     "tests/test_acceptance.py::test_criterion_1_chamber_regression"),
     ("curve-slope-off", "volumes.py",
      "if q1.numerator * k_e.denominator != -2 * k_e.numerator * q1.denominator:",
-     "if False:"),
+     "if False:",
+     "tests/test_volumes.py::TestSharedEngine::test_certificate_checks_the_slope_at_zero"),
     # One per InconsistencyError, DecompositionError or IrrationalThreshold
     # raise (or ``_check`` call) that the mutants above leave uncovered.
     ("root-constant-off", "volumes.py",
      "if c1 == 0:",
-     "if False:"),
+     "if False:",
+     "tests/test_volumes.py::TestScalars::test_root_matches_the_rational_reference"),
     ("root-not-beyond-off", "volumes.py",
      "if num * v <= u * den:",
-     "if False:"),
+     "if False:",
+     "tests/test_volumes.py::TestScalars::test_root_matches_the_rational_reference"),
     ("root-no-real-off", "volumes.py",
      "if disc < 0:",
-     "if False:"),
+     "if False:",
+     "tests/test_volumes.py::TestScalars::test_root_matches_the_rational_reference"),
     ("irrational-threshold-off", "volumes.py",
      "if r is None:",
-     "if False:"),
+     "if False:",
+     "tests/test_volumes.py::TestScalars::test_irrational_root_refused"),
     ("no-root-beyond-off", "volumes.py",
      'raise DecompositionError(f"no volume root beyond {x0} ({context})")',
-     "return x0"),
+     "return x0",
+     "tests/test_volumes.py::TestScalars::test_root_matches_the_rational_reference"),
     ("jet-growth-failure-raw", "volumes.py",
      "except NotPseudoeffective as exc:",
-     "except ZeroDivisionError as exc:"),
+     "except ZeroDivisionError as exc:",
+     "tests/test_volumes.py::TestSharedEngine::test_support_growth_failure_is_refused"),
     ("falling-coefficient-off", "volumes.py",
      "if any(a < 0 for a in a1):",
-     "if False:"),
+     "if False:",
+     "tests/test_volumes.py::TestSharedEngine::test_falling_coefficient_is_refused"),
     ("curve-start-off", "volumes.py",
      "if not pieces or pieces[0].x_lo != 0:",
-     "if not pieces:"),
+     "if not pieces:",
+     "tests/test_volumes.py::TestSharedEngine::test_certificate_refuses_a_broken_piece[start]"),
     ("curve-vanishing-off", "volumes.py",
      "if w_tau != 0:",
-     "if False:"),
+     "if False:",
+     "tests/test_volumes.py::TestSharedEngine::test_certificate_refuses_a_broken_piece[vanish]"),
     ("curve-partition-off", "volumes.py",
      "if left.x_hi != right.x_lo:",
-     "if False:"),
+     "if False:",
+     "tests/test_volumes.py::TestSharedEngine::test_certificate_refuses_a_broken_piece[partition]"),
     ("curve-continuity-off", "volumes.py",
      "if w * d_next != w_next * d:",
-     "if False:"),
+     "if False:",
+     "tests/test_volumes.py::TestSharedEngine::test_certificate_refuses_a_broken_piece[continuity]"),
     ("curve-support-growth-off", "volumes.py",
      "if not set(left.negative_support) < set(right.negative_support):",
-     "if False:"),
+     "if False:",
+     "tests/test_volumes.py::TestSharedEngine::test_certificate_requires_growing_support[left0-right0]"),
     ("curve-monotone-off", "volumes.py",
      "if any(t > 0 for lo, hi in ends for t in (lo[2], hi[2])):",
-     "if False:"),
+     "if False:",
+     "tests/test_volumes.py::TestSharedEngine::test_certificate_refuses_a_broken_piece[monotone]"),
     ("torus-vol-positive-off", "tvariety.py",
      "if VOL <= 0:",
-     "if False:"),
+     "if False:",
+     "tests/test_tvariety.py::TestDelta::test_nonpositive_vol_is_an_inconsistency"),
     ("torus-s-positive-off", "tvariety.py",
      "if orbit.s <= 0:",
-     "if False:"),
+     "if False:",
+     "tests/test_cli.py::TestInconsistencyExit::test_nonpositive_s_is_exit_2[delta-0]"),
     ("condition-delta-one-off", "verdict.py",
      '_check(two_vol * report.a_min == report.s_min,\n           "condition point',
-     '_check(True,\n           "condition point'),
+     '_check(True,\n           "condition point',
+     "tests/test_verdict.py::TestCertification::test_tampered_delta_is_caught"),
     ("m2-term-off", "verdict.py",
      '_check(two_vol * orbit.a == orbit.s, "m=2: curve term',
-     '_check(True, "m=2: curve term'),
+     '_check(True, "m=2: curve term',
+     "tests/test_verdict.py::TestCertification::test_tampered_term_is_caught"),
     ("futaki-sign-off", "verdict.py",
      "_check(report.futaki_sign == csign,",
-     "_check(True,"),
+     "_check(True,",
+     "tests/test_unreferenced.py::test_every_record_field_is_read_in_src"),
     ("condition-point-self-check-off", "verdict.py",
      "if condition_sign(model, angles) != 0:",
-     "if False:"),
+     "if False:",
+     "tests/test_verdict.py::TestConditionPoints::test_point_off_the_locus_is_an_inconsistency"),
     ("zariski-nef-off", "zariski.py",
      'if not model.is_nef(p):\n        raise DecompositionError',
-     'if False:\n        raise DecompositionError'),
+     'if False:\n        raise DecompositionError',
+     "tests/test_zariski.py::TestCertify::test_positive_part_not_nef"),
     ("zariski-coefficient-sign-off", "zariski.py",
      "if coeff <= 0:",
-     "if False:"),
+     "if False:",
+     "tests/test_zariski.py::TestCertify::test_nonpositive_coefficient"),
     ("zariski-definite-off", "zariski.py",
      "if not is_negative_definite(model, zd.support):",
-     "if False and not is_negative_definite(model, zd.support):"),
+     "if False and not is_negative_definite(model, zd.support):",
+     "tests/test_zariski.py::TestCertify::test_support_not_negative_definite"),
     ("bruteforce-two-decompositions-off", "zariski.py",
      "if found is not None and (found.positive != zd.positive",
-     "if False and (found.positive != zd.positive"),
+     "if False and (found.positive != zd.positive",
+     "tests/test_zariski.py::TestDecompose::test_two_decompositions_are_an_inconsistency"),
     # The divisor class's one constructor: a positive denominator, and the
     # lowest terms that equality compares.
     ("divisor-den-check-off", "picard.py",
      "if den <= 0:",
-     "if False:"),
+     "if False:",
+     "tests/test_picard.py::test_divisor_class_refuses_a_nonpositive_denominator[-1]"),
     ("divisor-lowest-terms-off", "picard.py",
      "if g != 1:",
-     "if False:"),
+     "if False:",
+     "tests/test_acceptance.py::test_criterion_3_zariski_oracle"),
     # The angles' integer form (L, P1, P2), formed once per angle pair.
     ("angles-p2-scale-wrong", "picard.py",
      "b2.numerator * (L // q2)",
-     "b2.numerator * (L // q1)"),
+     "b2.numerator * (L // q1)",
+     "tests/test_picard.py::test_angles_integer_form_matches_the_reference"),
     ("angles-positivity-off", "picard.py",
      "if p1 <= 0 or p2 <= 0:",
-     "if False:"),
+     "if False:",
+     "tests/test_picard.py::test_angles_validation"),
     # A curve is its name: the refusals of a name that is no curve of the
     # surface.
     ("class-of-index-bound-off", "picard.py",
-     "if not index_at_most(e or f, m):",
-     "if False:"),
+     "if len(e or f) > len(str(m)) or int(e or f) > m:",
+     "if False:",
+     "tests/test_cli.py::TestInputHandling::test_curve_index_out_of_range"),
     ("cli-curve-existence-off", "cli.py",
      "model.class_of(curve)\n    except ValueError:",
-     "pass\n    except ValueError:"),
+     "pass\n    except ValueError:",
+     "tests/test_cli.py::TestInputHandling::test_curve_index_out_of_range"),
     ("log-discrepancy-refusal-off", "volumes.py",
      "    model.class_of(E)\n    return Rat(1)",
-     "    return Rat(1)"),
+     "    return Rat(1)",
+     "tests/test_picard.py::test_unknown_curve_kind_is_refused"),
+    # The one map from a name to its S_m orbit, and the one speller of an
+    # orbit's names.
+    ("orbit-of-e-f-swapped", "picard.py",
+     "return (E1 if e else F1TILDE), int(e or f)",
+     "return (F1TILDE if e else E1), int(e or f)",
+     "tests/test_picard.py::test_orbit_of_and_orbit_names_invert_each_other"),
+    ("orbit-names-one-short", "picard.py",
+     "range(1, size + 1)",
+     "range(1, size)",
+     "tests/test_picard.py::test_orbit_of_and_orbit_names_invert_each_other"),
     # Inputs of the wrong type: a bool surface parameter, a float slope.
     ("surface-model-bool-accepted", "picard.py",
      "if type(self.n) is not int or type(self.m) is not int:",
-     "if not (isinstance(self.n, int) and isinstance(self.m, int)):"),
+     "if not (isinstance(self.n, int) and isinstance(self.m, int)):",
+     "tests/test_picard.py::test_surface_model_validation"),
     # The one reader of a caller's rational: a float read through Rat, a
     # bool read as an int.
     ("condition-point-float-accepted", "ratmath.py",
      "if isinstance(value, float):\n        raise",
-     "if isinstance(value, float):\n        return Rat(value)\n        raise"),
+     "if isinstance(value, float):\n        return Rat(value)\n        raise",
+     "tests/test_picard.py::test_angles_refuse_a_float"),
     ("reader-bool-accepted", "ratmath.py",
      "if type(value) is int:",
-     "if isinstance(value, int):"),
+     "if isinstance(value, int):",
+     "tests/test_verdict.py::TestConditionPoints::test_angles_and_condition_points_read_a_value_alike[True-<class 'TypeError'>]"),
     # The closed-form oracle: each classification boundary, one coefficient
     # of S(F~i) and the k of the C~1 + C~2 chamber.
     ("classify-n0-tie-strict", "closedforms.py",
      "CASE_N_ZERO if p1 + m * p2 <= 2 * L else None",
-     "CASE_N_ZERO if p1 + m * p2 < 2 * L else None"),
+     "CASE_N_ZERO if p1 + m * p2 < 2 * L else None",
+     "tests/test_closedforms.py::test_integer_forms_match_the_reference[0]"),
     ("classify-c1-first-tie-strict", "closedforms.py",
      "if (n - 1) * p1 >= (m - n) * p2:",
-     "if (n - 1) * p1 > (m - n) * p2:"),
+     "if (n - 1) * p1 > (m - n) * p2:",
+     "tests/test_closedforms.py::test_integer_forms_match_the_reference[2]"),
     ("classify-c2-first-tie-strict", "closedforms.py",
      "CASE_C2_FIRST if p1 + (m - n) * p2 <= 2 * L else None",
-     "CASE_C2_FIRST if p1 + (m - n) * p2 < 2 * L else None"),
+     "CASE_C2_FIRST if p1 + (m - n) * p2 < 2 * L else None",
+     "tests/test_closedforms.py::test_integer_forms_match_the_reference[1]"),
     ("closed-s-fi-cubic-coefficient", "closedforms.py",
      "+ (n - m + 2) * (n - m) * p2**3",
-     "+ (n - m + 1) * (n - m) * p2**3"),
+     "+ (n - m + 1) * (n - m) * p2**3",
+     "tests/test_closedforms.py::test_integer_forms_match_the_reference[0]"),
     ("closed-c1-c2-k", "closedforms.py",
      "_square(m - 1, (m - n) * (n - 1), 2 * L, L)",
-     "_square(m, (m - n) * (n - 1), 2 * L, L)"),
-    # The --config size bound.
+     "_square(m, (m - n) * (n - 1), 2 * L, L)",
+     "tests/test_acceptance.py::test_criterion_1_chamber_regression"),
+    # E_i's partner F~i: only a test with i > 1 tells it from F~1.
+    ("closed-form-partner-first", "closedforms.py",
+     "fi = FiTilde(i)",
+     "fi = FiTilde(1)",
+     "tests/test_closedforms.py::test_oracle_curves_integrate_to_their_S_at_large_m"),
+    # The --config size bound, and the one line and exit 2 of an internal
+    # fault.
     ("config-size-bound-off", "cli.py",
      "if len(text) > MAX_CONFIG_CHARS:",
-     "if False:"),
+     "if False:",
+     "tests/test_cli.py::TestConfigAndOutput::test_config_size_bound"),
+    ("internal-error-handler-off", "cli.py",
+     "except Exception as exc:",
+     "except ArithmeticError as exc:",
+     "tests/test_cli.py::TestInternalFault::test_every_called_function_that_fails_gives_one_line_and_exit_2[delta]"),
     # The verify battery's inputs and its oracle's family: randint's
     # rejection bound, and a walk that skips the next candidate.
     ("sampler-reject-bound", "sampling.py",
      "while r >= w:",
-     "while r > w:"),
+     "while r > w:",
+     "tests/test_cli.py::TestGoldens::test_byte_identical[argv2-verify_small.json]"),
     ("oracle-family-start", "zariski.py",
      "yield from extend(subset + (c,), grown, c + 1)",
-     "yield from extend(subset + (c,), grown, c + 2)"),
+     "yield from extend(subset + (c,), grown, c + 2)",
+     "tests/test_acceptance.py::test_criterion_3_zariski_oracle"),
     # S from the volume curve's pieces, and an angle string read by the
     # CLI's literal grammar and bounds.
     ("s-integral-linear-term", "volumes.py",
      "+ 3 * n1 * d0 * d2 * B * (X + Y)",
-     "+ 2 * n1 * d0 * d2 * B * (X + Y)"),
+     "+ 2 * n1 * d0 * d2 * B * (X + Y)",
+     "tests/test_acceptance.py::test_criterion_1_chamber_regression"),
     ("angles-string-through-rat", "ratmath.py",
      "return parse_rat(value, accept_decimal=True)",
-     "return Rat(value)"),
+     "return Rat(value)",
+     "tests/test_picard.py::test_angles_read_a_string_by_the_literal_grammar"),
     ("orbit-term-a-halved", "tvariety.py",
      "ValuationTerm(Rat(orbit.a, L),",
-     "ValuationTerm(Rat(orbit.a, 2 * L),"),
+     "ValuationTerm(Rat(orbit.a, 2 * L),",
+     "tests/test_acceptance.py::test_criterion_4_route_agreement"),
 )
 
 IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__")
@@ -235,44 +322,76 @@ FAILED = re.compile(r"^(?:FAILED|ERROR) (.+)$", re.MULTILINE)
 def check_table(mutants) -> list[str]:
     """One message per mutant whose old text does not occur exactly once."""
     problems = []
-    for name, module, old, _ in mutants:
+    for name, module, old, _, _ in mutants:
         count = (ROOT / "src" / "kedge" / module).read_text(encoding="utf-8").count(old)
         if count != 1:
             problems.append(f"{name}: old text occurs {count} times in {module}: {old!r}")
     return problems
 
 
-def run_mutant(module: str, old: str, new: str) -> str | None:
-    """The first failing test of tier-1 on a mutated copy, with pytest's
-    one-line reason, or None.  ``tests/test_tools.py`` is left out: it
-    checks this table's anchors, which the mutant itself rewrites."""
+def defines_test(test: str) -> bool:
+    """Whether ``test`` (``path::[Class::]function[parameters]``) names a
+    test function that its file defines."""
+    path, *scope = test.split("[")[0].split("::")
+    file = ROOT / path
+    if not scope or not file.is_file():
+        return False
+    body = ast.parse(file.read_text(encoding="utf-8")).body
+    for depth, name in enumerate(scope, 1):
+        kind = ast.FunctionDef if depth == len(scope) else ast.ClassDef
+        node = next((n for n in body if isinstance(n, kind) and n.name == name), None)
+        if node is None:
+            return False
+        body = node.body
+    return True
+
+
+def check_tests(mutants) -> list[str]:
+    """One message per mutant whose recorded test is not defined."""
+    return [f"{name}: recorded test {test!r} is not defined"
+            for name, _, _, _, test in mutants if not defines_test(test)]
+
+
+def run_mutant(module: str, old: str, new: str, test: str) -> str | None:
+    """The first failing test on a mutated copy, with pytest's one-line
+    reason, or None: ``test`` first, then the rest of tier-1.
+    ``tests/test_tools.py`` is left out: it checks this table's anchors,
+    which the mutant itself rewrites."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=IGNORED)
         path = copy / "src" / "kedge" / module
         path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH="src")
-        result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             "--ignore=tests/test_tools.py", "tests"],
-            cwd=copy, env=env, capture_output=True, text=True,
-        )
-    if result.returncode == 0:
-        return None
-    failed = FAILED.search(result.stdout)
-    return failed[1] if failed else f"pytest exit {result.returncode}"
+        for selection in ([test], ["--deselect", test, "tests"]):
+            result = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                 "--ignore=tests/test_tools.py", *selection],
+                cwd=copy, env=env, capture_output=True, text=True,
+            )
+            if result.returncode == 0:
+                continue
+            failed = FAILED.search(result.stdout)
+            if failed or selection[0] != test:
+                return failed[1] if failed else f"pytest exit {result.returncode}"
+            # The recorded test did not run (not collected, or collection
+            # failed); tier-1 decides.
+            print(f"  {test}: pytest exit {result.returncode}, no test failed",
+                  file=sys.stderr, flush=True)
+    return None
 
 
 def main(argv: list[str]) -> int:
     chosen = [m for m in MUTANTS if not argv or m[0] in argv]
     unknown = set(argv) - {m[0] for m in MUTANTS}
-    problems = check_table(chosen) + [f"unknown mutant {name!r}" for name in sorted(unknown)]
+    problems = (check_table(chosen) + check_tests(chosen)
+                + [f"unknown mutant {name!r}" for name in sorted(unknown)])
     if problems:
         print("\n".join(problems), file=sys.stderr)
         return 2
     survived = 0
-    for name, module, old, new in chosen:
-        failing = run_mutant(module, old, new)
+    for name, module, old, new, test in chosen:
+        failing = run_mutant(module, old, new, test)
         survived += failing is None
         status = "survived" if failing is None else f"caught    {failing[:160]}"
         print(f"{name:<30} {status}", flush=True)
