@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .picard import Angles, InconsistencyError, SurfaceModel, parse_curve_id, point_header
-from .ratmath import RatParseError, format_rat, parse_rat
+from .ratmath import Rat, RatParseError, format_rat, parse_rat
 from .verdict import k_polystable
 
 # Largest accepted m: the lattice has rank m + 2, and the candidate set,
@@ -169,7 +169,7 @@ def cmd_delta(n, m, beta1, beta2, approx, accept_decimal, output):
     )
     # One entry per S_m orbit, formatted once and listed under each name.
     for orbit in verdict.report.orbits:
-        term = verdict.report.orbit_term(orbit)
+        term = verdict.report.term(orbit.name)
         ratio = term.ratio
         entry = {"A": format_rat(term.A), "S": format_rat(term.S), "ratio": format_rat(ratio)}
         if approx:
@@ -242,6 +242,10 @@ def cmd_verify(suite, samples, seed, output):
 
 
 def _parse_grid(text: str, what: str):
+    """The values start, start + step, ... up to stop of ``start:stop:step``,
+    on the integers: over D = lcm(den(start), den(step)), start = s / D and
+    step = t / D, so the count is floor((stop D - s) / t) + 1, checked
+    before any value is formed, and each value is the one Rat (s + i t) / D."""
     parts = text.split(":")
     if len(parts) != 3:
         _user_error(f"malformed {what} grid {text!r}: expected start:stop:step")
@@ -249,14 +253,18 @@ def _parse_grid(text: str, what: str):
         start, stop, step = (parse_rat(p) for p in parts)
     except RatParseError as exc:
         _user_error(f"malformed {what} grid: {exc}")
-    if step <= 0:
+    if step.numerator <= 0:
         _user_error(f"malformed {what} grid: step must be positive")
-    if start <= 0:
+    if start.numerator <= 0:
         _user_error(f"malformed {what} grid: angles must be positive")
-    count = (stop - start) // step + 1
+    D = math.lcm(start.denominator, step.denominator)
+    s = start.numerator * (D // start.denominator)
+    t = step.numerator * (D // step.denominator)
+    q = stop.denominator  # stop D - s = (p D - s q) / q for stop = p / q
+    count = (stop.numerator * D - s * q) // (t * q) + 1
     if count > MAX_POINTS:
         _user_error(f"{what} grid too large (over {MAX_POINTS} points)")
-    return [start + i * step for i in range(count)]
+    return [Rat(s + i * t, D) for i in range(count)]
 
 
 def cmd_scan(n, m, beta1_grid, beta2_grid, approx, output):

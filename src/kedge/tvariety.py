@@ -59,27 +59,28 @@ bc = FM / (L VOL), each cross term is bc_p = (HS2 - 2 sum L Psi_p(x_i) W_i)
 scaled duals, W, VOL, FM and HS2, integers only (X and G are read off L,
 the angles and the duals); a reader divides by the power of L it needs.
 
-The delta minimum stays on integers too, with one record per S_m orbit.
+The delta minimum stays on integers too, with one entry per S_m orbit.
 Each A is beta1, beta2 or 1, so L A is P1, P2 or L, and
-A/S = 2 VOL (L A) / (2 L VOL S).  An ``Orbit`` holds its first name, its
-size, L A and 2 L VOL S, and a term forms A and S from them when it is
-read.  One pass over the six records (four at m = 0) checks every S > 0,
-after VOL > 0, and finds a least A/S by cross-multiplying integers.
-delta = 2 VOL a_min / s_min is the one Fraction formed, and the verdict
-compares it and each orbit's A/S with 1 on the same integers.  A name is
-spelled only where it is read: in the witnesses (the orbits tied with the
-least one) and in a term, which the CLI's per-divisor table reads once per
-orbit and ``DeltaReport.term`` finds by looking the name up among the
-orbits' names.  ``picard.orbit_names`` spells them, as it spells the
-surface's candidate curves; ``FiberP0`` is a name of this route alone,
-which the name grammar does not read.
+A/S = 2 VOL (L A) / (2 L VOL S).  ``delta_tvariety`` keeps each orbit's
+L A and 2 L VOL S, canonical order, and nothing more per point.  One pass
+over the six orbits (four at m = 0) checks every S > 0, after VOL > 0, and
+finds a least A/S by cross-multiplying integers.  delta = 2 VOL a_min /
+s_min is the one Fraction formed, and the verdict compares it and each
+orbit's A/S with 1 on the same integers.  An ``Orbit`` record, with its
+first name and size, is formed only when the report's orbits or witnesses
+are read, and a name is spelled only there: the CLI's per-divisor table
+reads the orbits once, a scan row never.  ``DeltaReport.term`` finds a
+name's orbit by ``picard.orbit_of``, which reads the name grammar, and
+forms that one term; ``picard.orbit_names`` spells an orbit's names, as it
+spells the surface's candidate curves.  ``FiberP0`` is a name of this
+route alone, which the name grammar does not read.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
 from .picard import (C1TILDE, C2TILDE, E1, F1TILDE, GENERIC_FIBER, Angles, DivisorClass,
-                     InconsistencyError, SurfaceModel, orbit_names)
+                     InconsistencyError, SurfaceModel, orbit_names, orbit_of)
 from .ratmath import Rat, sign
 
 
@@ -155,13 +156,18 @@ def legendre_dual(model: SurfaceModel, angles: Angles) -> DualData:
         model.certified.add("support function")
     L, p1, p2 = angles.scaled
     duals = []
-    for (v, hv), *others in _slices(model.n):
+    for vertices in _slices(model.n):
         # L Psi_p at X = (-P1, 0, P2): the least vertex line X v - L h_p(v).
-        c = L * hv
-        lo, mid, hi = -p1 * v - c, -c, p2 * v - c
-        for v, hv in others:
+        lo = mid = hi = None
+        for v, hv in vertices:
             c = L * hv
-            lo, mid, hi = min(lo, -p1 * v - c), min(mid, -c), min(hi, p2 * v - c)
+            x, y, z = -p1 * v - c, -c, p2 * v - c
+            if lo is None or x < lo:
+                lo = x
+            if mid is None or y < mid:
+                mid = y
+            if hi is None or z < hi:
+                hi = z
         duals.append((lo, mid, hi))
     p0, marked, generic = duals
     m = model.m
@@ -187,6 +193,13 @@ class ValuationTerm(NamedTuple):
 FIBER_P0 = "FiberP0"
 
 
+def _heads(m: int) -> tuple:
+    """(first name, size) of each S_m orbit of the delta minimum, canonical
+    order: the E_i and the F~i orbits have m members and are absent at m = 0."""
+    curves = ((E1, m), (F1TILDE, m)) if m else ()
+    return ((C1TILDE, 1), (C2TILDE, 1), *curves, (FIBER_P0, 1), (GENERIC_FIBER, 1))
+
+
 class Orbit(NamedTuple):
     """One S_m orbit of the delta minimum: every term in it has one A and one S."""
 
@@ -203,19 +216,28 @@ class Orbit(NamedTuple):
 class DeltaReport(NamedTuple):
     """delta = min over ray and vertex valuations of A/S, with witnesses.
 
-    The terms are kept as one ``Orbit`` per S_m orbit.  A least orbit's
-    integers give delta = 2 VOL a_min / s_min, formed when read; a name is
-    spelled only when the witnesses or a term are asked for."""
+    The terms are kept as integers, one L A and one 2 L VOL S per S_m
+    orbit.  A least orbit's integers give delta = 2 VOL a_min / s_min,
+    formed when read; the ``Orbit`` records, and the names they spell, are
+    formed only when the orbits or the witnesses are asked for."""
 
     a_min: int  # L A of a least orbit
     s_min: int  # its 2 L VOL S
     futaki_sign: int  # sign of -integral of u * deg Psi
-    orbits: tuple  # Orbit records, canonical order
+    m: int  # blown-up points: the E_i and the F~i orbits' size
+    a: tuple  # L A of each orbit, canonical order
+    s: tuple  # 2 L VOL S of each orbit, canonical order
     dual: DualData
 
     @property
     def delta(self):
         return Rat(2 * self.dual.VOL * self.a_min, self.s_min)
+
+    @property
+    def orbits(self) -> tuple:
+        """One ``Orbit`` record per S_m orbit, canonical order."""
+        return tuple(Orbit(name, size, a, s)
+                     for (name, size), a, s in zip(_heads(self.m), self.a, self.s))
 
     @property
     def witnesses(self) -> tuple:
@@ -224,18 +246,16 @@ class DeltaReport(NamedTuple):
         return tuple(name for orbit in self.orbits if orbit.a * s_min == a_min * orbit.s
                      for name in orbit.names())
 
-    def orbit_term(self, orbit: Orbit) -> ValuationTerm:
-        """The term shared by every name in ``orbit``."""
-        L = self.dual.L
-        return ValuationTerm(Rat(orbit.a, L), Rat(orbit.s, 2 * L * self.dual.VOL))
-
     def term(self, name: str) -> ValuationTerm:
-        """The term of ``name``, from the orbit that lists it; KeyError for
-        a name with no term on this surface."""
-        for orbit in self.orbits:
-            if name in orbit.names():
-                return self.orbit_term(orbit)
-        raise KeyError(name)
+        """The term of ``name``, shared by its S_m orbit; KeyError for a
+        name with no term on this surface."""
+        firsts = [first for first, _ in _heads(self.m)]
+        try:
+            i = firsts.index(name if name == FIBER_P0 else orbit_of(name, self.m)[0])
+        except ValueError:  # no curve name, or PullbackC2: no orbit of this route
+            raise KeyError(name) from None
+        L = self.dual.L
+        return ValuationTerm(Rat(self.a[i], L), Rat(self.s[i], 2 * L * self.dual.VOL))
 
 
 def delta_tvariety(model: SurfaceModel, angles: Angles) -> DeltaReport:
@@ -248,9 +268,9 @@ def delta_tvariety(model: SurfaceModel, angles: Angles) -> DeltaReport:
     one representative of the identical generic-fiber terms.
 
     S_m permutes the E_i and the F~i, so each orbit has one A and one S,
-    and the report holds one ``Orbit`` per orbit.  One pass over them
-    checks S > 0 (InconsistencyError otherwise, as for VOL <= 0) and finds
-    a least A/S by cross-multiplying L A and 2 L VOL S (module docstring).
+    and the report holds one L A and one 2 L VOL S per orbit.  One pass
+    over them checks S > 0 (InconsistencyError otherwise, as for VOL <= 0)
+    and finds a least A/S by cross-multiplying them (module docstring).
     """
     model.ensure_ample(angles)
     n, m = model.n, model.m
@@ -260,17 +280,16 @@ def delta_tvariety(model: SurfaceModel, angles: Angles) -> DeltaReport:
     if VOL <= 0:
         raise InconsistencyError("torus route: vol is not positive")
     # S = bc + beta1, beta2 - bc, bc_pi - bc, bc_pi, bc_p0 + n bc + 2 and bc_generic
-    orbits = [Orbit(C1TILDE, 1, p1, 2 * (FM + p1 * VOL)),
-              Orbit(C2TILDE, 1, p2, 2 * (p2 * VOL - FM))]
+    s = (2 * (FM + p1 * VOL), 2 * (p2 * VOL - FM))
     if m:
         cross_marked = d.cross(d.PSI_MARKED)
-        orbits += [Orbit(E1, m, L, cross_marked - 2 * FM), Orbit(F1TILDE, m, L, cross_marked)]
-    orbits += [Orbit(FIBER_P0, 1, L, d.cross(d.PSI_P0) + 2 * n * FM + 4 * L * VOL),
-               Orbit(GENERIC_FIBER, 1, L, d.cross(d.PSI_GENERIC))]
-    best = orbits[0]
-    for orbit in orbits:
-        if orbit.s <= 0:
-            raise InconsistencyError(f"torus route: S of {orbit.name} is not positive")
-        if orbit.a * best.s < best.a * orbit.s:
-            best = orbit
-    return DeltaReport(best.a, best.s, -sign(FM), tuple(orbits), d)
+        s += (cross_marked - 2 * FM, cross_marked)
+    s += (d.cross(d.PSI_P0) + 2 * n * FM + 4 * L * VOL, d.cross(d.PSI_GENERIC))
+    a = (p1, p2) + (L,) * (len(s) - 2)
+    a_min, s_min = p1, s[0]
+    for i, si in enumerate(s):
+        if si <= 0:
+            raise InconsistencyError(f"torus route: S of {_heads(m)[i][0]} is not positive")
+        if a[i] * s_min < a_min * si:
+            a_min, s_min = a[i], si
+    return DeltaReport(a_min, s_min, -sign(FM), m, a, s, d)

@@ -26,6 +26,8 @@ from .tvariety import DeltaReport, delta_tvariety
 KPOLYSTABLE = "KPolystable"
 NOT_KPOLYSTABLE = "NotKPolystable"
 OUTSIDE_AMPLE_RANGE = "OutsideAmpleRange"
+# The note off the condition locus, by the bracket's sign.
+_OFF_LOCUS_NOTES = {1: "bracket sign +1; delta < 1", -1: "bracket sign -1; delta < 1"}
 
 
 class NotFound(LookupError):
@@ -73,7 +75,8 @@ def _certify_polystable_branch(m: int, report: DeltaReport):
     check names the orbit's first curve.  A/S = 2 VOL (L A) / (2 L VOL S)
     with S > 0, so each comparison with 1 is one of integers."""
     two_vol = 2 * report.dual.VOL
-    rays, verticals = report.orbits[:2], report.orbits[2:]  # C~1 and C~2 lead the orbits
+    orbits = report.orbits
+    rays, verticals = orbits[:2], orbits[2:]  # C~1 and C~2 lead the orbits
     _check(two_vol * report.a_min == report.s_min,
            "condition point must have delta = 1, got {.delta}", report)
     for orbit in rays:
@@ -125,7 +128,7 @@ def k_polystable(model, angles: Angles) -> Verdict:
         status = NOT_KPOLYSTABLE
     else:
         _check(twice_vol_a < s_min, "delta must be < 1 off the condition locus")
-        note = f"bracket sign {csign:+d}; delta < 1"
+        note = _OFF_LOCUS_NOTES[csign]
         status = NOT_KPOLYSTABLE
     return Verdict(status, csign, delta, (note,), report)
 

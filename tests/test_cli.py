@@ -1,5 +1,6 @@
 """End-to-end CLI contract: byte-stable reports, schemas, exit codes."""
 
+import collections
 import csv
 import gc
 import io
@@ -18,6 +19,7 @@ from conftest import rat
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import kedge.picard
 import kedge.tvariety
 from kedge import cli
 from kedge.cli import COMMANDS, GROUP, HELP, MAX_CONFIG_CHARS, MAX_M, MAX_SCAN_POINTS, main
@@ -498,10 +500,13 @@ class TestInputHandling:
     @pytest.mark.parametrize(
         "beta1_grid, points",
         [("1:10000:1", 10000), ("1:10001:1", 10001),
-         ("1/3:10000/3:1/3", 10000), ("1/3:10001/3:1/3", 10001)],
+         ("1/3:10000/3:1/3", 10000), ("1/3:10001/3:1/3", 10001),
+         ("1/3:49999/10:1/2", 10000), ("1/3:50004/10:1/2", 10001)],
     )
     def test_grid_bound_counts_points(self, capsys, beta1_grid, points):
-        # The empty second axis leaves nothing to compute, so only the bound decides.
+        # The empty second axis leaves nothing to compute, so only the bound
+        # decides.  The last two stops lie off their grid's lattice, whose
+        # start and step have unrelated denominators.
         code, out, err = run_cli(
             capsys,
             ["scan", "--n", "1", "--m", "0",
@@ -513,6 +518,30 @@ class TestInputHandling:
         else:
             assert code == 1 and out == ""
             assert err == "error: beta1 grid too large (over 10000 points)\n"
+
+    def test_hundred_digit_stop_is_refused_before_any_value(self, capsys, monkeypatch):
+        # The count is read off the integers first: no grid value is formed.
+        monkeypatch.setattr(cli, "Rat", _fault)
+        code, out, err = run_cli(
+            capsys,
+            ["scan", "--n", "1", "--m", "0",
+             "--beta1-grid", "1:" + "9" * 100 + ":1", "--beta2-grid", "1/4:1/4:1"],
+        )
+        assert (code, out, err) == (1, "", "error: beta1 grid too large (over 10000 points)\n")
+
+    @settings(max_examples=300)
+    @given(start=st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)),
+           step=st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)),
+           whole=st.integers(-3, 40),
+           part=st.fractions(0, 1, max_denominator=10**6).filter(lambda x: x < 1))
+    def test_grid_matches_the_fraction_reference(self, start, step, whole, part):
+        # Unrelated denominators, a stop off the lattice (part > 0) and a
+        # stop below the start (whole < 0, the empty grid).
+        stop = start + (whole + part) * step
+        spec = ":".join(map(format_rat, (start, stop, step)))
+        grid = cli._parse_grid(spec, "beta1")
+        assert grid == [start + i * step for i in range((stop - start) // step + 1)]
+        assert all(type(value) is Fraction for value in grid)
 
     @pytest.mark.parametrize("beta2_grid, points", [("1:1000:1", 1000 * 1000),
                                                     ("1:1001:1", 1000 * 1001)])
@@ -636,6 +665,27 @@ class TestInconsistencyExit:
         assert len(calls) == 3
         points = [tuple(row.split(",")[:2]) for row in out.splitlines()[1:]]
         assert [(format_rat(a.beta1), format_rat(a.beta2)) for a in ample_checks] == points
+
+    def test_scan_off_the_locus_forms_no_orbit_record(self, capsys, monkeypatch):
+        # A scan row reads delta, the bracket's sign and the status: no
+        # point off the condition locus forms an Orbit record or spells a
+        # name, and each point makes one dual.
+        calls = collections.Counter()
+        targets = [(kedge.tvariety, "Orbit"), (kedge.tvariety, "orbit_names"),
+                   (kedge.picard, "orbit_names"), (kedge.tvariety, "legendre_dual")]
+        for owner, name in targets:
+            def counting(*args, _name=name, _original=getattr(owner, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+        argv = ["scan", "--n", "0", "--m", "2",
+                "--beta1-grid", "1/4:3/4:1/8", "--beta2-grid", "1/8:5/8:1/8"]
+        code, out, _ = run_cli(capsys, argv)
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert code == 0 and len(rows) == 25
+        assert all(row[2] != "0" and row[4] == "NotKPolystable" for row in rows)
+        assert calls == {"legendre_dual": 25}
 
     @pytest.mark.parametrize("cross", [0, -1])
     @pytest.mark.parametrize("argv", [DELTA_ARGS, SCAN_ARGS], ids=["delta", "scan"])

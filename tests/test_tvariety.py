@@ -440,6 +440,7 @@ class TestIntegerRoute:
               rational_condition_point(SurfaceModel(0, 3), rat(3, 4))))  # m >= 3
     @example((SurfaceModel(1, 3), Angles(rat(15, 23), rat(45, 46))))  # n > 0, m >= 3
     @example((SurfaceModel(1, 2), Angles(HALF, HALF)))  # m = 2n: the diagonal
+    @settings(deadline=None)
     def test_matches_fraction_reference(self, surface):
         params, angles = surface
         d = legendre_dual(params, angles)
@@ -497,6 +498,27 @@ class TestOrbitRecords:
         for name in (Ei(model.m + 1), FiTilde(model.m + 1), "E0", PULLBACK_C2, *long_names):
             with pytest.raises(KeyError):
                 report.term(name)
+
+    def test_term_finds_the_orbit_the_name_scan_finds(self):
+        # term reads a name's orbit by picard.orbit_of; the reference scans
+        # every orbit's spelled names for it.
+        def scanned(report, name):
+            for orbit in report.orbits:
+                if name in orbit.names():
+                    L, VOL = report.dual.L, report.dual.VOL
+                    return Rat(orbit.a, L), Rat(orbit.s, 2 * L * VOL)
+            raise KeyError(name)
+
+        for n, m in itertools.product(range(5), range(7)):
+            model = SurfaceModel(n, m)
+            report = delta_tvariety(model, Angles(rat(1, n + 1), rat(2, 2 * m + 3)))
+            for name in (*model.candidates, GENERIC_FIBER, FIBER_P0):
+                term = report.term(name)
+                assert (term.A, term.S) == scanned(report, name)
+            for name in (PULLBACK_C2, Ei(7), Ei(m + 1), FiTilde(m + 1), "E0", "Curve"):
+                for lookup in (report.term, lambda name: scanned(report, name)):
+                    with pytest.raises(KeyError):
+                        lookup(name)
 
 
 class TestCertificate:

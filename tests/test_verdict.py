@@ -366,11 +366,8 @@ class TestCertification:
     @staticmethod
     def with_orbit_s(report, name, s):
         """``report`` with the 2 L VOL S of the orbit led by ``name`` set to ``s(old)``."""
-        orbits = tuple(
-            orbit._replace(s=s(orbit.s)) if orbit.name == name else orbit
-            for orbit in report.orbits
-        )
-        return report._replace(orbits=orbits)
+        return report._replace(s=tuple(
+            s(orbit.s) if orbit.name == name else orbit.s for orbit in report.orbits))
 
     @staticmethod
     def with_delta(report, delta):

@@ -32,8 +32,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # caught it as pytest names it)
 MUTANTS = (
     ("fiber-p0-s-plus-one", "tvariety.py",
-     "d.cross(d.PSI_P0) + 2 * n * FM + 4 * L * VOL)",
-     "d.cross(d.PSI_P0) + 2 * n * FM + 6 * L * VOL)",
+     "d.cross(d.PSI_P0) + 2 * n * FM + 4 * L * VOL,",
+     "d.cross(d.PSI_P0) + 2 * n * FM + 6 * L * VOL,",
      "tests/test_acceptance.py::test_criterion_6_named_verdicts"),
     ("zariski-orthogonality-off", "zariski.py",
      "if model.intersect(p, model.class_of(curve)) != 0:",
@@ -159,7 +159,7 @@ MUTANTS = (
      "if False:",
      "tests/test_tvariety.py::TestDelta::test_nonpositive_vol_is_an_inconsistency"),
     ("torus-s-positive-off", "tvariety.py",
-     "if orbit.s <= 0:",
+     "if si <= 0:",
      "if False:",
      "tests/test_cli.py::TestInconsistencyExit::test_nonpositive_s_is_exit_2[delta-0]"),
     ("condition-delta-one-off", "verdict.py",
@@ -310,9 +310,19 @@ MUTANTS = (
      "return Rat(value)",
      "tests/test_picard.py::test_angles_read_a_string_by_the_literal_grammar"),
     ("orbit-term-a-halved", "tvariety.py",
-     "ValuationTerm(Rat(orbit.a, L),",
-     "ValuationTerm(Rat(orbit.a, 2 * L),",
+     "ValuationTerm(Rat(self.a[i], L),",
+     "ValuationTerm(Rat(self.a[i], 2 * L),",
      "tests/test_acceptance.py::test_criterion_4_route_agreement"),
+    # A scan axis's integer count, and the orbit heads that the records
+    # formed on read take their names and sizes from.
+    ("grid-count-one-short", "cli.py",
+     "count = (stop.numerator * D - s * q) // (t * q) + 1",
+     "count = (stop.numerator * D - s * q) // (t * q)",
+     "tests/test_cli.py::TestScanAgainstPerPointReference::test_scan_matches_the_reference_byte_for_byte"),
+    ("orbit-heads-e-f-swapped", "tvariety.py",
+     "curves = ((E1, m), (F1TILDE, m)) if m else ()",
+     "curves = ((F1TILDE, m), (E1, m)) if m else ()",
+     "tests/test_cli.py::TestGoldens::test_byte_identical[argv0-delta_f0_blow2_half.json]"),
 )
 
 IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__")
