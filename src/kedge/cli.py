@@ -122,23 +122,24 @@ def _dump(report: dict, output: str | None):
     _emit("".join(out), output)
 
 
-def _parse_angles(beta1: str, beta2: str, accept_decimal: bool) -> Angles:
+def _read(read, *args):
+    """``read(*args)``, a reader of the caller's input: its ValueError is
+    the caller's error (exit 1), and any other exception propagates."""
     try:
-        return Angles(
-            parse_rat(beta1, accept_decimal=accept_decimal),
-            parse_rat(beta2, accept_decimal=accept_decimal),
-        )
+        return read(*args)
     except ValueError as exc:
         _user_error(str(exc))
+
+
+def _parse_angles(beta1: str, beta2: str, accept_decimal: bool) -> Angles:
+    return _read(Angles, _read(parse_rat, beta1, accept_decimal),
+                 _read(parse_rat, beta2, accept_decimal))
 
 
 def _parse_surface(n: int, m: int) -> SurfaceModel:
     if m > MAX_M:
         _user_error(f"m must be at most {MAX_M}, got {m}")
-    try:
-        return SurfaceModel(n, m)
-    except ValueError as exc:
-        _user_error(str(exc))
+    return _read(SurfaceModel, n, m)
 
 
 def _ensure_ample(model: SurfaceModel, angles: Angles):
@@ -185,19 +186,13 @@ def cmd_volume_curve(n, m, curve, beta1, beta2, approx, accept_decimal, output):
 
     model = _parse_surface(n, m)
     angles = _parse_angles(beta1, beta2, accept_decimal)
-    try:
-        curve = parse_curve_id(curve)
-    except ValueError as exc:
-        _user_error(str(exc))
+    curve = _read(parse_curve_id, curve)
     try:
         model.class_of(curve)
     except ValueError:
         _user_error(f"curve {curve} does not exist on a surface with m={m}")
     _ensure_ample(model, angles)
-    try:
-        a_value = log_discrepancy(curve, model, angles)  # PullbackC2 at m > 0 is refused
-    except ValueError as exc:
-        _user_error(str(exc))
+    a_value = _read(log_discrepancy, curve, model, angles)  # PullbackC2 at m > 0 is refused
     pieces = volume_curve(curve, model, angles)
     s_value = expected_vanishing_order(pieces)
     tau = pieces[-1].x_hi

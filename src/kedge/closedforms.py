@@ -6,7 +6,8 @@ closed form for the named curves of the family: the restricted-volume curve
 supports and coefficients, and the integrated quantity ``S(C)`` collapses to
 a short polynomial in the angles.  This module writes those formulas down
 directly, with no Zariski decomposition involved, so the two can be checked
-against each other.
+against each other; it imports only the lattice (``picard``) and the
+rationals (``ratmath``), nothing of the sweep.
 
 Everything is computed on the angles' integer form (L, P1, P2)
 (``Angles.scaled``), as the sweep is.  Each curve is a list of walls, each
@@ -35,9 +36,8 @@ from __future__ import annotations
 
 from itertools import pairwise
 
-from .picard import C1TILDE, C2TILDE, E1, F1TILDE, FiTilde, orbit_of
+from .picard import C1TILDE, C2TILDE, E1, F1TILDE, FiTilde, QuadraticPiece, orbit_of
 from .ratmath import Rat
-from .volumes import QuadraticPiece
 
 
 def _quadratic(a0, a1, a2, L, d=1):
@@ -99,7 +99,8 @@ def closed_form_S(E, model, angles) -> Rat | None:
     return ``None``, and a name that is not a curve of the surface is
     refused with ``class_of``'s ValueError.  With the angle bracket
     b = b1^2 - b2^2 - (n b1^3 + (n - m) b2^3) / 3, S(C~1) = b1 - 2 b / vol
-    and S(C~2) = b2 + 2 b / vol; S(E_i) and S(F~i) are 1 + inner / vol.
+    and S(C~2) = b2 + 2 b / vol; S(E_i) and S(F~i) are 1 + inner / vol,
+    one inner polynomial in a pair (a, b) that is E_i's or F~i's.
     Each numerator is scaled by 3 L^3, so S is one Rat over 3 L V.
     """
     model.ensure_ample(angles)
@@ -113,14 +114,11 @@ def closed_form_S(E, model, angles) -> Rat | None:
         if E == C1TILDE:
             return Rat(3 * p1 * V - 2 * bracket, den)
         return Rat(3 * p2 * V + 2 * bracket, den)
-    if first == E1:
-        inner = (3 * L * (-(n - 2) * p1 * p1 + (n - m) * p2 * p2)
-                 + n * (n - 2) * p1**3 + (n - m) ** 2 * p2**3)
-    elif first == F1TILDE:
-        inner = (3 * L * (-n * p1 * p1 + (n - m + 2) * p2 * p2)
-                 + n * n * p1**3 + (n - m + 2) * (n - m) * p2**3)
-    else:
+    if first not in (E1, F1TILDE):
         return None
+    # (a, b) is E_i's; F~i = F - E_i, whose a and b are both 2 more.
+    a, b = (n - 2, n - m) if first == E1 else (n, n - m + 2)
+    inner = 3 * L * (b * p2 * p2 - a * p1 * p1) + n * a * p1**3 + (n - m) * b * p2**3
     return Rat(den + inner, den)
 
 

@@ -35,7 +35,10 @@ The boundary is Delta = (1-beta1) C~1 + (1-beta2) C~2 with cone angles
 
 The two exceptions of the CLI contract live here too, where every route
 reaches them without loading another: ``OutsideAmpleRange`` and
-``InconsistencyError`` (exit 2).
+``InconsistencyError`` (exit 2).  So does ``QuadraticPiece``, the piece of
+a volume curve that both the sweep and the closed forms return: the
+closed-form oracle takes it from here, so that it loads nothing of the
+sweep it checks.
 """
 from __future__ import annotations
 
@@ -44,6 +47,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .ratmath import Rat, exact, format_rat
 
@@ -56,6 +60,18 @@ class InconsistencyError(ArithmeticError):
     """An internal cross-check failed: the two computation routes, a
     theorem hypothesis check or a certificate disagreed; results cannot
     be trusted."""
+
+
+class QuadraticPiece(NamedTuple):
+    """One chamber of a volume curve, which is the tuple of its pieces in
+    order, partitioning [0, tau]: interval, quadratic, support."""
+
+    x_lo: object
+    x_hi: object
+    q0: object
+    q1: object
+    q2: object
+    negative_support: tuple  # curve names
 
 
 @dataclass(frozen=True)

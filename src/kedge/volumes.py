@@ -53,27 +53,14 @@ IrrationalThreshold instead of approximating.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .picard import C1TILDE, C2TILDE, PULLBACK_C2, Angles, InconsistencyError, SurfaceModel
+from .picard import (C1TILDE, C2TILDE, PULLBACK_C2, Angles, InconsistencyError,
+                     QuadraticPiece, SurfaceModel)
 from .ratmath import ZERO, Rat, isqrt_exact
 from .zariski import DecompositionError, NotPseudoeffective, grow_support
 
 
 class IrrationalThreshold(InconsistencyError):
     """The pseudoeffective threshold came out irrational, which this family rules out."""
-
-
-class QuadraticPiece(NamedTuple):
-    """One chamber of a volume curve, which is the tuple of its pieces in
-    order, partitioning [0, tau]: interval, quadratic, support."""
-
-    x_lo: object
-    x_hi: object
-    q0: object
-    q1: object
-    q2: object
-    negative_support: tuple  # curve names
 
 
 def _piece_integral(piece: QuadraticPiece) -> tuple:

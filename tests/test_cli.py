@@ -1198,6 +1198,20 @@ class TestInternalFault:
             assert result == (2, "", "internal error: RuntimeError: injected fault\n"), \
                 function.__qualname__
 
+    @pytest.mark.parametrize("argv, late", [
+        (DELTA_ARGS, "_json"), (SCAN_ARGS, "format_rat"), (CURVE_ARGS, "_json"),
+        (["verify", "--samples", "1"], "_json"),
+    ], ids=lambda a: a[0] if isinstance(a, list) else a)
+    def test_a_fault_leaves_no_output_file(self, capsys, monkeypatch, tmp_path, argv, late):
+        # The fault comes late, while the report's text is formed: every
+        # subcommand writes its report in one call at the end, so --output
+        # gets no file, not even its directory.
+        monkeypatch.setattr(f"kedge.cli.{late}", _fault)
+        output = tmp_path / "out" / "report"
+        result = run_cli(capsys, [*argv, "-o", str(output)])
+        assert result == (2, "", "internal error: RuntimeError: injected fault\n")
+        assert not output.parent.exists()
+
     def test_an_interrupt_is_no_internal_fault(self, monkeypatch):
         def interrupt(*args):
             raise KeyboardInterrupt

@@ -5,7 +5,13 @@ the generic fiber and, at m = 0, the pulled-back section, over a grid of
 surfaces and small-denominator angles in the ample range, and at each tie
 of the exceptional-curve classification.  At m up to 200, where the
 reference is not run, each oracle curve integrated by the sweep's S
-(``volumes.expected_vanishing_order``) is the oracle's own S."""
+(``volumes.expected_vanishing_order``) is the oracle's own S.  The oracle
+loads no module of the sweep it checks."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import (reference_classify_exceptional_case, reference_closed_form_S,
@@ -143,3 +149,19 @@ def test_a_name_that_is_no_curve_of_the_surface_is_refused():
     for name in (GENERIC_FIBER, PULLBACK_C2):
         assert closed_form_S(name, model, angles) is None
         assert closed_form_volume_curve(name, model, angles) is None
+
+
+def test_the_oracle_loads_nothing_of_the_sweep():
+    # Past what ``import kedge`` loads, the oracle adds only itself: not
+    # ``volumes``, ``zariski`` or ``linalg``, the sweep it is checked against.
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    script = ("import sys\n"
+              "import kedge\n"
+              "before = {m for m in sys.modules if m.split('.')[0] == 'kedge'}\n"
+              "import kedge.closedforms\n"
+              "print(sorted({m for m in sys.modules if m.split('.')[0] == 'kedge'} - before))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "['kedge.closedforms']\n", "")

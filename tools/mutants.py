@@ -267,8 +267,8 @@ MUTANTS = (
      "CASE_C2_FIRST if p1 + (m - n) * p2 < 2 * L else None",
      "tests/test_closedforms.py::test_integer_forms_match_the_reference[1]"),
     ("closed-s-fi-cubic-coefficient", "closedforms.py",
-     "+ (n - m + 2) * (n - m) * p2**3",
-     "+ (n - m + 1) * (n - m) * p2**3",
+     "(n, n - m + 2)",
+     "(n, n - m + 1)",
      "tests/test_closedforms.py::test_integer_forms_match_the_reference[0]"),
     ("closed-c1-c2-k", "closedforms.py",
      "_square(m - 1, (m - n) * (n - 1), 2 * L, L)",
@@ -288,6 +288,11 @@ MUTANTS = (
     ("internal-error-handler-off", "cli.py",
      "except Exception as exc:",
      "except ArithmeticError as exc:",
+     "tests/test_cli.py::TestInternalFault::test_every_called_function_that_fails_gives_one_line_and_exit_2[delta]"),
+    # The one reader of caller input: only its ValueError is the caller's.
+    ("read-catches-any-exception", "cli.py",
+     "    except ValueError as exc:\n        _user_error(str(exc))",
+     "    except Exception as exc:\n        _user_error(str(exc))",
      "tests/test_cli.py::TestInternalFault::test_every_called_function_that_fails_gives_one_line_and_exit_2[delta]"),
     # The verify battery's inputs and its oracle's family: randint's
     # rejection bound, and a walk that skips the next candidate.
