@@ -285,14 +285,18 @@ class SurfaceModel:
             num[1] = num[i + 1] = 1
         return DivisorClass(num)
 
+    def pair(self, x: tuple, y: tuple) -> int:
+        """The intersection form n.a1a2 + a1b2 + a2b1 - sum c1i c2i on two
+        integer coordinate tuples (a, b, c_1, ..., c_m)."""
+        (a1, b1, *c1), (a2, b2, *c2) = x, y
+        return (self.n * a1 + b1) * a2 + a1 * b2 - sum(map(operator.mul, c1, c2))
+
     def intersect(self, d1: DivisorClass, d2: DivisorClass):
-        """Intersection number n.a1a2 + a1b2 + a2b1 - sum c1i c2i, on the
-        integer coordinates, over the product of the denominators."""
+        """Intersection number of two classes: ``pair`` on their integer
+        coordinates, over the product of the denominators."""
         if d1.m != self.m or d2.m != self.m:
             raise ValueError("dimension mismatch against surface parameters")
-        (a1, b1, *c1), (a2, b2, *c2) = d1.num, d2.num
-        acc = (self.n * a1 + b1) * a2 + a1 * b2 - sum(map(operator.mul, c1, c2))
-        return Rat(acc, d1.den * d2.den)
+        return Rat(self.pair(d1.num, d2.num), d1.den * d2.den)
 
     def pairings(self, d: DivisorClass) -> tuple:
         """(den, den D.C for every C in ``candidates`` order), as
@@ -337,13 +341,6 @@ class SurfaceModel:
         rows += [((e, -1),) for e in es]
         rows += [((1, 1), (e, 1)) for e in es]
         return tuple(rows)
-
-    @cached_property
-    def certified(self) -> set:
-        """Names of the angle-independent certificates this instance passed,
-        so that each runs once per surface model; unlike the candidate
-        tables, it is not shared between equal models."""
-        return set()
 
     def self_intersection(self, d: DivisorClass):
         return self.intersect(d, d)

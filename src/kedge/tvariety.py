@@ -9,8 +9,10 @@ divisorial support function h: its linear tail has slope beta2 on v < 0
 and -beta1 on v >= 0, and its per-point affine pieces are pinned down by
 the vertex values h_p0(n) = -2 and h_pi(-1) = h_pi(0) = 0.  So h is fixed
 by n, m and the angles, and no object stands for it:
-``legendre_dual(model, angles)`` certifies once per surface model that h
-encodes -K_{S,Delta}, then returns its pointwise Legendre duals
+``legendre_dual(model, angles)`` certifies once per surface (n, m) in a
+process that h encodes -K_{S,Delta} (the round trip depends on n and m
+only, and is kept in a cache bounded like the candidate tables), then
+returns its pointwise Legendre duals
 
     Psi_p(u) = min over vertices v of the slice over p of (u v - h_p(v)).
 
@@ -77,10 +79,11 @@ route alone, which the name grammar does not read.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
-from .picard import (C1TILDE, C2TILDE, E1, F1TILDE, GENERIC_FIBER, Angles, DivisorClass,
-                     InconsistencyError, SurfaceModel, orbit_names, orbit_of)
+from .picard import (C1TILDE, C2TILDE, E1, F1TILDE, GENERIC_FIBER, SHARED_SURFACES, Angles,
+                     DivisorClass, InconsistencyError, SurfaceModel, orbit_names, orbit_of)
 from .ratmath import Rat, sign
 
 
@@ -115,6 +118,17 @@ def _encoded_class(model: SurfaceModel, angles: Angles) -> DivisorClass:
 _CERTIFICATE_ANGLES = (Angles(1, 1), Angles(2, 1), Angles(1, 2))
 
 
+@lru_cache(maxsize=SHARED_SURFACES)
+def _certify_support_function(model: SurfaceModel) -> None:
+    """Round-trip h's encoded class against ``log_anticanonical`` at the
+    three angle pairs (see ``legendre_dual``), once per surface (n, m) in
+    a process, in a cache bounded like the candidate tables.  A failed
+    round trip raises InconsistencyError and is not kept."""
+    for frame in _CERTIFICATE_ANGLES:
+        if _encoded_class(model, frame) != model.log_anticanonical(frame):
+            raise InconsistencyError("support function does not encode -K_{S,Delta}")
+
+
 class DualData(NamedTuple):
     """Legendre duals of h at x = X / L, the hat weights of deg Psi and the
     integrals read off them, as the integers of the module docstring; each
@@ -146,14 +160,10 @@ def legendre_dual(model: SurfaceModel, angles: Angles) -> DualData:
     beta1 [C~1] + beta2 [C~2] + 2 F, and ``log_anticanonical`` are both
     affine in (beta1, beta2).  Two affine maps that agree at three affinely
     independent points agree everywhere, so the round trip is checked at
-    (1, 1), (2, 1) and (1, 2) once per SurfaceModel instance, and then
-    holds for every angle pair.
+    (1, 1), (2, 1) and (1, 2) once per surface (n, m) in a process
+    (``_certify_support_function``), and then holds for every angle pair.
     """
-    if "support function" not in model.certified:
-        for frame in _CERTIFICATE_ANGLES:
-            if _encoded_class(model, frame) != model.log_anticanonical(frame):
-                raise InconsistencyError("support function does not encode -K_{S,Delta}")
-        model.certified.add("support function")
+    _certify_support_function(model)
     L, p1, p2 = angles.scaled
     duals = []
     for vertices in _slices(model.n):

@@ -7,11 +7,12 @@ b_i = L beta_i.  Then L (-K_Delta) = b1 C~1 + b2 C~2 + 2L F, so L r0,
 the pairings (-K_Delta).C over the candidate curves C, is an integer
 column read off the sparse candidate table, and so is
 L^2 d0 = L^2 (-K_Delta)^2 = b1 L r0[C~1] + b2 L r0[C~2] + 2L (b1 + b2).
-Every swept curve E, candidate or not, takes one path: the slope column
-r1 of D(x) = -K_Delta - x E is ``pairings`` of -E, L d1 = 2 L
+Every swept curve E, candidate or not, takes one path, through its
+entry ``zariski.swept_curve``, formed once per surface: the slope column
+r1 of D(x) = -K_Delta - x E is -(E.C) from ``pairings`` of E, L d1 = 2 L
 (-K_Delta).(-E) = 2 (b1 r1[C~1] + b2 r1[C~2]) - 4L a_E, since F.E = a_E,
-E's pi^* C2 coordinate, and d2 = E.E comes from the generic
-``intersect``.  Within a chamber the Zariski negative support S is
+E's pi^* C2 coordinate, and d2 = E.E is E paired with itself.  Within a
+chamber the Zariski negative support S is
 constant, the support coefficients a(x) = G_S^{-1} r_S(x) are affine
 in x, and, because P.N = 0, the volume P(x)^2 = D(x)^2 - a(x).r_S(x) is
 an honest quadratic.  The sweep therefore never samples.  The support starts empty, because -K_Delta is
@@ -24,7 +25,11 @@ At each chamber's left end x0 = u/v, ``zariski.grow_support`` grows the
 support on two integer columns, the value v L r(x0) = v L r0 + u L r1
 and the slope r1, ordered lexicographically -- exact "x = x0 + epsilon"
 arithmetic.  It reads only signs, so each column keeps its own positive
-scale.  With s = |det G_S|, its last solve gives
+scale.  The factor of a support and the slope column's half of its
+solve depend on neither the angles nor x: growth keeps one factor per
+surface and support and one slope half per surface, curve and support,
+and solves only the value column per chamber.  With s = |det G_S|, its
+last solve gives
 s L a(x) = w + s a1 (L x), where w = s L a(0) = (s v L a(x0) - u L s a1) / v
 is an exact division; so s L^2 vol(x) = c0 + c1 (L x) + c2 (L x)^2 with
 integer c's.  A residual pairing that falls is P0 + (x - x0) P1 with
@@ -41,8 +46,9 @@ one division by the first piece's q0 = vol(-K_Delta) ends it.
 at every wall, so no two chambers ever merge.  The first chamber's
 support is empty, because -K_Delta is ample, so the first piece is
 D(x)^2 itself: the certificate compares its q0 with (-K_Delta)^2 and its
-q1 with 2 (-K_Delta).(-E), both from the generic ``intersect`` on the
-lattice's integer coordinates, which checks d0 and d1.  It and the
+q1 with 2 (-K_Delta).(-E), both paired by ``SurfaceModel.pair`` on the
+integer coordinates of L (-K_Delta) and of E's class, with no Fraction
+formed, which checks d0 and d1 against the generic form.  It and the
 continuity, vanishing and monotonicity checks cross-multiply the pieces'
 numerators and denominators, on integers.
 
@@ -56,7 +62,7 @@ from __future__ import annotations
 from .picard import (C1TILDE, C2TILDE, PULLBACK_C2, Angles, InconsistencyError,
                      QuadraticPiece, SurfaceModel)
 from .ratmath import ZERO, Rat, isqrt_exact
-from .zariski import DecompositionError, NotPseudoeffective, grow_support
+from .zariski import DecompositionError, NotPseudoeffective, grow_support, swept_curve
 
 
 class IrrationalThreshold(InconsistencyError):
@@ -147,10 +153,10 @@ def volume_sweep(E: str, model: SurfaceModel, angles: Angles) -> tuple:
     r0[0] += 2 * L  # F.C~1 = F.C~2 = 1
     r0[1] += 2 * L
     d0 = b1 * r0[0] + b2 * r0[1] + 2 * L * (b1 + b2)
-    e = model.class_of(E)
-    _, *r1 = model.pairings(-e)  # -E is integral: its denominator is 1
-    d1 = 2 * (b1 * r1[0] + b2 * r1[1]) - 4 * L * e.num[0]  # F.E = a_E
-    d2 = int(model.self_intersection(e))
+    swept = swept_curve(model, E)
+    r1 = swept.slope
+    d1 = 2 * (b1 * r1[0] + b2 * r1[1]) - 4 * L * swept.fiber
+    d2 = swept.square
     context = f"E={E}, n={model.n}, m={model.m}"
 
     pieces: list[QuadraticPiece] = []
@@ -165,7 +171,7 @@ def volume_sweep(E: str, model: SurfaceModel, angles: Angles) -> tuple:
         uL = u * L
         value = [v * a + uL * b for a, b in zip(r0, r1)]
         try:
-            support, s, (a0, a1), (p0, p1) = grow_support(model, (value, r1), start)
+            support, s, (a0, a1), (p0, p1) = grow_support(model, (value, r1), start, E)
         except NotPseudoeffective as exc:
             raise DecompositionError(f"jet support growth failed at x = {x0}+: {exc}") from None
         if any(a < 0 for a in a1):
@@ -206,48 +212,56 @@ def volume_sweep(E: str, model: SurfaceModel, angles: Angles) -> tuple:
         return tuple(pieces)
 
 
-def _jets(piece: QuadraticPiece, x) -> tuple:
-    """Integers (w, d, t) at x = u / v, with qk = nk / dk and d = d0 d1 d2:
-    the value there is w / (d v^2), and the slope q1 + 2 q2 x is
-    t / (d1 d2 v), of the sign of t."""
-    u, v, q0, q1, q2 = x.numerator, x.denominator, piece.q0, piece.q1, piece.q2
+def _jets(piece: QuadraticPiece) -> tuple:
+    """Integers ((w, t) at x_lo, (w, t) at x_hi, d), with qk = nk / dk and
+    d = d0 d1 d2, the numerators read once: at x = u / v the value is
+    w / (d v^2), and the slope q1 + 2 q2 x is t / (d1 d2 v), of the sign
+    of t."""
+    q0, q1, q2 = piece.q0, piece.q1, piece.q2
     n0, d0, n1, d1 = q0.numerator, q0.denominator, q1.numerator, q1.denominator
     n2, d2 = q2.numerator, q2.denominator
-    w = n0 * d1 * d2 * v * v + (n1 * d0 * d2 * v + n2 * d0 * d1 * u) * u
-    return w, d0 * d1 * d2, n1 * d2 * v + 2 * n2 * d1 * u
+    c0, c1, c2, t1, t2 = n0 * d1 * d2, n1 * d0 * d2, n2 * d0 * d1, n1 * d2, 2 * n2 * d1
+    ends = []
+    for x in (piece.x_lo, piece.x_hi):
+        u, v = x.numerator, x.denominator
+        ends.append((c0 * v * v + (c1 * v + c2 * u) * u, t1 * v + t2 * u))
+    return (*ends, d0 * d1 * d2)
 
 
 def _certify_curve(E: str, model: SurfaceModel, angles: Angles, pieces: tuple):
     """Cheap exact post-conditions on the volume curve of E: value and
     slope at x = 0, continuity, endpoints, monotonicity, and a negative
     support that grows strictly at every wall (the theorem the sweep
-    rests on; it also means no two chambers ever merge).  Values and
-    slopes at the endpoints are compared on integers (``_jets``)."""
+    rests on; it also means no two chambers ever merge).  The value and
+    slope at x = 0 are compared with (-K_Delta)^2 and 2 (-K_Delta).(-E),
+    paired by ``SurfaceModel.pair`` on the integer coordinates of
+    L (-K_Delta) and of E's class (``swept_curve``); values and slopes at
+    the endpoints are compared on integers (``_jets``)."""
     if not pieces or pieces[0].x_lo != 0:
         raise DecompositionError("volume curve must start at x = 0")
     q0, q1 = pieces[0].q0, pieces[0].q1
     minus_k = model.log_anticanonical(angles)
-    square = model.self_intersection(minus_k)
-    if q0.numerator * square.denominator != square.numerator * q0.denominator:
+    k, L = minus_k.num, minus_k.den
+    # (-K_Delta)^2 = pair(k, k) / L^2; q1 = -2 (-K_Delta).E = -2 pair(k, E) / L.
+    if q0.numerator * L * L != model.pair(k, k) * q0.denominator:
         raise DecompositionError("volume at x = 0 must equal (-K_Delta)^2")
-    k_e = model.intersect(minus_k, model.class_of(E))  # q1 = 2 (-K_Delta).(-E) = -2 k_e
-    if q1.numerator * k_e.denominator != -2 * k_e.numerator * q1.denominator:
+    if q1.numerator * L != -2 * model.pair(k, swept_curve(model, E).cls.num) * q1.denominator:
         raise DecompositionError("slope at x = 0 must equal 2 (-K_Delta).(-E)")
-    ends = [(_jets(piece, piece.x_lo), _jets(piece, piece.x_hi)) for piece in pieces]
-    _, (w_tau, _, _) = ends[-1]
+    jets = [_jets(piece) for piece in pieces]
+    _, (w_tau, _), _ = jets[-1]
     if w_tau != 0:
         raise DecompositionError("volume must vanish at the threshold")
     for i in range(1, len(pieces)):
         left, right = pieces[i - 1], pieces[i]
         if left.x_hi != right.x_lo:
             raise DecompositionError("pieces must partition the interval")
-        (w, d, _), (w_next, d_next, _) = ends[i - 1][1], ends[i][0]
+        (_, (w, _), d), ((w_next, _), _, d_next) = jets[i - 1], jets[i]
         if w * d_next != w_next * d:  # both at the same x
             raise DecompositionError("volume curve must be continuous across walls")
         if not set(left.negative_support) < set(right.negative_support):
             raise DecompositionError("negative support must grow strictly at every wall")
     # The slope is affine on a piece: its sign at both ends bounds it.
-    if any(t > 0 for lo, hi in ends for t in (lo[2], hi[2])):
+    if any(lo[1] > 0 or hi[1] > 0 for lo, hi, _ in jets):
         raise DecompositionError("volume curve must be nonincreasing")
 
 

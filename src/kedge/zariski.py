@@ -12,23 +12,29 @@ every column on it for |det G_S| a, reads the residual pairings
 |det G_S| P.C off the table's nonzeros, and adds every candidate the
 residual meets negatively, until nothing is added.  Only signs are read,
 and every scale is positive, so the rational decomposition never has to
-be formed inside the loop.  The sections C~1 and C~2 go last: the
-others have pairwise Gram matrix -I (E_j and F~j together are singular,
-since E_j + F~j = F), so every pivot before the sections is -1 and the
-factor does not fill in; the sections do not meet each other or a common
-curve, so their pivots are integers too.  ``zariski_decompose`` runs it
-on one column, D.C times the class's denominator, from the empty
-support, and forms the positive part in one sparse pass over the
-support's integer coordinates; the chamber sweep in ``volumes`` runs it
-on two (value and slope, read lexicographically) from the previous
-chamber's support (Bauer's guarantee needs a start inside the true
-one).  ``zariski_decompose`` certifies each decomposition against the
-three defining conditions on every call; ``zariski_decompose_bruteforce``
-enumerates every negative-definite set of candidates and is kept as an
-independent oracle.  Every solve and definiteness test goes through the one
-fraction-free elimination in ``linalg``: growth factors each round's
-support afresh, the oracle's depth-first walk borders the parent set's
-factor by one row per extension and solves on it, both from the table.
+be formed inside the loop.  The sections C~1 and C~2 go last, the others
+by index, so that a set of curves has one order: the others have pairwise
+Gram matrix -I (E_j and F~j together are singular, since E_j + F~j = F),
+so every pivot before the sections is -1 and the factor does not fill
+in; the sections do not meet each other or a common curve, so their
+pivots are integers too.  Neither a support's factor nor a swept curve's
+slope column depends on the angles, so both, and the slope column's half
+of each solve, are kept once per surface: one factor per (surface,
+support), one ``SweptCurve`` per (surface, curve) and one slope half per
+(surface, curve, support), each in a cache bounded by a multiple of
+``picard.SHARED_SURFACES``.  ``zariski_decompose`` runs growth on one
+column, D.C times the class's denominator, from the empty support, and
+forms the positive part in one sparse pass over the support's integer
+coordinates; the chamber sweep in ``volumes`` runs it on two (value and
+slope, read lexicographically) from the previous chamber's support
+(Bauer's guarantee needs a start inside the true one), and solves only
+the value column afresh.  ``zariski_decompose`` certifies each
+decomposition against the three defining conditions on every call;
+``zariski_decompose_bruteforce`` enumerates every negative-definite set
+of candidates and is kept as an independent oracle.  Every solve and definiteness test goes through the one
+fraction-free elimination in ``linalg``: growth factors a support once per
+surface, the oracle's depth-first walk borders the parent set's factor by
+one row per extension and solves on it, both from the table.
 The walk depends only on (n, m): it runs once per surface in a process,
 and the family it builds is kept in a cache bounded like the candidate
 tables (``picard.SHARED_SURFACES`` surfaces); each call solves afresh.
@@ -128,13 +134,69 @@ def _bordering(table, c, position):
     return column, diagonal
 
 
-def _support_factor(table, support):
-    """The factor of ``support``'s Gram matrix, bordered from the table."""
-    factor, position = EMPTY_FACTOR, {}
+#: How many support factors, swept curves and slope halves a process keeps,
+#: least recently used dropped first: per surface of ``SHARED_SURFACES``,
+#: 32 supports, 16 curves (every curve a sweep takes at m <= 6) and 128
+#: (curve, support) pairs.
+SUPPORT_FACTORS = 32 * SHARED_SURFACES
+SWEPT_CURVES = 16 * SHARED_SURFACES
+SLOPE_HALVES = 128 * SHARED_SURFACES
+
+
+@lru_cache(maxsize=SUPPORT_FACTORS)
+def _support_factor(model: SurfaceModel, support: tuple):
+    """The factor of ``support``'s Gram matrix, a tuple of candidate indices
+    in factor order, bordered from the candidate table once per (surface,
+    support); a support that is not negative definite raises
+    NotNegativeDefinite and is not kept."""
+    table, factor, position = model.candidate_table, EMPTY_FACTOR, {}
     for c in support:
         factor = border(factor, *_bordering(table, c, position))
         position[c] = len(position)
     return factor
+
+
+def _solve(table, support, factor, column) -> tuple:
+    """(a, P) for one column on the support: a = |det G_S| G_S^{-1} column_S
+    over the support, and the residual pairings P = |det G_S| column -
+    sum a_i (C_i.C) over every candidate, read off the table's nonzeros."""
+    coeffs = solve_factored(factor, [column[c] for c in support])
+    scale = abs(factor[1][-1])
+    residual = [scale * v for v in column]
+    for c, a in zip(support, coeffs):
+        if a:
+            for j, g in table[c]:
+                residual[j] -= a * g
+    return coeffs, residual
+
+
+class SweptCurve(NamedTuple):
+    """A curve E as the chamber sweep reads it: its class, its slope column
+    r1 = (-E).C over the candidates, F.E and E^2, all integers (every
+    named class is integral)."""
+
+    cls: DivisorClass
+    slope: tuple
+    fiber: int
+    square: int
+
+
+@lru_cache(maxsize=SWEPT_CURVES)
+def swept_curve(model: SurfaceModel, E: str) -> SweptCurve:
+    """The ``SweptCurve`` of the curve named ``E``, once per (surface, curve);
+    ValueError for a name that is not a curve there, as ``class_of``."""
+    e = model.class_of(E)
+    _, *pairings = model.pairings(e)
+    return SweptCurve(e, tuple(-x for x in pairings), e.num[0], model.pair(e.num, e.num))
+
+
+@lru_cache(maxsize=SLOPE_HALVES)
+def _slope_half(model: SurfaceModel, curve: str, support: tuple) -> tuple:
+    """``_solve`` of ``curve``'s slope column on ``support``, once per
+    (surface, curve, support): it depends on neither the angles nor x."""
+    coeffs, residual = _solve(model.candidate_table, support, _support_factor(model, support),
+                              swept_curve(model, curve).slope)
+    return tuple(coeffs), tuple(residual)
 
 
 def _subtract_curves(model: SurfaceModel, d: DivisorClass, support, coeffs, scale: int):
@@ -172,57 +234,62 @@ def _certify(model: SurfaceModel, d: DivisorClass, zd: ZariskiDecomposition):
         raise DecompositionError("P + N does not reconstruct the input class")
 
 
-def grow_support(model: SurfaceModel, columns, start=()):
+def grow_support(model: SurfaceModel, columns, start=(), curve=None):
     """Bauer's support growth: (support, scale, coefficients, residuals).
 
     Curves are indices into ``model.candidates``.  ``columns`` are
     integer columns over the candidates, each D.C times a positive scale
     of its own, compared lexicographically: one for ``zariski_decompose``;
     for the chamber sweep the value and the slope of the pairing jet at a
-    chamber's left end x0 (exact "x = x0 + epsilon" arithmetic).  From
+    chamber's left end x0 (exact "x = x0 + epsilon" arithmetic), with
+    ``curve`` the swept curve's name, whose slope column
+    ``swept_curve(model, curve).slope`` the last column then is.  From
     ``start``, each round factors the support's Gram matrix G_S from
     ``model.candidate_table``, solves G_S a = (D.C)_{C in S} for every
     column on it, forms the residuals P.C = D.C - sum a_i (C_i.C) over the
     table's nonzeros, and adds every candidate outside S with a negative
-    residual, until none is added.  It returns scale = |det G_S|, and the
-    coefficient columns over S and the residual columns over every
-    candidate, each times scale, in integers.  S grows strictly: at most
-    k + 1 factors for k candidates.  For a pseudoeffective class and a
-    start inside the true negative support, S stays inside it (Bauer, J.
-    Algebraic Geom. 18, 2009), so G_S is negative definite and no
-    coefficient is negative; either failure raises NotPseudoeffective.
+    residual, until none is added.  Neither the factor nor the slope
+    column's half depends on the angles: they are kept per (surface,
+    support) and per (surface, curve, support), so a round on a support
+    met before solves only the columns it is given afresh.  It returns
+    scale = |det G_S|, and the coefficient columns over S and the
+    residual columns over every candidate, each times scale, in integers.
+    S grows strictly: at most k + 1 factors for k candidates.  For a
+    pseudoeffective class and a start inside the true negative support, S
+    stays inside it (Bauer, J. Algebraic Geom. 18, 2009), so G_S is
+    negative definite and no coefficient is negative; either failure
+    raises NotPseudoeffective.
     """
     table = model.candidate_table
     zero = (0,) * len(columns)
+    fresh = columns if curve is None else columns[:-1]
     support = list(start)
     while True:
         # C~1 and C~2 (indices 0 and 1) meet every F~i and E_i: factoring
         # them last keeps the factor free of fill-in, O(k^2) rather than
-        # O(k^3) for k curves.
-        support.sort(key=lambda c: c < 2)
+        # O(k^3) for k curves.  The others go in index order, so that a set
+        # of curves is one key of the caches.
+        support.sort(key=lambda c: (c < 2, c))
+        key = tuple(support)
         try:
-            factor = _support_factor(table, support)
+            factor = _support_factor(model, key)
         except NotNegativeDefinite:
             raise NotPseudoeffective(
                 "support is not negative definite, which cannot happen "
                 "for a pseudoeffective class"
             ) from None
-        coeffs = [solve_factored(factor, [column[c] for c in support]) for column in columns]
+        halves = [_solve(table, key, factor, column) for column in fresh]
+        if curve is not None:
+            halves.append(_slope_half(model, curve, key))
+        coeffs, residuals = zip(*halves)
         if any(a < zero for a in zip(*coeffs)):
             raise NotPseudoeffective(
                 "orthogonality forces a negative coefficient, which "
                 "cannot happen for a pseudoeffective class"
             )
-        scale = abs(factor[1][-1])
-        residuals = [[scale * v for v in column] for column in columns]
-        for residual, coeff in zip(residuals, coeffs):
-            for c, a in zip(support, coeff):
-                if a:
-                    for j, g in table[c]:
-                        residual[j] -= a * g
         violated = [c for c, r in enumerate(zip(*residuals)) if r < zero and c not in support]
         if not violated:
-            return support, scale, coeffs, residuals
+            return support, abs(factor[1][-1]), coeffs, residuals
         support.extend(violated)
 
 

@@ -6,7 +6,7 @@ common denominator, the LDL^T kernel, the Gram matrix through the generic
 pairing, the signature, the angle sampler, the volume curve's last root,
 the volume of a class, the torus-side Futaki sign, the name-expanding
 torus-route delta, the rational divisor class and the closed-form oracle
-on Fractions."""
+on Fractions, and the one reset of the per-surface caches."""
 
 from __future__ import annotations
 
@@ -23,15 +23,32 @@ from kedge.linalg import NotNegativeDefinite
 from kedge.picard import C1TILDE, C2TILDE, Angles, DivisorClass, InconsistencyError, SurfaceModel
 from kedge.ratmath import ZERO, Rat, isqrt_exact, sign
 from kedge.sampling import MAX_DENOMINATOR, MAX_TRIES, MAX_VALUE
-from kedge.tvariety import legendre_dual
+from kedge.tvariety import _certify_support_function, legendre_dual
 from kedge.volumes import IrrationalThreshold, QuadraticPiece
-from kedge.zariski import DecompositionError, zariski_decompose
+from kedge.zariski import (DecompositionError, _slope_half, _support_factor,
+                           negative_definite_supports, swept_curve, zariski_decompose)
 
 
 @pytest.fixture
 def rng():
     """Fresh deterministic generator per test."""
     return random.Random(20260823)
+
+
+PER_SURFACE_CACHES = (negative_definite_supports, _support_factor, swept_curve, _slope_half,
+                      _certify_support_function)
+
+
+def clear_per_surface_caches():
+    """Empty the caches kept per surface (n, m): the candidate tables, the
+    oracle's family, the sweep's support factors, swept curves and slope
+    halves, and the torus certificate.  A request then forms them again
+    and calls every function that forms them, so a test that counts a
+    request's work or breaks a cached step sees a cold run."""
+    for name in ("candidates", "candidate_table", "candidate_coordinates"):
+        getattr(SurfaceModel, name).func.cache_clear()
+    for cache in PER_SURFACE_CACHES:
+        cache.cache_clear()
 
 
 def small_surfaces(n_max: int = 4, m_max: int = 4):

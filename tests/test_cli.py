@@ -15,7 +15,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from conftest import rat
+from conftest import clear_per_surface_caches, rat
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +29,7 @@ from kedge.tvariety import DualData, legendre_dual
 from kedge.verdict import InconsistencyError, k_polystable
 from kedge.verify import SUITES, SuiteResult
 from kedge.volumes import IrrationalThreshold
-from kedge.zariski import DecompositionError, negative_definite_supports
+from kedge.zariski import DecompositionError
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -622,12 +622,15 @@ class TestInconsistencyExit:
 
     @staticmethod
     def assert_certificate_is_exit_2(capsys, monkeypatch, argv):
-        # Each request certifies its own surface model: a request on the
-        # same (n, m) certified earlier in the process does not excuse it.
+        # The certificate runs once per surface (n, m) in a process: a
+        # request on a surface certified earlier reads the kept result, and
+        # a request on a cold cache runs the round trips and exits 2.
         assert run_cli(capsys, argv)[0] == 0
         monkeypatch.setattr(
             "kedge.tvariety._encoded_class", lambda model, angles: model.zero()
         )
+        assert run_cli(capsys, argv)[0] == 0
+        clear_per_surface_caches()
         code, out, err = run_cli(capsys, argv)
         assert_one_line_inconsistency(code, out, err)
         assert "support function does not encode" in err
@@ -640,8 +643,10 @@ class TestInconsistencyExit:
 
     @pytest.mark.parametrize("beta2_grid", ["5/8:3/4:1/32", "1/8:7/8:1/8"])
     def test_scan_certifies_once_per_request(self, capsys, monkeypatch, beta2_grid):
-        # Three round trips per request (see legendre_dual), however many
-        # grid points: 5 x 5 and 5 x 7 here; one ample check per grid point.
+        # Three round trips per surface on a cold cache (see legendre_dual),
+        # however many grid points: 5 x 5 and 5 x 7 here; one ample check
+        # per grid point.
+        clear_per_surface_caches()
         calls = []
         original = kedge.tvariety._encoded_class
 
@@ -665,6 +670,9 @@ class TestInconsistencyExit:
         assert len(calls) == 3
         points = [tuple(row.split(",")[:2]) for row in out.splitlines()[1:]]
         assert [(format_rat(a.beta1), format_rat(a.beta2)) for a in ample_checks] == points
+        # A second request on the surface reads the kept certificate.
+        assert run_cli(capsys, argv) == (0, out, "")
+        assert len(calls) == 3
 
     def test_scan_off_the_locus_forms_no_orbit_record(self, capsys, monkeypatch):
         # A scan row reads delta, the bracket's sign and the status: no
@@ -1142,14 +1150,6 @@ WIDE_AXES = st.tuples(
 
 def _fault(*args, **kwargs):
     raise RuntimeError("injected fault")
-
-
-def clear_per_surface_caches():
-    """Empty the caches shared per surface (n, m), so that a request builds
-    its tables again and calls every function that builds them."""
-    for name in ("candidates", "candidate_table", "candidate_coordinates"):
-        getattr(SurfaceModel, name).func.cache_clear()
-    negative_definite_supports.cache_clear()
 
 
 def kedge_functions_called(capsys, argv) -> list:

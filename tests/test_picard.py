@@ -204,8 +204,6 @@ def test_candidate_tables_are_shared_by_equal_models():
     assert first is not second
     for name in CANDIDATE_TABLES:
         assert getattr(first, name) is getattr(second, name), name
-    # The certificates stay per instance, so every model runs its own.
-    assert first.certified is not second.certified
     assert SurfaceModel(2, 6).candidate_table is not first.candidate_table
 
 

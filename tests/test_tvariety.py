@@ -16,13 +16,14 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from conftest import divisor, futaki_vanishes, rat, reference_delta_tvariety
+from conftest import (clear_per_surface_caches, divisor, futaki_vanishes, rat,
+                      reference_delta_tvariety)
 from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 import kedge.tvariety
-from kedge.picard import (GENERIC_FIBER, PULLBACK_C2, Angles, Ei, FiTilde, InconsistencyError,
-                          SurfaceModel, SurfaceParams)
+from kedge.picard import (GENERIC_FIBER, PULLBACK_C2, SHARED_SURFACES, Angles, Ei, FiTilde,
+                          InconsistencyError, SurfaceModel, SurfaceParams)
 from kedge.ratmath import ZERO, Rat, sign
 from kedge.sampling import sample_angles, sample_surface
 from kedge.tvariety import FIBER_P0, delta_tvariety, legendre_dual
@@ -531,9 +532,45 @@ class TestCertificate:
         def offset(self, angles):
             return original(self, angles) + divisor(0, 1, (0,) * self.m)
 
+        clear_per_surface_caches()
         monkeypatch.setattr(SurfaceModel, "log_anticanonical", offset)
         with pytest.raises(InconsistencyError, match="does not encode"):
             legendre_dual(SurfaceModel(n, m), Angles(HALF, rat(1, 3)))
+
+    def test_equal_models_run_one_certificate(self, monkeypatch):
+        # The round trips depend on (n, m) only: two equal models, and every
+        # angle pair, share one certificate; another n or another m runs
+        # its own, and a failed one is not kept.
+        clear_per_surface_caches()
+        calls = []
+        original = kedge.tvariety._encoded_class
+
+        def counting(model, angles):
+            calls.append((model.n, model.m))
+            return original(model, angles)
+
+        monkeypatch.setattr(kedge.tvariety, "_encoded_class", counting)
+        legendre_dual(SurfaceModel(1, 2), Angles(HALF, rat(1, 3)))
+        legendre_dual(SurfaceModel(1, 2), Angles(rat(1, 3), HALF))
+        assert calls == [(1, 2)] * 3
+        legendre_dual(SurfaceModel(2, 2), Angles(rat(1, 3), HALF))
+        legendre_dual(SurfaceModel(1, 3), Angles(HALF, rat(1, 3)))
+        assert calls == [(1, 2)] * 3 + [(2, 2)] * 3 + [(1, 3)] * 3
+        monkeypatch.setattr(kedge.tvariety, "_encoded_class", lambda model, angles: model.zero())
+        for model in (SurfaceModel(1, 4), SurfaceModel(1, 4), SurfaceModel(3, 2)):
+            with pytest.raises(InconsistencyError, match="does not encode"):
+                legendre_dual(model, Angles(rat(1, 3), rat(1, 3)))
+
+    def test_certificate_cache_is_bounded(self):
+        cache = kedge.tvariety._certify_support_function
+        for m in range(SHARED_SURFACES + 5):
+            cache(SurfaceModel(1, m))
+        info = cache.cache_info()
+        assert (info.maxsize, info.currsize) == (SHARED_SURFACES, SHARED_SURFACES)
+        cache(SurfaceModel(1, 0))
+        cache(SurfaceModel(1, SHARED_SURFACES + 4))
+        after = cache.cache_info()
+        assert (after.misses - info.misses, after.hits - info.hits) == (1, 1)
 
 
 class TestDelta:

@@ -36,7 +36,7 @@ from kedge.verdict import (
 )
 from kedge.volumes import expected_vanishing_order, volume_curve
 
-from conftest import futaki_vanishes, rat
+from conftest import clear_per_surface_caches, futaki_vanishes, rat
 
 HALF = rat(1, 2)
 CONDITION_M2 = Angles(rat(63, 128), rat(21, 32))
@@ -159,10 +159,13 @@ class TestTorusWork:
     )
     def test_one_torus_pass_per_verdict(self, monkeypatch, params, angles):
         # Deterministic work: a second dual or a second ample check fails
-        # here; the certificate runs its three round trips on the model's
-        # first verdict only, with no DivisorClass arithmetic.  delta is
-        # the one Fraction formed and no Fraction is compared: every check
-        # reads integers.  No term is formed and no name is spelled.
+        # here; on a cold cache the certificate runs its three round trips
+        # on the surface's first verdict only, with no DivisorClass
+        # arithmetic, and an equal model's verdict reads the kept one.
+        # delta is the one Fraction formed and no Fraction is compared:
+        # every check reads integers.  No term is formed and no name is
+        # spelled.
+        clear_per_surface_caches()
         calls = collections.Counter()
         targets = {
             "legendre_dual": kedge.tvariety,
@@ -189,9 +192,10 @@ class TestTorusWork:
             "legendre_dual": 1, "_encoded_class": 3, "log_anticanonical": 3,
             "ample_range_violation": 1, "Rat": 1,
         }
-        calls.clear()
-        verdict = k_polystable(params, angles)
-        assert calls == {"legendre_dual": 1, "ample_range_violation": 1, "Rat": 1}
+        for model in (params, SurfaceModel(params.n, params.m)):
+            calls.clear()
+            verdict = k_polystable(model, angles)
+            assert calls == {"legendre_dual": 1, "ample_range_violation": 1, "Rat": 1}
         assert not hasattr(verdict.report, "terms")
         # Every integral is a dot product with the three hat weights; no
         # general PL type or pairwise product integrator is left.

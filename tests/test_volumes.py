@@ -1,10 +1,12 @@
 """Volume curves from the Zariski sweep: chamber structure, S, A, thresholds."""
 
+import random
 from dataclasses import dataclass
 
 import pytest
-from conftest import (angle_bracket, common_denominator, gram, rat, reference_factorize,
-                      reference_smallest_root_after, reference_solve, total_volume, volume)
+from conftest import (angle_bracket, clear_per_surface_caches, common_denominator, gram, rat,
+                      reference_factorize, reference_smallest_root_after, reference_solve,
+                      total_volume, volume)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -347,18 +349,80 @@ class TestSharedEngine:
             (C1TILDE, SurfaceModel(1, 2), Angles(HALF, rat(2, 3)), 2),
         ],
     )
-    def test_sweep_solve_count(self, monkeypatch, curve, params, angles, solves):
-        # Deterministic work: one factorisation per chamber, solved for both
-        # columns, so any re-factorisation fails here.
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return _support_factor(*args)
-
-        monkeypatch.setattr("kedge.zariski._support_factor", counting)
+    def test_sweep_solve_count(self, curve, params, angles, solves):
+        # Deterministic work on a cold cache: one factorisation per chamber
+        # (a miss of the per-surface cache), so any re-factorisation fails
+        # here.
+        clear_per_surface_caches()
         volume_curve(curve, params, angles)
-        assert len(calls) == solves
+        assert _support_factor.cache_info().misses == solves
+
+    @pytest.mark.parametrize("model, angles", [(SurfaceModel(0, 2), Angles(HALF, HALF)),
+                                               (SurfaceModel(1, 3), Angles(HALF, rat(1, 3)))])
+    def test_a_sweep_factors_once_per_distinct_support(self, monkeypatch, model, angles):
+        # On a cold cache every support that growth meets is factored once
+        # per surface, whichever curve's sweep meets it first: the empty
+        # support of each sweep's first chamber among them.
+        clear_per_surface_caches()
+        looked_up, supports = [], []
+
+        def recording(model, support):
+            looked_up.append(support)
+            return _support_factor(model, support)
+
+        def spy(model, columns, start=(), curve=None):
+            grown = grow_support(model, columns, start, curve)
+            supports.append(tuple(grown[0]))
+            return grown
+
+        monkeypatch.setattr("kedge.zariski._support_factor", recording)
+        monkeypatch.setattr("kedge.volumes.grow_support", spy)
+        for curve in (*model.candidates, GENERIC_FIBER):
+            volume_curve(curve, model, angles)
+        info = _support_factor.cache_info()
+        assert info.misses == info.currsize == len(set(looked_up))
+        assert set(supports) <= set(looked_up)
+        assert supports.count(()) == len(model.candidates) + 1
+
+    def test_a_second_sweep_solves_only_its_value_column(self, monkeypatch):
+        # E1's four chambers on (0, 2) have the same supports at (1/2, 1/2)
+        # and at (2/5, 3/5).  The second sweep forms no factor and no slope
+        # half, reading both from their caches, and solves one column per
+        # chamber: the value's.
+        model, curve = SurfaceModel(0, 2), Ei(1)
+        clear_per_surface_caches()
+        first = volume_sweep(curve, model, Angles(HALF, HALF))
+        solves = []
+
+        def solving(factor, rhs):
+            solves.append(rhs)
+            return linalg.solve_factored(factor, rhs)
+
+        monkeypatch.setattr("kedge.zariski.solve_factored", solving)
+        factors, halves = _support_factor.cache_info(), zariski._slope_half.cache_info()
+        second = volume_sweep(curve, model, Angles(rat(2, 5), rat(3, 5)))
+        assert [p.negative_support for p in second] == [p.negative_support for p in first]
+        assert len(second) == 4
+        assert len(solves) == 4
+        for cache, before in ((_support_factor, factors), (zariski._slope_half, halves)):
+            after = cache.cache_info()
+            assert (after.misses, after.hits) == (before.misses, before.hits + 4)
+
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(0, 6), m=st.integers(0, 6), seed=st.integers(0, 2**32))
+    def test_a_cold_sweep_equals_the_warm_one(self, n, m, seed):
+        # What the caches keep depends on the surface, the curve and the
+        # support only: after cache_clear() every candidate's sweep and the
+        # generic fiber's equal those made on the caches that earlier draws
+        # (other surfaces and angles) and this one left, piece for piece.
+        model = SurfaceModel(n, m)
+        angles = sample_angles(random.Random(seed), model)
+        curves = (*model.candidates, GENERIC_FIBER)
+        warm = [volume_sweep(curve, model, angles) for curve in curves]
+        again = [volume_sweep(curve, SurfaceModel(n, m), angles) for curve in curves]
+        clear_per_surface_caches()
+        cold = [volume_sweep(curve, SurfaceModel(n, m), angles) for curve in curves]
+        assert warm == again == cold
 
     def test_sweep_and_decomposition_read_only_the_table(self, monkeypatch):
         # Support growth pairs through the candidate table alone: classes
@@ -409,8 +473,8 @@ class TestSharedEngine:
     ):
         rounds = []
 
-        def spy(model, columns, start=()):
-            grown = grow_support(model, columns, start)
+        def spy(model, columns, start=(), curve=None):
+            grown = grow_support(model, columns, start, curve)
             rounds.append((list(start), grown[0]))
             return grown
 
@@ -426,21 +490,31 @@ class TestSharedEngine:
                                                 (SurfaceModel(1, 2), Angles(HALF, rat(2, 3)))])
     def test_intersect_count(self, monkeypatch, params, angles):
         # Every curve takes one path: the sweep reads d0 off the table, d1
-        # and the slope column off E's pairings, and forms d2 = E^2 through
-        # the generic intersect; the certificate forms (-K_Delta)^2 and
-        # (-K_Delta).(-E) through it.  Candidates and the generic fiber
-        # alike: 3 calls.
-        intersect, calls = SurfaceModel.intersect, []
+        # and the slope column off E's pairings, and d2 = E^2 off the swept
+        # curve's entry, which pairs E with itself once per surface; the
+        # certificate pairs (-K_Delta)^2 and (-K_Delta).E.  Each pairing is
+        # the one integer form ``pair``, and no Fraction is formed through
+        # the generic intersect.  Candidates and the generic fiber alike,
+        # on a cold cache: 3 pairings, then 2 on a second sweep.
+        clear_per_surface_caches()
+        pair, calls = SurfaceModel.pair, []
 
-        def counting(self, d1, d2):
-            calls.append((d1, d2))
-            return intersect(self, d1, d2)
+        def counting(self, x, y):
+            calls.append((x, y))
+            return pair(self, x, y)
 
-        monkeypatch.setattr(SurfaceModel, "intersect", counting)
+        def refuse(*args):
+            raise AssertionError("the sweep formed an intersection number")
+
+        monkeypatch.setattr(SurfaceModel, "pair", counting)
+        monkeypatch.setattr(SurfaceModel, "intersect", refuse)
         for curve in (*params.candidates, GENERIC_FIBER):
             calls.clear()
             volume_curve(curve, params, angles)
             assert len(calls) == 3
+            calls.clear()
+            volume_curve(curve, params, angles)
+            assert len(calls) == 2
 
     def test_certificate_checks_the_volume_at_zero(self):
         # The first piece's q0 is d0's closed form; the certificate compares
@@ -510,8 +584,9 @@ class TestSharedEngine:
     def test_falling_coefficient_is_refused(self, monkeypatch):
         # No coefficient of the negative part falls along the ray, so the
         # sweep looks for no such wall; it refuses a chamber that has one.
-        def falling(model, columns, start=()):
-            support, scale, (values, slopes), residuals = grow_support(model, columns, start)
+        def falling(model, columns, start=(), curve=None):
+            support, scale, (values, slopes), residuals = grow_support(model, columns, start,
+                                                                       curve)
             return support, scale, ([a + 1 for a in values], [-1] * len(slopes)), residuals
 
         monkeypatch.setattr("kedge.volumes.grow_support", falling)
@@ -519,7 +594,7 @@ class TestSharedEngine:
             volume_curve(C1TILDE, SurfaceModel(0, 2), Angles(HALF, HALF))
 
     def test_support_growth_failure_is_refused(self, monkeypatch):
-        def refusing(model, columns, start=()):
+        def refusing(model, columns, start=(), curve=None):
             raise NotPseudoeffective("synthetic")
 
         monkeypatch.setattr("kedge.volumes.grow_support", refusing)
@@ -535,9 +610,9 @@ class TestClosedForms:
         # (-K_Delta is ample), so that piece is D(x)^2 itself.
         columns = []
 
-        def spy(model, cols, start=()):
+        def spy(model, cols, start=(), curve=None):
             columns.append(cols)
-            return grow_support(model, cols, start)
+            return grow_support(model, cols, start, curve)
 
         monkeypatch.setattr("kedge.volumes.grow_support", spy)
         for n in range(7):
@@ -559,8 +634,8 @@ class TestClosedForms:
                     r0, r1 = columns[0]
                     L = common_denominator(angles.beta1, angles.beta2)[0]
                     assert r0 == [L * model.intersect(minus_k, model.class_of(c)) for c in curves]
-                    assert r1 == [model.intersect(minus_e, model.class_of(c)) for c in curves]
-                    assert all(type(x) is int for x in r0 + r1)
+                    assert list(r1) == [model.intersect(minus_e, model.class_of(c)) for c in curves]
+                    assert all(type(x) is int for x in (*r0, *r1))
 
     @settings(deadline=None)
     @given(st.lists(st.fractions(max_denominator=50).map(Rat), min_size=5, max_size=5))

@@ -40,7 +40,7 @@ MUTANTS = (
      "if False:",
      "tests/test_zariski.py::TestCertify::test_positive_part_not_orthogonal"),
     ("curve-square-off", "volumes.py",
-     "if q0.numerator * square.denominator != square.numerator * q0.denominator:",
+     "if q0.numerator * L * L != model.pair(k, k) * q0.denominator:",
      "if False:",
      "tests/test_volumes.py::TestSharedEngine::test_certificate_checks_the_volume_at_zero"),
     ("support-function-off", "tvariety.py",
@@ -84,8 +84,8 @@ MUTANTS = (
      '_check(True, "m=1 exclusion',
      "tests/test_verdict.py::TestCertification::test_tampered_delta_in_the_verdict_is_caught[m1-exclusion]"),
     ("curve-square-numerators-only", "volumes.py",
-     "if q0.numerator * square.denominator != square.numerator * q0.denominator:",
-     "if q0.numerator != square.numerator:",
+     "if q0.numerator * L * L != model.pair(k, k) * q0.denominator:",
+     "if q0.numerator * L * L != model.pair(k, k):",
      "tests/test_volumes.py::TestSharedEngine::test_certificate_compares_the_whole_volume_at_zero"),
     ("reconstruction-off", "zariski.py",
      "if p + zd.negative_class(model) != d:",
@@ -93,11 +93,11 @@ MUTANTS = (
      "tests/test_zariski.py::TestCertify::test_reconstruction"),
     # The sweep's one path and the curve certificate's slope at x = 0.
     ("d1-fiber-term-halved", "volumes.py",
-     "- 4 * L * e.num[0]",
-     "- 2 * L * e.num[0]",
+     "- 4 * L * swept.fiber",
+     "- 2 * L * swept.fiber",
      "tests/test_acceptance.py::test_criterion_1_chamber_regression"),
     ("curve-slope-off", "volumes.py",
-     "if q1.numerator * k_e.denominator != -2 * k_e.numerator * q1.denominator:",
+     "if q1.numerator * L != -2 * model.pair(k, swept_curve(model, E).cls.num) * q1.denominator:",
      "if False:",
      "tests/test_volumes.py::TestSharedEngine::test_certificate_checks_the_slope_at_zero"),
     # One per InconsistencyError, DecompositionError or IrrationalThreshold
@@ -151,9 +151,26 @@ MUTANTS = (
      "if False:",
      "tests/test_volumes.py::TestSharedEngine::test_certificate_requires_growing_support[left0-right0]"),
     ("curve-monotone-off", "volumes.py",
-     "if any(t > 0 for lo, hi in ends for t in (lo[2], hi[2])):",
+     "if any(lo[1] > 0 or hi[1] > 0 for lo, hi, _ in jets):",
      "if False:",
      "tests/test_volumes.py::TestSharedEngine::test_certificate_refuses_a_broken_piece[monotone]"),
+    # What is kept once per surface: a cache keyed without the swept curve,
+    # without n, or without m serves another key's entry.  Each mutant
+    # reads the entry of a fixed key in its place: C~1's slope half for
+    # every curve, the n = 0 factor for every n, the m = 0 certificate for
+    # every m.
+    ("slope-half-without-curve", "zariski.py",
+     "halves.append(_slope_half(model, curve, key))",
+     "halves.append(_slope_half(model, C1TILDE, key))",
+     "tests/test_volumes.py::TestSharedEngine::test_sweep_matches_pointwise_reference"),
+    ("factor-without-n", "zariski.py",
+     "factor = _support_factor(model, key)",
+     "factor = _support_factor(SurfaceModel(0, model.m), key)",
+     "tests/test_volumes.py::TestSharedEngine::test_sweep_matches_pointwise_reference"),
+    ("torus-certificate-without-m", "tvariety.py",
+     "    _certify_support_function(model)\n",
+     "    _certify_support_function(SurfaceModel(model.n, 0))\n",
+     "tests/test_tvariety.py::TestCertificate::test_equal_models_run_one_certificate"),
     ("torus-vol-positive-off", "tvariety.py",
      "if VOL <= 0:",
      "if False:",
