@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 from .picard import Angles, InconsistencyError, SurfaceModel, parse_curve_id, point_header
 from .ratmath import Rat, RatParseError, format_rat, parse_rat
-from .verdict import k_polystable
+from .verdict import decide, k_polystable
 
 # Largest accepted m: the lattice has rank m + 2, and the candidate set,
 # every pairing vector and the sweep's solves grow with m.
@@ -162,7 +162,7 @@ def cmd_delta(n, m, beta1, beta2, approx, accept_decimal, output):
             "witness": verdict.witness,
             "witnesses": list(verdict.witnesses),
             "condition_sign": verdict.condition_sign,
-            "futaki_zero": verdict.condition_sign == 0,
+            "futaki_zero": verdict.report.futaki_sign == 0,
             "status": verdict.status,
             "notes": list(verdict.notes),
             "per_divisor": {},
@@ -276,25 +276,32 @@ def cmd_scan(n, m, beta1_grid, beta2_grid, approx, output):
     if approx:
         header += ["beta1_approx", "beta2_approx", "delta_approx"]
     lines = [",".join(header)]
-    # Each grid value with its cells, formatted once per axis: the exact
-    # text, and the float under --approx.
+    # Each grid value as its numerator and denominator with its cells,
+    # formatted once per axis: the exact text, and the float under --approx.
     cells1, cells2 = (
-        [(b, format_rat(b), repr(float(b)) if approx else "") for b in grid]
+        [(b.numerator, b.denominator, format_rat(b), repr(float(b)) if approx else "")
+         for b in grid]
         for grid in (grid1, grid2)
     )
-    for b1, exact1, approx1 in cells1:
-        for b2, exact2, approx2 in cells2:
-            verdict = k_polystable(model, Angles(b1, b2))
-            delta = verdict.delta
-            row = [
-                exact1,
-                exact2,
-                str(verdict.condition_sign),
-                "" if delta is None else format_rat(delta),
-                verdict.status,
-            ]
+    # Each point is decided on the angles' integer form (L, P1, P2), formed
+    # as ``Angles.scaled`` forms it, and delta = 2 VOL a_min / s_min is
+    # written in lowest terms; Fraction.__float__ is the same division.
+    for p1, q1, exact1, approx1 in cells1:
+        for p2, q2, exact2, approx2 in cells2:
+            L = math.lcm(q1, q2)
+            status, csign, _, minimum = decide(model, L, p1 * (L // q1), p2 * (L // q2))
+            if minimum is None:
+                delta = delta_approx = ""
+            else:
+                a_min, s_min, _, _, _, vol = minimum
+                num = 2 * vol * a_min
+                g = math.gcd(num, s_min)
+                num, den = num // g, s_min // g
+                delta = f"{num}/{den}"
+                delta_approx = repr(num / den) if approx else ""
+            row = [exact1, exact2, str(csign), delta, status]
             if approx:
-                row += [approx1, approx2, "" if delta is None else repr(float(delta))]
+                row += [approx1, approx2, delta_approx]
             lines.append(",".join(row))
     _emit("\n".join(lines) + "\n", output)
 

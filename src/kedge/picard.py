@@ -364,19 +364,32 @@ class SurfaceModel:
         _, *pairings = self.pairings(d)
         return all(x >= 0 for x in pairings) and d.num[0] >= 0
 
-    def ample_range_violation(self, angles: Angles) -> str | None:
-        """Why -K_{S,Delta} is not ample, or None when it is.
+    def broken_ample_bound(self, L: int, p1: int, p2: int) -> int:
+        """The upper angle bound that the angles' integer form (L, P1, P2)
+        breaks: 1 for beta1 < 2/n (n > 0), 2 for beta2 < 2/(m-n) (n < m),
+        0 for none, when -K_{S,Delta} is ample.
 
         Ample requires 0 < beta1 (< 2/n when n > 0) and 0 < beta2
         (< 2/(m-n) when n < m); equivalently, all nefness inequalities
-        for the log anticanonical class are strict.  ``Angles`` already
-        rejects beta <= 0, so only the upper bounds are checked here, on
-        the integer form: n beta1 >= 2 is n P1 >= 2 L.
+        for the log anticanonical class are strict.  Positive angles are
+        the caller's to ensure (``Angles`` rejects beta <= 0), so only the
+        upper bounds are checked, on the integers: n beta1 >= 2 is
+        n P1 >= 2 L.
         """
-        L, p1, p2 = angles.scaled
-        if self.n > 0 and self.n * p1 >= 2 * L:
+        n, m = self.n, self.m
+        if n > 0 and n * p1 >= 2 * L:
+            return 1
+        if n < m and (m - n) * p2 >= 2 * L:
+            return 2
+        return 0
+
+    def ample_range_violation(self, angles: Angles) -> str | None:
+        """Why -K_{S,Delta} is not ample, or None when it is: the bound
+        that ``broken_ample_bound`` finds, in words."""
+        broken = self.broken_ample_bound(*angles.scaled)
+        if broken == 1:
             return f"beta1 must lie in (0, 2/{self.n}), got {angles.beta1}"
-        if self.n < self.m and (self.m - self.n) * p2 >= 2 * L:
+        if broken == 2:
             return f"beta2 must lie in (0, 2/{self.m - self.n}), got {angles.beta2}"
         return None
 

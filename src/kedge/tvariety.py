@@ -57,21 +57,27 @@ and VOL = sum W_i, FM = sum X_i W_i and HS2 = sum G_i W_i are 6 L^2 vol,
 6 L^3 (first moment) and 12 L^3 (half square).  So the barycenter is
 bc = FM / (L VOL), each cross term is bc_p = (HS2 - 2 sum L Psi_p(x_i) W_i)
 / (2 L VOL), every S of the delta minimum is an integer numerator over
-2 L VOL, and the Futaki sign is -sign(FM).  ``DualData`` holds L, the
-scaled duals, W, VOL, FM and HS2, integers only (X and G are read off L,
-the angles and the duals); a reader divides by the power of L it needs.
+2 L VOL, and the Futaki sign is -sign(FM).  ``scaled_duals(model, L, P1,
+P2)`` returns the scaled duals, W, VOL, FM and HS2, integers only (X and
+G are read off L, the angles and the duals), with no record around them;
+``legendre_dual`` puts L in front.  A reader divides by the power of L it
+needs.
 
 The delta minimum stays on integers too, with one entry per S_m orbit.
 Each A is beta1, beta2 or 1, so L A is P1, P2 or L, and
-A/S = 2 VOL (L A) / (2 L VOL S).  ``delta_tvariety`` keeps each orbit's
-L A and 2 L VOL S, canonical order, and nothing more per point.  One pass
-over the six orbits (four at m = 0) checks every S > 0, after VOL > 0, and
-finds a least A/S by cross-multiplying integers.  delta = 2 VOL a_min /
-s_min is the one Fraction formed, and the verdict compares it and each
-orbit's A/S with 1 on the same integers.  An ``Orbit`` record, with its
-first name and size, is formed only when the report's orbits or witnesses
-are read, and a name is spelled only there: the CLI's per-divisor table
-reads the orbits once, a scan row never.  ``DeltaReport.term`` finds a
+A/S = 2 VOL (L A) / (2 L VOL S).  ``delta_minimum(model, L, P1, P2)``
+keeps each orbit's L A and 2 L VOL S, canonical order, and nothing more
+per point.  One pass over the six orbits (four at m = 0) checks every
+S > 0, after VOL > 0, and finds a least A/S by cross-multiplying
+integers.  It returns plain integers and tuples, and the verdict compares
+delta = 2 VOL a_min / s_min and each orbit's A/S with 1 on them, so a
+``scan`` row forms no record and no Fraction.  ``delta_report`` is the one
+place that forms a ``DeltaReport`` from them (``delta_tvariety`` checks
+the ample range and calls both), and the report forms delta, the one
+Fraction, when it is read.  An ``Orbit`` record, with its first name and
+size, is formed only when the report's orbits or witnesses are read, and
+a name is spelled only there: the CLI's per-divisor table reads the
+orbits once, a scan row never.  ``DeltaReport.term`` finds a
 name's orbit by ``picard.orbit_of``, which reads the name grammar, and
 forms that one term; ``picard.orbit_names`` spells an orbit's names, as it
 spells the surface's candidate curves.  ``FiberP0`` is a name of this
@@ -129,42 +135,21 @@ def _certify_support_function(model: SurfaceModel) -> None:
             raise InconsistencyError("support function does not encode -K_{S,Delta}")
 
 
-class DualData(NamedTuple):
-    """Legendre duals of h at x = X / L, the hat weights of deg Psi and the
-    integrals read off them, as the integers of the module docstring; each
-    field's comment gives its scale."""
+def scaled_duals(model: SurfaceModel, L: int, p1: int, p2: int) -> tuple:
+    """The duals at the angles' integer form (L, P1, P2), with the support
+    function certified first (see ``legendre_dual``): the integers of the
+    module docstring, at these scales,
 
-    L: int  # lcm of the angles' denominators
-    PSI_P0: tuple  # L Psi_p0(x)
-    PSI_MARKED: tuple  # L Psi_pi(x), common to every p_i, i >= 1
-    PSI_GENERIC: tuple  # L Psi_generic(x)
-    W: tuple  # 6 L^2 w, w_i = integral of phi_i * deg Psi
-    VOL: int  # 6 L^2 vol = sum W_i
-    FM: int  # 6 L^3 first moment = sum X_i W_i
-    HS2: int  # 12 L^3 half square = sum G_i W_i
+        PSI_P0       L Psi_p0(x)
+        PSI_MARKED   L Psi_pi(x), common to every p_i, i >= 1
+        PSI_GENERIC  L Psi_generic(x)
+        W            6 L^2 w, w_i = integral of phi_i * deg Psi
+        VOL          6 L^2 vol = sum W_i
+        FM           6 L^3 first moment = sum X_i W_i
+        HS2          12 L^3 half square = sum G_i W_i,
 
-    def cross(self, psi: tuple) -> int:
-        """2 L VOL bc_p for the scaled dual ``psi`` (one of the PSI_* fields)."""
-        w0, w1, w2 = self.W
-        return self.HS2 - 2 * (psi[0] * w0 + psi[1] * w1 + psi[2] * w2)
-
-
-def legendre_dual(model: SurfaceModel, angles: Angles) -> DualData:
-    """Duals Psi_p(u) = min over slice vertices v of (u v - h_p(v)) of the
-    support function h of -K_{S,Delta}, at x = (-beta1, 0, beta2), the ends
-    of the moment interval cut out by the tail slopes of h_t and the one
-    crossing of vertex lines, scaled by L.
-
-    h is certified first by round-tripping its encoded class against the
-    lattice side (InconsistencyError if not).  The encoded class,
-    beta1 [C~1] + beta2 [C~2] + 2 F, and ``log_anticanonical`` are both
-    affine in (beta1, beta2).  Two affine maps that agree at three affinely
-    independent points agree everywhere, so the round trip is checked at
-    (1, 1), (2, 1) and (1, 2) once per surface (n, m) in a process
-    (``_certify_support_function``), and then holds for every angle pair.
-    """
+    in this order, each PSI_* and W a triple over x = (-beta1, 0, beta2)."""
     _certify_support_function(model)
-    L, p1, p2 = angles.scaled
     duals = []
     for vertices in _slices(model.n):
         # L Psi_p at X = (-P1, 0, P2): the least vertex line X v - L h_p(v).
@@ -185,8 +170,33 @@ def legendre_dual(model: SurfaceModel, angles: Angles) -> DualData:
     w0 = p1 * (2 * g0 + g1)
     w1 = p1 * (g0 + 2 * g1) + p2 * (2 * g1 + g2)
     w2 = p2 * (g1 + 2 * g2)
-    return DualData(L, p0, marked, generic, (w0, w1, w2),
-                    w0 + w1 + w2, p2 * w2 - p1 * w0, g0 * w0 + g1 * w1 + g2 * w2)
+    return (p0, marked, generic, (w0, w1, w2),
+            w0 + w1 + w2, p2 * w2 - p1 * w0, g0 * w0 + g1 * w1 + g2 * w2)
+
+
+def legendre_dual(model: SurfaceModel, angles: Angles) -> tuple:
+    """Duals Psi_p(u) = min over slice vertices v of (u v - h_p(v)) of the
+    support function h of -K_{S,Delta}, at x = (-beta1, 0, beta2), the ends
+    of the moment interval cut out by the tail slopes of h_t and the one
+    crossing of vertex lines, scaled by L: (L, *``scaled_duals``).
+
+    h is certified first by round-tripping its encoded class against the
+    lattice side (InconsistencyError if not).  The encoded class,
+    beta1 [C~1] + beta2 [C~2] + 2 F, and ``log_anticanonical`` are both
+    affine in (beta1, beta2).  Two affine maps that agree at three affinely
+    independent points agree everywhere, so the round trip is checked at
+    (1, 1), (2, 1) and (1, 2) once per surface (n, m) in a process
+    (``_certify_support_function``), and then holds for every angle pair.
+    """
+    L, p1, p2 = angles.scaled
+    return (L, *scaled_duals(model, L, p1, p2))
+
+
+def cross(W: tuple, HS2: int, psi: tuple) -> int:
+    """2 L VOL bc_p for the scaled dual ``psi`` (one of the PSI_* of
+    ``scaled_duals``), with the hat weights W and the half square HS2."""
+    w0, w1, w2 = W
+    return HS2 - 2 * (psi[0] * w0 + psi[1] * w1 + psi[2] * w2)
 
 
 class ValuationTerm(NamedTuple):
@@ -216,7 +226,7 @@ class Orbit(NamedTuple):
     name: str  # first name, canonical order
     size: int
     a: int  # L A, with A beta1, beta2 or 1
-    s: int  # 2 L VOL S, with L and VOL from the report's dual
+    s: int  # 2 L VOL S, with L and VOL from the report
 
     def names(self) -> tuple:
         """Every name in the orbit, canonical order."""
@@ -237,11 +247,12 @@ class DeltaReport(NamedTuple):
     m: int  # blown-up points: the E_i and the F~i orbits' size
     a: tuple  # L A of each orbit, canonical order
     s: tuple  # 2 L VOL S of each orbit, canonical order
-    dual: DualData
+    L: int  # lcm of the angles' denominators
+    VOL: int  # 6 L^2 vol
 
     @property
     def delta(self):
-        return Rat(2 * self.dual.VOL * self.a_min, self.s_min)
+        return Rat(2 * self.VOL * self.a_min, self.s_min)
 
     @property
     def orbits(self) -> tuple:
@@ -264,12 +275,15 @@ class DeltaReport(NamedTuple):
             i = firsts.index(name if name == FIBER_P0 else orbit_of(name, self.m)[0])
         except ValueError:  # no curve name, or PullbackC2: no orbit of this route
             raise KeyError(name) from None
-        L = self.dual.L
-        return ValuationTerm(Rat(self.a[i], L), Rat(self.s[i], 2 * L * self.dual.VOL))
+        L = self.L
+        return ValuationTerm(Rat(self.a[i], L), Rat(self.s[i], 2 * L * self.VOL))
 
 
-def delta_tvariety(model: SurfaceModel, angles: Angles) -> DeltaReport:
-    """delta as the exact minimum over ray and vertex valuations.
+def delta_minimum(model: SurfaceModel, L: int, p1: int, p2: int) -> tuple:
+    """delta as the exact minimum over ray and vertex valuations, at the
+    angles' integer form (L, P1, P2), as the integers a ``DeltaReport``
+    holds: (a_min, s_min, futaki_sign, a, s, VOL).  Whether the angles are
+    in the ample range is the caller's to check.
 
     Ray terms: -h_t(n_rho) / (bc n_rho - h_t(n_rho)) for the two rays,
     bc = (1/vol) integral of u * deg Psi the barycenter.
@@ -278,23 +292,20 @@ def delta_tvariety(model: SurfaceModel, angles: Angles) -> DeltaReport:
     one representative of the identical generic-fiber terms.
 
     S_m permutes the E_i and the F~i, so each orbit has one A and one S,
-    and the report holds one L A and one 2 L VOL S per orbit.  One pass
+    and the minimum keeps one L A and one 2 L VOL S per orbit.  One pass
     over them checks S > 0 (InconsistencyError otherwise, as for VOL <= 0)
     and finds a least A/S by cross-multiplying them (module docstring).
     """
-    model.ensure_ample(angles)
     n, m = model.n, model.m
-    d = legendre_dual(model, angles)
-    L, p1, p2 = angles.scaled
-    VOL, FM = d.VOL, d.FM
+    psi_p0, psi_marked, psi_generic, W, VOL, FM, HS2 = scaled_duals(model, L, p1, p2)
     if VOL <= 0:
         raise InconsistencyError("torus route: vol is not positive")
     # S = bc + beta1, beta2 - bc, bc_pi - bc, bc_pi, bc_p0 + n bc + 2 and bc_generic
     s = (2 * (FM + p1 * VOL), 2 * (p2 * VOL - FM))
     if m:
-        cross_marked = d.cross(d.PSI_MARKED)
+        cross_marked = cross(W, HS2, psi_marked)
         s += (cross_marked - 2 * FM, cross_marked)
-    s += (d.cross(d.PSI_P0) + 2 * n * FM + 4 * L * VOL, d.cross(d.PSI_GENERIC))
+    s += (cross(W, HS2, psi_p0) + 2 * n * FM + 4 * L * VOL, cross(W, HS2, psi_generic))
     a = (p1, p2) + (L,) * (len(s) - 2)
     a_min, s_min = p1, s[0]
     for i, si in enumerate(s):
@@ -302,4 +313,19 @@ def delta_tvariety(model: SurfaceModel, angles: Angles) -> DeltaReport:
             raise InconsistencyError(f"torus route: S of {_heads(m)[i][0]} is not positive")
         if a[i] * s_min < a_min * si:
             a_min, s_min = a[i], si
-    return DeltaReport(a_min, s_min, -sign(FM), m, a, s, d)
+    return a_min, s_min, -sign(FM), a, s, VOL
+
+
+def delta_report(m: int, L: int, minimum: tuple) -> DeltaReport:
+    """The report of a ``delta_minimum`` on a surface with m blown-up
+    points, at angles with common denominator L."""
+    a_min, s_min, futaki_sign, a, s, VOL = minimum
+    return DeltaReport(a_min, s_min, futaki_sign, m, a, s, L, VOL)
+
+
+def delta_tvariety(model: SurfaceModel, angles: Angles) -> DeltaReport:
+    """``delta_minimum``'s report at ``angles``, which must lie in the
+    ample range (OutsideAmpleRange otherwise)."""
+    model.ensure_ample(angles)
+    L, p1, p2 = angles.scaled
+    return delta_report(model.m, L, delta_minimum(model, L, p1, p2))

@@ -14,14 +14,22 @@ the diagonal.  The verdict cross-checks the
 hypotheses of the theorems it invokes and raises InconsistencyError --
 the repo's loudest alarm -- rather than returning a silently wrong
 answer when one of them fails.
+
+``decide`` is the one decision path.  It reads the angles' integer form
+(L, P1, P2) and the torus route's ``delta_minimum`` and returns plain
+values, so ``scan`` calls it for each grid point with no ``Angles``,
+report, ``Verdict`` or Fraction formed.  ``k_polystable`` wraps it and
+forms the ``Verdict`` and its report.  The bracket polynomial lives once,
+in ``bracket_sign``, and the ample inequalities once, in
+``SurfaceModel.broken_ample_bound``.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .picard import Angles, InconsistencyError, OutsideAmpleRange
-from .ratmath import exact, sign
-from .tvariety import DeltaReport, delta_tvariety
+from .picard import Angles, InconsistencyError
+from .ratmath import Rat, exact, sign
+from .tvariety import DeltaReport, delta_minimum, delta_report
 
 KPOLYSTABLE = "KPolystable"
 NOT_KPOLYSTABLE = "NotKPolystable"
@@ -53,14 +61,17 @@ class Verdict(NamedTuple):
         return next(iter(self.witnesses), None)
 
 
-def condition_sign(model, angles: Angles) -> int:
-    """Sign of the angle bracket; 0 is the polystability condition.
+def bracket_sign(model, L: int, p1: int, p2: int) -> int:
+    """Sign of the angle bracket at the angles' integer form (L, P1, P2),
+    P_i = L beta_i: 3 L^3 times the bracket is the integer
+    3 P1^2 L - n P1^3 - 3 P2^2 L - (n - m) P2^3."""
+    n = model.n
+    return sign(3 * p1 * p1 * L - n * p1**3 - 3 * p2 * p2 * L - (n - model.m) * p2**3)
 
-    With the angles' integer form (L, P1, P2), P_i = L beta_i, 3 L^3 times
-    the bracket is the integer 3 P1^2 L - n P1^3 - 3 P2^2 L - (n - m) P2^3."""
-    L, p1, p2 = angles.scaled
-    n, m = model.n, model.m
-    return sign(3 * p1 * p1 * L - n * p1**3 - 3 * p2 * p2 * L - (n - m) * p2**3)
+
+def condition_sign(model, angles: Angles) -> int:
+    """Sign of the angle bracket; 0 is the polystability condition."""
+    return bracket_sign(model, *angles.scaled)
 
 
 def _check(condition: bool, message: str, *args):
@@ -74,7 +85,7 @@ def _certify_polystable_branch(m: int, report: DeltaReport):
     once per S_m orbit: an orbit's terms share one A and one S, and each
     check names the orbit's first curve.  A/S = 2 VOL (L A) / (2 L VOL S)
     with S > 0, so each comparison with 1 is one of integers."""
-    two_vol = 2 * report.dual.VOL
+    two_vol = 2 * report.VOL
     orbits = report.orbits
     rays, verticals = orbits[:2], orbits[2:]  # C~1 and C~2 lead the orbits
     _check(two_vol * report.a_min == report.s_min,
@@ -94,43 +105,54 @@ def _certify_polystable_branch(m: int, report: DeltaReport):
                    orbit.name)
 
 
-def k_polystable(model, angles: Angles) -> Verdict:
-    """The main decision: KPolystable iff the bracket vanishes and m != 1.
+def decide(model, L: int, p1: int, p2: int) -> tuple:
+    """The main decision on the angles' integer form (L, P1, P2):
+    (status, condition sign, note, minimum), KPolystable iff the bracket
+    vanishes and m != 1.
 
-    Within the ample range the verdict always carries delta and its
-    witnesses from the torus route, and every branch cross-checks the
-    facts it relies on (bracket sign against the Futaki sign, delta < 1
-    off the condition locus and for m = 1, the term patterns at
-    condition points).  delta = 2 VOL a_min / s_min with s_min > 0, so
-    each comparison of delta with 1 is one of integers.
+    Outside the ample range the note and the minimum are None.  Within it
+    the minimum is the torus route's ``delta_minimum``, and every branch
+    cross-checks the facts it relies on (bracket sign against the Futaki
+    sign, delta <= 1, delta < 1 off the condition locus and for m = 1,
+    the term patterns at condition points, from the minimum's report).
+    delta = 2 VOL a_min / s_min with s_min > 0, so each comparison of
+    delta with 1 is one of integers, and no Fraction is formed unless a
+    check fails.
     """
-    try:
-        report = delta_tvariety(model, angles)
-    except OutsideAmpleRange:
-        return Verdict(OUTSIDE_AMPLE_RANGE, condition_sign(model, angles), None,
-                       (model.ample_range_violation(angles),))
-
-    csign = condition_sign(model, angles)
-    _check(report.futaki_sign == csign,
+    csign = bracket_sign(model, L, p1, p2)
+    if model.broken_ample_bound(L, p1, p2):
+        return OUTSIDE_AMPLE_RANGE, csign, None, None
+    minimum = delta_minimum(model, L, p1, p2)
+    a_min, s_min, futaki_sign, _, _, vol = minimum
+    _check(futaki_sign == csign,
            "bracket sign {} disagrees with the torus-side Futaki sign", csign)
-    delta = report.delta
-    twice_vol_a, s_min = 2 * report.dual.VOL * report.a_min, report.s_min
-    _check(twice_vol_a <= s_min, "delta = {} > 1 contradicts the necessity bound", delta)
+    twice_vol_a = 2 * vol * a_min
+    if twice_vol_a > s_min:
+        raise InconsistencyError(
+            f"delta = {Rat(twice_vol_a, s_min)} > 1 contradicts the necessity bound")
 
-    if csign == 0 and model.m != 1:
-        _certify_polystable_branch(model.m, report)
-        branch = "toric (m=0)" if model.m == 0 else f"m={model.m}"
-        note = f"condition holds; {branch} branch hypotheses verified"
-        status = KPOLYSTABLE
-    elif csign == 0:
+    m = model.m
+    if csign == 0 and m != 1:
+        _certify_polystable_branch(m, delta_report(m, L, minimum))
+        branch = "toric (m=0)" if m == 0 else f"m={m}"
+        return KPOLYSTABLE, csign, f"condition holds; {branch} branch hypotheses verified", minimum
+    if csign == 0:
         _check(twice_vol_a < s_min, "m=1 exclusion requires delta < 1 on the condition locus")
-        note = "m=1 exclusion: condition holds but delta < 1"
-        status = NOT_KPOLYSTABLE
-    else:
-        _check(twice_vol_a < s_min, "delta must be < 1 off the condition locus")
-        note = _OFF_LOCUS_NOTES[csign]
-        status = NOT_KPOLYSTABLE
-    return Verdict(status, csign, delta, (note,), report)
+        return NOT_KPOLYSTABLE, csign, "m=1 exclusion: condition holds but delta < 1", minimum
+    _check(twice_vol_a < s_min, "delta must be < 1 off the condition locus")
+    return NOT_KPOLYSTABLE, csign, _OFF_LOCUS_NOTES[csign], minimum
+
+
+def k_polystable(model, angles: Angles) -> Verdict:
+    """``decide`` at ``angles``, as a ``Verdict``: within the ample range it
+    carries delta and its witnesses from the torus route's report, and
+    outside it the bound the angles break, in words."""
+    L, p1, p2 = angles.scaled
+    status, csign, note, minimum = decide(model, L, p1, p2)
+    if minimum is None:
+        return Verdict(status, csign, None, (model.ample_range_violation(angles),))
+    report = delta_report(model.m, L, minimum)
+    return Verdict(status, csign, report.delta, (note,), report)
 
 
 def rational_condition_point(model, s):

@@ -149,8 +149,8 @@ def verify_halving(samples: int, seed: int):
         angles = sample_angles(rng, model)
         yield point_header(model, angles)
         anticanonical_sq = model.self_intersection(model.log_anticanonical(angles))
-        dual = legendre_dual(model, angles)
-        twice_vol = Rat(dual.VOL, 3 * dual.L**2)  # VOL = 6 L^2 vol
+        L, _, _, _, _, VOL, _, _ = legendre_dual(model, angles)
+        twice_vol = Rat(VOL, 3 * L**2)  # VOL = 6 L^2 vol
         yield None if twice_vol == anticanonical_sq else (
             f"2 vol(Psi) = {format_rat(twice_vol)}"
             f" vs (-K)^2 = {format_rat(anticanonical_sq)}")

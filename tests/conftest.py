@@ -4,7 +4,8 @@ constructor and ``coordinates`` view of a class in rational coordinates, and
 the rational references the tests check the integer code against: the
 common denominator, the LDL^T kernel, the Gram matrix through the generic
 pairing, the signature, the angle sampler, the volume curve's last root,
-the volume of a class, the torus-side Futaki sign, the name-expanding
+the volume of a class, named views of the torus duals and delta minimum
+and their tamperings, the torus-side Futaki sign, the name-expanding
 torus-route delta, the rational divisor class and the closed-form oracle
 on Fractions, and the one reset of the per-surface caches."""
 
@@ -14,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import pairwise
+from typing import NamedTuple
 from types import SimpleNamespace
 
 import pytest
@@ -23,7 +25,7 @@ from kedge.linalg import NotNegativeDefinite
 from kedge.picard import C1TILDE, C2TILDE, Angles, DivisorClass, InconsistencyError, SurfaceModel
 from kedge.ratmath import ZERO, Rat, isqrt_exact, sign
 from kedge.sampling import MAX_DENOMINATOR, MAX_TRIES, MAX_VALUE
-from kedge.tvariety import _certify_support_function, legendre_dual
+from kedge.tvariety import _certify_support_function, cross, legendre_dual
 from kedge.volumes import IrrationalThreshold, QuadraticPiece
 from kedge.zariski import (DecompositionError, _slope_half, _support_factor,
                            negative_definite_supports, swept_curve, zariski_decompose)
@@ -262,13 +264,68 @@ def volume(model, d):
     return model.self_intersection(zariski_decompose(model, d).positive)
 
 
+class Dual(NamedTuple):
+    """``tvariety.legendre_dual``'s integers by name; the scales are in
+    ``tvariety.scaled_duals``."""
+
+    L: int
+    PSI_P0: tuple
+    PSI_MARKED: tuple
+    PSI_GENERIC: tuple
+    W: tuple
+    VOL: int
+    FM: int
+    HS2: int
+
+
+def dual(model, angles) -> Dual:
+    return Dual(*legendre_dual(model, angles))
+
+
+class Minimum(NamedTuple):
+    """``tvariety.delta_minimum``'s integers by name, as ``DeltaReport``
+    names them."""
+
+    a_min: int
+    s_min: int
+    futaki_sign: int
+    a: tuple
+    s: tuple
+    VOL: int
+
+
+def tampered_minimum(delta_minimum, tamper):
+    """``delta_minimum`` with its integers passed through ``tamper``, a map
+    of ``Minimum`` records."""
+    def tampered(*args):
+        return tamper(Minimum(*delta_minimum(*args)))
+
+    return tampered
+
+
+def with_delta(delta):
+    """A ``tampered_minimum`` tamper: the least orbit's integers set so that
+    delta = 2 VOL a_min / s_min reads ``delta``."""
+    return lambda minimum: minimum._replace(a_min=delta.numerator,
+                                            s_min=2 * minimum.VOL * delta.denominator)
+
+
+def with_vol(scaled_duals, vol):
+    """``scaled_duals`` (``tvariety.scaled_duals``) with VOL read as ``vol``."""
+    def tampered(*args):
+        psi_p0, psi_marked, psi_generic, W, _, FM, HS2 = scaled_duals(*args)
+        return psi_p0, psi_marked, psi_generic, W, vol, FM, HS2
+
+    return tampered
+
+
 def futaki_vanishes(model, angles) -> int:
     """Sign of the angle bracket; 0 exactly when the barycenter vanishes.
 
     Computed on the torus side as -integral of u * deg Psi(u) du (no
     division, so no ampleness assumption is needed): the sign that
     ``DeltaReport.futaki_sign`` records."""
-    return -sign(legendre_dual(model, angles).FM)
+    return -sign(dual(model, angles).FM)
 
 
 def reference_delta_tvariety(model, angles) -> SimpleNamespace:
@@ -279,18 +336,18 @@ def reference_delta_tvariety(model, angles) -> SimpleNamespace:
     ``terms`` maps each name to its (A, S)."""
     model.ensure_ample(angles)
     n, m = model.n, model.m
-    d = legendre_dual(model, angles)
+    d = dual(model, angles)
     L, p1, p2 = angles.scaled
     VOL, FM = d.VOL, d.FM
-    cross_marked = d.cross(d.PSI_MARKED)
+    cross_marked = cross(d.W, d.HS2, d.PSI_MARKED)
     names = model.candidates  # C1tilde, C2tilde, E1..Em, F1tilde..Fmtilde
     orbits = [  # (names, A, L A, 2 L VOL S)
         (("C1tilde",), angles.beta1, p1, 2 * (FM + p1 * VOL)),
         (("C2tilde",), angles.beta2, p2, 2 * (p2 * VOL - FM)),
         (names[2:m + 2], Rat(1), L, cross_marked - 2 * FM),
         (names[m + 2:], Rat(1), L, cross_marked),
-        (("FiberP0",), Rat(1), L, d.cross(d.PSI_P0) + 2 * n * FM + 4 * L * VOL),
-        (("GenericFiber",), Rat(1), L, d.cross(d.PSI_GENERIC)),
+        (("FiberP0",), Rat(1), L, cross(d.W, d.HS2, d.PSI_P0) + 2 * n * FM + 4 * L * VOL),
+        (("GenericFiber",), Rat(1), L, cross(d.W, d.HS2, d.PSI_GENERIC)),
     ]
     orbits = [orbit for orbit in orbits if orbit[0]]
     if VOL <= 0:

@@ -15,18 +15,19 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from conftest import clear_per_surface_caches, rat
+from conftest import (clear_per_surface_caches, dual, rat, tampered_minimum, with_delta,
+                      with_vol)
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import kedge.picard
 import kedge.tvariety
+import kedge.verdict
 from kedge import cli
 from kedge.cli import COMMANDS, GROUP, HELP, MAX_CONFIG_CHARS, MAX_M, MAX_SCAN_POINTS, main
 from kedge.picard import Angles, SurfaceModel
 from kedge.ratmath import format_rat
-from kedge.tvariety import DualData, legendre_dual
-from kedge.verdict import InconsistencyError, k_polystable
+from kedge.verdict import InconsistencyError, k_polystable, rational_condition_point
 from kedge.verify import SUITES, SuiteResult
 from kedge.volumes import IrrationalThreshold
 from kedge.zariski import DecompositionError
@@ -170,8 +171,8 @@ def assert_one_line_inconsistency(code, out, err):
 def doubled_dual(model, angles):
     """The true dual with vol doubled, through its integer 6 L^2 vol:
     breaks the halving suite's check."""
-    dual = legendre_dual(model, angles)
-    return dual._replace(VOL=2 * dual.VOL)
+    d = dual(model, angles)
+    return d._replace(VOL=2 * d.VOL)
 
 
 def load_schema(name):
@@ -481,6 +482,7 @@ class TestInputHandling:
             raise AssertionError("m above the bound reached the computation")
 
         monkeypatch.setattr("kedge.cli.k_polystable", computed)
+        monkeypatch.setattr("kedge.cli.decide", computed)
         monkeypatch.setattr("kedge.volumes.volume_curve", computed)
         code, out, err = run_cli(capsys, argv + ["--n", "0", "--m", str(MAX_M + 1)])
         assert_exit_contract(code, err)
@@ -551,7 +553,7 @@ class TestInputHandling:
         def stop(*args):
             raise InconsistencyError("reached the computation")
 
-        monkeypatch.setattr("kedge.cli.k_polystable", stop)
+        monkeypatch.setattr("kedge.cli.decide", stop)
         code, out, err = run_cli(
             capsys,
             ["scan", "--n", "0", "--m", "0", "--beta1-grid", "1:1000:1", "--beta2-grid", beta2_grid],
@@ -575,10 +577,10 @@ class TestInconsistencyExit:
         assert "inconsistency" in err
 
     def test_scan_inconsistency_is_exit_2(self, capsys, monkeypatch):
-        def boom(params, angles):
+        def boom(model, L, p1, p2):
             raise InconsistencyError("routes disagree (synthetic)")
 
-        monkeypatch.setattr("kedge.cli.k_polystable", boom)
+        monkeypatch.setattr("kedge.cli.decide", boom)
         code, _, err = run_cli(capsys, SCAN_ARGS)
         assert code == 2
 
@@ -645,7 +647,7 @@ class TestInconsistencyExit:
     def test_scan_certifies_once_per_request(self, capsys, monkeypatch, beta2_grid):
         # Three round trips per surface on a cold cache (see legendre_dual),
         # however many grid points: 5 x 5 and 5 x 7 here; one ample check
-        # per grid point.
+        # per grid point, on the point's integer form (L, P1, P2).
         clear_per_surface_caches()
         calls = []
         original = kedge.tvariety._encoded_class
@@ -655,55 +657,116 @@ class TestInconsistencyExit:
             return original(model, angles)
 
         ample_checks = []
-        original_check = SurfaceModel.ample_range_violation
+        original_check = SurfaceModel.broken_ample_bound
 
-        def counting_check(self, angles):
-            ample_checks.append(angles)
-            return original_check(self, angles)
+        def counting_check(self, L, p1, p2):
+            ample_checks.append((L, p1, p2))
+            return original_check(self, L, p1, p2)
 
         monkeypatch.setattr(kedge.tvariety, "_encoded_class", counting)
-        monkeypatch.setattr(SurfaceModel, "ample_range_violation", counting_check)
+        monkeypatch.setattr(SurfaceModel, "broken_ample_bound", counting_check)
         argv = ["scan", "--n", "0", "--m", "2",
                 "--beta1-grid", "61/128:65/128:1/128", "--beta2-grid", beta2_grid]
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
         assert len(calls) == 3
-        points = [tuple(row.split(",")[:2]) for row in out.splitlines()[1:]]
-        assert [(format_rat(a.beta1), format_rat(a.beta2)) for a in ample_checks] == points
+        points = [Angles(*row.split(",")[:2]).scaled for row in out.splitlines()[1:]]
+        assert ample_checks == points
         # A second request on the surface reads the kept certificate.
         assert run_cli(capsys, argv) == (0, out, "")
         assert len(calls) == 3
 
-    def test_scan_off_the_locus_forms_no_orbit_record(self, capsys, monkeypatch):
-        # A scan row reads delta, the bracket's sign and the status: no
-        # point off the condition locus forms an Orbit record or spells a
-        # name, and each point makes one dual.
+    @staticmethod
+    def count_scan_work(capsys, monkeypatch, argv) -> tuple:
+        """(rows, calls) of a scan: every record, Fraction, name, ample
+        check, torus minimum and verdict formed once both grid axes are
+        parsed, by name."""
         calls = collections.Counter()
-        targets = [(kedge.tvariety, "Orbit"), (kedge.tvariety, "orbit_names"),
-                   (kedge.picard, "orbit_names"), (kedge.tvariety, "legendre_dual")]
-        for owner, name in targets:
-            def counting(*args, _name=name, _original=getattr(owner, name)):
-                calls[_name] += 1
+        armed = []
+
+        def count(owner, name, wrap=lambda f: f):
+            def counting(*args, _original=getattr(owner, name)):
+                if True in armed:
+                    calls[name] += 1
                 return _original(*args)
 
-            monkeypatch.setattr(owner, name, counting)
+            monkeypatch.setattr(owner, name, wrap(counting))
+
+        for owner, name in [(Angles, "__post_init__"), (kedge.tvariety, "DeltaReport"),
+                            (kedge.verdict, "Verdict"), (kedge.tvariety, "Orbit"),
+                            (kedge.tvariety, "orbit_names"), (kedge.picard, "orbit_names"),
+                            (SurfaceModel, "broken_ample_bound"),
+                            (SurfaceModel, "ample_range_violation"),
+                            (kedge.verdict, "delta_minimum"), (kedge.tvariety, "scaled_duals"),
+                            (kedge.tvariety, "legendre_dual"), (kedge.cli, "k_polystable")]:
+            count(owner, name)
+        count(Fraction, "__new__", staticmethod)
+        parse = cli._parse_grid
+
+        def parse_then_arm(text, what):
+            grid = parse(text, what)
+            armed.append(what == "beta2")
+            return grid
+
+        monkeypatch.setattr(cli, "_parse_grid", parse_then_arm)
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and armed == [False, True]
+        return [row.split(",") for row in out.splitlines()[1:]], calls
+
+    def test_scan_off_the_locus_forms_no_orbit_record(self, capsys, monkeypatch):
+        # A scan row reads delta, the bracket's sign and the status, all on
+        # the point's integers: no point off the condition locus forms an
+        # Angles, a DeltaReport, a Verdict, an Orbit record or a Fraction,
+        # or spells a name; each runs one ample check and one torus minimum.
         argv = ["scan", "--n", "0", "--m", "2",
                 "--beta1-grid", "1/4:3/4:1/8", "--beta2-grid", "1/8:5/8:1/8"]
-        code, out, _ = run_cli(capsys, argv)
-        rows = [row.split(",") for row in out.splitlines()[1:]]
-        assert code == 0 and len(rows) == 25
+        rows, calls = self.count_scan_work(capsys, monkeypatch, argv)
+        assert len(rows) == 25
         assert all(row[2] != "0" and row[4] == "NotKPolystable" for row in rows)
-        assert calls == {"legendre_dual": 25}
+        assert calls == {"broken_ample_bound": 25, "delta_minimum": 25, "scaled_duals": 25}
+
+    def test_scan_condition_point_forms_one_report(self, capsys, monkeypatch):
+        # The one condition point of the grid, (63/128, 21/32), forms the
+        # report its branch certificate reads, with its six orbit records,
+        # and still no Fraction: the certificate compares integers.
+        rows, calls = self.count_scan_work(capsys, monkeypatch, SCAN_ARGS_CONDITION)
+        assert len(rows) == 15
+        assert [row[:2] for row in rows if row[4] == "KPolystable"] == [["63/128", "21/32"]]
+        assert calls == {"broken_ample_bound": 15, "delta_minimum": 15, "scaled_duals": 15,
+                         "DeltaReport": 1, "Orbit": 6}
 
     @pytest.mark.parametrize("cross", [0, -1])
     @pytest.mark.parametrize("argv", [DELTA_ARGS, SCAN_ARGS], ids=["delta", "scan"])
     def test_nonpositive_s_is_exit_2(self, capsys, monkeypatch, argv, cross):
         # Every S is a cross term over 2 L VOL; read as 0 it would divide
         # by zero, and read as negative it would make delta negative.
-        monkeypatch.setattr(DualData, "cross", lambda self, psi: cross)
+        monkeypatch.setattr(kedge.tvariety, "cross", lambda W, HS2, psi: cross)
         code, out, err = run_cli(capsys, argv)
         assert_one_line_inconsistency(code, out, err)
         assert "is not positive" in err
+
+    @pytest.mark.parametrize("seam, tamper, message", [
+        ("delta_minimum", lambda minimum: minimum._replace(futaki_sign=-minimum.futaki_sign),
+         "bracket sign 1 disagrees with the torus-side Futaki sign"),
+        ("delta_minimum", with_delta(rat(3, 2)),
+         "delta = 3/2 > 1 contradicts the necessity bound"),
+        ("scaled_duals", 0, "torus route: vol is not positive"),
+        ("scaled_duals", -1, "torus route: vol is not positive"),
+    ], ids=["futaki-sign", "delta-above-1", "vol-0", "vol-negative"])
+    @pytest.mark.parametrize("argv", [DELTA_ARGS, SCAN_ARGS], ids=["delta", "scan"])
+    def test_tampered_torus_integers_are_exit_2(self, capsys, monkeypatch, argv, seam, tamper,
+                                                message):
+        # Both subcommands decide on the same integers: a flipped Futaki
+        # sign, delta above 1 and VOL <= 0 each stop the first point in
+        # the ample range (bracket sign 1 at both argvs' first one).
+        if seam == "delta_minimum":
+            monkeypatch.setattr(kedge.verdict, seam,
+                                tampered_minimum(kedge.verdict.delta_minimum, tamper))
+        else:
+            monkeypatch.setattr(kedge.tvariety, seam, with_vol(kedge.tvariety.scaled_duals, tamper))
+        code, out, err = run_cli(capsys, argv)
+        assert_one_line_inconsistency(code, out, err)
+        assert err == f"inconsistency: {message}\n"
 
     def test_failing_suite_is_exit_2(self, capsys, monkeypatch):
         failing = SuiteResult(
@@ -1233,6 +1296,40 @@ class TestScanAgainstPerPointReference:
         argv = ["scan", "--n", str(n), "--m", str(m), "--beta1-grid", spec1,
                 "--beta2-grid", spec2] + ["--approx"] * approx
         assert run_cli(capsys, argv) == (0, reference_scan(n, m, grid1, grid2, approx), "")
+
+    @pytest.mark.parametrize("approx", [False, True])
+    @pytest.mark.parametrize("n, m, axis", [(0, 0, "1/4:1:1/4"), (1, 2, "1/4:7/4:1/4"),
+                                            (2, 4, "1/8:7/8:1/8"), (3, 6, "1/8:5/8:1/8")],
+                             ids=["toric", "m2", "m4", "m6"])
+    def test_diagonal_condition_points_match_the_reference(self, capsys, n, m, axis, approx):
+        # At m = 2n the condition locus holds the diagonal: every diagonal
+        # point of these grids is KPolystable, on the toric, m = 2 and
+        # m >= 3 branches, and every other point is not.
+        argv = ["scan", "--n", str(n), "--m", str(m), "--beta1-grid", axis,
+                "--beta2-grid", axis] + ["--approx"] * approx
+        code, out, err = run_cli(capsys, argv)
+        grid = cli._parse_grid(axis, "beta1")
+        assert (code, out, err) == (0, reference_scan(n, m, grid, grid, approx), "")
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert [row[:2] for row in rows if row[4] == "KPolystable"] == [
+            [format_rat(b), format_rat(b)] for b in grid]
+        assert all(row[3] == "1/1" for row in rows if row[4] == "KPolystable")
+
+    @pytest.mark.parametrize("approx", [False, True])
+    @pytest.mark.parametrize("n, s", [(0, rat(3, 5)), (1, rat(4, 3)), (2, rat(3, 2)),
+                                      (3, rat(4, 3))])
+    def test_m1_condition_point_matches_the_reference(self, capsys, n, s, approx):
+        # The m = 1 exclusion: a one-point grid on the condition locus is
+        # NotKPolystable with condition sign 0 and delta < 1.
+        angles = rational_condition_point(SurfaceModel(n, 1), s)
+        b1, b2 = format_rat(angles.beta1), format_rat(angles.beta2)
+        argv = ["scan", "--n", str(n), "--m", "1", "--beta1-grid", f"{b1}:{b1}:1",
+                "--beta2-grid", f"{b2}:{b2}:1"] + ["--approx"] * approx
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == (0, reference_scan(n, 1, [angles.beta1], [angles.beta2],
+                                                      approx), "")
+        (row,) = (line.split(",") for line in out.splitlines()[1:])
+        assert row[2] == "0" and row[4] == "NotKPolystable" and Fraction(row[3]) < 1
 
     @pytest.mark.parametrize("approx", [False, True])
     @pytest.mark.parametrize("n, m, axis", [(3, 0, "beta1"), (1, 4, "beta2")])

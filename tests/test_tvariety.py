@@ -16,8 +16,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from conftest import (clear_per_surface_caches, divisor, futaki_vanishes, rat,
-                      reference_delta_tvariety)
+from conftest import (clear_per_surface_caches, divisor, dual, futaki_vanishes, rat,
+                      reference_delta_tvariety, with_vol)
 from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
@@ -105,7 +105,7 @@ DUAL_VIEWS = ("x", "psi_p0", "psi_marked", "psi_generic", "deg_psi", "weights",
 
 def scaled_x_and_g(d, model, angles):
     """X = L x = (-P1, 0, P2) and G = L deg Psi(x) = PSI_P0 + m PSI_MARKED,
-    the integers a DualData's reader forms from the angles and the duals."""
+    the integers a reader of the duals forms from the angles and the duals."""
     L, p1, p2 = angles.scaled
     assert d.L == L
     return (-p1, 0, p2), tuple(a + model.m * b for a, b in zip(d.PSI_P0, d.PSI_MARKED))
@@ -126,7 +126,7 @@ def rat_views(d, model, angles):
 
 
 def rat_dual(params, angles):
-    return rat_views(legendre_dual(params, angles), params, angles)
+    return rat_views(dual(params, angles), params, angles)
 
 
 def barycenter(d):
@@ -444,7 +444,7 @@ class TestIntegerRoute:
     @settings(deadline=None)
     def test_matches_fraction_reference(self, surface):
         params, angles = surface
-        d = legendre_dual(params, angles)
+        d = dual(params, angles)
         assert vars(rat_views(d, params, angles)) == reference_dual(params, angles)
         assert all(type(v) is int for v in (d.L, d.VOL, d.FM, d.HS2))
         assert all(type(v) is int for t in (*scaled_x_and_g(d, params, angles), d.PSI_P0,
@@ -463,7 +463,7 @@ class TestIntegerRoute:
         # beta = (1/2, 1/3): L = 6, X = (-3, 0, 2); at n = 2, m = 3 the
         # scaled duals are L (n u + 2) and L min(0, -u).
         model, angles = SurfaceModel(2, 3), Angles(HALF, rat(1, 3))
-        d = legendre_dual(model, angles)
+        d = dual(model, angles)
         X, G = scaled_x_and_g(d, model, angles)
         assert (d.L, X) == (6, (-3, 0, 2))
         assert (d.PSI_P0, d.PSI_MARKED, d.PSI_GENERIC) == ((6, 12, 16), (0, 0, -2), (0, 0, 0))
@@ -506,7 +506,7 @@ class TestOrbitRecords:
         def scanned(report, name):
             for orbit in report.orbits:
                 if name in orbit.names():
-                    L, VOL = report.dual.L, report.dual.VOL
+                    L, VOL = report.L, report.VOL
                     return Rat(orbit.a, L), Rat(orbit.s, 2 * L * VOL)
             raise KeyError(name)
 
@@ -638,11 +638,8 @@ class TestDelta:
     def test_nonpositive_vol_is_an_inconsistency(self, monkeypatch):
         # The minimum cross-multiplies S numerators over 2 L VOL, so VOL > 0
         # is checked with them.
-        original = kedge.tvariety.legendre_dual
-        monkeypatch.setattr(
-            kedge.tvariety, "legendre_dual",
-            lambda model, angles: original(model, angles)._replace(VOL=0),
-        )
+        zero_vol = with_vol(kedge.tvariety.scaled_duals, 0)
+        monkeypatch.setattr(kedge.tvariety, "scaled_duals", zero_vol)
         with pytest.raises(InconsistencyError, match="vol is not positive"):
             delta_tvariety(SurfaceModel(0, 2), Angles(HALF, HALF))
 

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 import kedge.tvariety
+import kedge.verdict
 from kedge.picard import (
     C1TILDE,
     C2TILDE,
@@ -36,7 +37,8 @@ from kedge.verdict import (
 )
 from kedge.volumes import expected_vanishing_order, volume_curve
 
-from conftest import clear_per_surface_caches, futaki_vanishes, rat
+from conftest import (clear_per_surface_caches, futaki_vanishes, rat, tampered_minimum,
+                      with_delta)
 
 HALF = rat(1, 2)
 CONDITION_M2 = Angles(rat(63, 128), rat(21, 32))
@@ -158,44 +160,49 @@ class TestTorusWork:
          (SurfaceModel(2, 0), Angles(rat(9, 14), rat(3, 7)))],
     )
     def test_one_torus_pass_per_verdict(self, monkeypatch, params, angles):
-        # Deterministic work: a second dual or a second ample check fails
-        # here; on a cold cache the certificate runs its three round trips
-        # on the surface's first verdict only, with no DivisorClass
-        # arithmetic, and an equal model's verdict reads the kept one.
-        # delta is the one Fraction formed and no Fraction is compared:
-        # every check reads integers.  No term is formed and no name is
-        # spelled.
+        # Deterministic work: a second torus minimum, a second dual or a
+        # second ample check fails here; on a cold cache the certificate
+        # runs its three round trips on the surface's first verdict only,
+        # with no DivisorClass arithmetic, and an equal model's verdict
+        # reads the kept one.  delta is the one Fraction formed (by the
+        # report, not by the decision) and no Fraction is compared: every
+        # check reads integers.  No term is formed and no name is spelled.
         clear_per_surface_caches()
         calls = collections.Counter()
         targets = {
-            "legendre_dual": kedge.tvariety,
-            "_encoded_class": kedge.tvariety,
-            "Rat": kedge.tvariety,
-            "ValuationTerm": kedge.tvariety,
-            "names": Orbit,
-            "log_anticanonical": SurfaceModel,
-            "ample_range_violation": SurfaceModel,
-            "scale": DivisorClass,
-            "__add__": DivisorClass,
-            "_richcmp": Fraction,
-            "__eq__": Fraction,
+            "delta_minimum": (kedge.verdict, "delta_minimum"),
+            "scaled_duals": (kedge.tvariety, "scaled_duals"),
+            "legendre_dual": (kedge.tvariety, "legendre_dual"),
+            "_encoded_class": (kedge.tvariety, "_encoded_class"),
+            "Rat": (kedge.tvariety, "Rat"),
+            "verdict.Rat": (kedge.verdict, "Rat"),
+            "ValuationTerm": (kedge.tvariety, "ValuationTerm"),
+            "names": (Orbit, "names"),
+            "log_anticanonical": (SurfaceModel, "log_anticanonical"),
+            "broken_ample_bound": (SurfaceModel, "broken_ample_bound"),
+            "ample_range_violation": (SurfaceModel, "ample_range_violation"),
+            "scale": (DivisorClass, "scale"),
+            "__add__": (DivisorClass, "__add__"),
+            "_richcmp": (Fraction, "_richcmp"),
+            "__eq__": (Fraction, "__eq__"),
         }
-        for name, owner in targets.items():
-            def counting(*args, _name=name, _original=getattr(owner, name)):
-                calls[_name] += 1
+        for key, (owner, name) in targets.items():
+            def counting(*args, _key=key, _original=getattr(owner, name)):
+                calls[_key] += 1
                 return _original(*args)
 
             monkeypatch.setattr(owner, name, counting)
 
         k_polystable(params, angles)
         assert calls == {
-            "legendre_dual": 1, "_encoded_class": 3, "log_anticanonical": 3,
-            "ample_range_violation": 1, "Rat": 1,
+            "delta_minimum": 1, "scaled_duals": 1, "_encoded_class": 3, "log_anticanonical": 3,
+            "broken_ample_bound": 1, "Rat": 1,
         }
         for model in (params, SurfaceModel(params.n, params.m)):
             calls.clear()
             verdict = k_polystable(model, angles)
-            assert calls == {"legendre_dual": 1, "ample_range_violation": 1, "Rat": 1}
+            assert calls == {"delta_minimum": 1, "scaled_duals": 1, "broken_ample_bound": 1,
+                             "Rat": 1}
         assert not hasattr(verdict.report, "terms")
         # Every integral is a dot product with the three hat weights; no
         # general PL type or pairwise product integrator is left.
@@ -377,7 +384,7 @@ class TestCertification:
     def with_delta(report, delta):
         """``report`` with the least orbit's integers set so that it reads ``delta``."""
         return report._replace(a_min=delta.numerator,
-                               s_min=2 * report.dual.VOL * delta.denominator)
+                               s_min=2 * report.VOL * delta.denominator)
 
     @staticmethod
     def refusal(call) -> str:
@@ -403,8 +410,9 @@ class TestCertification:
         model, angles = SurfaceModel(0, 2), Angles(HALF, HALF)
         report = delta_tvariety(model, angles)
         assert report.futaki_sign == condition_sign(model, angles) == 1
-        flipped = report._replace(futaki_sign=-1)
-        monkeypatch.setattr("kedge.verdict.delta_tvariety", lambda model, angles: flipped)
+        flipped = tampered_minimum(kedge.verdict.delta_minimum,
+                                   lambda minimum: minimum._replace(futaki_sign=-1))
+        monkeypatch.setattr(kedge.verdict, "delta_minimum", flipped)
         assert self.refusal(lambda: k_polystable(model, angles)) == (
             "bracket sign 1 disagrees with the torus-side Futaki sign")
 
@@ -434,7 +442,7 @@ class TestCertification:
         model = SurfaceModel(0, 3)
         report = delta_tvariety(model, rational_condition_point(model, rat(2, 3)))
         _certify_polystable_branch(3, report)
-        den = 2 * report.dual.L * report.dual.VOL
+        den = 2 * report.L * report.VOL
         tampered = self.with_orbit_s(report, "E1", lambda s: den)
         assert self.refusal(lambda: _certify_polystable_branch(3, tampered)) == (
             "m>=3: vertical term E1 must exceed 1")
@@ -450,10 +458,9 @@ class TestCertification:
     def test_tampered_delta_in_the_verdict_is_caught(self, monkeypatch, params, slope, delta,
                                                       message):
         angles = Angles(HALF, HALF) if slope is None else rational_condition_point(params, slope)
-        report = delta_tvariety(params, angles)
-        assert report.delta < 1
-        tampered = self.with_delta(report, delta)
-        monkeypatch.setattr("kedge.verdict.delta_tvariety", lambda model, angles: tampered)
+        assert delta_tvariety(params, angles).delta < 1
+        monkeypatch.setattr(kedge.verdict, "delta_minimum",
+                            tampered_minimum(kedge.verdict.delta_minimum, with_delta(delta)))
         assert self.refusal(lambda: k_polystable(params, angles)) == message
 
     def test_message_is_formatted_only_on_failure(self):

@@ -2,9 +2,8 @@
 acceptance module reruns them at contract strength)."""
 
 import pytest
-from conftest import rat
+from conftest import dual, rat
 
-from kedge.tvariety import legendre_dual
 from kedge.verify import SUITES, SuiteResult, run_suites
 from kedge.zariski import DecompositionError, ZariskiDecomposition
 
@@ -35,7 +34,7 @@ def test_each_suite_passes():
         (
             "halving",
             "legendre_dual",
-            lambda model, angles: legendre_dual(model, angles)._replace(VOL=0),
+            lambda model, angles: dual(model, angles)._replace(VOL=0),
             True,
         ),
     ],
