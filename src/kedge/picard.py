@@ -39,14 +39,23 @@ reaches them without loading another: ``OutsideAmpleRange`` and
 a volume curve that both the sweep and the closed forms return: the
 closed-form oracle takes it from here, so that it loads nothing of the
 sweep it checks.
+
+``SurfaceModel(n, m)`` is the one live instance of (n, m), and what does
+not depend on the angles is kept per surface in one place:
+``per_surface(build)`` keeps ``build(model, *key)`` in one process-wide
+least-recently-used cache of ``PER_SURFACE_VALUES`` entries, keyed by
+(build, model, *key).  The candidate tables here, the oracle's family and
+the sweep's factors, swept curves and slope halves in ``zariski``, and the
+torus certificate in ``tvariety`` are kept there.
 """
 from __future__ import annotations
 
 import math
 import operator
 import re
+import weakref
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache, partial, update_wrapper
 from typing import NamedTuple
 
 from .ratmath import Rat, exact, format_rat
@@ -233,33 +242,65 @@ class DivisorClass:
         return f"DivisorClass(a={a}, b={b}, c=({','.join(map(str, c))}))"
 
 
-#: How many surfaces' candidate tables a process keeps; the least recently
-#: used (n, m) is dropped first.
-SHARED_SURFACES = 64
+#: How many values kept per surface a process holds, least recently used
+#: dropped first, all kinds together: at least the 11 584 entries of the
+#: eight bounded caches they replace.
+PER_SURFACE_VALUES = 12288
 
 
-def _per_surface(build):
-    """A property built once per surface (n, m) in a process and shared by
-    every ``SurfaceModel`` of that (n, m): the first model of a surface not
-    among the last ``SHARED_SURFACES`` builds it (the cache keeps that
-    model as its key), and each model then keeps the shared result, which
-    is immutable."""
-    return cached_property(lru_cache(maxsize=SHARED_SURFACES)(build))
+@lru_cache(maxsize=PER_SURFACE_VALUES)
+def _kept(build, model, *key):
+    return build(model, *key)
 
 
-@dataclass(frozen=True)
+def per_surface(build):
+    """``build(model, *key)``, kept in one process-wide cache keyed by
+    (build, model, *key): a build whose value depends only on the surface
+    and ``key``.  Each kept value holds its surface alive, so the surface is
+    the one instance of its (n, m) for as long as the value is kept.  A
+    build that raises keeps nothing.  The build's name and docstring stay
+    readable, and ``__wrapped__`` is the build."""
+    return update_wrapper(partial(_kept, build), build)
+
+
+# The one live SurfaceModel of each (n, m).
+_SURFACES = weakref.WeakValueDictionary()
+
+
 class SurfaceModel:
     """The surface S: F_n with m blown-up points on C2, its Picard lattice
-    and its named classes."""
+    and its named classes.
 
-    n: int
-    m: int
+    ``SurfaceModel(n, m)`` is the one live instance of (n, m), so equality
+    and hashing are identity, and a value kept per surface
+    (``per_surface``) is kept once per (n, m).  n and m cannot be assigned.
+    """
 
-    def __post_init__(self):
-        if type(self.n) is not int or type(self.m) is not int:  # a bool is refused too
+    __slots__ = ("n", "m", "__weakref__")
+
+    def __new__(cls, n: int, m: int):
+        if type(n) is not int or type(m) is not int:  # a bool is refused too
             raise TypeError("n and m must be integers")
-        if self.n < 0 or self.m < 0:
-            raise ValueError(f"n and m must be nonnegative, got n={self.n}, m={self.m}")
+        if n < 0 or m < 0:
+            raise ValueError(f"n and m must be nonnegative, got n={n}, m={m}")
+        key = n, m
+        model = _SURFACES.get(key)
+        if model is None:
+            model = _SURFACES[key] = object.__new__(cls)
+            object.__setattr__(model, "n", n)
+            object.__setattr__(model, "m", m)
+        return model
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return SurfaceModel, (self.n, self.m)
+
+    def __repr__(self) -> str:
+        return f"SurfaceModel(n={self.n}, m={self.m})"
 
     def zero(self) -> DivisorClass:
         return DivisorClass((0,) * (self.m + 2))
@@ -307,7 +348,8 @@ class SurfaceModel:
         a, b, *c = d.num
         return (d.den, b, self.n * a + b - sum(c), *c, *[a - x for x in c])
 
-    @_per_surface
+    @property
+    @per_surface
     def candidate_table(self) -> tuple:
         """Entry i lists every (j, C_i.C_j != 0), i and j indexing
         ``candidates``, in O(m) from the closed forms
@@ -322,7 +364,8 @@ class SurfaceModel:
         rows += [((f, -1), (0, 1), (f - m, 1)) for f in fs]
         return tuple(rows)
 
-    @_per_surface
+    @property
+    @per_surface
     def candidates(self) -> tuple:
         """The names of the curves that can support a Zariski negative
         part, in the order every candidate index refers to: C~1, C~2,
@@ -330,7 +373,8 @@ class SurfaceModel:
         m = self.m
         return (C1TILDE, C2TILDE, *orbit_names(E1, m), *orbit_names(F1TILDE, m))
 
-    @_per_surface
+    @property
+    @per_surface
     def candidate_coordinates(self) -> tuple:
         """Entry i lists every (j, x), x != 0, of the integer coordinates
         (a, b, c_1, ..., c_m) of ``candidates[i]``'s class, in O(m) from

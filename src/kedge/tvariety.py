@@ -11,7 +11,7 @@ the vertex values h_p0(n) = -2 and h_pi(-1) = h_pi(0) = 0.  So h is fixed
 by n, m and the angles, and no object stands for it:
 ``legendre_dual(model, angles)`` certifies once per surface (n, m) in a
 process that h encodes -K_{S,Delta} (the round trip depends on n and m
-only, and is kept in a cache bounded like the candidate tables), then
+only, and its passing is kept per surface like the candidate tables), then
 returns its pointwise Legendre duals
 
     Psi_p(u) = min over vertices v of the slice over p of (u v - h_p(v)).
@@ -85,11 +85,10 @@ route alone, which the name grammar does not read.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
-from .picard import (C1TILDE, C2TILDE, E1, F1TILDE, GENERIC_FIBER, SHARED_SURFACES, Angles,
-                     DivisorClass, InconsistencyError, SurfaceModel, orbit_names, orbit_of)
+from .picard import (C1TILDE, C2TILDE, E1, F1TILDE, GENERIC_FIBER, Angles, DivisorClass,
+                     InconsistencyError, SurfaceModel, orbit_names, orbit_of, per_surface)
 from .ratmath import Rat, sign
 
 
@@ -124,12 +123,11 @@ def _encoded_class(model: SurfaceModel, angles: Angles) -> DivisorClass:
 _CERTIFICATE_ANGLES = (Angles(1, 1), Angles(2, 1), Angles(1, 2))
 
 
-@lru_cache(maxsize=SHARED_SURFACES)
+@per_surface
 def _certify_support_function(model: SurfaceModel) -> None:
     """Round-trip h's encoded class against ``log_anticanonical`` at the
-    three angle pairs (see ``legendre_dual``), once per surface (n, m) in
-    a process, in a cache bounded like the candidate tables.  A failed
-    round trip raises InconsistencyError and is not kept."""
+    three angle pairs (see ``legendre_dual``), kept per surface (n, m).  A
+    failed round trip raises InconsistencyError and is not kept."""
     for frame in _CERTIFICATE_ANGLES:
         if _encoded_class(model, frame) != model.log_anticanonical(frame):
             raise InconsistencyError("support function does not encode -K_{S,Delta}")
@@ -213,7 +211,7 @@ class ValuationTerm(NamedTuple):
 FIBER_P0 = "FiberP0"
 
 
-def _heads(m: int) -> tuple:
+def orbit_heads(m: int) -> tuple:
     """(first name, size) of each S_m orbit of the delta minimum, canonical
     order: the E_i and the F~i orbits have m members and are absent at m = 0."""
     curves = ((E1, m), (F1TILDE, m)) if m else ()
@@ -258,7 +256,7 @@ class DeltaReport(NamedTuple):
     def orbits(self) -> tuple:
         """One ``Orbit`` record per S_m orbit, canonical order."""
         return tuple(Orbit(name, size, a, s)
-                     for (name, size), a, s in zip(_heads(self.m), self.a, self.s))
+                     for (name, size), a, s in zip(orbit_heads(self.m), self.a, self.s))
 
     @property
     def witnesses(self) -> tuple:
@@ -270,7 +268,7 @@ class DeltaReport(NamedTuple):
     def term(self, name: str) -> ValuationTerm:
         """The term of ``name``, shared by its S_m orbit; KeyError for a
         name with no term on this surface."""
-        firsts = [first for first, _ in _heads(self.m)]
+        firsts = [first for first, _ in orbit_heads(self.m)]
         try:
             i = firsts.index(name if name == FIBER_P0 else orbit_of(name, self.m)[0])
         except ValueError:  # no curve name, or PullbackC2: no orbit of this route
@@ -310,7 +308,7 @@ def delta_minimum(model: SurfaceModel, L: int, p1: int, p2: int) -> tuple:
     a_min, s_min = p1, s[0]
     for i, si in enumerate(s):
         if si <= 0:
-            raise InconsistencyError(f"torus route: S of {_heads(m)[i][0]} is not positive")
+            raise InconsistencyError(f"torus route: S of {orbit_heads(m)[i][0]} is not positive")
         if a[i] * s_min < a_min * si:
             a_min, s_min = a[i], si
     return a_min, s_min, -sign(FM), a, s, VOL

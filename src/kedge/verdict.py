@@ -18,10 +18,11 @@ answer when one of them fails.
 ``decide`` is the one decision path.  It reads the angles' integer form
 (L, P1, P2) and the torus route's ``delta_minimum`` and returns plain
 values, so ``scan`` calls it for each grid point with no ``Angles``,
-report, ``Verdict`` or Fraction formed.  ``k_polystable`` wraps it and
-forms the ``Verdict`` and its report.  The bracket polynomial lives once,
-in ``bracket_sign``, and the ample inequalities once, in
-``SurfaceModel.broken_ample_bound``.
+report, ``Verdict`` or Fraction formed, condition points included: the
+branch certificate reads the minimum's integers too.  ``k_polystable``
+wraps it and forms the ``Verdict`` and its one report.  The bracket
+polynomial lives once, in ``bracket_sign``, and the ample inequalities
+once, in ``SurfaceModel.broken_ample_bound``.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 from .picard import Angles, InconsistencyError
 from .ratmath import Rat, exact, sign
-from .tvariety import DeltaReport, delta_minimum, delta_report
+from .tvariety import DeltaReport, delta_minimum, delta_report, orbit_heads
 
 KPOLYSTABLE = "KPolystable"
 NOT_KPOLYSTABLE = "NotKPolystable"
@@ -80,29 +81,37 @@ def _check(condition: bool, message: str, *args):
         raise InconsistencyError(message.format(*args))
 
 
-def _certify_polystable_branch(m: int, report: DeltaReport):
-    """Verify the hypotheses of the theorems behind the delta = 1 verdict,
-    once per S_m orbit: an orbit's terms share one A and one S, and each
-    check names the orbit's first curve.  A/S = 2 VOL (L A) / (2 L VOL S)
-    with S > 0, so each comparison with 1 is one of integers."""
-    two_vol = 2 * report.VOL
-    orbits = report.orbits
-    rays, verticals = orbits[:2], orbits[2:]  # C~1 and C~2 lead the orbits
-    _check(two_vol * report.a_min == report.s_min,
-           "condition point must have delta = 1, got {.delta}", report)
-    for orbit in rays:
-        _check(two_vol * orbit.a == orbit.s,
-               "ray term {} must equal 1 at a condition point", orbit.name)
+def _check_orbit(condition: bool, message: str, m: int, i: int):
+    """``_check`` on the orbit at position i of a minimum on a surface with
+    m blown-up points: its first name is spelled only if the check fails."""
+    if not condition:
+        raise InconsistencyError(message.format(orbit_heads(m)[i][0]))
+
+
+def _certify_polystable_branch(m: int, minimum: tuple):
+    """Verify the hypotheses of the theorems behind the delta = 1 verdict on
+    the integers of ``delta_minimum``, once per S_m orbit: an orbit's terms
+    share one A and one S, and a failed check names the orbit's first curve.
+    A/S = 2 VOL (L A) / (2 L VOL S) with S > 0, so each comparison with 1
+    is one of integers."""
+    a_min, s_min, _, a, s, vol = minimum
+    two_vol = 2 * vol
+    if two_vol * a_min != s_min:
+        raise InconsistencyError(
+            f"condition point must have delta = 1, got {Rat(two_vol * a_min, s_min)}")
+    for i in (0, 1):  # C~1 and C~2 lead the orbits
+        _check_orbit(two_vol * a[i] == s[i],
+                     "ray term {} must equal 1 at a condition point", m, i)
+    verticals = range(2, len(s))
     if m == 0:
-        for orbit in verticals:
-            _check(two_vol * orbit.a == orbit.s, "toric case: term {} must equal 1", orbit.name)
+        for i in verticals:
+            _check_orbit(two_vol * a[i] == s[i], "toric case: term {} must equal 1", m, i)
     elif m == 2:
-        for orbit in verticals[:2]:  # the E_i and the F~i orbits
-            _check(two_vol * orbit.a == orbit.s, "m=2: curve term {} must equal 1", orbit.name)
+        for i in verticals[:2]:  # the E_i and the F~i orbits
+            _check_orbit(two_vol * a[i] == s[i], "m=2: curve term {} must equal 1", m, i)
     else:  # m >= 3
-        for orbit in verticals:
-            _check(two_vol * orbit.a > orbit.s, "m>=3: vertical term {} must exceed 1",
-                   orbit.name)
+        for i in verticals:
+            _check_orbit(two_vol * a[i] > s[i], "m>=3: vertical term {} must exceed 1", m, i)
 
 
 def decide(model, L: int, p1: int, p2: int) -> tuple:
@@ -114,10 +123,9 @@ def decide(model, L: int, p1: int, p2: int) -> tuple:
     the minimum is the torus route's ``delta_minimum``, and every branch
     cross-checks the facts it relies on (bracket sign against the Futaki
     sign, delta <= 1, delta < 1 off the condition locus and for m = 1,
-    the term patterns at condition points, from the minimum's report).
-    delta = 2 VOL a_min / s_min with s_min > 0, so each comparison of
-    delta with 1 is one of integers, and no Fraction is formed unless a
-    check fails.
+    the term patterns at condition points).  delta = 2 VOL a_min / s_min
+    with s_min > 0, so each comparison of delta with 1 is one of integers,
+    and no report, orbit name or Fraction is formed unless a check fails.
     """
     csign = bracket_sign(model, L, p1, p2)
     if model.broken_ample_bound(L, p1, p2):
@@ -133,7 +141,7 @@ def decide(model, L: int, p1: int, p2: int) -> tuple:
 
     m = model.m
     if csign == 0 and m != 1:
-        _certify_polystable_branch(m, delta_report(m, L, minimum))
+        _certify_polystable_branch(m, minimum)
         branch = "toric (m=0)" if m == 0 else f"m={m}"
         return KPOLYSTABLE, csign, f"condition holds; {branch} branch hypotheses verified", minimum
     if csign == 0:

@@ -19,25 +19,23 @@ so every pivot before the sections is -1 and the factor does not fill
 in; the sections do not meet each other or a common curve, so their
 pivots are integers too.  Neither a support's factor nor a swept curve's
 slope column depends on the angles, so both, and the slope column's half
-of each solve, are kept once per surface: one factor per (surface,
-support), one ``SweptCurve`` per (surface, curve) and one slope half per
-(surface, curve, support), each in a cache bounded by a multiple of
-``picard.SHARED_SURFACES``.  ``zariski_decompose`` runs growth on one
-column, D.C times the class's denominator, from the empty support, and
-forms the positive part in one sparse pass over the support's integer
-coordinates; the chamber sweep in ``volumes`` runs it on two (value and
-slope, read lexicographically) from the previous chamber's support
-(Bauer's guarantee needs a start inside the true one), and solves only
-the value column afresh.  ``zariski_decompose`` certifies each
+of each solve, are kept per surface by ``picard.per_surface``: one factor
+per (surface, support), one ``SweptCurve`` per (surface, curve) and one
+slope half per (surface, curve, support).  ``zariski_decompose`` runs
+growth on one column, D.C times the class's denominator, from the empty
+support, and forms the positive part in one sparse pass over the
+support's integer coordinates; the chamber sweep in ``volumes`` runs it
+on two (value and slope, read lexicographically) from the previous
+chamber's support (Bauer's guarantee needs a start inside the true one),
+and solves only the value column afresh.  ``zariski_decompose`` certifies each
 decomposition against the three defining conditions on every call;
 ``zariski_decompose_bruteforce`` enumerates every negative-definite set
 of candidates and is kept as an independent oracle.  Every solve and definiteness test goes through the one
 fraction-free elimination in ``linalg``: growth factors a support once per
 surface, the oracle's depth-first walk borders the parent set's factor by
 one row per extension and solves on it, both from the table.
-The walk depends only on (n, m): it runs once per surface in a process,
-and the family it builds is kept in a cache bounded like the candidate
-tables (``picard.SHARED_SURFACES`` surfaces); each call solves afresh.
+The walk depends only on (n, m): the family it builds is kept per surface
+like the candidate tables; each call solves afresh.
 Curves are candidate indices throughout; the column D.C comes from
 ``SurfaceModel.pairings``.  ``_certify`` pairs through the generic
 ``intersect`` instead, and ``is_negative_definite`` factors the integer
@@ -46,12 +44,11 @@ the table's closed forms.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .linalg import EMPTY_FACTOR, NotNegativeDefinite, border, factorize, solve_factored
-from .picard import (C1TILDE, C2TILDE, SHARED_SURFACES, DivisorClass, InconsistencyError,
-                     SurfaceModel)
+from .picard import (C1TILDE, C2TILDE, DivisorClass, InconsistencyError, SurfaceModel,
+                     per_surface)
 from .ratmath import Rat
 
 
@@ -95,12 +92,11 @@ def is_negative_definite(model: SurfaceModel, curves) -> bool:
     return True
 
 
-@lru_cache(maxsize=SHARED_SURFACES)
+@per_surface
 def negative_definite_supports(model: SurfaceModel) -> tuple:
     """Every negative-definite set of candidate indices with the
     fraction-free factor of its Gram matrix, as (indices, factor) tuples,
-    the empty set first; built once per surface (n, m) and shared, like
-    the candidate tables.
+    the empty set first; kept per surface, like the candidate tables.
 
     Depth first in candidate order, extending only negative-definite
     sets: the family is closed under subsets (principal submatrices of a
@@ -134,20 +130,11 @@ def _bordering(table, c, position):
     return column, diagonal
 
 
-#: How many support factors, swept curves and slope halves a process keeps,
-#: least recently used dropped first: per surface of ``SHARED_SURFACES``,
-#: 32 supports, 16 curves (every curve a sweep takes at m <= 6) and 128
-#: (curve, support) pairs.
-SUPPORT_FACTORS = 32 * SHARED_SURFACES
-SWEPT_CURVES = 16 * SHARED_SURFACES
-SLOPE_HALVES = 128 * SHARED_SURFACES
-
-
-@lru_cache(maxsize=SUPPORT_FACTORS)
+@per_surface
 def _support_factor(model: SurfaceModel, support: tuple):
     """The factor of ``support``'s Gram matrix, a tuple of candidate indices
-    in factor order, bordered from the candidate table once per (surface,
-    support); a support that is not negative definite raises
+    in factor order, bordered from the candidate table and kept per
+    (surface, support); a support that is not negative definite raises
     NotNegativeDefinite and is not kept."""
     table, factor, position = model.candidate_table, EMPTY_FACTOR, {}
     for c in support:
@@ -181,18 +168,18 @@ class SweptCurve(NamedTuple):
     square: int
 
 
-@lru_cache(maxsize=SWEPT_CURVES)
+@per_surface
 def swept_curve(model: SurfaceModel, E: str) -> SweptCurve:
-    """The ``SweptCurve`` of the curve named ``E``, once per (surface, curve);
-    ValueError for a name that is not a curve there, as ``class_of``."""
+    """The ``SweptCurve`` of the curve named ``E``, kept per (surface,
+    curve); ValueError for a name that is not a curve there, as ``class_of``."""
     e = model.class_of(E)
     _, *pairings = model.pairings(e)
     return SweptCurve(e, tuple(-x for x in pairings), e.num[0], model.pair(e.num, e.num))
 
 
-@lru_cache(maxsize=SLOPE_HALVES)
+@per_surface
 def _slope_half(model: SurfaceModel, curve: str, support: tuple) -> tuple:
-    """``_solve`` of ``curve``'s slope column on ``support``, once per
+    """``_solve`` of ``curve``'s slope column on ``support``, kept per
     (surface, curve, support): it depends on neither the angles nor x."""
     coeffs, residual = _solve(model.candidate_table, support, _support_factor(model, support),
                               swept_curve(model, curve).slope)

@@ -7,7 +7,8 @@ pairing, the signature, the angle sampler, the volume curve's last root,
 the volume of a class, named views of the torus duals and delta minimum
 and their tamperings, the torus-side Futaki sign, the name-expanding
 torus-route delta, the rational divisor class and the closed-form oracle
-on Fractions, and the one reset of the per-surface caches."""
+on Fractions, the one reset of the values kept per surface and a count of
+one kept value's builds."""
 
 from __future__ import annotations
 
@@ -22,13 +23,13 @@ import pytest
 
 from kedge.closedforms import CASE_C1_FIRST, CASE_C2_FIRST, CASE_N_GE_M, CASE_N_ZERO
 from kedge.linalg import NotNegativeDefinite
-from kedge.picard import C1TILDE, C2TILDE, Angles, DivisorClass, InconsistencyError, SurfaceModel
+from kedge.picard import (C1TILDE, C2TILDE, Angles, DivisorClass, InconsistencyError,
+                          SurfaceModel, _kept, per_surface)
 from kedge.ratmath import ZERO, Rat, isqrt_exact, sign
 from kedge.sampling import MAX_DENOMINATOR, MAX_TRIES, MAX_VALUE
-from kedge.tvariety import _certify_support_function, cross, legendre_dual
+from kedge.tvariety import cross, legendre_dual
 from kedge.volumes import IrrationalThreshold, QuadraticPiece
-from kedge.zariski import (DecompositionError, _slope_half, _support_factor,
-                           negative_definite_supports, swept_curve, zariski_decompose)
+from kedge.zariski import DecompositionError, zariski_decompose
 
 
 @pytest.fixture
@@ -37,20 +38,29 @@ def rng():
     return random.Random(20260823)
 
 
-PER_SURFACE_CACHES = (negative_definite_supports, _support_factor, swept_curve, _slope_half,
-                      _certify_support_function)
-
-
 def clear_per_surface_caches():
-    """Empty the caches kept per surface (n, m): the candidate tables, the
-    oracle's family, the sweep's support factors, swept curves and slope
-    halves, and the torus certificate.  A request then forms them again
-    and calls every function that forms them, so a test that counts a
-    request's work or breaks a cached step sees a cold run."""
-    for name in ("candidates", "candidate_table", "candidate_coordinates"):
-        getattr(SurfaceModel, name).func.cache_clear()
-    for cache in PER_SURFACE_CACHES:
-        cache.cache_clear()
+    """Empty the one cache of values kept per surface (``picard.per_surface``):
+    the candidate tables, the oracle's family, the sweep's support factors,
+    swept curves and slope halves, and the torus certificate.  A request
+    then forms them again and calls every function that forms them, so a
+    test that counts a request's work or breaks a kept step sees a cold
+    run."""
+    _kept.cache_clear()
+
+
+def count_builds(monkeypatch, owner, name) -> list:
+    """Replace the kept value ``owner.name`` (a ``per_surface`` build) by one
+    kept through a build that records its key, and return the list of
+    recorded keys: one per build, that is one per miss of the shared cache.
+    The recording build is a new function, so its values start cold."""
+    build, builds = getattr(owner, name).__wrapped__, []
+
+    def recording(model, *key):
+        builds.append(key)
+        return build(model, *key)
+
+    monkeypatch.setattr(owner, name, per_surface(recording))
+    return builds
 
 
 def small_surfaces(n_max: int = 4, m_max: int = 4):

@@ -695,6 +695,7 @@ class TestInconsistencyExit:
         for owner, name in [(Angles, "__post_init__"), (kedge.tvariety, "DeltaReport"),
                             (kedge.verdict, "Verdict"), (kedge.tvariety, "Orbit"),
                             (kedge.tvariety, "orbit_names"), (kedge.picard, "orbit_names"),
+                            (kedge.verdict, "orbit_heads"),
                             (SurfaceModel, "broken_ample_bound"),
                             (SurfaceModel, "ample_range_violation"),
                             (kedge.verdict, "delta_minimum"), (kedge.tvariety, "scaled_duals"),
@@ -725,15 +726,14 @@ class TestInconsistencyExit:
         assert all(row[2] != "0" and row[4] == "NotKPolystable" for row in rows)
         assert calls == {"broken_ample_bound": 25, "delta_minimum": 25, "scaled_duals": 25}
 
-    def test_scan_condition_point_forms_one_report(self, capsys, monkeypatch):
-        # The one condition point of the grid, (63/128, 21/32), forms the
-        # report its branch certificate reads, with its six orbit records,
-        # and still no Fraction: the certificate compares integers.
+    def test_scan_condition_point_forms_no_report(self, capsys, monkeypatch):
+        # The one condition point of the grid, (63/128, 21/32), runs its
+        # branch certificate on the minimum's integers: no report, no orbit
+        # record, no name and no Fraction, as at every other point.
         rows, calls = self.count_scan_work(capsys, monkeypatch, SCAN_ARGS_CONDITION)
         assert len(rows) == 15
         assert [row[:2] for row in rows if row[4] == "KPolystable"] == [["63/128", "21/32"]]
-        assert calls == {"broken_ample_bound": 15, "delta_minimum": 15, "scaled_duals": 15,
-                         "DeltaReport": 1, "Orbit": 6}
+        assert calls == {"broken_ample_bound": 15, "delta_minimum": 15, "scaled_duals": 15}
 
     @pytest.mark.parametrize("cross", [0, -1])
     @pytest.mark.parametrize("argv", [DELTA_ARGS, SCAN_ARGS], ids=["delta", "scan"])

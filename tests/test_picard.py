@@ -1,18 +1,24 @@
-"""Picard lattice of the blown-up ruled surface: classes, pairing, cones."""
+"""Picard lattice of the blown-up ruled surface: classes, pairing, cones,
+and the one instance and the kept values of each surface."""
 
+import ast
 import copy
 import dataclasses
 import math
 import pickle
+from pathlib import Path
 
 import pytest
-from conftest import (ReferenceDivisorClass, common_denominator, coordinates, divisor, gram, rat,
-                      reference_intersect, reference_is_nef, reference_log_anticanonical,
-                      reference_pairings, signature)
+from conftest import (ReferenceDivisorClass, clear_per_surface_caches, common_denominator,
+                      coordinates, divisor, gram, rat, reference_intersect, reference_is_nef,
+                      reference_log_anticanonical, reference_pairings, signature)
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kedge import picard, tvariety, zariski
+from kedge.linalg import EMPTY_FACTOR
 from kedge.picard import (
+    PER_SURFACE_VALUES,
     Angles,
     C1TILDE,
     C2TILDE,
@@ -24,12 +30,12 @@ from kedge.picard import (
     GENERIC_FIBER,
     OutsideAmpleRange,
     PULLBACK_C2,
-    SHARED_SURFACES,
     SurfaceModel,
     SurfaceParams,
     orbit_names,
     orbit_of,
     parse_curve_id,
+    per_surface,
 )
 from kedge.ratmath import Rat, RatParseError
 from kedge.volumes import log_discrepancy
@@ -200,26 +206,119 @@ CANDIDATE_TABLES = ("candidates", "candidate_table", "candidate_coordinates")
 
 
 def test_candidate_tables_are_shared_by_equal_models():
+    # Equal models are one instance, whose tables are built once.
     first, second = SurfaceModel(2, 5), SurfaceModel(2, 5)
-    assert first is not second
+    assert first is second
     for name in CANDIDATE_TABLES:
         assert getattr(first, name) is getattr(second, name), name
     assert SurfaceModel(2, 6).candidate_table is not first.candidate_table
 
 
-def test_candidate_table_cache_is_bounded():
-    for name in CANDIDATE_TABLES:
-        cache = getattr(SurfaceModel, name).func
-        for m in range(SHARED_SURFACES + 5):
-            getattr(SurfaceModel(1, m), name)
-        info = cache.cache_info()
-        assert (info.maxsize, info.currsize) == (SHARED_SURFACES, SHARED_SURFACES), name
-        # The least recently built surface was dropped: a new model of it
-        # builds again, and the most recent one is read from the cache.
-        getattr(SurfaceModel(1, 0), name)
-        getattr(SurfaceModel(1, SHARED_SURFACES + 4), name)
-        after = cache.cache_info()
-        assert (after.misses - info.misses, after.hits - info.hits) == (1, 1), name
+def test_one_instance_per_surface():
+    model = SurfaceModel(0, 2)
+    assert model is SurfaceModel(0, 2) and model == SurfaceModel(0, 2)
+    assert SurfaceModel(0, 3) is not model and SurfaceModel(0, 3).m == 3
+    assert SurfaceModel(1, 2) is not model and SurfaceModel(1, 2).n == 1
+    assert hash(model) == object.__hash__(model) and model != (0, 2)
+    assert repr(model) == "SurfaceModel(n=0, m=2)"
+    for twin in (copy.copy(model), copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        assert twin is model
+    for name in ("n", "m", "k"):
+        with pytest.raises(AttributeError, match=f"cannot change field '{name}'"):
+            setattr(model, name, 5)
+        with pytest.raises(AttributeError, match=f"cannot change field '{name}'"):
+            delattr(model, name)
+    assert (model.n, model.m) == (0, 2)
+
+
+def test_a_held_surface_outlives_its_kept_values():
+    # A kept value holds its surface alive, and so does a caller: after
+    # cache_clear() a held surface is the instance returned, and one that
+    # nothing holds any more has left the registry.
+    held = SurfaceModel(1001, 1)
+    assert held.candidates == SurfaceModel(1002, 1).candidates
+    assert (1002, 1) in picard._SURFACES
+    clear_per_surface_caches()
+    assert SurfaceModel(1001, 1) is held
+    assert (1002, 1) not in picard._SURFACES
+
+
+@pytest.mark.parametrize("n, m, error", [(True, 1003, TypeError), (1003.0, 1, TypeError),
+                                         (-1, 1003, ValueError), (1003, -1, ValueError)])
+def test_a_refused_surface_leaves_no_registry_entry(n, m, error):
+    with pytest.raises(error):
+        SurfaceModel(n, m)
+    assert (n, m) not in picard._SURFACES  # (True, 1003) == (1, 1003), 1003.0 == 1003
+
+
+def test_per_surface_cache_is_bounded():
+    # One least-recently-used cache keeps the values of every kind kept per
+    # surface, at least as many as the eight caches it replaced together.
+    assert PER_SURFACE_VALUES >= 3 * 64 + 64 + 2048 + 1024 + 8192 + 64
+    clear_per_surface_caches()
+    keep, model = per_surface(lambda model, i: (model.m, i)), SurfaceModel(1, 1)
+    for i in range(PER_SURFACE_VALUES + 5):
+        assert keep(model, i) == (1, i)
+    info = picard._kept.cache_info()
+    assert (info.maxsize, info.currsize) == (PER_SURFACE_VALUES, PER_SURFACE_VALUES)
+    # The least recently built value was dropped: it builds again, and the
+    # most recent one is read from the cache.
+    keep(model, 0)
+    keep(model, PER_SURFACE_VALUES + 4)
+    after = picard._kept.cache_info()
+    assert (after.misses - info.misses, after.hits - info.hits) == (1, 1)
+
+
+PER_SURFACE_READS = {
+    "candidates": lambda model: model.candidates,
+    "candidate-table": lambda model: model.candidate_table,
+    "candidate-coordinates": lambda model: model.candidate_coordinates,
+    "oracle-family": zariski.negative_definite_supports,
+    "support-factor": lambda model: zariski._support_factor(model, (2,)),
+    "swept-curve": lambda model: zariski.swept_curve(model, C1TILDE),
+    "slope-half": lambda model: zariski._slope_half(model, C1TILDE, (2,)),
+    "torus-certificate": tvariety._certify_support_function,
+}
+
+
+@pytest.mark.parametrize("read", PER_SURFACE_READS.values(), ids=PER_SURFACE_READS)
+def test_each_value_kept_per_surface_is_an_entry_of_the_one_cache(read):
+    # A second read of the same surface is one hit of the shared cache and
+    # builds nothing; after cache_clear() the held surface builds it again.
+    clear_per_surface_caches()
+    model = SurfaceModel(1, 2)
+    first = read(model)
+    info = picard._kept.cache_info()
+    assert read(SurfaceModel(1, 2)) is first
+    after = picard._kept.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (info.hits + 1, info.misses,
+                                                          info.currsize)
+    clear_per_surface_caches()
+    assert read(model) == first
+    assert picard._kept.cache_info().misses > 0
+
+
+def test_kept_values_are_told_apart_by_their_build():
+    # Two builds kept for one surface under one key: the torus certificate
+    # (None) and the oracle's family, whose first set is the empty one.
+    clear_per_surface_caches()
+    model = SurfaceModel(1, 2)
+    assert tvariety._certify_support_function(model) is None
+    assert zariski.negative_definite_supports(model)[0] == ((), EMPTY_FACTOR)
+    assert model.candidates[0] == C1TILDE and model.candidate_table[0] != C1TILDE
+
+
+def test_only_picard_keeps_values():
+    # Every value kept per surface goes through picard.per_surface: no other
+    # module of src/kedge names lru_cache or cached_property.
+    src = Path(__file__).resolve().parents[1] / "src" / "kedge"
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        kept = names & {"lru_cache", "cached_property"}
+        assert kept == ({"lru_cache"} if path.stem == "picard" else set()), path.stem
 
 
 @pytest.mark.parametrize("n, m", [(n, m) for n in range(7) for m in range(7)]

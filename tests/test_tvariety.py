@@ -22,8 +22,8 @@ from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 import kedge.tvariety
-from kedge.picard import (GENERIC_FIBER, PULLBACK_C2, SHARED_SURFACES, Angles, Ei, FiTilde,
-                          InconsistencyError, SurfaceModel, SurfaceParams)
+from kedge.picard import (GENERIC_FIBER, PULLBACK_C2, Angles, Ei, FiTilde, InconsistencyError,
+                          SurfaceModel, SurfaceParams)
 from kedge.ratmath import ZERO, Rat, sign
 from kedge.sampling import sample_angles, sample_surface
 from kedge.tvariety import FIBER_P0, delta_tvariety, legendre_dual
@@ -538,9 +538,9 @@ class TestCertificate:
             legendre_dual(SurfaceModel(n, m), Angles(HALF, rat(1, 3)))
 
     def test_equal_models_run_one_certificate(self, monkeypatch):
-        # The round trips depend on (n, m) only: two equal models, and every
-        # angle pair, share one certificate; another n or another m runs
-        # its own, and a failed one is not kept.
+        # The round trips depend on (n, m) only: the one model of a surface
+        # and every angle pair share one certificate; another n or another m
+        # runs its own, and a failed one is not kept.
         clear_per_surface_caches()
         calls = []
         original = kedge.tvariety._encoded_class
@@ -560,17 +560,6 @@ class TestCertificate:
         for model in (SurfaceModel(1, 4), SurfaceModel(1, 4), SurfaceModel(3, 2)):
             with pytest.raises(InconsistencyError, match="does not encode"):
                 legendre_dual(model, Angles(rat(1, 3), rat(1, 3)))
-
-    def test_certificate_cache_is_bounded(self):
-        cache = kedge.tvariety._certify_support_function
-        for m in range(SHARED_SURFACES + 5):
-            cache(SurfaceModel(1, m))
-        info = cache.cache_info()
-        assert (info.maxsize, info.currsize) == (SHARED_SURFACES, SHARED_SURFACES)
-        cache(SurfaceModel(1, 0))
-        cache(SurfaceModel(1, SHARED_SURFACES + 4))
-        after = cache.cache_info()
-        assert (after.misses - info.misses, after.hits - info.hits) == (1, 1)
 
 
 class TestDelta:

@@ -22,7 +22,7 @@ from kedge.picard import (
 )
 from kedge.ratmath import RatParseError, sign
 from kedge.sampling import sample_angles, sample_surface
-from kedge.tvariety import Orbit, ValuationTerm, delta_tvariety
+from kedge.tvariety import Orbit, ValuationTerm, delta_minimum, delta_tvariety, orbit_heads
 from kedge.verdict import (
     KPOLYSTABLE,
     NOT_KPOLYSTABLE,
@@ -37,7 +37,7 @@ from kedge.verdict import (
 )
 from kedge.volumes import expected_vanishing_order, volume_curve
 
-from conftest import (clear_per_surface_caches, futaki_vanishes, rat, tampered_minimum,
+from conftest import (Minimum, clear_per_surface_caches, futaki_vanishes, rat, tampered_minimum,
                       with_delta)
 
 HALF = rat(1, 2)
@@ -157,20 +157,25 @@ class TestTorusWork:
     @pytest.mark.parametrize(
         "params, angles",
         [(SurfaceModel(0, 2), Angles(HALF, HALF)),
-         (SurfaceModel(2, 0), Angles(rat(9, 14), rat(3, 7)))],
+         (SurfaceModel(2, 0), Angles(rat(9, 14), rat(3, 7))),
+         (SurfaceModel(0, 2), CONDITION_M2)],
+        ids=["off-locus", "condition-m0", "condition-m2"],
     )
     def test_one_torus_pass_per_verdict(self, monkeypatch, params, angles):
-        # Deterministic work: a second torus minimum, a second dual or a
-        # second ample check fails here; on a cold cache the certificate
-        # runs its three round trips on the surface's first verdict only,
-        # with no DivisorClass arithmetic, and an equal model's verdict
-        # reads the kept one.  delta is the one Fraction formed (by the
-        # report, not by the decision) and no Fraction is compared: every
-        # check reads integers.  No term is formed and no name is spelled.
+        # Deterministic work: a second torus minimum, a second dual, a
+        # second report or a second ample check fails here; on a cold cache
+        # the certificate runs its three round trips on the surface's first
+        # verdict only, with no DivisorClass arithmetic, and the surface's
+        # next verdict reads the kept one.  delta is the one Fraction formed
+        # (by the report, not by the decision) and no Fraction is compared:
+        # every check, the branch certificate at a condition point too,
+        # reads integers.  No term is formed and no name is spelled.
         clear_per_surface_caches()
         calls = collections.Counter()
         targets = {
             "delta_minimum": (kedge.verdict, "delta_minimum"),
+            "DeltaReport": (kedge.tvariety, "DeltaReport"),
+            "orbit_heads": (kedge.verdict, "orbit_heads"),
             "scaled_duals": (kedge.tvariety, "scaled_duals"),
             "legendre_dual": (kedge.tvariety, "legendre_dual"),
             "_encoded_class": (kedge.tvariety, "_encoded_class"),
@@ -195,27 +200,32 @@ class TestTorusWork:
 
         k_polystable(params, angles)
         assert calls == {
-            "delta_minimum": 1, "scaled_duals": 1, "_encoded_class": 3, "log_anticanonical": 3,
-            "broken_ample_bound": 1, "Rat": 1,
+            "delta_minimum": 1, "DeltaReport": 1, "scaled_duals": 1, "_encoded_class": 3,
+            "log_anticanonical": 3, "broken_ample_bound": 1, "Rat": 1,
         }
         for model in (params, SurfaceModel(params.n, params.m)):
             calls.clear()
             verdict = k_polystable(model, angles)
-            assert calls == {"delta_minimum": 1, "scaled_duals": 1, "broken_ample_bound": 1,
-                             "Rat": 1}
+            assert calls == {"delta_minimum": 1, "DeltaReport": 1, "scaled_duals": 1,
+                             "broken_ample_bound": 1, "Rat": 1}
         assert not hasattr(verdict.report, "terms")
         # Every integral is a dot product with the three hat weights; no
         # general PL type or pairwise product integrator is left.
         assert not hasattr(kedge.tvariety, "PLFunction")
         assert not hasattr(kedge.tvariety, "integrate_product")
 
-    def test_no_candidate_names_on_the_torus_route(self):
-        # The verdict reads one record per S_m orbit, so a fresh model's
-        # first verdict never builds the 2m + 2 candidate names.
-        model = SurfaceModel(0, 200)
-        verdict = k_polystable(model, Angles(HALF, rat(1, 400)))
+    def test_no_candidate_names_on_the_torus_route(self, monkeypatch):
+        # The verdict reads one record per S_m orbit, so a surface's first
+        # verdict, on a cold cache, never reads or builds the 2m + 2
+        # candidate names or either candidate table.
+        def refuse(model):
+            raise AssertionError("the torus route read a candidate table")
+
+        clear_per_surface_caches()
+        for name in ("candidates", "candidate_table", "candidate_coordinates"):
+            monkeypatch.setattr(SurfaceModel, name, property(refuse))
+        verdict = k_polystable(SurfaceModel(0, 200), Angles(HALF, rat(1, 400)))
         assert verdict.status == NOT_KPOLYSTABLE
-        assert "candidates" not in model.__dict__
         assert [(orbit.name, orbit.size) for orbit in verdict.report.orbits] == [
             ("C1tilde", 1), ("C2tilde", 1), ("E1", 200), ("F1tilde", 200),
             ("FiberP0", 1), ("GenericFiber", 1),
@@ -370,21 +380,20 @@ class TestConditionPoints:
 
 
 class TestCertification:
-    """Each check reads the integers of the report: an orbit's L A and
-    2 L VOL S, and the least orbit's (a_min, s_min), with
+    """Each check reads the integers of the torus minimum: an orbit's L A
+    and 2 L VOL S, and the least orbit's (a_min, s_min), with
     delta = 2 VOL a_min / s_min.  The tamperings set those integers."""
 
     @staticmethod
-    def with_orbit_s(report, name, s):
-        """``report`` with the 2 L VOL S of the orbit led by ``name`` set to ``s(old)``."""
-        return report._replace(s=tuple(
-            s(orbit.s) if orbit.name == name else orbit.s for orbit in report.orbits))
+    def minimum(model, angles):
+        return Minimum(*delta_minimum(model, *angles.scaled))
 
     @staticmethod
-    def with_delta(report, delta):
-        """``report`` with the least orbit's integers set so that it reads ``delta``."""
-        return report._replace(a_min=delta.numerator,
-                               s_min=2 * report.VOL * delta.denominator)
+    def with_orbit_s(minimum, m, name, s):
+        """``minimum`` with the 2 L VOL S of the orbit led by ``name`` set to ``s(old)``."""
+        firsts = [first for first, _ in orbit_heads(m)]
+        return minimum._replace(s=tuple(
+            s(old) if first == name else old for first, old in zip(firsts, minimum.s)))
 
     @staticmethod
     def refusal(call) -> str:
@@ -394,15 +403,15 @@ class TestCertification:
 
     def test_tampered_term_is_caught(self):
         # The E orbit's S doubled: E1 and E2 read A/S = 1/2, not 1.
-        report = delta_tvariety(SurfaceModel(0, 2), CONDITION_M2)
-        tampered = self.with_orbit_s(report, "E1", lambda s: 2 * s)
+        minimum = self.minimum(SurfaceModel(0, 2), CONDITION_M2)
+        tampered = self.with_orbit_s(minimum, 2, "E1", lambda s: 2 * s)
         assert self.refusal(lambda: _certify_polystable_branch(2, tampered)) == (
             "m=2: curve term E1 must equal 1")
 
     def test_tampered_delta_is_caught(self):
-        report = delta_tvariety(SurfaceModel(0, 2), CONDITION_M2)
-        tampered = self.with_delta(report, rat(9, 10))
-        assert tampered.delta == rat(9, 10)
+        minimum = self.minimum(SurfaceModel(0, 2), CONDITION_M2)
+        _certify_polystable_branch(2, minimum)
+        tampered = with_delta(rat(9, 10))(minimum)
         assert self.refusal(lambda: _certify_polystable_branch(2, tampered)) == (
             "condition point must have delta = 1, got 9/10")
 
@@ -417,22 +426,21 @@ class TestCertification:
             "bracket sign 1 disagrees with the torus-side Futaki sign")
 
     def test_tampered_ray_term_is_caught(self):
-        report = delta_tvariety(SurfaceModel(0, 2), CONDITION_M2)
-        tampered = self.with_orbit_s(report, "C1tilde", lambda s: 2 * s)
+        minimum = self.minimum(SurfaceModel(0, 2), CONDITION_M2)
+        tampered = self.with_orbit_s(minimum, 2, "C1tilde", lambda s: 2 * s)
         assert self.refusal(lambda: _certify_polystable_branch(2, tampered)) == (
             "ray term C1tilde must equal 1 at a condition point")
 
     def test_tampered_toric_term_is_caught(self):
         model = SurfaceModel(2, 0)
-        angles = rational_condition_point(model, rat(3, 2))
-        report = delta_tvariety(model, angles)
-        tampered = self.with_orbit_s(report, "FiberP0", lambda s: 2 * s)
+        minimum = self.minimum(model, rational_condition_point(model, rat(3, 2)))
+        tampered = self.with_orbit_s(minimum, 0, "FiberP0", lambda s: 2 * s)
         assert self.refusal(lambda: _certify_polystable_branch(0, tampered)) == (
             "toric case: term FiberP0 must equal 1")
 
     def test_tampered_fiber_orbit_at_m2_is_caught(self):
-        report = delta_tvariety(SurfaceModel(0, 2), CONDITION_M2)
-        tampered = self.with_orbit_s(report, "F1tilde", lambda s: 2 * s)
+        minimum = self.minimum(SurfaceModel(0, 2), CONDITION_M2)
+        tampered = self.with_orbit_s(minimum, 2, "F1tilde", lambda s: 2 * s)
         assert self.refusal(lambda: _certify_polystable_branch(2, tampered)) == (
             "m=2: curve term F1tilde must equal 1")
 
@@ -440,10 +448,11 @@ class TestCertification:
         # A/S = 1 exactly is not enough at m >= 3: the E orbit's S set to
         # A = 1, that is 2 L VOL S = 2 L VOL.
         model = SurfaceModel(0, 3)
-        report = delta_tvariety(model, rational_condition_point(model, rat(2, 3)))
-        _certify_polystable_branch(3, report)
-        den = 2 * report.L * report.VOL
-        tampered = self.with_orbit_s(report, "E1", lambda s: den)
+        angles = rational_condition_point(model, rat(2, 3))
+        minimum = self.minimum(model, angles)
+        _certify_polystable_branch(3, minimum)
+        den = 2 * angles.scaled[0] * minimum.VOL
+        tampered = self.with_orbit_s(minimum, 3, "E1", lambda s: den)
         assert self.refusal(lambda: _certify_polystable_branch(3, tampered)) == (
             "m>=3: vertical term E1 must exceed 1")
 

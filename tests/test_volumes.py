@@ -4,9 +4,9 @@ import random
 from dataclasses import dataclass
 
 import pytest
-from conftest import (angle_bracket, clear_per_surface_caches, common_denominator, gram, rat,
-                      reference_factorize, reference_smallest_root_after, reference_solve,
-                      total_volume, volume)
+from conftest import (angle_bracket, clear_per_surface_caches, common_denominator, count_builds,
+                      gram, rat, reference_factorize, reference_smallest_root_after,
+                      reference_solve, total_volume, volume)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -44,7 +44,6 @@ from kedge.volumes import (
 from kedge.zariski import (
     DecompositionError,
     NotPseudoeffective,
-    _support_factor,
     grow_support,
     zariski_decompose,
 )
@@ -349,13 +348,14 @@ class TestSharedEngine:
             (C1TILDE, SurfaceModel(1, 2), Angles(HALF, rat(2, 3)), 2),
         ],
     )
-    def test_sweep_solve_count(self, curve, params, angles, solves):
+    def test_sweep_solve_count(self, monkeypatch, curve, params, angles, solves):
         # Deterministic work on a cold cache: one factorisation per chamber
-        # (a miss of the per-surface cache), so any re-factorisation fails
-        # here.
+        # (a build of the kept support factor), so any re-factorisation
+        # fails here.
         clear_per_surface_caches()
+        builds = count_builds(monkeypatch, zariski, "_support_factor")
         volume_curve(curve, params, angles)
-        assert _support_factor.cache_info().misses == solves
+        assert len(builds) == solves
 
     @pytest.mark.parametrize("model, angles", [(SurfaceModel(0, 2), Angles(HALF, HALF)),
                                                (SurfaceModel(1, 3), Angles(HALF, rat(1, 3)))])
@@ -364,11 +364,12 @@ class TestSharedEngine:
         # per surface, whichever curve's sweep meets it first: the empty
         # support of each sweep's first chamber among them.
         clear_per_surface_caches()
-        looked_up, supports = [], []
+        builds = count_builds(monkeypatch, zariski, "_support_factor")
+        kept, looked_up, supports = zariski._support_factor, [], []
 
         def recording(model, support):
             looked_up.append(support)
-            return _support_factor(model, support)
+            return kept(model, support)
 
         def spy(model, columns, start=(), curve=None):
             grown = grow_support(model, columns, start, curve)
@@ -379,34 +380,44 @@ class TestSharedEngine:
         monkeypatch.setattr("kedge.volumes.grow_support", spy)
         for curve in (*model.candidates, GENERIC_FIBER):
             volume_curve(curve, model, angles)
-        info = _support_factor.cache_info()
-        assert info.misses == info.currsize == len(set(looked_up))
+        assert sorted(builds) == sorted(set(builds)) == sorted((s,) for s in set(looked_up))
         assert set(supports) <= set(looked_up)
         assert supports.count(()) == len(model.candidates) + 1
 
     def test_a_second_sweep_solves_only_its_value_column(self, monkeypatch):
         # E1's four chambers on (0, 2) have the same supports at (1/2, 1/2)
-        # and at (2/5, 3/5).  The second sweep forms no factor and no slope
-        # half, reading both from their caches, and solves one column per
-        # chamber: the value's.
+        # and at (2/5, 3/5).  The second sweep builds no factor and no slope
+        # half, reading each of the four kept ones once, and solves one
+        # column per chamber: the value's.
         model, curve = SurfaceModel(0, 2), Ei(1)
         clear_per_surface_caches()
+        built = {name: count_builds(monkeypatch, zariski, name)
+                 for name in ("_support_factor", "_slope_half")}
         first = volume_sweep(curve, model, Angles(HALF, HALF))
-        solves = []
+        solves, looked_up = [], {name: [] for name in built}
 
         def solving(factor, rhs):
             solves.append(rhs)
             return linalg.solve_factored(factor, rhs)
 
+        def reading(name, kept):
+            def read(*args):
+                looked_up[name].append(args[1:])
+                return kept(*args)
+
+            return read
+
         monkeypatch.setattr("kedge.zariski.solve_factored", solving)
-        factors, halves = _support_factor.cache_info(), zariski._slope_half.cache_info()
+        for name in built:
+            monkeypatch.setattr(zariski, name, reading(name, getattr(zariski, name)))
+        builds = {name: len(keys) for name, keys in built.items()}
         second = volume_sweep(curve, model, Angles(rat(2, 5), rat(3, 5)))
         assert [p.negative_support for p in second] == [p.negative_support for p in first]
         assert len(second) == 4
         assert len(solves) == 4
-        for cache, before in ((_support_factor, factors), (zariski._slope_half, halves)):
-            after = cache.cache_info()
-            assert (after.misses, after.hits) == (before.misses, before.hits + 4)
+        for name, keys in built.items():
+            assert len(keys) == builds[name], name
+            assert len(looked_up[name]) == 4, name
 
     @settings(deadline=None, max_examples=60)
     @given(n=st.integers(0, 6), m=st.integers(0, 6), seed=st.integers(0, 2**32))

@@ -11,25 +11,18 @@ from kedge.picard import (
     Ei,
     FiTilde,
     GENERIC_FIBER,
-    SHARED_SURFACES,
     SurfaceModel,
 )
 from kedge.ratmath import Rat
 from kedge.sampling import sample_angles, sample_divisor_class, sample_surface
 from kedge.zariski import (
-    SLOPE_HALVES,
-    SUPPORT_FACTORS,
-    SWEPT_CURVES,
     DecompositionError,
     NotPseudoeffective,
     ZariskiDecomposition,
     _certify,
-    _slope_half,
-    _support_factor,
     grow_support,
     is_negative_definite,
     negative_definite_supports,
-    swept_curve,
     zariski_decompose,
     zariski_decompose_bruteforce,
 )
@@ -394,41 +387,9 @@ class TestPrunedOracle:
 
     def test_family_is_shared_by_equal_models(self):
         first, second = SurfaceModel(2, 3), SurfaceModel(2, 3)
-        assert first is not second
+        assert first is second
         assert negative_definite_supports(first) is negative_definite_supports(second)
         assert negative_definite_supports(SurfaceModel(3, 3)) is not negative_definite_supports(first)
-
-    def test_family_cache_is_bounded(self):
-        cache = negative_definite_supports
-        for n in range(SHARED_SURFACES + 5):
-            cache(SurfaceModel(n, 1))
-        info = cache.cache_info()
-        assert (info.maxsize, info.currsize) == (SHARED_SURFACES, SHARED_SURFACES)
-        # The least recently built surface was dropped: a new model of it
-        # builds again, and the most recent one is read from the cache.
-        cache(SurfaceModel(0, 1))
-        cache(SurfaceModel(SHARED_SURFACES + 4, 1))
-        after = cache.cache_info()
-        assert (after.misses - info.misses, after.hits - info.hits) == (1, 1)
-
-    @pytest.mark.parametrize("cache, bound, per_surface, key", [
-        (_support_factor, SUPPORT_FACTORS, 32, lambda n: (SurfaceModel(n, 1), ())),
-        (swept_curve, SWEPT_CURVES, 16, lambda n: (SurfaceModel(n, 1), C1TILDE)),
-        (_slope_half, SLOPE_HALVES, 128, lambda n: (SurfaceModel(n, 1), C1TILDE, ())),
-    ], ids=["factors", "swept-curves", "slope-halves"])
-    def test_sweep_caches_are_bounded(self, cache, bound, per_surface, key):
-        # Each sweep cache keeps a fixed number of entries per surface of
-        # the candidate tables' bound, least recently used dropped first.
-        assert bound == per_surface * SHARED_SURFACES
-        cache.cache_clear()
-        for n in range(bound + 5):
-            cache(*key(n))
-        info = cache.cache_info()
-        assert (info.maxsize, info.currsize) == (bound, bound)
-        cache(*key(0))
-        cache(*key(bound + 4))
-        after = cache.cache_info()
-        assert (after.misses - info.misses, after.hits - info.hits) == (1, 1)
 
     def test_family_factors_are_those_of_the_gram_matrices(self):
         # Every set and factor is a tuple (shared, so immutable), and each

@@ -56,20 +56,20 @@ MUTANTS = (
      "if n < m and (m - n) * p2 > 2 * L:",
      "tests/test_cli.py::TestScanAgainstPerPointReference::test_ample_bound_is_refused_and_just_below_it_accepted[1-4-beta2-False]"),
     ("ray-term-off", "verdict.py",
-     '_check(two_vol * orbit.a == orbit.s,\n               "ray term',
-     '_check(True,\n               "ray term',
+     '_check_orbit(two_vol * a[i] == s[i],\n                     "ray term',
+     '_check_orbit(True,\n                     "ray term',
      "tests/test_verdict.py::TestCertification::test_tampered_ray_term_is_caught"),
     ("toric-term-off", "verdict.py",
-     '_check(two_vol * orbit.a == orbit.s, "toric case',
-     '_check(True, "toric case',
+     '_check_orbit(two_vol * a[i] == s[i], "toric case',
+     '_check_orbit(True, "toric case',
      "tests/test_verdict.py::TestCertification::test_tampered_toric_term_is_caught"),
     ("m2-e-orbit-only", "verdict.py",
-     "for orbit in verticals[:2]:",
-     "for orbit in verticals[:1]:",
+     "for i in verticals[:2]:",
+     "for i in verticals[:1]:",
      "tests/test_verdict.py::TestCertification::test_tampered_fiber_orbit_at_m2_is_caught"),
     ("m3-ratio-at-least-one", "verdict.py",
-     '_check(two_vol * orbit.a > orbit.s, "m>=3',
-     '_check(two_vol * orbit.a >= orbit.s, "m>=3',
+     '_check_orbit(two_vol * a[i] > s[i], "m>=3',
+     '_check_orbit(two_vol * a[i] >= s[i], "m>=3',
      "tests/test_verdict.py::TestCertification::test_vertical_term_equal_to_one_at_m3_is_caught"),
     ("delta-bound-off", "verdict.py",
      "if twice_vol_a > s_min:",
@@ -154,7 +154,7 @@ MUTANTS = (
      "if any(lo[1] > 0 or hi[1] > 0 for lo, hi, _ in jets):",
      "if False:",
      "tests/test_volumes.py::TestSharedEngine::test_certificate_refuses_a_broken_piece[monotone]"),
-    # What is kept once per surface: a cache keyed without the swept curve,
+    # What is kept once per surface: a value keyed without the swept curve,
     # without n, or without m serves another key's entry.  Each mutant
     # reads the entry of a fixed key in its place: C~1's slope half for
     # every curve, the n = 0 factor for every n, the m = 0 certificate for
@@ -171,6 +171,19 @@ MUTANTS = (
      "    _certify_support_function(model)\n",
      "    _certify_support_function(SurfaceModel(model.n, 0))\n",
      "tests/test_tvariety.py::TestCertificate::test_equal_models_run_one_certificate"),
+    # The one instance of a surface and the one cache of kept values: a
+    # registry keyed by n alone returns another m's surface, and a cache
+    # whose value is keyed without its build serves a key's first build
+    # for every build (the torus certificate for the oracle's family).
+    ("registry-without-m", "picard.py",
+     "        key = n, m\n",
+     "        key = n\n",
+     "tests/test_picard.py::test_one_instance_per_surface"),
+    ("kept-value-without-build", "picard.py",
+     "def _kept(build, model, *key):\n    return build(model, *key)",
+     "def _kept(build, model, *key, _first={}):\n"
+     "    return _first.setdefault((model, *key), build)(model, *key)",
+     "tests/test_picard.py::test_kept_values_are_told_apart_by_their_build"),
     ("torus-vol-positive-off", "tvariety.py",
      "if VOL <= 0:",
      "if False:",
@@ -180,12 +193,12 @@ MUTANTS = (
      "if False:",
      "tests/test_cli.py::TestInconsistencyExit::test_nonpositive_s_is_exit_2[delta-0]"),
     ("condition-delta-one-off", "verdict.py",
-     '_check(two_vol * report.a_min == report.s_min,\n           "condition point',
-     '_check(True,\n           "condition point',
+     "if two_vol * a_min != s_min:",
+     "if False:",
      "tests/test_verdict.py::TestCertification::test_tampered_delta_is_caught"),
     ("m2-term-off", "verdict.py",
-     '_check(two_vol * orbit.a == orbit.s, "m=2: curve term',
-     '_check(True, "m=2: curve term',
+     '_check_orbit(two_vol * a[i] == s[i], "m=2: curve term',
+     '_check_orbit(True, "m=2: curve term',
      "tests/test_verdict.py::TestCertification::test_tampered_term_is_caught"),
     ("futaki-sign-off", "verdict.py",
      "_check(futaki_sign == csign,",
@@ -256,8 +269,8 @@ MUTANTS = (
      "tests/test_picard.py::test_orbit_of_and_orbit_names_invert_each_other"),
     # Inputs of the wrong type: a bool surface parameter, a float slope.
     ("surface-model-bool-accepted", "picard.py",
-     "if type(self.n) is not int or type(self.m) is not int:",
-     "if not (isinstance(self.n, int) and isinstance(self.m, int)):",
+     "if type(n) is not int or type(m) is not int:",
+     "if not (isinstance(n, int) and isinstance(m, int)):",
      "tests/test_picard.py::test_surface_model_validation"),
     # The one reader of a caller's rational: a float read through Rat, a
     # bool read as an int.
