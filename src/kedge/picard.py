@@ -54,7 +54,6 @@ import math
 import operator
 import re
 import weakref
-from dataclasses import dataclass, field
 from functools import lru_cache, partial, update_wrapper
 from typing import NamedTuple
 
@@ -83,8 +82,31 @@ class QuadraticPiece(NamedTuple):
     negative_support: tuple  # curve names
 
 
-@dataclass(frozen=True)
-class Angles:
+class Value:
+    """A frozen value: fields cannot be assigned or deleted, and equality,
+    hashing and pickling read ``_args()``, the arguments that rebuild it.
+    A value never equals a value of another type, a plain tuple included."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._args() == other._args()
+
+    def __hash__(self):
+        return hash(self._args())
+
+    def __reduce__(self):
+        return type(self), self._args()
+
+
+class Angles(Value):
     """Cone angles 2*pi*beta_i along the two boundary curves.
 
     Both angles must be positive.  Values above 1 are accepted (the
@@ -99,20 +121,24 @@ class Angles:
     route reads it; equality, hashing and ``repr`` see (beta1, beta2) only.
     """
 
-    beta1: object
-    beta2: object
-    scaled: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("beta1", "beta2", "scaled")
 
-    def __post_init__(self):
-        b1, b2 = exact(self.beta1, "angle"), exact(self.beta2, "angle")
-        object.__setattr__(self, "beta1", b1)
-        object.__setattr__(self, "beta2", b2)
+    def __init__(self, beta1, beta2):
+        b1, b2 = exact(beta1, "angle"), exact(beta2, "angle")
         q1, q2 = b1.denominator, b2.denominator
         L = math.lcm(q1, q2)
         p1, p2 = b1.numerator * (L // q1), b2.numerator * (L // q2)
         if p1 <= 0 or p2 <= 0:
             raise ValueError(f"angles must be positive, got ({b1}, {b2})")
+        object.__setattr__(self, "beta1", b1)
+        object.__setattr__(self, "beta2", b2)
         object.__setattr__(self, "scaled", (L, p1, p2))
+
+    def _args(self) -> tuple:
+        return self.beta1, self.beta2
+
+    def __repr__(self) -> str:
+        return f"Angles(beta1={self.beta1!r}, beta2={self.beta2!r})"
 
 
 def point_header(model: SurfaceModel, angles: Angles, **extra) -> dict:
@@ -186,18 +212,15 @@ def parse_curve_id(label: str) -> str:
     return name
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class DivisorClass:
+class DivisorClass(Value):
     """Exact rational class a.pi*C2 + b.pi*F - sum c_i E_i.
 
     ``DivisorClass(num, den)`` is the class num / den: integer coordinates
     ``num`` = (a, b, c_1, ..., c_m) over one positive denominator ``den``,
     stored in lowest terms, so that equal classes have equal fields.
-    Every operation works on the integers.  Instances are immutable.
     """
 
-    num: tuple
-    den: int = 1
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den: int = 1):
         if den <= 0:
@@ -213,29 +236,8 @@ class DivisorClass:
     def m(self) -> int:
         return len(self.num) - 2
 
-    def _combine(self, other: "DivisorClass", sign: int) -> "DivisorClass":
-        """self + sign * other."""
-        if len(self.num) != len(other.num):
-            raise ValueError(
-                f"dimension mismatch: classes live on m={self.m} vs m={other.m}"
-            )
-        p, q = self.den, other.den
-        sp = sign * p
-        return DivisorClass([x * q + y * sp for x, y in zip(self.num, other.num)], p * q)
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass([-x for x in self.num], self.den)
-
-    def scale(self, t) -> "DivisorClass":
-        """t times the class, for an int or a Rat t."""
-        p = t.numerator
-        return DivisorClass([p * x for x in self.num], t.denominator * self.den)
+    def _args(self) -> tuple:
+        return self.num, self.den
 
     def __repr__(self) -> str:
         a, b, *c = (Rat(x, self.den) for x in self.num)
@@ -267,16 +269,17 @@ def per_surface(build):
 _SURFACES = weakref.WeakValueDictionary()
 
 
-class SurfaceModel:
+class SurfaceModel(Value):
     """The surface S: F_n with m blown-up points on C2, its Picard lattice
     and its named classes.
 
     ``SurfaceModel(n, m)`` is the one live instance of (n, m), so equality
-    and hashing are identity, and a value kept per surface
+    and hashing are identity, ``object``'s, and a value kept per surface
     (``per_surface``) is kept once per (n, m).  n and m cannot be assigned.
     """
 
     __slots__ = ("n", "m", "__weakref__")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __new__(cls, n: int, m: int):
         if type(n) is not int or type(m) is not int:  # a bool is refused too
@@ -291,19 +294,11 @@ class SurfaceModel:
             object.__setattr__(model, "m", m)
         return model
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot change field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return SurfaceModel, (self.n, self.m)
+    def _args(self) -> tuple:
+        return self.n, self.m
 
     def __repr__(self) -> str:
         return f"SurfaceModel(n={self.n}, m={self.m})"
-
-    def zero(self) -> DivisorClass:
-        return DivisorClass((0,) * (self.m + 2))
 
     def class_of(self, name: str) -> DivisorClass:
         """Class of the named curve in the (pi*C2, pi*F, E_i) basis; every
@@ -385,9 +380,6 @@ class SurfaceModel:
         rows += [((e, -1),) for e in es]
         rows += [((1, 1), (e, 1)) for e in es]
         return tuple(rows)
-
-    def self_intersection(self, d: DivisorClass):
-        return self.intersect(d, d)
 
     def log_anticanonical(self, angles: Angles) -> DivisorClass:
         """-K_{S,Delta} = (beta1+beta2, 2 - n beta1, c_i = beta2): with the

@@ -51,7 +51,7 @@ def sample_angles(rng: random.Random, model: SurfaceModel) -> Angles:
 
     Each angle is p / d, d uniform in 1..MAX_DENOMINATOR and p uniform in
     1..MAX_VALUE*d; the pair is ample when n p1 < 2 d1 (n > 0) and
-    (m - n) p2 < 2 d2 (m > n), as ``ample_range_violation`` states it.
+    (m - n) p2 < 2 d2 (m > n), as ``broken_ample_bound`` states it.
     """
     k1, k2 = model.n, model.m - model.n
     bits = rng.getrandbits

@@ -71,13 +71,14 @@ per point.  One pass over the six orbits (four at m = 0) checks every
 S > 0, after VOL > 0, and finds a least A/S by cross-multiplying
 integers.  It returns plain integers and tuples, and the verdict compares
 delta = 2 VOL a_min / s_min and each orbit's A/S with 1 on them, so a
-``scan`` row forms no record and no Fraction.  ``delta_report`` is the one
-place that forms a ``DeltaReport`` from them (``delta_tvariety`` checks
-the ample range and calls both), and the report forms delta, the one
-Fraction, when it is read.  An ``Orbit`` record, with its first name and
-size, is formed only when the report's orbits or witnesses are read, and
-a name is spelled only there: the CLI's per-divisor table reads the
-orbits once, a scan row never.  ``DeltaReport.term`` finds a
+``scan`` row forms no record and no Fraction.  A ``DeltaReport`` is
+those integers followed by m and L, formed by ``delta_tvariety`` (after
+its ample check) and by ``verdict.k_polystable``, and the report forms
+delta, the one Fraction, when it is read.  An ``Orbit`` record, with its
+first name and size, is formed only when the report's orbits or
+witnesses are read, and a name is spelled only there: the CLI's
+per-divisor table reads the orbits once, a scan row never.
+``DeltaReport.term`` finds a
 name's orbit by ``picard.orbit_of``, which reads the name grammar, and
 forms that one term; ``picard.orbit_names`` spells an orbit's names, as it
 spells the surface's candidate curves.  ``FiberP0`` is a name of this
@@ -242,11 +243,11 @@ class DeltaReport(NamedTuple):
     a_min: int  # L A of a least orbit
     s_min: int  # its 2 L VOL S
     futaki_sign: int  # sign of -integral of u * deg Psi
-    m: int  # blown-up points: the E_i and the F~i orbits' size
     a: tuple  # L A of each orbit, canonical order
     s: tuple  # 2 L VOL S of each orbit, canonical order
-    L: int  # lcm of the angles' denominators
     VOL: int  # 6 L^2 vol
+    m: int  # blown-up points: the E_i and the F~i orbits' size
+    L: int  # lcm of the angles' denominators
 
     @property
     def delta(self):
@@ -314,16 +315,9 @@ def delta_minimum(model: SurfaceModel, L: int, p1: int, p2: int) -> tuple:
     return a_min, s_min, -sign(FM), a, s, VOL
 
 
-def delta_report(m: int, L: int, minimum: tuple) -> DeltaReport:
-    """The report of a ``delta_minimum`` on a surface with m blown-up
-    points, at angles with common denominator L."""
-    a_min, s_min, futaki_sign, a, s, VOL = minimum
-    return DeltaReport(a_min, s_min, futaki_sign, m, a, s, L, VOL)
-
-
 def delta_tvariety(model: SurfaceModel, angles: Angles) -> DeltaReport:
     """``delta_minimum``'s report at ``angles``, which must lie in the
     ample range (OutsideAmpleRange otherwise)."""
     model.ensure_ample(angles)
     L, p1, p2 = angles.scaled
-    return delta_report(model.m, L, delta_minimum(model, L, p1, p2))
+    return DeltaReport(*delta_minimum(model, L, p1, p2), model.m, L)

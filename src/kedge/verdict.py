@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .picard import Angles, InconsistencyError
 from .ratmath import Rat, exact, sign
-from .tvariety import DeltaReport, delta_minimum, delta_report, orbit_heads
+from .tvariety import DeltaReport, delta_minimum, orbit_heads
 
 KPOLYSTABLE = "KPolystable"
 NOT_KPOLYSTABLE = "NotKPolystable"
@@ -159,7 +159,7 @@ def k_polystable(model, angles: Angles) -> Verdict:
     status, csign, note, minimum = decide(model, L, p1, p2)
     if minimum is None:
         return Verdict(status, csign, None, (model.ample_range_violation(angles),))
-    report = delta_report(model.m, L, minimum)
+    report = DeltaReport(*minimum, model.m, L)
     return Verdict(status, csign, report.delta, (note,), report)
 
 

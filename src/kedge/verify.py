@@ -148,7 +148,8 @@ def verify_halving(samples: int, seed: int):
         model = sample_surface(rng)
         angles = sample_angles(rng, model)
         yield point_header(model, angles)
-        anticanonical_sq = model.self_intersection(model.log_anticanonical(angles))
+        k = model.log_anticanonical(angles)
+        anticanonical_sq = model.intersect(k, k)
         L, _, _, _, _, VOL, _, _ = legendre_dual(model, angles)
         twice_vol = Rat(VOL, 3 * L**2)  # VOL = 6 L^2 vol
         yield None if twice_vol == anticanonical_sq else (

@@ -44,6 +44,7 @@ the table's closed forms.
 """
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .linalg import EMPTY_FACTOR, NotNegativeDefinite, border, factorize, solve_factored
@@ -69,12 +70,6 @@ class ZariskiDecomposition(NamedTuple):
     @property
     def support(self) -> tuple:
         return tuple(curve for curve, _ in self.negative)
-
-    def negative_class(self, model: SurfaceModel) -> DivisorClass:
-        acc = model.zero()
-        for curve, coeff in self.negative:
-            acc = acc + model.class_of(curve).scale(coeff)
-        return acc
 
 
 def is_negative_definite(model: SurfaceModel, curves) -> bool:
@@ -206,18 +201,25 @@ def _negative_part(candidates, support, coeffs, scale: int) -> tuple:
 
 
 def _certify(model: SurfaceModel, d: DivisorClass, zd: ZariskiDecomposition):
-    """Check the three defining conditions; raise DecompositionError if violated."""
+    """Check the three defining conditions, and that P + N rebuilds D on
+    integer coordinates over one denominator s; raise DecompositionError if
+    violated."""
     p = zd.positive
     if not model.is_nef(p):
         raise DecompositionError(f"positive part not nef: {p}")
+    s = math.lcm(p.den, *(coeff.denominator for _, coeff in zd.negative))
+    rebuilt = [x * (s // p.den) for x in p.num]
     for curve, coeff in zd.negative:
         if coeff <= 0:
             raise DecompositionError(f"nonpositive coefficient {coeff} on {curve}")
-        if model.intersect(p, model.class_of(curve)) != 0:
+        c = model.class_of(curve)
+        if model.intersect(p, c) != 0:
             raise DecompositionError(f"positive part not orthogonal to {curve}")
+        a = coeff.numerator * (s // coeff.denominator)
+        rebuilt = [x + a * y for x, y in zip(rebuilt, c.num)]
     if not is_negative_definite(model, zd.support):
         raise DecompositionError("support Gram matrix not negative definite")
-    if p + zd.negative_class(model) != d:
+    if DivisorClass(rebuilt, s) != d:
         raise DecompositionError("P + N does not reconstruct the input class")
 
 

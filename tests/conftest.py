@@ -6,9 +6,10 @@ common denominator, the LDL^T kernel, the Gram matrix through the generic
 pairing, the signature, the angle sampler, the volume curve's last root,
 the volume of a class, named views of the torus duals and delta minimum
 and their tamperings, the torus-side Futaki sign, the name-expanding
-torus-route delta, the rational divisor class and the closed-form oracle
-on Fractions, the one reset of the values kept per surface and a count of
-one kept value's builds."""
+torus-route delta, the rational divisor class the tests add and scale
+classes in (d + t e, the zero class and a decomposition's negative
+part), the closed-form oracle on Fractions, the one reset of the values
+kept per surface and a count of one kept value's builds."""
 
 from __future__ import annotations
 
@@ -270,8 +271,9 @@ def reference_smallest_root_after(q0, q1, q2, x0, context: str):
 def volume(model, d):
     """vol(D) = P^2 for the Zariski positive part (= D^2 when D is nef)."""
     if model.is_nef(d):
-        return model.self_intersection(d)
-    return model.self_intersection(zariski_decompose(model, d).positive)
+        return model.intersect(d, d)
+    p = zariski_decompose(model, d).positive
+    return model.intersect(p, p)
 
 
 class Dual(NamedTuple):
@@ -422,6 +424,24 @@ class ReferenceDivisorClass:
     def __repr__(self) -> str:
         cs = ",".join(str(x) for x in self.c)
         return f"DivisorClass(a={self.a}, b={self.b}, c=({cs}))"
+
+
+def add_multiple(d: DivisorClass, t, e: DivisorClass) -> DivisorClass:
+    """d + t e, added and scaled as ``ReferenceDivisorClass``es."""
+    r = ReferenceDivisorClass(*coordinates(d)) + ReferenceDivisorClass(*coordinates(e)).scale(t)
+    return divisor(r.a, r.b, r.c)
+
+
+def zero_class(model) -> DivisorClass:
+    return DivisorClass((0,) * (model.m + 2))
+
+
+def negative_class(model, zd) -> DivisorClass:
+    """N = sum a_i C_i of a Zariski decomposition."""
+    n = zero_class(model)
+    for curve, coeff in zd.negative:
+        n = add_multiple(n, coeff, model.class_of(curve))
+    return n
 
 
 def reference_intersect(model, d1, d2):

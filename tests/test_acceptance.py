@@ -36,7 +36,8 @@ from kedge.zariski import (
     zariski_decompose_bruteforce,
 )
 
-from conftest import futaki_vanishes, negative_definite_families, rat, small_surfaces
+from conftest import (add_multiple, futaki_vanishes, negative_class, negative_definite_families,
+                      rat, small_surfaces)
 
 SEED = 20260823
 LEMMA_SAMPLES = 200
@@ -122,7 +123,7 @@ def test_criterion_3_zariski_oracle(capsys):
                 model.intersect(p, model.class_of(cid)) == 0 for cid in zd.support
             )
             and (not zd.support or is_negative_definite(model, zd.support))
-            and p + zd.negative_class(model) == d
+            and add_multiple(p, 1, negative_class(model, zd)) == d
         )
         if conditions:
             effective += 1

@@ -16,7 +16,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 from conftest import (clear_per_surface_caches, dual, rat, tampered_minimum, with_delta,
-                      with_vol)
+                      with_vol, zero_class)
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -629,7 +629,7 @@ class TestInconsistencyExit:
         # a request on a cold cache runs the round trips and exits 2.
         assert run_cli(capsys, argv)[0] == 0
         monkeypatch.setattr(
-            "kedge.tvariety._encoded_class", lambda model, angles: model.zero()
+            "kedge.tvariety._encoded_class", lambda model, angles: zero_class(model)
         )
         assert run_cli(capsys, argv)[0] == 0
         clear_per_surface_caches()
@@ -692,8 +692,9 @@ class TestInconsistencyExit:
 
             monkeypatch.setattr(owner, name, wrap(counting))
 
-        for owner, name in [(Angles, "__post_init__"), (kedge.tvariety, "DeltaReport"),
-                            (kedge.verdict, "Verdict"), (kedge.tvariety, "Orbit"),
+        for owner, name in [(Angles, "__init__"), (kedge.tvariety, "DeltaReport"),
+                            (kedge.verdict, "DeltaReport"), (kedge.verdict, "Verdict"),
+                            (kedge.tvariety, "Orbit"),
                             (kedge.tvariety, "orbit_names"), (kedge.picard, "orbit_names"),
                             (kedge.verdict, "orbit_heads"),
                             (SurfaceModel, "broken_ample_bound"),
@@ -963,12 +964,14 @@ class TestHelpAndImports:
                   "        main(sys.argv[1:])\n"
                   "    except SystemExit as exc:\n"
                   "        code = exc.code\n"
-                  "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'kedge'))")
+                  "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'kedge'),\n"
+                  "      [m for m in ('dataclasses', 'inspect') if m in sys.modules])")
         proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
                               text=True, env=env, timeout=60)
         torus = ("cli", "picard", "ratmath", "tvariety", "verdict")
         loaded = sorted(["kedge", *(f"kedge.{name}" for name in {*torus, *extra})])
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"0 {loaded}\n", "")
+        # No subcommand pays for dataclasses or the inspect module it loads.
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"0 {loaded} []\n", "")
 
     def test_suite_names_are_the_registry_names(self):
         assert cli.SUITE_NAMES == tuple(sorted(SUITES))

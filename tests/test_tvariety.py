@@ -16,8 +16,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from conftest import (clear_per_surface_caches, divisor, dual, futaki_vanishes, rat,
-                      reference_delta_tvariety, with_vol)
+from conftest import (add_multiple, clear_per_surface_caches, divisor, dual, futaki_vanishes, rat,
+                      reference_delta_tvariety, with_vol, zero_class)
 from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
@@ -530,7 +530,7 @@ class TestCertificate:
         original = SurfaceModel.log_anticanonical
 
         def offset(self, angles):
-            return original(self, angles) + divisor(0, 1, (0,) * self.m)
+            return add_multiple(original(self, angles), 1, divisor(0, 1, (0,) * self.m))
 
         clear_per_surface_caches()
         monkeypatch.setattr(SurfaceModel, "log_anticanonical", offset)
@@ -556,7 +556,8 @@ class TestCertificate:
         legendre_dual(SurfaceModel(2, 2), Angles(rat(1, 3), HALF))
         legendre_dual(SurfaceModel(1, 3), Angles(HALF, rat(1, 3)))
         assert calls == [(1, 2)] * 3 + [(2, 2)] * 3 + [(1, 3)] * 3
-        monkeypatch.setattr(kedge.tvariety, "_encoded_class", lambda model, angles: model.zero())
+        monkeypatch.setattr(kedge.tvariety, "_encoded_class",
+                            lambda model, angles: zero_class(model))
         for model in (SurfaceModel(1, 4), SurfaceModel(1, 4), SurfaceModel(3, 2)):
             with pytest.raises(InconsistencyError, match="does not encode"):
                 legendre_dual(model, Angles(rat(1, 3), rat(1, 3)))
@@ -599,8 +600,9 @@ class TestDelta:
         n, m, b1, b2 = model.n, model.m, angles.beta1, angles.beta2
         report = delta_tvariety(model, angles)
         swept = expected_vanishing_order(volume_curve(GENERIC_FIBER, model, angles))
+        minus_k = model.log_anticanonical(angles)
         closed = (b1 * ((n * b1 - 3) ** 2 + 3) + b2 * (((m - n) * b2 - 3) ** 2 + 3)) / (
-            3 * model.self_intersection(model.log_anticanonical(angles)))
+            3 * model.intersect(minus_k, minus_k))
         assert report.term(GENERIC_FIBER).S == report.term(FIBER_P0).S == swept == closed
 
     def test_condition_point_all_curve_terms_attain(self):

@@ -13,8 +13,9 @@ documented library entry points that the package itself does not call and the
 names that only the benchmark reads.
 
 No record keeps a field that nothing reads: every annotated field of a
-``NamedTuple`` or dataclass in ``src/kedge`` is read as an attribute
-(``x.field``) somewhere in ``src/kedge``.  The check goes by name, so a
+``NamedTuple`` and every name a class's ``__slots__`` lists (less
+``__weakref__``) in ``src/kedge`` is read as an attribute (``x.field``)
+somewhere in ``src/kedge``.  The check goes by name, so a
 field is kept by a read of any attribute of that name, on whatever object:
 a second record's ``name`` field would pass here on the reads of
 ``Orbit.name`` alone, and such a field is found by hand.
@@ -90,25 +91,27 @@ def _trees() -> dict:
             for path in sorted(SRC.glob("*.py"))}
 
 
-def _is_record(node: ast.ClassDef) -> bool:
-    """A ``NamedTuple`` subclass or a ``@dataclass`` (called or not)."""
+def _fields(node: ast.ClassDef):
+    """The fields of a class: the annotated fields of a ``NamedTuple``
+    subclass, and the names its ``__slots__`` lists, less ``__weakref__``."""
     bases = {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
-    decorators = {getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
-                  for d in node.decorator_list}
-    return "NamedTuple" in bases or "dataclass" in decorators
+    named_tuple = "NamedTuple" in bases
+    for item in node.body:
+        if named_tuple and isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            yield item.target.id
+        elif isinstance(item, ast.Assign) and getattr(item.targets[0], "id", None) == "__slots__":
+            yield from (e.value for e in item.value.elts if e.value != "__weakref__")
 
 
 def _unread_fields(trees) -> set:
-    """module.Class.field of every annotated record field that no
-    ``x.field`` read names."""
+    """module.Class.field of every record field that no ``x.field`` read
+    names."""
     attributes = {name for tree in trees.values()
                   for _, name, attribute in _reads(tree) if attribute}
-    return {f"{module}.{node.name}.{item.target.id}"
+    return {f"{module}.{node.name}.{field}"
             for module, tree in trees.items()
-            for node in tree.body if isinstance(node, ast.ClassDef) and _is_record(node)
-            for item in node.body
-            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-            and item.target.id not in attributes}
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            for field in _fields(node) if field not in attributes}
 
 
 def test_every_function_is_referenced_in_src():

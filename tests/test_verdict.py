@@ -14,7 +14,6 @@ from kedge.picard import (
     C1TILDE,
     C2TILDE,
     Angles,
-    DivisorClass,
     Ei,
     FiTilde,
     GENERIC_FIBER,
@@ -165,16 +164,17 @@ class TestTorusWork:
         # Deterministic work: a second torus minimum, a second dual, a
         # second report or a second ample check fails here; on a cold cache
         # the certificate runs its three round trips on the surface's first
-        # verdict only, with no DivisorClass arithmetic, and the surface's
-        # next verdict reads the kept one.  delta is the one Fraction formed
-        # (by the report, not by the decision) and no Fraction is compared:
+        # verdict only, and the surface's next verdict reads the kept one.
+        # delta is the one Fraction formed (by the report, not by the
+        # decision) and no Fraction is compared:
         # every check, the branch certificate at a condition point too,
         # reads integers.  No term is formed and no name is spelled.
         clear_per_surface_caches()
         calls = collections.Counter()
         targets = {
             "delta_minimum": (kedge.verdict, "delta_minimum"),
-            "DeltaReport": (kedge.tvariety, "DeltaReport"),
+            "DeltaReport": (kedge.verdict, "DeltaReport"),
+            "tvariety.DeltaReport": (kedge.tvariety, "DeltaReport"),
             "orbit_heads": (kedge.verdict, "orbit_heads"),
             "scaled_duals": (kedge.tvariety, "scaled_duals"),
             "legendre_dual": (kedge.tvariety, "legendre_dual"),
@@ -186,8 +186,6 @@ class TestTorusWork:
             "log_anticanonical": (SurfaceModel, "log_anticanonical"),
             "broken_ample_bound": (SurfaceModel, "broken_ample_bound"),
             "ample_range_violation": (SurfaceModel, "ample_range_violation"),
-            "scale": (DivisorClass, "scale"),
-            "__add__": (DivisorClass, "__add__"),
             "_richcmp": (Fraction, "_richcmp"),
             "__eq__": (Fraction, "__eq__"),
         }

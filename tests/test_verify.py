@@ -2,7 +2,7 @@
 acceptance module reruns them at contract strength)."""
 
 import pytest
-from conftest import dual, rat
+from conftest import dual, rat, zero_class
 
 from kedge.verify import SUITES, SuiteResult, run_suites
 from kedge.zariski import DecompositionError, ZariskiDecomposition
@@ -27,7 +27,7 @@ def test_each_suite_passes():
         (
             "zariski-oracle",
             "zariski_decompose_bruteforce",
-            lambda model, d: ZariskiDecomposition(positive=model.zero(), negative=()),
+            lambda model, d: ZariskiDecomposition(positive=zero_class(model), negative=()),
             False,
         ),
         ("route-agreement", "log_discrepancy", lambda E, params, angles: rat(-1), True),

@@ -4,9 +4,9 @@ import random
 from dataclasses import dataclass
 
 import pytest
-from conftest import (angle_bracket, clear_per_surface_caches, common_denominator, count_builds,
-                      gram, rat, reference_factorize, reference_smallest_root_after,
-                      reference_solve, total_volume, volume)
+from conftest import (add_multiple, angle_bracket, clear_per_surface_caches, common_denominator,
+                      count_builds, gram, rat, reference_factorize, reference_smallest_root_after,
+                      reference_solve, total_volume, volume, zero_class)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -119,13 +119,14 @@ def reference_grow_support(model, pairings, zero, start=()):
 def reference_volume_sweep(E, model, angles):
     """The chamber sweep with pairing jets as ``Affine`` objects in dicts
     keyed by curve, on ``reference_grow_support``."""
-    minus_k, minus_e = model.log_anticanonical(angles), -model.class_of(E)
+    minus_k = model.log_anticanonical(angles)
+    minus_e = add_multiple(zero_class(model), -1, model.class_of(E))
     candidates = model.candidates
     r0 = {c: model.intersect(minus_k, model.class_of(c)) for c in candidates}
     r1 = {c: model.intersect(minus_e, model.class_of(c)) for c in candidates}
-    d0 = model.self_intersection(minus_k)
+    d0 = model.intersect(minus_k, minus_k)
     d1 = 2 * model.intersect(minus_k, minus_e)
-    d2 = model.self_intersection(minus_e)
+    d2 = model.intersect(minus_e, minus_e)
     context = f"E={E}, n={model.n}, m={model.m}"
     pieces, x0, start = [], Rat(0), []
     while True:
@@ -241,12 +242,12 @@ class TestInvariants:
         for _ in range(8):
             model, angles, curve = sample_case_input(rng, case)
             pieces = volume_curve(curve, model, angles)
-            vol = model.self_intersection(model.log_anticanonical(angles))
+            minus_k = model.log_anticanonical(angles)
+            vol = model.intersect(minus_k, minus_k)
             assert pieces[0].x_lo == 0
             assert piece_value(pieces[0], rat(0)) == vol
             assert piece_value(pieces[-1], pieces[-1].x_hi) == 0
             # Derivative at 0+ is -2 (-K . E).
-            minus_k = model.log_anticanonical(angles)
             pairing = model.intersect(minus_k, model.class_of(curve))
             assert pieces[0].q1 == -2 * pairing
             for left, right in zip(pieces, pieces[1:]):
@@ -337,7 +338,7 @@ class TestSharedEngine:
             for curve in model.candidates:
                 for piece in volume_curve(curve, model, angles):
                     x = (piece.x_lo + piece.x_hi) / 2
-                    d = minus_k - model.class_of(curve).scale(x)
+                    d = add_multiple(minus_k, -x, model.class_of(curve))
                     assert zariski_decompose(model, d).support == piece.negative_support
                     assert volume(model, d) == piece_value(piece, x)
 
@@ -457,7 +458,7 @@ class TestSharedEngine:
         for curve in (*model.candidates, GENERIC_FIBER):
             rounds.clear()
             assert len(volume_curve(curve, model, angles)) == len(rounds)
-        d = model.log_anticanonical(angles) - model.class_of(Ei(1)).scale(rat(3, 2))
+        d = add_multiple(model.log_anticanonical(angles), rat(-3, 2), model.class_of(Ei(1)))
         rounds.clear()
         assert zariski_decompose(model, d).support
         assert len(rounds) == 1
@@ -635,7 +636,7 @@ class TestClosedForms:
                 for curve in (*curves, GENERIC_FIBER) + (PULLBACK_C2,) * (m == 0):
                     columns.clear()
                     first = volume_sweep(curve, model, angles)[0]
-                    minus_e = -model.class_of(curve)
+                    minus_e = add_multiple(zero_class(model), -1, model.class_of(curve))
                     assert first.negative_support == ()
                     assert (first.q0, first.q1, first.q2) == (
                         model.intersect(minus_k, minus_k),

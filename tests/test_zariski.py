@@ -2,7 +2,8 @@
 
 import pytest
 
-from conftest import common_denominator, divisor, gram, negative_definite_families, rat, signature, volume
+from conftest import (add_multiple, common_denominator, divisor, gram, negative_class,
+                      negative_definite_families, rat, signature, volume, zero_class)
 from kedge.linalg import factorize
 from kedge.picard import (
     Angles,
@@ -33,7 +34,7 @@ def shifted_anticanonical(n, m, beta1, beta2, curve, x):
     model = SurfaceModel(n, m)
     angles = Angles(rat(*beta1) if isinstance(beta1, tuple) else beta1,
                     rat(*beta2) if isinstance(beta2, tuple) else beta2)
-    return model, model.log_anticanonical(angles) - model.class_of(curve).scale(x)
+    return model, add_multiple(model.log_anticanonical(angles), -x, model.class_of(curve))
 
 
 class TestNegativeDefinite:
@@ -128,7 +129,7 @@ class TestDecompose:
         )
         assert zd.support == (Ei(1),)
         model = SurfaceModel(0, 1)
-        assert zd.negative_class(model) == divisor(0, 0, (rat(-1, 2),))
+        assert negative_class(model, zd) == divisor(0, 0, (rat(-1, 2),))
 
     def test_not_pseudoeffective(self):
         model = SurfaceModel(2, 1)
@@ -155,7 +156,7 @@ class TestDecompose:
         # passes both as its own positive part and as F + 1 E1.
         monkeypatch.setattr(SurfaceModel, "is_nef", lambda self, d: True)
         model = SurfaceModel(0, 2)
-        d = model.class_of(Ei(1)) + model.class_of(GENERIC_FIBER)
+        d = add_multiple(model.class_of(Ei(1)), 1, model.class_of(GENERIC_FIBER))
         with pytest.raises(DecompositionError) as raised:
             zariski_decompose_bruteforce(model, d)
         assert str(raised.value) == (
@@ -195,7 +196,7 @@ class TestDecompose:
                 assert model.intersect(zd.positive, model.class_of(cid)) == 0
             if zd.negative:
                 assert is_negative_definite(model, zd.support)
-            assert zd.positive + zd.negative_class(model) == d
+            assert add_multiple(zd.positive, 1, negative_class(model, zd)) == d
 
 
 class TestCertify:
@@ -210,7 +211,7 @@ class TestCertify:
 
     def test_nonpositive_coefficient(self):
         model = SurfaceModel(1, 1)
-        zero = model.zero()
+        zero = zero_class(model)
         with pytest.raises(DecompositionError) as raised:
             _certify(model, zero, ZariskiDecomposition(zero, ((Ei(1), rat(0)),)))
         assert str(raised.value) == "nonpositive coefficient 0 on E1"
@@ -225,7 +226,7 @@ class TestCertify:
     def test_support_not_negative_definite(self):
         # C1tilde and F1tilde on (1, 1): Gram [[-1, 1], [1, -1]] is singular.
         model = SurfaceModel(1, 1)
-        zero = model.zero()
+        zero = zero_class(model)
         zd = ZariskiDecomposition(zero, ((C1TILDE, rat(1)), (FiTilde(1), rat(1))))
         with pytest.raises(DecompositionError) as raised:
             _certify(model, zero, zd)
@@ -235,7 +236,7 @@ class TestCertify:
         model, d = shifted_anticanonical(0, 2, (1, 2), (1, 2), Ei(1), rat(3, 2))
         zd = zariski_decompose(model, d)
         with pytest.raises(DecompositionError) as raised:
-            _certify(model, d + model.class_of(GENERIC_FIBER), zd)
+            _certify(model, add_multiple(d, 1, model.class_of(GENERIC_FIBER)), zd)
         assert str(raised.value) == "P + N does not reconstruct the input class"
 
 
@@ -258,7 +259,7 @@ class TestGrowSupport:
             assert scale > 0 and all(type(x) is int for x in coeffs + residual)
             p = d
             for c, x in zip(support, coeffs):
-                p = p - model.class_of(candidates[c]).scale(Rat(x, scale * denominator))
+                p = add_multiple(p, Rat(-x, scale * denominator), model.class_of(candidates[c]))
             assert len(residual) == len(candidates)
             for c, r in zip(candidates, residual):
                 assert Rat(r, scale * denominator) == model.intersect(p, model.class_of(c)), (
@@ -272,7 +273,7 @@ class TestGrowSupport:
         model = SurfaceModel(1, 1)
         candidates = model.candidates
         start = (candidates.index(C1TILDE), candidates.index(FiTilde(1)))
-        column = [int(x) for x in model.pairings(model.zero())]
+        column = [int(x) for x in model.pairings(zero_class(model))]
         with pytest.raises(NotPseudoeffective, match="support is not negative definite"):
             grow_support(model, (column,), start)
 
@@ -330,7 +331,7 @@ def exhaustive_decompositions(model, d):
             continue
         p = d
         for cls, x in zip(classes, coeffs):
-            p = p - cls.scale(x)
+            p = add_multiple(p, -x, cls)
         if any(x < 0 for x in coeffs) or not model.is_nef(p):
             continue
         negative = tuple((c, x) for c, x in zip(subset, coeffs) if x != 0)
@@ -442,10 +443,10 @@ class TestVolume:
             model = sample_surface(rng, n_max=3, m_max=3)
             d = model.log_anticanonical(sample_angles(rng, model))
             base = volume(model, d)
-            bigger = d + model.class_of(GENERIC_FIBER).scale(rat(1, 3))
+            bigger = add_multiple(d, rat(1, 3), model.class_of(GENERIC_FIBER))
             assert volume(model, bigger) >= base
             for curve in model.candidates:
-                extra = d + model.class_of(curve).scale(rat(1, 4))
+                extra = add_multiple(d, rat(1, 4), model.class_of(curve))
                 assert volume(model, extra) >= base
 
 

@@ -36,7 +36,7 @@ MUTANTS = (
      "cross(W, HS2, psi_p0) + 2 * n * FM + 6 * L * VOL,",
      "tests/test_acceptance.py::test_criterion_6_named_verdicts"),
     ("zariski-orthogonality-off", "zariski.py",
-     "if model.intersect(p, model.class_of(curve)) != 0:",
+     "if model.intersect(p, c) != 0:",
      "if False:",
      "tests/test_zariski.py::TestCertify::test_positive_part_not_orthogonal"),
     ("curve-square-off", "volumes.py",
@@ -88,8 +88,8 @@ MUTANTS = (
      "if q0.numerator * L * L != model.pair(k, k):",
      "tests/test_volumes.py::TestSharedEngine::test_certificate_compares_the_whole_volume_at_zero"),
     ("reconstruction-off", "zariski.py",
-     "if p + zd.negative_class(model) != d:",
-     "if False and p + zd.negative_class(model) != d:",
+     "if DivisorClass(rebuilt, s) != d:",
+     "if False and DivisorClass(rebuilt, s) != d:",
      "tests/test_zariski.py::TestCertify::test_reconstruction"),
     # The sweep's one path and the curve certificate's slope at x = 0.
     ("d1-fiber-term-halved", "volumes.py",
@@ -234,6 +234,12 @@ MUTANTS = (
      "if g != 1:",
      "if False:",
      "tests/test_acceptance.py::test_criterion_3_zariski_oracle"),
+    # The one equality of the frozen values reads every argument that
+    # rebuilds a value, not only the first.
+    ("value-eq-first-argument", "picard.py",
+     "return self._args() == other._args()",
+     "return self._args()[0] == other._args()[0]",
+     "tests/test_picard.py::test_values_equal_only_equal_values_of_their_type"),
     # The angles' integer form (L, P1, P2), formed once per angle pair.
     ("angles-p2-scale-wrong", "picard.py",
      "b2.numerator * (L // q2)",
