@@ -162,7 +162,7 @@ def cmd_delta(n, m, beta1, beta2, approx, accept_decimal, output):
             "witness": verdict.witness,
             "witnesses": list(verdict.witnesses),
             "condition_sign": verdict.condition_sign,
-            "futaki_zero": verdict.report.futaki_sign == 0,
+            "futaki_zero": verdict.report.FM == 0,
             "status": verdict.status,
             "notes": list(verdict.notes),
             "per_divisor": {},

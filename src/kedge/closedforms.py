@@ -29,7 +29,9 @@ extra inequality on the angles (the second wall must sit to the right of
 the first); outside that range :func:`closed_form_volume_curve` returns
 ``None`` and only the sweep applies.  A curve is returned as the tuple of
 its ``QuadraticPiece``s, the form the sweep returns, so the two compare
-with ``==``.  Each S is one ``Rat`` over 3 L V, with V = L^2 vol(-K_Delta).
+with ``==``.  Each S is one ``Rat`` over 3 L V, with V = L^2 vol(-K_Delta),
+its numerator written in V and the two cubics of the angle condition that
+``SurfaceModel.boundary_cubics`` spells for the verdict too.
 """
 
 from __future__ import annotations
@@ -97,11 +99,13 @@ def closed_form_S(E, model, angles) -> Rat | None:
     Covers C~1, C~2 and every E_i and F~i, told apart by
     ``picard.orbit_of``; the generic fiber and the pulled-back section
     return ``None``, and a name that is not a curve of the surface is
-    refused with ``class_of``'s ValueError.  With the angle bracket
-    b = b1^2 - b2^2 - (n b1^3 + (n - m) b2^3) / 3, S(C~1) = b1 - 2 b / vol
-    and S(C~2) = b2 + 2 b / vol; S(E_i) and S(F~i) are 1 + inner / vol,
-    one inner polynomial in a pair (a, b) that is E_i's or F~i's.
-    Each numerator is scaled by 3 L^3, so S is one Rat over 3 L V.
+    refused with ``class_of``'s ValueError.  S is one Rat over 3 L V, its
+    numerator written in V and the angle condition's cubics (f1, f2) of
+    ``SurfaceModel.boundary_cubics``, f1 - f2 being 3 L^3 times the angle
+    bracket: 3 P1 V - 2 (f1 - f2) for C~1 and 3 P2 V + 2 (f1 - f2) for
+    C~2, that is S = beta1 - 2 bracket / vol and beta2 + 2 bracket / vol;
+    3 L V + b f2 - a f1 for E_i and F~i, with a pair (a, b) that is
+    E_i's or F~i's.
     """
     model.ensure_ample(angles)
     n, m = model.n, model.m
@@ -109,17 +113,16 @@ def closed_form_S(E, model, angles) -> Rat | None:
     L, p1, p2 = angles.scaled
     V = _scaled_volume(n, m, L, p1, p2)
     den = 3 * L * V
-    if E in (C1TILDE, C2TILDE):
-        bracket = 3 * L * (p1 * p1 - p2 * p2) - n * p1**3 - (n - m) * p2**3
-        if E == C1TILDE:
-            return Rat(3 * p1 * V - 2 * bracket, den)
-        return Rat(3 * p2 * V + 2 * bracket, den)
+    f1, f2 = model.boundary_cubics(L, p1, p2)
+    if E == C1TILDE:
+        return Rat(3 * p1 * V - 2 * (f1 - f2), den)
+    if E == C2TILDE:
+        return Rat(3 * p2 * V + 2 * (f1 - f2), den)
     if first not in (E1, F1TILDE):
         return None
     # (a, b) is E_i's; F~i = F - E_i, whose a and b are both 2 more.
     a, b = (n - 2, n - m) if first == E1 else (n, n - m + 2)
-    inner = 3 * L * (b * p2 * p2 - a * p1 * p1) + n * a * p1**3 + (n - m) * b * p2**3
-    return Rat(den + inner, den)
+    return Rat(den + b * f2 - a * f1, den)
 
 
 def _freeze(L, walls, chambers) -> tuple:

@@ -388,6 +388,14 @@ class SurfaceModel(Value):
         L, p1, p2 = angles.scaled
         return DivisorClass((p1 + p2, 2 * L - self.n * p1) + (p2,) * self.m, L)
 
+    def boundary_cubics(self, L: int, p1: int, p2: int) -> tuple:
+        """(f1, f2) = (3 L P1^2 - n P1^3, 3 L P2^2 + (n - m) P2^3) at the
+        angles' integer form (L, P1, P2): 3 L^3 times the two sides of the
+        angle condition beta1^2 - (n/3) beta1^3 = beta2^2 + ((n - m)/3)
+        beta2^3, so f1 - f2 is 3 L^3 times the angle bracket.  The verdict
+        and the closed forms read the condition here alone."""
+        return (3 * L - self.n * p1) * p1 * p1, (3 * L + (self.n - self.m) * p2) * p2 * p2
+
     def is_nef(self, d: DivisorClass) -> bool:
         """Nefness test.
 

@@ -51,7 +51,11 @@ def sample_angles(rng: random.Random, model: SurfaceModel) -> Angles:
 
     Each angle is p / d, d uniform in 1..MAX_DENOMINATOR and p uniform in
     1..MAX_VALUE*d; the pair is ample when n p1 < 2 d1 (n > 0) and
-    (m - n) p2 < 2 d2 (m > n), as ``broken_ample_bound`` states it.
+    (m - n) p2 < 2 d2 (m > n): ``SurfaceModel.broken_ample_bound``'s
+    inequalities, restated on the raw draws.  Asking
+    ``broken_ample_bound(d1 d2, p1 d2, p2 d1)`` instead gives the same
+    draws but costs 9 to 17 % more per call, and the sampler is a large
+    share of ``verify``'s time.
     """
     k1, k2 = model.n, model.m - model.n
     bits = rng.getrandbits

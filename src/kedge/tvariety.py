@@ -19,7 +19,8 @@ returns its pointwise Legendre duals
 They live on the moment interval [-beta1, beta2] and carry the integrals
 of deg Psi (vol, first moment, half square).  With one cross term per
 point they assemble into the delta invariant as a minimum over ray and
-vertex valuations; delta and the Futaki sign read the same first moment.
+vertex valuations; delta and the verdict's Futaki check read the same
+first moment.
 
 Three points carry every dual exactly.  Psi_p0(u) = n u + 2 is one line
 and Psi_generic = 0 another; the two lines -u and 0 of a marked slice
@@ -57,8 +58,10 @@ and VOL = sum W_i, FM = sum X_i W_i and HS2 = sum G_i W_i are 6 L^2 vol,
 6 L^3 (first moment) and 12 L^3 (half square).  So the barycenter is
 bc = FM / (L VOL), each cross term is bc_p = (HS2 - 2 sum L Psi_p(x_i) W_i)
 / (2 L VOL), every S of the delta minimum is an integer numerator over
-2 L VOL, and the Futaki sign is -sign(FM).  ``scaled_duals(model, L, P1,
-P2)`` returns the scaled duals, W, VOL, FM and HS2, integers only (X and
+2 L VOL, and the Futaki sign is -sign(FM).  The minimum keeps FM itself,
+which the verdict checks against the angle condition's cubics of
+``SurfaceModel.boundary_cubics``: FM = 2 (f2 - f1).  ``scaled_duals(model,
+L, P1, P2)`` returns the scaled duals, W, VOL, FM and HS2, integers only (X and
 G are read off L, the angles and the duals), with no record around them;
 ``legendre_dual`` puts L in front.  A reader divides by the power of L it
 needs.
@@ -90,7 +93,7 @@ from typing import NamedTuple
 
 from .picard import (C1TILDE, C2TILDE, E1, F1TILDE, GENERIC_FIBER, Angles, DivisorClass,
                      InconsistencyError, SurfaceModel, orbit_names, orbit_of, per_surface)
-from .ratmath import Rat, sign
+from .ratmath import Rat
 
 
 def _slices(n: int) -> tuple:
@@ -242,7 +245,7 @@ class DeltaReport(NamedTuple):
 
     a_min: int  # L A of a least orbit
     s_min: int  # its 2 L VOL S
-    futaki_sign: int  # sign of -integral of u * deg Psi
+    FM: int  # 6 L^3 first moment; the Futaki sign is -sign(FM)
     a: tuple  # L A of each orbit, canonical order
     s: tuple  # 2 L VOL S of each orbit, canonical order
     VOL: int  # 6 L^2 vol
@@ -281,7 +284,7 @@ class DeltaReport(NamedTuple):
 def delta_minimum(model: SurfaceModel, L: int, p1: int, p2: int) -> tuple:
     """delta as the exact minimum over ray and vertex valuations, at the
     angles' integer form (L, P1, P2), as the integers a ``DeltaReport``
-    holds: (a_min, s_min, futaki_sign, a, s, VOL).  Whether the angles are
+    holds: (a_min, s_min, FM, a, s, VOL).  Whether the angles are
     in the ample range is the caller's to check.
 
     Ray terms: -h_t(n_rho) / (bc n_rho - h_t(n_rho)) for the two rays,
@@ -312,7 +315,7 @@ def delta_minimum(model: SurfaceModel, L: int, p1: int, p2: int) -> tuple:
             raise InconsistencyError(f"torus route: S of {orbit_heads(m)[i][0]} is not positive")
         if a[i] * s_min < a_min * si:
             a_min, s_min = a[i], si
-    return a_min, s_min, -sign(FM), a, s, VOL
+    return a_min, s_min, FM, a, s, VOL
 
 
 def delta_tvariety(model: SurfaceModel, angles: Angles) -> DeltaReport:

@@ -1,13 +1,17 @@
 """Final statements: the angle condition and K-polystability.
 
-``condition_sign`` evaluates the sign of the angle bracket
+``condition_sign`` is the sign of the angle bracket
 
-    (beta1^2 - (n/3) beta1^3) - (beta2^2 + ((n-m)/3) beta2^3)
+    (beta1^2 - (n/3) beta1^3) - (beta2^2 + ((n-m)/3) beta2^3),
 
-directly as a polynomial; it must agree with the torus-side Futaki sign
-on every input, and the polystable verdict fires only when it is
-exactly zero (the condition cuts a codimension-1 locus; no tolerance is
-meaningful in exact arithmetic).  ``rational_condition_point`` gives
+read as f1 - f2 from ``SurfaceModel.boundary_cubics``, which spells the
+two cubics once for the verdict and the closed forms: f1 - f2 is 3 L^3
+times the bracket.  The polystable verdict fires only when it is exactly
+zero (the condition cuts a codimension-1 locus; no tolerance is
+meaningful in exact arithmetic).  The torus route's FM, 6 L^3 times the
+first moment of deg Psi, is -6 L^3 times the bracket, so every verdict
+checks the exact identity FM = 2 (f2 - f1), which implies that the Futaki
+sign -sign(FM) is the bracket's.  ``rational_condition_point`` gives
 exact points of that locus at every (n, m) from one formula, the line
 through the cubic's node, with one split case: for m = 2n the locus holds
 the diagonal.  The verdict cross-checks the
@@ -20,9 +24,10 @@ answer when one of them fails.
 values, so ``scan`` calls it for each grid point with no ``Angles``,
 report, ``Verdict`` or Fraction formed, condition points included: the
 branch certificate reads the minimum's integers too.  ``k_polystable``
-wraps it and forms the ``Verdict`` and its one report.  The bracket
-polynomial lives once, in ``bracket_sign``, and the ample inequalities
-once, in ``SurfaceModel.broken_ample_bound``.
+wraps it and forms the ``Verdict`` and its one report.  The ample
+inequalities live in ``SurfaceModel.broken_ample_bound``, and
+``sampling.sample_angles`` restates them on its raw draws (its docstring
+says why).
 """
 from __future__ import annotations
 
@@ -62,17 +67,10 @@ class Verdict(NamedTuple):
         return next(iter(self.witnesses), None)
 
 
-def bracket_sign(model, L: int, p1: int, p2: int) -> int:
-    """Sign of the angle bracket at the angles' integer form (L, P1, P2),
-    P_i = L beta_i: 3 L^3 times the bracket is the integer
-    3 P1^2 L - n P1^3 - 3 P2^2 L - (n - m) P2^3."""
-    n = model.n
-    return sign(3 * p1 * p1 * L - n * p1**3 - 3 * p2 * p2 * L - (n - model.m) * p2**3)
-
-
 def condition_sign(model, angles: Angles) -> int:
     """Sign of the angle bracket; 0 is the polystability condition."""
-    return bracket_sign(model, *angles.scaled)
+    f1, f2 = model.boundary_cubics(*angles.scaled)
+    return sign(f1 - f2)
 
 
 def _check(condition: bool, message: str, *args):
@@ -121,19 +119,20 @@ def decide(model, L: int, p1: int, p2: int) -> tuple:
 
     Outside the ample range the note and the minimum are None.  Within it
     the minimum is the torus route's ``delta_minimum``, and every branch
-    cross-checks the facts it relies on (bracket sign against the Futaki
-    sign, delta <= 1, delta < 1 off the condition locus and for m = 1,
-    the term patterns at condition points).  delta = 2 VOL a_min / s_min
+    cross-checks the facts it relies on (the first moment FM equal to
+    2 (f2 - f1), delta <= 1, delta < 1 off the condition locus and for
+    m = 1, the term patterns at condition points).  delta = 2 VOL a_min / s_min
     with s_min > 0, so each comparison of delta with 1 is one of integers,
     and no report, orbit name or Fraction is formed unless a check fails.
     """
-    csign = bracket_sign(model, L, p1, p2)
+    f1, f2 = model.boundary_cubics(L, p1, p2)
+    csign = sign(f1 - f2)
     if model.broken_ample_bound(L, p1, p2):
         return OUTSIDE_AMPLE_RANGE, csign, None, None
     minimum = delta_minimum(model, L, p1, p2)
-    a_min, s_min, futaki_sign, _, _, vol = minimum
-    _check(futaki_sign == csign,
-           "bracket sign {} disagrees with the torus-side Futaki sign", csign)
+    a_min, s_min, fm, _, _, vol = minimum
+    _check(fm == 2 * (f2 - f1),
+           "torus-side first moment is not 2 (f2 - f1) at bracket sign {}", csign)
     twice_vol_a = 2 * vol * a_min
     if twice_vol_a > s_min:
         raise InconsistencyError(

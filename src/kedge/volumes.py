@@ -22,14 +22,14 @@ P(x') <= P(x) for x < x', and no coefficient of the negative part falls
 section 6).
 
 At each chamber's left end x0 = u/v, ``zariski.grow_support`` grows the
-support on two integer columns, the value v L r(x0) = v L r0 + u L r1
-and the slope r1, ordered lexicographically -- exact "x = x0 + epsilon"
-arithmetic.  It reads only signs, so each column keeps its own positive
-scale.  The factor of a support and the slope column's half of its
-solve depend on neither the angles nor x: growth keeps one factor per
-surface and support and one slope half per surface, curve and support,
-and solves only the value column per chamber.  With s = |det G_S|, its
-last solve gives
+support on the value column v L r(x0) = v L r0 + u L r1, given with the
+swept curve, whose slope column r1 it reads after the value,
+lexicographically -- exact "x = x0 + epsilon" arithmetic.  It reads only
+signs, so each column keeps its own positive scale.  The factor of a
+support and the slope column's half of its solve depend on neither the
+angles nor x: growth keeps one factor per surface and support and one
+slope half per surface, curve and support, and solves only the value
+column per chamber.  With s = |det G_S|, its last solve gives
 s L a(x) = w + s a1 (L x), where w = s L a(0) = (s v L a(x0) - u L s a1) / v
 is an exact division; so s L^2 vol(x) = c0 + c1 (L x) + c2 (L x)^2 with
 integer c's.  A residual pairing that falls is P0 + (x - x0) P1 with
@@ -171,7 +171,7 @@ def volume_sweep(E: str, model: SurfaceModel, angles: Angles) -> tuple:
         uL = u * L
         value = [v * a + uL * b for a, b in zip(r0, r1)]
         try:
-            support, s, (a0, a1), (p0, p1) = grow_support(model, (value, r1), start, E)
+            support, s, (a0, a1), (p0, p1) = grow_support(model, value, start, E)
         except NotPseudoeffective as exc:
             raise DecompositionError(f"jet support growth failed at x = {x0}+: {exc}") from None
         if any(a < 0 for a in a1):

@@ -21,14 +21,14 @@ pivots are integers too.  Neither a support's factor nor a swept curve's
 slope column depends on the angles, so both, and the slope column's half
 of each solve, are kept per surface by ``picard.per_surface``: one factor
 per (surface, support), one ``SweptCurve`` per (surface, curve) and one
-slope half per (surface, curve, support).  ``zariski_decompose`` runs
-growth on one column, D.C times the class's denominator, from the empty
-support, and forms the positive part in one sparse pass over the
-support's integer coordinates; the chamber sweep in ``volumes`` runs it
-on two (value and slope, read lexicographically) from the previous
-chamber's support (Bauer's guarantee needs a start inside the true one),
-and solves only the value column afresh.  ``zariski_decompose`` certifies each
-decomposition against the three defining conditions on every call;
+slope half per (surface, curve, support).  ``grow_support`` takes the one
+column it solves: ``zariski_decompose`` passes D.C times the class's
+denominator, from the empty support, and forms the positive part in one
+sparse pass over the support's integer coordinates; the chamber sweep in
+``volumes`` passes the value column and the swept curve, whose kept slope
+half is read after the value (lexicographically), from the previous
+chamber's support (Bauer's guarantee needs a start inside the true one).
+``zariski_decompose`` certifies each decomposition against the three defining conditions on every call;
 ``zariski_decompose_bruteforce`` enumerates every negative-definite set
 of candidates and is kept as an independent oracle.  Every solve and definiteness test goes through the one
 fraction-free elimination in ``linalg``: growth factors a support once per
@@ -223,26 +223,27 @@ def _certify(model: SurfaceModel, d: DivisorClass, zd: ZariskiDecomposition):
         raise DecompositionError("P + N does not reconstruct the input class")
 
 
-def grow_support(model: SurfaceModel, columns, start=(), curve=None):
+def grow_support(model: SurfaceModel, column, start=(), curve=None):
     """Bauer's support growth: (support, scale, coefficients, residuals).
 
-    Curves are indices into ``model.candidates``.  ``columns`` are
-    integer columns over the candidates, each D.C times a positive scale
-    of its own, compared lexicographically: one for ``zariski_decompose``;
-    for the chamber sweep the value and the slope of the pairing jet at a
-    chamber's left end x0 (exact "x = x0 + epsilon" arithmetic), with
-    ``curve`` the swept curve's name, whose slope column
-    ``swept_curve(model, curve).slope`` the last column then is.  From
+    Curves are indices into ``model.candidates``.  ``column`` is an
+    integer column over the candidates, D.C times a positive scale: for
+    ``zariski_decompose`` the class's pairings; for the chamber sweep the
+    value of the pairing jet at a chamber's left end x0, with ``curve``
+    the swept curve's name, whose slope column
+    ``swept_curve(model, curve).slope`` then joins it, the two compared
+    lexicographically (exact "x = x0 + epsilon" arithmetic).  From
     ``start``, each round factors the support's Gram matrix G_S from
-    ``model.candidate_table``, solves G_S a = (D.C)_{C in S} for every
+    ``model.candidate_table``, solves G_S a = (D.C)_{C in S} for each
     column on it, forms the residuals P.C = D.C - sum a_i (C_i.C) over the
     table's nonzeros, and adds every candidate outside S with a negative
     residual, until none is added.  Neither the factor nor the slope
     column's half depends on the angles: they are kept per (surface,
     support) and per (surface, curve, support), so a round on a support
-    met before solves only the columns it is given afresh.  It returns
+    met before solves only ``column`` afresh.  It returns
     scale = |det G_S|, and the coefficient columns over S and the
-    residual columns over every candidate, each times scale, in integers.
+    residual columns over every candidate, one per column (the slope's
+    last), each times scale, in integers.
     S grows strictly: at most k + 1 factors for k candidates.  For a
     pseudoeffective class and a start inside the true negative support, S
     stays inside it (Bauer, J. Algebraic Geom. 18, 2009), so G_S is
@@ -250,8 +251,7 @@ def grow_support(model: SurfaceModel, columns, start=(), curve=None):
     raises NotPseudoeffective.
     """
     table = model.candidate_table
-    zero = (0,) * len(columns)
-    fresh = columns if curve is None else columns[:-1]
+    zero = (0,) if curve is None else (0, 0)
     support = list(start)
     while True:
         # C~1 and C~2 (indices 0 and 1) meet every F~i and E_i: factoring
@@ -267,7 +267,7 @@ def grow_support(model: SurfaceModel, columns, start=(), curve=None):
                 "support is not negative definite, which cannot happen "
                 "for a pseudoeffective class"
             ) from None
-        halves = [_solve(table, key, factor, column) for column in fresh]
+        halves = [_solve(table, key, factor, column)]
         if curve is not None:
             halves.append(_slope_half(model, curve, key))
         coeffs, residuals = zip(*halves)
@@ -293,7 +293,7 @@ def zariski_decompose(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposit
     """
     denominator, *column = model.pairings(d)
     try:
-        support, scale, (coeffs,), _residuals = grow_support(model, (column,))
+        support, scale, (coeffs,), _residuals = grow_support(model, column)
     except NotPseudoeffective as exc:
         raise NotPseudoeffective(f"{d}: {exc}") from None
     scale *= denominator

@@ -300,7 +300,7 @@ class Minimum(NamedTuple):
 
     a_min: int
     s_min: int
-    futaki_sign: int
+    FM: int
     a: tuple
     s: tuple
     VOL: int
@@ -331,12 +331,22 @@ def with_vol(scaled_duals, vol):
     return tampered
 
 
+def with_fm(scaled_duals, factor):
+    """``scaled_duals`` (``tvariety.scaled_duals``) with FM multiplied by
+    ``factor``: a positive factor keeps the Futaki sign."""
+    def tampered(*args):
+        *duals, FM, HS2 = scaled_duals(*args)
+        return *duals, factor * FM, HS2
+
+    return tampered
+
+
 def futaki_vanishes(model, angles) -> int:
     """Sign of the angle bracket; 0 exactly when the barycenter vanishes.
 
     Computed on the torus side as -integral of u * deg Psi(u) du (no
-    division, so no ampleness assumption is needed): the sign that
-    ``DeltaReport.futaki_sign`` records."""
+    division, so no ampleness assumption is needed): -sign(FM) of the
+    ``FM`` that ``DeltaReport`` records."""
     return -sign(dual(model, angles).FM)
 
 

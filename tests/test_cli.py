@@ -16,7 +16,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 from conftest import (clear_per_surface_caches, dual, rat, tampered_minimum, with_delta,
-                      with_vol, zero_class)
+                      with_fm, with_vol, zero_class)
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -746,25 +746,27 @@ class TestInconsistencyExit:
         assert_one_line_inconsistency(code, out, err)
         assert "is not positive" in err
 
-    @pytest.mark.parametrize("seam, tamper, message", [
-        ("delta_minimum", lambda minimum: minimum._replace(futaki_sign=-minimum.futaki_sign),
-         "bracket sign 1 disagrees with the torus-side Futaki sign"),
-        ("delta_minimum", with_delta(rat(3, 2)),
+    @pytest.mark.parametrize("module, seam, tamper, message", [
+        (kedge.verdict, "delta_minimum",
+         lambda fn: tampered_minimum(fn, lambda minimum: minimum._replace(FM=-minimum.FM)),
+         "torus-side first moment is not 2 (f2 - f1) at bracket sign 1"),
+        (kedge.tvariety, "scaled_duals", lambda fn: with_fm(fn, 2),
+         "torus-side first moment is not 2 (f2 - f1) at bracket sign 1"),
+        (kedge.verdict, "delta_minimum", lambda fn: tampered_minimum(fn, with_delta(rat(3, 2))),
          "delta = 3/2 > 1 contradicts the necessity bound"),
-        ("scaled_duals", 0, "torus route: vol is not positive"),
-        ("scaled_duals", -1, "torus route: vol is not positive"),
-    ], ids=["futaki-sign", "delta-above-1", "vol-0", "vol-negative"])
+        (kedge.tvariety, "scaled_duals", lambda fn: with_vol(fn, 0),
+         "torus route: vol is not positive"),
+        (kedge.tvariety, "scaled_duals", lambda fn: with_vol(fn, -1),
+         "torus route: vol is not positive"),
+    ], ids=["futaki-sign", "fm-doubled", "delta-above-1", "vol-0", "vol-negative"])
     @pytest.mark.parametrize("argv", [DELTA_ARGS, SCAN_ARGS], ids=["delta", "scan"])
-    def test_tampered_torus_integers_are_exit_2(self, capsys, monkeypatch, argv, seam, tamper,
-                                                message):
-        # Both subcommands decide on the same integers: a flipped Futaki
-        # sign, delta above 1 and VOL <= 0 each stop the first point in
-        # the ample range (bracket sign 1 at both argvs' first one).
-        if seam == "delta_minimum":
-            monkeypatch.setattr(kedge.verdict, seam,
-                                tampered_minimum(kedge.verdict.delta_minimum, tamper))
-        else:
-            monkeypatch.setattr(kedge.tvariety, seam, with_vol(kedge.tvariety.scaled_duals, tamper))
+    def test_tampered_torus_integers_are_exit_2(self, capsys, monkeypatch, argv, module, seam,
+                                                tamper, message):
+        # Both subcommands decide on the same integers: a flipped first
+        # moment, a doubled one (which keeps the Futaki sign), delta above
+        # 1 and VOL <= 0 each stop the first point in the ample range
+        # (bracket sign 1 at both argvs' first one).
+        monkeypatch.setattr(module, seam, tamper(getattr(module, seam)))
         code, out, err = run_cli(capsys, argv)
         assert_one_line_inconsistency(code, out, err)
         assert err == f"inconsistency: {message}\n"

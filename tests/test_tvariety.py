@@ -16,8 +16,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from conftest import (add_multiple, clear_per_surface_caches, divisor, dual, futaki_vanishes, rat,
-                      reference_delta_tvariety, with_vol, zero_class)
+from conftest import (add_multiple, angle_bracket, clear_per_surface_caches, divisor, dual,
+                      futaki_vanishes, rat, reference_delta_tvariety, with_vol, zero_class)
 from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
@@ -186,10 +186,12 @@ def reference_delta(params, angles):
 
 
 @st.composite
-def ample_surfaces(draw, n_max=6):
-    """(params, angles) with n <= n_max, m <= 6 and -K_{S,Delta} ample:
-    beta1 < 2/n when n > 0 and beta2 < 2/(m - n) when m > n."""
-    n, m = draw(st.integers(0, n_max)), draw(st.integers(0, 6))
+def ample_surfaces(draw, n_max=6, m_max=6, also=()):
+    """(params, angles) with n <= n_max and m <= m_max, or (n, m) one of
+    ``also``, and -K_{S,Delta} ample: beta1 < 2/n when n > 0 and
+    beta2 < 2/(m - n) when m > n."""
+    surfaces = st.tuples(st.integers(0, n_max), st.integers(0, m_max))
+    n, m = draw(st.one_of(surfaces, *map(st.just, also)))
 
     def angle(k):
         num = draw(st.integers(1, 60))
@@ -454,10 +456,22 @@ class TestIntegerRoute:
         # reference's per-term divisions.
         report = delta_tvariety(params, angles)
         delta, witnesses, terms, futaki_sign = reference_delta(params, angles)
-        assert (report.delta, report.witnesses, report.futaki_sign) == (
+        assert (report.delta, report.witnesses, -sign(report.FM)) == (
             delta, witnesses, futaki_sign)
         assert [(name, t.A, t.S, t.ratio) for name, *_ in terms
                 for t in [report.term(name)]] == terms
+
+    @given(ample_surfaces(n_max=12, m_max=12, also=((0, 200), (3, 200))))
+    @settings(deadline=None)
+    def test_first_moment_is_twice_the_boundary_cubics_difference(self, surface):
+        # f1 - f2 is 3 L^3 times the angle bracket, and FM = 6 L^3 times
+        # the first moment is -6 L^3 times it: FM = 2 (f2 - f1), the
+        # identity the verdict checks at every point, sampled here.
+        model, angles = surface
+        L, p1, p2 = angles.scaled
+        f1, f2 = model.boundary_cubics(L, p1, p2)
+        assert f1 - f2 == 3 * L**3 * angle_bracket(model, angles)
+        assert dual(model, angles).FM == 2 * (f2 - f1)
 
     def test_integers_over_the_common_denominator(self):
         # beta = (1/2, 1/3): L = 6, X = (-3, 0, 2); at n = 2, m = 3 the
@@ -486,7 +500,7 @@ class TestOrbitRecords:
         model, angles = surface
         report = delta_tvariety(model, angles)
         reference = reference_delta_tvariety(model, angles)
-        assert (report.delta, report.witnesses, report.futaki_sign) == (
+        assert (report.delta, report.witnesses, -sign(report.FM)) == (
             reference.delta, reference.witnesses, reference.futaki_sign)
         names = [*model.candidates, "FiberP0", "GenericFiber"]
         assert [name for orbit in report.orbits for name in orbit.names()] == names

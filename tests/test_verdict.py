@@ -76,7 +76,7 @@ class TestConditionSign:
             angles = sample_angles(rng, model)
             cs = condition_sign(model, angles)
             assert futaki_vanishes(model, angles) == cs
-            assert delta_tvariety(model, angles).futaki_sign == cs
+            assert -sign(delta_tvariety(model, angles).FM) == cs
             s1 = expected_vanishing_order(volume_curve(C1TILDE, model, angles))
             s2 = expected_vanishing_order(volume_curve(C2TILDE, model, angles))
             assert sign(angles.beta1 - s1) == cs
@@ -416,12 +416,12 @@ class TestCertification:
     def test_flipped_futaki_sign_is_caught(self, monkeypatch):
         model, angles = SurfaceModel(0, 2), Angles(HALF, HALF)
         report = delta_tvariety(model, angles)
-        assert report.futaki_sign == condition_sign(model, angles) == 1
+        assert -sign(report.FM) == condition_sign(model, angles) == 1
         flipped = tampered_minimum(kedge.verdict.delta_minimum,
-                                   lambda minimum: minimum._replace(futaki_sign=-1))
+                                   lambda minimum: minimum._replace(FM=-minimum.FM))
         monkeypatch.setattr(kedge.verdict, "delta_minimum", flipped)
         assert self.refusal(lambda: k_polystable(model, angles)) == (
-            "bracket sign 1 disagrees with the torus-side Futaki sign")
+            "torus-side first moment is not 2 (f2 - f1) at bracket sign 1")
 
     def test_tampered_ray_term_is_caught(self):
         minimum = self.minimum(SurfaceModel(0, 2), CONDITION_M2)

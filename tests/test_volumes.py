@@ -372,8 +372,8 @@ class TestSharedEngine:
             looked_up.append(support)
             return kept(model, support)
 
-        def spy(model, columns, start=(), curve=None):
-            grown = grow_support(model, columns, start, curve)
+        def spy(model, column, start=(), curve=None):
+            grown = grow_support(model, column, start, curve)
             supports.append(tuple(grown[0]))
             return grown
 
@@ -485,8 +485,8 @@ class TestSharedEngine:
     ):
         rounds = []
 
-        def spy(model, columns, start=(), curve=None):
-            grown = grow_support(model, columns, start, curve)
+        def spy(model, column, start=(), curve=None):
+            grown = grow_support(model, column, start, curve)
             rounds.append((list(start), grown[0]))
             return grown
 
@@ -596,9 +596,8 @@ class TestSharedEngine:
     def test_falling_coefficient_is_refused(self, monkeypatch):
         # No coefficient of the negative part falls along the ray, so the
         # sweep looks for no such wall; it refuses a chamber that has one.
-        def falling(model, columns, start=(), curve=None):
-            support, scale, (values, slopes), residuals = grow_support(model, columns, start,
-                                                                       curve)
+        def falling(model, column, start=(), curve=None):
+            support, scale, (values, slopes), residuals = grow_support(model, column, start, curve)
             return support, scale, ([a + 1 for a in values], [-1] * len(slopes)), residuals
 
         monkeypatch.setattr("kedge.volumes.grow_support", falling)
@@ -606,7 +605,7 @@ class TestSharedEngine:
             volume_curve(C1TILDE, SurfaceModel(0, 2), Angles(HALF, HALF))
 
     def test_support_growth_failure_is_refused(self, monkeypatch):
-        def refusing(model, columns, start=(), curve=None):
+        def refusing(model, column, start=(), curve=None):
             raise NotPseudoeffective("synthetic")
 
         monkeypatch.setattr("kedge.volumes.grow_support", refusing)
@@ -618,13 +617,14 @@ class TestSharedEngine:
 class TestClosedForms:
     def test_sweep_input_matches_the_generic_lattice(self, monkeypatch, rng):
         # The sweep's first columns are L r0 and r1 in integers, L the angles'
-        # common denominator, and its first chamber has an empty support
-        # (-K_Delta is ample), so that piece is D(x)^2 itself.
+        # common denominator: the value column it passes and the swept
+        # curve's slope column, read next to it.  Its first chamber has an
+        # empty support (-K_Delta is ample), so that piece is D(x)^2 itself.
         columns = []
 
-        def spy(model, cols, start=(), curve=None):
-            columns.append(cols)
-            return grow_support(model, cols, start, curve)
+        def spy(model, column, start=(), curve=None):
+            columns.append((column, zariski.swept_curve(model, curve).slope))
+            return grow_support(model, column, start, curve)
 
         monkeypatch.setattr("kedge.volumes.grow_support", spy)
         for n in range(7):

@@ -253,7 +253,7 @@ class TestGrowSupport:
             pairings = [model.intersect(d, model.class_of(c)) for c in candidates]
             denominator, *column = common_denominator(*pairings)
             try:
-                support, scale, (coeffs,), (residual,) = grow_support(model, (column,))
+                support, scale, (coeffs,), (residual,) = grow_support(model, column)
             except NotPseudoeffective:
                 continue
             assert scale > 0 and all(type(x) is int for x in coeffs + residual)
@@ -275,7 +275,7 @@ class TestGrowSupport:
         start = (candidates.index(C1TILDE), candidates.index(FiTilde(1)))
         column = [int(x) for x in model.pairings(zero_class(model))]
         with pytest.raises(NotPseudoeffective, match="support is not negative definite"):
-            grow_support(model, (column,), start)
+            grow_support(model, column, start)
 
     def test_negative_coefficient_is_refused(self):
         # F1tilde's pairings on (0, 2) from the start {E1}: orthogonality to
@@ -283,7 +283,7 @@ class TestGrowSupport:
         model = SurfaceModel(0, 2)
         column = [1, 0, 1, 0, -1, 0]  # C1tilde, C2tilde, E1, E2, F1tilde, F2tilde
         with pytest.raises(NotPseudoeffective) as raised:
-            grow_support(model, (column,), start=[2])
+            grow_support(model, column, start=[2])
         assert str(raised.value) == (
             "orthogonality forces a negative coefficient, which cannot happen "
             "for a pseudoeffective class"

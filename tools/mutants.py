@@ -201,9 +201,20 @@ MUTANTS = (
      '_check_orbit(True, "m=2: curve term',
      "tests/test_verdict.py::TestCertification::test_tampered_term_is_caught"),
     ("futaki-sign-off", "verdict.py",
-     "_check(futaki_sign == csign,",
+     "_check(fm == 2 * (f2 - f1),",
      "_check(True,",
      "tests/test_verdict.py::TestCertification::test_flipped_futaki_sign_is_caught"),
+    # The first moment checked only for its sign: a torus-route fault that
+    # keeps the sign, FM doubled, goes through.
+    ("futaki-check-signs-only", "verdict.py",
+     "_check(fm == 2 * (f2 - f1),",
+     "_check(sign(fm) == -csign,",
+     "tests/test_cli.py::TestInconsistencyExit::test_tampered_torus_integers_are_exit_2[delta-fm-doubled]"),
+    # The one spelling of the angle condition's cubics.
+    ("boundary-cubic-m-sign", "picard.py",
+     "(self.n - self.m)",
+     "(self.n + self.m)",
+     "tests/test_verdict.py::TestConditionSign::test_integer_bracket_matches_rational_bracket"),
     ("condition-point-self-check-off", "verdict.py",
      "if condition_sign(model, angles) != 0:",
      "if False:",
