@@ -170,9 +170,8 @@ def cmd_delta(n, m, beta1, beta2, approx, accept_decimal, output):
     )
     # One entry per S_m orbit, formatted once and listed under each name.
     for orbit in verdict.report.orbits:
-        term = verdict.report.term(orbit.name)
-        ratio = term.ratio
-        entry = {"A": format_rat(term.A), "S": format_rat(term.S), "ratio": format_rat(ratio)}
+        ratio = orbit.ratio
+        entry = {"A": format_rat(orbit.A), "S": format_rat(orbit.S), "ratio": format_rat(ratio)}
         if approx:
             entry["ratio_approx"] = float(ratio)
         for name in orbit.names():
@@ -284,8 +283,8 @@ def cmd_scan(n, m, beta1_grid, beta2_grid, approx, output):
         for grid in (grid1, grid2)
     )
     # Each point is decided on the angles' integer form (L, P1, P2), formed
-    # as ``Angles.scaled`` forms it, and delta = 2 VOL a_min / s_min is
-    # written in lowest terms; Fraction.__float__ is the same division.
+    # as ``Angles.scaled`` forms it, and delta = a_min / s_min is written
+    # in lowest terms; Fraction.__float__ is the same division.
     for p1, q1, exact1, approx1 in cells1:
         for p2, q2, exact2, approx2 in cells2:
             L = math.lcm(q1, q2)
@@ -293,10 +292,9 @@ def cmd_scan(n, m, beta1_grid, beta2_grid, approx, output):
             if minimum is None:
                 delta = delta_approx = ""
             else:
-                a_min, s_min, _, _, _, vol = minimum
-                num = 2 * vol * a_min
-                g = math.gcd(num, s_min)
-                num, den = num // g, s_min // g
+                a_min, s_min, _, _, _, _ = minimum
+                g = math.gcd(a_min, s_min)
+                num, den = a_min // g, s_min // g
                 delta = f"{num}/{den}"
                 delta_approx = repr(num / den) if approx else ""
             row = [exact1, exact2, str(csign), delta, status]

@@ -66,26 +66,28 @@ G are read off L, the angles and the duals), with no record around them;
 ``legendre_dual`` puts L in front.  A reader divides by the power of L it
 needs.
 
-The delta minimum stays on integers too, with one entry per S_m orbit.
-Each A is beta1, beta2 or 1, so L A is P1, P2 or L, and
-A/S = 2 VOL (L A) / (2 L VOL S).  ``delta_minimum(model, L, P1, P2)``
-keeps each orbit's L A and 2 L VOL S, canonical order, and nothing more
-per point.  One pass over the six orbits (four at m = 0) checks every
-S > 0, after VOL > 0, and finds a least A/S by cross-multiplying
-integers.  It returns plain integers and tuples, and the verdict compares
-delta = 2 VOL a_min / s_min and each orbit's A/S with 1 on them, so a
+The delta minimum stays on integers too, with one entry per S_m orbit,
+and every A and S is an integer over one denominator D = 2 L VOL: each S
+is a cross term's numerator over D, and each A is beta1, beta2 or 1, so
+its L A is P1, P2 or L and D A = 2 VOL (L A).  So an orbit's A/S is a/s
+and delta = a_min / s_min.  ``delta_minimum(model, L, P1, P2)`` keeps
+each orbit's a = D A and s = D S, canonical order, and nothing more per
+point.  One pass over the six orbits (four at m = 0) checks every S > 0,
+after VOL > 0, and finds a least A/S by cross-multiplying the small L A
+with s; the scale 2 VOL is applied once, after the search.  It returns
+plain integers and tuples, and the verdict compares a with s, so a
 ``scan`` row forms no record and no Fraction.  A ``DeltaReport`` is
 those integers followed by m and L, formed by ``delta_tvariety`` (after
 its ample check) and by ``verdict.k_polystable``, and the report forms
 delta, the one Fraction, when it is read.  An ``Orbit`` record, with its
-first name and size, is formed only when the report's orbits or
-witnesses are read, and a name is spelled only there: the CLI's
-per-divisor table reads the orbits once, a scan row never.
-``DeltaReport.term`` finds a
-name's orbit by ``picard.orbit_of``, which reads the name grammar, and
-forms that one term; ``picard.orbit_names`` spells an orbit's names, as it
-spells the surface's candidate curves.  ``FiberP0`` is a name of this
-route alone, which the name grammar does not read.
+first name, size, A and S, is formed only when the report's orbits or a
+term are read, and a name is spelled only there and in the witnesses:
+the CLI's per-divisor table reads the orbits once, a scan row never.
+``DeltaReport.term`` finds a name's orbit by ``picard.orbit_of``, which
+reads the name grammar, and forms that one record; ``picard.orbit_names``
+spells an orbit's names, as it spells the surface's candidate curves.
+``FiberP0`` is a name of this route alone, which the name grammar does
+not read.
 """
 from __future__ import annotations
 
@@ -201,17 +203,6 @@ def cross(W: tuple, HS2: int, psi: tuple) -> int:
     return HS2 - 2 * (psi[0] * w0 + psi[1] * w1 + psi[2] * w2)
 
 
-class ValuationTerm(NamedTuple):
-    """One competitor in the delta minimum: a valuation's A, S and A/S."""
-
-    A: object
-    S: object
-
-    @property
-    def ratio(self):
-        return self.A / self.S
-
-
 FIBER_P0 = "FiberP0"
 
 
@@ -223,12 +214,17 @@ def orbit_heads(m: int) -> tuple:
 
 
 class Orbit(NamedTuple):
-    """One S_m orbit of the delta minimum: every term in it has one A and one S."""
+    """One S_m orbit of the delta minimum: every term in it, a valuation of
+    one of the orbit's names, has this one A, S and A/S."""
 
     name: str  # first name, canonical order
     size: int
-    a: int  # L A, with A beta1, beta2 or 1
-    s: int  # 2 L VOL S, with L and VOL from the report
+    A: object  # Rat: beta1, beta2 or 1
+    S: object  # Rat
+
+    @property
+    def ratio(self):
+        return self.A / self.S
 
     def names(self) -> tuple:
         """Every name in the orbit, canonical order."""
@@ -238,47 +234,51 @@ class Orbit(NamedTuple):
 class DeltaReport(NamedTuple):
     """delta = min over ray and vertex valuations of A/S, with witnesses.
 
-    The terms are kept as integers, one L A and one 2 L VOL S per S_m
-    orbit.  A least orbit's integers give delta = 2 VOL a_min / s_min,
-    formed when read; the ``Orbit`` records, and the names they spell, are
-    formed only when the orbits or the witnesses are asked for."""
+    The terms are kept as integers over one denominator D = 2 L VOL, one
+    D A and one D S per S_m orbit, so each orbit's A/S is a/s and
+    delta = a_min / s_min, formed when read; the ``Orbit`` records, and
+    the names they spell, are formed only when the orbits or a term are
+    asked for."""
 
-    a_min: int  # L A of a least orbit
-    s_min: int  # its 2 L VOL S
+    a_min: int  # D A of a least orbit
+    s_min: int  # its D S
     FM: int  # 6 L^3 first moment; the Futaki sign is -sign(FM)
-    a: tuple  # L A of each orbit, canonical order
-    s: tuple  # 2 L VOL S of each orbit, canonical order
+    a: tuple  # D A of each orbit, canonical order
+    s: tuple  # D S of each orbit, canonical order
     VOL: int  # 6 L^2 vol
     m: int  # blown-up points: the E_i and the F~i orbits' size
     L: int  # lcm of the angles' denominators
 
     @property
     def delta(self):
-        return Rat(2 * self.VOL * self.a_min, self.s_min)
+        return Rat(self.a_min, self.s_min)
+
+    def _orbit(self, i: int) -> Orbit:
+        """The record of the orbit at position i, canonical order."""
+        den = 2 * self.L * self.VOL
+        return Orbit(*orbit_heads(self.m)[i], Rat(self.a[i], den), Rat(self.s[i], den))
 
     @property
     def orbits(self) -> tuple:
         """One ``Orbit`` record per S_m orbit, canonical order."""
-        return tuple(Orbit(name, size, a, s)
-                     for (name, size), a, s in zip(orbit_heads(self.m), self.a, self.s))
+        return tuple(map(self._orbit, range(len(self.s))))
 
     @property
     def witnesses(self) -> tuple:
         """Names of all terms attaining the minimum, canonical order."""
         a_min, s_min = self.a_min, self.s_min
-        return tuple(name for orbit in self.orbits if orbit.a * s_min == a_min * orbit.s
-                     for name in orbit.names())
+        return tuple(name for (first, size), a, s in zip(orbit_heads(self.m), self.a, self.s)
+                     if a * s_min == a_min * s for name in orbit_names(first, size))
 
-    def term(self, name: str) -> ValuationTerm:
-        """The term of ``name``, shared by its S_m orbit; KeyError for a
-        name with no term on this surface."""
+    def term(self, name: str) -> Orbit:
+        """The ``Orbit`` record of ``name``'s S_m orbit, the one term its
+        members share; KeyError for a name with no term on this surface."""
         firsts = [first for first, _ in orbit_heads(self.m)]
         try:
             i = firsts.index(name if name == FIBER_P0 else orbit_of(name, self.m)[0])
         except ValueError:  # no curve name, or PullbackC2: no orbit of this route
             raise KeyError(name) from None
-        L = self.L
-        return ValuationTerm(Rat(self.a[i], L), Rat(self.s[i], 2 * L * self.VOL))
+        return self._orbit(i)
 
 
 def delta_minimum(model: SurfaceModel, L: int, p1: int, p2: int) -> tuple:
@@ -294,9 +294,10 @@ def delta_minimum(model: SurfaceModel, L: int, p1: int, p2: int) -> tuple:
     one representative of the identical generic-fiber terms.
 
     S_m permutes the E_i and the F~i, so each orbit has one A and one S,
-    and the minimum keeps one L A and one 2 L VOL S per orbit.  One pass
-    over them checks S > 0 (InconsistencyError otherwise, as for VOL <= 0)
-    and finds a least A/S by cross-multiplying them (module docstring).
+    and the minimum keeps one a = D A and one s = D S per orbit, over
+    D = 2 L VOL.  One pass over them checks S > 0 (InconsistencyError
+    otherwise, as for VOL <= 0) and finds a least A/S by cross-multiplying
+    L A with s; a and a_min are scaled to D A after it (module docstring).
     """
     n, m = model.n, model.m
     psi_p0, psi_marked, psi_generic, W, VOL, FM, HS2 = scaled_duals(model, L, p1, p2)
@@ -308,14 +309,18 @@ def delta_minimum(model: SurfaceModel, L: int, p1: int, p2: int) -> tuple:
         cross_marked = cross(W, HS2, psi_marked)
         s += (cross_marked - 2 * FM, cross_marked)
     s += (cross(W, HS2, psi_p0) + 2 * n * FM + 4 * L * VOL, cross(W, HS2, psi_generic))
-    a = (p1, p2) + (L,) * (len(s) - 2)
+    vertical = len(s) - 2
+    la = (p1, p2) + (L,) * vertical
     a_min, s_min = p1, s[0]
     for i, si in enumerate(s):
         if si <= 0:
             raise InconsistencyError(f"torus route: S of {orbit_heads(m)[i][0]} is not positive")
-        if a[i] * s_min < a_min * si:
-            a_min, s_min = a[i], si
-    return a_min, s_min, FM, a, s, VOL
+        if la[i] * s_min < a_min * si:
+            a_min, s_min = la[i], si
+    # Searched on the small L A; D A = 2 VOL (L A).
+    two_vol = 2 * VOL
+    a = (two_vol * p1, two_vol * p2, *(two_vol * L,) * vertical)
+    return two_vol * a_min, s_min, FM, a, s, VOL
 
 
 def delta_tvariety(model: SurfaceModel, angles: Angles) -> DeltaReport:

@@ -22,10 +22,11 @@ answer when one of them fails.
 ``decide`` is the one decision path.  It reads the angles' integer form
 (L, P1, P2) and the torus route's ``delta_minimum`` and returns plain
 values, so ``scan`` calls it for each grid point with no ``Angles``,
-report, ``Verdict`` or Fraction formed, condition points included: the
-branch certificate reads the minimum's integers too.  ``k_polystable``
-wraps it and forms the ``Verdict`` and its one report.  The ample
-inequalities live in ``SurfaceModel.broken_ample_bound``, and
+report, ``Verdict`` or Fraction formed, condition points included.  The
+minimum keeps every A and S over one denominator, so delta = a_min / s_min,
+and each check, the branch certificate's too, compares an a with an s.
+``k_polystable`` wraps it and forms the ``Verdict`` and its one report.
+The ample inequalities live in ``SurfaceModel.broken_ample_bound``, and
 ``sampling.sample_angles`` restates them on its raw draws (its docstring
 says why).
 """
@@ -90,26 +91,24 @@ def _certify_polystable_branch(m: int, minimum: tuple):
     """Verify the hypotheses of the theorems behind the delta = 1 verdict on
     the integers of ``delta_minimum``, once per S_m orbit: an orbit's terms
     share one A and one S, and a failed check names the orbit's first curve.
-    A/S = 2 VOL (L A) / (2 L VOL S) with S > 0, so each comparison with 1
-    is one of integers."""
-    a_min, s_min, _, a, s, vol = minimum
-    two_vol = 2 * vol
-    if two_vol * a_min != s_min:
+    Each A and S is an integer over one denominator, A/S = a/s with s > 0,
+    so each comparison with 1 is one of integers."""
+    a_min, s_min, _, a, s, _ = minimum
+    if a_min != s_min:
         raise InconsistencyError(
-            f"condition point must have delta = 1, got {Rat(two_vol * a_min, s_min)}")
+            f"condition point must have delta = 1, got {Rat(a_min, s_min)}")
     for i in (0, 1):  # C~1 and C~2 lead the orbits
-        _check_orbit(two_vol * a[i] == s[i],
-                     "ray term {} must equal 1 at a condition point", m, i)
+        _check_orbit(a[i] == s[i], "ray term {} must equal 1 at a condition point", m, i)
     verticals = range(2, len(s))
     if m == 0:
         for i in verticals:
-            _check_orbit(two_vol * a[i] == s[i], "toric case: term {} must equal 1", m, i)
+            _check_orbit(a[i] == s[i], "toric case: term {} must equal 1", m, i)
     elif m == 2:
         for i in verticals[:2]:  # the E_i and the F~i orbits
-            _check_orbit(two_vol * a[i] == s[i], "m=2: curve term {} must equal 1", m, i)
+            _check_orbit(a[i] == s[i], "m=2: curve term {} must equal 1", m, i)
     else:  # m >= 3
         for i in verticals:
-            _check_orbit(two_vol * a[i] > s[i], "m>=3: vertical term {} must exceed 1", m, i)
+            _check_orbit(a[i] > s[i], "m>=3: vertical term {} must exceed 1", m, i)
 
 
 def decide(model, L: int, p1: int, p2: int) -> tuple:
@@ -121,7 +120,7 @@ def decide(model, L: int, p1: int, p2: int) -> tuple:
     the minimum is the torus route's ``delta_minimum``, and every branch
     cross-checks the facts it relies on (the first moment FM equal to
     2 (f2 - f1), delta <= 1, delta < 1 off the condition locus and for
-    m = 1, the term patterns at condition points).  delta = 2 VOL a_min / s_min
+    m = 1, the term patterns at condition points).  delta = a_min / s_min
     with s_min > 0, so each comparison of delta with 1 is one of integers,
     and no report, orbit name or Fraction is formed unless a check fails.
     """
@@ -130,13 +129,12 @@ def decide(model, L: int, p1: int, p2: int) -> tuple:
     if model.broken_ample_bound(L, p1, p2):
         return OUTSIDE_AMPLE_RANGE, csign, None, None
     minimum = delta_minimum(model, L, p1, p2)
-    a_min, s_min, fm, _, _, vol = minimum
+    a_min, s_min, fm, _, _, _ = minimum
     _check(fm == 2 * (f2 - f1),
            "torus-side first moment is not 2 (f2 - f1) at bracket sign {}", csign)
-    twice_vol_a = 2 * vol * a_min
-    if twice_vol_a > s_min:
+    if a_min > s_min:
         raise InconsistencyError(
-            f"delta = {Rat(twice_vol_a, s_min)} > 1 contradicts the necessity bound")
+            f"delta = {Rat(a_min, s_min)} > 1 contradicts the necessity bound")
 
     m = model.m
     if csign == 0 and m != 1:
@@ -144,9 +142,9 @@ def decide(model, L: int, p1: int, p2: int) -> tuple:
         branch = "toric (m=0)" if m == 0 else f"m={m}"
         return KPOLYSTABLE, csign, f"condition holds; {branch} branch hypotheses verified", minimum
     if csign == 0:
-        _check(twice_vol_a < s_min, "m=1 exclusion requires delta < 1 on the condition locus")
+        _check(a_min < s_min, "m=1 exclusion requires delta < 1 on the condition locus")
         return NOT_KPOLYSTABLE, csign, "m=1 exclusion: condition holds but delta < 1", minimum
-    _check(twice_vol_a < s_min, "delta must be < 1 off the condition locus")
+    _check(a_min < s_min, "delta must be < 1 off the condition locus")
     return NOT_KPOLYSTABLE, csign, _OFF_LOCUS_NOTES[csign], minimum
 
 

@@ -317,9 +317,8 @@ def tampered_minimum(delta_minimum, tamper):
 
 def with_delta(delta):
     """A ``tampered_minimum`` tamper: the least orbit's integers set so that
-    delta = 2 VOL a_min / s_min reads ``delta``."""
-    return lambda minimum: minimum._replace(a_min=delta.numerator,
-                                            s_min=2 * minimum.VOL * delta.denominator)
+    delta = a_min / s_min reads ``delta``."""
+    return lambda minimum: minimum._replace(a_min=delta.numerator, s_min=delta.denominator)
 
 
 def with_vol(scaled_duals, vol):

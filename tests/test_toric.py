@@ -6,14 +6,20 @@ coefficient a_rho in -K_Delta (the log discrepancy of its curve),
 S(D_rho) = a_rho + <bc(P), v_rho> and delta = min a_rho / S(D_rho)
 (Blum-Jonsson, Adv. Math. 2020, the toric case), and the pair is
 K-polystable exactly when bc(P) = 0 (Berman-Berndtsson, Ann. Fac. Sci.
-Toulouse 2013).  The polygon is built in exact rationals."""
+Toulouse 2013).  The polygon is built in exact rationals.
 
+Each ray carries a curve, named by ``ray_names`` and pinned by the
+intersection numbers the fan gives, so the polygon's terms and witnesses
+are compared with the torus route's by name."""
+
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kedge.picard import Angles, SurfaceModel
+from kedge.picard import C1TILDE, C2TILDE, GENERIC_FIBER, Angles, Ei, FiTilde, SurfaceModel
+from kedge.tvariety import FIBER_P0
 from kedge.verdict import (KPOLYSTABLE, NOT_KPOLYSTABLE, NotFound, condition_sign,
                            k_polystable, rational_condition_point)
 
@@ -29,6 +35,23 @@ def fan(n: int, m: int, beta1, beta2) -> list:
     if m >= 1:
         rays.append(((1, -1), 1))
     return rays
+
+
+def ray_names(n: int, m: int) -> dict:
+    """The curve names on each ray of ``fan``: C~1 and C~2 on (0, 1) and
+    (0, -1), E1 on (1, -1) and E2 on (-1, n - 1), F~1 on (1, 0) when m >= 1
+    and F~2 on (-1, n) when m = 2.  The other rays, (1, 0) at m = 0 and
+    (-1, n) at m <= 1, are fibers, whose terms are FiberP0's and
+    GenericFiber's."""
+    fiber = (FIBER_P0, GENERIC_FIBER)
+    names = {(0, 1): (C1TILDE,), (0, -1): (C2TILDE,),
+             (1, 0): (FiTilde(1),) if m >= 1 else fiber,
+             (-1, n): (FiTilde(2),) if m == 2 else fiber}
+    if m >= 1:
+        names[(1, -1)] = (Ei(1),)
+    if m == 2:
+        names[(-1, n - 1)] = (Ei(2),)
+    return names
 
 
 def barycenter(rays) -> tuple:
@@ -47,8 +70,13 @@ def barycenter(rays) -> tuple:
     return cx / (3 * twice_area), cy / (3 * twice_area)
 
 
+def ray_terms(rays, bc) -> list:
+    """(ray, a_rho, S(D_rho)) for each ray."""
+    return [((x, y), a, a + bc[0] * x + bc[1] * y) for (x, y), a in rays]
+
+
 def toric_delta(rays, bc):
-    return min(a / (a + bc[0] * x + bc[1] * y) for (x, y), a in rays)
+    return min(a / s for _, a, s in ray_terms(rays, bc))
 
 
 def fraction_of(bound):
@@ -76,9 +104,44 @@ def test_the_polygon_decides_as_the_verdict_does(point):
     rays = fan(n, m, angles.beta1, angles.beta2)
     bc = barycenter(rays)
     verdict = k_polystable(model, angles)
-    assert toric_delta(rays, bc) == verdict.delta
+    delta = toric_delta(rays, bc)
+    assert delta == verdict.delta
     assert (bc[1] == 0) == (condition_sign(model, angles) == 0)
     assert (verdict.status == KPOLYSTABLE) == (bc == (0, 0))
+    # Each ray's term is the torus route's term of its curve, and the
+    # curves on the rays attaining delta are the verdict's witnesses.
+    names = ray_names(n, m)
+    attaining = set()
+    for ray, a, s in ray_terms(rays, bc):
+        for name in names[ray]:
+            term = verdict.report.term(name)
+            assert (term.A, term.S) == (a, s), name
+        if a / s == delta:
+            attaining.update(names[ray])
+    assert attaining == set(verdict.witnesses)
+
+
+def test_ray_names_by_intersection_numbers():
+    # The fan's intersection numbers: a ray's self-intersection from
+    # v_(i-1) + v_(i+1) = -D_i^2 v_i, one point where adjacent rays meet,
+    # none elsewhere; against the lattice side's pairing of the named
+    # classes, a fiber ray read as GenericFiber.
+    for n, m in itertools.product(range(9), range(3)):
+        model = SurfaceModel(n, m)
+        rays = [v for v, _ in fan(n, m, 1, 1)]
+        names = ray_names(n, m)
+        assert set(names) == set(rays)
+        coords = [model.class_of(GENERIC_FIBER if names[v][0] == FIBER_P0 else names[v][0]).num
+                  for v in rays]
+        k = len(rays)
+        for i, (x, y) in enumerate(rays):
+            (x0, y0), (x1, y1) = rays[i - 1], rays[(i + 1) % k]
+            sx, sy = x0 + x1, y0 + y1
+            minus_square = sx // x if x else sy // y
+            assert (sx, sy) == (minus_square * x, minus_square * y)
+            for j in range(k):
+                expected = -minus_square if i == j else int((i - j) % k in (1, k - 1))
+                assert model.pair(coords[i], coords[j]) == expected, (n, m, i, j)
 
 
 def test_condition_points():

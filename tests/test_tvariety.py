@@ -439,8 +439,7 @@ class TestIntegerRoute:
     @example((SurfaceModel(0, 0), Angles(rat(3, 4), rat(3, 4))))  # every term 1
     @example((SurfaceModel(0, 2), Angles(rat(63, 128), rat(21, 32))))  # condition point
     @example((SurfaceModel(0, 1), Angles(rat(144, 125), rat(48, 25))))  # m = 1 locus
-    @example((SurfaceModel(0, 3),
-              rational_condition_point(SurfaceModel(0, 3), rat(3, 4))))  # m >= 3
+    @example((SurfaceModel(0, 3), Angles(rat(21, 64), rat(7, 16))))  # m >= 3 condition point
     @example((SurfaceModel(1, 3), Angles(rat(15, 23), rat(45, 46))))  # n > 0, m >= 3
     @example((SurfaceModel(1, 2), Angles(HALF, HALF)))  # m = 2n: the diagonal
     @settings(deadline=None)
@@ -508,6 +507,11 @@ class TestOrbitRecords:
         for name in names:
             term = report.term(name)
             assert (term.A, term.S) == reference.terms[name]
+        # One denominator D = 2 L VOL: each record's A and S are the
+        # report's integers over it.
+        den = 2 * report.L * report.VOL
+        assert [(orbit.A * den, orbit.S * den) for orbit in report.orbits] == list(
+            zip(report.a, report.s))
         # int refuses a string of over 4300 digits: a longer index is above m, unread.
         long_names = ("E" + "1" * 5000, "F" + "1" * 5000 + "tilde")
         for name in (Ei(model.m + 1), FiTilde(model.m + 1), "E0", PULLBACK_C2, *long_names):
@@ -520,8 +524,7 @@ class TestOrbitRecords:
         def scanned(report, name):
             for orbit in report.orbits:
                 if name in orbit.names():
-                    L, VOL = report.L, report.VOL
-                    return Rat(orbit.a, L), Rat(orbit.s, 2 * L * VOL)
+                    return orbit.A, orbit.S
             raise KeyError(name)
 
         for n, m in itertools.product(range(5), range(7)):

@@ -1,16 +1,19 @@
-"""No function that nothing calls and no constant that nothing reads:
-every module-level function, every method and every module-level
-assignment in ``src/kedge`` is read somewhere in ``src/kedge``.
+"""No function that nothing calls, no class that nothing uses and no
+constant that nothing reads: every module-level function, every
+module-level class, every method and every module-level assignment in
+``src/kedge`` is read somewhere in ``src/kedge``.
 
 A reference is a read (not an assignment) of the definition's name outside
 the definition's own body: a ``Name`` or an ``Attribute`` node for a
-function or a constant, and only an ``Attribute`` node (``x.name``) for a
-method, so a local variable that shares a method's name does not keep the
-method, nor does a method that calls itself.  Imports do not count, so a name
-that only ``__init__`` re-exports is not referenced.  Dunder methods are
-called by the language and dunder names are read by it; the allow-list holds
-documented library entry points that the package itself does not call and the
-names that only the benchmark reads.
+function, a class or a constant, and only an ``Attribute`` node
+(``x.name``) for a method, so a local variable that shares a method's name
+does not keep the method, nor does a method that calls itself.  A record or
+an exception that nothing in ``src/kedge`` constructs, raises, subclasses,
+catches or reads outside its own body is flagged.  Imports do not count, so
+a name that only ``__init__`` re-exports is not referenced.  Dunder methods
+are called by the language and dunder names are read by it; the allow-list
+holds documented library entry points that the package itself does not call
+and the names that only the benchmark reads.
 
 No record keeps a field that nothing reads: every annotated field of a
 ``NamedTuple`` and every name a class's ``__slots__`` lists (less
@@ -45,11 +48,12 @@ def _is_dunder(name: str) -> bool:
 
 def _definitions(module: str, tree: ast.Module):
     """(module.qualname, name, node, whether a method) of each module-level
-    function, method and assigned name."""
+    function, class, method and assigned name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield f"{module}.{node.name}", node.name, node, False
         elif isinstance(node, ast.ClassDef):
+            yield f"{module}.{node.name}", node.name, node, False
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     if not _is_dunder(item.name):

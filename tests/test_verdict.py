@@ -21,7 +21,7 @@ from kedge.picard import (
 )
 from kedge.ratmath import RatParseError, sign
 from kedge.sampling import sample_angles, sample_surface
-from kedge.tvariety import Orbit, ValuationTerm, delta_minimum, delta_tvariety, orbit_heads
+from kedge.tvariety import Orbit, delta_minimum, delta_tvariety, orbit_heads
 from kedge.verdict import (
     KPOLYSTABLE,
     NOT_KPOLYSTABLE,
@@ -181,7 +181,7 @@ class TestTorusWork:
             "_encoded_class": (kedge.tvariety, "_encoded_class"),
             "Rat": (kedge.tvariety, "Rat"),
             "verdict.Rat": (kedge.verdict, "Rat"),
-            "ValuationTerm": (kedge.tvariety, "ValuationTerm"),
+            "Orbit": (kedge.tvariety, "Orbit"),
             "names": (Orbit, "names"),
             "log_anticanonical": (SurfaceModel, "log_anticanonical"),
             "broken_ample_bound": (SurfaceModel, "broken_ample_bound"),
@@ -276,6 +276,9 @@ class TestConditionPoints:
             rat(9, 14), rat(3, 7))
         assert rational_condition_point(SurfaceModel(1, 3), rat(2, 3)) == Angles(
             rat(15, 23), rat(45, 46))
+        # At n = 0, m >= 3; test_tvariety.py takes this point as a literal.
+        assert rational_condition_point(SurfaceModel(0, 3), rat(3, 4)) == Angles(
+            rat(21, 64), rat(7, 16))
 
     def test_string_parameter_is_read_by_the_literal_grammar(self):
         # As Angles reads a string: the CLI's grammar and bounds, decimals
@@ -378,9 +381,10 @@ class TestConditionPoints:
 
 
 class TestCertification:
-    """Each check reads the integers of the torus minimum: an orbit's L A
-    and 2 L VOL S, and the least orbit's (a_min, s_min), with
-    delta = 2 VOL a_min / s_min.  The tamperings set those integers."""
+    """Each check reads the integers of the torus minimum: an orbit's A and
+    S over one denominator D = 2 L VOL, and the least orbit's
+    (a_min, s_min), with delta = a_min / s_min.  The tamperings set those
+    integers."""
 
     @staticmethod
     def minimum(model, angles):
@@ -388,7 +392,7 @@ class TestCertification:
 
     @staticmethod
     def with_orbit_s(minimum, m, name, s):
-        """``minimum`` with the 2 L VOL S of the orbit led by ``name`` set to ``s(old)``."""
+        """``minimum`` with the D S of the orbit led by ``name`` set to ``s(old)``."""
         firsts = [first for first, _ in orbit_heads(m)]
         return minimum._replace(s=tuple(
             s(old) if first == name else old for first, old in zip(firsts, minimum.s)))
@@ -444,7 +448,7 @@ class TestCertification:
 
     def test_vertical_term_equal_to_one_at_m3_is_caught(self):
         # A/S = 1 exactly is not enough at m >= 3: the E orbit's S set to
-        # A = 1, that is 2 L VOL S = 2 L VOL.
+        # A = 1, that is D S = D = 2 L VOL.
         model = SurfaceModel(0, 3)
         angles = rational_condition_point(model, rat(2, 3))
         minimum = self.minimum(model, angles)
@@ -480,6 +484,6 @@ class TestCertification:
             _check(False, "delta = {}", 3)
 
     def test_valuation_term_ratio(self):
-        t = ValuationTerm(A=rat(3, 2), S=rat(3, 4))
+        t = Orbit("C1tilde", 1, A=rat(3, 2), S=rat(3, 4))
         assert t.ratio == 2
         assert t._replace(S=rat(1, 2)).ratio == 3
