@@ -6,8 +6,9 @@ surface blown up at m points of the positive section, by computing the
 stability threshold (delta-invariant) in rational arithmetic two ways:
 a Zariski-decomposition volume sweep and complexity-one torus
 combinatorics, whose Legendre duals are exact as their values at
-(-beta1, 0, beta2).  A verdict runs the torus route and checks the bracket
-sign against the Futaki sign, delta <= 1 and its branch's term pattern;
+(-beta1, 0, beta2).  A verdict runs the torus route and checks its first
+moment against the angle condition, delta against 1 and, at a condition
+point, every orbit's A - S against the theorem's table;
 ``verify`` compares A and S per curve with the sweep route.
 """
 

@@ -29,16 +29,19 @@ extra inequality on the angles (the second wall must sit to the right of
 the first); outside that range :func:`closed_form_volume_curve` returns
 ``None`` and only the sweep applies.  A curve is returned as the tuple of
 its ``QuadraticPiece``s, the form the sweep returns, so the two compare
-with ``==``.  Each S is one ``Rat`` over 3 L V, with V = L^2 vol(-K_Delta),
-its numerator written in V and the two cubics of the angle condition that
-``SurfaceModel.boundary_cubics`` spells for the verdict too.
+with ``==``.  Each S, the generic fiber's too, is one ``Rat`` over 3 L V,
+with V = L^2 vol(-K_Delta), its numerator 3 (L A) V - alpha f1 - beta f2:
+(f1, f2) are the two cubics of the angle condition
+(``SurfaceModel.boundary_cubics``) and (alpha, beta) is the curve's row of
+``SurfaceModel.cubic_weights``, the table that the verdict reads too.
 """
 
 from __future__ import annotations
 
 from itertools import pairwise
 
-from .picard import C1TILDE, C2TILDE, E1, F1TILDE, FiTilde, QuadraticPiece, orbit_of
+from .picard import (C1TILDE, C2TILDE, E1, F1TILDE, GENERIC_FIBER, PULLBACK_C2, FiTilde,
+                     QuadraticPiece, orbit_of)
 from .ratmath import Rat
 
 
@@ -93,36 +96,34 @@ def classify_exceptional_case(model, angles) -> str | None:
     return CASE_C2_FIRST if p1 + (m - n) * p2 <= 2 * L else None
 
 
+# Each curve's row of ``SurfaceModel.cubic_weights``: the generic fiber's
+# is the last, after FiberP0's, a name of the torus route alone.
+_WEIGHT_ROW = {C1TILDE: 0, C2TILDE: 1, E1: 2, F1TILDE: 3, GENERIC_FIBER: -1}
+
+
 def closed_form_S(E, model, angles) -> Rat | None:
     """Expected vanishing order along ``E`` via the closed forms.
 
-    Covers C~1, C~2 and every E_i and F~i, told apart by
-    ``picard.orbit_of``; the generic fiber and the pulled-back section
-    return ``None``, and a name that is not a curve of the surface is
-    refused with ``class_of``'s ValueError.  S is one Rat over 3 L V, its
-    numerator written in V and the angle condition's cubics (f1, f2) of
-    ``SurfaceModel.boundary_cubics``, f1 - f2 being 3 L^3 times the angle
-    bracket: 3 P1 V - 2 (f1 - f2) for C~1 and 3 P2 V + 2 (f1 - f2) for
-    C~2, that is S = beta1 - 2 bracket / vol and beta2 + 2 bracket / vol;
-    3 L V + b f2 - a f1 for E_i and F~i, with a pair (a, b) that is
-    E_i's or F~i's.
+    Covers C~1, C~2, every E_i and F~i and the generic fiber, told apart
+    by ``picard.orbit_of``; the pulled-back section returns ``None``, and
+    a name that is not a curve of the surface is refused with
+    ``class_of``'s ValueError.  S is one Rat over 3 L V, one formula for
+    every curve: 3 (L A) V - alpha f1 - beta f2, with L A = P1, P2 or L,
+    (f1, f2) the angle condition's cubics of ``boundary_cubics`` and
+    (alpha, beta) the curve's row of ``SurfaceModel.cubic_weights``.  For
+    C~1 and C~2 it is S = beta1 - 2 bracket / vol and beta2 + 2 bracket / vol.
     """
     model.ensure_ample(angles)
     n, m = model.n, model.m
     first, _ = orbit_of(E, m)
+    if first == PULLBACK_C2:
+        return None
     L, p1, p2 = angles.scaled
     V = _scaled_volume(n, m, L, p1, p2)
-    den = 3 * L * V
     f1, f2 = model.boundary_cubics(L, p1, p2)
-    if E == C1TILDE:
-        return Rat(3 * p1 * V - 2 * (f1 - f2), den)
-    if E == C2TILDE:
-        return Rat(3 * p2 * V + 2 * (f1 - f2), den)
-    if first not in (E1, F1TILDE):
-        return None
-    # (a, b) is E_i's; F~i = F - E_i, whose a and b are both 2 more.
-    a, b = (n - 2, n - m) if first == E1 else (n, n - m + 2)
-    return Rat(den + b * f2 - a * f1, den)
+    alpha, beta = model.cubic_weights()[_WEIGHT_ROW[first]]
+    la = {C1TILDE: p1, C2TILDE: p2}.get(first, L)
+    return Rat(3 * la * V - alpha * f1 - beta * f2, 3 * L * V)
 
 
 def _freeze(L, walls, chambers) -> tuple:

@@ -33,6 +33,11 @@ The boundary is Delta = (1-beta1) C~1 + (1-beta2) C~2 with cone angles
     -K_{S,Delta}  =  (beta1+beta2) pi^* C2 + (2 - n beta1) pi^* F
                      - beta2 sum_i E_i.
 
+The angle condition is read on the surface too: its two cubics
+(``boundary_cubics``) and the six (alpha, beta) rows that write every
+torus orbit's A - S in them (``cubic_weights``), the torus route's side
+of the paper's theorem, which the closed forms and the verdict read.
+
 The two exceptions of the CLI contract live here too, where every route
 reaches them without loading another: ``OutsideAmpleRange`` and
 ``InconsistencyError`` (exit 2).  So does ``QuadraticPiece``, the piece of
@@ -395,6 +400,24 @@ class SurfaceModel(Value):
         beta2^3, so f1 - f2 is 3 L^3 times the angle bracket.  The verdict
         and the closed forms read the condition here alone."""
         return (3 * L - self.n * p1) * p1 * p1, (3 * L + (self.n - self.m) * p2) * p2 * p2
+
+    def cubic_weights(self) -> tuple:
+        """(alpha, beta) of each S_m orbit of the torus route's delta
+        minimum, in its order: C~1 (2, -2), C~2 (-2, 2), E_i (n - 2, m - n)
+        and F~i (n, m - n - 2), absent at m = 0, then FiberP0 and the
+        generic fiber, both (n, m - n).  An orbit's A and S are linear in
+        the two ``boundary_cubics`` (f1, f2): over 3 L V, V = L^2 vol,
+
+            S = (3 (L A) V - alpha f1 - beta f2) / (3 L V),
+
+        with L A = P1, P2 or L, which on the integers of
+        ``tvariety.delta_minimum`` is a - s = 2 (alpha f1 + beta f2).  This
+        is the torus route's side of the paper's theorem, and the one
+        spelling of these rows: the closed forms read S from it, and the
+        verdict checks every orbit against it at a condition point."""
+        n, m = self.n, self.m
+        curves = ((n - 2, m - n), (n, m - n - 2)) if m else ()
+        return (2, -2), (-2, 2), *curves, (n, m - n), (n, m - n)
 
     def is_nef(self, d: DivisorClass) -> bool:
         """Nefness test.

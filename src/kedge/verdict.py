@@ -8,10 +8,21 @@ read as f1 - f2 from ``SurfaceModel.boundary_cubics``, which spells the
 two cubics once for the verdict and the closed forms: f1 - f2 is 3 L^3
 times the bracket.  The polystable verdict fires only when it is exactly
 zero (the condition cuts a codimension-1 locus; no tolerance is
-meaningful in exact arithmetic).  The torus route's FM, 6 L^3 times the
-first moment of deg Psi, is -6 L^3 times the bracket, so every verdict
-checks the exact identity FM = 2 (f2 - f1), which implies that the Futaki
-sign -sign(FM) is the bracket's.  ``rational_condition_point`` gives
+meaningful in exact arithmetic).
+
+The torus route's side of the paper's theorem is one table,
+``SurfaceModel.cubic_weights``: on the integers of ``delta_minimum``
+every S_m orbit has a - s = 2 (alpha f1 + beta f2), with its row
+(alpha, beta).  Both cubics are positive on the ample range.  Every
+verdict checks the exact identity FM = 2 (f2 - f1), FM being 6 L^3 times
+the first moment of deg Psi; it is exactly the C~1 and C~2 rows, since
+a0 - s0 = -2 FM and a1 - s1 = 2 FM, and it implies that the Futaki sign
+-sign(FM) is the bracket's.  Off the condition locus one of those two rows is
+negative, so delta < 1, which the verdict checks.  At a condition point,
+f1 = f2 = f, the verdict checks every row, a - s = 2 (alpha + beta) f:
+alpha + beta is 0 for C~1 and C~2, m - 2 for E_i and F~i and m for the
+fibers, so delta = 1 unless m = 1, where E_i and F~i give delta < 1; it
+checks those two as well.  ``rational_condition_point`` gives
 exact points of that locus at every (n, m) from one formula, the line
 through the cubic's node, with one split case: for m = 2n the locus holds
 the diagonal.  The verdict cross-checks the
@@ -24,7 +35,7 @@ answer when one of them fails.
 values, so ``scan`` calls it for each grid point with no ``Angles``,
 report, ``Verdict`` or Fraction formed, condition points included.  The
 minimum keeps every A and S over one denominator, so delta = a_min / s_min,
-and each check, the branch certificate's too, compares an a with an s.
+and each check, the rows' too, compares integers.
 ``k_polystable`` wraps it and forms the ``Verdict`` and its one report.
 The ample inequalities live in ``SurfaceModel.broken_ample_bound``, and
 ``sampling.sample_angles`` restates them on its raw draws (its docstring
@@ -87,30 +98,6 @@ def _check_orbit(condition: bool, message: str, m: int, i: int):
         raise InconsistencyError(message.format(orbit_heads(m)[i][0]))
 
 
-def _certify_polystable_branch(m: int, minimum: tuple):
-    """Verify the hypotheses of the theorems behind the delta = 1 verdict on
-    the integers of ``delta_minimum``, once per S_m orbit: an orbit's terms
-    share one A and one S, and a failed check names the orbit's first curve.
-    Each A and S is an integer over one denominator, A/S = a/s with s > 0,
-    so each comparison with 1 is one of integers."""
-    a_min, s_min, _, a, s, _ = minimum
-    if a_min != s_min:
-        raise InconsistencyError(
-            f"condition point must have delta = 1, got {Rat(a_min, s_min)}")
-    for i in (0, 1):  # C~1 and C~2 lead the orbits
-        _check_orbit(a[i] == s[i], "ray term {} must equal 1 at a condition point", m, i)
-    verticals = range(2, len(s))
-    if m == 0:
-        for i in verticals:
-            _check_orbit(a[i] == s[i], "toric case: term {} must equal 1", m, i)
-    elif m == 2:
-        for i in verticals[:2]:  # the E_i and the F~i orbits
-            _check_orbit(a[i] == s[i], "m=2: curve term {} must equal 1", m, i)
-    else:  # m >= 3
-        for i in verticals:
-            _check_orbit(a[i] > s[i], "m>=3: vertical term {} must exceed 1", m, i)
-
-
 def decide(model, L: int, p1: int, p2: int) -> tuple:
     """The main decision on the angles' integer form (L, P1, P2):
     (status, condition sign, note, minimum), KPolystable iff the bracket
@@ -118,34 +105,38 @@ def decide(model, L: int, p1: int, p2: int) -> tuple:
 
     Outside the ample range the note and the minimum are None.  Within it
     the minimum is the torus route's ``delta_minimum``, and every branch
-    cross-checks the facts it relies on (the first moment FM equal to
-    2 (f2 - f1), delta <= 1, delta < 1 off the condition locus and for
-    m = 1, the term patterns at condition points).  delta = a_min / s_min
-    with s_min > 0, so each comparison of delta with 1 is one of integers,
-    and no report, orbit name or Fraction is formed unless a check fails.
+    cross-checks the facts it relies on: the first moment FM equal to
+    2 (f2 - f1), delta < 1 off the condition locus, and at a condition
+    point (f1 = f2 = f) every orbit's a - s equal to 2 (alpha + beta) f,
+    its row of ``SurfaceModel.cubic_weights``, then delta = 1, or
+    delta < 1 for m = 1.  delta = a_min / s_min with s_min > 0, so each
+    comparison of delta with 1 is one of integers, and no report, orbit
+    name or Fraction is formed unless a check fails.
     """
     f1, f2 = model.boundary_cubics(L, p1, p2)
     csign = sign(f1 - f2)
     if model.broken_ample_bound(L, p1, p2):
         return OUTSIDE_AMPLE_RANGE, csign, None, None
     minimum = delta_minimum(model, L, p1, p2)
-    a_min, s_min, fm, _, _, _ = minimum
+    a_min, s_min, fm, a, s, _ = minimum
     _check(fm == 2 * (f2 - f1),
            "torus-side first moment is not 2 (f2 - f1) at bracket sign {}", csign)
-    if a_min > s_min:
-        raise InconsistencyError(
-            f"delta = {Rat(a_min, s_min)} > 1 contradicts the necessity bound")
+    if csign:
+        _check(a_min < s_min, "delta must be < 1 off the condition locus")
+        return NOT_KPOLYSTABLE, csign, _OFF_LOCUS_NOTES[csign], minimum
 
     m = model.m
-    if csign == 0 and m != 1:
-        _certify_polystable_branch(m, minimum)
-        branch = "toric (m=0)" if m == 0 else f"m={m}"
-        return KPOLYSTABLE, csign, f"condition holds; {branch} branch hypotheses verified", minimum
-    if csign == 0:
+    for i, (alpha, beta) in enumerate(model.cubic_weights()):
+        _check_orbit(a[i] - s[i] == 2 * (alpha + beta) * f1,
+                     "term {} breaks a - s = 2 (alpha + beta) f at a condition point", m, i)
+    if m == 1:
         _check(a_min < s_min, "m=1 exclusion requires delta < 1 on the condition locus")
         return NOT_KPOLYSTABLE, csign, "m=1 exclusion: condition holds but delta < 1", minimum
-    _check(a_min < s_min, "delta must be < 1 off the condition locus")
-    return NOT_KPOLYSTABLE, csign, _OFF_LOCUS_NOTES[csign], minimum
+    if a_min != s_min:
+        raise InconsistencyError(
+            f"condition point must have delta = 1, got {Rat(a_min, s_min)}")
+    branch = "toric (m=0)" if m == 0 else f"m={m}"
+    return KPOLYSTABLE, csign, f"condition holds; {branch} branch hypotheses verified", minimum
 
 
 def k_polystable(model, angles: Angles) -> Verdict:

@@ -24,8 +24,8 @@ import pytest
 
 from kedge.closedforms import CASE_C1_FIRST, CASE_C2_FIRST, CASE_N_GE_M, CASE_N_ZERO
 from kedge.linalg import NotNegativeDefinite
-from kedge.picard import (C1TILDE, C2TILDE, Angles, DivisorClass, InconsistencyError,
-                          SurfaceModel, _kept, per_surface)
+from kedge.picard import (C1TILDE, C2TILDE, GENERIC_FIBER, Angles, DivisorClass,
+                          InconsistencyError, SurfaceModel, _kept, per_surface)
 from kedge.ratmath import ZERO, Rat, isqrt_exact, sign
 from kedge.sampling import MAX_DENOMINATOR, MAX_TRIES, MAX_VALUE
 from kedge.tvariety import cross, legendre_dual
@@ -541,6 +541,9 @@ def reference_closed_form_S(E, model, angles) -> Rat | None:
             + (n * n * b1**3 + (n - m + 2) * (n - m) * b2**3) / Rat(3)
         )
         return 1 + inner / vol
+    if E == GENERIC_FIBER:
+        # S (-K_Delta)^2 = [b1 ((n b1 - 3)^2 + 3) + b2 (((m - n) b2 - 3)^2 + 3)] / 3
+        return (b1 * ((n * b1 - 3) ** 2 + 3) + b2 * (((m - n) * b2 - 3) ** 2 + 3)) / (3 * vol)
     return None
 
 

@@ -55,7 +55,7 @@ DELTA_ARGS_COPRIME = [
     "delta", "--n", "1", "--m", "6",
     "--beta1", "765433/999983", "--beta2", "345679/999979",
 ]
-# A condition point with n > 0 and m >= 3: the m >= 3 branch certificate.
+# A condition point with n > 0 and m >= 3, where every orbit but C~1 and C~2 has A > S.
 DELTA_ARGS_CONDITION = ["delta", "--n", "1", "--m", "3", "--beta1", "15/23", "--beta2", "45/46"]
 # A grid through the condition point (63/128, 21/32) of (0, 2).
 SCAN_ARGS_CONDITION = [
@@ -728,8 +728,8 @@ class TestInconsistencyExit:
         assert calls == {"broken_ample_bound": 25, "delta_minimum": 25, "scaled_duals": 25}
 
     def test_scan_condition_point_forms_no_report(self, capsys, monkeypatch):
-        # The one condition point of the grid, (63/128, 21/32), runs its
-        # branch certificate on the minimum's integers: no report, no orbit
+        # The one condition point of the grid, (63/128, 21/32), checks every
+        # orbit's row on the minimum's integers: no report, no orbit
         # record, no name and no Fraction, as at every other point.
         rows, calls = self.count_scan_work(capsys, monkeypatch, SCAN_ARGS_CONDITION)
         assert len(rows) == 15
@@ -753,7 +753,7 @@ class TestInconsistencyExit:
         (kedge.tvariety, "scaled_duals", lambda fn: with_fm(fn, 2),
          "torus-side first moment is not 2 (f2 - f1) at bracket sign 1"),
         (kedge.verdict, "delta_minimum", lambda fn: tampered_minimum(fn, with_delta(rat(3, 2))),
-         "delta = 3/2 > 1 contradicts the necessity bound"),
+         "delta must be < 1 off the condition locus"),
         (kedge.tvariety, "scaled_duals", lambda fn: with_vol(fn, 0),
          "torus route: vol is not positive"),
         (kedge.tvariety, "scaled_duals", lambda fn: with_vol(fn, -1),

@@ -25,7 +25,7 @@ from kedge.picard import (C1TILDE, C2TILDE, GENERIC_FIBER, PULLBACK_C2, Angles, 
 from kedge.ratmath import Rat
 from kedge.sampling import LEMMA_CASES
 from kedge.tvariety import FIBER_P0
-from kedge.volumes import expected_vanishing_order
+from kedge.volumes import expected_vanishing_order, volume_curve
 
 # Every p/q in (0, 2] with q <= 3: the grid each angle is drawn from.
 GRID = sorted({Rat(p, q) for q in range(1, 4) for p in range(1, 2 * q + 1)})
@@ -132,8 +132,8 @@ def test_oracle_curves_integrate_to_their_S_at_large_m():
 def test_a_name_that_is_no_curve_of_the_surface_is_refused():
     # The closed forms read a name through ``picard.orbit_of``, as
     # ``class_of`` does, and refuse what it refuses, with its message; the
-    # generic fiber and the pulled-back section are curves with no closed
-    # form.
+    # pulled-back section is a curve with no closed form, and the generic
+    # fiber has a closed-form S, the sweep's, but no closed-form curve.
     model, angles = SurfaceModel(0, 3), Angles(Rat(1, 2), Rat(1, 2))
     long_index = "E" + "9" * 5000
     for name in (Ei(7), long_index, FIBER_P0):
@@ -146,8 +146,10 @@ def test_a_name_that_is_no_curve_of_the_surface_is_refused():
     assert str(expected.value) == "unknown curve name 'FiberP0'"
     with pytest.raises(ValueError, match=r"^curve E7 out of range for m=3$"):
         closed_form_S(Ei(7), model, angles)
+    assert closed_form_S(GENERIC_FIBER, model, angles) == expected_vanishing_order(
+        volume_curve(GENERIC_FIBER, model, angles))
+    assert closed_form_S(PULLBACK_C2, model, angles) is None
     for name in (GENERIC_FIBER, PULLBACK_C2):
-        assert closed_form_S(name, model, angles) is None
         assert closed_form_volume_curve(name, model, angles) is None
 
 

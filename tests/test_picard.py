@@ -94,7 +94,7 @@ def test_angles_read_a_string_by_the_literal_grammar():
 
 @pytest.mark.parametrize("beta1, beta2, shown", [
     ("0", "1/2", "0, 1/2"), ("1/2", "-1/2", "1/2, -1/2"), (rat(-1, 2), 1, "-1/2, 1"),
-    (0, rat(0), "0, 0"), ("-6/4", "1", "-3/2, 1"),
+    (0, rat(0), "0, 0"), ("-6/4", "1", "-3/2, 1"), ("1/2", "0", "1/2, 0"),
 ])
 def test_angles_refuse_a_nonpositive_angle(beta1, beta2, shown):
     with pytest.raises(ValueError) as raised:

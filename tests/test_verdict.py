@@ -28,9 +28,9 @@ from kedge.verdict import (
     OUTSIDE_AMPLE_RANGE,
     InconsistencyError,
     NotFound,
-    _certify_polystable_branch,
     _check,
     condition_sign,
+    decide,
     k_polystable,
     rational_condition_point,
 )
@@ -167,7 +167,7 @@ class TestTorusWork:
         # verdict only, and the surface's next verdict reads the kept one.
         # delta is the one Fraction formed (by the report, not by the
         # decision) and no Fraction is compared:
-        # every check, the branch certificate at a condition point too,
+        # every check, the rows' at a condition point too,
         # reads integers.  No term is formed and no name is spelled.
         clear_per_surface_caches()
         calls = collections.Counter()
@@ -384,17 +384,18 @@ class TestCertification:
     """Each check reads the integers of the torus minimum: an orbit's A and
     S over one denominator D = 2 L VOL, and the least orbit's
     (a_min, s_min), with delta = a_min / s_min.  The tamperings set those
-    integers."""
+    integers, and ``decide`` refuses them."""
 
     @staticmethod
     def minimum(model, angles):
         return Minimum(*delta_minimum(model, *angles.scaled))
 
     @staticmethod
-    def with_orbit_s(minimum, m, name, s):
-        """``minimum`` with the D S of the orbit led by ``name`` set to ``s(old)``."""
+    def with_orbit_s(m, name, s):
+        """A ``tampered_minimum`` tamper: the D S of the orbit led by
+        ``name`` set to ``s(old)``."""
         firsts = [first for first, _ in orbit_heads(m)]
-        return minimum._replace(s=tuple(
+        return lambda minimum: minimum._replace(s=tuple(
             s(old) if first == name else old for first, old in zip(firsts, minimum.s)))
 
     @staticmethod
@@ -403,18 +404,23 @@ class TestCertification:
             call()
         return str(raised.value)
 
-    def test_tampered_term_is_caught(self):
-        # The E orbit's S doubled: E1 and E2 read A/S = 1/2, not 1.
-        minimum = self.minimum(SurfaceModel(0, 2), CONDITION_M2)
-        tampered = self.with_orbit_s(minimum, 2, "E1", lambda s: 2 * s)
-        assert self.refusal(lambda: _certify_polystable_branch(2, tampered)) == (
-            "m=2: curve term E1 must equal 1")
+    def refused(self, monkeypatch, model, angles, tamper) -> str:
+        """``decide``'s refusal at ``angles``, which it accepts untampered,
+        with the torus minimum passed through ``tamper``."""
+        assert decide(model, *angles.scaled)[0] in (KPOLYSTABLE, NOT_KPOLYSTABLE)
+        monkeypatch.setattr(kedge.verdict, "delta_minimum",
+                            tampered_minimum(kedge.verdict.delta_minimum, tamper))
+        return self.refusal(lambda: decide(model, *angles.scaled))
 
-    def test_tampered_delta_is_caught(self):
-        minimum = self.minimum(SurfaceModel(0, 2), CONDITION_M2)
-        _certify_polystable_branch(2, minimum)
-        tampered = with_delta(rat(9, 10))(minimum)
-        assert self.refusal(lambda: _certify_polystable_branch(2, tampered)) == (
+    def test_tampered_term_is_caught(self, monkeypatch):
+        # The E orbit's S doubled: E1 and E2 read A/S = 1/2, not 1.
+        tamper = self.with_orbit_s(2, "E1", lambda s: 2 * s)
+        assert self.refused(monkeypatch, SurfaceModel(0, 2), CONDITION_M2, tamper) == (
+            "term E1 breaks a - s = 2 (alpha + beta) f at a condition point")
+
+    def test_tampered_delta_is_caught(self, monkeypatch):
+        tamper = with_delta(rat(9, 10))
+        assert self.refused(monkeypatch, SurfaceModel(0, 2), CONDITION_M2, tamper) == (
             "condition point must have delta = 1, got 9/10")
 
     def test_flipped_futaki_sign_is_caught(self, monkeypatch):
@@ -427,49 +433,51 @@ class TestCertification:
         assert self.refusal(lambda: k_polystable(model, angles)) == (
             "torus-side first moment is not 2 (f2 - f1) at bracket sign 1")
 
-    def test_tampered_ray_term_is_caught(self):
-        minimum = self.minimum(SurfaceModel(0, 2), CONDITION_M2)
-        tampered = self.with_orbit_s(minimum, 2, "C1tilde", lambda s: 2 * s)
-        assert self.refusal(lambda: _certify_polystable_branch(2, tampered)) == (
-            "ray term C1tilde must equal 1 at a condition point")
+    def test_tampered_ray_term_is_caught(self, monkeypatch):
+        tamper = self.with_orbit_s(2, "C1tilde", lambda s: 2 * s)
+        assert self.refused(monkeypatch, SurfaceModel(0, 2), CONDITION_M2, tamper) == (
+            "term C1tilde breaks a - s = 2 (alpha + beta) f at a condition point")
 
-    def test_tampered_toric_term_is_caught(self):
+    def test_tampered_toric_term_is_caught(self, monkeypatch):
         model = SurfaceModel(2, 0)
-        minimum = self.minimum(model, rational_condition_point(model, rat(3, 2)))
-        tampered = self.with_orbit_s(minimum, 0, "FiberP0", lambda s: 2 * s)
-        assert self.refusal(lambda: _certify_polystable_branch(0, tampered)) == (
-            "toric case: term FiberP0 must equal 1")
+        tamper = self.with_orbit_s(0, "FiberP0", lambda s: 2 * s)
+        angles = rational_condition_point(model, rat(3, 2))
+        assert self.refused(monkeypatch, model, angles, tamper) == (
+            "term FiberP0 breaks a - s = 2 (alpha + beta) f at a condition point")
 
-    def test_tampered_fiber_orbit_at_m2_is_caught(self):
-        minimum = self.minimum(SurfaceModel(0, 2), CONDITION_M2)
-        tampered = self.with_orbit_s(minimum, 2, "F1tilde", lambda s: 2 * s)
-        assert self.refusal(lambda: _certify_polystable_branch(2, tampered)) == (
-            "m=2: curve term F1tilde must equal 1")
+    def test_tampered_fiber_orbit_at_m2_is_caught(self, monkeypatch):
+        tamper = self.with_orbit_s(2, "F1tilde", lambda s: 2 * s)
+        assert self.refused(monkeypatch, SurfaceModel(0, 2), CONDITION_M2, tamper) == (
+            "term F1tilde breaks a - s = 2 (alpha + beta) f at a condition point")
 
-    def test_vertical_term_equal_to_one_at_m3_is_caught(self):
+    def test_vertical_term_equal_to_one_at_m3_is_caught(self, monkeypatch):
         # A/S = 1 exactly is not enough at m >= 3: the E orbit's S set to
         # A = 1, that is D S = D = 2 L VOL.
         model = SurfaceModel(0, 3)
         angles = rational_condition_point(model, rat(2, 3))
-        minimum = self.minimum(model, angles)
-        _certify_polystable_branch(3, minimum)
-        den = 2 * angles.scaled[0] * minimum.VOL
-        tampered = self.with_orbit_s(minimum, 3, "E1", lambda s: den)
-        assert self.refusal(lambda: _certify_polystable_branch(3, tampered)) == (
-            "m>=3: vertical term E1 must exceed 1")
+        den = 2 * angles.scaled[0] * self.minimum(model, angles).VOL
+        tamper = self.with_orbit_s(3, "E1", lambda s: den)
+        assert self.refused(monkeypatch, model, angles, tamper) == (
+            "term E1 breaks a - s = 2 (alpha + beta) f at a condition point")
 
     @pytest.mark.parametrize("params, slope, delta, message", [
         (SurfaceModel(0, 2), None, rat(3, 2),
-         "delta = 3/2 > 1 contradicts the necessity bound"),
+         "delta must be < 1 off the condition locus"),
         (SurfaceModel(0, 2), None, rat(1),
          "delta must be < 1 off the condition locus"),
         (SurfaceModel(0, 1), rat(3, 5), rat(1),
          "m=1 exclusion requires delta < 1 on the condition locus"),
-    ], ids=["necessity-bound", "off-locus", "m1-exclusion"])
+        (SurfaceModel(0, 2), rat(3, 4), rat(3, 2),
+         "condition point must have delta = 1, got 3/2"),
+        (SurfaceModel(0, 1), rat(3, 5), rat(3, 2),
+         "m=1 exclusion requires delta < 1 on the condition locus"),
+    ], ids=["necessity-bound", "off-locus", "m1-exclusion", "above-1-at-m2", "above-1-at-m1"])
     def test_tampered_delta_in_the_verdict_is_caught(self, monkeypatch, params, slope, delta,
                                                       message):
+        # delta above 1 is refused by the check of the point's branch.
         angles = Angles(HALF, HALF) if slope is None else rational_condition_point(params, slope)
-        assert delta_tvariety(params, angles).delta < 1
+        untampered = k_polystable(params, angles).delta
+        assert untampered == 1 if slope is not None and params.m != 1 else untampered < 1
         monkeypatch.setattr(kedge.verdict, "delta_minimum",
                             tampered_minimum(kedge.verdict.delta_minimum, with_delta(delta)))
         assert self.refusal(lambda: k_polystable(params, angles)) == message

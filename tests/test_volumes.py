@@ -273,14 +273,14 @@ class TestInvariants:
                 assert volume_curve(curve, params, angles) == expect
                 s = expected_vanishing_order(volume_curve(curve, params, angles))
                 assert s == closed_form_S(curve, params, angles)
-        # The fiber components have a closed-form S (but no closed-form curve).
+        # The fiber components and the generic fiber have a closed-form S
+        # (but no closed-form curve).
         for _ in range(10):
             params = SurfaceModel(rng.randint(0, 6), rng.randint(1, 6))
             angles = sample_angles(rng, params)
-            curve = FiTilde(rng.randint(1, params.m))
-            s = expected_vanishing_order(volume_curve(curve, params, angles))
-            assert s == closed_form_S(curve, params, angles)
-        assert closed_form_S(GENERIC_FIBER, params, angles) is None
+            for curve in (FiTilde(rng.randint(1, params.m)), GENERIC_FIBER):
+                s = expected_vanishing_order(volume_curve(curve, params, angles))
+                assert s == closed_form_S(curve, params, angles)
 
     def test_closed_forms_never_call_the_sweep(self, monkeypatch, rng):
         # The oracle is independent of the route it checks: with the sweep,

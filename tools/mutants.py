@@ -55,26 +55,6 @@ MUTANTS = (
      "if n < m and (m - n) * p2 >= 2 * L:",
      "if n < m and (m - n) * p2 > 2 * L:",
      "tests/test_cli.py::TestScanAgainstPerPointReference::test_ample_bound_is_refused_and_just_below_it_accepted[1-4-beta2-False]"),
-    ("ray-term-off", "verdict.py",
-     '_check_orbit(a[i] == s[i], "ray term',
-     '_check_orbit(True, "ray term',
-     "tests/test_verdict.py::TestCertification::test_tampered_ray_term_is_caught"),
-    ("toric-term-off", "verdict.py",
-     '_check_orbit(a[i] == s[i], "toric case',
-     '_check_orbit(True, "toric case',
-     "tests/test_verdict.py::TestCertification::test_tampered_toric_term_is_caught"),
-    ("m2-e-orbit-only", "verdict.py",
-     "for i in verticals[:2]:",
-     "for i in verticals[:1]:",
-     "tests/test_verdict.py::TestCertification::test_tampered_fiber_orbit_at_m2_is_caught"),
-    ("m3-ratio-at-least-one", "verdict.py",
-     '_check_orbit(a[i] > s[i], "m>=3',
-     '_check_orbit(a[i] >= s[i], "m>=3',
-     "tests/test_verdict.py::TestCertification::test_vertical_term_equal_to_one_at_m3_is_caught"),
-    ("delta-bound-off", "verdict.py",
-     "if a_min > s_min:",
-     "if False:",
-     "tests/test_verdict.py::TestCertification::test_tampered_delta_in_the_verdict_is_caught[necessity-bound]"),
     ("off-locus-delta-off", "verdict.py",
      '_check(a_min < s_min, "delta must be < 1 off',
      '_check(True, "delta must be < 1 off',
@@ -196,9 +176,37 @@ MUTANTS = (
      "if a_min != s_min:",
      "if False:",
      "tests/test_verdict.py::TestCertification::test_tampered_delta_is_caught"),
-    ("m2-term-off", "verdict.py",
-     '_check_orbit(a[i] == s[i], "m=2: curve term',
-     '_check_orbit(True, "m=2: curve term',
+    # The paper's theorem as one table: one mutant per (alpha, beta) row of
+    # ``cubic_weights``, and the verdict's check of every row at a
+    # condition point turned off.  FiberP0's row is read by the verdict
+    # alone; the closed forms read the generic fiber's, the last.
+    ("weights-c1-row", "picard.py",
+     "return (2, -2), (-2, 2), *curves",
+     "return (2, -1), (-2, 2), *curves",
+     "tests/test_closedforms.py::test_integer_forms_match_the_reference[0]"),
+    ("weights-c2-row", "picard.py",
+     "return (2, -2), (-2, 2), *curves",
+     "return (2, -2), (-1, 2), *curves",
+     "tests/test_closedforms.py::test_integer_forms_match_the_reference[0]"),
+    ("weights-e-row", "picard.py",
+     "curves = ((n - 2, m - n), (n, m - n - 2)) if m else ()",
+     "curves = ((n - 1, m - n), (n, m - n - 2)) if m else ()",
+     "tests/test_closedforms.py::test_integer_forms_match_the_reference[0]"),
+    ("weights-f-row", "picard.py",
+     "curves = ((n - 2, m - n), (n, m - n - 2)) if m else ()",
+     "curves = ((n - 2, m - n), (n, m - n - 1)) if m else ()",
+     "tests/test_closedforms.py::test_integer_forms_match_the_reference[0]"),
+    ("weights-fiber-p0-row", "picard.py",
+     "*curves, (n, m - n), (n, m - n)",
+     "*curves, (n + 1, m - n - 1), (n, m - n)",
+     "tests/test_tvariety.py::TestIntegerRoute::test_every_orbit_is_its_row_of_the_cubic_weights"),
+    ("weights-generic-fiber-row", "picard.py",
+     "*curves, (n, m - n), (n, m - n)",
+     "*curves, (n, m - n), (n, m - n + 1)",
+     "tests/test_closedforms.py::test_integer_forms_match_the_reference[0]"),
+    ("condition-point-rows-off", "verdict.py",
+     "_check_orbit(a[i] - s[i] == 2 * (alpha + beta) * f1,",
+     "_check_orbit(True,",
      "tests/test_verdict.py::TestCertification::test_tampered_term_is_caught"),
     ("futaki-sign-off", "verdict.py",
      "_check(fm == 2 * (f2 - f1),",
@@ -256,6 +264,10 @@ MUTANTS = (
      "b2.numerator * (L // q2)",
      "b2.numerator * (L // q1)",
      "tests/test_picard.py::test_angles_integer_form_matches_the_reference"),
+    ("angles-p2-zero-accepted", "picard.py",
+     "if p1 <= 0 or p2 <= 0:",
+     "if p1 <= 0 or p2 < 0:",
+     "tests/test_picard.py::test_angles_refuse_a_nonpositive_angle[1/2-0-1/2, 0]"),
     ("angles-positivity-off", "picard.py",
      "if p1 <= 0 or p2 <= 0:",
      "if False:",
@@ -313,9 +325,9 @@ MUTANTS = (
      "CASE_C2_FIRST if p1 + (m - n) * p2 <= 2 * L else None",
      "CASE_C2_FIRST if p1 + (m - n) * p2 < 2 * L else None",
      "tests/test_closedforms.py::test_integer_forms_match_the_reference[1]"),
-    ("closed-s-fi-cubic-coefficient", "closedforms.py",
-     "(n, n - m + 2)",
-     "(n, n - m + 1)",
+    ("closed-s-rows-e-f-swapped", "closedforms.py",
+     "E1: 2, F1TILDE: 3,",
+     "E1: 3, F1TILDE: 2,",
      "tests/test_closedforms.py::test_integer_forms_match_the_reference[0]"),
     ("closed-c1-c2-k", "closedforms.py",
      "_square(m - 1, (m - n) * (n - 1), 2 * L, L)",
