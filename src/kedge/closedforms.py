@@ -33,15 +33,15 @@ with ``==``.  Each S, the generic fiber's too, is one ``Rat`` over 3 L V,
 with V = L^2 vol(-K_Delta), its numerator 3 (L A) V - alpha f1 - beta f2:
 (f1, f2) are the two cubics of the angle condition
 (``SurfaceModel.boundary_cubics``) and (alpha, beta) is the curve's row of
-``SurfaceModel.cubic_weights``, the table that the verdict reads too.
+``SurfaceModel.orbit_rows``, found by its first name: the table that the
+torus route and the verdict read too.
 """
 
 from __future__ import annotations
 
 from itertools import pairwise
 
-from .picard import (C1TILDE, C2TILDE, E1, F1TILDE, GENERIC_FIBER, PULLBACK_C2, FiTilde,
-                     QuadraticPiece, orbit_of)
+from .picard import C1TILDE, C2TILDE, E1, FiTilde, QuadraticPiece, orbit_of
 from .ratmath import Rat
 
 
@@ -96,11 +96,6 @@ def classify_exceptional_case(model, angles) -> str | None:
     return CASE_C2_FIRST if p1 + (m - n) * p2 <= 2 * L else None
 
 
-# Each curve's row of ``SurfaceModel.cubic_weights``: the generic fiber's
-# is the last, after FiberP0's, a name of the torus route alone.
-_WEIGHT_ROW = {C1TILDE: 0, C2TILDE: 1, E1: 2, F1TILDE: 3, GENERIC_FIBER: -1}
-
-
 def closed_form_S(E, model, angles) -> Rat | None:
     """Expected vanishing order along ``E`` via the closed forms.
 
@@ -110,18 +105,21 @@ def closed_form_S(E, model, angles) -> Rat | None:
     ``class_of``'s ValueError.  S is one Rat over 3 L V, one formula for
     every curve: 3 (L A) V - alpha f1 - beta f2, with L A = P1, P2 or L,
     (f1, f2) the angle condition's cubics of ``boundary_cubics`` and
-    (alpha, beta) the curve's row of ``SurfaceModel.cubic_weights``.  For
-    C~1 and C~2 it is S = beta1 - 2 bracket / vol and beta2 + 2 bracket / vol.
+    (alpha, beta) the row of ``SurfaceModel.orbit_rows`` that the curve's
+    first name heads (FiberP0, the torus route's name alone, heads a row
+    that ``orbit_of`` never gives).  For C~1 and C~2 it is
+    S = beta1 - 2 bracket / vol and beta2 + 2 bracket / vol.
     """
     model.ensure_ample(angles)
     n, m = model.n, model.m
     first, _ = orbit_of(E, m)
-    if first == PULLBACK_C2:
+    row = next((row for row in model.orbit_rows if row[0] == first), None)
+    if row is None:  # the pulled-back section heads no orbit
         return None
+    _, _, alpha, beta = row
     L, p1, p2 = angles.scaled
     V = _scaled_volume(n, m, L, p1, p2)
     f1, f2 = model.boundary_cubics(L, p1, p2)
-    alpha, beta = model.cubic_weights()[_WEIGHT_ROW[first]]
     la = {C1TILDE: p1, C2TILDE: p2}.get(first, L)
     return Rat(3 * la * V - alpha * f1 - beta * f2, 3 * L * V)
 

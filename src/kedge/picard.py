@@ -34,9 +34,10 @@ The boundary is Delta = (1-beta1) C~1 + (1-beta2) C~2 with cone angles
                      - beta2 sum_i E_i.
 
 The angle condition is read on the surface too: its two cubics
-(``boundary_cubics``) and the six (alpha, beta) rows that write every
-torus orbit's A - S in them (``cubic_weights``), the torus route's side
-of the paper's theorem, which the closed forms and the verdict read.
+(``boundary_cubics``) and the one table of the S_m orbits
+(``orbit_rows``), each orbit's first name and size and the (alpha, beta)
+that write its A - S in the cubics: the torus route's side of the paper's
+theorem, which the torus route, the closed forms and the verdict read.
 
 The two exceptions of the CLI contract live here too, where every route
 reaches them without loading another: ``OutsideAmpleRange`` and
@@ -49,9 +50,9 @@ sweep it checks.
 not depend on the angles is kept per surface in one place:
 ``per_surface(build)`` keeps ``build(model, *key)`` in one process-wide
 least-recently-used cache of ``PER_SURFACE_VALUES`` entries, keyed by
-(build, model, *key).  The candidate tables here, the oracle's family and
-the sweep's factors, swept curves and slope halves in ``zariski``, and the
-torus certificate in ``tvariety`` are kept there.
+(build, model, *key).  The candidate tables and the orbit table here, the
+oracle's family and the sweep's factors, swept curves and slope halves in
+``zariski``, and the torus certificate in ``tvariety`` are kept there.
 """
 from __future__ import annotations
 
@@ -159,10 +160,13 @@ def point_header(model: SurfaceModel, angles: Angles, **extra) -> dict:
 # reader: it maps a name to its S_m orbit, the first name and the index, and
 # ``parse_curve_id``, ``SurfaceModel.class_of`` and the closed forms read a
 # name through it.  ``orbit_names`` is the one speller of an orbit's names.
+# ``FIBER_P0``, the fiber over p0, is a name of the torus route alone: it
+# heads a row of ``SurfaceModel.orbit_rows``, and ``orbit_of`` refuses it.
 C1TILDE = "C1tilde"
 C2TILDE = "C2tilde"
 GENERIC_FIBER = "GenericFiber"
 PULLBACK_C2 = "PullbackC2"
+FIBER_P0 = "FiberP0"
 _FIXED = (C1TILDE, C2TILDE, GENERIC_FIBER, PULLBACK_C2)
 INDEXED_NAME = re.compile("E([1-9][0-9]*)|F([1-9][0-9]*)tilde")
 
@@ -401,23 +405,28 @@ class SurfaceModel(Value):
         and the closed forms read the condition here alone."""
         return (3 * L - self.n * p1) * p1 * p1, (3 * L + (self.n - self.m) * p2) * p2 * p2
 
-    def cubic_weights(self) -> tuple:
-        """(alpha, beta) of each S_m orbit of the torus route's delta
-        minimum, in its order: C~1 (2, -2), C~2 (-2, 2), E_i (n - 2, m - n)
-        and F~i (n, m - n - 2), absent at m = 0, then FiberP0 and the
-        generic fiber, both (n, m - n).  An orbit's A and S are linear in
-        the two ``boundary_cubics`` (f1, f2): over 3 L V, V = L^2 vol,
+    @property
+    @per_surface
+    def orbit_rows(self) -> tuple:
+        """One row (first name, size, alpha, beta) per S_m orbit of the torus
+        route's delta minimum, in its order, built once per surface: C~1
+        (2, -2), C~2 (-2, 2), E_i (n - 2, m - n) and F~i (n, m - n - 2), of
+        m members each and absent at m = 0, then FiberP0 and the generic
+        fiber, both (n, m - n).  An orbit's A and S are linear in the two
+        ``boundary_cubics`` (f1, f2): over 3 L V, V = L^2 vol,
 
             S = (3 (L A) V - alpha f1 - beta f2) / (3 L V),
 
         with L A = P1, P2 or L, which on the integers of
         ``tvariety.delta_minimum`` is a - s = 2 (alpha f1 + beta f2).  This
-        is the torus route's side of the paper's theorem, and the one
-        spelling of these rows: the closed forms read S from it, and the
-        verdict checks every orbit against it at a condition point."""
+        is the torus route's side of the paper's theorem, and the one list
+        of the orbits: the torus route names and counts its terms from it,
+        the closed forms read S from it, and the verdict checks every orbit
+        against it at a condition point."""
         n, m = self.n, self.m
-        curves = ((n - 2, m - n), (n, m - n - 2)) if m else ()
-        return (2, -2), (-2, 2), *curves, (n, m - n), (n, m - n)
+        curves = ((E1, m, n - 2, m - n), (F1TILDE, m, n, m - n - 2)) if m else ()
+        return ((C1TILDE, 1, 2, -2), (C2TILDE, 1, -2, 2), *curves,
+                (FIBER_P0, 1, n, m - n), (GENERIC_FIBER, 1, n, m - n))
 
     def is_nef(self, d: DivisorClass) -> bool:
         """Nefness test.

@@ -77,24 +77,26 @@ after VOL > 0, and finds a least A/S by cross-multiplying the small L A
 with s; the scale 2 VOL is applied once, after the search.  It returns
 plain integers and tuples, and the verdict compares a with s, so a
 ``scan`` row forms no record and no Fraction.  A ``DeltaReport`` is
-those integers followed by m and L, formed by ``delta_tvariety`` (after
-its ample check) and by ``verdict.k_polystable``, and the report forms
-delta, the one Fraction, when it is read.  An ``Orbit`` record, with its
-first name, size, A and S, is formed only when the report's orbits or a
-term are read, and a name is spelled only there and in the witnesses:
-the CLI's per-divisor table reads the orbits once, a scan row never.
-``DeltaReport.term`` finds a name's orbit by ``picard.orbit_of``, which
-reads the name grammar, and forms that one record; ``picard.orbit_names``
-spells an orbit's names, as it spells the surface's candidate curves.
-``FiberP0`` is a name of this route alone, which the name grammar does
-not read.
+those integers followed by the surface and L, formed by ``delta_tvariety``
+(after its ample check) and by ``verdict.k_polystable``, and the report
+forms delta, the one Fraction, when it is read.  The orbits' first names
+and sizes, in the minimum's order, are the surface's
+``SurfaceModel.orbit_rows``, the table that the closed forms and the
+verdict read too.  An ``Orbit`` record, with its first name, size, A and
+S, is formed only when the report's orbits or a term are read, and a name
+is spelled only there and in the witnesses: the CLI's per-divisor table
+reads the orbits once, a scan row never.  ``DeltaReport.term`` finds a
+name's orbit by its first name, or by ``picard.orbit_of``, which reads the
+name grammar, and forms that one record; ``picard.orbit_names`` spells an
+orbit's names, as it spells the surface's candidate curves.  ``FiberP0``
+is a name of this route alone, which the name grammar does not read.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .picard import (C1TILDE, C2TILDE, E1, F1TILDE, GENERIC_FIBER, Angles, DivisorClass,
-                     InconsistencyError, SurfaceModel, orbit_names, orbit_of, per_surface)
+from .picard import (C1TILDE, C2TILDE, GENERIC_FIBER, Angles, DivisorClass, InconsistencyError,
+                     SurfaceModel, orbit_names, orbit_of, per_surface)
 from .ratmath import Rat
 
 
@@ -203,16 +205,6 @@ def cross(W: tuple, HS2: int, psi: tuple) -> int:
     return HS2 - 2 * (psi[0] * w0 + psi[1] * w1 + psi[2] * w2)
 
 
-FIBER_P0 = "FiberP0"
-
-
-def orbit_heads(m: int) -> tuple:
-    """(first name, size) of each S_m orbit of the delta minimum, canonical
-    order: the E_i and the F~i orbits have m members and are absent at m = 0."""
-    curves = ((E1, m), (F1TILDE, m)) if m else ()
-    return ((C1TILDE, 1), (C2TILDE, 1), *curves, (FIBER_P0, 1), (GENERIC_FIBER, 1))
-
-
 class Orbit(NamedTuple):
     """One S_m orbit of the delta minimum: every term in it, a valuation of
     one of the orbit's names, has this one A, S and A/S."""
@@ -246,7 +238,7 @@ class DeltaReport(NamedTuple):
     a: tuple  # D A of each orbit, canonical order
     s: tuple  # D S of each orbit, canonical order
     VOL: int  # 6 L^2 vol
-    m: int  # blown-up points: the E_i and the F~i orbits' size
+    model: SurfaceModel  # the surface: ``orbit_rows`` names and sizes the orbits
     L: int  # lcm of the angles' denominators
 
     @property
@@ -255,8 +247,9 @@ class DeltaReport(NamedTuple):
 
     def _orbit(self, i: int) -> Orbit:
         """The record of the orbit at position i, canonical order."""
+        first, size, _, _ = self.model.orbit_rows[i]
         den = 2 * self.L * self.VOL
-        return Orbit(*orbit_heads(self.m)[i], Rat(self.a[i], den), Rat(self.s[i], den))
+        return Orbit(first, size, Rat(self.a[i], den), Rat(self.s[i], den))
 
     @property
     def orbits(self) -> tuple:
@@ -266,16 +259,16 @@ class DeltaReport(NamedTuple):
     @property
     def witnesses(self) -> tuple:
         """Names of all terms attaining the minimum, canonical order."""
-        a_min, s_min = self.a_min, self.s_min
-        return tuple(name for (first, size), a, s in zip(orbit_heads(self.m), self.a, self.s)
+        a_min, s_min, rows = self.a_min, self.s_min, self.model.orbit_rows
+        return tuple(name for (first, size, _, _), a, s in zip(rows, self.a, self.s)
                      if a * s_min == a_min * s for name in orbit_names(first, size))
 
     def term(self, name: str) -> Orbit:
         """The ``Orbit`` record of ``name``'s S_m orbit, the one term its
         members share; KeyError for a name with no term on this surface."""
-        firsts = [first for first, _ in orbit_heads(self.m)]
+        firsts = [row[0] for row in self.model.orbit_rows]
         try:
-            i = firsts.index(name if name == FIBER_P0 else orbit_of(name, self.m)[0])
+            i = firsts.index(name if name in firsts else orbit_of(name, self.model.m)[0])
         except ValueError:  # no curve name, or PullbackC2: no orbit of this route
             raise KeyError(name) from None
         return self._orbit(i)
@@ -314,7 +307,7 @@ def delta_minimum(model: SurfaceModel, L: int, p1: int, p2: int) -> tuple:
     a_min, s_min = p1, s[0]
     for i, si in enumerate(s):
         if si <= 0:
-            raise InconsistencyError(f"torus route: S of {orbit_heads(m)[i][0]} is not positive")
+            raise InconsistencyError(f"torus route: S of {model.orbit_rows[i][0]} is not positive")
         if la[i] * s_min < a_min * si:
             a_min, s_min = la[i], si
     # Searched on the small L A; D A = 2 VOL (L A).
@@ -328,4 +321,4 @@ def delta_tvariety(model: SurfaceModel, angles: Angles) -> DeltaReport:
     ample range (OutsideAmpleRange otherwise)."""
     model.ensure_ample(angles)
     L, p1, p2 = angles.scaled
-    return DeltaReport(*delta_minimum(model, L, p1, p2), model.m, L)
+    return DeltaReport(*delta_minimum(model, L, p1, p2), model, L)

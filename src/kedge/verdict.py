@@ -11,13 +11,13 @@ zero (the condition cuts a codimension-1 locus; no tolerance is
 meaningful in exact arithmetic).
 
 The torus route's side of the paper's theorem is one table,
-``SurfaceModel.cubic_weights``: on the integers of ``delta_minimum``
+``SurfaceModel.orbit_rows``: on the integers of ``delta_minimum``
 every S_m orbit has a - s = 2 (alpha f1 + beta f2), with its row
-(alpha, beta).  Both cubics are positive on the ample range.  Every
-verdict checks the exact identity FM = 2 (f2 - f1), FM being 6 L^3 times
-the first moment of deg Psi; it is exactly the C~1 and C~2 rows, since
-a0 - s0 = -2 FM and a1 - s1 = 2 FM, and it implies that the Futaki sign
--sign(FM) is the bracket's.  Off the condition locus one of those two rows is
+(first name, size, alpha, beta).  Both cubics are positive on the ample
+range.  Every verdict checks the exact identity FM = 2 (f2 - f1), FM
+being 6 L^3 times the first moment of deg Psi; it is exactly the C~1 and
+C~2 rows, since a0 - s0 = -2 FM and a1 - s1 = 2 FM, and it implies that
+the Futaki sign -sign(FM) is the bracket's.  Off the condition locus one of those two rows is
 negative, so delta < 1, which the verdict checks.  At a condition point,
 f1 = f2 = f, the verdict checks every row, a - s = 2 (alpha + beta) f:
 alpha + beta is 0 for C~1 and C~2, m - 2 for E_i and F~i and m for the
@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 from .picard import Angles, InconsistencyError
 from .ratmath import Rat, exact, sign
-from .tvariety import DeltaReport, delta_minimum, orbit_heads
+from .tvariety import DeltaReport, delta_minimum
 
 KPOLYSTABLE = "KPolystable"
 NOT_KPOLYSTABLE = "NotKPolystable"
@@ -91,13 +91,6 @@ def _check(condition: bool, message: str, *args):
         raise InconsistencyError(message.format(*args))
 
 
-def _check_orbit(condition: bool, message: str, m: int, i: int):
-    """``_check`` on the orbit at position i of a minimum on a surface with
-    m blown-up points: its first name is spelled only if the check fails."""
-    if not condition:
-        raise InconsistencyError(message.format(orbit_heads(m)[i][0]))
-
-
 def decide(model, L: int, p1: int, p2: int) -> tuple:
     """The main decision on the angles' integer form (L, P1, P2):
     (status, condition sign, note, minimum), KPolystable iff the bracket
@@ -108,7 +101,7 @@ def decide(model, L: int, p1: int, p2: int) -> tuple:
     cross-checks the facts it relies on: the first moment FM equal to
     2 (f2 - f1), delta < 1 off the condition locus, and at a condition
     point (f1 = f2 = f) every orbit's a - s equal to 2 (alpha + beta) f,
-    its row of ``SurfaceModel.cubic_weights``, then delta = 1, or
+    its row of ``SurfaceModel.orbit_rows``, then delta = 1, or
     delta < 1 for m = 1.  delta = a_min / s_min with s_min > 0, so each
     comparison of delta with 1 is one of integers, and no report, orbit
     name or Fraction is formed unless a check fails.
@@ -125,10 +118,10 @@ def decide(model, L: int, p1: int, p2: int) -> tuple:
         _check(a_min < s_min, "delta must be < 1 off the condition locus")
         return NOT_KPOLYSTABLE, csign, _OFF_LOCUS_NOTES[csign], minimum
 
+    for (first, _, alpha, beta), ai, si in zip(model.orbit_rows, a, s):
+        _check(ai - si == 2 * (alpha + beta) * f1,
+               "term {} breaks a - s = 2 (alpha + beta) f at a condition point", first)
     m = model.m
-    for i, (alpha, beta) in enumerate(model.cubic_weights()):
-        _check_orbit(a[i] - s[i] == 2 * (alpha + beta) * f1,
-                     "term {} breaks a - s = 2 (alpha + beta) f at a condition point", m, i)
     if m == 1:
         _check(a_min < s_min, "m=1 exclusion requires delta < 1 on the condition locus")
         return NOT_KPOLYSTABLE, csign, "m=1 exclusion: condition holds but delta < 1", minimum
@@ -147,7 +140,7 @@ def k_polystable(model, angles: Angles) -> Verdict:
     status, csign, note, minimum = decide(model, L, p1, p2)
     if minimum is None:
         return Verdict(status, csign, None, (model.ample_range_violation(angles),))
-    report = DeltaReport(*minimum, model.m, L)
+    report = DeltaReport(*minimum, model, L)
     return Verdict(status, csign, report.delta, (note,), report)
 
 

@@ -50,17 +50,21 @@ def clear_per_surface_caches():
 
 
 def count_builds(monkeypatch, owner, name) -> list:
-    """Replace the kept value ``owner.name`` (a ``per_surface`` build) by one
-    kept through a build that records its key, and return the list of
-    recorded keys: one per build, that is one per miss of the shared cache.
-    The recording build is a new function, so its values start cold."""
-    build, builds = getattr(owner, name).__wrapped__, []
+    """Replace the kept value ``owner.name`` (a ``per_surface`` build, or a
+    property over one) by one kept through a build that records its key,
+    and return the list of recorded keys: one per build, that is one per
+    miss of the shared cache.  The recording build is a new function, so
+    its values start cold."""
+    kept = getattr(owner, name)
+    is_property = isinstance(kept, property)
+    build, builds = (kept.fget if is_property else kept).__wrapped__, []
 
     def recording(model, *key):
         builds.append(key)
         return build(model, *key)
 
-    monkeypatch.setattr(owner, name, per_surface(recording))
+    recorded = per_surface(recording)
+    monkeypatch.setattr(owner, name, property(recorded) if is_property else recorded)
     return builds
 
 

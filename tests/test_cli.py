@@ -15,8 +15,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from conftest import (clear_per_surface_caches, dual, rat, tampered_minimum, with_delta,
-                      with_fm, with_vol, zero_class)
+from conftest import (clear_per_surface_caches, count_builds, dual, rat, tampered_minimum,
+                      with_delta, with_fm, with_vol, zero_class)
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -680,7 +680,8 @@ class TestInconsistencyExit:
     def count_scan_work(capsys, monkeypatch, argv) -> tuple:
         """(rows, calls) of a scan: every record, Fraction, name, ample
         check, torus minimum and verdict formed once both grid axes are
-        parsed, by name."""
+        parsed, by name, and the builds of the surface's orbit table, if
+        any, as ``orbit_rows builds``."""
         calls = collections.Counter()
         armed = []
 
@@ -696,7 +697,6 @@ class TestInconsistencyExit:
                             (kedge.verdict, "DeltaReport"), (kedge.verdict, "Verdict"),
                             (kedge.tvariety, "Orbit"),
                             (kedge.tvariety, "orbit_names"), (kedge.picard, "orbit_names"),
-                            (kedge.verdict, "orbit_heads"),
                             (SurfaceModel, "broken_ample_bound"),
                             (SurfaceModel, "ample_range_violation"),
                             (kedge.verdict, "delta_minimum"), (kedge.tvariety, "scaled_duals"),
@@ -711,8 +711,11 @@ class TestInconsistencyExit:
             return grid
 
         monkeypatch.setattr(cli, "_parse_grid", parse_then_arm)
+        table_builds = count_builds(monkeypatch, SurfaceModel, "orbit_rows")
         code, out, _ = run_cli(capsys, argv)
         assert code == 0 and armed == [False, True]
+        if table_builds:
+            calls["orbit_rows builds"] = len(table_builds)
         return [row.split(",") for row in out.splitlines()[1:]], calls
 
     def test_scan_off_the_locus_forms_no_orbit_record(self, capsys, monkeypatch):
@@ -730,11 +733,13 @@ class TestInconsistencyExit:
     def test_scan_condition_point_forms_no_report(self, capsys, monkeypatch):
         # The one condition point of the grid, (63/128, 21/32), checks every
         # orbit's row on the minimum's integers: no report, no orbit
-        # record, no name and no Fraction, as at every other point.
+        # record, no name and no Fraction, as at every other point.  It
+        # reads the surface's orbit table, built once on a cold cache.
         rows, calls = self.count_scan_work(capsys, monkeypatch, SCAN_ARGS_CONDITION)
         assert len(rows) == 15
         assert [row[:2] for row in rows if row[4] == "KPolystable"] == [["63/128", "21/32"]]
-        assert calls == {"broken_ample_bound": 15, "delta_minimum": 15, "scaled_duals": 15}
+        assert calls == {"broken_ample_bound": 15, "delta_minimum": 15, "scaled_duals": 15,
+                         "orbit_rows builds": 1}
 
     @pytest.mark.parametrize("cross", [0, -1])
     @pytest.mark.parametrize("argv", [DELTA_ARGS, SCAN_ARGS], ids=["delta", "scan"])

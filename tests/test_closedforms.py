@@ -20,11 +20,10 @@ from conftest import (reference_classify_exceptional_case, reference_closed_form
 from kedge.closedforms import (CASE_C1_FIRST, CASE_C2_FIRST, CASE_N_ZERO,
                                classify_exceptional_case, closed_form_S,
                                closed_form_volume_curve)
-from kedge.picard import (C1TILDE, C2TILDE, GENERIC_FIBER, PULLBACK_C2, Angles, Ei, FiTilde,
-                          SurfaceModel)
+from kedge.picard import (C1TILDE, C2TILDE, FIBER_P0, GENERIC_FIBER, PULLBACK_C2, Angles, Ei,
+                          FiTilde, SurfaceModel)
 from kedge.ratmath import Rat
 from kedge.sampling import LEMMA_CASES
-from kedge.tvariety import FIBER_P0
 from kedge.volumes import expected_vanishing_order, volume_curve
 
 # Every p/q in (0, 2] with q <= 3: the grid each angle is drawn from.

@@ -18,8 +18,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kedge.picard import C1TILDE, C2TILDE, GENERIC_FIBER, Angles, Ei, FiTilde, SurfaceModel
-from kedge.tvariety import FIBER_P0
+from kedge.picard import (C1TILDE, C2TILDE, FIBER_P0, GENERIC_FIBER, Angles, Ei, FiTilde,
+                          SurfaceModel)
 from kedge.verdict import (KPOLYSTABLE, NOT_KPOLYSTABLE, NotFound, condition_sign,
                            k_polystable, rational_condition_point)
 

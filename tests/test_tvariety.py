@@ -22,11 +22,11 @@ from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 import kedge.tvariety
-from kedge.picard import (GENERIC_FIBER, PULLBACK_C2, Angles, Ei, FiTilde, InconsistencyError,
-                          SurfaceModel, SurfaceParams)
+from kedge.picard import (FIBER_P0, GENERIC_FIBER, PULLBACK_C2, Angles, Ei, FiTilde,
+                          InconsistencyError, SurfaceModel, SurfaceParams)
 from kedge.ratmath import ZERO, Rat, sign
 from kedge.sampling import sample_angles, sample_surface
-from kedge.tvariety import FIBER_P0, delta_minimum, delta_tvariety, legendre_dual
+from kedge.tvariety import delta_minimum, delta_tvariety, legendre_dual
 from kedge.verdict import NotFound, rational_condition_point
 from kedge.volumes import expected_vanishing_order, volume_curve
 
@@ -479,10 +479,10 @@ class TestIntegerRoute:
     @example((SurfaceModel(1, 3), Angles(HALF, HALF)))  # off the locus
     # Most condition-point draws miss the locus's ample part and are rejected.
     @settings(deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-    def test_every_orbit_is_its_row_of_the_cubic_weights(self, surface):
+    def test_every_orbit_is_its_row_of_the_orbit_table(self, surface):
         # The torus route's side of the theorem, at every point of the
         # ample range, on the condition locus or off it: each orbit's
-        # a - s is 2 (alpha f1 + beta f2), its row of ``cubic_weights``,
+        # a - s is 2 (alpha f1 + beta f2), its row of ``orbit_rows``,
         # and both cubics are positive.  The verdict checks every row at a
         # condition point only; off the locus it checks the C~1 and C~2
         # rows alone, through FM = 2 (f2 - f1), since a0 - s0 = -2 FM and
@@ -491,11 +491,11 @@ class TestIntegerRoute:
         L, p1, p2 = angles.scaled
         f1, f2 = model.boundary_cubics(L, p1, p2)
         _, _, fm, a, s, _ = delta_minimum(model, L, p1, p2)
-        weights = model.cubic_weights()
+        rows = model.orbit_rows
         assert f1 > 0 and f2 > 0
-        assert len(weights) == len(a) == len(s)
+        assert len(rows) == len(a) == len(s)
         assert [x - y for x, y in zip(a, s)] == [2 * (alpha * f1 + beta * f2)
-                                                 for alpha, beta in weights]
+                                                 for _, _, alpha, beta in rows]
         assert a[0] - s[0] == -2 * fm and a[1] - s[1] == 2 * fm
 
     def test_integers_over_the_common_denominator(self):

@@ -21,7 +21,7 @@ from kedge.picard import (
 )
 from kedge.ratmath import RatParseError, sign
 from kedge.sampling import sample_angles, sample_surface
-from kedge.tvariety import Orbit, delta_minimum, delta_tvariety, orbit_heads
+from kedge.tvariety import Orbit, delta_minimum, delta_tvariety
 from kedge.verdict import (
     KPOLYSTABLE,
     NOT_KPOLYSTABLE,
@@ -36,8 +36,8 @@ from kedge.verdict import (
 )
 from kedge.volumes import expected_vanishing_order, volume_curve
 
-from conftest import (Minimum, clear_per_surface_caches, futaki_vanishes, rat, tampered_minimum,
-                      with_delta)
+from conftest import (Minimum, clear_per_surface_caches, count_builds, futaki_vanishes, rat,
+                      tampered_minimum, with_delta)
 
 HALF = rat(1, 2)
 CONDITION_M2 = Angles(rat(63, 128), rat(21, 32))
@@ -165,17 +165,20 @@ class TestTorusWork:
         # second report or a second ample check fails here; on a cold cache
         # the certificate runs its three round trips on the surface's first
         # verdict only, and the surface's next verdict reads the kept one.
+        # The orbit table is built by the surface's first condition point
+        # only, and read from the cache after it.
         # delta is the one Fraction formed (by the report, not by the
         # decision) and no Fraction is compared:
         # every check, the rows' at a condition point too,
         # reads integers.  No term is formed and no name is spelled.
         clear_per_surface_caches()
+        table_builds = count_builds(monkeypatch, SurfaceModel, "orbit_rows")
+        rows_built = int(condition_sign(params, angles) == 0)
         calls = collections.Counter()
         targets = {
             "delta_minimum": (kedge.verdict, "delta_minimum"),
             "DeltaReport": (kedge.verdict, "DeltaReport"),
             "tvariety.DeltaReport": (kedge.tvariety, "DeltaReport"),
-            "orbit_heads": (kedge.verdict, "orbit_heads"),
             "scaled_duals": (kedge.tvariety, "scaled_duals"),
             "legendre_dual": (kedge.tvariety, "legendre_dual"),
             "_encoded_class": (kedge.tvariety, "_encoded_class"),
@@ -201,16 +204,36 @@ class TestTorusWork:
             "delta_minimum": 1, "DeltaReport": 1, "scaled_duals": 1, "_encoded_class": 3,
             "log_anticanonical": 3, "broken_ample_bound": 1, "Rat": 1,
         }
+        assert len(table_builds) == rows_built
         for model in (params, SurfaceModel(params.n, params.m)):
             calls.clear()
             verdict = k_polystable(model, angles)
             assert calls == {"delta_minimum": 1, "DeltaReport": 1, "scaled_duals": 1,
                              "broken_ample_bound": 1, "Rat": 1}
+        assert len(table_builds) == rows_built
         assert not hasattr(verdict.report, "terms")
         # Every integral is a dot product with the three hat weights; no
         # general PL type or pairwise product integrator is left.
         assert not hasattr(kedge.tvariety, "PLFunction")
         assert not hasattr(kedge.tvariety, "integrate_product")
+
+    def test_orbit_table_is_built_once_per_surface(self, monkeypatch):
+        # At a condition point ``decide`` checks every orbit against its row
+        # of ``SurfaceModel.orbit_rows``: the surface's first condition point
+        # builds the table and every later one reads the kept table.
+        model = SurfaceModel(1, 3)
+        points = []
+        for q in range(2, 30):
+            for p in range(1, q):
+                try:
+                    points.append(rational_condition_point(model, Fraction(p, q)))
+                except NotFound:
+                    pass
+        builds = count_builds(monkeypatch, SurfaceModel, "orbit_rows")
+        assert len(set(points)) >= 50
+        for angles in points:
+            assert decide(model, *angles.scaled)[0] == KPOLYSTABLE
+        assert builds == [()]
 
     def test_no_candidate_names_on_the_torus_route(self, monkeypatch):
         # The verdict reads one record per S_m orbit, so a surface's first
@@ -394,7 +417,7 @@ class TestCertification:
     def with_orbit_s(m, name, s):
         """A ``tampered_minimum`` tamper: the D S of the orbit led by
         ``name`` set to ``s(old)``."""
-        firsts = [first for first, _ in orbit_heads(m)]
+        firsts = [row[0] for row in SurfaceModel(0, m).orbit_rows]
         return lambda minimum: minimum._replace(s=tuple(
             s(old) if first == name else old for first, old in zip(firsts, minimum.s)))
 

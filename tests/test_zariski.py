@@ -267,6 +267,24 @@ class TestGrowSupport:
             grown += support != []
         assert grown >= 20
 
+    def test_support_lists_the_sections_last(self, rng):
+        # C~1 and C~2 (indices 0 and 1) are factored after every E_i and
+        # F~i, which keeps the factor free of fill-in, and the other curves
+        # in index order, so that a set of curves is one cache key.
+        # -K_Delta + 3 E1 + 3 C~1 on (2, 2) has the support {E1, C~1}.
+        model, d = shifted_anticanonical(2, 2, (1, 2), (1, 2), Ei(1), -3)
+        d = add_multiple(d, 3, model.class_of(C1TILDE))
+        _, *column = model.pairings(d)
+        assert grow_support(model, column)[0] == [2, 0]
+        for _ in range(40):
+            model = sample_surface(rng, n_max=4, m_max=4)
+            _, *column = model.pairings(sample_divisor_class(rng, model))
+            try:
+                support = grow_support(model, column)[0]
+            except NotPseudoeffective:
+                continue
+            assert support == sorted(support, key=lambda c: (c in (0, 1), c))
+
     def test_start_outside_negative_definite_sets(self):
         # Bauer's guarantee needs a start inside the true support; a start
         # that is not negative definite (C1tilde, F1tilde on (1, 1)) refuses.

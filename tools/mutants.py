@@ -67,6 +67,12 @@ MUTANTS = (
      "if q0.numerator * L * L != model.pair(k, k) * q0.denominator:",
      "if q0.numerator * L * L != model.pair(k, k):",
      "tests/test_volumes.py::TestSharedEngine::test_certificate_compares_the_whole_volume_at_zero"),
+    # The support's factoring order: C~1 and C~2 last, so E1 (index 2)
+    # must not join them.
+    ("support-order-e1-with-sections", "zariski.py",
+     "support.sort(key=lambda c: (c < 2, c))",
+     "support.sort(key=lambda c: (c <= 2, c))",
+     "tests/test_zariski.py::TestGrowSupport::test_support_lists_the_sections_last"),
     ("reconstruction-off", "zariski.py",
      "if DivisorClass(rebuilt, s) != d:",
      "if False and DivisorClass(rebuilt, s) != d:",
@@ -177,36 +183,36 @@ MUTANTS = (
      "if False:",
      "tests/test_verdict.py::TestCertification::test_tampered_delta_is_caught"),
     # The paper's theorem as one table: one mutant per (alpha, beta) row of
-    # ``cubic_weights``, and the verdict's check of every row at a
+    # ``orbit_rows``, and the verdict's check of every row at a
     # condition point turned off.  FiberP0's row is read by the verdict
     # alone; the closed forms read the generic fiber's, the last.
     ("weights-c1-row", "picard.py",
-     "return (2, -2), (-2, 2), *curves",
-     "return (2, -1), (-2, 2), *curves",
+     "(C1TILDE, 1, 2, -2)",
+     "(C1TILDE, 1, 2, -1)",
      "tests/test_closedforms.py::test_integer_forms_match_the_reference[0]"),
     ("weights-c2-row", "picard.py",
-     "return (2, -2), (-2, 2), *curves",
-     "return (2, -2), (-1, 2), *curves",
+     "(C2TILDE, 1, -2, 2)",
+     "(C2TILDE, 1, -1, 2)",
      "tests/test_closedforms.py::test_integer_forms_match_the_reference[0]"),
     ("weights-e-row", "picard.py",
-     "curves = ((n - 2, m - n), (n, m - n - 2)) if m else ()",
-     "curves = ((n - 1, m - n), (n, m - n - 2)) if m else ()",
+     "(E1, m, n - 2, m - n)",
+     "(E1, m, n - 1, m - n)",
      "tests/test_closedforms.py::test_integer_forms_match_the_reference[0]"),
     ("weights-f-row", "picard.py",
-     "curves = ((n - 2, m - n), (n, m - n - 2)) if m else ()",
-     "curves = ((n - 2, m - n), (n, m - n - 1)) if m else ()",
+     "(F1TILDE, m, n, m - n - 2)",
+     "(F1TILDE, m, n, m - n - 1)",
      "tests/test_closedforms.py::test_integer_forms_match_the_reference[0]"),
     ("weights-fiber-p0-row", "picard.py",
-     "*curves, (n, m - n), (n, m - n)",
-     "*curves, (n + 1, m - n - 1), (n, m - n)",
-     "tests/test_tvariety.py::TestIntegerRoute::test_every_orbit_is_its_row_of_the_cubic_weights"),
+     "(FIBER_P0, 1, n, m - n)",
+     "(FIBER_P0, 1, n + 1, m - n - 1)",
+     "tests/test_tvariety.py::TestIntegerRoute::test_every_orbit_is_its_row_of_the_orbit_table"),
     ("weights-generic-fiber-row", "picard.py",
-     "*curves, (n, m - n), (n, m - n)",
-     "*curves, (n, m - n), (n, m - n + 1)",
+     "(GENERIC_FIBER, 1, n, m - n)",
+     "(GENERIC_FIBER, 1, n, m - n + 1)",
      "tests/test_closedforms.py::test_integer_forms_match_the_reference[0]"),
     ("condition-point-rows-off", "verdict.py",
-     "_check_orbit(a[i] - s[i] == 2 * (alpha + beta) * f1,",
-     "_check_orbit(True,",
+     "_check(ai - si == 2 * (alpha + beta) * f1,",
+     "_check(True,",
      "tests/test_verdict.py::TestCertification::test_tampered_term_is_caught"),
     ("futaki-sign-off", "verdict.py",
      "_check(fm == 2 * (f2 - f1),",
@@ -326,8 +332,8 @@ MUTANTS = (
      "CASE_C2_FIRST if p1 + (m - n) * p2 < 2 * L else None",
      "tests/test_closedforms.py::test_integer_forms_match_the_reference[1]"),
     ("closed-s-rows-e-f-swapped", "closedforms.py",
-     "E1: 2, F1TILDE: 3,",
-     "E1: 3, F1TILDE: 2,",
+     "if row[0] == first), None)",
+     "if row[0] == {'E1': 'F1tilde', 'F1tilde': 'E1'}.get(first, first)), None)",
      "tests/test_closedforms.py::test_integer_forms_match_the_reference[0]"),
     ("closed-c1-c2-k", "closedforms.py",
      "_square(m - 1, (m - n) * (n - 1), 2 * L, L)",
@@ -374,11 +380,13 @@ MUTANTS = (
      "return Rat(value)",
      "tests/test_picard.py::test_angles_read_a_string_by_the_literal_grammar"),
     ("orbit-term-a-halved", "tvariety.py",
-     "Orbit(*orbit_heads(self.m)[i], Rat(self.a[i], den),",
-     "Orbit(*orbit_heads(self.m)[i], Rat(self.a[i], 2 * den),",
+     "Orbit(first, size, Rat(self.a[i], den),",
+     "Orbit(first, size, Rat(self.a[i], 2 * den),",
      "tests/test_acceptance.py::test_criterion_4_route_agreement"),
-    # A scan axis's integer count, and the orbit heads that the records
-    # formed on read take their names and sizes from.
+    # A scan axis's integer count, and the orbit table that the records
+    # formed on read take their names and sizes from: the E_i and F~i
+    # names swapped, the E_i orbit one member too many, and the two fibers'
+    # names swapped (their rows are equal, so only the names move).
     ("grid-count-one-short", "cli.py",
      "count = (stop.numerator * D - s * q) // (t * q) + 1",
      "count = (stop.numerator * D - s * q) // (t * q)",
@@ -388,9 +396,17 @@ MUTANTS = (
      "g = math.gcd(a_min, s_min)",
      "g = 1",
      "tests/test_cli.py::TestGoldens::test_byte_identical[argv3-scan_m0.csv]"),
-    ("orbit-heads-e-f-swapped", "tvariety.py",
-     "curves = ((E1, m), (F1TILDE, m)) if m else ()",
-     "curves = ((F1TILDE, m), (E1, m)) if m else ()",
+    ("orbit-rows-e-f-names-swapped", "picard.py",
+     "curves = ((E1, m, n - 2, m - n), (F1TILDE, m, n, m - n - 2)) if m else ()",
+     "curves = ((F1TILDE, m, n - 2, m - n), (E1, m, n, m - n - 2)) if m else ()",
+     "tests/test_cli.py::TestGoldens::test_byte_identical[argv0-delta_f0_blow2_half.json]"),
+    ("orbit-rows-e-size-off", "picard.py",
+     "(E1, m, n - 2, m - n)",
+     "(E1, m + 1, n - 2, m - n)",
+     "tests/test_cli.py::TestGoldens::test_byte_identical[argv0-delta_f0_blow2_half.json]"),
+    ("orbit-rows-fiber-names-swapped", "picard.py",
+     "(FIBER_P0, 1, n, m - n), (GENERIC_FIBER, 1, n, m - n)",
+     "(GENERIC_FIBER, 1, n, m - n), (FIBER_P0, 1, n, m - n)",
      "tests/test_cli.py::TestGoldens::test_byte_identical[argv0-delta_f0_blow2_half.json]"),
     # The torus answer over one denominator D = 2 L VOL: the scale applied
     # after the least-orbit search, and the witnesses as the orbits tied
