@@ -70,7 +70,7 @@ def _json(value, indent: str, out: list):
     """Append the text of ``json.dumps(value, indent=2)`` to ``out``, for the
     values a report holds: dicts with str keys, lists and tuples, str, int,
     float, bool and None.  Nested lines start with ``indent`` plus two
-    spaces per level; a str item is encoded without a recursive call."""
+    spaces per level."""
     if isinstance(value, str):
         out.append(_encode_str(value))
     elif value is None:
@@ -89,10 +89,7 @@ def _json(value, indent: str, out: list):
         sep = "{\n" + inner
         for key, item in value.items():
             out += (sep, _encode_str(key), ": ")
-            if isinstance(item, str):
-                out.append(_encode_str(item))
-            else:
-                _json(item, inner, out)
+            _json(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "}")
     elif isinstance(value, (list, tuple)):
@@ -103,10 +100,7 @@ def _json(value, indent: str, out: list):
         sep = "[\n" + inner
         for item in value:
             out.append(sep)
-            if isinstance(item, str):
-                out.append(_encode_str(item))
-            else:
-                _json(item, inner, out)
+            _json(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
     else:

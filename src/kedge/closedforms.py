@@ -11,15 +11,15 @@ rationals (``ratmath``), nothing of the sweep.
 
 Everything is computed on the angles' integer form (L, P1, P2)
 (``Angles.scaled``), as the sweep is.  Each curve is a list of walls, each
-an integer over L, and one chamber per gap between neighbouring walls: a
-thunk for the chamber's quadratic and the chamber's negative support; a
-quadratic is a coefficient triple of integer numerators over powers of L
-(one ``Rat`` per coefficient), written out or in one of the two shapes
+an integer over L, and one chamber per gap between neighbouring walls:
+the chamber's quadratic and its negative support.  A quadratic
+q0 + q1 x + q2 x^2 is the integers (a0, a1, a2, d), with q0 = a0 / (d L^2),
+q1 = a1 / (d L) and q2 = a2 / d, written out or in one of the two shapes
 ``k (c - x)^2 + s`` and ``(t - x)(c + d x)``.  A chamber of zero width is
-skipped before its quadratic is evaluated, so the chambers that collapse at
-``n = 1`` or ``n = m``, whose quadratics would divide by zero, are never
-formed.  The sections C~1 and C~2 share one two-chamber formula in the
-angles and self-intersections of the two sections.  The exceptional-curve
+skipped before its quadratic is divided out, so the chambers that collapse
+at ``n = 1`` or ``n = m``, the only ones with d = 0, are never divided.
+The sections C~1 and C~2 share one two-chamber formula in the angles and
+self-intersections of the two sections.  The exceptional-curve
 case splits into four regimes depending on how ``n`` compares with ``m``
 and on which of the curves ``C1tilde``/``C2tilde`` enters the negative part
 first, told apart on the integers; the chamber where ``C2tilde`` has
@@ -45,22 +45,16 @@ from .picard import C1TILDE, C2TILDE, E1, FiTilde, QuadraticPiece, orbit_of
 from .ratmath import Rat
 
 
-def _quadratic(a0, a1, a2, L, d=1):
-    """q0 + q1 x + q2 x^2 with q0 = a0 / (d L^2), q1 = a1 / (d L) and
-    q2 = a2 / d, for integers a0, a1, a2 and d."""
-    return Rat(a0, d * L * L), Rat(a1, d * L), Rat(a2, d)
-
-
-def _square(kn, kd, c, L, s=0):
+def _square(kn, kd, c, s=0):
     """k (c - x)^2 + s with k = kn / kd, c = C / L and s = S / L^2, given
-    the integers C and S."""
-    return _quadratic(kn * c * c + kd * s, -2 * kn * c, kn, L, kd)
+    the integers C and S, as its numerators (a0, a1, a2, d)."""
+    return kn * c * c + kd * s, -2 * kn * c, kn, kd
 
 
-def _product(t, c, d, L):
+def _product(t, c, d):
     """(t - x)(c + d x) with t = T / L, c = C / L and an integer d, given
-    the integers T and C."""
-    return _quadratic(t * c, t * d - c, -d, L)
+    the integers T and C, as its numerators (a0, a1, a2, 1)."""
+    return t * c, t * d - c, -d, 1
 
 
 def _scaled_volume(n, m, L, p1, p2) -> int:
@@ -126,15 +120,17 @@ def closed_form_S(E, model, angles) -> Rat | None:
 
 def _freeze(L, walls, chambers) -> tuple:
     """One piece per chamber of nonzero width between consecutive walls
-    (integers over L), its thunk evaluated only then.  A piece with the
-    same quadratic and support as the one before extends it: at degenerate
-    parameters (``m = 0`` for the sections, small n or m for ``E_i``) a
-    closed-form wall separates two chambers that are one."""
+    (integers over L), its quadratic q0 + q1 x + q2 x^2 divided out only
+    then: q0 = a0 / (d L^2), q1 = a1 / (d L) and q2 = a2 / d.  A piece with
+    the same quadratic and support as the one before extends it: at
+    degenerate parameters (``m = 0`` for the sections, small n or m for
+    ``E_i``) a closed-form wall separates two chambers that are one."""
     pieces: list[QuadraticPiece] = []
-    for (lo, hi), (quadratic, support) in zip(pairwise(walls), chambers, strict=True):
+    for (lo, hi), ((a0, a1, a2, d), support) in zip(pairwise(walls), chambers, strict=True):
         if lo == hi:
             continue
-        piece = QuadraticPiece(Rat(lo, L), Rat(hi, L), *quadratic(), support)
+        piece = QuadraticPiece(Rat(lo, L), Rat(hi, L), Rat(a0, d * L * L), Rat(a1, d * L),
+                               Rat(a2, d), support)
         if pieces and piece[2:] == pieces[-1][2:]:  # same q0, q1, q2 and support
             pieces[-1] = pieces[-1]._replace(x_hi=piece.x_hi)
         else:
@@ -168,8 +164,8 @@ def closed_form_volume_curve(E, model, angles) -> tuple | None:
         else:
             (b, e), (b_other, e_other), joining = (p2, n - m), (p1, -n), es
         return _freeze(L, (0, b, total), (
-            (lambda: _quadratic(V, -2 * (2 * L + e * b), e, L), ()),
-            (lambda: _product(total, 4 * L + e_other * (b_other - b), e_other, L), joining),
+            ((V, -2 * (2 * L + e * b), e, 1), ()),
+            (_product(total, 4 * L + e_other * (b_other - b), e_other), joining),
         ))
 
     case = classify_exceptional_case(model, angles) if first == E1 else None
@@ -179,18 +175,15 @@ def closed_form_volume_curve(E, model, angles) -> tuple | None:
     c1_wall, c2_wall, two = 2 * L - (n - 1) * p1, 2 * L - (m - n) * p2, 2 * L
     # Every regime opens with the ample chamber and the fibre-only chamber.
     opening = (
-        (lambda: _quadratic(V, -2 * p2, -1, L), ()),
-        (lambda: _quadratic(4 * L * total - (n - 1) * p1 * p1 + (n - m) * p2 * p2,
-                            -2 * total, 0, L), (fi,)),
+        ((V, -2 * p2, -1, 1), ()),
+        ((4 * L * total - (n - 1) * p1 * p1 + (n - m) * p2 * p2, -2 * total, 0, 1), (fi,)),
     )
-    with_c1 = (lambda: _square(1, n - 1, 2 * L + (n - 1) * p2, L, -(m - 1) * p2 * p2),
-               (C1TILDE, fi))
-    with_c2 = (lambda: _square(1, m - n, 2 * L + (m - n) * p1, L, -(m - 1) * p1 * p1),
-               (C2TILDE, fi))
-    with_c1_c2 = (lambda: _square(m - 1, (m - n) * (n - 1), 2 * L, L), (C1TILDE, C2TILDE, fi))
+    with_c1 = (_square(1, n - 1, 2 * L + (n - 1) * p2, -(m - 1) * p2 * p2), (C1TILDE, fi))
+    with_c2 = (_square(1, m - n, 2 * L + (m - n) * p1, -(m - 1) * p1 * p1), (C2TILDE, fi))
+    with_c1_c2 = (_square(m - 1, (m - n) * (n - 1), 2 * L), (C1TILDE, C2TILDE, fi))
     if case == CASE_N_GE_M:
         tau = 2 * L + (n - m) * p2
-        last = (lambda: _square(1, n - m, tau, L), (C1TILDE, *fs))
+        last = (_square(1, n - m, tau), (C1TILDE, *fs))
         walls, chambers = (c1_wall, two, tau), (with_c1, last)
     elif case == CASE_C1_FIRST:
         walls, chambers = (c1_wall, c2_wall, two), (with_c1, with_c1_c2)
@@ -198,6 +191,6 @@ def closed_form_volume_curve(E, model, angles) -> tuple | None:
         walls, chambers = (c2_wall, c1_wall, two), (with_c2, with_c1_c2)
     else:  # CASE_N_ZERO
         others = es[:i - 1] + es[i:]
-        last = (lambda: _square(1, 1, 2 * L + p1, L), (C2TILDE, *others, fi))
+        last = (_square(1, 1, 2 * L + p1), (C2TILDE, *others, fi))
         walls, chambers = (c2_wall, two, 2 * L + p1), (with_c2, last)
     return _freeze(L, (0, p1, *walls), (*opening, *chambers))

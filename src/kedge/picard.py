@@ -254,8 +254,9 @@ class DivisorClass(Value):
 
 
 #: How many values kept per surface a process holds, least recently used
-#: dropped first, all kinds together: at least the 11 584 entries of the
-#: eight bounded caches they replace.
+#: dropped first, all kinds together.  One process answering a 30 s
+#: benchmark stream (``perfbench/run.py --seed 0``) creates 52 entries on
+#: ``scan``, 2490 on ``sweep`` and 1583 on ``verify``, and keeps them all.
 PER_SURFACE_VALUES = 12288
 
 
@@ -476,5 +477,7 @@ class SurfaceModel(Value):
             raise OutsideAmpleRange(f"(n={self.n}, m={self.m}): {reason}")
 
 
-SurfaceParams = SurfaceModel  # the surface's former name, still importable
+# The surface's former name: perfbench/checks.py builds surfaces by it, and
+# ROADMAP item 1 moves the benchmark to SurfaceModel and drops it.
+SurfaceParams = SurfaceModel
 

@@ -73,10 +73,9 @@ its L A is P1, P2 or L and D A = 2 VOL (L A).  So an orbit's A/S is a/s
 and delta = a_min / s_min.  ``delta_minimum(model, L, P1, P2)`` keeps
 each orbit's a = D A and s = D S, canonical order, and nothing more per
 point.  One pass over the six orbits (four at m = 0) checks every S > 0,
-after VOL > 0, and finds a least A/S by cross-multiplying the small L A
-with s; the scale 2 VOL is applied once, after the search.  It returns
-plain integers and tuples, and the verdict compares a with s, so a
-``scan`` row forms no record and no Fraction.  A ``DeltaReport`` is
+after VOL > 0, and finds a least A/S by cross-multiplying a with s.  It
+returns plain integers and tuples, and the verdict compares a with s, so
+a ``scan`` row forms no record and no Fraction.  A ``DeltaReport`` is
 those integers followed by the surface and L, formed by ``delta_tvariety``
 (after its ample check) and by ``verdict.k_polystable``, and the report
 forms delta, the one Fraction, when it is read.  The orbits' first names
@@ -290,7 +289,7 @@ def delta_minimum(model: SurfaceModel, L: int, p1: int, p2: int) -> tuple:
     and the minimum keeps one a = D A and one s = D S per orbit, over
     D = 2 L VOL.  One pass over them checks S > 0 (InconsistencyError
     otherwise, as for VOL <= 0) and finds a least A/S by cross-multiplying
-    L A with s; a and a_min are scaled to D A after it (module docstring).
+    a with s.
     """
     n, m = model.n, model.m
     psi_p0, psi_marked, psi_generic, W, VOL, FM, HS2 = scaled_duals(model, L, p1, p2)
@@ -302,18 +301,16 @@ def delta_minimum(model: SurfaceModel, L: int, p1: int, p2: int) -> tuple:
         cross_marked = cross(W, HS2, psi_marked)
         s += (cross_marked - 2 * FM, cross_marked)
     s += (cross(W, HS2, psi_p0) + 2 * n * FM + 4 * L * VOL, cross(W, HS2, psi_generic))
-    vertical = len(s) - 2
-    la = (p1, p2) + (L,) * vertical
-    a_min, s_min = p1, s[0]
+    # D A = 2 VOL (L A), with L A = P1, P2 and L for every vertical orbit.
+    two_vol = 2 * VOL
+    a = (two_vol * p1, two_vol * p2, *(two_vol * L,) * (len(s) - 2))
+    a_min, s_min = a[0], s[0]
     for i, si in enumerate(s):
         if si <= 0:
             raise InconsistencyError(f"torus route: S of {model.orbit_rows[i][0]} is not positive")
-        if la[i] * s_min < a_min * si:
-            a_min, s_min = la[i], si
-    # Searched on the small L A; D A = 2 VOL (L A).
-    two_vol = 2 * VOL
-    a = (two_vol * p1, two_vol * p2, *(two_vol * L,) * vertical)
-    return two_vol * a_min, s_min, FM, a, s, VOL
+        if a[i] * s_min < a_min * si:
+            a_min, s_min = a[i], si
+    return a_min, s_min, FM, a, s, VOL
 
 
 def delta_tvariety(model: SurfaceModel, angles: Angles) -> DeltaReport:

@@ -37,9 +37,7 @@ report, ``Verdict`` or Fraction formed, condition points included.  The
 minimum keeps every A and S over one denominator, so delta = a_min / s_min,
 and each check, the rows' too, compares integers.
 ``k_polystable`` wraps it and forms the ``Verdict`` and its one report.
-The ample inequalities live in ``SurfaceModel.broken_ample_bound``, and
-``sampling.sample_angles`` restates them on its raw draws (its docstring
-says why).
+The ample inequalities live in ``SurfaceModel.broken_ample_bound`` alone.
 """
 from __future__ import annotations
 

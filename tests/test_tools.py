@@ -62,3 +62,18 @@ def function():
 
 def test_loc_counts_lines_and_code_lines():
     assert load("loc").count(SOURCE) == (22, 9)
+
+
+def test_pairs_summary_reads_medians_quartiles_and_wins():
+    # Five pairs of two metrics, one better higher and one better lower;
+    # the change ties pair 3 on items_per_s and wins 3 of 5 on setup_s.
+    metrics = [("items_per_s", "1/s", "higher"), ("setup_s", "s", "lower")]
+    parent = [{"items_per_s": x, "setup_s": y}
+              for x, y in ((100, 0.10), (90, 0.12), (110, 0.11), (95, 0.10), (105, 0.13))]
+    change = [{"items_per_s": x, "setup_s": y}
+              for x, y in ((101, 0.09), (89, 0.13), (110, 0.10), (96, 0.11), (120, 0.12))]
+    header, items, setup = load("pairs").summary(metrics, parent, change)
+    assert header.split() == ["metric", "unit", "parent", "median", "[q1,", "q3]",
+                              "change", "wins"]
+    assert items.split() == ["items_per_s", "1/s", "100", "[95,", "105]", "101", "3/5"]
+    assert setup.split() == ["setup_s", "s", "0.11", "[0.1,", "0.12]", "0.11", "3/5"]

@@ -336,8 +336,13 @@ MUTANTS = (
      "if row[0] == {'E1': 'F1tilde', 'F1tilde': 'E1'}.get(first, first)), None)",
      "tests/test_closedforms.py::test_integer_forms_match_the_reference[0]"),
     ("closed-c1-c2-k", "closedforms.py",
-     "_square(m - 1, (m - n) * (n - 1), 2 * L, L)",
-     "_square(m, (m - n) * (n - 1), 2 * L, L)",
+     "_square(m - 1, (m - n) * (n - 1), 2 * L)",
+     "_square(m, (m - n) * (n - 1), 2 * L)",
+     "tests/test_acceptance.py::test_criterion_1_chamber_regression"),
+    # A chamber's constant term divided by d L, not d L^2.
+    ("freeze-q0-over-d-l", "closedforms.py",
+     "Rat(a0, d * L * L)",
+     "Rat(a0, d * L)",
      "tests/test_acceptance.py::test_criterion_1_chamber_regression"),
     # E_i's partner F~i: only a test with i > 1 tells it from F~1.
     ("closed-form-partner-first", "closedforms.py",
@@ -364,6 +369,11 @@ MUTANTS = (
     ("sampler-reject-bound", "sampling.py",
      "while r >= w:",
      "while r > w:",
+     "tests/test_cli.py::TestGoldens::test_byte_identical[argv2-verify_small.json]"),
+    # The sampler's ample test, with the two angles' numerators swapped.
+    ("sampler-ample-numerators-swapped", "sampling.py",
+     "broken_ample_bound(d1 * d2, p1 * d2, p2 * d1)",
+     "broken_ample_bound(d1 * d2, p2 * d1, p1 * d2)",
      "tests/test_cli.py::TestGoldens::test_byte_identical[argv2-verify_small.json]"),
     ("oracle-family-start", "zariski.py",
      "yield from extend(subset + (c,), grown, c + 1)",
@@ -408,13 +418,17 @@ MUTANTS = (
      "(FIBER_P0, 1, n, m - n), (GENERIC_FIBER, 1, n, m - n)",
      "(GENERIC_FIBER, 1, n, m - n), (FIBER_P0, 1, n, m - n)",
      "tests/test_cli.py::TestGoldens::test_byte_identical[argv0-delta_f0_blow2_half.json]"),
-    # The torus answer over one denominator D = 2 L VOL: the scale applied
-    # after the least-orbit search, and the witnesses as the orbits tied
+    # The torus answer over one denominator D = 2 L VOL: the scale of every
+    # a, the least-orbit search on a, and the witnesses as the orbits tied
     # at the minimum.  (With <= in place of ==, the witnesses would not
     # change: no orbit has a s_min < a_min s.)
     ("delta-scale-dropped", "tvariety.py",
      "two_vol = 2 * VOL",
      "two_vol = VOL",
+     "tests/test_tvariety.py::TestOrbitRecords::test_matches_name_expanding_reference"),
+    ("least-orbit-greatest", "tvariety.py",
+     "if a[i] * s_min < a_min * si:",
+     "if a[i] * s_min > a_min * si:",
      "tests/test_tvariety.py::TestOrbitRecords::test_matches_name_expanding_reference"),
     ("witnesses-every-orbit", "tvariety.py",
      "if a * s_min == a_min * s for name",
