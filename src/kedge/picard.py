@@ -257,6 +257,9 @@ class DivisorClass(Value):
 #: dropped first, all kinds together.  One process answering a 30 s
 #: benchmark stream (``perfbench/run.py --seed 0``) creates 52 entries on
 #: ``scan``, 2490 on ``sweep`` and 1583 on ``verify``, and keeps them all.
+#: The bound stays about five times the largest, as headroom for streams
+#: outside the benchmark; whether it should count entries or bytes is open
+#: under ROADMAP item 10.
 PER_SURFACE_VALUES = 12288
 
 

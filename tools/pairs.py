@@ -1,17 +1,17 @@
 """Compare two checkouts on one benchmark workload, in alternating pairs.
 
-Each pair runs the benchmark command of ``BENCHMARK.json`` with
-``--workload W --seed 0 --seconds 30 --trace 0`` once in each checkout,
-one run at a time: the parent first on odd pairs, the change first on
-even ones.  For each end-to-end metric that the parent's
-``BENCHMARK.json`` names, the tool prints the parent's median and
-quartiles, the change's median and the pairs the change wins (strictly
-better in the metric's direction), then every run's values; each run's
-values also go to stderr as the run ends.  It changes nothing in either
-checkout but the benchmark's own report files.  The exit code is 1 if
-any run's checks failed.
+Each of ten pairs runs the benchmark command of ``BENCHMARK.json`` with
+``--workload W --seed 0 --seconds S --trace 0`` (S its ``run_seconds``)
+once in each checkout, one run at a time: the parent first on odd pairs,
+the change first on even ones.  Each run's values are printed as the run
+ends; then, for each end-to-end metric that the parent's
+``BENCHMARK.json`` names, the parent's median and quartiles, the
+change's median and the pairs the change wins (strictly better in the
+metric's direction).  It changes nothing in either checkout but the
+benchmark's own report files.  The exit code is 1 if any run's checks
+failed.
 
-Usage: python tools/pairs.py PARENT CHANGE --workload W [--pairs N]
+Usage: python tools/pairs.py PARENT CHANGE --workload W
 """
 from __future__ import annotations
 
@@ -22,21 +22,22 @@ import subprocess
 import sys
 from pathlib import Path
 
-SEED_ARGS = ("--seed", "0", "--seconds", "30", "--trace", "0")
+PAIRS = 10
 
 
-def end_to_end(checkout: Path) -> tuple[list, list]:
-    """The benchmark command and its end-to-end metrics (name, unit,
-    better) of one checkout's ``BENCHMARK.json``."""
+def end_to_end(checkout: Path, workload: str) -> tuple[list, list]:
+    """The benchmark command for one run of ``workload`` and the end-to-end
+    metrics (name, unit, better) of one checkout's ``BENCHMARK.json``."""
     bench = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return bench["command"], [(m["name"], m["unit"], m["better"]) for m in bench["end_to_end"]]
+    command = [*bench["command"], "--workload", workload, "--seed", "0",
+               "--seconds", str(bench["run_seconds"]), "--trace", "0"]
+    return command, [(m["name"], m["unit"], m["better"]) for m in bench["end_to_end"]]
 
 
-def run_once(checkout: Path, command: list, workload: str) -> tuple[bool, dict]:
+def run_once(checkout: Path, command: list) -> tuple[bool, dict]:
     """(checks passed, metric name -> value) of one benchmark run, read
     from the JSON on the last line of its stdout."""
-    result = subprocess.run([*command, "--workload", workload, *SEED_ARGS],
-                            cwd=checkout, capture_output=True, text=True)
+    result = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     lines = result.stdout.splitlines()
     if not lines or not lines[-1].startswith("{"):
         raise SystemExit(f"{checkout}: no result (exit {result.returncode})\n{result.stderr}")
@@ -66,29 +67,22 @@ def main(argv: list[str]) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2, for the quartiles")
-    command, metrics = end_to_end(args.parent)
+    command, metrics = end_to_end(args.parent, args.workload)
     names = [name for name, _, _ in metrics]
     sides = {"parent": (args.parent, []), "change": (args.change, [])}
-    rows, correct = [], True
-    for pair in range(1, args.pairs + 1):
+    correct = True
+    print(f"{args.workload}: {PAIRS} alternating pairs; runs: " + " ".join(names))
+    for pair in range(1, PAIRS + 1):
         for side in ("parent", "change") if pair % 2 else ("change", "parent"):
             checkout, values = sides[side]
-            ok, metric = run_once(checkout, command, args.workload)
+            ok, metric = run_once(checkout, command)
             correct = correct and ok
             values.append(metric)
-            rows.append(f"pair {pair:>2} {side} " + " ".join(f"{metric[n]:.6g}" for n in names)
-                        + ("" if ok else "  checks FAILED"))
-            print(rows[-1], file=sys.stderr, flush=True)
-    print(f"{args.workload}: {args.pairs} alternating pairs")
+            print(f"pair {pair:>2} {side} " + " ".join(f"{metric[n]:.6g}" for n in names)
+                  + ("" if ok else "  checks FAILED"), flush=True)
     print("\n".join(summary(metrics, sides["parent"][1], sides["change"][1])))
-    print("runs: " + " ".join(names))
-    print("\n".join(rows))
     return 0 if correct else 1
-
 
 if __name__ == "__main__":
     sys.exit(main(sys.argv[1:]))
