@@ -7,8 +7,10 @@ internal fault (any other exception, one ``internal error:`` line).  All
 rationals are read and written as exact ``"p/q"`` strings; ``--approx``
 adds decimal fields (suffixed ``_approx``) that are lossy and for human
 reading only.  Reports are JSON (schemas ship under ``kedge/schemas/``)
-except for ``scan``, which emits CSV.  Identical flags + seed produce
-byte-identical output.
+except for ``scan``, which emits CSV.  A JSON report holds exact values,
+each rational a Rat, and its writer spells them: ``_dump`` writes the text
+of ``json.dumps(report, indent=2, default=format_rat)``.  Identical flags
+and seed produce byte-identical output.
 
 Each subcommand declares its options in one table, built at import; a small
 loop matches ``argv`` against it with click's syntax and click's messages.
@@ -67,20 +69,16 @@ def _emit(text: str, output: str | None):
 
 
 def _json(value, indent: str, out: list):
-    """Append the text of ``json.dumps(value, indent=2)`` to ``out``, for the
-    values a report holds: dicts with str keys, lists and tuples, str, int,
-    float, bool and None.  Nested lines start with ``indent`` plus two
-    spaces per level."""
-    if isinstance(value, str):
+    """Append the text of ``json.dumps(value, indent=2, default=format_rat)``
+    to ``out``, for the values a report holds.  A value of type Rat is
+    written as its ``"p/q"`` string; a str, dicts (str keys), lists and
+    tuples are written here, nested lines starting with ``indent`` plus two
+    spaces per level; every other value is ``json.dumps``'s own text, or
+    its TypeError."""
+    if type(value) is Rat:
+        out.append(_encode_str(format_rat(value)))
+    elif isinstance(value, str):
         out.append(_encode_str(value))
-    elif value is None:
-        out.append("null")
-    elif value is True or value is False:
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(float.__repr__(value) if math.isfinite(value) else json.dumps(value))
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -104,12 +102,13 @@ def _json(value, indent: str, out: list):
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        out.append(json.dumps(value))
 
 
 def _dump(report: dict, output: str | None):
-    """Write ``json.dumps(report, indent=2)`` and a newline, byte for byte,
-    without the standard library's pure-Python indenting encoder."""
+    """Write ``json.dumps(report, indent=2, default=format_rat)`` and a
+    newline, byte for byte, without the standard library's pure-Python
+    indenting encoder."""
     out: list = []
     _json(report, "", out)
     out.append("\n")
@@ -148,24 +147,24 @@ def cmd_delta(n, m, beta1, beta2, approx, accept_decimal, output):
     angles = _parse_angles(beta1, beta2, accept_decimal)
     _ensure_ample(model, angles)
     verdict = k_polystable(model, angles)
-    report = point_header(model, angles, delta=format_rat(verdict.delta))
+    report = point_header(model, angles, delta=verdict.delta)
     if approx:
         report["delta_approx"] = float(verdict.delta)
     report.update(
         {
             "witness": verdict.witness,
-            "witnesses": list(verdict.witnesses),
+            "witnesses": verdict.witnesses,
             "condition_sign": verdict.condition_sign,
             "futaki_zero": verdict.report.FM == 0,
             "status": verdict.status,
-            "notes": list(verdict.notes),
+            "notes": verdict.notes,
             "per_divisor": {},
         }
     )
-    # One entry per S_m orbit, formatted once and listed under each name.
+    # One entry per S_m orbit, formed once and listed under each name.
     for orbit in verdict.report.orbits:
         ratio = orbit.ratio
-        entry = {"A": format_rat(orbit.A), "S": format_rat(orbit.S), "ratio": format_rat(ratio)}
+        entry = {"A": orbit.A, "S": orbit.S, "ratio": ratio}
         if approx:
             entry["ratio_approx"] = float(ratio)
         for name in orbit.names():
@@ -189,22 +188,11 @@ def cmd_volume_curve(n, m, curve, beta1, beta2, approx, accept_decimal, output):
     pieces = volume_curve(curve, model, angles)
     s_value = expected_vanishing_order(pieces)
     tau = pieces[-1].x_hi
-    report = point_header(model, angles, curve=curve, tau=format_rat(tau),
-                          A=format_rat(a_value), S=format_rat(s_value))
+    report = point_header(model, angles, curve=curve, tau=tau, A=a_value, S=s_value)
     if approx:
         report["tau_approx"] = float(tau)
         report["S_approx"] = float(s_value)
-    report["pieces"] = [
-        {
-            "x_lo": format_rat(piece.x_lo),
-            "x_hi": format_rat(piece.x_hi),
-            "q0": format_rat(piece.q0),
-            "q1": format_rat(piece.q1),
-            "q2": format_rat(piece.q2),
-            "negative_support": list(piece.negative_support),
-        }
-        for piece in pieces
-    ]
+    report["pieces"] = [piece._asdict() for piece in pieces]
     _dump(report, output)
 
 

@@ -63,7 +63,7 @@ import weakref
 from functools import lru_cache, partial, update_wrapper
 from typing import NamedTuple
 
-from .ratmath import Rat, exact, format_rat
+from .ratmath import Rat, exact
 
 
 class OutsideAmpleRange(ValueError):
@@ -149,9 +149,8 @@ class Angles(Value):
 
 def point_header(model: SurfaceModel, angles: Angles, **extra) -> dict:
     """The n, m, beta1, beta2 header of a report on one point, followed by
-    ``extra`` in the order given."""
-    return {"n": model.n, "m": model.m, "beta1": format_rat(angles.beta1),
-            "beta2": format_rat(angles.beta2), **extra}
+    ``extra`` in the order given: exact values; the writer spells them."""
+    return {"n": model.n, "m": model.m, "beta1": angles.beta1, "beta2": angles.beta2, **extra}
 
 
 # A curve is its name.  The fixed names, then every indexed name: E_i as

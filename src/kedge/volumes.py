@@ -69,23 +69,28 @@ class IrrationalThreshold(InconsistencyError):
     """The pseudoeffective threshold came out irrational, which this family rules out."""
 
 
+def _numerators(piece: QuadraticPiece) -> tuple:
+    """The piece's quadratic as integers (c0, c1, c2, d) with qk = ck / d:
+    with qk = nk / dk, d = d0 d1 d2 and ck = nk d / dk."""
+    q0, q1, q2 = piece.q0, piece.q1, piece.q2
+    d0, d1, d2 = q0.denominator, q1.denominator, q2.denominator
+    return q0.numerator * d1 * d2, q1.numerator * d0 * d2, q2.numerator * d0 * d1, d0 * d1 * d2
+
+
 def _piece_integral(piece: QuadraticPiece) -> tuple:
     """Exact integral of the quadratic over [x_lo, x_hi],
     q0 D1 + q1 D2 / 2 + q2 D3 / 3 where Dk = x_hi^k - x_lo^k, as an
     integer numerator and a positive integer denominator.
 
-    With qk = nk / dk, B the product of the endpoints' denominators,
-    X = B x_hi and Y = B x_lo, it is (X - Y) (6 n0 d1 d2 B^2
-    + 3 n1 d0 d2 B (X + Y) + 2 n2 d0 d1 (X^2 + X Y + Y^2)) over
-    6 d0 d1 d2 B^3."""
-    lo, hi, q0, q1, q2 = piece.x_lo, piece.x_hi, piece.q0, piece.q1, piece.q2
+    With qk = ck / d (``_numerators``), B the product of the endpoints'
+    denominators, X = B x_hi and Y = B x_lo, it is (X - Y) (6 c0 B^2
+    + 3 c1 B (X + Y) + 2 c2 (X^2 + X Y + Y^2)) over 6 d B^3."""
+    lo, hi = piece.x_lo, piece.x_hi
+    c0, c1, c2, d = _numerators(piece)
     B = lo.denominator * hi.denominator
     X, Y = hi.numerator * lo.denominator, lo.numerator * hi.denominator
-    n0, d0, n1, d1 = q0.numerator, q0.denominator, q1.numerator, q1.denominator
-    n2, d2 = q2.numerator, q2.denominator
-    inner = (6 * n0 * d1 * d2 * B * B + 3 * n1 * d0 * d2 * B * (X + Y)
-             + 2 * n2 * d0 * d1 * (X * X + X * Y + Y * Y))
-    return (X - Y) * inner, 6 * d0 * d1 * d2 * B * B * B
+    inner = 6 * c0 * B * B + 3 * c1 * B * (X + Y) + 2 * c2 * (X * X + X * Y + Y * Y)
+    return (X - Y) * inner, 6 * d * B * B * B
 
 
 def expected_vanishing_order(pieces: tuple):
@@ -213,19 +218,15 @@ def volume_sweep(E: str, model: SurfaceModel, angles: Angles) -> tuple:
 
 
 def _jets(piece: QuadraticPiece) -> tuple:
-    """Integers ((w, t) at x_lo, (w, t) at x_hi, d), with qk = nk / dk and
-    d = d0 d1 d2, the numerators read once: at x = u / v the value is
-    w / (d v^2), and the slope q1 + 2 q2 x is t / (d1 d2 v), of the sign
-    of t."""
-    q0, q1, q2 = piece.q0, piece.q1, piece.q2
-    n0, d0, n1, d1 = q0.numerator, q0.denominator, q1.numerator, q1.denominator
-    n2, d2 = q2.numerator, q2.denominator
-    c0, c1, c2, t1, t2 = n0 * d1 * d2, n1 * d0 * d2, n2 * d0 * d1, n1 * d2, 2 * n2 * d1
+    """Integers ((w, t) at x_lo, (w, t) at x_hi, d), with qk = ck / d
+    (``_numerators``): at x = u / v the value is w / (d v^2), and the slope
+    q1 + 2 q2 x is t / (d v), of the sign of t."""
+    c0, c1, c2, d = _numerators(piece)
     ends = []
     for x in (piece.x_lo, piece.x_hi):
         u, v = x.numerator, x.denominator
-        ends.append((c0 * v * v + (c1 * v + c2 * u) * u, t1 * v + t2 * u))
-    return (*ends, d0 * d1 * d2)
+        ends.append((c0 * v * v + (c1 * v + c2 * u) * u, c1 * v + 2 * c2 * u))
+    return (*ends, d)
 
 
 def _certify_curve(E: str, model: SurfaceModel, angles: Angles, pieces: tuple):

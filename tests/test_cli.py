@@ -213,10 +213,11 @@ def write_json(value) -> str:
     return "".join(out)
 
 
-# Reports as the CLI builds them: str keys, and every str drawn from all of
-# Unicode, so non-ASCII and control characters are in range.
+# Reports as the CLI builds them: str keys, every str drawn from all of
+# Unicode, so non-ASCII and control characters are in range, and exact
+# rationals nested anywhere.
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | st.fractions(),
     lambda children: st.lists(children) | st.tuples(children, children)
     | st.dictionaries(st.text(), children),
     max_leaves=30,
@@ -224,7 +225,8 @@ json_values = st.recursive(
 
 
 class TestJsonWriter:
-    """``_dump`` writes ``json.dumps(report, indent=2)`` byte for byte."""
+    """``_dump`` writes ``json.dumps(report, indent=2, default=format_rat)``
+    byte for byte."""
 
     @pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.glob("*.json")))
     def test_goldens(self, golden):
@@ -238,11 +240,13 @@ class TestJsonWriter:
     @example({"a": {}, "b": [[], [{}]], "c": [[1, [2.5, None]], True, False]})
     @example({"\u00e9\x00\x1f\u2028": "tab\there \"quoted\" \\ \ud83d\ude00"})
     @example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 21 / 23])
-    @example("caf\u00e9")  # top-level scalars: a str, an int and None
+    @example({"r": (Fraction(-1, 21), [Fraction(3)]), "i": 10**30})
+    @example("caf\u00e9")  # top-level scalars: a str, an int, None and a Rat
     @example(7)
     @example(None)
+    @example(Fraction(1, 2))
     def test_matches_json_dumps(self, value):
-        assert write_json(value) == json.dumps(value, indent=2)
+        assert write_json(value) == json.dumps(value, indent=2, default=format_rat)
 
     @pytest.mark.parametrize("argv", [DELTA_ARGS, CURVE_ARGS, DELTA_ARGS_CONDITION],
                              ids=["delta", "volume-curve", "delta-condition"])
@@ -252,8 +256,8 @@ class TestJsonWriter:
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
     def test_unsupported_value_is_refused_like_json_dumps(self):
-        for value in (Fraction(1, 2), {"x": [Fraction(1, 2)]}):
-            with pytest.raises(TypeError, match="Object of type Fraction is not JSON serializable"):
+        for value in (1j, {"x": [1j]}):
+            with pytest.raises(TypeError, match="Object of type complex is not JSON serializable"):
                 write_json(value)
 
 

@@ -382,8 +382,14 @@ MUTANTS = (
     # S from the volume curve's pieces, and an angle string read by the
     # CLI's literal grammar and bounds.
     ("s-integral-linear-term", "volumes.py",
-     "+ 3 * n1 * d0 * d2 * B * (X + Y)",
-     "+ 2 * n1 * d0 * d2 * B * (X + Y)",
+     "+ 3 * c1 * B * (X + Y)",
+     "+ 2 * c1 * B * (X + Y)",
+     "tests/test_acceptance.py::test_criterion_1_chamber_regression"),
+    # The one integer reading of a piece, which the integral and the
+    # certificate's jets share: d without q2's denominator.
+    ("numerators-d-drops-d2", "volumes.py",
+     "q2.numerator * d0 * d1, d0 * d1 * d2",
+     "q2.numerator * d0 * d1, d0 * d1",
      "tests/test_acceptance.py::test_criterion_1_chamber_regression"),
     ("angles-string-through-rat", "ratmath.py",
      "return parse_rat(value, accept_decimal=True)",
@@ -406,6 +412,16 @@ MUTANTS = (
      "g = math.gcd(a_min, s_min)",
      "g = 1",
      "tests/test_cli.py::TestGoldens::test_byte_identical[argv3-scan_m0.csv]"),
+    # The JSON writer: a Rat spelled by str ("1/1" becomes "1"), and every
+    # other scalar by repr (true becomes True).
+    ("json-rat-by-str", "cli.py",
+     "out.append(_encode_str(format_rat(value)))",
+     "out.append(_encode_str(str(value)))",
+     "tests/test_cli.py::TestGoldens::test_byte_identical[argv0-delta_f0_blow2_half.json]"),
+    ("json-scalar-by-repr", "cli.py",
+     "out.append(json.dumps(value))",
+     "out.append(repr(value))",
+     "tests/test_cli.py::TestGoldens::test_byte_identical[argv2-verify_small.json]"),
     ("orbit-rows-e-f-names-swapped", "picard.py",
      "curves = ((E1, m, n - 2, m - n), (F1TILDE, m, n, m - n - 2)) if m else ()",
      "curves = ((F1TILDE, m, n - 2, m - n), (E1, m, n, m - n - 2)) if m else ()",
